@@ -36,7 +36,6 @@ techniques so each backend only overrides what it must.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
@@ -46,22 +45,7 @@ __all__ = [
     "ApproxBackend",
     "BackendBase",
     "CostProfile",
-    "warn_deprecated",
 ]
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the deprecation-shim warning for a renamed API.
-
-    Same pattern as the ``ServerConfig.from_flat`` kwargs shim: the old
-    spelling keeps working for one deprecation cycle but tells callers
-    where to migrate.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)

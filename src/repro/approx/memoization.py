@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import Application
-from repro.approx.base import BackendBase, CostProfile, warn_deprecated
+from repro.approx.base import BackendBase, CostProfile
 from repro.errors import ConfigurationError, NotFittedError
 from repro.predictors.tree import DecisionTreeErrorPredictor
 
@@ -126,19 +126,6 @@ class MemoizingBackend(BackendBase):
         """Make the table read-only (misses compute exactly, install nothing)."""
         self.frozen = True
         return self
-
-    def clear(self) -> None:
-        """Deprecated: use :meth:`reset_state` instead.
-
-        Retains the historical semantics — empties the memo table and the
-        hit counters unconditionally (even when frozen).
-        """
-        warn_deprecated("MemoizingBackend.clear()",
-                        "MemoizingBackend.reset_state()")
-        self._table.clear()
-        self.hits = 0
-        self.misses = 0
-        self.last_distances = None
 
     # ------------------------------------------------------------------ #
     # ApproxBackend contract                                             #

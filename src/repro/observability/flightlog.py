@@ -2,17 +2,10 @@
 
 One structured record per sampled request — trace id, every stage
 timestamp, scheme, quality outcome, retries, worker id, error code —
-written to a size-capped, crash-safe log file.  The on-disk format
-reuses the wire frame codec from :mod:`repro.serving.net.protocol`:
-each record is one ``FT_FLIGHT`` frame (length prefix + header + JSON
-body + CRC32), so a torn tail from a crash or a concurrent reader is
-*detected* (CRC/length check fails) and reading simply stops at the
-last intact record instead of yielding garbage.
-
-Size capping is rotate-once: when the live file would exceed
-``max_bytes`` it is renamed to ``<path>.1`` (clobbering the previous
-rotation) and a fresh file is started, bounding total disk use at
-roughly ``2 * max_bytes`` without ever rewriting records in place.
+written to a size-capped, crash-safe log file: one ``FT_FLIGHT`` frame
+with a JSON body per record in a rotate-once
+:class:`~repro.framedlog.FramedLog`, which supplies the torn-tail
+detection and the ``<path>.1`` rotation.
 
 The read side (:func:`iter_flight_records`, :func:`aggregate_stages`,
 :func:`format_waterfall`) backs ``python -m repro trace``.
@@ -21,12 +14,9 @@ The read side (:func:`iter_flight_records`, :func:`aggregate_stages`,
 from __future__ import annotations
 
 import json
-import os
-import struct
-import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.framedlog import FramedLog, generations, iter_frames
 from repro.observability.reqtrace import STAGES
 
 __all__ = [
@@ -47,21 +37,7 @@ FLIGHT_LOG_VERSION = 1
 _STAGE_ORDER = {name: i for i, name in enumerate(STAGES)}
 
 
-def _wire():
-    """The wire-protocol module, imported on first use.
-
-    A module-level import would close a cycle: this module is re-exported
-    by ``repro.observability`` (which ``repro.core.runtime`` imports),
-    while ``repro.serving`` needs the core.  By the time a recorder
-    actually encodes or decodes a frame, every package involved is fully
-    initialised.
-    """
-    from repro.serving.net import protocol
-
-    return protocol
-
-
-class FlightRecorder:
+class FlightRecorder(FramedLog):
     """Crash-safe appender of per-request flight records.
 
     Thread-safe; every record is flushed before :meth:`record` returns,
@@ -70,99 +46,31 @@ class FlightRecorder:
     """
 
     def __init__(self, path: str, max_bytes: int = 16 << 20):
-        if max_bytes < 4096:
-            raise ConfigurationError(
-                "flight_log_max_bytes must be at least 4096"
-            )
-        self.path = str(path)
-        self.max_bytes = int(max_bytes)
-        self._lock = threading.Lock()
-        self._fh = open(self.path, "ab")
-        self._size = self._fh.tell()
-        self.written = 0
-        self.rotations = 0
-        self._closed = False
-
-    @property
-    def rotated_path(self) -> str:
-        return self.path + ".1"
+        super().__init__(path, "FT_FLIGHT", max_bytes, "flight_log_max_bytes")
 
     def record(self, document: Dict[str, object]) -> None:
         """Append one record; silently drops after :meth:`close`."""
         body = json.dumps(
             document, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
-        wire = _wire()
-        request_id = int(document.get("request_id", 0) or 0)
-        blob = wire.encode_frame(wire.FT_FLIGHT, request_id, body)
-        with self._lock:
-            if self._closed:
-                return
-            if self._size and self._size + len(blob) > self.max_bytes:
-                self._rotate_locked()
-            self._fh.write(blob)
-            self._fh.flush()
-            self._size += len(blob)
-            self.written += 1
-
-    def _rotate_locked(self) -> None:
-        self._fh.close()
-        os.replace(self.path, self.rotated_path)
-        self._fh = open(self.path, "ab")
-        self._size = 0
-        self.rotations += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._fh.close()
-
-    def __enter__(self) -> "FlightRecorder":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.append(int(document.get("request_id", 0) or 0), body)
 
 
 # --------------------------------------------------------------------- #
 # Read side                                                              #
 # --------------------------------------------------------------------- #
-def _iter_file(path: str) -> Iterator[Dict[str, object]]:
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except FileNotFoundError:
-        return
-    wire = _wire()
-    offset = 0
-    while offset + 4 <= len(buf):
-        (length,) = struct.unpack_from("<I", buf, offset)
-        if length < wire.MIN_FRAME_LENGTH or offset + 4 + length > len(buf):
-            return  # torn tail: a record was cut mid-write
-        try:
-            frame = wire.decode_frame(buf[offset + 4: offset + 4 + length])
-        except ProtocolError:
-            return  # corrupted tail; everything before it was intact
-        offset += 4 + length
-        if frame.frame_type != wire.FT_FLIGHT:
-            continue
-        try:
-            document = json.loads(frame.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            continue
-        if isinstance(document, dict):
-            yield document
-
-
 def iter_flight_records(
     path: str, include_rotated: bool = True
 ) -> Iterator[Dict[str, object]]:
     """Yield records oldest-first, rotated generation first."""
-    if include_rotated:
-        yield from _iter_file(path + ".1")
-    yield from _iter_file(path)
+    for generation in generations(path, include_rotated):
+        for frame in iter_frames(generation, "FT_FLIGHT"):
+            try:
+                document = json.loads(frame.body.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                continue
+            if isinstance(document, dict):
+                yield document
 
 
 def read_flight_log(

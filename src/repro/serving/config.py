@@ -21,11 +21,7 @@ invalid configuration fails at construction with
 :class:`~repro.errors.ConfigurationError`, before any thread or process
 is spawned.
 
-``RumbaServer(config=ServerConfig(...))`` is the primary constructor.
-The legacy flat kwargs (``RumbaServer(n_workers=4, max_retries=1)``)
-still work through :meth:`ServerConfig.from_flat` but emit a
-:class:`DeprecationWarning`; new code — including the CLI, the network
-edge, and the benchmarks — should build a config object.
+``RumbaServer(config=ServerConfig(...))`` is the only constructor.
 
 Configs are immutable; derive variants with :func:`dataclasses.replace`::
 
@@ -383,7 +379,8 @@ class ServerConfig:
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     chaos: Optional[object] = None
 
-    #: Flat legacy kwarg name -> (section attribute or None, field name).
+    #: Journal-META key -> (section attribute or None, field name); see
+    #: :meth:`flat`.  ``repro replay`` reads these keys from disk.
     _FLAT_FIELDS = {
         "n_workers": (None, "n_workers"),
         "n_recovery_workers": (None, "n_recovery_workers"),
@@ -437,58 +434,17 @@ class ServerConfig:
         if self.ring_capacity_bytes < 128:
             raise ConfigurationError("ring_capacity_bytes is too small")
 
-    @classmethod
-    def from_flat(cls, **flat: object) -> "ServerConfig":
-        """Build a config from the legacy flat kwarg namespace.
-
-        This is the compatibility shim behind ``RumbaServer(**kwargs)``:
-        every pre-redesign keyword maps onto its grouped field.  Unknown
-        names raise :class:`~repro.errors.ConfigurationError` (exactly
-        like an unexpected keyword argument used to raise ``TypeError``,
-        but catchable with the library's base exception).
-        """
-        top: Dict[str, object] = {}
-        grouped: Dict[str, Dict[str, object]] = {
-            "batching": {}, "backpressure": {}, "retry": {}, "tracing": {},
-            "journal": {}, "ensemble": {},
-        }
-        for key in ("app", "scheme"):
-            if key in flat:
-                top[key] = flat.pop(key)
-        for name, value in flat.items():
-            try:
-                section, attr = cls._FLAT_FIELDS[name]
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown RumbaServer/ServerConfig option {name!r}"
-                ) from None
-            if section is None:
-                top[attr] = value
-            else:
-                grouped[section][attr] = value
-        return cls(
-            batching=BatchingConfig(**grouped["batching"]),
-            backpressure=BackpressureConfig(**grouped["backpressure"]),
-            retry=RetryConfig(**grouped["retry"]),
-            tracing=TracingConfig(**grouped["tracing"]),
-            journal=JournalConfig(**grouped["journal"]),
-            ensemble=EnsembleConfig(**grouped["ensemble"]),
-            **top,
-        )
-
     def flat(self) -> Dict[str, object]:
-        """The config as the legacy flat kwarg dict (shim round-trip)."""
+        """The config as the one-level dict the journal META records."""
         out: Dict[str, object] = {"app": self.app, "scheme": self.scheme}
         for name, (section, attr) in self._FLAT_FIELDS.items():
             source = self if section is None else getattr(self, section)
             out[name] = getattr(source, attr)
         return out
 
-    def with_overrides(self, **flat: object) -> "ServerConfig":
-        """A new config with flat-named fields replaced (CLI helper)."""
-        merged = self.flat()
-        merged.update(flat)
-        return type(self).from_flat(**merged)
+    def with_overrides(self, **fields: object) -> "ServerConfig":
+        """A new config with the named top-level fields replaced."""
+        return replace(self, **fields)
 
 
 # ``replace`` is re-exported so callers can derive config variants with

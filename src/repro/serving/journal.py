@@ -9,15 +9,11 @@ the completion status.  ``python -m repro replay`` re-drives a journal
 through a fresh server and diffs the two runs bit for bit (see
 :mod:`repro.serving.replay` and ``docs/replay.md``).
 
-The on-disk format reuses the wire frame codec from
-:mod:`repro.serving.net.protocol`, exactly like the flight recorder:
-each record is one ``FT_JOURNAL`` frame (length prefix + header + body +
-CRC32), so a torn tail from a crash (SIGKILL mid-write) is *detected* —
-the CRC/length check fails and reading stops at the last intact record
-instead of yielding garbage.  Size capping is rotate-once, also like
-``flightlog.py``: the live file is renamed to ``<path>.1`` when it would
-exceed ``max_bytes`` and a fresh generation starts with a fresh META
-record, bounding disk at roughly ``2 * max_bytes``.
+On disk the journal is a rotate-once :class:`~repro.framedlog.FramedLog`
+of ``FT_JOURNAL`` frames, exactly like the flight recorder: a torn tail
+from a crash (SIGKILL mid-write) is *detected* and reading stops at the
+last intact record, and each rotated generation opens with a fresh META
+record.
 
 Record kinds (first body byte):
 
@@ -35,15 +31,14 @@ Record kinds (first body byte):
 from __future__ import annotations
 
 import json
-import os
 import struct
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.framedlog import FramedLog, generations, iter_frames
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -63,18 +58,6 @@ JOURNAL_VERSION = 1
 
 KIND_META = 0
 KIND_REQUEST = 1
-
-
-def _wire():
-    """The wire-protocol module, imported on first use.
-
-    Same cycle-breaker as ``flightlog._wire``: this module is imported by
-    the serving package while ``serving.net`` imports serving; by the
-    time a journal actually encodes a frame every package is initialised.
-    """
-    from repro.serving.net import protocol
-
-    return protocol
 
 
 # --------------------------------------------------------------------- #
@@ -279,7 +262,7 @@ def unpack_record(body: bytes) -> Tuple[int, object]:
 # --------------------------------------------------------------------- #
 # Writer                                                                 #
 # --------------------------------------------------------------------- #
-class RequestJournal:
+class RequestJournal(FramedLog):
     """Crash-safe appender of journal records.
 
     Thread-safe; every record is flushed before the append returns, so
@@ -289,31 +272,22 @@ class RequestJournal:
     """
 
     def __init__(self, path: str, max_bytes: int = 64 << 20):
-        if max_bytes < 4096:
-            raise ConfigurationError(
-                "journal max_bytes must be at least 4096"
-            )
-        self.path = str(path)
-        self.max_bytes = int(max_bytes)
-        self._lock = threading.Lock()
-        self._fh = open(self.path, "ab")
-        self._size = self._fh.tell()
+        super().__init__(path, "FT_JOURNAL", max_bytes, "journal max_bytes")
         self._meta: Optional[Dict[str, object]] = None
-        self.written = 0
-        self.rotations = 0
-        self._closed = False
-
-    @property
-    def rotated_path(self) -> str:
-        return self.path + ".1"
 
     def write_meta(self, document: Dict[str, object]) -> None:
         """Record the run description; re-emitted after every rotation."""
         document = dict(document)
         document.setdefault("journal_version", JOURNAL_VERSION)
-        with self._lock:
-            self._meta = document
-            self._append_locked(0, pack_record(KIND_META, document))
+        self._meta = document
+        self.append(0, pack_record(KIND_META, document))
+
+    def generation_head(self) -> Optional[bytes]:
+        # Each generation is self-describing: a reader that only has the
+        # live file still knows what run it is looking at.
+        if self._meta is None:
+            return None
+        return pack_record(KIND_META, self._meta)
 
     def record_request(
         self,
@@ -326,89 +300,22 @@ class RequestJournal:
         body = pack_record(
             KIND_REQUEST, header, inputs=inputs, outputs=outputs, bits=bits
         )
-        request_id = int(header.get("request_id", 0) or 0)
-        with self._lock:
-            self._append_locked(request_id, body)
-
-    def _append_locked(self, request_id: int, body: bytes) -> None:
-        if self._closed:
-            return
-        wire = _wire()
-        blob = wire.encode_frame(wire.FT_JOURNAL, request_id, body)
-        if self._size and self._size + len(blob) > self.max_bytes:
-            self._rotate_locked()
-        self._fh.write(blob)
-        self._fh.flush()
-        self._size += len(blob)
-        self.written += 1
-
-    def _rotate_locked(self) -> None:
-        self._fh.close()
-        os.replace(self.path, self.rotated_path)
-        self._fh = open(self.path, "ab")
-        self._size = 0
-        self.rotations += 1
-        if self._meta is not None:
-            # Each generation is self-describing: a reader that only has
-            # the live file still knows what run it is looking at.
-            wire = _wire()
-            blob = wire.encode_frame(
-                wire.FT_JOURNAL, 0, pack_record(KIND_META, self._meta)
-            )
-            self._fh.write(blob)
-            self._fh.flush()
-            self._size += len(blob)
-            self.written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._fh.close()
-
-    def __enter__(self) -> "RequestJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.append(int(header.get("request_id", 0) or 0), body)
 
 
 # --------------------------------------------------------------------- #
 # Read side                                                              #
 # --------------------------------------------------------------------- #
-def _iter_file(path: str) -> Iterator[Tuple[int, object]]:
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except FileNotFoundError:
-        return
-    wire = _wire()
-    offset = 0
-    while offset + 4 <= len(buf):
-        (length,) = struct.unpack_from("<I", buf, offset)
-        if length < wire.MIN_FRAME_LENGTH or offset + 4 + length > len(buf):
-            return  # torn tail: a record was cut mid-write
-        try:
-            frame = wire.decode_frame(buf[offset + 4: offset + 4 + length])
-        except ProtocolError:
-            return  # corrupted tail; everything before it was intact
-        offset += 4 + length
-        if frame.frame_type != wire.FT_JOURNAL:
-            continue
-        try:
-            yield unpack_record(frame.body)
-        except ProtocolError:
-            return  # body itself torn: stop, keep the intact prefix
-
-
 def iter_journal(
     path: str, include_rotated: bool = True
 ) -> Iterator[Tuple[int, object]]:
     """Yield ``(kind, payload)`` oldest-first, rotated generation first."""
-    if include_rotated:
-        yield from _iter_file(path + ".1")
-    yield from _iter_file(path)
+    for generation in generations(path, include_rotated):
+        for frame in iter_frames(generation, "FT_JOURNAL"):
+            try:
+                yield unpack_record(frame.body)
+            except ProtocolError:
+                break  # body itself torn: keep this file's intact prefix
 
 
 def read_journal(path: str, include_rotated: bool = True) -> Journal:

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
+from repro.serving.journal import pack_bits
 from repro.serving.shm import (
     FRAME_BATCH,
     FRAME_DEGRADE,
@@ -47,6 +48,10 @@ from repro.serving.shm import (
 __all__ = ["ProcessWorkerPool", "ProcessWorker", "worker_snapshot"]
 
 _POLL_S = 0.0005  # worker/parent idle poll interval
+#: Invocation records a serving shard retains (``RumbaSystem.max_records``).
+#: Nothing in serving reads them; unbounded, a long-lived shard leaks one
+#: record per batch.
+SHARD_RECORD_WINDOW = 256
 _FACTOR_FMT = "<d"
 
 
@@ -77,11 +82,9 @@ def worker_snapshot(
         if record.unchecked_error is not None:
             snap["unchecked_error"] = float(record.unchecked_error)
         if include_bits:
-            bits = np.asarray(
+            snap["decision_bits"], snap["decision_nbits"] = pack_bits(
                 record.detection.recovery_bits
-            ).astype(bool).ravel()
-            snap["decision_bits"] = np.packbits(bits).tobytes()
-            snap["decision_nbits"] = int(bits.shape[0])
+            )
             choices = getattr(record, "choices", None)
             if choices is not None:
                 # The batch's per-row routing decisions ride with the
@@ -108,7 +111,7 @@ def _worker_main(
     out_ring = ShmRing.attach(out_name)
     try:
         prototype = pickle.loads(system_blob)
-        system = prototype.clone_shard()
+        system = prototype.clone_shard(max_records=SHARD_RECORD_WINDOW)
         while True:
             # Zero-copy read: BATCH payloads are consumed as views of ring
             # memory; the frame is advanced (bytes released to the
@@ -228,13 +231,13 @@ class _WorkerBackpressureProxy:
     thread backend's direct call would.
     """
 
-    def __init__(self, pool: "ProcessWorkerPool", worker: ProcessWorker):
+    def __init__(self, pool: "ProcessWorkerPool", index: int):
         self._pool = pool
-        self._worker = worker
+        self._index = index  # resolved per call: handles exist from start()
 
     def apply_backpressure(self, direction: int, factor: float) -> float:
         kind = FRAME_DEGRADE if direction > 0 else FRAME_RELAX
-        self._pool.send_control(self._worker, kind, factor)
+        self._pool.send_control(self._pool.workers[self._index], kind, factor)
         return 0.0  # the authoritative threshold lives in the worker
 
 
@@ -280,6 +283,11 @@ class ProcessWorkerPool:
         #: Optional fault injector (see :mod:`repro.serving.faults`);
         #: consulted on the control-frame path when set.
         self.chaos = None
+
+    @property
+    def worker_names(self) -> List[str]:
+        """The worker slots' names, known before any process exists."""
+        return [f"p{i}" for i in range(self.n_workers)]
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #
@@ -334,11 +342,11 @@ class ProcessWorkerPool:
             raise ServingError("pool already started")
         self._blob = pickle.dumps(self._prototype)  # one pickle per lifetime
         try:
-            for i in range(self.n_workers):
+            for i, name in enumerate(self.worker_names):
                 process, in_ring, out_ring = self._spawn(i)
                 self.workers.append(
                     ProcessWorker(
-                        name=f"p{i}", process=process,
+                        name=name, process=process,
                         in_ring=in_ring, out_ring=out_ring,
                     )
                 )
@@ -396,14 +404,7 @@ class ProcessWorkerPool:
                 )
         for worker in self.workers:
             worker.process.join(timeout=timeout)
-            if worker.process.is_alive():  # pragma: no cover - defensive
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            worker.dead = True
-            worker.in_ring.close()
-            worker.out_ring.close()
-            worker.in_ring.unlink()
-            worker.out_ring.unlink()
+            self._dismantle(worker, timeout=1.0)  # terminates a straggler
         self._stopped = True
 
     # ------------------------------------------------------------------ #
@@ -417,23 +418,11 @@ class ProcessWorkerPool:
         timeout_s: float = 30.0,
         trace_id: int = 0,
     ) -> None:
-        """Ship one batch to ``worker``; raises when it cannot be sent.
-
-        ``trace_id`` rides in the frame header (the batch-representative
-        request trace) and is echoed back on the worker's RESULT frame.
-        """
-        if not worker.alive():
-            raise ServingError(f"worker {worker.name} is not alive")
-        ok = _write_blocking(
-            worker.in_ring, FRAME_BATCH, seq, inputs, b"",
-            timeout_s=timeout_s, still_alive=worker.alive,
-            trace_id=trace_id,
+        """Ship one already-concatenated batch (see :meth:`submit_rows`)."""
+        self.submit_rows(
+            worker, seq, [np.atleast_2d(inputs)],
+            timeout_s=timeout_s, trace_id=trace_id,
         )
-        if not ok:
-            raise ServingError(
-                f"could not deliver batch {seq} to worker {worker.name} "
-                f"(ring full for {timeout_s:.0f}s or worker died)"
-            )
 
     def submit_rows(
         self,
@@ -446,8 +435,11 @@ class ProcessWorkerPool:
     ) -> None:
         """Ship one batch as per-request row blocks written directly into
         ring memory (:meth:`ShmRing.write_rows`) — the zero-copy dispatch
-        path: no parent-side concat buffer exists at all.  ``extra``
+        path: no parent-side concat buffer exists at all.  ``trace_id``
+        (the batch-representative request trace) rides in the frame
+        header and is echoed back on the worker's RESULT frame; ``extra``
         carries the batch's forced routing choices during replay.
+        Raises when the batch cannot be delivered.
         """
         if not worker.alive():
             raise ServingError(f"worker {worker.name} is not alive")
@@ -489,7 +481,9 @@ class ProcessWorkerPool:
 
     def backpressure_proxies(self) -> List[_WorkerBackpressureProxy]:
         """Shard stand-ins wiring a BackpressureController to the pool."""
-        return [_WorkerBackpressureProxy(self, w) for w in self.workers]
+        return [
+            _WorkerBackpressureProxy(self, i) for i in range(self.n_workers)
+        ]
 
     @staticmethod
     def decode_error(frame: ShmFrame) -> BaseException:

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.framedlog import generations
 from repro.serving.journal import Journal, JournalRecord, read_journal
 
 __all__ = ["Divergence", "ReplayReport", "replay_journal"]
@@ -255,7 +256,7 @@ def _diff_batch(
 
 
 def _remove_journal(path: str) -> None:
-    for candidate in (path, path + ".1"):
+    for candidate in generations(path):
         try:
             os.remove(candidate)
         except FileNotFoundError:

@@ -1,28 +1,31 @@
 """The quality-managed inference server.
 
-Architecture (one box per thread group)::
+Architecture — one serving core over one worker transport::
 
     callers ──submit()──► AdmissionQueue (bounded, deadline-flushed)
                                 │ take_batch()
-                      ┌─────────┴──────────┐
-                  worker w0 … worker wN     each owns a RumbaSystem shard
-                  (accelerate + detect)     cloned from one prototype
-                      │ PendingInvocation
-                      ▼ try_push (bounded; full → inline recovery)
-                 shared recovery backlog (FifoQueue)
-                      │
-              recovery worker r0 … rM       (recover + tune + complete)
-                      │
-                 ServeHandle.set_result ──► caller unblocks
+       core (this module)  admission pump: stamp, chaos, Batch(seq)
+                           retry heap · backpressure · drift · journal ·
+                           trace export · stats · handle resolution
+                                │ dispatch(batch)    ▲ on_complete(report)
+                                ▼                    │ on_failure(error)
+       transport.py        ThreadTransport    |    ProcessTransport
+                           shard threads w0…wN     dispatcher → shm rings
+                           ▼ bounded backlog       worker processes p0…pN
+                           recovery threads r0…rM  collector + supervisor
 
-The accelerator-side halves and the CPU-side halves of invocations
-overlap exactly as in the paper's Fig. 8 pipeline: a worker begins its
-next batch while recovery workers are still re-executing flagged
-iterations of its previous ones.  The :class:`BackpressureController`
-watches the backlog and trades quality for stability when the recovery
-group falls behind; the bounded admission queue sheds load past that.
+The core is written once; ``config.backend`` picks the transport, which
+only moves a batch to a :class:`~repro.core.runtime.RumbaSystem` shard
+and reports the outcome (contract: :mod:`repro.serving.transport` and
+``docs/serving.md``).  With threads, the accelerator-side and CPU-side
+halves of invocations overlap exactly as in the paper's Fig. 8 pipeline:
+a worker begins its next batch while recovery workers are still
+re-executing flagged iterations of its previous ones.  The
+:class:`BackpressureController` watches the transport's backlog and
+trades quality for stability when recovery falls behind; the bounded
+admission queue sheds load past that.
 
-Everything is observable: each worker shard attaches a per-worker
+Everything is observable: thread shards attach a per-worker
 :class:`~repro.observability.Telemetry` (``worker=w<i>`` label) to the
 server's metrics registry, and the server adds service-level series
 (``rumba_serve_*``).  :meth:`RumbaServer.stats` is the health endpoint.
@@ -31,10 +34,9 @@ server's metrics registry, and the server adds service-level series
 from __future__ import annotations
 
 import heapq
-import pickle
+import itertools
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.offline import prepare_system
-from repro.core.runtime import PendingInvocation, RumbaSystem
+from repro.core.runtime import RumbaSystem
 from repro.core.stream import DriftDetector
 from repro.errors import (
     ConfigurationError,
@@ -50,7 +52,7 @@ from repro.errors import (
     ServingError,
     WorkerCrashError,
 )
-from repro.hardware.queues import FifoQueue
+from repro.observability.flightlog import FLIGHT_LOG_VERSION, FlightRecorder
 from repro.observability.instrument import Telemetry
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -58,40 +60,41 @@ from repro.observability.metrics import (
 )
 from repro.observability.reqtrace import (
     STAGE_ADMIT,
-    STAGE_COLLECT,
     STAGE_COMPLETE,
-    STAGE_COMPUTE,
     STAGE_DEQUEUE,
-    STAGE_DETECT,
     STAGE_DISPATCH,
-    STAGE_RECOVER,
-    STAGE_RECOVERY_WAIT,
     STAGE_RETRY,
-    STAGE_ROUTE,
-    STAGE_SHM_READ,
-    STAGE_SHM_WRITE,
     TracingPolicy,
 )
 from repro.serving.backpressure import BackpressureController
-from repro.serving.batching import AdmissionQueue, concat_inputs, split_outputs
+from repro.serving.batching import AdmissionQueue, split_outputs
 from repro.serving.bufpool import BufferPool
 from repro.serving.config import ServerConfig
 from repro.serving.faults import ChaosConfig, ChaosMonkey
-from repro.serving.procpool import ProcessWorker, ProcessWorkerPool
+from repro.serving.journal import RequestJournal, unpack_bits
+from repro.serving.procpool import ProcessWorkerPool
 from repro.serving.request import ServeHandle, ServeRequest, ServeResult
-from repro.serving.shm import FRAME_ERROR, FRAME_RESULT
+from repro.serving.transport import (
+    Batch,
+    ProcessTransport,
+    ThreadTransport,
+    stamp_batch,
+)
 
 __all__ = ["RumbaServer", "WorkerShard"]
-
-_BACKENDS = ("thread", "process")
 
 
 @dataclass
 class WorkerShard:
-    """One worker's slice of the service: a cloned system + drift watch."""
+    """The core's view of one worker: load counters and a drift watch.
+
+    ``system`` is the worker's shard when it lives in this process (the
+    thread transport); a process worker's system is in another address
+    space and the view carries None.
+    """
 
     name: str
-    system: RumbaSystem
+    system: Optional[RumbaSystem] = None
     drift: DriftDetector = field(default_factory=DriftDetector)
     drift_flags: int = 0
     batches: int = 0
@@ -99,73 +102,23 @@ class WorkerShard:
 
     @property
     def drifted(self) -> bool:
-        """True once this shard's checker behaviour has left its band."""
+        """True once this worker's checker behaviour has left its band."""
         return self.drift_flags > 0
 
     def observe_drift(self, fire_fraction: float) -> bool:
         drifted_now = self.drift.observe(fire_fraction)
         if drifted_now:
             self.drift_flags += 1
-        telemetry = self.system.telemetry
+        telemetry = getattr(self.system, "telemetry", None)
         if telemetry is not None:
             telemetry.on_drift(drifted_now, self.drifted)
         return drifted_now
 
 
-@dataclass
-class _RecoveryTask:
-    """One batch whose accelerator half is done, awaiting CPU recovery."""
-
-    shard: WorkerShard
-    requests: List[ServeRequest]
-    pending: PendingInvocation
-    degraded: bool
-    dispatched_at: float
-    #: The batch's traces, precomputed at dequeue (empty = tracing off).
-    traced: List[object] = field(default_factory=list)
-    #: Pooled concat buffer backing ``pending.inputs`` (multi-request
-    #: batches only); recycled once ``complete_invocation`` — its last
-    #: reader — returns.
-    lease: Optional[np.ndarray] = None
-
-
-@dataclass
-class _ProcShardView:
-    """Parent-side bookkeeping for one process worker.
-
-    The worker's system lives in another address space; this view holds
-    what the parent tracks itself (dispatch counts, drift on the reported
-    fire fractions) while the rest arrives in metrics snapshots.
-    """
-
-    name: str
-    drift: DriftDetector
-    drift_flags: int = 0
-    batches: int = 0
-    elements: int = 0
-
-    @property
-    def drifted(self) -> bool:
-        return self.drift_flags > 0
-
-
-@dataclass
-class _ProcPendingBatch:
-    """One batch in flight to a process worker, awaiting its RESULT."""
-
-    requests: List[ServeRequest]
-    worker: ProcessWorker
-    dispatched_at: float
-    degraded: bool
-    #: The batch's traces, precomputed at dequeue (empty = tracing off).
-    traced: List[object] = field(default_factory=list)
-
-
 class RumbaServer:
     """Batched, parallel, quality-managed serving of one benchmark kernel.
 
-    The primary constructor takes a
-    :class:`~repro.serving.config.ServerConfig`::
+    The constructor takes a :class:`~repro.serving.config.ServerConfig`::
 
         config = ServerConfig(
             n_workers=4,
@@ -196,14 +149,6 @@ class RumbaServer:
         Factory for the per-worker drift detectors (tests inject
         tightened ones).
 
-    .. deprecated::
-        The historical flat keyword arguments
-        (``RumbaServer(n_workers=4, max_retries=1, ...)``) still work but
-        emit :class:`DeprecationWarning`; they are folded into a
-        :class:`ServerConfig` via :meth:`ServerConfig.from_flat` and
-        behave identically.  Mixing ``config=`` with flat kwargs is an
-        error.
-
     Backend semantics, batching policy, backpressure, deadline-budgeted
     retries, and supervision are documented on the config sections and in
     ``docs/serving.md`` / ``docs/performance.md``.
@@ -217,29 +162,11 @@ class RumbaServer:
         config: Optional[ServerConfig] = None,
         registry: Optional[MetricsRegistry] = None,
         drift_detector_factory=DriftDetector,
-        **legacy_kwargs,
     ):
-        if legacy_kwargs:
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either config=ServerConfig(...) or legacy flat "
-                    f"kwargs, not both: {sorted(legacy_kwargs)}"
-                )
-            warnings.warn(
-                "RumbaServer(" + ", ".join(sorted(legacy_kwargs)) + "=...) "
-                "flat kwargs are deprecated; build a "
-                "repro.serving.ServerConfig and pass config=... instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServerConfig.from_flat(**legacy_kwargs)
-        elif config is None:
-            config = ServerConfig()
-        if app is not None or scheme is not None:
-            config = config.with_overrides(
-                **{k: v for k, v in (("app", app), ("scheme", scheme))
-                   if v is not None}
-            )
+        config = (config or ServerConfig()).with_overrides(**{
+            k: v for k, v in (("app", app), ("scheme", scheme))
+            if v is not None
+        })
         self.config = config
         self.app_name = (
             prototype.app.name if prototype is not None else config.app
@@ -249,10 +176,9 @@ class RumbaServer:
             else config.scheme
         )
         self._prototype = prototype
+        self.backend = config.backend
         self.n_workers = config.n_workers
         self.n_recovery_workers = config.n_recovery_workers
-        self.measure_quality = config.measure_quality
-        self.seed = config.seed
         self.registry = registry if registry is not None else MetricsRegistry()
 
         self._admission = AdmissionQueue(
@@ -265,54 +191,26 @@ class RumbaServer:
         # well-defined points; buffers that escape to callers (ServeResult
         # outputs) never come from it.  See serving/bufpool.py.
         self._bufpool = BufferPool()
-        self._backlog: FifoQueue[_RecoveryTask] = FifoQueue(
-            capacity=config.backpressure.recovery_backlog_capacity,
-            name="serve-recovery-backlog",
-            strict=False,
-        )
-        self._rcond = threading.Condition()
-        high_watermark, low_watermark = (
-            config.backpressure.resolved_watermarks()
-        )
-        self._bp_config = (
-            high_watermark,
-            low_watermark,
-            config.backpressure.degrade_factor,
-            config.backpressure.max_degradation,
-        )
         self._drift_factory = drift_detector_factory
 
-        self.backend = config.backend
-        self.ring_capacity_bytes = config.ring_capacity_bytes
-        self.start_method = config.start_method
-        self.pool: Optional[ProcessWorkerPool] = None
-        self._proc_views: Dict[str, _ProcShardView] = {}
-        self._proc_pending: Dict[int, _ProcPendingBatch] = {}
-        self._proc_lock = threading.Lock()
-        self._proc_seq = 0
-        self._proc_stop = False
-
         self.shards: List[WorkerShard] = []
+        self._shard_by_name: Dict[str, WorkerShard] = {}
+        self._shard_lock = threading.Lock()
         self.controller: Optional[BackpressureController] = None
-        self._threads: List[threading.Thread] = []
         self._state = "new"
-        self._state_lock = threading.Lock()
-        self._recovery_stop = False
         self._flight_cond = threading.Condition()
         self._inflight = 0
         self._next_request_id = 0
         self._id_lock = threading.Lock()
+        self._batch_seq = itertools.count()
 
-        # Fault tolerance: deadline-budgeted retries + worker supervision.
-        self.max_retries = config.retry.max_retries
-        self.default_deadline_s = config.retry.default_deadline_s
-        self.retry_backoff_s = config.retry.retry_backoff_s
-        self.restart_workers = config.retry.restart_workers
-        self.max_worker_restarts = config.retry.max_worker_restarts
+        # Fault tolerance: deadline-budgeted retries (the transport does
+        # its own worker supervision).
         self._retry_cond = threading.Condition()
         self._retry_heap: List[Tuple[float, int, ServeRequest]] = []
         self._retry_seq = 0
         self._retry_stop = False
+        self._retry_thread: Optional[threading.Thread] = None
         self._retries_total = 0
         chaos = config.chaos
         self.chaos_monkey: Optional[ChaosMonkey] = (
@@ -324,11 +222,6 @@ class RumbaServer:
         self.tracing = TracingPolicy.from_config(config.tracing)
         self.flight_recorder = None
         if config.tracing.enabled and config.tracing.flight_log_path:
-            # Imported lazily: flightlog reuses the wire codec, and the
-            # serving.net package imports this module at its own import
-            # time — by construction time the cycle has resolved.
-            from repro.observability.flightlog import FlightRecorder
-
             self.flight_recorder = FlightRecorder(
                 config.tracing.flight_log_path,
                 max_bytes=config.tracing.flight_log_max_bytes,
@@ -337,22 +230,45 @@ class RumbaServer:
         self._slow_exemplars: List[Dict[str, object]] = []
         self._traced_total = 0
 
-        # Durable request journal: every terminal completion — on either
-        # backend — is appended as an FT_JOURNAL frame carrying inputs,
-        # outputs, decision bits, and status, the raw material for
-        # ``python -m repro replay`` (see docs/replay.md).
+        # Durable request journal: every terminal completion is appended
+        # as an FT_JOURNAL frame carrying inputs, outputs, decision bits,
+        # and status, the raw material for ``python -m repro replay``
+        # (see docs/replay.md).
         self.journal = None
-        self._journal_seq = 0
-        self._journal_lock = threading.Lock()
         if config.journal.enabled:
-            # Same lazy-import story as the flight recorder above: the
-            # journal reuses the wire codec.
-            from repro.serving.journal import RequestJournal
-
             self.journal = RequestJournal(
                 config.journal.path, max_bytes=config.journal.max_bytes
             )
         self._build_metrics()
+
+        # The one place the backend is consulted: everything below talks
+        # to ``self._transport`` only.
+        core = dict(
+            on_complete=self._on_complete,
+            on_failure=self._retry_or_fail,
+            worker_metrics=self._worker_metrics,
+            # Reports carry each batch's packed decision bits only when a
+            # journal will record them.
+            include_bits=self.journal is not None,
+        )
+        if config.backend == "process":
+            self._transport = ProcessTransport(
+                config,
+                chaos=self.chaos_monkey,
+                fleet_level=lambda: self.controller.level,
+                **core,
+            )
+        else:
+            self._transport = ThreadTransport(
+                config,
+                telemetry=lambda name: Telemetry(
+                    registry=self.registry,
+                    extra_labels={"worker": name},
+                    **self._labels,
+                ),
+                bufpool=self._bufpool,
+                **core,
+            )
 
     # ------------------------------------------------------------------ #
     # Construction                                                       #
@@ -360,6 +276,7 @@ class RumbaServer:
     def _build_metrics(self) -> None:
         r = self.registry
         base = ("app", "scheme")
+        labels = self._labels = {"app": self.app_name, "scheme": self.scheme}
         self._m_requests = r.counter(
             "rumba_serve_requests_total",
             "Requests by admission/completion outcome", base + ("outcome",),
@@ -378,27 +295,27 @@ class RumbaServer:
             "Batches recovered inline because the backlog was full",
             base + ("worker",),
         )
-        self._m_admission_depth = r.gauge(
+        self._g_admission_depth = r.gauge(
             "rumba_serve_admission_depth",
             "Requests waiting in the admission queue", base,
-        )
-        self._m_backlog = r.gauge(
+        ).labels(**labels)
+        self._g_backlog = r.gauge(
             "rumba_serve_recovery_backlog",
             "Batches awaiting asynchronous CPU recovery", base,
-        )
-        self._m_inflight = r.gauge(
+        ).labels(**labels)
+        self._g_inflight = r.gauge(
             "rumba_serve_inflight_requests",
             "Admitted requests not yet completed", base,
-        )
-        self._m_degradation = r.gauge(
+        ).labels(**labels)
+        self._g_degradation = r.gauge(
             "rumba_serve_degradation_level",
             "Backpressure degradation steps currently in effect", base,
-        )
-        self._m_latency = r.histogram(
+        ).labels(**labels)
+        self._h_latency = r.histogram(
             "rumba_serve_request_latency_seconds",
             "Submission-to-completion latency per request", base,
             buckets=DEFAULT_LATENCY_BUCKETS,
-        )
+        ).labels(**labels)
         # Per-stage waterfall segments from sampled request traces; the
         # registry's bucket overrides give this family the fine 50 µs
         # grid (sub-millisecond shm/queue hops need it).
@@ -417,9 +334,7 @@ class RumbaServer:
             "Requests re-dispatched after a worker fault",
             base + ("worker",),
         )
-        # Process backend: worker-internal state arrives via the metrics
-        # snapshot shipped with every RESULT frame and is re-exported here
-        # (the thread backend exports these through per-shard Telemetry).
+        # Worker-internal state, re-exported from each batch's report.
         self._m_worker_threshold = r.gauge(
             "rumba_serve_worker_threshold",
             "Detection threshold last reported by each worker",
@@ -431,9 +346,8 @@ class RumbaServer:
             base + ("worker",),
         )
         # Ensemble routing: cumulative per-member row counts and online
-        # retrain passes, per worker.  Updated from the shard's counters
-        # (thread backend) or the RESULT snapshot (process backend); both
-        # stay silent when the server runs without an ensemble.
+        # retrain passes, per worker, from each batch's report; silent
+        # when the server runs without an ensemble.
         self._m_ens_routed = r.gauge(
             "rumba_ensemble_routed_rows",
             "Rows routed to each ensemble member, cumulative per worker",
@@ -444,74 +358,46 @@ class RumbaServer:
             "Online router retrain passes completed, per worker",
             base + ("worker",),
         )
-        self._ens_children: Dict[Tuple[str, str], object] = {}
-        self._labels = {"app": self.app_name, "scheme": self.scheme}
         # Label resolution (dict hashing under the family lock) costs a
         # few microseconds; the per-request and per-batch paths pay it
         # many times per request, so the hot children are resolved once.
-        labels = self._labels
         self._c_accepted = self._m_requests.labels(outcome="accepted", **labels)
         self._c_completed = self._m_requests.labels(
             outcome="completed", **labels
         )
         self._c_failed = self._m_requests.labels(outcome="failed", **labels)
         self._c_shed = self._m_requests.labels(outcome="shed", **labels)
-        self._g_admission_depth = self._m_admission_depth.labels(**labels)
-        self._g_backlog = self._m_backlog.labels(**labels)
-        self._g_inflight = self._m_inflight.labels(**labels)
-        self._h_latency = self._m_latency.labels(**labels)
         self._worker_children: Dict[str, SimpleNamespace] = {}
 
     def _worker_metrics(self, name: str) -> SimpleNamespace:
         """Per-worker labeled children, resolved once per worker name."""
         child = self._worker_children.get(name)
         if child is None:
-            labels = self._labels
+            labels = dict(self._labels, worker=name)
             child = SimpleNamespace(
-                batches=self._m_batches.labels(worker=name, **labels),
-                batch_requests=self._m_batch_requests.labels(
-                    worker=name, **labels
-                ),
-                inline=self._m_inline.labels(worker=name, **labels),
-                threshold=self._m_worker_threshold.labels(
-                    worker=name, **labels
-                ),
-                invocations=self._m_worker_invocations.labels(
-                    worker=name, **labels
-                ),
+                batches=self._m_batches.labels(**labels),
+                batch_requests=self._m_batch_requests.labels(**labels),
+                inline=self._m_inline.labels(**labels),
+                restarts=self._m_worker_restarts.labels(**labels),
+                threshold=self._m_worker_threshold.labels(**labels),
+                invocations=self._m_worker_invocations.labels(**labels),
             )
             self._worker_children[name] = child
         return child
 
     def _export_ensemble(self, worker: str, snapshot: Dict[str, object]) -> None:
-        """Re-export one worker's ensemble counters into the registry.
-
-        ``snapshot`` is :meth:`ApproximatorEnsemble.snapshot` — either
-        read directly off a thread shard or shipped inside a process
-        worker's RESULT snapshot.
-        """
+        """Re-export one worker's ensemble counters (the ``ensemble`` entry
+        of its report, :meth:`ApproximatorEnsemble.snapshot`)."""
+        labels = dict(self._labels, worker=worker)
         members = snapshot.get("members", ())
-        routed = snapshot.get("routed", ())
-        for member, rows in zip(members, routed):
-            key = (worker, member)
-            child = self._ens_children.get(key)
-            if child is None:
-                child = self._m_ens_routed.labels(
-                    worker=worker, member=member, **self._labels
-                )
-                self._ens_children[key] = child
-            child.set(int(rows))
-        key = (worker, "")
-        child = self._ens_children.get(key)
-        if child is None:
-            child = self._m_ens_retrains.labels(
-                worker=worker, **self._labels
-            )
-            self._ens_children[key] = child
-        child.set(int(snapshot.get("retrains", 0)))
+        for member, rows in zip(members, snapshot.get("routed", ())):
+            self._m_ens_routed.labels(member=member, **labels).set(int(rows))
+        self._m_ens_retrains.labels(**labels).set(
+            int(snapshot.get("retrains", 0))
+        )
 
     def prepare(self) -> "RumbaServer":
-        """Train (or adopt) the prototype and clone one shard per worker."""
+        """Train (or adopt) the prototype and lay out one shard per worker."""
         if self._state != "new":
             raise ServingError(f"cannot prepare a {self._state} server")
         if self._prototype is None:
@@ -520,52 +406,22 @@ class RumbaServer:
                 if self.config.ensemble.enabled else None
             )
             self._prototype = prepare_system(
-                self.app_name, scheme=self.scheme, seed=self.seed,
-                ensemble=ensemble_spec,
+                self.app_name, scheme=self.scheme,
+                seed=self.config.seed, ensemble=ensemble_spec,
             )
-        if self.backend == "process":
-            # Fail at prepare time, not in a worker, if the prototype
-            # cannot cross the process boundary.
-            try:
-                pickle.dumps(self._prototype)
-            except Exception as exc:
-                raise ServingError(
-                    "process backend needs a picklable prototype "
-                    f"(registry applications are): {exc!r}"
-                ) from exc
-            self.pool = ProcessWorkerPool(
-                self._prototype,
-                n_workers=self.n_workers,
-                ring_capacity_bytes=self.ring_capacity_bytes,
-                measure_quality=self.measure_quality,
-                start_method=self.start_method,
-                # Workers ship each batch's packed decision bits with the
-                # RESULT snapshot only when a journal will record them.
-                ship_decision_bits=self.journal is not None,
-            )
-            self._state = "ready"
-            return self
-        for i in range(self.n_workers):
-            name = f"w{i}"
-            telemetry = Telemetry(
-                app=self.app_name,
-                scheme=self.scheme,
-                registry=self.registry,
-                extra_labels={"worker": name},
-            )
-            system = self._prototype.clone_shard(telemetry=telemetry)
-            self.shards.append(
-                WorkerShard(
-                    name=name, system=system, drift=self._drift_factory()
-                )
-            )
-        high, low, factor, max_level = self._bp_config
+        self.shards = [
+            WorkerShard(name=name, system=system, drift=self._drift_factory())
+            for name, system in self._transport.prepare(self._prototype)
+        ]
+        self._shard_by_name = {shard.name: shard for shard in self.shards}
+        bp = self.config.backpressure
+        high, low = bp.resolved_watermarks()
         self.controller = BackpressureController(
-            [s.system for s in self.shards],
+            self._transport.backpressure_targets(),
             high_watermark=high,
             low_watermark=low,
-            factor=factor,
-            max_level=max_level,
+            factor=bp.degrade_factor,
+            max_level=bp.max_degradation,
         )
         self._state = "ready"
         return self
@@ -583,11 +439,12 @@ class RumbaServer:
         return self._prototype
 
     @property
-    def is_running(self) -> bool:
-        return self._state == "running"
+    def pool(self) -> Optional[ProcessWorkerPool]:
+        """The worker-process pool (None on the thread backend)."""
+        return self._transport.pool
 
     def start(self) -> "RumbaServer":
-        """Spawn the worker groups (threads, or processes + I/O threads)."""
+        """Spawn the retry thread and the transport's workers."""
         if self._state == "new":
             self.prepare()
         if self._state != "ready":
@@ -595,56 +452,13 @@ class RumbaServer:
         self._state = "running"
         if self.journal is not None:
             self._write_journal_meta()
-        retry_thread = threading.Thread(
+        self._retry_thread = threading.Thread(
             target=self._retry_loop, name="rumba-serve-retry", daemon=True,
         )
-        retry_thread.start()
-        self._threads.append(retry_thread)
-        if self.backend == "process":
-            self.pool.start()
-            self._proc_views = {
-                w.name: _ProcShardView(name=w.name, drift=self._drift_factory())
-                for w in self.pool.workers
-            }
-            high, low, factor, max_level = self._bp_config
-            self.controller = BackpressureController(
-                self.pool.backpressure_proxies(),
-                high_watermark=high,
-                low_watermark=low,
-                factor=factor,
-                max_level=max_level,
-            )
-            dispatcher = threading.Thread(
-                target=self._process_dispatch_loop,
-                name="rumba-serve-dispatch", daemon=True,
-            )
-            collector = threading.Thread(
-                target=self._process_collect_loop,
-                name="rumba-serve-collect", daemon=True,
-            )
-            dispatcher.start()
-            collector.start()
-            self._threads.extend([dispatcher, collector])
-            if self.chaos_monkey is not None:
-                self.chaos_monkey.attach_pool(self.pool)
-                self.chaos_monkey.start()
-            return self
+        self._retry_thread.start()
+        self._transport.start(self._pump)
         if self.chaos_monkey is not None:
             self.chaos_monkey.start()
-        for shard in self.shards:
-            thread = threading.Thread(
-                target=self._worker_loop, args=(shard,),
-                name=f"rumba-serve-{shard.name}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        for i in range(self.n_recovery_workers):
-            thread = threading.Thread(
-                target=self._recovery_loop, name=f"rumba-recover-r{i}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
         return self
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -668,56 +482,37 @@ class RumbaServer:
 
     def stop(self, timeout: float = 10.0) -> None:
         """Drain, then tear the worker groups down."""
-        if self._state in ("stopped", "new", "ready"):
-            self._state = "stopped" if self._state != "new" else self._state
-            if self.flight_recorder is not None:
-                self.flight_recorder.close()
-            if self.journal is not None:
-                self.journal.close()
-            return
-        # Chaos stops before the drain so shutdown itself is fault-free.
-        if self.chaos_monkey is not None:
-            self.chaos_monkey.stop()
-        self.drain(timeout=timeout)
-        self._admission.close()
-        with self._rcond:
-            self._recovery_stop = True
-            self._rcond.notify_all()
-        with self._retry_cond:
-            self._retry_stop = True
-            self._retry_cond.notify_all()
-        self._proc_stop = True
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        if self.pool is not None:
-            self.pool.stop(timeout=timeout)
-        # Fail anything that somehow survived the drain (e.g. timeout).
-        with self._retry_cond:
-            abandoned = [entry[2] for entry in self._retry_heap]
-            self._retry_heap.clear()
-        for request in abandoned:
-            self._finish_request(
-                request, error=ServingError("server stopped"), record=None
-            )
-        for request in self._admission.drain_remaining():
-            self._finish_request(
-                request, error=ServingError("server stopped"), record=None
-            )
-        if self.controller is not None:
+        if self._state in ("running", "draining"):
+            # Chaos stops before the drain so shutdown itself is
+            # fault-free.
+            if self.chaos_monkey is not None:
+                self.chaos_monkey.stop()
+            self.drain(timeout=timeout)
+            self._admission.close()
+            with self._retry_cond:
+                self._retry_stop = True
+                self._retry_cond.notify_all()
+            self._transport.stop(timeout)
+            self._retry_thread.join(timeout=timeout)
+            # Fail anything that somehow survived the drain (e.g. timeout).
+            with self._retry_cond:
+                abandoned = [entry[2] for entry in self._retry_heap]
+                self._retry_heap.clear()
+            abandoned += self._admission.drain_remaining()
+            for request in abandoned:
+                self._finish_request(
+                    request, error=ServingError("server stopped")
+                )
             self.controller.reset()
-            self._m_degradation.labels(**self._labels).set(
-                self.controller.level
-            )
+            self._g_degradation.set(self.controller.level)
+        # After the abandoned requests above, so their (promoted) error
+        # records are the last thing logged before the files close.
         if self.flight_recorder is not None:
-            # After the abandoned requests above, so their (promoted)
-            # error records still land in the log.
             self.flight_recorder.close()
         if self.journal is not None:
-            # Likewise: the abandoned requests' error records are the
-            # last thing journaled before the file closes.
             self.journal.close()
-        self._threads = []
-        self._state = "stopped"
+        if self._state != "new":
+            self._state = "stopped"
 
     def __enter__(self) -> "RumbaServer":
         return self.start()
@@ -829,472 +624,135 @@ class RumbaServer:
         """Convenience: submit and block for the result."""
         return self.submit(inputs, deadline_s=deadline_s).result(timeout)
 
-    @staticmethod
-    def _stamp_batch(
-        traces: List[object], stage: str, at: Optional[float] = None
-    ) -> None:
-        """Stamp one stage event on each of a batch's traces.
-
-        Callers precompute the batch's trace list once, at dequeue; with
-        tracing disabled that list is empty and every stamp along the
-        batch's path short-circuits here without reading the clock or
-        touching the batch again.
-        """
-        if not traces:
-            return
-        if at is None:
-            at = time.monotonic()
-        for trace in traces:
-            trace.stamp(stage, at=at)
-
-    @staticmethod
-    def _forced_choices(batch: List[ServeRequest]) -> Optional[np.ndarray]:
-        """Concatenate a batch's forced routing choices (None = live).
-
-        Mixed batches are rejected: forcing only some rows of an
-        invocation would interleave recorded decisions with a router
-        whose online state no longer matches the recorded run.  Replay
-        batches one request per invocation, so this never triggers there.
-        """
-        forced = [r.backend_ids for r in batch]
-        if all(ids is None for ids in forced):
-            return None
-        if any(ids is None for ids in forced):
-            raise ConfigurationError(
-                "a batch cannot mix forced and live-routed requests"
-            )
-        if len(forced) == 1:
-            return forced[0]
-        return np.concatenate(forced)
-
     # ------------------------------------------------------------------ #
-    # Worker groups                                                      #
+    # Dispatch and completion (the transport calls back into these)      #
     # ------------------------------------------------------------------ #
-    def _worker_loop(self, shard: WorkerShard) -> None:
-        while True:
-            batch = self._admission.take_batch()
-            if batch is None:
-                return
-            # Stage stamps are only ever read at export, and export is
-            # gated on ``sampled`` — so unsampled traces skip the whole
-            # stamping pipeline (at the default 1/64 sampling that is
-            # nearly every request).  An error later promotes a trace to
-            # sampled; its waterfall then starts at the promotion point
-            # (admit and the error stages are always recorded).
-            traced = [
-                r.trace for r in batch
-                if r.trace is not None and r.trace.sampled
-            ]
-            self._stamp_batch(traced, STAGE_DEQUEUE)
-            self._g_admission_depth.set(len(self._admission))
-            try:
-                self._dispatch_batch(shard, batch, traced)
-            except Exception as exc:  # pragma: no cover - defensive
-                self._retry_or_fail(batch, exc, worker=shard.name)
+    def _pump(self, dispatch, worker: str = "") -> None:
+        """The admission dequeue loop; transports run it on their threads."""
+        while self._pump_once(dispatch, worker):
+            pass
 
-    def _dispatch_batch(
-        self,
-        shard: WorkerShard,
-        batch: List[ServeRequest],
-        traced: List[object],
-    ) -> None:
-        inputs = concat_inputs(batch, pool=self._bufpool)
-        # Multi-request batches concatenate into a leased buffer the task
-        # owns until recovery finishes; a single-request batch rides its
-        # own staged input block, which the request itself owns.
-        lease = inputs if len(batch) > 1 else None
+    def _pump_once(self, dispatch, worker: str = "") -> bool:
+        """Take one admission batch and hand it to ``dispatch``.
+
+        Returns False once the admission queue is closed and empty.
+        """
+        requests = self._admission.take_batch()
+        if requests is None:
+            return False
+        # Stage stamps are only ever read at export, and export is gated
+        # on ``sampled`` — so unsampled traces skip the whole stamping
+        # pipeline (at the default 1/64 sampling that is nearly every
+        # request).  An error later promotes a trace to sampled; its
+        # waterfall then starts at the promotion point (admit and the
+        # error stages are always recorded).
+        traced = [
+            r.trace for r in requests
+            if r.trace is not None and r.trace.sampled
+        ]
+        stamp_batch(traced, STAGE_DEQUEUE)
+        self._g_admission_depth.set(len(self._admission))
         dispatched_at = time.monotonic()
-        self._stamp_batch(traced, STAGE_DISPATCH, at=dispatched_at)
+        stamp_batch(traced, STAGE_DISPATCH, at=dispatched_at)
+        batch = Batch(
+            seq=next(self._batch_seq),
+            requests=requests,
+            traced=traced,
+            dispatched_at=dispatched_at,
+            degraded=self.controller.degraded,
+        )
         try:
             if self.chaos_monkey is not None:
-                self.chaos_monkey.maybe_fail(where=shard.name)
-            pending = shard.system.begin_invocation(
-                inputs, measure_quality=self.measure_quality,
-                forced_choices=self._forced_choices(batch),
-            )
+                self.chaos_monkey.maybe_fail(where=worker)
+            dispatch(batch)
         except Exception as exc:
-            if lease is not None:
-                self._bufpool.release(lease)
-            self._retry_or_fail(batch, exc, worker=shard.name)
-            return
-        # ``begin_invocation`` runs the ensemble router (when one is
-        # configured), the approximate kernel, and the error detector
-        # back to back, so the stages land on one instant: the compute
-        # segment carries the combined cost and route/detect are
-        # boundary markers.
-        if traced:
-            computed_at = time.monotonic()
-            if shard.system.ensemble is not None:
-                self._stamp_batch(traced, STAGE_ROUTE, at=computed_at)
-            self._stamp_batch(traced, STAGE_COMPUTE, at=computed_at)
-            self._stamp_batch(traced, STAGE_DETECT, at=computed_at)
-        shard.batches += 1
-        shard.elements += inputs.shape[0]
-        shard.observe_drift(pending.detection.fire_fraction)
-        metrics = self._worker_metrics(shard.name)
-        metrics.batches.inc()
-        metrics.batch_requests.inc(len(batch))
-        task = _RecoveryTask(
-            shard=shard,
-            requests=batch,
-            pending=pending,
-            degraded=self.controller.degraded,
-            dispatched_at=dispatched_at,
-            traced=traced,
-            lease=lease,
-        )
-        with self._rcond:
-            queued = self._backlog.try_push(task)
-            if queued:
-                self._rcond.notify()
-            backlog = len(self._backlog)
+            self._retry_or_fail(batch, exc, worker)
+        else:
+            self._observe_backlog()
+        return True
+
+    def _observe_backlog(self) -> None:
+        """Export the transport's backlog and feed the controller."""
+        backlog = self._transport.backlog()
         self._g_backlog.set(backlog)
-        self._apply_backpressure(backlog)
-        if not queued:
-            # Hard backstop: the backlog is at capacity, so this worker
-            # absorbs its own recovery synchronously.  That stalls the
-            # producer — which is precisely the backpressure we want.
-            metrics.inline.inc()
-            self._complete_task(task)
-
-    def _recovery_loop(self) -> None:
-        while True:
-            with self._rcond:
-                task = self._backlog.try_pop()
-                while task is None and not self._recovery_stop:
-                    self._rcond.wait(timeout=0.1)
-                    task = self._backlog.try_pop()
-            if task is None:
-                return
-            backlog = len(self._backlog)
-            self._g_backlog.set(backlog)
-            self._complete_task(task)
-            self._apply_backpressure(backlog)
-
-    def _apply_backpressure(self, backlog: int) -> None:
-        if self.controller is None:
-            return
         if self.controller.update(backlog) != 0:
-            self._m_degradation.labels(**self._labels).set(
-                self.controller.level
-            )
+            self._g_degradation.set(self.controller.level)
 
-    def _complete_task(self, task: _RecoveryTask) -> None:
-        # Popped off the recovery backlog: the gap back to ``detect`` is
-        # the time the batch sat waiting for a recovery worker.
-        self._stamp_batch(task.traced, STAGE_RECOVERY_WAIT)
-        try:
-            record = task.shard.system.complete_invocation(task.pending)
-        except Exception as exc:
-            if task.lease is not None:
-                self._bufpool.release(task.lease)
-                task.lease = None
-            # A retry re-runs the invocation from the top on a healthy
-            # shard; kernels are pure, so re-execution is safe.
-            self._retry_or_fail(task.requests, exc, worker=task.shard.name)
-            return
-        if task.lease is not None:
-            # ``complete_invocation`` was the concat buffer's last reader
-            # (recovery re-executes flagged rows from it) and nothing in
-            # the record aliases it, so the arena can recycle now.
-            self._bufpool.release(task.lease)
-            task.lease = None
-        self._stamp_batch(task.traced, STAGE_RECOVER)
-        ensemble = task.shard.system.ensemble
-        if ensemble is not None:
-            self._export_ensemble(task.shard.name, ensemble.snapshot())
-        blocks = split_outputs(record.outputs, task.requests)
-        extras = self._thread_journal_extras(task.requests, record)
-        for i, (request, outputs) in enumerate(zip(task.requests, blocks)):
-            self._finish_request(
-                request,
-                record=record,
-                outputs=outputs,
-                worker=task.shard.name,
-                degraded=task.degraded or self.controller.degraded,
-                dispatched_at=task.dispatched_at,
-                journal_extra=extras[i] if extras else None,
-            )
-
-    # ------------------------------------------------------------------ #
-    # Process backend loops                                              #
-    # ------------------------------------------------------------------ #
-    def _process_dispatch_loop(self) -> None:
-        """Parent-side producer: admission batches -> worker input rings."""
-        while True:
-            batch = self._admission.take_batch()
-            if batch is None:
-                return
-            # Stage stamps are only ever read at export, and export is
-            # gated on ``sampled`` — so unsampled traces skip the whole
-            # stamping pipeline (at the default 1/64 sampling that is
-            # nearly every request).  An error later promotes a trace to
-            # sampled; its waterfall then starts at the promotion point
-            # (admit and the error stages are always recorded).
-            traced = [
-                r.trace for r in batch
-                if r.trace is not None and r.trace.sampled
-            ]
-            self._stamp_batch(traced, STAGE_DEQUEUE)
-            self._g_admission_depth.set(len(self._admission))
-            try:
-                self._dispatch_batch_process(batch, traced)
-            except Exception as exc:  # pragma: no cover - defensive
-                self._retry_or_fail(batch, exc)
-
-    def _proc_backlog(self) -> int:
-        """Batches in flight to workers — the process backend's analogue
-        of the thread backend's recovery backlog, and what the
-        backpressure watermarks are applied to."""
-        return sum(w.outstanding for w in self.pool.workers)
-
-    def _dispatch_batch_process(
-        self, batch: List[ServeRequest], traced: List[object]
+    def _on_complete(
+        self,
+        batch: Batch,
+        worker: str,
+        outputs: np.ndarray,
+        report: Dict[str, object],
     ) -> None:
-        # No concat buffer: each request's staged rows are written
-        # directly into the worker's ring (one frame, block by block).
-        blocks = [np.atleast_2d(r.inputs) for r in batch]
-        n_rows = sum(b.shape[0] for b in blocks)
-        dispatched_at = time.monotonic()
-        self._stamp_batch(traced, STAGE_DISPATCH, at=dispatched_at)
-        if self.chaos_monkey is not None:
-            try:
-                self.chaos_monkey.maybe_fail(where="dispatch")
-            except Exception as exc:
-                self._retry_or_fail(batch, exc)
-                return
-        with self._proc_lock:
-            alive = [w for w in self.pool.workers if w.alive()]
-            if alive:
-                worker = min(alive, key=lambda w: (w.outstanding, w.name))
-                seq = self._proc_seq
-                self._proc_seq += 1
-                self._proc_pending[seq] = _ProcPendingBatch(
-                    requests=batch,
-                    worker=worker,
-                    dispatched_at=dispatched_at,
-                    degraded=self.controller.degraded,
-                    traced=traced,
-                )
-                worker.outstanding += 1
-        if not alive:
-            # Retryable: the supervisor may restart a worker before the
-            # deadline budget runs out; exhaustion fails fast.
-            self._retry_or_fail(
-                batch, WorkerCrashError("no live serving worker processes")
-            )
-            return
-        # The batch shares one ring frame, so the frame header carries
-        # the first traced request's id (0 when none is traced).  Forced
-        # routing choices (replay) ride as the frame's extra bytes.
-        batch_trace_id = traced[0].trace_id if traced else 0
-        try:
-            forced = self._forced_choices(batch)
-            self.pool.submit_rows(
-                worker, seq, blocks, trace_id=batch_trace_id,
-                extra=forced.tobytes() if forced is not None else b"",
-            )
-        except Exception as exc:
-            with self._proc_lock:
-                owned = self._proc_pending.pop(seq, None) is not None
-                if owned:
-                    worker.outstanding -= 1
-            if not owned:
-                # The collector reaped this worker concurrently and now
-                # owns (has already retried or failed) the batch.
-                return
-            if not worker.alive():
-                exc = WorkerCrashError(
-                    f"worker {worker.name} died while batch {seq} "
-                    f"was being delivered: {exc}"
-                )
-            self._retry_or_fail(batch, exc, worker=worker.name)
-            return
-        self._stamp_batch(traced, STAGE_SHM_WRITE)
-        view = self._proc_views[worker.name]
-        view.batches += 1
-        view.elements += n_rows
-        metrics = self._worker_metrics(worker.name)
-        metrics.batches.inc()
-        metrics.batch_requests.inc(len(batch))
-        backlog = self._proc_backlog()
-        self._g_backlog.set(backlog)
-        self._apply_backpressure(backlog)
+        """A worker finished ``batch``: account, journal, resolve handles.
 
-    def _process_collect_loop(self) -> None:
-        """Parent-side consumer: worker output rings -> caller handles."""
-        while True:
-            progressed = False
-            for worker in self.pool.workers:
-                for frame in self.pool.poll(worker):
-                    progressed = True
-                    self._handle_worker_frame(worker, frame)
-                if not worker.process.is_alive() and not worker.dead:
-                    # Harvest anything it managed to publish before dying
-                    # (death is final, so every pre-death write is visible
-                    # by now), then supervise: restart the worker and
-                    # re-dispatch what it took down with it.
-                    for frame in self.pool.poll(worker):
-                        self._handle_worker_frame(worker, frame)
-                    self._reap_worker(worker)
-                    progressed = True
-            with self._proc_lock:
-                n_pending = len(self._proc_pending)
-            if self._proc_stop and n_pending == 0:
-                return
-            if not progressed:
-                time.sleep(0.0005)
-
-    def _handle_worker_frame(self, worker: ProcessWorker, frame) -> None:
-        with self._proc_lock:
-            pending = self._proc_pending.pop(frame.seq, None)
-            if pending is not None:
-                worker.outstanding -= 1
-            backlog = self._proc_backlog()
-        if pending is None:  # already failed (e.g. crash race)
-            return
-        if frame.kind == FRAME_RESULT:
-            snapshot = pickle.loads(frame.extra)
-            worker.snapshot = snapshot
-            # The worker stamped its side of the shm hop with the shared
-            # system monotonic clock; ``clamp`` guards against the small
-            # cross-process skew that would otherwise break stage order.
-            if pending.traced:
-                collected_at = time.monotonic()
-                shm_read_at = snapshot.get("shm_read_at")
-                compute_done_at = snapshot.get("compute_done_at")
-                for trace in pending.traced:
-                    if shm_read_at is not None:
-                        trace.stamp(
-                            STAGE_SHM_READ, at=float(shm_read_at), clamp=True
-                        )
-                    if compute_done_at is not None:
-                        trace.stamp(
-                            STAGE_COMPUTE,
-                            at=float(compute_done_at),
-                            clamp=True,
-                        )
-                    trace.stamp(STAGE_COLLECT, at=collected_at, clamp=True)
-            view = self._proc_views[worker.name]
-            if view.drift.observe(snapshot.get("fire_fraction", 0.0)):
-                view.drift_flags += 1
-            metrics = self._worker_metrics(worker.name)
-            metrics.threshold.set(snapshot.get("threshold", 0.0))
-            metrics.invocations.set(snapshot.get("invocations", 0))
-            ens_snapshot = snapshot.get("ensemble")
-            if ens_snapshot is not None:
-                self._export_ensemble(worker.name, ens_snapshot)
-            try:
-                blocks = split_outputs(frame.payload, pending.requests)
-            except Exception as exc:
-                for request in pending.requests:
-                    self._finish_request(request, error=exc, record=None)
-            else:
-                record = SimpleNamespace(
-                    fix_fraction=snapshot.get("fix_fraction", 0.0)
-                )
-                extras = self._proc_journal_extras(
-                    pending.requests, frame.seq, snapshot
-                )
-                for i, (request, outputs) in enumerate(
-                    zip(pending.requests, blocks)
-                ):
-                    self._finish_request(
-                        request,
-                        record=record,
-                        outputs=outputs,
-                        worker=worker.name,
-                        degraded=pending.degraded or self.controller.degraded,
-                        dispatched_at=pending.dispatched_at,
-                        journal_extra=extras[i] if extras else None,
-                    )
-        elif frame.kind == FRAME_ERROR:
-            error = ProcessWorkerPool.decode_error(frame)
-            for request in pending.requests:
-                self._finish_request(request, error=error, record=None)
-        self._g_backlog.set(backlog)
-        self._apply_backpressure(backlog)
-
-    def _reap_worker(self, worker: ProcessWorker) -> None:
-        """Supervise a dead worker: restart it, re-dispatch its batches.
-
-        The paper's recovery unit re-executes iterations the checker
-        flagged; the supervisor applies the same move one level up — a
-        worker death flags every batch it held, and each is re-executed
-        on a healthy worker within its request's deadline budget.
+        ``report`` is :func:`repro.serving.procpool.worker_snapshot` of
+        the worker's system and the batch's invocation record.
         """
-        error = WorkerCrashError(
-            f"serving worker {worker.name} "
-            f"(pid {worker.process.pid}, exit {worker.process.exitcode}) "
-            "died with batches in flight"
-        )
-        with self._proc_lock:
-            worker.dead = True
-            seqs = [
-                seq for seq, p in self._proc_pending.items()
-                if p.worker is worker
-            ]
-            doomed = [self._proc_pending.pop(seq) for seq in seqs]
-            worker.outstanding = 0
-        if self._should_restart():
-            # Restart from the startup prototype blob, then re-apply the
-            # worker's last reported degradation level so a mid-overload
-            # restart does not silently jump back to nominal quality.
-            level = int(worker.snapshot.get(
-                "degradation_level",
-                self.controller.level if self.controller is not None else 0,
-            ))
-            try:
-                restarted = self.pool.restart_worker(
-                    worker,
-                    degradation_level=level,
-                    degrade_factor=self._bp_config[2],
-                )
-            except Exception:  # pragma: no cover - spawn failed mid-teardown
-                restarted = False
-            if restarted:
-                self._m_worker_restarts.labels(
-                    worker=worker.name, **self._labels
-                ).inc()
-        for pending in doomed:
-            self._retry_or_fail(pending.requests, error, worker=worker.name)
-
-    def _should_restart(self) -> bool:
-        return (
-            self.restart_workers
-            and not self._proc_stop
-            and self._state in ("running", "draining")
-            and (
-                self.max_worker_restarts is None
-                or self.pool.total_restarts < self.max_worker_restarts
+        requests = batch.requests
+        shard = self._shard_by_name[worker]
+        with self._shard_lock:  # recovery threads complete concurrently
+            shard.batches += 1
+            shard.elements += sum(r.n_elements for r in requests)
+            shard.observe_drift(report.get("fire_fraction", 0.0))
+        metrics = self._worker_metrics(worker)
+        metrics.batches.inc()
+        metrics.batch_requests.inc(len(requests))
+        metrics.threshold.set(report.get("threshold", 0.0))
+        metrics.invocations.set(report.get("invocations", 0))
+        if report.get("ensemble") is not None:
+            self._export_ensemble(worker, report["ensemble"])
+        try:
+            blocks = split_outputs(outputs, requests)
+        except Exception as exc:
+            for request in requests:
+                self._finish_request(request, error=exc)
+        else:
+            layouts = (
+                self._journal_layout(batch, report)
+                if self.journal is not None else [None] * len(requests)
             )
-        )
+            degraded = batch.degraded or self.controller.degraded
+            fix_fraction = report.get("fix_fraction", 0.0)
+            for request, block, layout in zip(requests, blocks, layouts):
+                self._finish_request(
+                    request,
+                    outputs=block,
+                    worker=worker,
+                    degraded=degraded,
+                    dispatched_at=batch.dispatched_at,
+                    fix_fraction=fix_fraction,
+                    journal_layout=layout,
+                )
+        self._observe_backlog()
 
     # ------------------------------------------------------------------ #
     # Deadline-budgeted retries                                          #
     # ------------------------------------------------------------------ #
     def _retry_or_fail(
-        self,
-        requests: List[ServeRequest],
-        error: BaseException,
-        worker: str = "",
+        self, batch: Batch, error: BaseException, worker: str = ""
     ) -> None:
         """Route a failed batch: re-dispatch retryable faults, fail the rest.
 
-        Only :class:`WorkerCrashError` (real or injected worker death) is
-        retryable — application errors would fail identically on replay.
+        This is the transports' ``on_failure`` callback, and where a
+        dispatch that raised ends up.  Only :class:`WorkerCrashError`
+        (real or injected worker death) is retryable — application
+        errors would fail identically on replay.
         A retry must fit inside the request's deadline budget *including*
         its exponential backoff; otherwise the caller gets a
         :class:`ServingError` immediately rather than a doomed wait.
         """
+        policy = self.config.retry
         retryable = isinstance(error, WorkerCrashError)
         now = time.monotonic()
-        for request in requests:
-            backoff = self.retry_backoff_s * (2 ** request.attempts)
+        for request in batch.requests:
+            backoff = policy.retry_backoff_s * (2 ** request.attempts)
             if (
                 retryable
-                and request.attempts < self.max_retries
-                and now + backoff < request.deadline_at(self.default_deadline_s)
+                and request.attempts < policy.max_retries
+                and now + backoff
+                < request.deadline_at(policy.default_deadline_s)
                 and self._state in ("running", "draining")
             ):
                 request.attempts += 1
@@ -1317,11 +775,11 @@ class RumbaServer:
                 continue
             final = error
             if retryable:
-                if request.attempts >= self.max_retries:
+                if request.attempts >= policy.max_retries:
                     final = ServingError(
                         f"request {request.request_id} failed after "
                         f"{request.attempts + 1} attempts "
-                        f"(retry bound {self.max_retries}): {error}"
+                        f"(retry bound {policy.max_retries}): {error}"
                     )
                 else:
                     final = ServingError(
@@ -1329,22 +787,30 @@ class RumbaServer:
                         "exhausted after "
                         f"{request.attempts + 1} attempt(s): {error}"
                     )
-            self._finish_request(request, error=final, record=None)
+            self._finish_request(request, error=final)
+        self._observe_backlog()
 
     def _retry_loop(self) -> None:
-        """Re-offer backed-off requests to the admission queue when due."""
+        """Sleep until the next backed-off request is due, then requeue."""
         while True:
             with self._retry_cond:
                 if self._retry_stop:
                     return
-                if not self._retry_heap:
-                    self._retry_cond.wait(timeout=0.1)
-                    continue
-                ready_at = self._retry_heap[0][0]
                 now = time.monotonic()
+                ready_at = (
+                    self._retry_heap[0][0] if self._retry_heap else now + 0.1
+                )
                 if ready_at > now:
                     self._retry_cond.wait(timeout=min(ready_at - now, 0.1))
                     continue
+            self._requeue_due(now)
+
+    def _requeue_due(self, now: float) -> None:
+        """Re-offer every request whose backoff ended by ``now``."""
+        while True:
+            with self._retry_cond:
+                if not self._retry_heap or self._retry_heap[0][0] > now:
+                    return
                 _, _, request = heapq.heappop(self._retry_heap)
             try:
                 self._admission.requeue(request)
@@ -1360,7 +826,6 @@ class RumbaServer:
                         f"request {request.request_id} could not be "
                         f"re-queued after attempt {request.attempts}: {exc}"
                     ),
-                    record=None,
                 )
 
     # ------------------------------------------------------------------ #
@@ -1385,8 +850,8 @@ class RumbaServer:
             "backend": self.backend,
             "n_workers": self.n_workers,
             "n_recovery_workers": self.n_recovery_workers,
-            "seed": self.seed,
-            "measure_quality": self.measure_quality,
+            "seed": self.config.seed,
+            "measure_quality": self.config.measure_quality,
             "threshold": (
                 float(self._prototype.tuner.threshold)
                 if self._prototype is not None else None
@@ -1396,107 +861,52 @@ class RumbaServer:
         })
 
     @staticmethod
-    def _journal_layout(requests, seq, bits, threshold, measured_error,
-                        choices=None):
+    def _journal_layout(batch: Batch, report: Dict[str, object]):
         """Per-request journal coordinates for one completed batch.
 
-        Each request gets the batch's sequence number, its row slice of
-        the batch (offset + total rows — what replay needs to rebuild the
-        exact batch composition), its slice of the batch's per-row
+        Each request gets ``(header fields, decision bits)``: the batch's
+        sequence number, its row slice of the batch (offset + total rows
+        — what replay needs to rebuild the exact batch composition), the
+        batch's threshold and measured error, its slice of the per-row
         decision bits, and — on ensemble runs — its slice of the routed
         member choices (``backend_ids``), which replay forces back
         through the ensemble so online router learning cannot diverge
-        the re-run.
+        the re-run.  Bits and choices arrive packed in the worker's
+        report (``include_bits``).
         """
-        total = sum(r.n_elements for r in requests)
-        extras = []
-        offset = 0
-        for request in requests:
-            n_rows = request.n_elements
-            extras.append({
-                "batch": seq,
-                "row_offset": offset,
-                "batch_rows": total,
-                "bits": (
-                    bits[offset: offset + n_rows]
-                    if bits is not None else None
-                ),
-                "backend_ids": (
-                    [int(c) for c in choices[offset: offset + n_rows]]
-                    if choices is not None else None
-                ),
-                "threshold": threshold,
-                "measured_error": measured_error,
-            })
-            offset += n_rows
-        return extras
-
-    def _next_journal_seq(self) -> int:
-        with self._journal_lock:
-            seq = self._journal_seq
-            self._journal_seq += 1
-            return seq
-
-    def _thread_journal_extras(self, requests, record):
-        """Journal coordinates for a thread-backend batch (None = off)."""
-        if self.journal is None:
-            return None
-        detection = getattr(record, "detection", None)
-        bits = None
-        threshold = None
-        if detection is not None:
-            bits = np.asarray(detection.recovery_bits).astype(bool).ravel()
-            threshold = float(detection.threshold)
-        measured = getattr(record, "measured_error", None)
-        return self._journal_layout(
-            requests,
-            self._next_journal_seq(),
-            bits,
-            threshold,
-            float(measured) if measured is not None else None,
-            choices=getattr(record, "choices", None),
+        bits = unpack_bits(
+            report.get("decision_bits", b""), report.get("decision_nbits", 0)
         )
-
-    def _proc_journal_extras(self, requests, seq, snapshot):
-        """Journal coordinates for a process-backend batch (None = off).
-
-        The worker shipped the batch's packed decision bits inside the
-        RESULT snapshot (``ship_decision_bits``); the ring frame's ``seq``
-        is already a unique batch identifier.
-        """
-        if self.journal is None:
-            return None
-        bits = None
-        n_bits = snapshot.get("decision_nbits")
-        if n_bits:
-            raw = np.frombuffer(snapshot["decision_bits"], dtype=np.uint8)
-            bits = np.unpackbits(raw, count=int(n_bits)).astype(bool)
         choices = None
-        raw_ids = snapshot.get("backend_ids")
-        if raw_ids is not None:
-            choices = np.frombuffer(raw_ids, dtype=np.int8)
-        threshold = snapshot.get("threshold")
-        measured = snapshot.get("measured_error")
-        return self._journal_layout(
-            requests,
-            seq,
-            bits,
-            float(threshold) if threshold is not None else None,
-            float(measured) if measured is not None else None,
-            choices=choices,
-        )
+        if report.get("backend_ids") is not None:
+            choices = np.frombuffer(report["backend_ids"], dtype=np.int8)
+        shared = {
+            "batch": batch.seq,
+            "batch_rows": sum(r.n_elements for r in batch.requests),
+        }
+        for key in ("threshold", "measured_error"):
+            if report.get(key) is not None:
+                shared[key] = float(report[key])
+        layout = []
+        offset = 0
+        for request in batch.requests:
+            end = offset + request.n_elements
+            fields = dict(shared, row_offset=offset)
+            if choices is not None:
+                fields["backend_ids"] = [int(c) for c in choices[offset:end]]
+            layout.append(
+                (fields, bits[offset:end] if bits is not None else None)
+            )
+            offset = end
+        return layout
 
     def _journal_request(
         self,
         request: ServeRequest,
-        *,
-        record,
+        facts: Dict[str, object],
         outputs: Optional[np.ndarray],
-        worker: str,
-        degraded: bool,
-        dispatched_at: Optional[float],
-        error: Optional[BaseException],
-        extra: Optional[Dict[str, object]],
+        dispatched: bool,
+        layout,
     ) -> None:
         """Append one terminal completion to the request journal.
 
@@ -1506,43 +916,24 @@ class RumbaServer:
         record on disk).  Journaling must never fail a request, so disk
         errors are swallowed like the flight recorder's.
         """
-        if error is not None and not self.config.journal.record_errors:
+        failed = facts["error"] is not None
+        if failed and not self.config.journal.record_errors:
             return
-        now = time.monotonic()
-        header: Dict[str, object] = {
-            "request_id": request.request_id,
-            "trace_id": (
-                request.trace.trace_id if request.trace is not None else 0
-            ),
-            "worker": worker,
-            "attempts": request.attempts,
-            "degraded": bool(degraded),
-            "status": "ok" if error is None else "error",
-            "latency_s": now - request.submitted_at,
+        fields, bits = layout if layout is not None else ({}, None)
+        header = {
+            key: facts[key]
+            for key in ("request_id", "trace_id", "worker", "attempts",
+                        "degraded", "latency_s")
         }
-        if dispatched_at is not None:
-            header["queue_wait_s"] = max(
-                dispatched_at - request.submitted_at, 0.0
-            )
-        bits = None
-        if extra is not None:
-            header["batch"] = extra["batch"]
-            header["row_offset"] = extra["row_offset"]
-            header["batch_rows"] = extra["batch_rows"]
-            if extra["threshold"] is not None:
-                header["threshold"] = extra["threshold"]
-            if extra["measured_error"] is not None:
-                header["measured_error"] = extra["measured_error"]
-            if extra.get("backend_ids") is not None:
-                header["backend_ids"] = extra["backend_ids"]
-            bits = extra["bits"]
-        if error is not None:
-            from repro.serving.net import protocol as wire
-
-            header["error"] = wire.exception_to_code(error)
-            header["error_message"] = str(error)
-        elif record is not None:
-            header["fix_fraction"] = float(record.fix_fraction)
+        header["status"] = "error" if failed else "ok"
+        header.update(fields)
+        if dispatched:
+            header["queue_wait_s"] = facts["queue_wait_s"]
+        if failed:
+            header["error"] = facts["error"]
+            header["error_message"] = facts["error_message"]
+        else:
+            header["fix_fraction"] = facts["fix_fraction"]
         try:
             self.journal.record_request(
                 header,
@@ -1556,35 +947,17 @@ class RumbaServer:
     def _finish_request(
         self,
         request: ServeRequest,
-        record,
         outputs: Optional[np.ndarray] = None,
         worker: str = "",
         degraded: bool = False,
         dispatched_at: Optional[float] = None,
         error: Optional[BaseException] = None,
-        journal_extra: Optional[Dict[str, object]] = None,
+        fix_fraction: float = 0.0,
+        journal_layout=None,
     ) -> None:
+        """The terminal funnel: every request ends here exactly once."""
         if request.handle.done():  # pragma: no cover - defensive backstop
             return
-        if self.journal is not None:
-            self._journal_request(
-                request,
-                record=record,
-                outputs=outputs,
-                worker=worker,
-                degraded=degraded,
-                dispatched_at=dispatched_at,
-                error=error,
-                extra=journal_extra,
-            )
-        if request.pooled:
-            # Terminal completion: recycle the request's staged input
-            # buffer.  Every finish path first pops the request from its
-            # owning structure (backlog task, pending map, retry heap), so
-            # ownership is exclusive here, and nothing handed to the
-            # caller aliases the staged rows.
-            request.pooled = False
-            self._bufpool.release(request.inputs)
         now = time.monotonic()
         latency = now - request.submitted_at
         queue_wait = (
@@ -1593,28 +966,54 @@ class RumbaServer:
             else latency
         )
         trace = request.trace
-        if trace is not None:
-            if error is not None and self.tracing.always_sample_errors:
-                trace.mark_sampled()
-            if trace.sampled:
-                trace.stamp(STAGE_COMPLETE, at=now)
-                # Before the handle resolves: resolution wakes the net
-                # edge, whose net_send stamp must not race into this
-                # record.  complete is therefore always the final stage
-                # on disk.
-                self._export_trace(
-                    request,
-                    trace,
-                    latency=latency,
-                    queue_wait=queue_wait,
-                    worker=worker,
-                    degraded=degraded,
-                    fix_fraction=(
-                        record.fix_fraction
-                        if record is not None and error is None else 0.0
-                    ),
-                    error=error,
+        if (
+            trace is not None
+            and error is not None
+            and self.tracing.always_sample_errors
+        ):
+            trace.mark_sampled()
+        sampled = trace is not None and trace.sampled
+        if sampled or self.journal is not None:
+            # What the journal header, the flight record and the slow-
+            # request exemplar all say about this completion.
+            code = message = None
+            if error is not None:
+                # Imported lazily: serving.net imports this module at
+                # its own import time.
+                from repro.serving.net import protocol as wire
+
+                code, message = wire.exception_to_code(error), str(error)
+            facts = {
+                "request_id": request.request_id,
+                "trace_id": trace.trace_id if trace is not None else 0,
+                "worker": worker,
+                "attempts": request.attempts,
+                "latency_s": latency,
+                "queue_wait_s": queue_wait,
+                "fix_fraction": float(fix_fraction) if error is None else 0.0,
+                "degraded": bool(degraded),
+                "error": code,
+                "error_message": message,
+            }
+            if self.journal is not None:
+                self._journal_request(
+                    request, facts, outputs, dispatched_at is not None,
+                    journal_layout,
                 )
+        if request.pooled:
+            # Terminal completion: recycle the request's staged input
+            # buffer.  Every finish path first pops the request from its
+            # owning structure (backlog task, pending map, retry heap), so
+            # ownership is exclusive here, and nothing handed to the
+            # caller aliases the staged rows.
+            request.pooled = False
+            self._bufpool.release(request.inputs)
+        if sampled:
+            trace.stamp(STAGE_COMPLETE, at=now)
+            # Before the handle resolves: resolution wakes the net edge,
+            # whose net_send stamp must not race into this record.
+            # complete is therefore always the final stage on disk.
+            self._export_trace(request, trace, facts)
         if error is not None:
             self._c_failed.inc()
             request.handle.set_exception(error)
@@ -1628,7 +1027,7 @@ class RumbaServer:
                     worker=worker,
                     queue_wait_s=queue_wait,
                     latency_s=latency,
-                    fix_fraction=record.fix_fraction,
+                    fix_fraction=fix_fraction,
                     degraded=degraded,
                     trace_id=trace.trace_id if trace is not None else 0,
                 )
@@ -1647,50 +1046,23 @@ class RumbaServer:
         self._m_stage.labels(stage=stage, **self._labels).observe(duration)
 
     def _export_trace(
-        self,
-        request: ServeRequest,
-        trace,
-        *,
-        latency: float,
-        queue_wait: float,
-        worker: str,
-        degraded: bool,
-        fix_fraction: float,
-        error: Optional[BaseException],
+        self, request: ServeRequest, trace, facts: Dict[str, object]
     ) -> None:
         """Export one sampled trace: stage histograms, flight record,
         and the slow-request exemplar list.  Tracing must never fail a
         request, so recorder I/O errors are swallowed."""
-        # Imported lazily to keep serving importable without dragging in
-        # the wire codec at module-import time (see __init__).
-        from repro.observability.flightlog import FLIGHT_LOG_VERSION
-        from repro.serving.net import protocol as wire
-
         for stage, duration in trace.segments():
-            self._m_stage.labels(stage=stage, **self._labels).observe(
-                duration
-            )
+            self.observe_stage(stage, duration)
         events = trace.events()
         t0 = events[0][1] if events else 0.0
-        document = {
-            "v": FLIGHT_LOG_VERSION,
-            "trace_id": trace.trace_id,
-            "request_id": request.request_id,
-            "app": self.app_name,
-            "scheme": self.scheme,
-            "worker": worker,
-            "elements": request.n_elements,
-            "attempts": request.attempts,
-            "latency_s": latency,
-            "queue_wait_s": queue_wait,
-            "fix_fraction": float(fix_fraction),
-            "degraded": bool(degraded),
-            "error": (
-                wire.exception_to_code(error) if error is not None else None
-            ),
-            "error_message": str(error) if error is not None else None,
-            "stages": [[stage, at - t0] for stage, at in events],
-        }
+        document = dict(
+            facts,
+            v=FLIGHT_LOG_VERSION,
+            app=self.app_name,
+            scheme=self.scheme,
+            elements=request.n_elements,
+            stages=[[stage, at - t0] for stage, at in events],
+        )
         if self.flight_recorder is not None:
             try:
                 self.flight_recorder.record(document)
@@ -1699,16 +1071,15 @@ class RumbaServer:
         cfg = self.config.tracing
         with self._slow_lock:
             self._traced_total += 1
-            if cfg.max_exemplars > 0 and latency >= cfg.slow_threshold_s:
+            if (
+                cfg.max_exemplars > 0
+                and facts["latency_s"] >= cfg.slow_threshold_s
+            ):
                 self._slow_exemplars.append({
-                    "request_id": request.request_id,
-                    "trace_id": trace.trace_id,
-                    "latency_s": latency,
-                    "queue_wait_s": queue_wait,
-                    "worker": worker,
-                    "attempts": request.attempts,
-                    "error": document["error"],
-                    "stages": document["stages"],
+                    key: document[key]
+                    for key in ("request_id", "trace_id", "latency_s",
+                                "queue_wait_s", "worker", "attempts",
+                                "error", "stages")
                 })
                 self._slow_exemplars.sort(
                     key=lambda e: e["latency_s"], reverse=True
@@ -1725,55 +1096,27 @@ class RumbaServer:
         metrics registry; this is the structured point-in-time view a
         load balancer or operator would poll.
         """
+        base_threshold = (
+            float(self._prototype.tuner.threshold)
+            if self._prototype is not None else 0.0
+        )
         per_worker = []
-        for shard in self.shards:
+        for name, alive, restarts, snap in self._transport.workers():
+            shard = self._shard_by_name[name]
             per_worker.append({
-                "worker": shard.name,
+                "worker": name,
                 "batches": shard.batches,
                 "elements": shard.elements,
-                "invocations": shard.system.total_invocations,
-                "threshold": float(shard.system.tuner.threshold),
-                "degradation_level": shard.system.tuner.degradation_level,
+                "invocations": int(snap.get("invocations", 0)),
+                "threshold": float(snap.get("threshold", base_threshold)),
+                "degradation_level": int(snap.get("degradation_level", 0)),
                 "drifted": shard.drifted,
                 "drift_flags": shard.drift_flags,
-                # Shape parity with process workers: thread shards live
-                # and die with the server, so they never restart.
-                "restarts": 0,
-                "alive": True,
-                "ensemble": (
-                    shard.system.ensemble.snapshot()
-                    if shard.system.ensemble is not None else None
-                ),
+                "restarts": restarts,
+                "alive": alive,
+                "ensemble": snap.get("ensemble"),
             })
-        if self.backend == "process" and self.pool is not None:
-            base_threshold = (
-                float(self._prototype.tuner.threshold)
-                if self._prototype is not None else 0.0
-            )
-            for worker in self.pool.workers:
-                view = self._proc_views.get(worker.name)
-                snap = worker.snapshot
-                per_worker.append({
-                    "worker": worker.name,
-                    "batches": view.batches if view else 0,
-                    "elements": view.elements if view else 0,
-                    "invocations": int(snap.get("invocations", 0)),
-                    "threshold": float(
-                        snap.get("threshold", base_threshold)
-                    ),
-                    "degradation_level": int(
-                        snap.get("degradation_level", 0)
-                    ),
-                    "drifted": view.drifted if view else False,
-                    "drift_flags": view.drift_flags if view else 0,
-                    "restarts": worker.restarts,
-                    "alive": worker.alive(),
-                    "ensemble": snap.get("ensemble"),
-                })
         degradation = 0 if self.controller is None else self.controller.level
-        worker_restarts = (
-            self.pool.total_restarts if self.pool is not None else 0
-        )
         chaos_summary = (
             self.chaos_monkey.summary()
             if self.chaos_monkey is not None else None
@@ -1813,12 +1156,14 @@ class RumbaServer:
             "admission_capacity": self._admission.capacity,
             "requests_offered": self._admission.offered,
             "requests_shed": self._admission.shed,
-            "recovery_backlog": len(self._backlog),
-            "recovery_backlog_capacity": self._backlog.capacity,
+            "recovery_backlog": self._transport.backlog(),
+            "recovery_backlog_capacity": (
+                self.config.backpressure.recovery_backlog_capacity
+            ),
             "degradation_level": degradation,
             "degraded": degradation > 0,
             "drifted": any(entry["drifted"] for entry in per_worker),
-            "worker_restarts": worker_restarts,
+            "worker_restarts": sum(e["restarts"] for e in per_worker),
             "retries": self._retries_total,
             "retry_queue_depth": len(self._retry_heap),
             "chaos": chaos_summary,

@@ -23,7 +23,6 @@ from repro.approx.base import (
     ApproxBackend,
     BackendBase,
     CostProfile,
-    warn_deprecated,
 )
 from repro.approx.memoization import MemoizingBackend
 from repro.approx.perforation_backend import PerforatedKernelBackend
@@ -178,37 +177,13 @@ class TestBackendBaseDefaults:
         assert backend.clone_shard() is backend  # stateless default
 
 
-class TestDeprecationShim:
-    """The renamed-API shim pattern must warn once per call site and
-    keep the historical semantics for one deprecation cycle."""
-
-    def test_warn_deprecated_message(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"old\(\) is deprecated; use new\(\)"):
-            warn_deprecated("old()", "new()")
-
-    def test_memo_clear_warns_and_still_clears(self, fft_app, probe):
-        backend = MemoizingBackend(fft_app, key_bits=4)
-        backend(probe)
-        assert backend.misses > 0
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"MemoizingBackend\.clear\(\) is deprecated; "
-                  r"use MemoizingBackend\.reset_state\(\)",
-        ):
-            backend.clear()
-        assert backend.hits == 0 and backend.misses == 0
-        assert backend.last_distances is None
-
-    def test_memo_clear_empties_frozen_table_unlike_reset(self, fft_app,
-                                                          probe):
-        """Historical ``clear()`` drops even a frozen (trained) table;
-        the replacement ``reset_state()`` treats it as an artifact."""
+class TestMemoResetState:
+    def test_reset_state_keeps_a_frozen_table(self, fft_app, probe):
+        """A frozen (trained) table is an artifact, not runtime state:
+        the protocol-level reset clears the counters and keeps it."""
         backend = MemoizingBackend(fft_app, key_bits=4)
         backend(probe)
         backend.freeze()
         backend.reset_state()
-        assert backend._table  # survives the protocol-level reset
-        with pytest.warns(DeprecationWarning):
-            backend.clear()
-        assert not backend._table
+        assert backend._table
+        assert backend.hits == 0 and backend.misses == 0

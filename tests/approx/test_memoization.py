@@ -66,8 +66,7 @@ class TestMemoizingBackend:
         backend = MemoizingBackend(ik2j_app, key_bits=4)
         rng = np.random.default_rng(5)
         backend(ik2j_app.test_inputs(rng)[:50])
-        with pytest.warns(DeprecationWarning, match="reset_state"):
-            backend.clear()  # deprecated spelling of reset_state()
+        backend.reset_state()
         assert backend.hits == 0 and backend.misses == 0
         assert backend.hit_rate == 0.0
 

@@ -17,3 +17,79 @@ def fft_prototype():
 def fft_input_pool(fft_prototype):
     rng = np.random.default_rng(42)
     return np.atleast_2d(fft_prototype.app.test_inputs(rng))
+
+
+class FakeTransport:
+    """A transport with no workers: dispatched batches park in
+    ``batches`` until the test completes or fails them, and nothing runs
+    on a thread — the test pumps the core by hand with
+    ``server._pump_once(fake.dispatch)``."""
+
+    pool = None
+
+    def __init__(self, on_complete, on_failure):
+        self._on_complete, self._on_failure = on_complete, on_failure
+        self.batches = []
+
+    def prepare(self, prototype):
+        return [("f0", None)]
+
+    def start(self, pump):
+        pass
+
+    def stop(self, timeout):
+        pass
+
+    def dispatch(self, batch):
+        self.batches.append(batch)
+
+    def backlog(self):
+        return len(self.batches)
+
+    def backpressure_targets(self):
+        return []
+
+    def workers(self):
+        return [("f0", True, 0, {})]
+
+    def complete(self, batch):
+        self.batches.remove(batch)
+        rows = sum(r.n_elements for r in batch.requests)
+        self._on_complete(
+            batch, "f0", np.zeros((rows, 1)), {"fix_fraction": 0.25}
+        )
+
+    def fail(self, batch, error):
+        self.batches.remove(batch)
+        self._on_failure(batch, error, "f0")
+
+
+@pytest.fixture()
+def fake_server(fft_prototype):
+    """``build(**retry_fields) -> (server, fake)``: a started core over a
+    :class:`FakeTransport`, stopped at teardown."""
+    from repro.serving import (
+        BatchingConfig,
+        RetryConfig,
+        RumbaServer,
+        ServerConfig,
+    )
+
+    servers = []
+
+    def build(**retry):
+        server = RumbaServer(
+            prototype=fft_prototype,
+            config=ServerConfig(
+                batching=BatchingConfig(flush_interval_s=0.0),
+                retry=RetryConfig(**retry),
+            ),
+        )
+        fake = FakeTransport(server._on_complete, server._retry_or_fail)
+        server._transport = fake
+        servers.append(server)
+        return server.start(), fake
+
+    yield build
+    for server in servers:
+        server.stop(timeout=1.0)

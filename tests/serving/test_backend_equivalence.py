@@ -7,18 +7,29 @@ outputs must match byte for byte and the quality stats exactly."""
 import numpy as np
 import pytest
 
-from repro.serving import RumbaServer
+from repro.core import prepare_system
+from repro.serving import (
+    BatchingConfig,
+    EnsembleConfig,
+    JournalConfig,
+    RumbaServer,
+    ServerConfig,
+    read_journal,
+)
 
 
-def _lockstep(backend, prototype, requests):
+def _lockstep(backend, prototype, requests, journal_path=None):
     """One worker, one request in flight at a time: a deterministic
     serial schedule on either backend."""
     server = RumbaServer(
         prototype=prototype.clone_shard(),
-        backend=backend,
-        n_workers=1,
-        max_batch_requests=1,
-        flush_interval_s=0.0,
+        config=ServerConfig(
+            backend=backend,
+            n_workers=1,
+            batching=BatchingConfig(max_batch_requests=1,
+                                    flush_interval_s=0.0),
+            journal=JournalConfig(path=journal_path),
+        ),
     )
     outputs, fixes, degraded = [], [], []
     with server:
@@ -73,3 +84,47 @@ class TestBackendEquivalence:
         assert set(thread_stats) == set(process_stats)
         assert (set(thread_stats["workers"][0])
                 == set(process_stats["workers"][0]))
+
+
+@pytest.fixture(scope="module")
+def ensemble_prototype():
+    spec = EnsembleConfig(enabled=True, margin=0.21).to_spec()
+    return prepare_system("fft", scheme="treeErrors", seed=0, ensemble=spec)
+
+
+class TestJournalEquivalence:
+    """Both transports hand the core the same report type, so the two
+    journals of one lockstep schedule must say the same thing."""
+
+    def _journals(self, tmp_path, prototype, requests):
+        out = {}
+        for backend in ("thread", "process"):
+            path = str(tmp_path / f"{backend}.journal")
+            _lockstep(backend, prototype, requests, journal_path=path)
+            out[backend] = read_journal(path).records
+        return out["thread"], out["process"]
+
+    def _assert_same(self, thread, process, n_requests):
+        assert len(thread) == len(process) == n_requests
+        for t, p in zip(thread, process):
+            assert set(t.header) == set(p.header)
+            assert t.header["request_id"] == p.header["request_id"]
+            assert t.bits is not None and t.bits.tolist() == p.bits.tolist()
+            assert t.header["threshold"] == p.header["threshold"]
+            assert t.header["fix_fraction"] == p.header["fix_fraction"]
+            assert t.header.get("backend_ids") == p.header.get("backend_ids")
+            assert t.outputs.tobytes() == p.outputs.tobytes()
+
+    def test_plain_journals_match(self, tmp_path, fft_prototype,
+                                  request_stream):
+        thread, process = self._journals(tmp_path, fft_prototype,
+                                         request_stream)
+        self._assert_same(thread, process, len(request_stream))
+        assert "backend_ids" not in thread[0].header
+
+    def test_ensemble_journals_match(self, tmp_path, ensemble_prototype,
+                                     request_stream):
+        thread, process = self._journals(tmp_path, ensemble_prototype,
+                                         request_stream)
+        self._assert_same(thread, process, len(request_stream))
+        assert len(thread[0].header["backend_ids"]) == 48

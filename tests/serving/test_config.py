@@ -1,11 +1,9 @@
-"""ServerConfig redesign tests: validation, the flat-kwarg shim, and the
-deprecation contract.
+"""ServerConfig tests: validation, the journal-META flat view, and the
+removed flat-kwarg constructor.
 
-The acceptance bar for the API redesign: legacy
-``RumbaServer(max_retries=..., flush_interval_s=...)`` call sites keep
-working with *identical behavior* but now emit a DeprecationWarning,
-while every invalid combination fails at construction with
-:class:`ConfigurationError` — before any thread or process is spawned.
+Every invalid combination fails at construction with
+:class:`ConfigurationError` — before any thread or process is spawned —
+and ``RumbaServer`` takes its knobs through ``config=`` only.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.serving import (
     BackpressureConfig,
     BatchingConfig,
-    ChaosConfig,
     RetryConfig,
     RumbaServer,
     ServerConfig,
@@ -92,88 +89,32 @@ class TestSectionValidation:
 
 
 class TestFlatShim:
-    def test_from_flat_routes_every_legacy_kwarg(self):
-        config = ServerConfig.from_flat(
-            app="sobel",
-            scheme="gaussianEVP",
-            n_workers=3,
-            backend="process",
-            max_batch_requests=16,
-            flush_interval_s=0.01,
-            admission_capacity=64,
-            recovery_backlog_capacity=8,
-            high_watermark=6,
-            low_watermark=1,
-            max_retries=5,
-            default_deadline_s=12.0,
-            retry_backoff_s=0.2,
-            restart_workers=False,
-            max_worker_restarts=7,
-            seed=11,
-        )
-        assert config.app == "sobel"
-        assert config.scheme == "gaussianEVP"
-        assert config.n_workers == 3
-        assert config.backend == "process"
-        assert config.batching == BatchingConfig(16, 0.01, 64)
-        assert config.backpressure.recovery_backlog_capacity == 8
-        assert config.backpressure.resolved_watermarks() == (6, 1)
-        assert config.retry == RetryConfig(5, 12.0, 0.2, False, 7)
-        assert config.seed == 11
-
-    def test_from_flat_rejects_unknown_option(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            ServerConfig.from_flat(n_wrokers=2)
-
     def test_flat_round_trips(self):
+        """``flat()`` is what the journal META records and ``repro
+        replay`` reads back: every sectioned field under its flat key."""
         config = ServerConfig(
             n_workers=5,
             batching=BatchingConfig(max_batch_requests=2),
             retry=RetryConfig(max_retries=9),
         )
-        assert ServerConfig.from_flat(**config.flat()) == config
+        flat = config.flat()
+        assert set(flat) == {"app", "scheme"} | set(ServerConfig._FLAT_FIELDS)
+        assert flat["n_workers"] == 5
+        assert flat["max_batch_requests"] == 2
+        assert flat["max_retries"] == 9
+        assert flat["ensemble_members"] == config.ensemble.members
+        assert flat["journal_path"] is None
 
     def test_with_overrides(self):
         base = ServerConfig()
-        derived = base.with_overrides(n_workers=7, max_retries=0)
+        derived = base.with_overrides(n_workers=7, app="sobel")
         assert derived.n_workers == 7
-        assert derived.retry.max_retries == 0
+        assert derived.app == "sobel"
         assert derived.batching == base.batching
 
 
 class TestDeprecatedKwargs:
-    """Legacy flat kwargs: same behavior, plus a DeprecationWarning."""
-
-    def test_legacy_kwargs_warn_and_behave_identically(self, fft_prototype):
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            legacy = RumbaServer(
-                prototype=fft_prototype.clone_shard(),
-                n_workers=1,
-                n_recovery_workers=1,
-                max_batch_requests=3,
-                flush_interval_s=0.004,
-                admission_capacity=32,
-                max_retries=1,
-                default_deadline_s=9.0,
-            )
-        modern = RumbaServer(
-            prototype=fft_prototype.clone_shard(),
-            config=ServerConfig(
-                n_workers=1,
-                n_recovery_workers=1,
-                batching=BatchingConfig(
-                    max_batch_requests=3,
-                    flush_interval_s=0.004,
-                    admission_capacity=32,
-                ),
-                retry=RetryConfig(max_retries=1, default_deadline_s=9.0),
-            ),
-        )
-        assert legacy.config == modern.config
-        assert legacy.n_workers == modern.n_workers == 1
-        assert legacy.max_retries == modern.max_retries == 1
-        legacy.stop()
-        modern.stop()
+    """The flat kwargs are gone: ``config=`` is the only spelling."""
 
     def test_config_path_does_not_warn(self, fft_prototype):
         with warnings.catch_warnings():
@@ -185,27 +126,25 @@ class TestDeprecatedKwargs:
         server.stop()
 
     def test_mixing_config_and_legacy_kwargs_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(TypeError, match="max_retries"):
             RumbaServer(config=ServerConfig(), max_retries=1)
 
     @pytest.mark.parametrize("kwargs", [
-        {"default_deadline_s": -1.0},
-        {"max_retries": -1},
+        {"retry": {"default_deadline_s": -1.0}},
+        {"retry": {"max_retries": -1}},
         {"backend": "fiber"},
     ])
     def test_legacy_validation_errors_preserved(self, kwargs):
-        """Pre-redesign tests assert ConfigurationError for these; the
-        shim must keep raising the same type."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError):
-                RumbaServer(**kwargs)
+        """The values the flat kwargs used to reject still fail with
+        ConfigurationError when a config carrying them is built for the
+        server."""
+        with pytest.raises(ConfigurationError):
+            retry = RetryConfig(**kwargs.pop("retry", {}))
+            RumbaServer(config=ServerConfig(retry=retry, **kwargs))
 
     def test_unknown_legacy_kwarg_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError, match="unknown"):
-                RumbaServer(flush_ms=5)
+        with pytest.raises(TypeError, match="flush_ms"):
+            RumbaServer(flush_ms=5)
 
     def test_app_scheme_args_override_config(self, fft_prototype):
         config = ServerConfig(app="sobel", scheme="gaussianEVP")
@@ -213,26 +152,3 @@ class TestDeprecatedKwargs:
         assert server.config.app == "fft"
         assert server.config.scheme == "treeErrors"
         server.stop()
-
-    def test_legacy_end_to_end_still_serves(self, fft_prototype,
-                                            fft_input_pool):
-        with pytest.warns(DeprecationWarning):
-            server = RumbaServer(
-                prototype=fft_prototype.clone_shard(),
-                n_workers=1,
-                flush_interval_s=0.002,
-            )
-        with server:
-            result = server.submit_wait(fft_input_pool[:8], timeout=60.0)
-        assert result.outputs.shape[0] == 8
-
-    def test_chaos_accepted_through_both_paths(self, fft_prototype):
-        chaos = ChaosConfig(fail_prob=0.1, seed=1)
-        with pytest.warns(DeprecationWarning):
-            legacy = RumbaServer(prototype=fft_prototype.clone_shard(),
-                                 chaos=chaos)
-        modern = RumbaServer(prototype=fft_prototype.clone_shard(),
-                             config=ServerConfig(chaos=chaos))
-        assert legacy.config.chaos == modern.config.chaos == chaos
-        legacy.stop()
-        modern.stop()

@@ -1,0 +1,102 @@
+"""The serving core's retry / deadline / exactly-once logic, driven
+through a fake transport: every step below is a direct call, so there is
+no sleep, worker thread, or worker process to race against.  Backoffs
+are far longer than the test, which keeps the server's own retry thread
+idle; ``_requeue_due`` is called with a clock reading past them."""
+
+import time
+
+import pytest
+
+from repro.errors import ServingError, WorkerCrashError
+
+FAR = 1e6  # seconds: a backoff / deadline no test run reaches
+
+
+def _dispatch_one(server, fake):
+    assert server._pump_once(fake.dispatch)
+    return fake.batches[-1]
+
+
+class TestCompletion:
+    def test_batch_resolves_each_request_exactly_once(self, fake_server,
+                                                      fft_input_pool):
+        server, fake = fake_server()
+        handles = [server.submit(fft_input_pool[:n]) for n in (3, 5)]
+        batch = _dispatch_one(server, fake)
+        assert [r.n_elements for r in batch.requests] == [3, 5]
+        assert server.stats()["recovery_backlog"] == 1
+        fake.complete(batch)
+        results = [h.result(timeout=0) for h in handles]
+        assert [r.n_elements for r in results] == [3, 5]
+        assert all(r.worker == "f0" and r.fix_fraction == 0.25
+                   for r in results)
+        stats = server.stats()
+        assert stats["inflight_requests"] == 0
+        assert stats["recovery_backlog"] == 0
+        assert stats["workers"][0]["batches"] == 1
+        assert stats["workers"][0]["elements"] == 8
+
+    def test_application_error_fails_without_retry(self, fake_server,
+                                                   fft_input_pool):
+        server, fake = fake_server(retry_backoff_s=FAR,
+                                   default_deadline_s=2 * FAR)
+        handle = server.submit(fft_input_pool[:4])
+        fake.fail(_dispatch_one(server, fake), ValueError("bad kernel"))
+        with pytest.raises(ValueError, match="bad kernel"):
+            handle.result(timeout=0)
+        assert server.stats()["retries"] == 0
+
+    def test_dispatch_exception_goes_through_retry_policy(self, fake_server,
+                                                          fft_input_pool):
+        server, fake = fake_server(max_retries=0)
+        handle = server.submit(fft_input_pool[:4])
+
+        def exploding(batch):
+            raise WorkerCrashError("no live worker")
+
+        assert server._pump_once(exploding)
+        with pytest.raises(ServingError, match="retry bound 0"):
+            handle.result(timeout=0)
+
+
+class TestRetryBudget:
+    def test_crash_requeues_until_the_retry_bound(self, fake_server,
+                                                  fft_input_pool):
+        server, fake = fake_server(max_retries=1, retry_backoff_s=FAR,
+                                   default_deadline_s=10 * FAR)
+        handle = server.submit(fft_input_pool[:4])
+        fake.fail(_dispatch_one(server, fake), WorkerCrashError("died"))
+        assert not handle.done()
+        assert server.stats()["retry_queue_depth"] == 1
+        # Not due yet: the heap keeps it.
+        server._requeue_due(time.monotonic())
+        assert server.stats()["retry_queue_depth"] == 1
+        server._requeue_due(time.monotonic() + 2 * FAR)
+        assert server.stats()["retry_queue_depth"] == 0
+        retried = _dispatch_one(server, fake)
+        assert retried.requests[0].attempts == 1
+        fake.fail(retried, WorkerCrashError("died again"))
+        with pytest.raises(ServingError, match="after 2 attempts"):
+            handle.result(timeout=0)
+        stats = server.stats()
+        assert stats["retries"] == 1
+        assert stats["inflight_requests"] == 0
+
+    def test_retried_request_completes(self, fake_server, fft_input_pool):
+        server, fake = fake_server(retry_backoff_s=FAR,
+                                   default_deadline_s=10 * FAR)
+        handle = server.submit(fft_input_pool[:4])
+        fake.fail(_dispatch_one(server, fake), WorkerCrashError("died"))
+        server._requeue_due(time.monotonic() + 2 * FAR)
+        fake.complete(_dispatch_one(server, fake))
+        assert handle.result(timeout=0).n_elements == 4
+
+    def test_backoff_past_the_deadline_fails_at_once(self, fake_server,
+                                                     fft_input_pool):
+        server, fake = fake_server(max_retries=100, retry_backoff_s=FAR)
+        handle = server.submit(fft_input_pool[:4], deadline_s=1.0)
+        fake.fail(_dispatch_one(server, fake), WorkerCrashError("died"))
+        with pytest.raises(ServingError, match="deadline budget exhausted"):
+            handle.result(timeout=0)
+        assert server.stats()["retry_queue_depth"] == 0

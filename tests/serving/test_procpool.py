@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import ProcessWorkerPool, RumbaServer
-from repro.serving.procpool import _worker_main
+from repro.serving import (
+    BatchingConfig,
+    ProcessWorkerPool,
+    RetryConfig,
+    RumbaServer,
+    ServerConfig,
+)
+from repro.serving.procpool import SHARD_RECORD_WINDOW, _worker_main
 from repro.serving.shm import FRAME_BATCH, FRAME_ERROR, FRAME_RESULT, ShmRing
 
 
@@ -93,7 +99,10 @@ class TestProcessWorkerPool:
 class _InterruptingSystem:
     """Picklable stand-in whose invocation raises like a delivered signal."""
 
-    def clone_shard(self):
+    cloned_with = []  # max_records of every clone_shard() call
+
+    def clone_shard(self, max_records=None):
+        self.cloned_with.append(max_records)
         return self
 
     def run_invocation(self, *_args, **_kwargs):
@@ -131,6 +140,9 @@ class TestWorkerMainInterrupts:
             assert isinstance(caught[0], KeyboardInterrupt)
             # No error frame was produced: the interrupt escaped the loop.
             assert out_ring.try_read() is None
+            # The worker's shard keeps a bounded record window (it would
+            # otherwise retain every InvocationRecord for its lifetime).
+            assert _InterruptingSystem.cloned_with[-1] == SHARD_RECORD_WINDOW
         finally:
             for ring in (in_ring, out_ring):
                 ring.close()
@@ -140,8 +152,11 @@ class TestWorkerMainInterrupts:
 class TestProcessServerLifecycle:
     def test_clean_start_serve_stop(self, fft_prototype, fft_input_pool):
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=2, flush_interval_s=0.001,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=2,
+                batching=BatchingConfig(flush_interval_s=0.001),
+            ),
         )
         with server:
             results = [
@@ -162,9 +177,13 @@ class TestProcessServerLifecycle:
         # never hang.  (The restart path that makes them *succeed* is
         # covered in test_resilience.py.)
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=1, flush_interval_s=0.001,
-            restart_workers=False, max_retries=1, retry_backoff_s=0.01,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(restart_workers=False, max_retries=1,
+                                  retry_backoff_s=0.01),
+            ),
         )
         server.start()
         try:
@@ -184,12 +203,14 @@ class TestProcessServerLifecycle:
     def test_unpicklable_prototype_fails_at_prepare(self, fft_prototype):
         doctored = fft_prototype.clone_shard()
         doctored.recovery.exact_kernel = lambda x: x  # not picklable
-        server = RumbaServer(prototype=doctored, backend="process",
-                             n_workers=1)
+        server = RumbaServer(
+            prototype=doctored,
+            config=ServerConfig(backend="process", n_workers=1),
+        )
         with pytest.raises(ServingError, match="picklable"):
             server.prepare()
 
     def test_unknown_backend_rejected(self):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="backend"):
-            RumbaServer(backend="fiber")
+            RumbaServer(config=ServerConfig(backend="fiber"))

@@ -11,11 +11,17 @@ import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ServingError
-from repro.serving import ChaosConfig, ProcessWorkerPool, RumbaServer
+from repro.errors import ConfigurationError, ServingError, WorkerCrashError
+from repro.serving import (
+    BatchingConfig,
+    ChaosConfig,
+    ProcessWorkerPool,
+    RetryConfig,
+    RumbaServer,
+    ServerConfig,
+)
 
 
 def _shm_listing():
@@ -27,8 +33,12 @@ class TestSupervisorRestart:
         self, fft_prototype, fft_input_pool
     ):
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=2, flush_interval_s=0.001, retry_backoff_s=0.01,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=2,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(retry_backoff_s=0.01),
+            ),
         )
         server.start()
         try:
@@ -55,8 +65,12 @@ class TestSupervisorRestart:
     def test_restart_reapplies_degradation_level(self, fft_prototype,
                                                  fft_input_pool):
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=1, flush_interval_s=0.001, retry_backoff_s=0.01,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(retry_backoff_s=0.01),
+            ),
         )
         server.start()
         try:
@@ -84,8 +98,12 @@ class TestSupervisorRestart:
 
     def test_restart_telemetry_counter(self, fft_prototype, fft_input_pool):
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=1, flush_interval_s=0.001, retry_backoff_s=0.01,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(retry_backoff_s=0.01),
+            ),
         )
         server.start()
         try:
@@ -102,9 +120,13 @@ class TestSupervisorRestart:
     def test_max_worker_restarts_bounds_supervision(self, fft_prototype,
                                                     fft_input_pool):
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=1, flush_interval_s=0.001, retry_backoff_s=0.01,
-            max_worker_restarts=0, max_retries=1,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(retry_backoff_s=0.01,
+                                  max_worker_restarts=0, max_retries=1),
+            ),
         )
         server.start()
         try:
@@ -124,9 +146,13 @@ class TestRetryBudget:
         # No supervision, one worker, killed: retries burn down to the
         # bound and the caller gets ServingError — never a hang.
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=1, flush_interval_s=0.001,
-            restart_workers=False, max_retries=2, retry_backoff_s=0.01,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(restart_workers=False, max_retries=2,
+                                  retry_backoff_s=0.01),
+            ),
         )
         server.start()
         try:
@@ -147,10 +173,14 @@ class TestRetryBudget:
         # would land past the budget, so the request fails on the
         # deadline branch even though the retry *count* is not exhausted.
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=1, flush_interval_s=0.001,
-            restart_workers=False, max_retries=100, retry_backoff_s=0.2,
-            default_deadline_s=0.05,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(restart_workers=False, max_retries=100,
+                                  retry_backoff_s=0.2,
+                                  default_deadline_s=0.05),
+            ),
         )
         server.start()
         try:
@@ -163,49 +193,27 @@ class TestRetryBudget:
         finally:
             server.stop()
 
-    def test_retry_losing_close_race_fails_handle(self, fft_prototype,
+    def test_retry_losing_close_race_fails_handle(self, fake_server,
                                                   fft_input_pool):
         # Regression for the requeue-vs-close race: a backed-off retry
         # that lands after the admission queue closed must fail its
         # handle with the typed error — the old path let the retry
         # vanish and the submitter hang out its whole deadline budget.
-        import heapq
-        import threading
-
-        from repro.serving import ServeRequest
-
-        server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), n_workers=1,
-            flush_interval_s=0.001,
-        )
-        server.start()
-        try:
-            server.submit_wait(fft_input_pool[:8], timeout=60)
-            request = ServeRequest(
-                request_id=10_001,
-                inputs=np.array(fft_input_pool[:8]),
-                submitted_at=time.monotonic(),
-                deadline_s=30.0,
-            )
-            request.attempts = 1
-            # Simulate close() winning: the queue is closed while the
-            # retry is still parked in the backoff heap.
-            server._admission.close()
-            with server._retry_cond:
-                server._retry_seq += 1
-                heapq.heappush(
-                    server._retry_heap,
-                    (time.monotonic(), server._retry_seq, request),
-                )
-                server._retry_cond.notify()
-            started = time.monotonic()
-            with pytest.raises(ServingError, match="re-queued"):
-                request.handle.result(timeout=10.0)
-            # Failed fast through the race branch, not via a timeout.
-            assert time.monotonic() - started < 5.0
-            assert request.handle.done()
-        finally:
-            server.stop()
+        server, fake = fake_server(retry_backoff_s=1e6,
+                                   default_deadline_s=1e7)
+        handle = server.submit(fft_input_pool[:8])
+        assert server._pump_once(fake.dispatch)
+        fake.fail(fake.batches[0], WorkerCrashError("worker died"))
+        assert not handle.done()  # parked in the backoff heap
+        # close() wins: the queue is closed while the retry is parked.
+        server._admission.close()
+        started = time.monotonic()
+        server._requeue_due(time.monotonic() + 2e6)
+        with pytest.raises(ServingError, match="re-queued"):
+            handle.result(timeout=10.0)
+        # Failed fast through the race branch, not via a timeout.
+        assert time.monotonic() - started < 5.0
+        assert handle.done()
 
     def test_deadline_validation(self, fft_prototype, fft_input_pool):
         server = RumbaServer(prototype=fft_prototype.clone_shard())
@@ -216,9 +224,11 @@ class TestRetryBudget:
         finally:
             server.stop()
         with pytest.raises(ConfigurationError):
-            RumbaServer(default_deadline_s=-1.0)
+            RumbaServer(config=ServerConfig(
+                retry=RetryConfig(default_deadline_s=-1.0)))
         with pytest.raises(ConfigurationError):
-            RumbaServer(max_retries=-1)
+            RumbaServer(config=ServerConfig(
+                retry=RetryConfig(max_retries=-1)))
 
 
 class TestStartupHygiene:
@@ -265,8 +275,12 @@ class TestDrain:
     def test_drain_flushes_in_flight_requests(self, fft_prototype,
                                               fft_input_pool):
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend="process",
-            n_workers=2, flush_interval_s=0.05, max_batch_requests=4,
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=2,
+                batching=BatchingConfig(flush_interval_s=0.05,
+                                        max_batch_requests=4),
+            ),
         )
         server.start()
         handles = [server.submit(fft_input_pool[:16]) for _ in range(10)]
@@ -288,9 +302,13 @@ class TestChaosSoak:
                                       backend, spec):
         before = _shm_listing()
         server = RumbaServer(
-            prototype=fft_prototype.clone_shard(), backend=backend,
-            n_workers=2, flush_interval_s=0.001, retry_backoff_s=0.01,
-            chaos=ChaosConfig.parse(spec),
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend=backend, n_workers=2,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(retry_backoff_s=0.01),
+                chaos=ChaosConfig.parse(spec),
+            ),
         )
         completed = failed = hung = 0
         with server:

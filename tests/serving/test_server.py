@@ -9,20 +9,26 @@ import pytest
 from repro.core.stream import DriftDetector
 from repro.errors import OverloadedError, ServingError
 from repro.observability import MetricsRegistry
-from repro.serving import BackpressureController, RumbaServer
+from repro.serving import (
+    BackpressureConfig,
+    BackpressureController,
+    BatchingConfig,
+    RumbaServer,
+    ServerConfig,
+)
 from repro.serving.server import WorkerShard
 
 
-def _server(prototype, **kwargs):
-    defaults = dict(
-        prototype=prototype.clone_shard(),
-        n_workers=2,
-        n_recovery_workers=2,
-        max_batch_requests=4,
-        flush_interval_s=0.002,
+def _server(prototype, registry=None, **config):
+    config.setdefault("n_workers", 2)
+    config.setdefault("n_recovery_workers", 2)
+    config.setdefault("batching", BatchingConfig(
+        max_batch_requests=4, flush_interval_s=0.002,
+    ))
+    return RumbaServer(
+        prototype=prototype.clone_shard(), config=ServerConfig(**config),
+        registry=registry,
     )
-    defaults.update(kwargs)
-    return RumbaServer(**defaults)
 
 
 class TestEndToEnd:
@@ -131,11 +137,14 @@ class TestBackpressure:
             registry=registry,
             n_workers=2,
             n_recovery_workers=1,
-            max_batch_requests=1,
-            admission_capacity=6,
-            recovery_backlog_capacity=3,
-            high_watermark=1,
-            low_watermark=0,
+            batching=BatchingConfig(
+                max_batch_requests=1, flush_interval_s=0.002,
+                admission_capacity=6,
+            ),
+            backpressure=BackpressureConfig(
+                recovery_backlog_capacity=3, high_watermark=1,
+                low_watermark=0,
+            ),
         )
         server.prepare()
         # Make CPU recovery artificially slow so the accelerator side
@@ -169,7 +178,7 @@ class TestBackpressure:
         assert stats["requests_shed"] == shed
         # The recovery backlog never outgrew its bound (inline fallback
         # absorbs the overflow).
-        assert server._backlog.stats.max_occupancy <= 3
+        assert server._transport.recovery_backlog.stats.max_occupancy <= 3
         # Backpressure raised the detection threshold at least once.
         assert server.controller.degrade_events > 0
         peak_threshold = max(
@@ -198,6 +207,28 @@ class TestBackpressure:
         assert controller.level == 0
         assert shard.tuner.threshold == pytest.approx(start)
         assert shard.tuner.degradation_level == 0
+
+
+class TestRecordRetention:
+    def test_shards_keep_a_bounded_record_window(self, fft_prototype,
+                                                 fft_input_pool, monkeypatch):
+        """Regression: shards retained every InvocationRecord for the
+        life of the server (0.37 MB per 1000 requests on the ladder)."""
+        from repro.serving import transport
+
+        monkeypatch.setattr(transport, "SHARD_RECORD_WINDOW", 8)
+        server = _server(
+            fft_prototype, n_workers=1,
+            batching=BatchingConfig(max_batch_requests=1,
+                                    flush_interval_s=0.0),
+        )
+        with server:
+            for _ in range(30):
+                server.submit_wait(fft_input_pool[:4], timeout=30.0)
+            shard = server.shards[0]
+            assert shard.system.total_invocations == 30
+            assert len(shard.system.records) <= 8
+            assert server.stats()["workers"][0]["invocations"] == 30
 
 
 class TestDrift:
