@@ -31,12 +31,13 @@ thread-safe surface is the router's, which hops in via
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConnectionLostError, ProtocolError, ServingError
 from repro.serving.net import protocol as wire
-from repro.serving.net.client import _negotiate_version
+from repro.serving.net.client import _negotiate_version, _read_welcome
 
 __all__ = ["Node", "NodeLink", "NodeManager"]
 
@@ -57,68 +58,67 @@ class NodeLink:
     def __init__(self, node: "Node", manager: "NodeManager"):
         self.node = node
         self.manager = manager
-        self.reader = None
-        self.writer = None
+        self._stream = None                   # asyncio StreamWriter
+        self.writer: Optional[wire.FrameWriter] = None
         self.version = wire.PROTOCOL_VERSION
         self.welcome: dict = {}
         self.connected = False
         self.pending: Dict[int, object] = {}  # backend id -> entry | Future
-        self._next_id = 1
+        self._ids = itertools.count(1)        # backend request ids
         self._reader_task: Optional[asyncio.Task] = None
 
     async def connect(self, timeout: float) -> dict:
         """Dial the node, read its WELCOME, start the reader task."""
         host, port = self.node.address
-        self.reader, self.writer = await asyncio.wait_for(
+        reader, self._stream = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout=timeout
         )
+        buffer = wire.FrameBuffer(self.manager.config.max_frame_bytes)
         try:
-            frame = await asyncio.wait_for(
-                self._read_frame(), timeout=timeout
+            self.welcome = await asyncio.wait_for(
+                _read_welcome(reader, buffer), timeout=timeout
             )
-            if frame.frame_type != wire.FT_WELCOME:
-                raise ProtocolError(
-                    f"expected WELCOME from {self.node.name}, "
-                    f"got {frame.type_name}"
-                )
-            self.welcome = wire.unpack_json(frame.body)
             self.version = _negotiate_version(self.welcome)
         except BaseException:
-            self.writer.close()
+            self._stream.close()
             raise
+        self.writer = wire.FrameWriter(
+            self._stream.transport, asyncio.get_running_loop(),
+            on_error=self.connection_lost,
+        )
         self.connected = True
-        self._reader_task = asyncio.ensure_future(self._reader_loop())
+        self._reader_task = asyncio.ensure_future(
+            self._reader_loop(reader, buffer)
+        )
         return self.welcome
 
-    async def _read_frame(self) -> wire.Frame:
-        prefix = await self.reader.readexactly(4)
-        length = wire.check_frame_length(
-            int.from_bytes(prefix, "little"),
-            self.manager.config.max_frame_bytes,
-        )
-        return wire.decode_frame(await self.reader.readexactly(length))
-
-    async def _reader_loop(self) -> None:
+    async def _reader_loop(self, reader, buffer: wire.FrameBuffer) -> None:
         try:
-            while True:
-                frame = await self._read_frame()
-                holder = self.pending.pop(frame.request_id, None)
-                if holder is None:
-                    continue  # reply for a request the router gave up on
-                if isinstance(holder, asyncio.Future):
-                    if not holder.done():
-                        holder.set_result(frame)
-                else:
-                    self.node.inflight -= 1
-                    self.manager.on_reply(self, holder, frame)
-        except asyncio.CancelledError:
-            raise
-        except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                ProtocolError) as exc:
+            await wire.read_frames(reader, buffer, self._on_frame)
+            raise ConnectionError("node closed the connection")
+        except (ConnectionError, OSError, ProtocolError) as exc:
             self.connection_lost(exc)
 
+    def _on_frame(self, frame: wire.Frame) -> None:
+        holder = self.pending.pop(frame.request_id, None)
+        if holder is None:
+            return  # reply for a request the router gave up on
+        if isinstance(holder, asyncio.Future):
+            if not holder.done():
+                holder.set_result(frame)
+        else:
+            self.node.inflight -= 1
+            self.manager.on_reply(self, holder, frame)
+
     def connection_lost(self, cause: BaseException) -> None:
-        """Fail probes, strand entries back to the router's retry path."""
+        """Fail probes, strand entries back to the router's retry path.
+
+        Every way a link dies ends here (reader EOF or error, a failed
+        flush, a refused send, :meth:`close`); swapping ``pending`` out
+        makes the stranding happen exactly once.
+        """
+        if self._stream is not None:
+            self._stream.close()
         if not self.connected and not self.pending:
             return
         self.connected = False
@@ -138,25 +138,31 @@ class NodeLink:
             self.manager.on_stranded(self.node, stranded, error)
         self.manager.note_link_down(self.node)
 
-    def send_request(self, entry, body: bytes) -> int:
-        """Forward one encoded REQUEST body; returns the backend id."""
-        backend_id = self._next_id
-        self._next_id += 1
-        # Write before registering: a synchronous send failure must
-        # leave the entry out of ``pending`` so connection_lost cannot
-        # strand it into the retry path a second time — the caller owns
-        # the single retry on that failure.
-        self.writer.write(wire.encode_frame(
-            wire.FT_REQUEST, backend_id, body, version=self.version
-        ))
+    def send_request(self, entry, deadline_s: float) -> int:
+        """Queue one forward of ``entry``; returns the backend id.
+
+        The frame is ``entry.request_frame(backend_id, deadline_s,
+        version)`` and leaves with the rest of this loop tick's frames.
+        A closing link refuses *before* registering the entry, so
+        connection_lost cannot strand it into the retry path a second
+        time — the caller owns the single retry on that failure.  Once
+        registered, a reply or connection_lost claims it.
+        """
+        if self.writer.is_closing():
+            raise ConnectionResetError(
+                f"link to node {self.node.name} is closing"
+            )
+        backend_id = next(self._ids)
+        self.writer.write(
+            entry.request_frame(backend_id, deadline_s, self.version)
+        )
         self.pending[backend_id] = entry
         self.node.inflight += 1
         return backend_id
 
     async def roundtrip_stats(self, timeout: float) -> dict:
         """One STATS probe over this link (also the health check)."""
-        backend_id = self._next_id
-        self._next_id += 1
+        backend_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self.pending[backend_id] = future
         self.writer.write(wire.encode_frame(
@@ -179,8 +185,6 @@ class NodeLink:
         if self._reader_task is not None:
             self._reader_task.cancel()
             self._reader_task = None
-        if self.writer is not None:
-            self.writer.close()
         self.connection_lost(ServingError("link closed"))
 
 
@@ -228,6 +232,11 @@ class Node:
         self._link_rr = (self._link_rr + 1) % len(live)
         return live[self._link_rr]
 
+    def close_links(self) -> None:
+        for link in list(self.links):
+            link.close()
+        self.links = []
+
     def health_document(self) -> dict:
         """This node's row of the fleet stats health section."""
         return {
@@ -263,9 +272,10 @@ class NodeManager:
         ``(node, entries, error)`` — a link died with these forwarded
         requests unanswered; the router's retry path owns them now.
     on_node_event:
-        ``(event, node)`` — observability hook (``evicted``,
-        ``readmitted``, ``restart_detected``, ``probe_ok``,
-        ``probe_failed``, ``drained``); the router exports metrics.
+        ``(event, node)`` — observability hook (``welcome``,
+        ``removed``, ``evicted``, ``readmitted``, ``restart_detected``,
+        ``probe_ok``, ``probe_failed``, ``drained``); the router exports
+        metrics and re-reads the fleet's WELCOME fields.
     """
 
     def __init__(
@@ -301,9 +311,7 @@ class NodeManager:
                 pass
             self._probe_task = None
         for node in self.nodes.values():
-            for link in node.links:
-                link.close()
-            node.links = []
+            node.close_links()
 
     async def add_node(self, address_spec) -> Node:
         """Join a node to the fleet and try to connect it right away."""
@@ -317,9 +325,8 @@ class NodeManager:
     def remove_node(self, name: str) -> Optional[Node]:
         node = self.nodes.pop(name, None)
         if node is not None:
-            for link in node.links:
-                link.close()
-            node.links = []
+            node.close_links()
+            self.on_node_event("removed", node)
         return node
 
     # ------------------------------------------------------------------ #
@@ -359,6 +366,7 @@ class NodeManager:
         node.welcome = welcome
         node.node_id = new_id
         node.started_at = new_start
+        self.on_node_event("welcome", node)
         if restarted:
             # Same address, new incarnation: its health history belongs
             # to the dead process, not this one.
@@ -405,9 +413,7 @@ class NodeManager:
         node.readmit_at = time.monotonic() + node.backoff_s
         node.stats = {}
         self.on_node_event("evicted", node)
-        for link in list(node.links):
-            link.close()
-        node.links = []
+        node.close_links()
 
     # ------------------------------------------------------------------ #
     # Probing                                                            #

@@ -5,10 +5,13 @@
 they would to a single :class:`~repro.serving.net.server.NetServer` —
 same WELCOME, same REQUEST/RESULT/ERROR/STATS frames, same
 :class:`~repro.serving.net.client.RumbaClient` — while the router
-forwards each decoded request over pooled, multiplexed backend
+forwards each validated request over pooled, multiplexed backend
 connections to whichever node the configured routing policy picks
 (``least_loaded`` / ``consistent_hash`` / ``round_robin``; see
-``cluster/routing.py``).
+``cluster/routing.py``).  REQUEST and RESULT bodies are *relayed*, not
+decoded: ``peek_*`` validates the whole body in place and ``relay_*``
+rewrites only the fields a gateway owns (``docs/cluster.md`` lists the
+patch points), so the float64 blocks are never copied or parsed here.
 
 Reliability model (the node-level mirror of the serving core's
 worker-crash story):
@@ -39,19 +42,20 @@ Each request's gateway hops are stamped as the ``router_recv`` /
 waterfall in ``docs/observability.md``), and the client's trace id is
 propagated downstream so node-side records correlate by id.
 
-Lifecycle matches :class:`NetServer`: the event loop runs on one
-background thread (``rumba-cluster-loop``), so ``start()`` / ``stop()``
-/ ``drain()`` / ``stats_document()`` are ordinary blocking calls.
+Listening, lifecycle and framing are
+:class:`~repro.serving.net.server.FrameListener`'s, shared with
+:class:`NetServer`: the event loop runs on one background thread
+(``rumba-cluster-loop``), so ``start()`` / ``stop()`` / ``drain()`` /
+``stats_document()`` are ordinary blocking calls.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 import uuid
 from concurrent import futures
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import (
     NoHealthyNodesError,
@@ -69,57 +73,47 @@ from repro.serving.cluster.routing import RequestContext, make_policy
 from repro.serving.cluster.stats import aggregate_fleet_stats
 from repro.serving.config import ClusterConfig
 from repro.serving.net import protocol as wire
+from repro.serving.net.server import ClientConnection, FrameListener
 
 __all__ = ["ClusterRouter"]
 
-_STOP_JOIN_S = 10.0
-
 #: Wire error codes worth a second chance on a different node.
 _RETRYABLE_CODES = (wire.ERR_WORKER_CRASH, wire.ERR_OVERLOADED)
-
-
-class _ClientConnection:
-    """Per-client-connection state, event-loop only (NetServer pattern)."""
-
-    __slots__ = ("peer", "out_q", "outstanding", "closed")
-
-    def __init__(self, peer: str):
-        self.peer = peer
-        self.out_q: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
-        self.outstanding: Set[int] = set()
-        self.closed = False
 
 
 class _PendingEntry:
     """One accepted client request while the fleet works on it."""
 
     __slots__ = (
-        "conn", "client_id", "client_version", "inputs", "scheme",
-        "deadline_s", "deadline_at", "trace", "trace_id", "force_sample",
+        "conn", "client_id", "client_version", "body", "view",
+        "deadline_at", "trace", "trace_id",
         "attempts", "node_name", "received_at",
     )
 
     def __init__(
-        self, conn, client_id, client_version, inputs, scheme,
-        deadline_s, deadline_at, trace, trace_id, force_sample,
-        received_at,
+        self, conn, frame, view, deadline_at, trace, trace_id, received_at,
     ):
         self.conn = conn
-        self.client_id = client_id
-        self.client_version = client_version
-        self.inputs = inputs
-        self.scheme = scheme
-        self.deadline_s = deadline_s          # what the client asked for
+        self.client_id = frame.request_id
+        self.client_version = frame.version
+        self.body = frame.body                # relayed, never decoded
+        self.view = view                      # its validated layout
         self.deadline_at = deadline_at        # absolute retry budget
         self.trace = trace
         self.trace_id = trace_id
-        self.force_sample = force_sample
         self.attempts = 0                     # forwards so far
         self.node_name = ""                   # last node it went to
         self.received_at = received_at
 
+    def request_frame(self, request_id, deadline_s, version) -> bytes:
+        """The REQUEST frame for one forward (what a NodeLink sends)."""
+        return wire.relay_request(
+            self.body, self.view, request_id, deadline_s, self.trace_id,
+            version,
+        )
 
-class ClusterRouter:
+
+class ClusterRouter(FrameListener):
     """Route protocol-v2 clients across a fleet of ``NetServer`` nodes.
 
     Parameters
@@ -146,8 +140,7 @@ class ClusterRouter:
         tracing: Optional[TracingPolicy] = None,
     ):
         self.config = config or ClusterConfig()
-        self.host = host
-        self.port = port
+        super().__init__(host, port, self.config.max_frame_bytes)
         self.registry = registry or MetricsRegistry()
         self.tracing = tracing or TracingPolicy()
         self.policy = make_policy(self.config.policy)
@@ -158,20 +151,10 @@ class ClusterRouter:
             on_node_event=self._on_node_event,
         )
         self.router_id = uuid.uuid4().hex
-        self.started_at_monotonic: Optional[float] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_async: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._finished = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._bound: Optional[Tuple[str, int]] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._open_connections = 0
-        self._inflight = 0
         self._requests_routed = 0
         self._requests_retried = 0
         self._build_metrics()
+        self._refresh_fleet()
 
     # ------------------------------------------------------------------ #
     # Metrics                                                            #
@@ -215,64 +198,44 @@ class ClusterRouter:
             "Per-stage latency segments from sampled request traces",
             ("app", "scheme", "stage"),
         )
+        self._m_rejected = self._m_requests.labels(node="", outcome="rejected")
+        self._node_outcomes: Dict[str, Tuple[object, object]] = {}
 
-    def _observe_stage(self, stage: str, duration: float) -> None:
-        self._m_stage.labels(
-            app=self._fleet_field("app"),
-            scheme=self._fleet_field("scheme"),
-            stage=stage,
-        ).observe(duration)
+    def _outcomes(self, node_name: str):
+        """One node's (completed, failed) request counters, bound once."""
+        pair = self._node_outcomes.get(node_name)
+        if pair is None:
+            pair = self._node_outcomes[node_name] = (
+                self._m_requests.labels(node=node_name, outcome="completed"),
+                self._m_requests.labels(node=node_name, outcome="failed"),
+            )
+        return pair
+
+    def _refresh_fleet(self) -> None:
+        """Cache the fleet's WELCOME fields; runs when one arrives or the
+        member set changes, never per request."""
+        welcomes = [node.welcome for node in self.manager.nodes.values()]
+
+        def first(key, default):
+            return next((w[key] for w in welcomes if w.get(key)), default)
+
+        self._fleet_app = str(first("app", ""))
+        self._fleet_scheme = str(first("scheme", ""))
+        self._fleet_features = int(first("features", 0))
 
     # ------------------------------------------------------------------ #
-    # Lifecycle (NetServer pattern: loop on a background thread)         #
+    # Lifecycle (FrameListener's; the loop also runs the NodeManager)    #
     # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port); valid once :meth:`start` returned."""
-        if self._bound is None:
-            raise ServingError("ClusterRouter is not listening yet")
-        return self._bound
+    _thread_name = "rumba-cluster-loop"
 
-    @property
-    def is_running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+    async def _loop_started(self) -> None:
+        # Join the configured members before accepting work, so a
+        # start() caller can rely on the initial connect attempts
+        # having happened (wait_for_nodes covers slow starters).
+        await self.manager.start()
 
-    def start(self, timeout: float = 30.0) -> "ClusterRouter":
-        if self._thread is not None:
-            raise ServingError("ClusterRouter already started")
-        self.started_at_monotonic = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="rumba-cluster-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=timeout):
-            raise ServingError("ClusterRouter failed to bind in time")
-        if self._startup_error is not None:
-            self._thread.join(timeout=_STOP_JOIN_S)
-            self._thread = None
-            raise ServingError(
-                f"ClusterRouter could not listen on "
-                f"{self.host}:{self.port}: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self, timeout: float = _STOP_JOIN_S) -> None:
-        if self._thread is None:
-            return
-        loop, stop_async = self._loop, self._stop_async
-        if loop is not None and stop_async is not None:
-            try:
-                loop.call_soon_threadsafe(stop_async.set)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        """Block the calling thread until the router stops."""
-        if self._thread is None:
-            raise ServingError("ClusterRouter is not running")
-        self._finished.wait(timeout=timeout)
+    async def _loop_stopping(self) -> None:
+        await self.manager.stop()
 
     def wait_for_nodes(self, count: int = 1, timeout: float = 30.0) -> bool:
         """Block until ``count`` nodes are routable (True) or timeout."""
@@ -296,12 +259,6 @@ class ClusterRouter:
             if time.monotonic() >= deadline:
                 return False
             time.sleep(0.02)
-
-    def __enter__(self) -> "ClusterRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------ #
     # Thread-safe fleet management surface                               #
@@ -346,184 +303,36 @@ class ClusterRouter:
     def stats_document(self) -> dict:
         """The fleet-wide stats document (thread-safe snapshot)."""
         async def _build():
-            return self._fleet_stats()
+            return self._stats_document()
         return self._call_on_loop(_build(), timeout=10.0)
-
-    # ------------------------------------------------------------------ #
-    # Event loop                                                         #
-    # ------------------------------------------------------------------ #
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - defensive
-            if self._startup_error is None:
-                self._startup_error = exc
-        finally:
-            self._ready.set()
-            self._finished.set()
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_async = asyncio.Event()
-        try:
-            listener = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        sock = listener.sockets[0].getsockname()
-        self._bound = (sock[0], sock[1])
-        # Join the configured members before accepting work, so a
-        # start() caller can rely on the initial connect attempts
-        # having happened (wait_for_nodes covers slow starters).
-        await self.manager.start()
-        self._ready.set()
-        try:
-            async with listener:
-                await self._stop_async.wait()
-        finally:
-            await self.manager.stop()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(
-                    *self._conn_tasks, return_exceptions=True
-                )
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        conn = _ClientConnection(peer=str(writer.get_extra_info("peername")))
-        self._open_connections += 1
-        writer_task = asyncio.ensure_future(self._writer_loop(conn, writer))
-        conn.out_q.put_nowait(
-            wire.encode_frame(
-                wire.FT_WELCOME, 0,
-                wire.pack_json(self._welcome_document()),
-                version=wire.MIN_SUPPORTED_VERSION,
-            )
-        )
-        try:
-            await self._reader_loop(conn, reader)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            conn.closed = True
-            # Forwarded requests of a gone client keep running on their
-            # node; the answers are dropped in _deliver_* (the node's
-            # exactly-once ledger stays intact either way).
-            self._inflight -= len(conn.outstanding)
-            conn.outstanding.clear()
-            self._m_inflight.set(self._inflight)
-            conn.out_q.put_nowait(None)
-            try:
-                await writer_task
-            except asyncio.CancelledError:
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._open_connections -= 1
-            self._conn_tasks.discard(task)
-
-    async def _reader_loop(self, conn: _ClientConnection, reader) -> None:
-        while True:
-            try:
-                prefix = await reader.readexactly(4)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            try:
-                length = wire.check_frame_length(
-                    int.from_bytes(prefix, "little"),
-                    self.config.max_frame_bytes,
-                )
-                frame = wire.decode_frame(await reader.readexactly(length))
-            except asyncio.IncompleteReadError:
-                self._protocol_error(conn, ProtocolError(
-                    "connection closed mid-frame"
-                ))
-                return
-            except ProtocolError as exc:
-                self._protocol_error(conn, exc)
-                return
-            if frame.frame_type == wire.FT_REQUEST:
-                self._on_request(conn, frame)
-            elif frame.frame_type == wire.FT_STATS:
-                conn.out_q.put_nowait(
-                    wire.encode_frame(
-                        wire.FT_STATS_RESULT,
-                        frame.request_id,
-                        wire.pack_json(self._fleet_stats()),
-                        version=frame.version,
-                    )
-                )
-            else:
-                self._protocol_error(conn, ProtocolError(
-                    f"unexpected {frame.type_name} frame from a client"
-                ))
-                return
-
-    async def _writer_loop(self, conn: _ClientConnection, writer) -> None:
-        while True:
-            chunk = await conn.out_q.get()
-            if chunk is None:
-                return
-            try:
-                writer.write(chunk)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                continue  # reader loop will see EOF and tear down
-
-    def _protocol_error(self, conn, exc: ProtocolError) -> None:
-        conn.out_q.put_nowait(
-            wire.encode_frame(
-                wire.FT_ERROR, 0,
-                wire.pack_error(wire.ERR_PROTOCOL, str(exc)),
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # Request path                                                       #
     # ------------------------------------------------------------------ #
-    def _on_request(self, conn: _ClientConnection, frame: wire.Frame) -> None:
+    def _on_request(self, conn: ClientConnection, frame: wire.Frame) -> None:
         received_at = time.monotonic()
         try:
-            inputs, deadline_s, scheme, trace_id, force_sample = (
-                wire.unpack_request(frame.body, version=frame.version)
-            )
-        except Exception as exc:
-            self._m_requests.labels(node="", outcome="rejected").inc()
-            conn.out_q.put_nowait(
-                wire.encode_frame(
-                    wire.FT_ERROR, frame.request_id,
-                    wire.pack_error(wire.exception_to_code(exc), str(exc)),
-                    version=frame.version,
-                )
+            view = wire.peek_request(frame.body, version=frame.version)
+        except ProtocolError as exc:
+            self._m_rejected.inc()
+            conn.send_error(
+                frame.request_id, wire.ERR_PROTOCOL, str(exc), frame.version
             )
             return
         trace = self.tracing.new_trace(
-            trace_id=trace_id, force=True if force_sample else None
+            trace_id=view.trace_id,
+            force=True if view.force_sample else None,
         )
         if trace is not None:
             trace.stamp(STAGE_ROUTER_RECV, at=received_at)
         entry = _PendingEntry(
-            conn=conn,
-            client_id=frame.request_id,
-            client_version=frame.version,
-            inputs=inputs,
-            scheme=scheme,
-            deadline_s=deadline_s,
+            conn, frame, view,
             deadline_at=received_at + (
-                deadline_s if deadline_s is not None
+                view.deadline_s if view.deadline_s is not None
                 else self.config.default_deadline_s
             ),
             trace=trace,
-            trace_id=trace.trace_id if trace is not None else trace_id,
-            force_sample=force_sample,
+            trace_id=trace.trace_id if trace is not None else view.trace_id,
             received_at=received_at,
         )
         conn.outstanding.add(entry.client_id)
@@ -541,9 +350,9 @@ class ClusterRouter:
             ))
             return
         context = RequestContext(
-            app=self._fleet_field("app"),
-            scheme=entry.scheme,
-            n_elements=int(getattr(entry.inputs, "size", 0)),
+            app=self._fleet_app,
+            scheme=entry.view.scheme,
+            n_elements=entry.view.n_rows * entry.view.n_cols,
         )
         link = None
         candidates = self.manager.candidates()
@@ -564,21 +373,15 @@ class ClusterRouter:
                 )
             ))
             return
-        body = wire.pack_request(
-            entry.inputs,
-            deadline_s=remaining,
-            scheme=entry.scheme,
-            trace_id=entry.trace_id,
-            force_sample=entry.force_sample,
-            version=link.version,
-        )
         try:
-            link.send_request(entry, body)
+            link.send_request(entry, remaining)
         except (ConnectionError, OSError) as exc:
-            # Synchronous send failure: the link is dead.  send_request
-            # registers the entry in ``pending`` only after a successful
-            # write, so connection_lost below cannot strand it into the
-            # retry path — this call is its single redelivery.
+            # Synchronous send failure: the link was already closing.
+            # send_request registers the entry in ``pending`` only once
+            # the frame is queued, so connection_lost below cannot
+            # strand it into the retry path — this call is its single
+            # redelivery.  (A failure at the deferred flush reaches every
+            # queued entry through connection_lost instead, also once.)
             link.connection_lost(exc)
             self._retry_or_fail(entry, "connection_lost", str(exc))
             return
@@ -592,10 +395,10 @@ class ClusterRouter:
             if entry.trace.sampled:
                 events = entry.trace.events()
                 if len(events) >= 2:
-                    self._observe_stage(
-                        STAGE_ROUTER_FORWARD,
-                        forwarded_at - events[-2][1],
-                    )
+                    self._m_stage.labels(
+                        app=self._fleet_app, scheme=self._fleet_scheme,
+                        stage=STAGE_ROUTER_FORWARD,
+                    ).observe(forwarded_at - events[-2][1])
 
     def _can_retry(self, entry: _PendingEntry) -> bool:
         return (
@@ -651,7 +454,9 @@ class ClusterRouter:
             self._retry_or_fail(entry, "connection_lost", str(error))
 
     def _on_node_event(self, event: str, node) -> None:
-        if event == "evicted":
+        if event in ("welcome", "removed"):
+            self._refresh_fleet()
+        elif event == "evicted":
             self._m_evictions.labels(node=node.name).inc()
         elif event == "probe_ok":
             self._m_probes.labels(outcome="ok").inc()
@@ -679,87 +484,53 @@ class ClusterRouter:
     ) -> None:
         if not self._finish(entry):
             return
+        completed, failed = self._outcomes(entry.node_name)
         try:
-            doc = wire.unpack_result(frame.body, version=link_version)
             # The worker name gains a node prefix so a client (and the
             # chaos drill) can see which fleet member answered.
-            payload = wire.pack_result(
-                outputs=doc["outputs"],
-                worker=f"{entry.node_name}/{doc['worker']}",
-                queue_wait_s=doc["queue_wait_s"],
-                latency_s=doc["latency_s"],
-                fix_fraction=doc["fix_fraction"],
-                degraded=doc["degraded"],
-                trace_id=doc["trace_id"] or entry.trace_id,
-                trace_sampled=doc["trace_sampled"],
-                version=entry.client_version,
+            blob = wire.relay_result(
+                frame.body, wire.peek_result(frame.body, link_version),
+                entry.client_id, f"{entry.node_name}/", entry.trace_id,
+                entry.client_version,
             )
-        except Exception as exc:  # malformed node reply
-            self._m_requests.labels(
-                node=entry.node_name, outcome="failed"
-            ).inc()
-            entry.conn.out_q.put_nowait(wire.encode_frame(
-                wire.FT_ERROR, entry.client_id,
-                wire.pack_error(wire.ERR_PROTOCOL, str(exc)),
-                version=entry.client_version,
-            ))
+        except ProtocolError as exc:  # malformed node reply
+            failed.inc()
+            entry.conn.send_error(
+                entry.client_id, wire.ERR_PROTOCOL, str(exc),
+                entry.client_version,
+            )
             return
-        self._m_requests.labels(
-            node=entry.node_name, outcome="completed"
-        ).inc()
-        entry.conn.out_q.put_nowait(wire.encode_frame(
-            wire.FT_RESULT, entry.client_id, payload,
-            version=entry.client_version,
-        ))
+        completed.inc()
+        entry.conn.frames.write(blob)
 
     def _deliver_error(
         self, entry: _PendingEntry, code: int, message: str
     ) -> None:
         if not self._finish(entry):
             return
-        self._m_requests.labels(
-            node=entry.node_name, outcome="failed"
-        ).inc()
-        entry.conn.out_q.put_nowait(wire.encode_frame(
-            wire.FT_ERROR, entry.client_id,
-            wire.pack_error(code, message),
-            version=entry.client_version,
-        ))
+        self._outcomes(entry.node_name)[1].inc()
+        entry.conn.send_error(
+            entry.client_id, code, message, entry.client_version
+        )
 
     # ------------------------------------------------------------------ #
     # Documents                                                          #
     # ------------------------------------------------------------------ #
-    def _fleet_field(self, key: str, default: str = "") -> str:
-        for node in self.manager.nodes.values():
-            value = node.welcome.get(key)
-            if value:
-                return str(value)
-        return default
-
     def _welcome_document(self) -> dict:
-        features = 0
-        for node in self.manager.nodes.values():
-            if node.welcome.get("features"):
-                features = int(node.welcome["features"])
-                break
-        states = self.manager.states()
-        return {
-            "server": "rumba-router",
-            "protocol": wire.PROTOCOL_VERSION,
-            "min_protocol": wire.MIN_SUPPORTED_VERSION,
-            "app": self._fleet_field("app"),
-            "scheme": self._fleet_field("scheme"),
-            "backend": "cluster",
-            "features": features,
-            "max_frame_bytes": self.config.max_frame_bytes,
-            "node_id": self.router_id,
-            "started_at_monotonic": self.started_at_monotonic,
-            "cluster": {
+        return dict(
+            super()._welcome_document(),
+            server="rumba-router",
+            app=self._fleet_app,
+            scheme=self._fleet_scheme,
+            backend="cluster",
+            features=self._fleet_features,
+            node_id=self.router_id,
+            cluster={
                 "nodes": len(self.manager.nodes),
-                "healthy": states.get("healthy", 0),
+                "healthy": self.manager.states().get("healthy", 0),
                 "policy": self.policy.name,
             },
-        }
+        )
 
     def _router_section(self) -> dict:
         return {
@@ -771,7 +542,7 @@ class ClusterRouter:
             "requests_retried": self._requests_retried,
         }
 
-    def _fleet_stats(self) -> dict:
+    def _stats_document(self) -> dict:
         return aggregate_fleet_stats(
             nodes=list(self.manager.nodes.values()),
             router=self._router_section(),

@@ -21,7 +21,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import socket
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -90,9 +89,55 @@ class NetHandle:
         return self._result
 
 
-def _result_from_frame(frame: wire.Frame) -> NetResult:
-    fields = wire.unpack_result(frame.body, version=frame.version)
-    return NetResult(request_id=frame.request_id, **fields)
+def _settle(frame: wire.Frame, set_result, set_exception) -> None:
+    """Resolve one pending request from the frame that answers it."""
+    try:
+        if frame.frame_type == wire.FT_RESULT:
+            fields = wire.unpack_result(frame.body, version=frame.version)
+            set_result(NetResult(request_id=frame.request_id, **fields))
+        elif frame.frame_type == wire.FT_STATS_RESULT:
+            set_result(wire.unpack_json(frame.body))
+        elif frame.frame_type == wire.FT_ERROR:
+            set_exception(
+                wire.code_to_exception(*wire.unpack_error(frame.body))
+            )
+        else:
+            set_exception(ProtocolError(
+                f"unexpected {frame.type_name} frame for request "
+                f"{frame.request_id}"
+            ))
+    except ProtocolError as exc:  # undecodable body in a sound frame
+        set_exception(exc)
+
+
+def _welcome_document(frame: wire.Frame) -> dict:
+    if frame.frame_type != wire.FT_WELCOME:
+        raise ProtocolError(f"expected a WELCOME frame, got {frame.type_name}")
+    return wire.unpack_json(frame.body)
+
+
+async def _read_welcome(reader, buffer: wire.FrameBuffer) -> dict:
+    """The WELCOME document that opens every connection (asyncio side)."""
+    while True:
+        data = await reader.read(wire.READ_BYTES)
+        if not data:
+            raise ConnectionError("peer closed before its WELCOME")
+        for frame in buffer.feed(data):
+            return _welcome_document(frame)
+
+
+def _adopt_welcome(client, doc: dict) -> None:
+    """Publish a WELCOME's metadata on a client of either flavour."""
+    client.welcome = doc
+    client.protocol_version = int(doc.get("protocol", 0))
+    client.app = str(doc.get("app", ""))
+    client.scheme = str(doc.get("scheme", ""))
+    client.features = int(doc.get("features", 0))
+    client.node_id = str(doc.get("node_id", ""))
+    client.server_max_frame_bytes = int(
+        doc.get("max_frame_bytes", wire.DEFAULT_MAX_FRAME_BYTES)
+    )
+    client._wire_version = _negotiate_version(doc)
 
 
 def _negotiate_version(welcome: dict) -> int:
@@ -171,35 +216,25 @@ class RumbaClient:
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout_s
         )
+        # Every endpoint disables Nagle: a request must not wait for the
+        # previous one's ACK (delayed by the peer) before it leaves.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         self._sock = sock
         # The WELCOME is read synchronously so connection metadata is
         # available before the reader thread takes over the socket.
-        welcome = self._read_frame_blocking(sock)
-        if welcome.frame_type != wire.FT_WELCOME:
-            sock.close()
-            raise ProtocolError(
-                f"expected a WELCOME frame, got {welcome.type_name}"
-            )
-        doc = wire.unpack_json(welcome.body)
-        self.welcome = doc
-        self.protocol_version = int(doc.get("protocol", 0))
-        self.app = str(doc.get("app", ""))
-        self.scheme = str(doc.get("scheme", ""))
-        self.features = int(doc.get("features", 0))
-        self.node_id = str(doc.get("node_id", ""))
-        self.server_max_frame_bytes = int(
-            doc.get("max_frame_bytes", wire.DEFAULT_MAX_FRAME_BYTES)
-        )
+        buffer = wire.FrameBuffer(self.max_frame_bytes)
         try:
-            self._wire_version = _negotiate_version(doc)
-        except ProtocolError:
+            _adopt_welcome(
+                self, _welcome_document(self._recv_frame(sock, buffer))
+            )
+        except BaseException:
             sock.close()
             raise
         with self._lock:
             self._conn_dead = False
         self._reader = threading.Thread(
-            target=self._reader_loop, args=(sock,),
+            target=self._reader_loop, args=(sock, buffer),
             name="rumba-client-reader", daemon=True,
         )
         self._reader.start()
@@ -246,21 +281,15 @@ class RumbaClient:
         self._reconnect()
 
     @staticmethod
-    def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = sock.recv(remaining)
-            if not chunk:
+    def _recv_frame(sock, buffer: wire.FrameBuffer) -> wire.Frame:
+        """Block for the next frame; later ones stay in ``buffer``."""
+        data = b""
+        while True:
+            for frame in buffer.feed(data):
+                return frame
+            data = sock.recv(wire.READ_BYTES)
+            if not data:
                 raise ConnectionError("server closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _read_frame_blocking(self, sock: socket.socket) -> wire.Frame:
-        (length,) = struct.unpack("<I", self._recv_exactly(sock, 4))
-        wire.check_frame_length(length, self.max_frame_bytes)
-        return wire.decode_frame(self._recv_exactly(sock, length))
 
     def _send_frame(self, blob: bytes) -> None:
         # sendall stays inside the lock: it loops over partial send()
@@ -283,11 +312,22 @@ class RumbaClient:
                     f"connection to the server was lost mid-send: {exc}"
                 ) from exc
 
-    def _reader_loop(self, sock: socket.socket) -> None:
+    def _reader_loop(
+        self, sock: socket.socket, buffer: wire.FrameBuffer
+    ) -> None:
         try:
-            while True:
-                frame = self._read_frame_blocking(sock)
-                self._dispatch(frame)
+            data = b""
+            while True:  # one recv per burst of replies
+                for frame in buffer.feed(data):
+                    with self._lock:
+                        handle = self._pending.pop(frame.request_id, None)
+                    if handle is not None:  # else: a request we gave up on
+                        _settle(
+                            frame, handle._set_result, handle._set_exception
+                        )
+                data = sock.recv(wire.READ_BYTES)
+                if not data:
+                    raise ConnectionError("server closed the connection")
         except (ConnectionError, OSError, ProtocolError) as exc:
             with self._lock:
                 # Only the reader of the *current* socket declares the
@@ -299,27 +339,6 @@ class RumbaClient:
                     return
                 self._conn_dead = True
             self._fail_all_pending(exc)
-
-    def _dispatch(self, frame: wire.Frame) -> None:
-        with self._lock:
-            handle = self._pending.pop(frame.request_id, None)
-        if handle is None:
-            return  # response for a request we gave up on
-        if frame.frame_type == wire.FT_RESULT:
-            try:
-                handle._set_result(_result_from_frame(frame))
-            except ProtocolError as exc:
-                handle._set_exception(exc)
-        elif frame.frame_type == wire.FT_STATS_RESULT:
-            handle._set_result(wire.unpack_json(frame.body))  # type: ignore[arg-type]
-        elif frame.frame_type == wire.FT_ERROR:
-            code, message = wire.unpack_error(frame.body)
-            handle._set_exception(wire.code_to_exception(code, message))
-        else:
-            handle._set_exception(ProtocolError(
-                f"unexpected {frame.type_name} frame for request "
-                f"{frame.request_id}"
-            ))
 
     def _fail_all_pending(self, cause: BaseException) -> None:
         with self._lock:
@@ -360,21 +379,23 @@ class RumbaClient:
         request is the redelivery owner's call, not the transport's.
         """
         self._ensure_connected()
-        request_id = next(self._next_id)
-        handle = NetHandle(request_id)
-        body = wire.pack_request(
+        return self._send(wire.FT_REQUEST, wire.pack_request(
             inputs, deadline_s=deadline_s, scheme=scheme or "",
             force_sample=trace, version=self._wire_version,
-        )
-        blob = wire.encode_frame(
-            wire.FT_REQUEST, request_id, body, version=self._wire_version
-        )
+        ))
+
+    def _send(self, frame_type: int, body: bytes = b"") -> NetHandle:
+        """Register a pending handle, then send its frame."""
+        request_id = next(self._next_id)
+        handle = NetHandle(request_id)
         with self._lock:
             if self._closed:
                 raise ServingError("client is closed")
             self._pending[request_id] = handle
         try:
-            self._send_frame(blob)
+            self._send_frame(wire.encode_frame(
+                frame_type, request_id, body, version=self._wire_version
+            ))
         except ConnectionLostError:
             with self._lock:
                 self._pending.pop(request_id, None)
@@ -396,21 +417,9 @@ class RumbaClient:
         return handle.result(self.timeout_s if timeout is None else timeout)
 
     def _stats_once(self, timeout: Optional[float]) -> dict:
-        request_id = next(self._next_id)
-        handle = NetHandle(request_id)
-        with self._lock:
-            if self._closed:
-                raise ServingError("client is closed")
-            self._pending[request_id] = handle
-        try:
-            self._send_frame(wire.encode_frame(
-                wire.FT_STATS, request_id, version=self._wire_version
-            ))
-        except ConnectionLostError:
-            with self._lock:
-                self._pending.pop(request_id, None)
-            raise
-        return handle.result(self.timeout_s if timeout is None else timeout)  # type: ignore[return-value]
+        return self._send(wire.FT_STATS).result(  # type: ignore[return-value]
+            self.timeout_s if timeout is None else timeout
+        )
 
     def stats(self, timeout: Optional[float] = None) -> dict:
         """Fetch the server's ``stats()`` document over the wire.
@@ -460,15 +469,15 @@ class AsyncRumbaClient:
         await client.close()
     """
 
-    def __init__(self, reader, writer, welcome: dict, max_frame_bytes: int):
+    def __init__(self, reader, writer, welcome: dict, buffer):
         self._reader = reader
         self._writer = writer
-        self.max_frame_bytes = max_frame_bytes
-        self.protocol_version = int(welcome.get("protocol", 0))
-        self.app = str(welcome.get("app", ""))
-        self.scheme = str(welcome.get("scheme", ""))
-        self.features = int(welcome.get("features", 0))
-        self._wire_version = _negotiate_version(welcome)
+        self._buffer = buffer
+        self._frames = wire.FrameWriter(
+            writer.transport, asyncio.get_running_loop()
+        )
+        self.max_frame_bytes = buffer.max_frame_bytes
+        _adopt_welcome(self, welcome)
         self._pending: Dict[int, asyncio.Future] = {}
         self._next_id = itertools.count(1)
         self._closed = False
@@ -482,57 +491,28 @@ class AsyncRumbaClient:
         max_frame_bytes: int = wire.DEFAULT_MAX_FRAME_BYTES,
     ) -> "AsyncRumbaClient":
         reader, writer = await asyncio.open_connection(host, port)
-        try:
-            frame = await cls._read_frame(reader, max_frame_bytes)
-            if frame.frame_type != wire.FT_WELCOME:
-                raise ProtocolError(
-                    f"expected a WELCOME frame, got {frame.type_name}"
-                )
-            welcome = wire.unpack_json(frame.body)
-            _negotiate_version(welcome)  # raises on pre-v1 servers
+        buffer = wire.FrameBuffer(max_frame_bytes)
+        try:  # the constructor negotiates: it raises on pre-v1 servers
+            return cls(
+                reader, writer, await _read_welcome(reader, buffer), buffer
+            )
         except BaseException:
             writer.close()
             raise
-        return cls(reader, writer, welcome, max_frame_bytes)
 
-    @staticmethod
-    async def _read_frame(reader, max_frame_bytes: int) -> wire.Frame:
-        prefix = await reader.readexactly(4)
-        length = wire.check_frame_length(
-            int.from_bytes(prefix, "little"), max_frame_bytes
-        )
-        return wire.decode_frame(await reader.readexactly(length))
+    def _on_frame(self, frame: wire.Frame) -> None:
+        future = self._pending.pop(frame.request_id, None)
+        if future is not None and not future.done():
+            _settle(frame, future.set_result, future.set_exception)
 
     async def _reader_loop(self) -> None:
         try:
-            while True:
-                frame = await self._read_frame(
-                    self._reader, self.max_frame_bytes
-                )
-                future = self._pending.pop(frame.request_id, None)
-                if future is None or future.done():
-                    continue
-                if frame.frame_type == wire.FT_RESULT:
-                    try:
-                        future.set_result(_result_from_frame(frame))
-                    except ProtocolError as exc:
-                        future.set_exception(exc)
-                elif frame.frame_type == wire.FT_STATS_RESULT:
-                    future.set_result(wire.unpack_json(frame.body))
-                elif frame.frame_type == wire.FT_ERROR:
-                    code, message = wire.unpack_error(frame.body)
-                    future.set_exception(
-                        wire.code_to_exception(code, message)
-                    )
-                else:
-                    future.set_exception(ProtocolError(
-                        f"unexpected {frame.type_name} frame"
-                    ))
+            await wire.read_frames(self._reader, self._buffer, self._on_frame)
+            raise ConnectionError("server closed the connection")
         except asyncio.CancelledError:
             self._drop_pending(ServingError("client closed"))
             raise
-        except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                ProtocolError) as exc:
+        except (ConnectionError, OSError, ProtocolError) as exc:
             self._drop_pending(
                 exc if isinstance(exc, ProtocolError)
                 else ServingError(f"connection to the server was lost: {exc}")
@@ -544,15 +524,19 @@ class AsyncRumbaClient:
             if not future.done():
                 future.set_exception(exc)
 
-    async def _roundtrip(self, frame_type: int, body: bytes):
+    def _send(self, frame_type: int, body: bytes = b"") -> asyncio.Future:
+        """Register a pending future, then queue its frame."""
         if self._closed:
             raise ServingError("client is closed")
         request_id = next(self._next_id)
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        self._writer.write(wire.encode_frame(
+        self._frames.write(wire.encode_frame(
             frame_type, request_id, body, version=self._wire_version
         ))
+        return future
+
+    async def _roundtrip(self, future: asyncio.Future):
         await self._writer.drain()
         return await future
 
@@ -565,19 +549,10 @@ class AsyncRumbaClient:
     ) -> "asyncio.Future[NetResult]":
         """Send one request; returns an awaitable future (not yet sent-safe
         against backpressure — prefer :meth:`request` unless fanning out)."""
-        if self._closed:
-            raise ServingError("client is closed")
-        request_id = next(self._next_id)
-        future = asyncio.get_event_loop().create_future()
-        self._pending[request_id] = future
-        body = wire.pack_request(
+        return self._send(wire.FT_REQUEST, wire.pack_request(
             inputs, deadline_s=deadline_s, scheme=scheme or "",
             force_sample=trace, version=self._wire_version,
-        )
-        self._writer.write(wire.encode_frame(
-            wire.FT_REQUEST, request_id, body, version=self._wire_version
         ))
-        return future
 
     async def request(
         self,
@@ -588,15 +563,11 @@ class AsyncRumbaClient:
     ) -> NetResult:
         """Submit one request and await its result."""
         return await self._roundtrip(
-            wire.FT_REQUEST,
-            wire.pack_request(inputs, deadline_s=deadline_s,
-                              scheme=scheme or "",
-                              force_sample=trace,
-                              version=self._wire_version),
+            self.submit(inputs, deadline_s, scheme, trace)
         )
 
     async def stats(self) -> dict:
-        return await self._roundtrip(wire.FT_STATS, b"")
+        return await self._roundtrip(self._send(wire.FT_STATS))
 
     async def close(self) -> None:
         if self._closed:

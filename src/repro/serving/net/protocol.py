@@ -28,6 +28,12 @@ small JSON documents.
 Decoders in this module raise :class:`ProtocolError` on any malformed
 frame and never raise anything else for bad bytes; both the server and
 the clients rely on that contract.
+
+Every endpoint shares one implementation of each half of the TCP edge:
+:class:`FrameBuffer` (bytes in, frames out) and :class:`FrameWriter`
+(one ``transport.write`` per event-loop iteration).  The cluster router
+relays bodies with :func:`relay_request` / :func:`relay_result`, which
+patch the fields a gateway owns and never copy the matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,10 +85,20 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "check_frame_length",
+    "FrameBuffer",
+    "FrameWriter",
+    "READ_BYTES",
+    "read_frames",
     "pack_request",
     "unpack_request",
+    "peek_request",
+    "relay_request",
+    "RequestView",
     "pack_result",
     "unpack_result",
+    "peek_result",
+    "relay_result",
+    "ResultView",
     "pack_error",
     "unpack_error",
     "pack_json",
@@ -162,6 +180,19 @@ class Frame:
 # --------------------------------------------------------------------- #
 # Frame envelope                                                        #
 # --------------------------------------------------------------------- #
+def _seal(frame_type: int, request_id: int, version: int, *parts) -> bytes:
+    """Length prefix + header + ``parts`` + CRC, joined in one copy."""
+    header = struct.pack(_HEADER_FMT, MAGIC, version, frame_type, request_id)
+    crc = zlib.crc32(header)
+    length = _HEADER_BYTES + _CRC_BYTES
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        length += len(part)
+    return b"".join(
+        (struct.pack("<I", length), header, *parts, struct.pack("<I", crc))
+    )
+
+
 def encode_frame(
     frame_type: int,
     request_id: int,
@@ -174,15 +205,7 @@ def encode_frame(
             f"cannot encode protocol version {version}; "
             f"supported: {SUPPORTED_VERSIONS}"
         )
-    header = struct.pack(
-        _HEADER_FMT, MAGIC, version, frame_type, request_id
-    )
-    checked = header + body
-    crc = zlib.crc32(checked) & 0xFFFFFFFF
-    return (
-        struct.pack("<I", len(checked) + _CRC_BYTES) + checked
-        + struct.pack("<I", crc)
-    )
+    return _seal(frame_type, request_id, version, body)
 
 
 def decode_frame(blob: bytes) -> Frame:
@@ -235,6 +258,118 @@ def check_frame_length(length: int, max_frame_bytes: int) -> int:
 
 
 # --------------------------------------------------------------------- #
+# The TCP edge: bytes -> frames, frames -> one write per loop tick      #
+# --------------------------------------------------------------------- #
+class FrameBuffer:
+    """Reassemble frames from a byte stream, however it was split.
+
+    ``for frame in buffer.feed(data)`` yields each frame ``data``
+    completes — length prefix checked before its body is awaited, then
+    CRC, then header — and raises :class:`ProtocolError` at a malformed
+    one, after the frames before it.  Frames left unconsumed stay
+    buffered for the next ``feed``.
+    """
+
+    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
+        self.max_frame_bytes = max_frame_bytes
+        self._buf = bytearray()
+        self._pos = 0  # consumed prefix of _buf, dropped on the next feed
+
+    @property
+    def mid_frame(self) -> bool:
+        """True when a length prefix arrived but not yet its whole frame."""
+        return len(self._buf) - self._pos >= _LEN_BYTES
+
+    def feed(self, data: bytes) -> Iterator[Frame]:
+        if self._pos:
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += data
+        return self._frames()
+
+    def _frames(self) -> Iterator[Frame]:
+        buf = self._buf
+        while len(buf) - self._pos >= _LEN_BYTES:
+            start = self._pos + _LEN_BYTES
+            end = start + check_frame_length(
+                int.from_bytes(buf[self._pos:start], "little"),
+                self.max_frame_bytes,
+            )
+            if len(buf) < end:
+                return
+            self._pos = end
+            yield decode_frame(bytes(buf[start:end]))
+
+
+READ_BYTES = 1 << 16  # per socket read: a burst of small frames at once
+
+
+async def read_frames(reader, buffer: FrameBuffer, on_frame) -> None:
+    """Run ``on_frame(frame)`` for every frame until the peer's EOF.
+
+    One wake-up and one ``reader.read`` (an asyncio ``StreamReader``)
+    per burst, not two per frame.  After it returns,
+    :attr:`FrameBuffer.mid_frame` tells a torn frame from a clean close;
+    :class:`ProtocolError` and socket errors propagate.
+    """
+    data = b""  # frames a WELCOME read left buffered come first
+    while True:
+        for frame in buffer.feed(data):
+            on_frame(frame)
+        data = await reader.read(READ_BYTES)
+        if not data:
+            return
+
+
+class FrameWriter:
+    """Coalesce the frames of one event-loop iteration into one write.
+
+    The first :meth:`write` of a burst schedules :meth:`flush` with
+    ``loop.call_soon``: it runs right behind the callbacks ready now,
+    before the loop can block, so a lone frame leaves as promptly as a
+    direct ``transport.write`` and a burst leaves in one ``send``, bytes
+    and order unchanged.  No timer, no threshold.  Event-loop only.
+
+    ``on_sent(n_bytes)`` follows a successful write; a failed one (or a
+    closing transport) drops the burst and tells ``on_error``.
+    """
+
+    def __init__(self, transport, loop,
+                 on_sent: Optional[Callable[[int], None]] = None,
+                 on_error: Optional[Callable[[BaseException], None]] = None):
+        self._transport = transport
+        self._loop = loop
+        self._on_sent = on_sent
+        self._on_error = on_error
+        self._chunks: List[bytes] = []
+
+    def is_closing(self) -> bool:
+        return self._transport.is_closing()
+
+    def write(self, blob: bytes) -> None:
+        if not self._chunks:
+            self._loop.call_soon(self.flush)
+        self._chunks.append(blob)
+
+    def flush(self) -> None:
+        """Send what is queued now (also called directly before a close)."""
+        chunks, self._chunks = self._chunks, []
+        if not chunks:
+            return
+        data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        try:
+            if self._transport.is_closing():
+                raise ConnectionResetError("transport is closing")
+            self._transport.write(data)
+        except (ConnectionError, OSError) as exc:
+            if self._on_error is not None:
+                self._on_error(exc)
+            return
+        if self._on_sent is not None:
+            self._on_sent(len(data))
+
+
+# --------------------------------------------------------------------- #
 # Bodies                                                                #
 # --------------------------------------------------------------------- #
 def _matrix_bytes(matrix: np.ndarray) -> Tuple[bytes, int, int]:
@@ -244,21 +379,11 @@ def _matrix_bytes(matrix: np.ndarray) -> Tuple[bytes, int, int]:
     return matrix.tobytes(order="C"), matrix.shape[0], matrix.shape[1]
 
 
-def _read_matrix(body: bytes, offset: int) -> Tuple[np.ndarray, int]:
-    if len(body) < offset + 8:
-        raise ProtocolError("frame body truncated before matrix header")
-    n_rows, n_cols = struct.unpack_from("<II", body, offset)
-    offset += 8
-    n_bytes = n_rows * n_cols * 8
-    if len(body) < offset + n_bytes:
-        raise ProtocolError(
-            f"frame body truncated: matrix claims {n_rows}x{n_cols} "
-            f"({n_bytes} bytes) but only {len(body) - offset} remain"
-        )
-    data = np.frombuffer(
-        body, dtype=np.float64, count=n_rows * n_cols, offset=offset
+def _copy_matrix(body, n_rows: int, n_cols: int, end: int) -> np.ndarray:
+    return np.frombuffer(
+        body, dtype=np.float64, count=n_rows * n_cols,
+        offset=end - n_rows * n_cols * 8,
     ).reshape(n_rows, n_cols).copy()
-    return data, offset + n_bytes
 
 
 def _read_str(body: bytes, offset: int, width_fmt: str = "<H") -> Tuple[str, int]:
@@ -276,14 +401,42 @@ def _read_str(body: bytes, offset: int, width_fmt: str = "<H") -> Tuple[str, int
     return text, offset + n
 
 
-def _read_trace_block(
-    body: bytes, offset: int, kind: str
-) -> Tuple[int, int]:
-    """The v2 trailing trace block: (trace_id, flags)."""
-    if len(body) < offset + _TRACE_BYTES:
-        raise ProtocolError(f"{kind} body truncated before trace block")
-    trace_id, flags = struct.unpack_from(_TRACE_FMT, body, offset)
-    return trace_id, flags
+def _trace_block(trace_id: int, sampled: bool) -> bytes:
+    flags = FLAG_TRACE_SAMPLED if sampled else 0
+    return struct.pack(_TRACE_FMT, trace_id, flags)
+
+
+def _peek_body(body: bytes, offset: int, version: int, kind: str) -> tuple:
+    """Validate string, matrix block and tail from ``offset`` to the end.
+
+    Returns ``(text, matrix header offset, n_rows, n_cols, matrix end,
+    trace_id, sampled)`` — the tail of both view tuples.
+    """
+    text, offset = _read_str(body, offset)
+    if len(body) < offset + 8:
+        raise ProtocolError("frame body truncated before matrix header")
+    n_rows, n_cols = struct.unpack_from("<II", body, offset)
+    n_bytes = n_rows * n_cols * 8
+    end = offset + 8 + n_bytes
+    if len(body) < end:
+        raise ProtocolError(
+            f"frame body truncated: matrix claims {n_rows}x{n_cols} "
+            f"({n_bytes} bytes) but only {len(body) - offset - 8} remain"
+        )
+    trace_id, flags, tail = 0, 0, end
+    if version >= 2:  # the trailing trace block
+        if len(body) < end + _TRACE_BYTES:
+            raise ProtocolError(f"{kind} body truncated before trace block")
+        trace_id, flags = struct.unpack_from(_TRACE_FMT, body, end)
+        tail += _TRACE_BYTES
+    if tail != len(body):
+        raise ProtocolError(
+            f"{kind} body has {len(body) - tail} trailing bytes"
+        )
+    return (
+        text, offset, n_rows, n_cols, end,
+        trace_id, bool(flags & FLAG_TRACE_SAMPLED),
+    )
 
 
 def pack_request(
@@ -312,9 +465,33 @@ def pack_request(
         + struct.pack("<II", n_rows, n_cols) + data
     )
     if version >= 2:
-        flags = FLAG_TRACE_SAMPLED if force_sample else 0
-        body += struct.pack(_TRACE_FMT, trace_id, flags)
+        body += _trace_block(trace_id, force_sample)
     return body
+
+
+#: A validated REQUEST body with the matrix left where it is:
+#: ``matrix_start`` is the offset of its header, ``matrix_end`` one past
+#: its float64 block.  v1 bodies report ``trace_id=0, force_sample=False``.
+RequestView = namedtuple("RequestView", (
+    "deadline_s", "scheme", "matrix_start", "n_rows", "n_cols",
+    "matrix_end", "trace_id", "force_sample",
+))
+
+
+def peek_request(body: bytes, version: int = PROTOCOL_VERSION) -> RequestView:
+    """Validate a whole REQUEST body of wire ``version`` without copying.
+
+    Checks everything a full decode would — string bounds and UTF-8,
+    matrix dims against the bytes that remain, the v2 trace block, no
+    trailing bytes — so a body that passes can be relayed or decoded.
+    """
+    if len(body) < 8:
+        raise ProtocolError("REQUEST body truncated before deadline")
+    (deadline,) = struct.unpack_from("<d", body, 0)
+    return RequestView(
+        deadline if math.isfinite(deadline) else None,
+        *_peek_body(body, 8, version, "REQUEST"),
+    )
 
 
 def unpack_request(
@@ -322,27 +499,31 @@ def unpack_request(
 ) -> Tuple[np.ndarray, Optional[float], str, int, bool]:
     """Decode a REQUEST body of the given wire ``version``.
 
-    Returns ``(inputs, deadline_s, scheme, trace_id, force_sample)``;
-    v1 bodies carry no trace block and report ``(0, False)``.
+    Returns ``(inputs, deadline_s, scheme, trace_id, force_sample)``.
     """
-    if len(body) < 8:
-        raise ProtocolError("REQUEST body truncated before deadline")
-    (deadline,) = struct.unpack_from("<d", body, 0)
-    scheme, offset = _read_str(body, 8)
-    inputs, offset = _read_matrix(body, offset)
-    trace_id, flags = 0, 0
-    if version >= 2:
-        trace_id, flags = _read_trace_block(body, offset, "REQUEST")
-        offset += _TRACE_BYTES
-    if offset != len(body):
-        raise ProtocolError(
-            f"REQUEST body has {len(body) - offset} trailing bytes"
-        )
-    deadline_s = None if not np.isfinite(deadline) else float(deadline)
+    view = peek_request(body, version)
     return (
-        inputs, deadline_s, scheme,
-        int(trace_id), bool(flags & FLAG_TRACE_SAMPLED),
+        _copy_matrix(body, view.n_rows, view.n_cols, view.matrix_end),
+        view.deadline_s, view.scheme, view.trace_id, view.force_sample,
     )
+
+
+def relay_request(
+    body: bytes, view: RequestView, request_id: int, deadline_s: float,
+    trace_id: int, version: int,
+) -> bytes:
+    """Re-frame a peeked REQUEST for the next hop, as a whole frame.
+
+    Rewrites what a gateway owns (request id, ``version``, remaining
+    deadline, trace block: written for a v2 hop, left off for v1) and
+    the CRC; scheme and matrix bytes pass through.  Byte-identical to
+    ``unpack_request`` -> ``pack_request`` -> ``encode_frame``.
+    """
+    passed_through = memoryview(body)[8:view.matrix_end]
+    parts = [struct.pack("<d", deadline_s), passed_through]
+    if version >= 2:
+        parts.append(_trace_block(trace_id, view.force_sample))
+    return _seal(FT_REQUEST, request_id, version, *parts)
 
 
 def pack_result(
@@ -372,39 +553,70 @@ def pack_result(
         + struct.pack("<II", n_rows, n_cols) + data
     )
     if version >= 2:
-        flags = FLAG_TRACE_SAMPLED if trace_sampled else 0
-        body += struct.pack(_TRACE_FMT, trace_id, flags)
+        body += _trace_block(trace_id, trace_sampled)
     return body
+
+
+#: A validated RESULT body; offsets as in :data:`RequestView`.
+ResultView = namedtuple("ResultView", (
+    "worker", "matrix_start", "n_rows", "n_cols", "matrix_end",
+    "trace_id", "trace_sampled",
+))
+
+
+def peek_result(body: bytes, version: int = PROTOCOL_VERSION) -> ResultView:
+    """Validate a whole RESULT body of wire ``version`` without copying."""
+    if len(body) < 25:
+        raise ProtocolError("RESULT body truncated before metadata")
+    return ResultView(*_peek_body(body, 25, version, "RESULT"))
 
 
 def unpack_result(
     body: bytes, version: int = PROTOCOL_VERSION
 ) -> Dict[str, object]:
-    if len(body) < 25:
-        raise ProtocolError("RESULT body truncated before metadata")
+    view = peek_result(body, version)
     queue_wait, latency, fix_fraction, degraded = struct.unpack_from(
         "<dddB", body, 0
     )
-    worker, offset = _read_str(body, 25)
-    outputs, offset = _read_matrix(body, offset)
-    trace_id, flags = 0, 0
-    if version >= 2:
-        trace_id, flags = _read_trace_block(body, offset, "RESULT")
-        offset += _TRACE_BYTES
-    if offset != len(body):
-        raise ProtocolError(
-            f"RESULT body has {len(body) - offset} trailing bytes"
-        )
     return {
-        "outputs": outputs,
-        "worker": worker,
-        "queue_wait_s": float(queue_wait),
-        "latency_s": float(latency),
-        "fix_fraction": float(fix_fraction),
+        "outputs": _copy_matrix(
+            body, view.n_rows, view.n_cols, view.matrix_end
+        ),
+        "worker": view.worker,
+        "queue_wait_s": queue_wait,
+        "latency_s": latency,
+        "fix_fraction": fix_fraction,
         "degraded": bool(degraded),
-        "trace_id": int(trace_id),
-        "trace_sampled": bool(flags & FLAG_TRACE_SAMPLED),
+        "trace_id": view.trace_id,
+        "trace_sampled": view.trace_sampled,
     }
+
+
+def relay_result(
+    body: bytes, view: ResultView, request_id: int, worker_prefix: str,
+    trace_id: int, version: int,
+) -> bytes:
+    """Re-frame a peeked RESULT for the client, as a whole frame.
+
+    Rewrites request id, ``version``, the worker name (prefixed:
+    ``node/worker``), the trace block (the node's id, or ``trace_id``
+    when a v1 node sent none; left off for a v1 client) and the CRC;
+    metadata and matrix bytes pass through.  Byte-identical to
+    ``unpack_result`` -> ``pack_result`` -> ``encode_frame``.
+    """
+    worker_b = (worker_prefix + view.worker).encode("utf-8")
+    if len(worker_b) > 0xFFFF:
+        raise ProtocolError("RESULT worker name exceeds 65535 bytes")
+    parts = [
+        body[:24], b"\x01" if body[24] else b"\x00",
+        struct.pack("<H", len(worker_b)), worker_b,
+        memoryview(body)[view.matrix_start:view.matrix_end],
+    ]
+    if version >= 2:
+        parts.append(
+            _trace_block(view.trace_id or trace_id, view.trace_sampled)
+        )
+    return _seal(FT_RESULT, request_id, version, *parts)
 
 
 def pack_error(code: int, message: str) -> bytes:

@@ -7,20 +7,16 @@ frame goes straight into the wrapped server's admission queue via
 deadline-budgeted retries, supervision, and chaos injection all apply to
 remote traffic exactly as they do in process.  Completion flows back
 through :meth:`ServeHandle.add_done_callback`: the worker thread that
-finishes a request hands the encoded response to the event loop with
-``call_soon_threadsafe``, so no thread ever parks per in-flight request.
+finishes a request drops it into a :class:`_CompletionInbox`, which
+wakes the event loop once per *batch* of completions; the loop encodes
+the batch's responses and the connection's
+:class:`~repro.serving.net.protocol.FrameWriter` sends them in one
+write.  No thread ever parks per in-flight request.
 
-The event loop runs on one dedicated background thread
-(``rumba-net-loop``), which keeps the public API blocking-friendly:
-``start()`` / ``stop()`` / ``serve_forever()`` from ordinary code, tests
-included.
-
-Malformed frames follow the contract in ``docs/protocol.md``: the server
-answers with a best-effort typed ERROR frame (code ``ERR_PROTOCOL``) and
-closes the connection.  Requests already admitted keep running — their
-results are simply discarded at completion if the connection is gone, so
-a hostile or broken client can never crash the service or strand its own
-requests in the in-flight ledger.
+Listening, the loop thread, per-connection framing and the malformed-
+frame contract live in :class:`FrameListener`, which the cluster router
+shares; a hostile or broken client can never crash the service or
+strand its own requests in the in-flight ledger.
 """
 
 from __future__ import annotations
@@ -29,31 +25,288 @@ import asyncio
 import threading
 import time
 import uuid
-from typing import Optional, Set, Tuple
+from collections import deque
+from functools import partial
+from typing import Callable, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError, ServingError
 from repro.observability.reqtrace import STAGE_NET_RECV, STAGE_NET_SEND
 from repro.serving.net import protocol as wire
 from repro.serving.server import RumbaServer
 
-__all__ = ["NetServer"]
+__all__ = ["ClientConnection", "FrameListener", "NetServer"]
 
 _STOP_JOIN_S = 10.0
 
 
-class _Connection:
-    """Per-connection state, touched only from the event-loop thread."""
+class ClientConnection:
+    """One accepted connection, touched only from the event-loop thread."""
 
-    __slots__ = ("peer", "out_q", "outstanding", "closed")
+    __slots__ = ("frames", "outstanding", "closed")
 
-    def __init__(self, peer: str):
-        self.peer = peer
-        self.out_q: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
+    def __init__(self, writer, loop, on_sent=None):
+        self.frames = wire.FrameWriter(writer.transport, loop, on_sent=on_sent)
         self.outstanding: Set[int] = set()
         self.closed = False
 
+    def send_error(
+        self, request_id: int, code: int, message: str,
+        version: int = wire.PROTOCOL_VERSION,
+    ) -> None:
+        self.frames.write(wire.encode_frame(
+            wire.FT_ERROR, request_id, wire.pack_error(code, message),
+            version=version,
+        ))
 
-class NetServer:
+
+class FrameListener:
+    """The listening side of the edge, written once for node and router.
+
+    One event loop on one background thread (so ``start()`` / ``stop()``
+    / ``serve_forever()`` are ordinary blocking calls) accepts
+    connections and, per connection: sends the WELCOME, feeds a
+    ``FrameBuffer``, hands REQUEST frames to :meth:`_on_request`, answers
+    STATS from :meth:`_stats_document`, and replies through the
+    connection's tick-coalescing ``FrameWriter``.  A malformed frame gets
+    a best-effort typed ERROR frame (``ERR_PROTOCOL``, id 0) and a closed
+    connection (``docs/protocol.md``); requests it had in flight are not
+    failed — they finish where they run, keeping that side's
+    exactly-once ledger intact, and the subclass drops their answers
+    once ``conn.closed`` is set.  Subclasses also provide ``_m_inflight``.
+    """
+
+    _thread_name = "rumba-net-loop"
+    #: ``on_sent`` of every connection's FrameWriter (bytes written).
+    _on_sent: Optional[Callable[[int], None]] = None
+
+    def __init__(self, host: str, port: int, max_frame_bytes: int):
+        self.host = host
+        self.port = port
+        self.max_frame_bytes = max_frame_bytes
+        # Stamped at start(); CLOCK_MONOTONIC readings differ between
+        # incarnations of a process, so (node_id, started_at_monotonic)
+        # together pin one process lifetime behind one address.
+        self.started_at_monotonic: Optional[float] = None
+        self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop_async: Optional[asyncio.Event] = None
+        self._ready = threading.Event()
+        self._finished = threading.Event()
+        self._startup_error: Optional[BaseException] = None
+        self._bound: Optional[Tuple[str, int]] = None
+        self._conn_tasks: Set[asyncio.Task] = set()
+        self._open_connections = 0
+        self._inflight = 0
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle                                                          #
+    # ------------------------------------------------------------------ #
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The bound (host, port); valid once :meth:`start` returned."""
+        if self._bound is None:
+            raise ServingError(f"{type(self).__name__} is not listening yet")
+        return self._bound
+
+    @property
+    def is_running(self) -> bool:
+        return self._thread is not None and self._thread.is_alive()
+
+    def start(self, timeout: float = 30.0):
+        if self._thread is not None:
+            raise ServingError(f"{type(self).__name__} already started")
+        self.started_at_monotonic = time.monotonic()
+        self._thread = threading.Thread(
+            target=self._run_loop, name=self._thread_name, daemon=True
+        )
+        self._thread.start()
+        if not self._ready.wait(timeout=timeout):
+            raise ServingError(f"{type(self).__name__} failed to bind in time")
+        if self._startup_error is not None:
+            self._thread.join(timeout=_STOP_JOIN_S)
+            self._thread = None
+            raise ServingError(
+                f"{type(self).__name__} could not listen on "
+                f"{self.host}:{self.port}: {self._startup_error}"
+            ) from self._startup_error
+        return self
+
+    def stop(self, timeout: float = _STOP_JOIN_S) -> None:
+        """Close the listener and every connection; join the loop."""
+        if self._thread is None:
+            return
+        loop, stop_async = self._loop, self._stop_async
+        if loop is not None and stop_async is not None:
+            try:
+                loop.call_soon_threadsafe(stop_async.set)
+            except RuntimeError:  # pragma: no cover - loop already gone
+                pass
+        self._thread.join(timeout=timeout)
+        self._thread = None
+
+    def serve_forever(self, timeout: Optional[float] = None) -> None:
+        """Block the calling thread until :meth:`stop`."""
+        if self._thread is None:
+            raise ServingError(f"{type(self).__name__} is not running")
+        self._finished.wait(timeout=timeout)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # ------------------------------------------------------------------ #
+    # Event loop                                                         #
+    # ------------------------------------------------------------------ #
+    def _run_loop(self) -> None:
+        try:
+            asyncio.run(self._amain())
+        except BaseException as exc:  # pragma: no cover - defensive
+            if self._startup_error is None:
+                self._startup_error = exc
+        finally:
+            self._ready.set()
+            self._finished.set()
+
+    async def _loop_started(self) -> None:
+        """Hook: the loop runs and the address is bound; not yet ready."""
+
+    async def _loop_stopping(self) -> None:
+        """Hook: the listener closed; connections are about to be."""
+
+    async def _amain(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop_async = asyncio.Event()
+        try:
+            listener = await asyncio.start_server(
+                self._handle_connection, self.host, self.port
+            )
+        except OSError as exc:
+            self._startup_error = exc
+            self._ready.set()
+            return
+        sock = listener.sockets[0].getsockname()
+        self._bound = (sock[0], sock[1])
+        await self._loop_started()
+        self._ready.set()
+        try:
+            async with listener:
+                await self._stop_async.wait()
+        finally:
+            await self._loop_stopping()
+            for task in list(self._conn_tasks):
+                task.cancel()
+            if self._conn_tasks:
+                await asyncio.gather(
+                    *self._conn_tasks, return_exceptions=True
+                )
+
+    def _welcome_document(self) -> dict:
+        """The WELCOME keys every listener sends; subclasses add theirs."""
+        return {
+            "protocol": wire.PROTOCOL_VERSION,
+            "min_protocol": wire.MIN_SUPPORTED_VERSION,
+            "max_frame_bytes": self.max_frame_bytes,
+            "started_at_monotonic": self.started_at_monotonic,
+        }
+
+    def _note_connections(self, delta: int) -> None:
+        self._open_connections += delta
+
+    def _note_protocol_error(self) -> None:
+        """Hook: a malformed frame is closing a connection."""
+
+    async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        conn = ClientConnection(writer, self._loop, on_sent=self._on_sent)
+        self._note_connections(+1)
+        # The WELCOME rides the *lowest* supported envelope so clients of
+        # any protocol generation can decode it and then negotiate.
+        conn.frames.write(wire.encode_frame(
+            wire.FT_WELCOME, 0, wire.pack_json(self._welcome_document()),
+            version=wire.MIN_SUPPORTED_VERSION,
+        ))
+        buffer = wire.FrameBuffer(self.max_frame_bytes)
+        try:
+            await wire.read_frames(
+                reader, buffer, partial(self._on_frame, conn)
+            )
+            if buffer.mid_frame:
+                raise ProtocolError("connection closed mid-frame")
+        except ProtocolError as exc:
+            self._note_protocol_error()
+            conn.send_error(0, wire.ERR_PROTOCOL, str(exc))
+        except (asyncio.CancelledError, ConnectionError, OSError):
+            pass  # stop(), or a clean / already-reported close
+        finally:
+            conn.closed = True
+            self._inflight -= len(conn.outstanding)
+            conn.outstanding.clear()
+            self._m_inflight.set(self._inflight)
+            self._note_connections(-1)
+            conn.frames.flush()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (asyncio.CancelledError, ConnectionError, OSError):
+                # Nothing is left to unwind when stop() lands here, and a
+                # handler task that *ends* cancelled makes the 3.11
+                # streams callback log a spurious "Exception in callback".
+                pass
+            self._conn_tasks.discard(task)
+
+    def _on_frame(self, conn: ClientConnection, frame: wire.Frame) -> None:
+        if frame.frame_type == wire.FT_REQUEST:
+            self._on_request(conn, frame)
+        elif frame.frame_type == wire.FT_STATS:
+            conn.frames.write(wire.encode_frame(
+                wire.FT_STATS_RESULT, frame.request_id,
+                wire.pack_json(self._stats_document()),
+                version=frame.version,
+            ))
+        else:
+            raise ProtocolError(
+                f"unexpected {frame.type_name} frame from a client"
+            )
+
+
+class _CompletionInbox:
+    """Worker threads to event loop: one wake-up per batch of completions.
+
+    :meth:`put` (any thread) appends and wakes the loop only if no wake
+    is already on its way; the loop clears that flag *before* it starts
+    draining, so an item appended during a drain either is seen by that
+    drain or schedules the next one — never neither.
+    """
+
+    def __init__(self, loop, deliver: Callable[..., None]):
+        self._loop = loop
+        self._deliver = deliver
+        self._items: deque = deque()
+        self._lock = threading.Lock()
+        self._wake_pending = False
+
+    def put(self, *item) -> None:
+        self._items.append(item)
+        with self._lock:
+            if self._wake_pending:
+                return
+            self._wake_pending = True
+        try:
+            self._loop.call_soon_threadsafe(self._drain)
+        except RuntimeError:  # loop closed during shutdown
+            pass
+
+    def _drain(self) -> None:
+        with self._lock:
+            self._wake_pending = False
+        while self._items:
+            self._deliver(*self._items.popleft())
+
+
+class NetServer(FrameListener):
     """Serve a :class:`RumbaServer` over TCP (see ``docs/protocol.md``).
 
     Parameters
@@ -86,310 +339,120 @@ class NetServer:
     ):
         if max_frame_bytes < wire.MIN_FRAME_LENGTH + 64:
             raise ConfigurationError("max_frame_bytes is too small")
+        super().__init__(host, port, max_frame_bytes)
         self.server = server
-        self.host = host
-        self.port = port
-        self.max_frame_bytes = max_frame_bytes
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_async: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._finished = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._bound: Optional[Tuple[str, int]] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._owns_server = False
-        self._open_connections = 0
-        self._inflight = 0
         self.node_id = node_id or uuid.uuid4().hex
-        # Stamped at start(); CLOCK_MONOTONIC readings differ between
-        # incarnations of a node, so (node_id, started_at_monotonic)
-        # together pin one process lifetime behind one address.
-        self.started_at_monotonic: Optional[float] = None
+        self._completions: Optional[_CompletionInbox] = None
+        self._stopping = False
+        self._owns_server = False
         self._build_metrics()
 
-    # ------------------------------------------------------------------ #
-    # Metrics                                                            #
-    # ------------------------------------------------------------------ #
     def _build_metrics(self) -> None:
+        """Register the ``rumba_net_*`` families; bind every child once."""
         r = self.server.registry
         base = ("app", "scheme")
+        labels = {"app": self.server.app_name, "scheme": self.server.scheme}
         self._m_conns_total = r.counter(
             "rumba_net_connections_total",
             "TCP connections accepted", base,
-        )
+        ).labels(**labels)
         self._m_conns_open = r.gauge(
             "rumba_net_connections",
             "TCP connections currently open", base,
-        )
-        self._m_bytes = r.counter(
+        ).labels(**labels)
+        bytes_moved = r.counter(
             "rumba_net_bytes_total",
             "Wire bytes moved, by direction", base + ("direction",),
         )
+        self._m_rx = bytes_moved.labels(direction="rx", **labels)
+        self._on_sent = bytes_moved.labels(direction="tx", **labels).inc
         self._m_decode_errors = r.counter(
             "rumba_net_decode_errors_total",
             "Malformed frames that closed a connection", base,
-        )
+        ).labels(**labels)
         self._m_inflight = r.gauge(
             "rumba_net_inflight_requests",
             "Remote requests admitted but not yet answered", base,
-        )
-        self._m_requests = r.counter(
+        ).labels(**labels)
+        requests = r.counter(
             "rumba_net_requests_total",
             "Remote requests by outcome", base + ("outcome",),
         )
+        self._m_rejected = requests.labels(outcome="rejected", **labels)
+        self._m_failed = requests.labels(outcome="failed", **labels)
+        self._m_completed = requests.labels(outcome="completed", **labels)
         # Decode-to-enqueue time per remote request; rides the fine
         # bucket grid via the registry's rumba_net_* override.
         self._m_request_seconds = r.histogram(
             "rumba_net_request_seconds",
             "Server-side time from request decode to response enqueue",
             base,
-        )
-        self._labels = {
-            "app": self.server.app_name, "scheme": self.server.scheme,
-        }
+        ).labels(**labels)
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #
     # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port); valid once :meth:`start` returned."""
-        if self._bound is None:
-            raise ServingError("NetServer is not listening yet")
-        return self._bound
-
-    @property
-    def is_running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def start(self, timeout: float = 30.0) -> "NetServer":
-        if self._thread is not None:
-            raise ServingError("NetServer already started")
-        self.started_at_monotonic = time.monotonic()
-        if self.server.state in ("new", "ready"):
-            self.server.start()
-            self._owns_server = True
-        elif self.server.state != "running":
-            raise ServingError(
-                f"cannot front a {self.server.state} server"
-            )
-        self._thread = threading.Thread(
-            target=self._run_loop, name="rumba-net-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=timeout):
-            raise ServingError("NetServer failed to bind in time")
-        if self._startup_error is not None:
-            self._thread.join(timeout=_STOP_JOIN_S)
-            self._thread = None
-            raise ServingError(
-                f"NetServer could not listen on "
-                f"{self.host}:{self.port}: {self._startup_error}"
-            ) from self._startup_error
-        return self
+        if self._thread is None:
+            if self.server.state in ("new", "ready"):
+                self.server.start()
+                self._owns_server = True
+            elif self.server.state != "running":
+                raise ServingError(
+                    f"cannot front a {self.server.state} server"
+                )
+        return super().start(timeout)
 
     def stop(self, timeout: float = _STOP_JOIN_S) -> None:
         """Close the listener and connections; stop an owned server."""
         if self._thread is None:
             return
-        loop, stop_async = self._loop, self._stop_async
-        if loop is not None and stop_async is not None:
-            try:
-                loop.call_soon_threadsafe(stop_async.set)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
-        self._thread.join(timeout=timeout)
-        self._thread = None
+        # A fence, not a race: a request in flight at stop() fails over
+        # to its client's connection-lost path whether or not the
+        # teardown below beats its completion.
+        self._stopping = True
+        super().stop(timeout)
         if self._owns_server:
             self.server.stop()
 
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        """Block the calling thread until the server stops."""
-        if self._thread is None:
-            raise ServingError("NetServer is not running")
-        self._finished.wait(timeout=timeout)
+    async def _loop_started(self) -> None:
+        self._completions = _CompletionInbox(self._loop, self._deliver)
 
-    def __enter__(self) -> "NetServer":
-        return self.start()
+    def _note_connections(self, delta: int) -> None:
+        super()._note_connections(delta)
+        if delta > 0:
+            self._m_conns_total.inc()
+        self._m_conns_open.set(self._open_connections)
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------ #
-    # Event loop                                                         #
-    # ------------------------------------------------------------------ #
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - defensive
-            if self._startup_error is None:
-                self._startup_error = exc
-        finally:
-            self._ready.set()
-            self._finished.set()
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_async = asyncio.Event()
-        try:
-            listener = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        sock = listener.sockets[0].getsockname()
-        self._bound = (sock[0], sock[1])
-        self._ready.set()
-        async with listener:
-            await self._stop_async.wait()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        peername = writer.get_extra_info("peername")
-        conn = _Connection(peer=str(peername))
-        self._open_connections += 1
-        self._m_conns_total.labels(**self._labels).inc()
-        self._m_conns_open.labels(**self._labels).set(self._open_connections)
-        writer_task = asyncio.ensure_future(self._writer_loop(conn, writer))
-        # The WELCOME rides the *lowest* supported envelope so clients of
-        # any protocol generation can decode it and then negotiate.
-        conn.out_q.put_nowait(
-            wire.encode_frame(
-                wire.FT_WELCOME, 0, wire.pack_json(self._welcome_document()),
-                version=wire.MIN_SUPPORTED_VERSION,
-            )
-        )
-        try:
-            await self._reader_loop(conn, reader)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            conn.closed = True
-            # In-flight requests of a gone connection are not failed: they
-            # finish in the serving core (keeping its exactly-once ledger
-            # intact) and their responses are dropped in _deliver.
-            self._inflight -= len(conn.outstanding)
-            conn.outstanding.clear()
-            self._m_inflight.labels(**self._labels).set(self._inflight)
-            conn.out_q.put_nowait(None)
-            try:
-                await writer_task
-            except asyncio.CancelledError:
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._open_connections -= 1
-            self._m_conns_open.labels(**self._labels).set(
-                self._open_connections
-            )
-            self._conn_tasks.discard(task)
-
-    async def _reader_loop(self, conn: _Connection, reader) -> None:
-        while True:
-            try:
-                prefix = await reader.readexactly(4)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return  # clean (or already-reported) close
-            try:
-                length = wire.check_frame_length(
-                    int.from_bytes(prefix, "little"), self.max_frame_bytes
-                )
-                blob = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                self._protocol_error(conn, ProtocolError(
-                    "connection closed mid-frame"
-                ))
-                return
-            except ProtocolError as exc:
-                self._protocol_error(conn, exc)
-                return
-            self._m_bytes.labels(direction="rx", **self._labels).inc(
-                4 + length
-            )
-            try:
-                frame = wire.decode_frame(blob)
-            except ProtocolError as exc:
-                self._protocol_error(conn, exc)
-                return
-            if frame.frame_type == wire.FT_REQUEST:
-                self._on_request(conn, frame)
-            elif frame.frame_type == wire.FT_STATS:
-                conn.out_q.put_nowait(
-                    wire.encode_frame(
-                        wire.FT_STATS_RESULT,
-                        frame.request_id,
-                        wire.pack_json(self.server.stats()),
-                        version=frame.version,
-                    )
-                )
-            else:
-                self._protocol_error(conn, ProtocolError(
-                    f"unexpected {frame.type_name} frame from a client"
-                ))
-                return
-
-    async def _writer_loop(self, conn: _Connection, writer) -> None:
-        while True:
-            chunk = await conn.out_q.get()
-            if chunk is None:
-                return
-            try:
-                writer.write(chunk)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # Peer vanished mid-write; the reader loop will see EOF
-                # and tear the connection down.  Keep draining the queue
-                # so late completions never block the loop.
-                continue
-            self._m_bytes.labels(direction="tx", **self._labels).inc(
-                len(chunk)
-            )
+    def _note_protocol_error(self) -> None:
+        self._m_decode_errors.inc()
 
     # ------------------------------------------------------------------ #
     # Frame handling (event-loop thread)                                 #
     # ------------------------------------------------------------------ #
     def _welcome_document(self) -> dict:
         prototype = self.server.prototype
-        features = (
-            int(prototype.app.npu_topology.n_inputs)
-            if prototype is not None else 0
-        )
-        return {
-            "server": "rumba",
-            "protocol": wire.PROTOCOL_VERSION,
-            "min_protocol": wire.MIN_SUPPORTED_VERSION,
-            "app": self.server.app_name,
-            "scheme": self.server.scheme,
-            "backend": self.server.backend,
-            "features": features,
-            "max_frame_bytes": self.max_frame_bytes,
-            "node_id": self.node_id,
-            "started_at_monotonic": self.started_at_monotonic,
-        }
-
-    def _protocol_error(self, conn: _Connection, exc: ProtocolError) -> None:
-        """Best-effort typed error frame, then let the connection close."""
-        self._m_decode_errors.labels(**self._labels).inc()
-        conn.out_q.put_nowait(
-            wire.encode_frame(
-                wire.FT_ERROR,
-                0,
-                wire.pack_error(wire.ERR_PROTOCOL, str(exc)),
-            )
+        return dict(
+            super()._welcome_document(),
+            server="rumba",
+            app=self.server.app_name,
+            scheme=self.server.scheme,
+            backend=self.server.backend,
+            features=(
+                int(prototype.app.npu_topology.n_inputs)
+                if prototype is not None else 0
+            ),
+            node_id=self.node_id,
         )
 
-    def _on_request(self, conn: _Connection, frame: wire.Frame) -> None:
+    def _stats_document(self) -> dict:
+        return self.server.stats()
+
+    def _on_frame(self, conn: ClientConnection, frame: wire.Frame) -> None:
+        self._m_rx.inc(4 + wire.MIN_FRAME_LENGTH + len(frame.body))
+        super()._on_frame(conn, frame)
+
+    def _on_request(self, conn: ClientConnection, frame: wire.Frame) -> None:
         request_id = frame.request_id
         received_at = time.monotonic()
         try:
@@ -413,61 +476,40 @@ class NetServer:
                 inputs, deadline_s=deadline_s, trace=trace
             )
         except Exception as exc:
-            self._m_requests.labels(
-                outcome="rejected", **self._labels
-            ).inc()
-            conn.out_q.put_nowait(
-                wire.encode_frame(
-                    wire.FT_ERROR,
-                    request_id,
-                    wire.pack_error(wire.exception_to_code(exc), str(exc)),
-                    version=frame.version,
-                )
+            self._m_rejected.inc()
+            conn.send_error(
+                request_id, wire.exception_to_code(exc), str(exc),
+                frame.version,
             )
             return
         conn.outstanding.add(request_id)
         self._inflight += 1
-        self._m_inflight.labels(**self._labels).set(self._inflight)
-        loop = self._loop
-        version = frame.version
-
-        def _completed(handle) -> None:
-            # Runs on the completing worker thread: hop to the loop.
-            try:
-                loop.call_soon_threadsafe(
-                    self._deliver, conn, request_id, handle, version,
-                    trace, received_at,
-                )
-            except RuntimeError:  # loop closed during shutdown
-                pass
-
-        handle.add_done_callback(_completed)
+        self._m_inflight.set(self._inflight)
+        # Runs on the completing worker thread, with the handle as the
+        # last argument: the inbox hops to the loop, once per batch.
+        handle.add_done_callback(partial(
+            self._completions.put,
+            conn, request_id, frame.version, trace, received_at,
+        ))
 
     def _deliver(
-        self,
-        conn: _Connection,
-        request_id: int,
-        handle,
-        version: int = wire.PROTOCOL_VERSION,
-        trace=None,
-        received_at: Optional[float] = None,
+        self, conn: ClientConnection, request_id: int, version: int,
+        trace, received_at: float, handle,
     ) -> None:
-        """Event-loop half of completion: encode and enqueue the answer.
+        """Event-loop half of completion: encode and queue the answer.
 
         Replies are encoded in the same protocol version the request
         arrived in, so mixed-generation clients each get frames they can
         decode.
         """
-        if conn.closed or request_id not in conn.outstanding:
+        if (conn.closed or self._stopping
+                or request_id not in conn.outstanding):
             return
         conn.outstanding.discard(request_id)
         self._inflight -= 1
-        self._m_inflight.labels(**self._labels).set(self._inflight)
+        self._m_inflight.set(self._inflight)
         now = time.monotonic()
-        if received_at is not None:
-            self._m_request_seconds.labels(**self._labels).observe(
-                now - received_at
-            )
+        self._m_request_seconds.observe(now - received_at)
         if trace is not None:
             # ``complete`` (stamped in the core) already closed the
             # exported record; the send hop is observed directly so the
@@ -481,15 +523,12 @@ class NetServer:
         try:
             result = handle.result(timeout=0)
         except Exception as exc:
-            self._m_requests.labels(outcome="failed", **self._labels).inc()
-            payload = wire.pack_error(wire.exception_to_code(exc), str(exc))
-            conn.out_q.put_nowait(
-                wire.encode_frame(
-                    wire.FT_ERROR, request_id, payload, version=version
-                )
+            self._m_failed.inc()
+            conn.send_error(
+                request_id, wire.exception_to_code(exc), str(exc), version
             )
             return
-        self._m_requests.labels(outcome="completed", **self._labels).inc()
+        self._m_completed.inc()
         payload = wire.pack_result(
             outputs=result.outputs,
             worker=result.worker,
@@ -501,7 +540,7 @@ class NetServer:
             trace_sampled=trace.sampled if trace is not None else False,
             version=version,
         )
-        conn.out_q.put_nowait(
+        conn.frames.write(
             wire.encode_frame(
                 wire.FT_RESULT, request_id, payload, version=version
             )

@@ -363,24 +363,104 @@ class TestFleetManagement:
 
 
 class TestLinkSendRegistration:
-    def test_sync_send_failure_leaves_entry_unregistered(self):
-        """A write that raises must not register the entry in pending.
+    """A link failure re-forwards an entry exactly once.
 
-        Otherwise connection_lost() strands the entry into the retry
-        path *and* the caller retries it explicitly — the same request
-        forwarded to two nodes at once.
-        """
+    Never "stranded by ``connection_lost`` *and* retried by the caller"
+    — the same request forwarded to two nodes at once.  Sends are
+    queued on a :class:`FrameWriter` and leave at the end of the loop
+    tick, so the rule has a synchronous half (refused before
+    registration: the caller retries) and a deferred half (registered,
+    then stranded once by ``connection_lost``).
+    """
+
+    class _Transport:
+        def __init__(self, closing=False, fail=False):
+            self.closing, self.fail, self.writes = closing, fail, []
+
+        def is_closing(self):
+            return self.closing
+
+        def write(self, data):
+            if self.fail:
+                raise ConnectionResetError("link died mid-write")
+            self.writes.append(data)
+
+    class _Loop:
+        def __init__(self):
+            self.ready = []
+
+        def call_soon(self, callback, *args):
+            self.ready.append((callback, args))
+
+        def run_ready(self):
+            ready, self.ready = self.ready, []
+            for callback, args in ready:
+                callback(*args)
+
+    class _Manager:
+        def __init__(self):
+            self.stranded, self.links_down = [], 0
+
+        def on_stranded(self, node, entries, error):
+            self.stranded.append(list(entries))
+
+        def note_link_down(self, node):
+            self.links_down += 1
+
+    class _Entry:
+        def request_frame(self, request_id, deadline_s, version):
+            return b"frame-%d" % request_id
+
+    def _link(self, transport):
         from repro.serving.cluster.nodes import Node, NodeLink
+        from repro.serving.net import protocol as wire
 
         node = Node("127.0.0.1:9")
-        link = NodeLink(node, manager=None)
+        link = NodeLink(node, manager=self._Manager())
+        loop = self._Loop()
+        link.writer = wire.FrameWriter(
+            transport, loop, on_error=link.connection_lost
+        )
+        link.connected = True
+        return node, link, loop
 
-        class DeadWriter:
-            def write(self, blob):
-                raise ConnectionResetError("link died mid-write")
-
-        link.writer = DeadWriter()
+    def test_sync_send_failure_leaves_entry_unregistered(self):
+        """A send on an already-closing link must not register the entry."""
+        node, link, loop = self._link(self._Transport(closing=True))
         with pytest.raises(ConnectionError):
-            link.send_request(object(), b"body")
+            link.send_request(self._Entry(), 1.0)
         assert link.pending == {}
         assert node.inflight == 0
+        assert loop.ready == []  # nothing queued, nothing to flush
+        # The caller (router._forward) now owns the retry: its explicit
+        # connection_lost finds nothing to strand.
+        link.connection_lost(ConnectionResetError("closing"))
+        assert link.manager.stranded == []
+
+    def test_flush_failure_strands_queued_entries_exactly_once(self):
+        node, link, loop = self._link(self._Transport(fail=True))
+        entries = [self._Entry(), self._Entry()]
+        for entry in entries:
+            link.send_request(entry, 1.0)  # queued: no error yet
+        assert node.inflight == 2 and len(link.pending) == 2
+        loop.run_ready()  # the tick's flush raises
+        assert link.manager.stranded == [entries]
+        assert link.pending == {} and node.inflight == 0
+        assert not link.connected
+        # Later signals for the same dead link strand nothing more.
+        link.connection_lost(ConnectionResetError("reader saw EOF"))
+        link.close()
+        loop.run_ready()
+        assert link.manager.stranded == [entries]
+        assert node.inflight == 0
+
+    def test_queued_sends_leave_in_one_write_in_order(self):
+        transport = self._Transport()
+        node, link, loop = self._link(transport)
+        ids = [link.send_request(self._Entry(), 1.0) for _ in range(3)]
+        assert transport.writes == []
+        loop.run_ready()
+        assert transport.writes == [
+            b"".join(b"frame-%d" % i for i in ids)
+        ]
+        assert node.inflight == 3

@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import logging
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import prepare_system
+
+
+_ASYNCIO_DEBUG = bool(
+    sys.flags.dev_mode or os.environ.get("PYTHONASYNCIODEBUG")
+)
+
+
+@pytest.fixture(autouse=True)
+def asyncio_debug_is_strict(request):
+    """Under ``python -X dev`` / ``PYTHONASYNCIODEBUG=1`` (the CI's second
+    pass over the net and cluster suites) anything asyncio's debug mode
+    logs — a callback that held the loop > 100 ms, an exception lost in
+    a callback, a task destroyed while pending — fails the test that
+    caused it.  A plain run does not even install the log capture."""
+    if not _ASYNCIO_DEBUG:
+        yield
+        return
+    caplog = request.getfixturevalue("caplog")
+    yield
+    complaints = [
+        record.getMessage() for record in caplog.get_records("call")
+        + caplog.get_records("teardown")
+        if record.name == "asyncio" and record.levelno >= logging.WARNING
+    ]
+    assert not complaints, complaints
 
 
 @pytest.fixture(scope="session")
