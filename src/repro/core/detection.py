@@ -77,15 +77,6 @@ class DetectionModule:
         # Per-group fire counters, populated when callers pass group ids
         # to detect_into (the ensemble runtime groups by routed member).
         self.group_fires = np.zeros(0, dtype=np.int64)
-        # Optional observability hook (set via RumbaSystem.attach_telemetry).
-        self.telemetry = None
-
-    def __getstate__(self) -> dict:
-        # Telemetry binds to the parent process's registry; strip it so
-        # the module survives the serving layer's fork/spawn boundary.
-        state = self.__dict__.copy()
-        state["telemetry"] = None
-        return state
 
     def detect(
         self,
@@ -172,8 +163,6 @@ class DetectionModule:
                 grown[: self.group_fires.shape[0]] = self.group_fires
                 self.group_fires = grown
             np.add.at(self.group_fires, fired, 1)
-        if self.telemetry is not None:
-            self.telemetry.on_detection(n, n_fired)
         return DetectionResult(scores=scores, recovery_bits=bits,
                                threshold=self.threshold)
 

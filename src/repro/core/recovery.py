@@ -94,15 +94,6 @@ class RecoveryModule:
         self.verify = verify
         self._verified = False
         self.total_recoveries = 0
-        # Optional observability hook (set via RumbaSystem.attach_telemetry).
-        self.telemetry = None
-
-    def __getstate__(self) -> dict:
-        # Telemetry binds to the parent process's registry; strip it so
-        # the module survives the serving layer's fork/spawn boundary.
-        state = self.__dict__.copy()
-        state["telemetry"] = None
-        return state
 
     def recover(
         self,
@@ -125,8 +116,6 @@ class RecoveryModule:
             verify_purity(self.exact_kernel, inputs[: min(16, inputs.shape[0])])
             self._verified = True
         if indices.size == 0:
-            if self.telemetry is not None:
-                self.telemetry.on_recovery(0, inputs.shape[0])
             # Nothing flagged: the merged output IS the approximate output.
             # Returning it unchanged (no defensive copy) is safe because
             # downstream consumers treat invocation outputs as immutable;
@@ -141,8 +130,6 @@ class RecoveryModule:
         )
         merged = merge_outputs(approx_outputs, exact, indices)
         self.total_recoveries += int(indices.size)
-        if self.telemetry is not None:
-            self.telemetry.on_recovery(int(indices.size), inputs.shape[0])
         return RecoveryResult(
             merged_outputs=merged,
             recovery_indices=indices,

@@ -15,23 +15,25 @@ accelerator invocation:
 Construction from scratch is easiest via
 :func:`repro.core.offline.prepare_system`, which runs both offline trainers.
 
-Every step is an instrumentation point: attach a
-:class:`~repro.observability.Telemetry` (constructor argument or
-:meth:`RumbaSystem.attach_telemetry`) and the loop exports the paper's
-observable quantities — fire rate, recovered fraction, threshold, queue
-pressure, keep-up — as metrics plus per-phase spans.  Without telemetry the
-hooks cost one ``is None`` check each.
+Every invocation stamps its phase boundaries as ``(stage,
+time.monotonic())`` points on its record (:attr:`InvocationRecord.stages`,
+the request-trace event shape) whether or not anyone is watching.  Attach
+a :class:`~repro.observability.Telemetry` (constructor argument or
+:meth:`RumbaSystem.attach_telemetry`) and the finished record is handed
+to it once, from which it exports the paper's observable quantities —
+fire rate, recovered fraction, threshold, queue pressure, keep-up — as
+metrics plus per-phase spans.  Without telemetry that is one ``is None``
+check per invocation.
 """
 
 from __future__ import annotations
 
 import copy
-import sys
 import threading
+import time
 from collections import deque
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import List, MutableSequence, Optional
+from typing import Dict, List, MutableSequence, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +51,19 @@ from repro.hardware.energy import EnergyModel
 from repro.hardware.npu import NPUModel
 from repro.hardware.queues import ConfigQueue
 from repro.observability.instrument import Telemetry, ambient_telemetry_registry
+from repro.observability.reqtrace import (
+    STAGE_COMPUTE,
+    STAGE_DETECT,
+    STAGE_INVOKE,
+    STAGE_LEARN,
+    STAGE_MEASURE,
+    STAGE_RECOVER,
+    STAGE_ROUTE,
+    STAGE_TUNE,
+)
 from repro.predictors.base import ErrorPredictor
 
 __all__ = ["RumbaSystem", "InvocationRecord", "PendingInvocation"]
-
-# Shared reusable no-op context for the uninstrumented hot path.
-_NOOP = nullcontext()
 
 
 @dataclass
@@ -65,6 +74,15 @@ class InvocationRecord:
     when the system runs an :class:`~repro.approx.ensemble.ApproximatorEnsemble`;
     the serving journal persists them so ``repro replay`` can force the
     same routing bit-for-bit.  ``None`` on single-backend systems.
+
+    ``stages`` is the invocation's timeline: ``(stage, time.monotonic())``
+    points in stamping order, names from
+    :data:`repro.observability.reqtrace.STAGES`.  A stage's cost is the
+    time since the previous point, so the chain reads exactly like a
+    request trace — and is spliced into one when the invocation served a
+    batch.  ``tuned_threshold`` is the tuner's output after this invocation,
+    ``tuner_move`` the direction it moved (+1 raise, -1 lower, 0 hold)
+    and ``queue_capacity`` the recovery-queue bound the run had.
     """
 
     outputs: np.ndarray
@@ -75,10 +93,44 @@ class InvocationRecord:
     measured_error: Optional[float] = None
     unchecked_error: Optional[float] = None
     choices: Optional[np.ndarray] = None
+    stages: List[Tuple[str, float]] = field(default_factory=list)
+    tuned_threshold: float = 0.0
+    tuner_move: int = 0
+    queue_capacity: int = 0
 
     @property
     def fix_fraction(self) -> float:
         return self.recovery.recovered_fraction
+
+    def facts(self) -> Dict[str, object]:
+        """The record as the flat scalars telemetry and reports carry.
+
+        One dict serves :meth:`Telemetry.observe` in this process and —
+        inside a worker's batch report — the serving core's per-worker
+        telemetry in another, so both export the same series.
+        """
+        pipeline = self.pipeline
+        n_fired = self.detection.n_fired  # one pass over the bits
+        facts: Dict[str, object] = {
+            "n_elements": self.detection.n_elements,
+            "n_fired": n_fired,
+            "n_recovered": int(self.recovery.n_recovered),
+            "fire_fraction": n_fired / self.detection.n_elements,
+            "fix_fraction": float(self.fix_fraction),
+            "threshold": self.tuned_threshold,
+            "tuner_move": self.tuner_move,
+            "queue_capacity": self.queue_capacity,
+            "cpu_kept_up": bool(pipeline.cpu_kept_up),
+            "cpu_utilization": float(pipeline.cpu_utilization),
+            "makespan_cycles": float(pipeline.makespan),
+            "accel_cycles": float(pipeline.accel_finish),
+            "cpu_busy_cycles": float(pipeline.cpu_busy),
+        }
+        if self.measured_error is not None:
+            facts["measured_error"] = float(self.measured_error)
+        if self.unchecked_error is not None:
+            facts["unchecked_error"] = float(self.unchecked_error)
+        return facts
 
 
 @dataclass
@@ -101,8 +153,9 @@ class PendingInvocation:
     exact: Optional[np.ndarray] = None
     choices: Optional[np.ndarray] = None
     router_features: Optional[np.ndarray] = None
-    _stack: Optional[ExitStack] = field(default=None, repr=False)
-    _scope: Optional[object] = field(default=None, repr=False)
+    #: The timeline so far (see :attr:`InvocationRecord.stages`); a
+    #: transport that parks the invocation appends its own hop here.
+    stages: List[Tuple[str, float]] = field(default_factory=list)
 
     @property
     def n_elements(self) -> int:
@@ -212,11 +265,8 @@ class RumbaSystem:
             self.attach_telemetry(telemetry)
 
     def attach_telemetry(self, telemetry: Optional[Telemetry]) -> None:
-        """Attach (or detach, with None) telemetry to the whole loop."""
+        """Attach (or detach, with None) the reader of this loop's records."""
         self.telemetry = telemetry
-        self.detection.telemetry = telemetry
-        self.recovery.telemetry = telemetry
-        self.tuner.telemetry = telemetry
         if telemetry is not None:
             telemetry.on_threshold(self.tuner.threshold, 0)
 
@@ -229,8 +279,7 @@ class RumbaSystem:
         The process serving backend ships one prepared system to each
         worker process exactly once, at startup; locks are per-process and
         telemetry is bound to the parent's registry, so neither crosses the
-        fork/spawn boundary.  The submodules strip their own telemetry
-        hooks the same way.
+        fork/spawn boundary.
         """
         state = self.__dict__.copy()
         del state["_mutex"]
@@ -299,99 +348,80 @@ class RumbaSystem:
                 "forced_choices requires an ensemble system"
             )
 
-        tel = self.telemetry
-        stack: Optional[ExitStack] = None
-        scope = None
-        if tel is not None:
-            stack = ExitStack()
-            scope = stack.enter_context(tel.invocation(n))
+        # The timeline: one clock read per phase boundary, stamped
+        # whether or not telemetry is attached (``invoke`` anchors it).
+        clock = time.monotonic
+        stages = [(STAGE_INVOKE, clock())]
         try:
             choices = None
             router_features = None
             if self.ensemble is not None:
-                with (scope.phase("route") if scope else _NOOP):
-                    router_features = self.ensemble.router_features(inputs)
-                    if forced_choices is not None:
-                        choices = np.asarray(
-                            forced_choices, dtype=np.int8
-                        ).ravel()
-                        if choices.shape[0] != n:
-                            raise ConfigurationError(
-                                "forced_choices needs one entry per row"
-                            )
-                    else:
-                        with self._mutex:
-                            threshold = self.tuner.threshold
-                        choices = self.ensemble.route(
-                            router_features, threshold
+                router_features = self.ensemble.router_features(inputs)
+                if forced_choices is not None:
+                    choices = np.asarray(
+                        forced_choices, dtype=np.int8
+                    ).ravel()
+                    if choices.shape[0] != n:
+                        raise ConfigurationError(
+                            "forced_choices needs one entry per row"
                         )
-                if scope is not None:
-                    scope.annotate(
-                        "route",
-                        n_members=int(np.unique(choices).size),
-                        forced=forced_choices is not None,
-                    )
-
-            with (scope.phase("accelerate") if scope else _NOOP):
-                if self.ensemble is not None:
-                    approx = self.ensemble.forward_routed(inputs, choices)
                 else:
-                    approx = self.backend(inputs)
-                features = self.backend.features(inputs)
+                    with self._mutex:
+                        threshold = self.tuner.threshold
+                    choices = self.ensemble.route(router_features, threshold)
+                stages.append((STAGE_ROUTE, clock()))
+                approx = self.ensemble.forward_routed(inputs, choices)
+            else:
+                approx = self.backend(inputs)
+            features = self.backend.features(inputs)
+            stages.append((STAGE_COMPUTE, clock()))
 
-            # The experimenter's instrument, not a phase of the loop.
+            # The experimenter's instrument, not a phase of the loop: it
+            # gets its own stage so its cost lands in no phase's segment.
             true_errors = None
             exact = None
             if measure_quality or self.predictor.name == "Ideal":
                 exact = self.app.exact(inputs)
                 true_errors = self.app.element_errors(approx, exact)
+                stages.append((STAGE_MEASURE, clock()))
 
-            with (scope.phase("detect") if scope else _NOOP):
-                with self._mutex:
-                    self.detection.threshold = self.tuner.threshold
-                    self._next_iteration_id += n
-                # Fast path: detection owns the recovery-bits vector, so the
-                # per-invocation RecoveryQueue — allocate, push n ids through
-                # a locked Python deque, drain, rebuild the bool vector — is
-                # an identity transform here (the queue is private, every
-                # push precedes the single drain, and capacity >= n means no
-                # stalls).  Skip it and take the bits straight from
-                # detection; hardware-facing queue semantics stay covered by
-                # RecoveryQueue's own tests and the hardware model.
-                detection = self.detection.detect_into(
-                    features=features,
-                    approx_outputs=approx,
-                    true_errors=true_errors,
-                    group_ids=choices,
-                )
-                bits = detection.recovery_bits
-                if self.ensemble is not None:
-                    self.ensemble.observe_detection(choices, bits)
-            if tel is not None:
-                # Emulate the queue telemetry the drained path reported:
-                # all n entries were in flight at the drain point, capacity
-                # is the configured floor (or n, whichever is larger), and
-                # a strict queue with capacity >= n never stalls.
-                tel.on_queue(
-                    n, max(self.config.recovery_queue_capacity, n), 0
-                )
-                scope.annotate("detect", n_fired=int(detection.n_fired))
-            return PendingInvocation(
-                inputs=inputs,
-                approx=approx,
-                detection=detection,
-                recovery_bits=bits,
-                measure_quality=measure_quality,
-                exact=exact,
-                choices=choices,
-                router_features=router_features,
-                _stack=stack,
-                _scope=scope,
+            with self._mutex:
+                self.detection.threshold = self.tuner.threshold
+                self._next_iteration_id += n
+            # Fast path: detection owns the recovery-bits vector, so the
+            # per-invocation RecoveryQueue — allocate, push n ids through
+            # a locked Python deque, drain, rebuild the bool vector — is
+            # an identity transform here (the queue is private, every
+            # push precedes the single drain, and capacity >= n means no
+            # stalls).  Skip it and take the bits straight from
+            # detection; hardware-facing queue semantics stay covered by
+            # RecoveryQueue's own tests and the hardware model.
+            detection = self.detection.detect_into(
+                features=features,
+                approx_outputs=approx,
+                true_errors=true_errors,
+                group_ids=choices,
             )
+            bits = detection.recovery_bits
+            if self.ensemble is not None:
+                self.ensemble.observe_detection(choices, bits)
+            stages.append((STAGE_DETECT, clock()))
         except BaseException:
-            if stack is not None:
-                stack.__exit__(*sys.exc_info())
+            if self.telemetry is not None:
+                # Show the attempt: the chain so far, no record facts.
+                self.telemetry.observe(stages)
             raise
+        return PendingInvocation(
+            inputs=inputs,
+            approx=approx,
+            detection=detection,
+            recovery_bits=bits,
+            measure_quality=measure_quality,
+            exact=exact,
+            choices=choices,
+            router_features=router_features,
+            stages=stages,
+        )
 
     def complete_invocation(
         self, pending: PendingInvocation
@@ -404,65 +434,59 @@ class RumbaSystem:
         backlog of pending invocations without corrupting the tuner or
         the record history.
         """
-        scope = pending._scope
+        clock = time.monotonic
+        stages = pending.stages
         with self._complete_lock:
             try:
-                with (scope.phase("recover") if scope else _NOOP):
-                    recovery = self.recovery.recover(
-                        pending.inputs, pending.approx, pending.recovery_bits
-                    )
-                if scope is not None:
-                    scope.annotate(
-                        "recover", n_recovered=int(recovery.n_recovered)
-                    )
+                recovery = self.recovery.recover(
+                    pending.inputs, pending.approx, pending.recovery_bits
+                )
+                stages.append((STAGE_RECOVER, clock()))
 
                 n = pending.n_elements
-                with (scope.phase("tune") if scope else _NOOP):
-                    if self.ensemble is not None:
-                        accel_cycles = self.ensemble.blended_invocation_cycles(
-                            pending.choices, self.cost_model
-                        )
-                    else:
-                        accel_cycles = self.cost_model.npu.invocation_cycles(
-                            self.backend.topology
-                        )
-                    pipeline = simulate_pipeline(
-                        pending.recovery_bits,
-                        accel_cycles_per_iteration=accel_cycles,
-                        cpu_cycles_per_iteration=(
-                            self.cost_model.cpu_iteration_cycles()
-                        ),
+                if self.ensemble is not None:
+                    accel_cycles = self.ensemble.blended_invocation_cycles(
+                        pending.choices, self.cost_model
+                    )
+                else:
+                    accel_cycles = self.cost_model.npu.invocation_cycles(
+                        self.backend.topology
+                    )
+                pipeline = simulate_pipeline(
+                    pending.recovery_bits,
+                    accel_cycles_per_iteration=accel_cycles,
+                    cpu_cycles_per_iteration=(
+                        self.cost_model.cpu_iteration_cycles()
+                    ),
+                    detector_placement=self.config.detector_placement,
+                    checker_cycles=self.detection.checker.check_cycles(),
+                )
+                if self.ensemble is not None:
+                    costs = self.ensemble.blended_app_costs(
+                        self.cost_model,
+                        self.detection.checker,
+                        pending.choices,
+                        fix_fraction=recovery.recovered_fraction,
                         detector_placement=self.config.detector_placement,
-                        checker_cycles=self.detection.checker.check_cycles(),
+                        observed_kernel_cycles=pipeline.makespan / n,
                     )
-                    if self.ensemble is not None:
-                        costs = self.ensemble.blended_app_costs(
-                            self.cost_model,
-                            self.detection.checker,
-                            pending.choices,
-                            fix_fraction=recovery.recovered_fraction,
-                            detector_placement=self.config.detector_placement,
-                            observed_kernel_cycles=pipeline.makespan / n,
-                        )
-                    else:
-                        costs = self.cost_model.whole_app_costs(
-                            topology=self.backend.topology,
-                            checker=self.detection.checker,
-                            fix_fraction=recovery.recovered_fraction,
-                            detector_placement=self.config.detector_placement,
-                            observed_kernel_cycles=pipeline.makespan / n,
-                        )
-                    self.tuner.update(
-                        InvocationFeedback(
-                            fix_fraction=recovery.recovered_fraction,
-                            cpu_kept_up=pipeline.cpu_kept_up,
-                            cpu_utilization=pipeline.cpu_utilization,
-                        )
+                else:
+                    costs = self.cost_model.whole_app_costs(
+                        topology=self.backend.topology,
+                        checker=self.detection.checker,
+                        fix_fraction=recovery.recovered_fraction,
+                        detector_placement=self.config.detector_placement,
+                        observed_kernel_cycles=pipeline.makespan / n,
                     )
-                if scope is not None:
-                    scope.annotate(
-                        "tune", threshold=float(self.tuner.threshold)
+                before = self.tuner.threshold
+                tuned = self.tuner.update(
+                    InvocationFeedback(
+                        fix_fraction=recovery.recovered_fraction,
+                        cpu_kept_up=pipeline.cpu_kept_up,
+                        cpu_utilization=pipeline.cpu_utilization,
                     )
+                )
+                stages.append((STAGE_TUNE, clock()))
 
                 if (
                     self.ensemble is not None
@@ -474,19 +498,14 @@ class RumbaSystem:
                     # routing learner.  Routing-only — detection stays on
                     # the statically trained predictor, so replayed
                     # recovery bits are unaffected.
-                    with (scope.phase("learn") if scope else _NOOP):
-                        self.ensemble.observe_recovery(
-                            pending.router_features,
-                            pending.choices,
-                            recovery.recovery_indices,
-                            pending.approx[recovery.recovery_indices],
-                            recovery.exact_outputs,
-                        )
-                    if scope is not None:
-                        scope.annotate(
-                            "learn",
-                            retrains=int(self.ensemble.retrain_count),
-                        )
+                    self.ensemble.observe_recovery(
+                        pending.router_features,
+                        pending.choices,
+                        recovery.recovery_indices,
+                        pending.approx[recovery.recovery_indices],
+                        recovery.exact_outputs,
+                    )
+                    stages.append((STAGE_LEARN, clock()))
 
                 measured_error = None
                 unchecked_error = None
@@ -507,15 +526,24 @@ class RumbaSystem:
                     measured_error=measured_error,
                     unchecked_error=unchecked_error,
                     choices=pending.choices,
+                    stages=stages,
+                    tuned_threshold=float(tuned),
+                    # Serialized against apply_backpressure by the lock,
+                    # so the difference is this update's move alone.
+                    tuner_move=(tuned > before) - (tuned < before),
+                    # The drained queue this path replaced was sized to
+                    # the configured floor or the invocation, whichever
+                    # is larger.
+                    queue_capacity=max(
+                        self.config.recovery_queue_capacity, n
+                    ),
                 )
-                if scope:
-                    scope.observe_record(record)
             except BaseException:
-                if pending._stack is not None:
-                    pending._stack.__exit__(*sys.exc_info())
+                if self.telemetry is not None:
+                    self.telemetry.observe(stages)
                 raise
-            if pending._stack is not None:
-                pending._stack.close()
+            if self.telemetry is not None:
+                self.telemetry.observe(stages, record.facts())
             self.records.append(record)
             self.total_invocations += 1
             return record
@@ -532,17 +560,19 @@ class RumbaSystem:
         :meth:`complete_invocation` tuner updates.  Returns the threshold.
         """
         with self._complete_lock:
+            level = self.tuner.degradation_level
             if direction > 0:
-                return self.tuner.degrade(factor)
-            if direction < 0:
-                return self.tuner.relax(factor)
-            return self.tuner.threshold
+                threshold = self.tuner.degrade(factor)
+            elif direction < 0:
+                threshold = self.tuner.relax(factor)
+            else:
+                return self.tuner.threshold
+            moved = self.tuner.degradation_level - level
+            if self.telemetry is not None and moved:
+                self.telemetry.on_threshold(threshold, moved)
+            return threshold
 
-    def clone_shard(
-        self,
-        telemetry: Optional[Telemetry] = None,
-        max_records: Optional[int] = None,
-    ) -> "RumbaSystem":
+    def clone_shard(self, max_records: Optional[int] = None) -> "RumbaSystem":
         """A fresh system sharing this one's trained (immutable) models.
 
         The expensive offline artifacts — accelerator backend, cost and
@@ -574,7 +604,6 @@ class RumbaSystem:
             npu=self.cost_model.npu,
             overhead=self.cost_model.overhead,
             max_records=self.max_records if max_records is None else max_records,
-            telemetry=telemetry,
             ensemble=shard_ensemble,
         )
         # Each shard watches its own output stream: drop any EMA history

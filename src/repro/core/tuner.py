@@ -65,20 +65,15 @@ class OnlineTuner:
         self._gain = config.threshold_gain
         self._last_direction = 0
         self._degradation_level = 0
-        # Optional observability hook (set via RumbaSystem.attach_telemetry).
-        self.telemetry = None
         # Optional degradation listener ``level -> None`` (the ensemble
         # router biases toward cheap members while degraded; set by
         # RumbaSystem, rebound after unpickling).
         self.on_degradation = None
 
     def __getstate__(self) -> dict:
-        # Telemetry binds to the parent process's registry; strip it so
-        # the tuner survives the serving layer's fork/spawn boundary.
         # The degradation listener closes over the owning system and is
         # rebound by RumbaSystem.__setstate__.
         state = self.__dict__.copy()
-        state["telemetry"] = None
         state["on_degradation"] = None
         return state
 
@@ -117,8 +112,6 @@ class OnlineTuner:
             self._last_direction = direction
         self.threshold = max(self.threshold, _MIN_THRESHOLD)
         self.history.append(self.threshold)
-        if self.telemetry is not None:
-            self.telemetry.on_threshold(self.threshold, direction)
         return self.threshold
 
     # ------------------------------------------------------------------ #
@@ -145,8 +138,6 @@ class OnlineTuner:
         self.threshold *= factor
         self._degradation_level += 1
         self.history.append(self.threshold)
-        if self.telemetry is not None:
-            self.telemetry.on_threshold(self.threshold, +1)
         if self.on_degradation is not None:
             self.on_degradation(self._degradation_level)
         return self.threshold
@@ -165,8 +156,6 @@ class OnlineTuner:
         self.threshold = max(self.threshold / factor, _MIN_THRESHOLD)
         self._degradation_level -= 1
         self.history.append(self.threshold)
-        if self.telemetry is not None:
-            self.telemetry.on_threshold(self.threshold, -1)
         if self.on_degradation is not None:
             self.on_degradation(self._degradation_level)
         return self.threshold

@@ -14,17 +14,16 @@ The read side (:func:`iter_flight_records`, :func:`aggregate_stages`,
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence
 
 from repro.framedlog import FramedLog, generations, iter_frames
-from repro.observability.reqtrace import STAGES
+from repro.observability.reqtrace import STAGES, segments
 
 __all__ = [
     "FLIGHT_LOG_VERSION",
     "FlightRecorder",
     "iter_flight_records",
     "read_flight_log",
-    "stage_segments",
     "aggregate_stages",
     "percentile",
     "format_waterfall",
@@ -79,18 +78,6 @@ def read_flight_log(
     return list(iter_flight_records(path, include_rotated=include_rotated))
 
 
-def stage_segments(record: Dict[str, object]) -> List[Tuple[str, float]]:
-    """Per-stage durations (delta from the previous stamp) for one record."""
-    stages = record.get("stages") or []
-    out: List[Tuple[str, float]] = []
-    previous: Optional[float] = None
-    for entry in stages:
-        stage, offset = str(entry[0]), float(entry[1])
-        out.append((stage, 0.0 if previous is None else offset - previous))
-        previous = offset
-    return out
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile (``q`` in [0, 100]) of ``values``."""
     data = sorted(float(v) for v in values)
@@ -111,7 +98,7 @@ def aggregate_stages(
     """p50/p95/p99 (+count, mean) of each stage's duration across records."""
     by_stage: Dict[str, List[float]] = {}
     for record in records:
-        for stage, duration in stage_segments(record):
+        for stage, duration in segments(record.get("stages") or []):
             by_stage.setdefault(stage, []).append(duration)
     out: Dict[str, Dict[str, float]] = {}
     for stage in sorted(
@@ -150,8 +137,8 @@ def format_record_line(record: Dict[str, object]) -> str:
 
 def format_waterfall(record: Dict[str, object], width: int = 40) -> str:
     """A per-stage waterfall for one record, as a multi-line string."""
-    segments = stage_segments(record)
     stages = record.get("stages") or []
+    durations = segments(stages)
     error = record.get("error")
     header = (
         f"request {record.get('request_id', '?')} · "
@@ -168,12 +155,12 @@ def format_waterfall(record: Dict[str, object], width: int = 40) -> str:
         f"fix {float(record.get('fix_fraction', 0.0)) * 100.0:.1f}%"
     )
     lines = [header, detail]
-    if not segments:
+    if not durations:
         lines.append("(no stage events recorded)")
         return "\n".join(lines)
     total = max((float(s[1]) for s in stages), default=0.0)
     lines.append(f"{'stage':<14} {'at (ms)':>9} {'+dur (ms)':>9}  waterfall")
-    for (stage, duration), entry in zip(segments, stages):
+    for (stage, duration), entry in zip(durations, stages):
         offset = float(entry[1])
         start = 0 if total <= 0 else int(round(
             (offset - duration) / total * width
@@ -185,7 +172,7 @@ def format_waterfall(record: Dict[str, object], width: int = 40) -> str:
         lines.append(
             f"{stage:<14} {_ms(offset)} {_ms(duration)}  {bar}"
         )
-    span_sum = sum(duration for _, duration in segments)
+    span_sum = sum(duration for _, duration in durations)
     lines.append(
         f"{'sum of stages':<14} {_ms(span_sum)} "
         f"(covers {0.0 if not record.get('latency_s') else span_sum / float(record['latency_s']) * 100.0:.1f}% "

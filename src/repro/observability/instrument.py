@@ -1,9 +1,13 @@
-"""The :class:`Telemetry` facade — what the runtime's hooks talk to.
+"""The :class:`Telemetry` facade — the reader of invocation records.
 
 One ``Telemetry`` instance binds a metrics registry (and optionally a
-tracer) to one running system; the core modules carry an optional
-``telemetry`` attribute and call these hooks only when it is set, so an
-uninstrumented system pays a single ``is None`` check per hook site.
+tracer) to one running system.  The runtime stamps its stage chain on
+every invocation record whether or not anyone is watching; an attached
+telemetry is handed the finished record once, at the end of
+``complete_invocation`` (:meth:`Telemetry.observe`), and derives every
+loop metric, phase counter and exported span from it.  The serving core
+feeds the same call from each worker's batch report, so a shard in
+another process exports the same series.
 
 The full metric catalog lives in ``docs/observability.md``; the names are
 stable — dashboards and tests key off them.
@@ -20,10 +24,8 @@ threading a registry through thirty bench scripts.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, Mapping, Optional
+from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.observability.metrics import (
@@ -31,6 +33,15 @@ from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     get_default_registry,
+)
+from repro.observability.reqtrace import (
+    STAGE_COMPUTE,
+    STAGE_DETECT,
+    STAGE_LEARN,
+    STAGE_RECOVER,
+    STAGE_ROUTE,
+    STAGE_TUNE,
+    segments,
 )
 from repro.observability.tracing import Tracer
 
@@ -44,6 +55,30 @@ __all__ = [
 
 #: Phase names of the Fig. 4 loop, in execution order.
 PHASES = ("accelerate", "detect", "recover", "tune")
+
+#: The stages whose segment is a phase of the loop, under the phase name
+#: the metrics and spans have always used.  Every other stage of a chain
+#: (``invoke``, ``measure``, ``shm_read``, ``recovery_wait``) is a hop
+#: or the experimenter's instrument and never pollutes a phase timing.
+_PHASE_OF_STAGE = {
+    STAGE_ROUTE: "route",
+    STAGE_COMPUTE: "accelerate",
+    STAGE_DETECT: "detect",
+    STAGE_RECOVER: "recover",
+    STAGE_TUNE: "tune",
+    STAGE_LEARN: "learn",
+}
+#: Which facts of the record annotate which phase's span.
+_PHASE_ATTRIBUTES = {
+    "detect": ("n_fired",),
+    "recover": ("n_recovered",),
+    "tune": ("threshold",),
+}
+_INVOCATION_ATTRIBUTES = (
+    "n_elements", "makespan_cycles", "accel_cycles", "cpu_busy_cycles",
+    "n_recovered", "n_fired",
+)
+_MOVE_NAMES = {1: "raise", -1: "lower"}
 
 _ambient_registry: Optional[MetricsRegistry] = None
 # Arming/disarming and reads race when worker threads construct systems
@@ -118,88 +153,95 @@ class Telemetry:
                     f"extra label {reserved!r} is reserved"
                 )
         labels = ("app", "scheme") + tuple(sorted(extra))
-        self._labels = {"app": app, "scheme": scheme, **extra}
+        ls = self._labels = {"app": app, "scheme": scheme, **extra}
         r = self.registry
-        self._invocations = r.counter(
+        # Every series is bound to its child as it is registered: the
+        # label set is constant for the lifetime of this Telemetry, so
+        # resolving each child once here keeps dict-hashing and the
+        # family lock off the per-invocation path (~30 labels() calls
+        # per invocation otherwise).
+        self._b_invocations = r.counter(
             "rumba_invocations_total", "Accelerator invocations processed", labels
-        )
-        self._elements = r.counter(
+        ).labels(**ls)
+        self._b_elements = r.counter(
             "rumba_elements_total", "Output elements produced", labels
-        )
-        self._checks = r.counter(
+        ).labels(**ls)
+        self._b_checks = r.counter(
             "rumba_checks_total", "Checker evaluations (one per element)", labels
-        )
-        self._fires = r.counter(
+        ).labels(**ls)
+        self._b_fires = r.counter(
             "rumba_fires_total", "Checks that fired (recovery bit set)", labels
-        )
-        self._fire_rate = r.gauge(
+        ).labels(**ls)
+        self._b_fire_rate = r.gauge(
             "rumba_fire_rate", "Fire fraction of the last invocation", labels
-        )
-        self._recovered = r.counter(
+        ).labels(**ls)
+        self._b_recovered = r.counter(
             "rumba_recovered_total", "Iterations re-executed exactly on the CPU",
             labels,
-        )
-        self._recovered_fraction = r.gauge(
+        ).labels(**ls)
+        self._b_recovered_fraction = r.gauge(
             "rumba_recovered_fraction",
             "Recovered fraction of the last invocation", labels,
-        )
-        self._threshold = r.gauge(
+        ).labels(**ls)
+        self._b_threshold = r.gauge(
             "rumba_threshold", "Current detection threshold (tuner output)",
             labels,
-        )
+        ).labels(**ls)
         self._tuner_moves = r.counter(
             "rumba_tuner_moves_total", "Tuner threshold adjustments by direction",
             labels + ("direction",),
         )
-        self._cpu_kept_up = r.gauge(
+        self._b_cpu_kept_up = r.gauge(
             "rumba_cpu_kept_up",
             "1 when recovery overlapped the accelerator last invocation",
             labels,
-        )
+        ).labels(**ls)
         self._keepup = r.counter(
             "rumba_cpu_keepup_total", "Invocations by whether the CPU kept up",
             labels + ("kept_up",),
         )
-        self._cpu_utilization = r.gauge(
+        self._b_cpu_utilization = r.gauge(
             "rumba_cpu_utilization",
             "CPU busy fraction over the last invocation's makespan", labels,
-        )
-        self._queue_peak = r.gauge(
+        ).labels(**ls)
+        self._b_queue_peak = r.gauge(
             "rumba_recovery_queue_occupancy_peak",
             "Peak recovery-queue occupancy last invocation (entries)", labels,
-        )
-        self._queue_capacity = r.gauge(
+        ).labels(**ls)
+        self._b_queue_capacity = r.gauge(
             "rumba_recovery_queue_capacity",
             "Recovery-queue capacity last invocation (entries)", labels,
-        )
-        self._queue_stalls = r.counter(
+        ).labels(**ls)
+        # Registered (and exported at 0) for the documented catalog; the
+        # runtime's queue-less fast path cannot stall.
+        r.counter(
             "rumba_recovery_queue_stalls_total",
             "Recovery-queue push stalls (full queue)", labels,
-        )
-        self._measured_error = r.gauge(
+        ).labels(**ls)
+        self._b_measured_error = r.gauge(
             "rumba_measured_error",
             "Measured whole-output error after fixes (when measured)", labels,
-        )
-        self._unchecked_error = r.gauge(
+        ).labels(**ls)
+        self._b_unchecked_error = r.gauge(
             "rumba_unchecked_error",
             "Whole-output error without fixes (when measured)", labels,
-        )
-        self._drift_flags = r.counter(
+        ).labels(**ls)
+        self._b_drift_flags = r.counter(
             "rumba_drift_flags_total", "Drift-detector flags raised", labels
-        )
-        self._drifted = r.gauge(
+        ).labels(**ls)
+        self._b_drifted = r.gauge(
             "rumba_drifted", "1 while the stream awaits retraining", labels
-        )
-        self._latency = r.histogram(
+        ).labels(**ls)
+        self._b_latency = r.histogram(
             "rumba_invocation_latency_seconds",
             "Wall time of one full invocation through the loop", labels,
             buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self._cycles = r.histogram(
+        ).labels(**ls)
+        self._b_cycles = r.histogram(
             "rumba_invocation_cycles",
             "Modelled makespan of one invocation (cycles)", labels,
             buckets=DEFAULT_CYCLE_BUCKETS,
-        )
+        ).labels(**ls)
         self._phase_spans = r.counter(
             "rumba_phase_spans_total", "Completed phase spans by phase",
             labels + ("phase",),
@@ -208,31 +250,6 @@ class Telemetry:
             "rumba_phase_seconds_total", "Cumulative wall time by phase",
             labels + ("phase",),
         )
-        # Bound children for the hot hooks: the label set is constant for
-        # the lifetime of this Telemetry, so resolving each child once
-        # here keeps dict-hashing and the family lock off the
-        # per-invocation path (~30 labels() calls per invocation
-        # otherwise).
-        ls = self._labels
-        self._b_invocations = self._invocations.labels(**ls)
-        self._b_elements = self._elements.labels(**ls)
-        self._b_checks = self._checks.labels(**ls)
-        self._b_fires = self._fires.labels(**ls)
-        self._b_fire_rate = self._fire_rate.labels(**ls)
-        self._b_recovered = self._recovered.labels(**ls)
-        self._b_recovered_fraction = self._recovered_fraction.labels(**ls)
-        self._b_threshold = self._threshold.labels(**ls)
-        self._b_cpu_kept_up = self._cpu_kept_up.labels(**ls)
-        self._b_cpu_utilization = self._cpu_utilization.labels(**ls)
-        self._b_queue_peak = self._queue_peak.labels(**ls)
-        self._b_queue_capacity = self._queue_capacity.labels(**ls)
-        self._b_queue_stalls = self._queue_stalls.labels(**ls)
-        self._b_measured_error = self._measured_error.labels(**ls)
-        self._b_unchecked_error = self._unchecked_error.labels(**ls)
-        self._b_drift_flags = self._drift_flags.labels(**ls)
-        self._b_drifted = self._drifted.labels(**ls)
-        self._b_latency = self._latency.labels(**ls)
-        self._b_cycles = self._cycles.labels(**ls)
         self._b_tuner_moves = {
             name: self._tuner_moves.labels(direction=name, **ls)
             for name in ("raise", "lower", "hold")
@@ -264,150 +281,109 @@ class Telemetry:
         return dict(self._labels)
 
     # ------------------------------------------------------------------ #
-    # Invocation scope (used by RumbaSystem.run_invocation)              #
+    # The record reader                                                  #
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def invocation(self, n_elements: int) -> Iterator["_InvocationScope"]:
-        """Scope one run through the loop; yields the phase clock."""
+    def observe(
+        self,
+        stages: Sequence[Tuple[str, float]],
+        facts: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        """Account one invocation from its stage chain and record facts.
+
+        ``stages`` is the record's ``(stage, time.monotonic())`` chain and
+        ``facts`` its :meth:`~repro.core.runtime.InvocationRecord.facts`
+        (or a serving worker's batch report, which carries them).
+        ``facts=None`` means the loop raised mid-invocation: the phases
+        that did finish are accounted and the ``invocation`` span is
+        still committed, flagged ``aborted`` so it is never mistaken for
+        a completed invocation — only completed invocations count.
+        """
+        wall = stages[-1][1] - stages[0][1]
+        self._b_latency.observe(wall)
+        self.history["latency_s"].append(wall)
+        timeline = []
+        for (stage, at), (_, seconds) in zip(stages, segments(stages)):
+            phase = _PHASE_OF_STAGE.get(stage)
+            if phase is None:
+                continue
+            children = self._b_phase.get(phase)
+            if children is None:
+                children = (
+                    self._phase_spans.labels(phase=phase, **self._labels),
+                    self._phase_seconds.labels(phase=phase, **self._labels),
+                )
+                self._b_phase[phase] = children
+            children[0].inc()
+            children[1].inc(seconds)
+            if self.tracer is not None:
+                names = (
+                    () if facts is None else _PHASE_ATTRIBUTES.get(phase, ())
+                )
+                timeline.append(
+                    (phase, at - seconds, at, {k: facts[k] for k in names})
+                )
+        if facts is None:
+            attributes = {"aborted": True}
+        else:
+            self._observe_facts(facts)
+            attributes = {k: facts[k] for k in _INVOCATION_ATTRIBUTES}
         if self.tracer is not None:
-            self.tracer.begin_invocation()
-        scope = _InvocationScope(self, n_elements)
-        start = time.perf_counter()
-        try:
-            yield scope
-        except BaseException:
-            scope._aborted = True
-            raise
-        finally:
-            wall = time.perf_counter() - start
-            scope._finish(wall)
+            timeline.append(
+                ("invocation", stages[0][1], stages[-1][1], attributes)
+            )
+            self.tracer.commit(timeline)
+
+    def _observe_facts(self, facts: Mapping[str, object]) -> None:
+        """The per-invocation metrics of one completed record."""
+        n = facts["n_elements"]
+        self._b_invocations.inc()
+        self._b_elements.inc(n)
+        self._b_checks.inc(n)
+        self._b_fires.inc(facts["n_fired"])
+        self._b_fire_rate.set(facts["fire_fraction"])
+        self._b_recovered.inc(facts["n_recovered"])
+        self._b_recovered_fraction.set(facts["fix_fraction"])
+        self.on_threshold(facts["threshold"], facts["tuner_move"])
+        # The runtime takes the recovery bits straight from detection
+        # (no per-invocation queue), so the queue series report what the
+        # drained path would have: all n entries in flight at the drain
+        # point, and a capacity >= n that never stalls.
+        self._b_queue_peak.set(n)
+        self._b_queue_capacity.set(facts["queue_capacity"])
+        kept_up = bool(facts["cpu_kept_up"])
+        self._b_cpu_kept_up.set(1.0 if kept_up else 0.0)
+        self._b_keepup["true" if kept_up else "false"].inc()
+        self._b_cpu_utilization.set(facts["cpu_utilization"])
+        self._b_cycles.observe(facts["makespan_cycles"])
+        history = self.history
+        history["fire_rate"].append(facts["fire_fraction"])
+        history["recovered_fraction"].append(facts["fix_fraction"])
+        history["threshold"].append(facts["threshold"])
+        history["cpu_utilization"].append(facts["cpu_utilization"])
+        history["queue_peak"].append(float(n))
+        measured = facts.get("measured_error")
+        if measured is not None:
+            self._b_measured_error.set(measured)
+            history["measured_error"].append(measured)
+        unchecked = facts.get("unchecked_error")
+        if unchecked is not None:
+            self._b_unchecked_error.set(unchecked)
 
     # ------------------------------------------------------------------ #
-    # Module hooks (DetectionModule / RecoveryModule / OnlineTuner /      #
-    # QualityManagedStream call these when telemetry is attached)        #
+    # Events outside an invocation                                       #
     # ------------------------------------------------------------------ #
-    def on_detection(self, n_checks: int, n_fired: int) -> None:
-        self._b_checks.inc(n_checks)
-        self._b_fires.inc(n_fired)
-        self._b_fire_rate.set(n_fired / n_checks if n_checks else 0.0)
-
-    def on_recovery(self, n_recovered: int, n_elements: int) -> None:
-        self._b_recovered.inc(n_recovered)
-        self._b_recovered_fraction.set(
-            n_recovered / n_elements if n_elements else 0.0
-        )
+    def on_tuner_move(self, direction: int) -> None:
+        """Count one threshold adjustment (+1 raise, -1 lower, 0 hold)."""
+        self._b_tuner_moves[_MOVE_NAMES.get(direction, "hold")].inc()
 
     def on_threshold(self, threshold: float, direction: int) -> None:
+        """Publish the threshold and count the move that produced it: each
+        invocation's tuner update, a backpressure step, or (direction 0)
+        the value a reader starts from."""
         self._b_threshold.set(threshold)
-        name = {1: "raise", -1: "lower"}.get(direction, "hold")
-        self._b_tuner_moves[name].inc()
-
-    def on_queue(self, peak: int, capacity: int, stalls: int) -> None:
-        self._b_queue_peak.set(peak)
-        self._b_queue_capacity.set(capacity)
-        if stalls:
-            self._b_queue_stalls.inc(stalls)
-        self.history["queue_peak"].append(float(peak))
+        self.on_tuner_move(direction)
 
     def on_drift(self, drifted_now: bool, awaiting_retraining: bool) -> None:
         if drifted_now:
             self._b_drift_flags.inc()
         self._b_drifted.set(1.0 if awaiting_retraining else 0.0)
-
-    def snapshot_gauge(self, name: str) -> float:
-        """Convenience: current value of one of this instance's series."""
-        metric = self.registry.get(name)
-        if metric is None:
-            raise KeyError(name)
-        return metric.labels(**self._labels).value
-
-
-class _InvocationScope:
-    """Phase clock + end-of-invocation metric recording for one run."""
-
-    def __init__(self, telemetry: Telemetry, n_elements: int):
-        self._tel = telemetry
-        self.n_elements = n_elements
-        self._aborted = False
-        self._phase_wall: Dict[str, float] = {}
-        self._spans: Dict[str, object] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time one phase of the loop (and emit a span when tracing)."""
-        tel = self._tel
-        if tel.tracer is not None:
-            with tel.tracer.span(name) as span:
-                self._spans[name] = span
-                yield
-            elapsed = span.duration
-        else:
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-        self._phase_wall[name] = self._phase_wall.get(name, 0.0) + elapsed
-        children = tel._b_phase.get(name)
-        if children is None:
-            children = (
-                tel._phase_spans.labels(phase=name, **tel._labels),
-                tel._phase_seconds.labels(phase=name, **tel._labels),
-            )
-            tel._b_phase[name] = children
-        children[0].inc()
-        children[1].inc(elapsed)
-
-    def annotate(self, phase: str, **attributes) -> None:
-        """Attach attributes to a phase's span (no-op without a tracer)."""
-        span = self._spans.get(phase)
-        if span is not None:
-            span.attributes.update(attributes)
-
-    def observe_record(self, record) -> None:
-        """Record the per-invocation metrics from a finished record."""
-        tel = self._tel
-        tel._b_invocations.inc()
-        tel._b_elements.inc(self.n_elements)
-        pipeline = record.pipeline
-        kept_up = bool(pipeline.cpu_kept_up)
-        tel._b_cpu_kept_up.set(1.0 if kept_up else 0.0)
-        tel._b_keepup["true" if kept_up else "false"].inc()
-        tel._b_cpu_utilization.set(pipeline.cpu_utilization)
-        tel._b_cycles.observe(pipeline.makespan)
-        if record.measured_error is not None:
-            tel._b_measured_error.set(record.measured_error)
-        if record.unchecked_error is not None:
-            tel._b_unchecked_error.set(record.unchecked_error)
-        history = tel.history
-        history["fire_rate"].append(record.detection.fire_fraction)
-        history["recovered_fraction"].append(record.recovery.recovered_fraction)
-        history["threshold"].append(record.detection.threshold)
-        history["cpu_utilization"].append(pipeline.cpu_utilization)
-        if record.measured_error is not None:
-            history["measured_error"].append(record.measured_error)
-        self._record = record
-
-    def _finish(self, wall_seconds: float) -> None:
-        tel = self._tel
-        tel._b_latency.observe(wall_seconds)
-        tel.history["latency_s"].append(wall_seconds)
-        record = getattr(self, "_record", None)
-        if tel.tracer is not None:
-            with tel.tracer.span("invocation", n_elements=self.n_elements) as span:
-                pass
-            span.start = span.end - wall_seconds
-            if self._aborted:
-                # The loop raised mid-invocation: the span is committed so
-                # the trace shows the attempt, but flagged so it is never
-                # mistaken for a completed invocation.
-                span.attributes["aborted"] = True
-            if record is not None:
-                span.attributes.update(
-                    makespan_cycles=float(record.pipeline.makespan),
-                    accel_cycles=float(record.pipeline.accel_finish),
-                    cpu_busy_cycles=float(record.pipeline.cpu_busy),
-                    n_recovered=int(record.recovery.n_recovered),
-                    n_fired=int(record.detection.n_fired),
-                )
-            tel.tracer.end_invocation()

@@ -18,11 +18,14 @@ causally linked.  This module is the linking layer:
 * :func:`new_trace_id` — process-unique, non-zero u64 ids (zero is the
   wire sentinel for "server, assign me one").
 
-Stamps from process workers arrive with explicit ``at`` readings taken
-in the worker.  ``CLOCK_MONOTONIC`` is system-wide per boot on Linux so
-those readings are directly comparable with the parent's; on platforms
-where that may not hold, remote stamps are applied with ``clamp=True``
-which keeps the event chain monotonic by construction.
+The runtime stamps the same ``(stage, instant)`` points on every
+invocation record (:attr:`repro.core.runtime.InvocationRecord.stages`);
+the serving core splices a worker's record chain into the request traces
+of the batch it served (:meth:`RequestTrace.splice`).  Readings taken in
+a worker process are directly comparable with the parent's —
+``CLOCK_MONOTONIC`` is system-wide per boot on Linux — and are clamped on
+the way in, which keeps the event chain monotonic by construction where
+that may not hold.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ import itertools
 import os
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "RequestTrace",
     "TracingPolicy",
     "new_trace_id",
+    "segments",
     "STAGES",
     "STAGE_ROUTER_RECV",
     "STAGE_ROUTER_FORWARD",
@@ -46,11 +50,15 @@ __all__ = [
     "STAGE_DISPATCH",
     "STAGE_SHM_WRITE",
     "STAGE_SHM_READ",
+    "STAGE_INVOKE",
     "STAGE_ROUTE",
     "STAGE_COMPUTE",
+    "STAGE_MEASURE",
     "STAGE_DETECT",
     "STAGE_RECOVERY_WAIT",
     "STAGE_RECOVER",
+    "STAGE_TUNE",
+    "STAGE_LEARN",
     "STAGE_COLLECT",
     "STAGE_RETRY",
     "STAGE_COMPLETE",
@@ -68,11 +76,15 @@ STAGE_DEQUEUE = "dequeue"              # a dispatcher took it out of the queue
 STAGE_DISPATCH = "dispatch"            # batch formed, about to hit a worker
 STAGE_SHM_WRITE = "shm_write"          # batch frame published on the in-ring
 STAGE_SHM_READ = "shm_read"            # worker popped the frame (worker clock)
+STAGE_INVOKE = "invoke"                # runtime entered begin_invocation
 STAGE_ROUTE = "route"                  # ensemble router picked per-row members
-STAGE_COMPUTE = "compute"              # accelerator half done (worker clock)
-STAGE_DETECT = "detect"                # detection half done
-STAGE_RECOVERY_WAIT = "recovery_wait"  # batch landed in the recovery backlog
-STAGE_RECOVER = "recover"              # CPU recovery + tuning finished
+STAGE_COMPUTE = "compute"              # accelerator produced the approx outputs
+STAGE_MEASURE = "measure"              # experimenter's exact reference computed
+STAGE_DETECT = "detect"                # checker scored, recovery bits set
+STAGE_RECOVERY_WAIT = "recovery_wait"  # batch popped from the recovery backlog
+STAGE_RECOVER = "recover"              # flagged rows re-executed and merged
+STAGE_TUNE = "tune"                    # pipeline/cost models run, tuner updated
+STAGE_LEARN = "learn"                  # ensemble router fed the recovery labels
 STAGE_COLLECT = "collect"              # parent read the worker's RESULT frame
 STAGE_RETRY = "retry"                  # re-dispatch scheduled after a fault
 STAGE_COMPLETE = "complete"            # handle resolved (result or error)
@@ -87,11 +99,15 @@ STAGES: Tuple[str, ...] = (
     STAGE_DISPATCH,
     STAGE_SHM_WRITE,
     STAGE_SHM_READ,
+    STAGE_INVOKE,
     STAGE_ROUTE,
     STAGE_COMPUTE,
+    STAGE_MEASURE,
     STAGE_DETECT,
     STAGE_RECOVERY_WAIT,
     STAGE_RECOVER,
+    STAGE_TUNE,
+    STAGE_LEARN,
     STAGE_COLLECT,
     STAGE_RETRY,
     STAGE_COMPLETE,
@@ -112,6 +128,26 @@ def new_trace_id() -> int:
     n = next(_id_counter)
     trace_id = (_id_base + n * _ID_STEP) & _ID_MASK
     return trace_id or 1
+
+
+def segments(
+    events: Iterable[Sequence[object]],
+) -> List[Tuple[str, float]]:
+    """Waterfall segments: each stage's delta from the previous stamp.
+
+    ``events`` is any chain of ``(stage, instant)`` points — a request
+    trace's events, an invocation record's ``stages``, a flight record's
+    ``[stage, offset]`` pairs.  The first event anchors the waterfall
+    and gets a zero-width segment, so segment durations sum to the time
+    from the first stamp to the last.
+    """
+    out: List[Tuple[str, float]] = []
+    previous: Optional[float] = None
+    for stage, at in events:
+        at = float(at)
+        out.append((str(stage), 0.0 if previous is None else at - previous))
+        previous = at
+    return out
 
 
 class RequestTrace:
@@ -153,6 +189,31 @@ class RequestTrace:
             self._events.append((stage, t))
         return t
 
+    def splice(self, chain: Sequence[Tuple[str, float]]) -> None:
+        """Insert a worker's stage chain where it happened.
+
+        The chain lands before any stamp the parent took after the chain
+        ended (``collect``: the transport reads the result before the
+        core sees the chain), and every reading from there on is clamped
+        like :meth:`stamp` with ``clamp=True`` — a worker that popped its
+        frame before the dispatcher got to stamp ``shm_write`` is pinned
+        to it rather than reordering the hops.
+        """
+        if not chain:
+            return
+        ended_at = float(chain[-1][1])
+        with self._lock:
+            events = self._events
+            cut = len(events)
+            while cut and events[cut - 1][1] >= ended_at:
+                cut -= 1
+            later = events[cut:]
+            del events[cut:]
+            floor = events[-1][1] if events else float(chain[0][1])
+            for stage, at in (*chain, *later):
+                floor = max(floor, float(at))
+                events.append((stage, floor))
+
     def mark_sampled(self) -> None:
         """Promote this trace to sampled (errors/retries are always kept)."""
         self.sampled = True
@@ -167,20 +228,6 @@ class RequestTrace:
 
     def stage_names(self) -> List[str]:
         return [stage for stage, _ in self.events()]
-
-    def segments(self) -> List[Tuple[str, float]]:
-        """Waterfall segments: each stage's delta from the previous stamp.
-
-        The first event anchors the waterfall and gets a zero-width
-        segment; segment durations therefore sum to :meth:`duration`.
-        """
-        events = self.events()
-        out: List[Tuple[str, float]] = []
-        previous: Optional[float] = None
-        for stage, t in events:
-            out.append((stage, 0.0 if previous is None else t - previous))
-            previous = t
-        return out
 
     def duration(self) -> float:
         """Seconds from the first stamp to the last (0 with <2 events)."""

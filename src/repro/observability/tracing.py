@@ -1,11 +1,12 @@
-"""Per-invocation tracing of the online loop.
+"""Per-invocation spans of the online loop.
 
 One accelerator invocation produces one *invocation span* plus one child
-span per phase (``accelerate``, ``detect``, ``recover``, ``tune``).  Spans
-carry wall-clock timing and whatever attributes the instrumentation
-attaches — element counts, fire counts, and the pipeline model's cycle
-quantities, so a trace ties the *observed* wall time to the *modelled*
-hardware time of the same invocation.
+span per phase (``accelerate``, ``detect``, ``recover``, ``tune``), cut by
+:meth:`repro.observability.Telemetry.observe` from the stage chain the
+runtime stamped on the invocation record.  Spans carry the timing and
+whatever attributes the record supplies — element counts, fire counts,
+and the pipeline model's cycle quantities, so a trace ties the *observed*
+wall time to the *modelled* hardware time of the same invocation.
 
 Spans buffer inside the :class:`Tracer` (a bounded deque — a long-running
 stream cannot leak) and can be mirrored to a :class:`JsonlSpanExporter`,
@@ -17,10 +18,19 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, TextIO, Union
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
 
@@ -33,13 +43,12 @@ AttrValue = Union[float, int, str, bool]
 class Span:
     """One timed operation within one invocation.
 
-    ``start`` / ``end`` are ``time.perf_counter()`` readings (relative,
-    monotonic); ``monotonic_time`` is a ``time.monotonic()`` reading taken
-    at span start — the *authoritative* timestamp, comparable with every
-    other monotonic stamp the serving layer records.  ``wall_time`` is
-    the epoch second the span began, kept **for display only** (exported
-    as ``wall_time_display``): wall clocks step under NTP and must never
-    be used for ordering or duration arithmetic.
+    ``start`` / ``end`` and ``monotonic_time`` (the span's start) are
+    ``time.monotonic()`` readings — the *authoritative* timestamps,
+    comparable with every other stamp the serving layer records.
+    ``wall_time`` is the epoch second the span began, kept **for display
+    only** (exported as ``wall_time_display``): wall clocks step under
+    NTP and must never be used for ordering or duration arithmetic.
     """
 
     name: str
@@ -67,11 +76,11 @@ class Span:
 
 
 class Tracer:
-    """Produces and buffers spans; optionally streams them to an exporter.
+    """Buffers committed spans; optionally streams them to an exporter.
 
     ``max_spans`` bounds the in-memory buffer (oldest spans fall off);
-    exported spans are written before they can be evicted because the
-    runtime flushes at the end of every invocation.
+    exported spans are written as they are committed, before they can be
+    evicted.
     """
 
     def __init__(
@@ -84,43 +93,34 @@ class Tracer:
         self.spans: Deque[Span] = deque(maxlen=max_spans)
         self.exporter = exporter
         self._invocation = -1
-        self._pending: List[Span] = []
 
-    @property
-    def current_invocation(self) -> int:
-        return self._invocation
+    def commit(
+        self,
+        timeline: Iterable[Tuple[str, float, float, Mapping[str, AttrValue]]],
+    ) -> List[Span]:
+        """Commit one finished invocation's spans (buffer + export).
 
-    def begin_invocation(self) -> int:
-        """Start a new invocation scope; returns its id."""
+        ``timeline`` holds ``(name, start, end, attributes)`` entries on
+        the ``time.monotonic()`` axis, in completion order; the call is
+        one invocation and numbers its spans with the next invocation id.
+        """
         self._invocation += 1
-        return self._invocation
-
-    @contextmanager
-    def span(
-        self, name: str, invocation: Optional[int] = None, **attributes: AttrValue
-    ) -> Iterator[Span]:
-        """Time a block as one span; attributes can be added on the yielded
-        span until the invocation is flushed."""
-        span = Span(
-            name=name,
-            invocation=self._invocation if invocation is None else invocation,
-            start=time.perf_counter(),
-            # Monotonic is authoritative (orders against every serving
-            # stamp); the wall reading is a display-only correlation aid.
-            monotonic_time=time.monotonic(),
-            wall_time=time.time(),
-            attributes=dict(attributes),
-        )
-        try:
-            yield span
-        finally:
-            span.end = time.perf_counter()
-            self._pending.append(span)
-
-    def end_invocation(self) -> List[Span]:
-        """Commit the invocation's pending spans (export + buffer)."""
-        committed = self._pending
-        self._pending = []
+        # Monotonic is authoritative (orders against every serving
+        # stamp); the wall reading is a display-only correlation aid,
+        # derived from one pair of clock reads per invocation.
+        wall_offset = time.time() - time.monotonic()
+        committed = [
+            Span(
+                name=name,
+                invocation=self._invocation,
+                start=start,
+                end=end,
+                wall_time=start + wall_offset,
+                monotonic_time=start,
+                attributes=dict(attributes),
+            )
+            for name, start, end, attributes in timeline
+        ]
         for span in committed:
             self.spans.append(span)
             if self.exporter is not None:

@@ -83,8 +83,6 @@ class BackpressureConfig:
     low_watermark: Optional[int] = None
     #: Multiplicative threshold step per degradation level.
     degrade_factor: float = 1.5
-    #: Max degradation steps the controller may stack.
-    max_degradation: int = 8
 
     def __post_init__(self) -> None:
         if self.recovery_backlog_capacity < 1:
@@ -93,8 +91,6 @@ class BackpressureConfig:
             )
         if self.degrade_factor <= 1.0:
             raise ConfigurationError("degrade_factor must be > 1")
-        if self.max_degradation < 1:
-            raise ConfigurationError("max_degradation must be >= 1")
         high, low = self.resolved_watermarks()
         if high <= low:
             raise ConfigurationError(
@@ -168,24 +164,10 @@ class TracingConfig:
     always_sample_errors: bool = True
     #: Flight-recorder path (None = no flight log, histograms only).
     flight_log_path: Optional[str] = None
-    #: Size cap per flight-log generation (rotate-once, so ~2x on disk).
-    flight_log_max_bytes: int = 16 << 20
-    #: Completed requests at/above this latency become slow exemplars.
-    slow_threshold_s: float = 0.1
-    #: Top-k slow exemplars kept in ``RumbaServer.stats()``.
-    max_exemplars: int = 8
 
     def __post_init__(self) -> None:
         if self.sample_every < 1:
             raise ConfigurationError("sample_every must be >= 1")
-        if self.flight_log_max_bytes < 4096:
-            raise ConfigurationError(
-                "flight_log_max_bytes must be at least 4096"
-            )
-        if self.slow_threshold_s < 0:
-            raise ConfigurationError("slow_threshold_s must be >= 0")
-        if self.max_exemplars < 0:
-            raise ConfigurationError("max_exemplars must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -203,8 +185,6 @@ class JournalConfig:
     path: Optional[str] = None
     #: Size cap per journal generation (rotate-once, so ~2x on disk).
     max_bytes: int = 64 << 20
-    #: Also journal requests that complete with a typed error.
-    record_errors: bool = True
 
     def __post_init__(self) -> None:
         if self.max_bytes < 4096:
@@ -399,7 +379,6 @@ class ServerConfig:
         "high_watermark": ("backpressure", "high_watermark"),
         "low_watermark": ("backpressure", "low_watermark"),
         "degrade_factor": ("backpressure", "degrade_factor"),
-        "max_degradation": ("backpressure", "max_degradation"),
         "max_retries": ("retry", "max_retries"),
         "default_deadline_s": ("retry", "default_deadline_s"),
         "retry_backoff_s": ("retry", "retry_backoff_s"),
@@ -409,12 +388,8 @@ class ServerConfig:
         "trace_sample_every": ("tracing", "sample_every"),
         "trace_always_sample_errors": ("tracing", "always_sample_errors"),
         "flight_log_path": ("tracing", "flight_log_path"),
-        "flight_log_max_bytes": ("tracing", "flight_log_max_bytes"),
-        "trace_slow_threshold_s": ("tracing", "slow_threshold_s"),
-        "trace_max_exemplars": ("tracing", "max_exemplars"),
         "journal_path": ("journal", "path"),
         "journal_max_bytes": ("journal", "max_bytes"),
-        "journal_record_errors": ("journal", "record_errors"),
         "ensemble_enabled": ("ensemble", "enabled"),
         "ensemble_members": ("ensemble", "members"),
         "ensemble_router": ("ensemble", "router"),

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
+from repro.observability.reqtrace import STAGE_SHM_READ
 from repro.serving.journal import pack_bits
 from repro.serving.shm import (
     FRAME_BATCH,
@@ -58,12 +59,15 @@ _FACTOR_FMT = "<d"
 def worker_snapshot(
     system, record=None, include_bits: bool = False
 ) -> Dict[str, float]:
-    """The per-batch metrics snapshot a worker ships with each result.
+    """The per-batch report a worker ships with each result.
 
     Cumulative counters (not deltas), so the parent's view is correct
-    even if a frame's snapshot is observed late.  With ``include_bits``
-    the batch's per-element decision bits ride along as packed bytes —
-    the request journal needs them, and shipping them only when a journal
+    even if a frame's report is observed late, plus — given the batch's
+    ``record`` — its :meth:`~repro.core.runtime.InvocationRecord.facts`
+    and stage chain, which is everything the core's per-worker telemetry
+    and the batch's request traces read.  With ``include_bits`` the
+    batch's per-element decision bits ride along as packed bytes — the
+    request journal needs them, and shipping them only when a journal
     is attached keeps the default RESULT frame small.
     """
     snap = {
@@ -75,12 +79,8 @@ def worker_snapshot(
         "total_recoveries": int(system.recovery.total_recoveries),
     }
     if record is not None:
-        snap["fire_fraction"] = float(record.detection.fire_fraction)
-        snap["fix_fraction"] = float(record.fix_fraction)
-        if record.measured_error is not None:
-            snap["measured_error"] = float(record.measured_error)
-        if record.unchecked_error is not None:
-            snap["unchecked_error"] = float(record.unchecked_error)
+        snap.update(record.facts())
+        snap["stages"] = record.stages
         if include_bits:
             snap["decision_bits"], snap["decision_nbits"] = pack_bits(
                 record.detection.recovery_bits
@@ -162,11 +162,13 @@ def _worker_main(
                 snapshot = worker_snapshot(
                     system, record, include_bits=ship_decision_bits
                 )
-                # Stage stamps for request tracing: CLOCK_MONOTONIC is
-                # system-wide per boot on Linux, so the parent can place
-                # these readings on its own timeline (clamped on apply).
-                snapshot["shm_read_at"] = read_at
-                snapshot["compute_done_at"] = time.monotonic()
+                # This side's own hop opens the record's chain:
+                # CLOCK_MONOTONIC is system-wide per boot on Linux, so
+                # the parent can place these readings on its own
+                # timeline (clamped on the way in).
+                snapshot["stages"] = [
+                    (STAGE_SHM_READ, read_at), *record.stages
+                ]
                 extra = pickle.dumps(snapshot)
                 _write_blocking(
                     out_ring, FRAME_RESULT, frame.seq, record.outputs, extra,

@@ -25,10 +25,12 @@ re-executing flagged iterations of its previous ones.  The
 trades quality for stability when recovery falls behind; the bounded
 admission queue sheds load past that.
 
-Everything is observable: thread shards attach a per-worker
-:class:`~repro.observability.Telemetry` (``worker=w<i>`` label) to the
-server's metrics registry, and the server adds service-level series
-(``rumba_serve_*``).  :meth:`RumbaServer.stats` is the health endpoint.
+Everything is observable: the core keeps one per-worker
+:class:`~repro.observability.Telemetry` (``worker=<name>`` label) on the
+server's metrics registry and feeds it each batch's report, so thread
+and process workers export the same loop series; the server adds the
+service-level ones (``rumba_serve_*``).  :meth:`RumbaServer.stats` is
+the health endpoint.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from repro.observability.reqtrace import (
     STAGE_DISPATCH,
     STAGE_RETRY,
     TracingPolicy,
+    segments,
 )
 from repro.serving.backpressure import BackpressureController
 from repro.serving.batching import AdmissionQueue, split_outputs
@@ -83,10 +86,16 @@ from repro.serving.transport import (
 
 __all__ = ["RumbaServer", "WorkerShard"]
 
+#: Completed requests at/above this latency become slow exemplars ...
+_SLOW_THRESHOLD_S = 0.1
+#: ... of which ``RumbaServer.stats()`` keeps the slowest few.
+_MAX_EXEMPLARS = 8
+
 
 @dataclass
 class WorkerShard:
-    """The core's view of one worker: load counters and a drift watch.
+    """The core's view of one worker: load counters, a drift watch and
+    the telemetry its batch reports are read into.
 
     ``system`` is the worker's shard when it lives in this process (the
     thread transport); a process worker's system is in another address
@@ -96,6 +105,7 @@ class WorkerShard:
     name: str
     system: Optional[RumbaSystem] = None
     drift: DriftDetector = field(default_factory=DriftDetector)
+    telemetry: Optional[Telemetry] = None
     drift_flags: int = 0
     batches: int = 0
     elements: int = 0
@@ -109,9 +119,8 @@ class WorkerShard:
         drifted_now = self.drift.observe(fire_fraction)
         if drifted_now:
             self.drift_flags += 1
-        telemetry = getattr(self.system, "telemetry", None)
-        if telemetry is not None:
-            telemetry.on_drift(drifted_now, self.drifted)
+        if self.telemetry is not None:
+            self.telemetry.on_drift(drifted_now, self.drifted)
         return drifted_now
 
 
@@ -223,8 +232,7 @@ class RumbaServer:
         self.flight_recorder = None
         if config.tracing.enabled and config.tracing.flight_log_path:
             self.flight_recorder = FlightRecorder(
-                config.tracing.flight_log_path,
-                max_bytes=config.tracing.flight_log_max_bytes,
+                config.tracing.flight_log_path
             )
         self._slow_lock = threading.Lock()
         self._slow_exemplars: List[Dict[str, object]] = []
@@ -260,14 +268,7 @@ class RumbaServer:
             )
         else:
             self._transport = ThreadTransport(
-                config,
-                telemetry=lambda name: Telemetry(
-                    registry=self.registry,
-                    extra_labels={"worker": name},
-                    **self._labels,
-                ),
-                bufpool=self._bufpool,
-                **core,
+                config, bufpool=self._bufpool, **core
             )
 
     # ------------------------------------------------------------------ #
@@ -409,10 +410,19 @@ class RumbaServer:
                 self.app_name, scheme=self.scheme,
                 seed=self.config.seed, ensemble=ensemble_spec,
             )
-        self.shards = [
-            WorkerShard(name=name, system=system, drift=self._drift_factory())
-            for name, system in self._transport.prepare(self._prototype)
-        ]
+        self.shards = []
+        for name, system in self._transport.prepare(self._prototype):
+            telemetry = Telemetry(
+                registry=self.registry,
+                extra_labels={"worker": name},
+                **self._labels,
+            )
+            # Publish the starting threshold, as attaching to a system does.
+            telemetry.on_threshold(self._prototype.tuner.threshold, 0)
+            self.shards.append(WorkerShard(
+                name=name, system=system, drift=self._drift_factory(),
+                telemetry=telemetry,
+            ))
         self._shard_by_name = {shard.name: shard for shard in self.shards}
         bp = self.config.backpressure
         high, low = bp.resolved_watermarks()
@@ -421,7 +431,6 @@ class RumbaServer:
             high_watermark=high,
             low_watermark=low,
             factor=bp.degrade_factor,
-            max_level=bp.max_degradation,
         )
         self._state = "ready"
         return self
@@ -675,8 +684,12 @@ class RumbaServer:
         """Export the transport's backlog and feed the controller."""
         backlog = self._transport.backlog()
         self._g_backlog.set(backlog)
-        if self.controller.update(backlog) != 0:
+        step = self.controller.update(backlog)
+        if step != 0:
             self._g_degradation.set(self.controller.level)
+            # Every worker's tuner just took the step.
+            for shard in self.shards:
+                shard.telemetry.on_tuner_move(step)
 
     def _on_complete(
         self,
@@ -688,10 +701,18 @@ class RumbaServer:
         """A worker finished ``batch``: account, journal, resolve handles.
 
         ``report`` is :func:`repro.serving.procpool.worker_snapshot` of
-        the worker's system and the batch's invocation record.
+        the worker's system and the batch's invocation record; its stage
+        chain is the worker's side of every sampled request's waterfall
+        and, with the record facts beside it, what the worker's loop
+        series are derived from — the same on either transport.
         """
         requests = batch.requests
         shard = self._shard_by_name[worker]
+        stages = report.get("stages")
+        if stages:
+            for trace in batch.traced:
+                trace.splice(stages)
+            shard.telemetry.observe(stages, report)
         with self._shard_lock:  # recovery threads complete concurrently
             shard.batches += 1
             shard.elements += sum(r.n_elements for r in requests)
@@ -917,8 +938,6 @@ class RumbaServer:
         errors are swallowed like the flight recorder's.
         """
         failed = facts["error"] is not None
-        if failed and not self.config.journal.record_errors:
-            return
         fields, bits = layout if layout is not None else ({}, None)
         header = {
             key: facts[key]
@@ -1051,9 +1070,9 @@ class RumbaServer:
         """Export one sampled trace: stage histograms, flight record,
         and the slow-request exemplar list.  Tracing must never fail a
         request, so recorder I/O errors are swallowed."""
-        for stage, duration in trace.segments():
-            self.observe_stage(stage, duration)
         events = trace.events()
+        for stage, duration in segments(events):
+            self.observe_stage(stage, duration)
         t0 = events[0][1] if events else 0.0
         document = dict(
             facts,
@@ -1068,13 +1087,9 @@ class RumbaServer:
                 self.flight_recorder.record(document)
             except OSError:  # pragma: no cover - disk full / fs races
                 pass
-        cfg = self.config.tracing
         with self._slow_lock:
             self._traced_total += 1
-            if (
-                cfg.max_exemplars > 0
-                and facts["latency_s"] >= cfg.slow_threshold_s
-            ):
+            if facts["latency_s"] >= _SLOW_THRESHOLD_S:
                 self._slow_exemplars.append({
                     key: document[key]
                     for key in ("request_id", "trace_id", "latency_s",
@@ -1084,7 +1099,7 @@ class RumbaServer:
                 self._slow_exemplars.sort(
                     key=lambda e: e["latency_s"], reverse=True
                 )
-                del self._slow_exemplars[cfg.max_exemplars:]
+                del self._slow_exemplars[_MAX_EXEMPLARS:]
 
     # ------------------------------------------------------------------ #
     # Health / stats                                                     #
@@ -1134,7 +1149,7 @@ class RumbaServer:
                 self.flight_recorder.written
                 if self.flight_recorder is not None else 0
             ),
-            "slow_threshold_s": self.config.tracing.slow_threshold_s,
+            "slow_threshold_s": _SLOW_THRESHOLD_S,
         }
         journal_summary = None
         if self.journal is not None:

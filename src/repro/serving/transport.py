@@ -20,8 +20,10 @@ pair given at construction: ``on_complete(batch, worker, outputs,
 report)`` or ``on_failure(batch, error, worker)``, where ``report`` is
 :func:`repro.serving.procpool.worker_snapshot` on both transports.  A
 transport releases whatever the batch borrowed (leases, ring frames,
-pending entries) before reporting and stamps only its own stages; only
-the core resolves handles.  ``docs/serving.md`` has the full contract.
+pending entries) before reporting and stamps only its own hops — the
+runtime stamps the invocation's phases on the record, and the report
+ships that chain to the core; only the core resolves handles.
+``docs/serving.md`` has the full contract.
 """
 
 from __future__ import annotations
@@ -40,12 +42,7 @@ from repro.errors import ConfigurationError, ServingError, WorkerCrashError
 from repro.hardware.queues import FifoQueue
 from repro.observability.reqtrace import (
     STAGE_COLLECT,
-    STAGE_COMPUTE,
-    STAGE_DETECT,
-    STAGE_RECOVER,
     STAGE_RECOVERY_WAIT,
-    STAGE_ROUTE,
-    STAGE_SHM_READ,
     STAGE_SHM_WRITE,
 )
 from repro.serving.batching import concat_inputs
@@ -189,9 +186,8 @@ class ThreadTransport(WorkerTransport):
     backstop that stalls the producer.
     """
 
-    def __init__(self, config, *, telemetry, bufpool, **core):
+    def __init__(self, config, *, bufpool, **core):
         super().__init__(config, **core)
-        self._telemetry = telemetry  # worker name -> per-shard Telemetry
         self._bufpool = bufpool
         self._shards: List[Tuple[str, RumbaSystem]] = []
         self.recovery_backlog: FifoQueue[_RecoveryTask] = FifoQueue(
@@ -206,10 +202,7 @@ class ThreadTransport(WorkerTransport):
             name = f"w{i}"
             # Nothing in serving reads ``system.records``; the window
             # keeps a long-lived shard from retaining every invocation.
-            system = prototype.clone_shard(
-                telemetry=self._telemetry(name),
-                max_records=SHARD_RECORD_WINDOW,
-            )
+            system = prototype.clone_shard(max_records=SHARD_RECORD_WINDOW)
             self._shards.append((name, system))
         return list(self._shards)
 
@@ -257,17 +250,6 @@ class ThreadTransport(WorkerTransport):
             if lease is not None:
                 self._bufpool.release(lease)
             raise
-        # ``begin_invocation`` runs the ensemble router (when one is
-        # configured), the approximate kernel, and the error detector
-        # back to back, so the stages land on one instant: the compute
-        # segment carries the combined cost and route/detect are
-        # boundary markers.
-        if batch.traced:
-            computed_at = time.monotonic()
-            if system.ensemble is not None:
-                stamp_batch(batch.traced, STAGE_ROUTE, at=computed_at)
-            stamp_batch(batch.traced, STAGE_COMPUTE, at=computed_at)
-            stamp_batch(batch.traced, STAGE_DETECT, at=computed_at)
         task = _RecoveryTask(worker, system, batch, pending, lease)
         with self._rcond:
             queued = self.recovery_backlog.try_push(task)
@@ -290,8 +272,11 @@ class ThreadTransport(WorkerTransport):
 
     def _complete(self, task: _RecoveryTask) -> None:
         # Popped off the recovery backlog: the gap back to ``detect`` is
-        # the time the batch sat waiting for a recovery worker.
-        stamp_batch(task.batch.traced, STAGE_RECOVERY_WAIT)
+        # the time the batch sat waiting for a recovery worker.  This
+        # side's own hop, so it goes on the invocation's chain — between
+        # the runtime's ``detect`` and ``recover`` points, which keeps
+        # the wait out of the recover phase's segment.
+        task.pending.stages.append((STAGE_RECOVERY_WAIT, time.monotonic()))
         try:
             record = task.system.complete_invocation(task.pending)
         except Exception as exc:
@@ -306,7 +291,6 @@ class ThreadTransport(WorkerTransport):
             # (recovery re-executes flagged rows from it) and nothing in
             # the record aliases it, so the arena can recycle now.
             self._bufpool.release(task.lease)
-        stamp_batch(task.batch.traced, STAGE_RECOVER)
         report = worker_snapshot(
             task.system, record, include_bits=self._include_bits
         )
@@ -465,20 +449,7 @@ class ProcessTransport(WorkerTransport):
             return
         report = pickle.loads(frame.extra)
         worker.snapshot = report
-        # The worker stamped its side of the shm hop with the shared
-        # system monotonic clock; ``clamp`` guards against the small
-        # cross-process skew that would otherwise break stage order.
-        if batch.traced:
-            collected_at = time.monotonic()
-            for trace in batch.traced:
-                for stage, key in (
-                    (STAGE_SHM_READ, "shm_read_at"),
-                    (STAGE_COMPUTE, "compute_done_at"),
-                ):
-                    at = report.get(key)
-                    if at is not None:
-                        trace.stamp(stage, at=float(at), clamp=True)
-                trace.stamp(STAGE_COLLECT, at=collected_at, clamp=True)
+        stamp_batch(batch.traced, STAGE_COLLECT)
         self._on_complete(batch, worker.name, frame.payload, report)
 
     def _reap(self, worker: ProcessWorker) -> None:

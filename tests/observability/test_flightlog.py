@@ -16,8 +16,8 @@ from repro.observability.flightlog import (
     iter_flight_records,
     percentile,
     read_flight_log,
-    stage_segments,
 )
+from repro.observability.reqtrace import segments
 
 
 def _record(request_id=1, trace_id=0xAB, latency=0.010, stages=None,
@@ -131,10 +131,10 @@ class TestRecorder:
 
 class TestAnalysis:
     def test_stage_segments_are_deltas(self):
-        segments = stage_segments(_record(stages=[
+        record = _record(stages=[
             ["admit", 0.0], ["dequeue", 0.004], ["complete", 0.010],
-        ]))
-        assert segments == [
+        ])
+        assert segments(record["stages"]) == [
             ("admit", 0.0),
             ("dequeue", pytest.approx(0.004)),
             ("complete", pytest.approx(0.006)),

@@ -185,6 +185,23 @@ class TestConcurrentReads:
                 t.join()
 
 
+def _invocation(n_elements, n_fired):
+    """``(stages, facts)`` of one finished invocation, as the runtime
+    hands them to ``Telemetry.observe``."""
+    stages = [("invoke", 1.0), ("compute", 2.0), ("detect", 3.0),
+              ("recover", 4.0), ("tune", 5.0)]
+    facts = {
+        "n_elements": n_elements, "n_fired": n_fired, "n_recovered": n_fired,
+        "fire_fraction": n_fired / n_elements,
+        "fix_fraction": n_fired / n_elements,
+        "threshold": 0.1, "tuner_move": 0, "queue_capacity": n_elements,
+        "cpu_kept_up": True, "cpu_utilization": 0.5,
+        "makespan_cycles": 1000.0, "accel_cycles": 800.0,
+        "cpu_busy_cycles": 500.0,
+    }
+    return stages, facts
+
+
 class TestTelemetryExtraLabels:
     def test_worker_label_produces_separate_series(self):
         from repro.observability import Telemetry
@@ -193,7 +210,7 @@ class TestTelemetryExtraLabels:
         for worker in ("w0", "w1"):
             tel = Telemetry(app="fft", scheme="treeErrors", registry=registry,
                             extra_labels={"worker": worker})
-            tel.on_detection(n_checks=100, n_fired=10)
+            tel.observe(*_invocation(n_elements=100, n_fired=10))
         family = registry.get("rumba_checks_total")
         series = {labels["worker"]: child.value
                   for labels, child in family.series()}
@@ -215,7 +232,7 @@ class TestTelemetryExtraLabels:
 
         registry = MetricsRegistry()
         tel = Telemetry(app="fft", scheme="treeErrors", registry=registry)
-        tel.on_detection(n_checks=10, n_fired=1)
+        tel.observe(*_invocation(n_elements=10, n_fired=1))
         family = registry.get("rumba_checks_total")
         (labels, _), = family.series()
         assert set(labels) == {"app", "scheme"}

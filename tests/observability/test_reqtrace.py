@@ -9,6 +9,7 @@ from repro.observability.reqtrace import (
     RequestTrace,
     TracingPolicy,
     new_trace_id,
+    segments,
 )
 from repro.serving import TracingConfig
 
@@ -42,9 +43,9 @@ class TestRequestTrace:
         trace = RequestTrace()
         for i, stage in enumerate(("admit", "dequeue", "compute", "complete")):
             trace.stamp(stage, at=float(i) * 0.25)
-        segments = trace.segments()
-        assert segments[0] == ("admit", 0.0)  # first event anchors at zero
-        assert sum(d for _, d in segments) == pytest.approx(trace.duration())
+        deltas = segments(trace.events())
+        assert deltas[0] == ("admit", 0.0)  # first event anchors at zero
+        assert sum(d for _, d in deltas) == pytest.approx(trace.duration())
         assert trace.duration() == pytest.approx(0.75)
 
     def test_clamp_pins_remote_stamps_to_monotonic(self):
@@ -53,6 +54,32 @@ class TestRequestTrace:
         recorded = trace.stamp("shm_read", at=9.0, clamp=True)
         assert recorded == 10.0
         assert trace.is_monotonic()
+
+    def test_splice_lands_a_worker_chain_where_it_happened(self):
+        """A worker's record chain goes in before the stamps the parent
+        took after it ended (collect), and a worker that read its frame
+        before the dispatcher stamped shm_write is pinned to that stamp,
+        not reordered in front of it."""
+        trace = RequestTrace()
+        for stage, at in (("admit", 1.0), ("dispatch", 2.0),
+                          ("shm_write", 2.5), ("collect", 6.0)):
+            trace.stamp(stage, at=at)
+        trace.splice([("shm_read", 2.25), ("invoke", 2.6), ("compute", 3.0),
+                      ("detect", 4.0), ("recover", 5.0), ("tune", 5.5)])
+        assert trace.events() == [
+            ("admit", 1.0), ("dispatch", 2.0), ("shm_write", 2.5),
+            ("shm_read", 2.5), ("invoke", 2.6), ("compute", 3.0),
+            ("detect", 4.0), ("recover", 5.0), ("tune", 5.5),
+            ("collect", 6.0),
+        ]
+        assert trace.is_monotonic()
+
+    def test_splice_appends_when_nothing_was_stamped_since(self):
+        trace = RequestTrace()
+        trace.stamp("dispatch", at=1.0)
+        trace.splice([("invoke", 1.5), ("compute", 2.0)])
+        trace.splice([])
+        assert trace.stage_names() == ["dispatch", "invoke", "compute"]
 
     def test_unclamped_backwards_stamp_is_detectable(self):
         trace = RequestTrace()

@@ -1,4 +1,8 @@
-"""Tracer span ordering, attributes and the JSONL exporter."""
+"""Tracer span ordering, attributes and the JSONL exporter.
+
+The tracer is fed finished timelines (``Telemetry.observe`` cuts them
+from invocation records); ``tests/observability/test_integration.py``
+covers that path end to end."""
 
 import io
 import json
@@ -24,14 +28,23 @@ class TestSpan:
         assert loaded["attributes"] == {"n": 7}
 
 
+def _chain(*names, t0=100.0, step=0.25):
+    """One invocation's timeline, as ``Tracer.commit`` takes it: spans
+    laid end to end on the monotonic axis, in completion order."""
+    return [
+        (name, t0 + i * step, t0 + (i + 1) * step, {})
+        for i, name in enumerate(names)
+    ]
+
+
 class TestTracer:
     def test_spans_commit_in_completion_order(self):
         tracer = Tracer()
-        tracer.begin_invocation()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        tracer.end_invocation()
+        # An inner span finishes before the outer one that contains it.
+        tracer.commit([
+            ("inner", 1.0, 2.0, {}),
+            ("outer", 0.5, 3.0, {}),
+        ])
         names = [s.name for s in tracer.spans]
         assert names == ["inner", "outer"]  # inner finishes first
         inner, outer = tracer.spans
@@ -40,11 +53,7 @@ class TestTracer:
 
     def test_phase_order_preserved_within_invocation(self):
         tracer = Tracer()
-        tracer.begin_invocation()
-        for phase in ("accelerate", "detect", "recover", "tune"):
-            with tracer.span(phase):
-                pass
-        tracer.end_invocation()
+        tracer.commit(_chain("accelerate", "detect", "recover", "tune"))
         spans = tracer.spans_for(0)
         assert [s.name for s in spans] == [
             "accelerate", "detect", "recover", "tune"
@@ -54,41 +63,20 @@ class TestTracer:
 
     def test_invocation_ids_are_monotonic(self):
         tracer = Tracer()
-        assert tracer.begin_invocation() == 0
-        assert tracer.begin_invocation() == 1
-        with tracer.span("x"):
-            pass
-        tracer.end_invocation()
-        assert tracer.spans[0].invocation == 1
-
-    def test_pending_spans_invisible_until_invocation_ends(self):
-        tracer = Tracer()
-        tracer.begin_invocation()
-        with tracer.span("x"):
-            pass
-        assert len(tracer.spans) == 0
-        committed = tracer.end_invocation()
-        assert len(committed) == 1
-        assert len(tracer.spans) == 1
+        (first,) = tracer.commit(_chain("x"))
+        (second,) = tracer.commit(_chain("x"))
+        assert (first.invocation, second.invocation) == (0, 1)
+        assert [s.invocation for s in tracer.spans] == [0, 1]
+        assert tracer.spans_for(1) == [second]
 
     def test_buffer_is_bounded(self):
         tracer = Tracer(max_spans=3)
-        tracer.begin_invocation()
-        for i in range(5):
-            with tracer.span(f"s{i}"):
-                pass
-        tracer.end_invocation()
+        tracer.commit(_chain(*(f"s{i}" for i in range(5))))
         assert [s.name for s in tracer.spans] == ["s2", "s3", "s4"]
 
     def test_span_counts(self):
         tracer = Tracer()
-        tracer.begin_invocation()
-        for _ in range(3):
-            with tracer.span("detect"):
-                pass
-        with tracer.span("tune"):
-            pass
-        tracer.end_invocation()
+        tracer.commit(_chain("detect", "detect", "detect", "tune"))
         assert tracer.span_counts() == {"detect": 3, "tune": 1}
 
     def test_bad_max_spans_rejected(self):
@@ -97,11 +85,13 @@ class TestTracer:
 
     def test_attributes_set_inside_block_survive(self):
         tracer = Tracer()
-        tracer.begin_invocation()
-        with tracer.span("detect", n_elements=10) as span:
-            span.attributes["n_fired"] = 4
-        tracer.end_invocation()
+        attributes = {"n_elements": 10}
+        attributes["n_fired"] = 4  # known only after detection
+        (span,) = tracer.commit([("detect", 1.0, 2.0, attributes)])
         assert tracer.spans[0].attributes == {"n_elements": 10, "n_fired": 4}
+        # The span owns a copy: the caller's dict can be reused.
+        attributes.clear()
+        assert span.attributes == {"n_elements": 10, "n_fired": 4}
 
 
 class TestJsonlExporter:
@@ -109,12 +99,7 @@ class TestJsonlExporter:
         sink = io.StringIO()
         exporter = JsonlSpanExporter(sink)
         tracer = Tracer(exporter=exporter)
-        tracer.begin_invocation()
-        with tracer.span("detect"):
-            pass
-        with tracer.span("recover"):
-            pass
-        tracer.end_invocation()
+        tracer.commit(_chain("detect", "recover"))
         lines = sink.getvalue().strip().split("\n")
         assert len(lines) == 2
         assert [json.loads(line)["name"] for line in lines] == [
@@ -126,10 +111,7 @@ class TestJsonlExporter:
         path = str(tmp_path / "spans.jsonl")
         with JsonlSpanExporter(path) as exporter:
             tracer = Tracer(exporter=exporter)
-            tracer.begin_invocation()
-            with tracer.span("x", answer=42):
-                pass
-            tracer.end_invocation()
+            tracer.commit([("x", 1.0, 2.0, {"answer": 42})])
         with open(path) as handle:
             record = json.loads(handle.readline())
         assert record["attributes"] == {"answer": 42}

@@ -81,11 +81,14 @@ class FakeTransport:
     def workers(self):
         return [("f0", True, 0, {})]
 
-    def complete(self, batch):
+    def complete(self, batch, **report):
+        """Finish ``batch``; ``report`` adds to (or overrides) the bare
+        worker report."""
         self.batches.remove(batch)
         rows = sum(r.n_elements for r in batch.requests)
         self._on_complete(
-            batch, "f0", np.zeros((rows, 1)), {"fix_fraction": 0.25}
+            batch, "f0", np.zeros((rows, 1)),
+            dict({"fix_fraction": 0.25}, **report),
         )
 
     def fail(self, batch, error):
@@ -95,8 +98,9 @@ class FakeTransport:
 
 @pytest.fixture()
 def fake_server(fft_prototype):
-    """``build(**retry_fields) -> (server, fake)``: a started core over a
-    :class:`FakeTransport`, stopped at teardown."""
+    """``build(drift=None, **retry_fields) -> (server, fake)``: a started
+    core over a :class:`FakeTransport`, stopped at teardown.  ``drift``
+    is the per-worker drift-detector factory."""
     from repro.serving import (
         BatchingConfig,
         RetryConfig,
@@ -106,13 +110,14 @@ def fake_server(fft_prototype):
 
     servers = []
 
-    def build(**retry):
+    def build(drift=None, **retry):
         server = RumbaServer(
             prototype=fft_prototype,
             config=ServerConfig(
                 batching=BatchingConfig(flush_interval_s=0.0),
                 retry=RetryConfig(**retry),
             ),
+            **({} if drift is None else {"drift_detector_factory": drift}),
         )
         fake = FakeTransport(server._on_complete, server._retry_or_fail)
         server._transport = fake

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import prepare_system
+from repro.observability import MetricsRegistry
 from repro.serving import (
     BatchingConfig,
     EnsembleConfig,
@@ -18,11 +19,13 @@ from repro.serving import (
 )
 
 
-def _lockstep(backend, prototype, requests, journal_path=None):
+def _lockstep(backend, prototype, requests, journal_path=None,
+              registry=None):
     """One worker, one request in flight at a time: a deterministic
     serial schedule on either backend."""
     server = RumbaServer(
         prototype=prototype.clone_shard(),
+        registry=registry,
         config=ServerConfig(
             backend=backend,
             n_workers=1,
@@ -84,6 +87,37 @@ class TestBackendEquivalence:
         assert set(thread_stats) == set(process_stats)
         assert (set(thread_stats["workers"][0])
                 == set(process_stats["workers"][0]))
+
+
+    def test_workers_export_the_same_loop_series(self, fft_prototype,
+                                                 request_stream):
+        """One served batch registers the same per-worker families on
+        either backend, and — the schedule being the same — the same
+        counts in them.  Process workers used to export none of the loop
+        series: their telemetry could not cross the process boundary."""
+        exported = {}
+        for backend in ("thread", "process"):
+            registry = MetricsRegistry()
+            _lockstep(backend, fft_prototype, request_stream[:1],
+                      registry=registry)
+            exported[backend] = {
+                name: [
+                    getattr(child, "value", None)
+                    for labels, child in registry.get(name).series()
+                ]
+                for name in registry.names()
+                if name.startswith("rumba_")
+                and "worker" in registry.get(name).labelnames
+            }
+        assert set(exported["thread"]) == set(exported["process"])
+        assert {"rumba_fires_total", "rumba_recovered_total",
+                "rumba_phase_seconds_total", "rumba_drifted",
+                "rumba_drift_flags_total"} <= set(exported["process"])
+        for name in ("rumba_invocations_total", "rumba_checks_total",
+                     "rumba_fires_total", "rumba_recovered_total",
+                     "rumba_phase_spans_total", "rumba_tuner_moves_total",
+                     "rumba_threshold"):
+            assert exported["thread"][name] == exported["process"][name], name
 
 
 @pytest.fixture(scope="module")

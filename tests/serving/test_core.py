@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from repro.core.stream import DriftDetector
 from repro.errors import ServingError, WorkerCrashError
+from repro.observability.reqtrace import RequestTrace
 
 FAR = 1e6  # seconds: a backoff / deadline no test run reaches
 
@@ -58,6 +60,68 @@ class TestCompletion:
         assert server._pump_once(exploding)
         with pytest.raises(ServingError, match="retry bound 0"):
             handle.result(timeout=0)
+
+
+class TestWorkerReport:
+    """What the core reads out of a worker's batch report, whichever
+    transport carried it: the loop series of that worker and the
+    worker's side of each sampled request's waterfall."""
+
+    @staticmethod
+    def _value(server, name, **extra):
+        labels = dict(app=server.app_name, scheme=server.scheme,
+                      worker="f0", **extra)
+        return server.registry.get(name).labels(**labels).value
+
+    def test_drift_reaches_the_workers_series(self, fake_server,
+                                              fft_input_pool):
+        """No system lives in the core's process behind this transport —
+        as behind the process one — and drift is still exported."""
+        server, fake = fake_server(drift=lambda: DriftDetector(
+            calibration_invocations=2, tolerance_sigmas=1.0,
+            min_band=0.01, max_band=0.02, smoothing=1.0,
+        ))
+        assert server.shards[0].system is None
+        for fire_fraction in (0.10, 0.10, 0.90):
+            server.submit(fft_input_pool[:4])
+            fake.complete(_dispatch_one(server, fake),
+                          fire_fraction=fire_fraction)
+        assert self._value(server, "rumba_drift_flags_total") == 1
+        assert self._value(server, "rumba_drifted") == 1
+        assert server.stats()["workers"][0]["drift_flags"] == 1
+
+    def test_record_chain_feeds_telemetry_and_the_trace(self, fake_server,
+                                                        fft_input_pool,
+                                                        fft_prototype):
+        server, fake = fake_server()
+        record = fft_prototype.clone_shard().run_invocation(
+            fft_input_pool[:8], measure_quality=False
+        )
+        trace = RequestTrace()
+        handle = server.submit(fft_input_pool[:8], trace=trace)
+        batch = _dispatch_one(server, fake)
+        # Re-stamp the record's chain as if the worker finished it just
+        # now (a reading before the dispatch stamp is clamped to it).
+        shift = time.monotonic() - record.stages[-1][1]
+        stages = [(stage, at + shift) for stage, at in record.stages]
+        fake.complete(batch, stages=stages, **record.facts())
+        assert handle.result(timeout=0).fix_fraction == record.fix_fraction
+        assert self._value(server, "rumba_invocations_total") == 1
+        assert self._value(server, "rumba_fires_total") == \
+            record.detection.n_fired
+        assert self._value(server, "rumba_recovered_total") == \
+            record.recovery.n_recovered
+        for phase in ("accelerate", "detect", "recover", "tune"):
+            assert self._value(server, "rumba_phase_spans_total",
+                               phase=phase) == 1
+            assert self._value(server, "rumba_phase_seconds_total",
+                               phase=phase) > 0
+        assert trace.stage_names() == [
+            "admit", "dequeue", "dispatch",
+            "invoke", "compute", "detect", "recover", "tune",
+            "complete",
+        ]
+        assert trace.is_monotonic()
 
 
 class TestRetryBudget:

@@ -95,14 +95,13 @@ class TestWallClockIndependence:
         from repro.observability.tracing import Tracer
 
         tracer = Tracer()
-        tracer.begin_invocation()
         before = time.monotonic()
-        with tracer.span("accelerate"):
-            pass
-        with tracer.span("detect"):
-            pass
+        stamps = [time.monotonic() for _ in range(3)]
         after = time.monotonic()
-        tracer.end_invocation()
+        tracer.commit([
+            ("accelerate", stamps[0], stamps[1], {}),
+            ("detect", stamps[1], stamps[2], {}),
+        ])
         first, second = tracer.spans
         # Monotonic stamps order correctly despite the year of wall skew:
         # they are bounded by honest monotonic readings taken around them.

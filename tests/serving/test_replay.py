@@ -295,6 +295,37 @@ class TestReplayEdges:
         with pytest.raises(ConfigurationError, match="no META"):
             replay_journal(path)
 
+    def test_retired_config_keys_in_meta_still_replay(self, golden_journal,
+                                                      tmp_path):
+        """Journals recorded before ``ServerConfig`` shed its five unset
+        options carry them in META's flat config.  Replay reads the keys
+        it names and nothing else, so such a journal must still replay
+        with zero divergence."""
+        journal = read_journal(golden_journal)
+        meta = dict(journal.meta)
+        meta["config"] = dict(
+            meta["config"],
+            max_degradation=8,
+            flight_log_max_bytes=16 << 20,
+            trace_slow_threshold_s=0.1,
+            trace_max_exemplars=8,
+            journal_record_errors=True,
+        )
+        old = str(tmp_path / "pre-retirement.bin")
+        with RequestJournal(old) as writer:
+            writer.write_meta(meta)
+            for record in journal.records:
+                writer.record_request(record.header, inputs=record.inputs,
+                                      outputs=record.outputs,
+                                      bits=record.bits)
+        assert "max_degradation" in read_journal(old).meta["config"]
+        report = replay_journal(old, backend="thread")
+        assert report.ok, report.summary()
+        assert report.divergences == []
+        assert report.batches == replay_journal(
+            golden_journal, backend="thread"
+        ).batches
+
     def test_cli_exit_codes(self, golden_journal, tmp_path):
         from repro.__main__ import main
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.observability.flightlog import read_flight_log, stage_segments
-from repro.observability.reqtrace import RequestTrace
+from repro.observability.flightlog import read_flight_log
+from repro.observability.reqtrace import RequestTrace, segments
 from repro.serving import (
     BatchingConfig,
     ChaosConfig,
@@ -57,11 +57,35 @@ def _assert_acceptable_waterfall(record):
     assert offsets == sorted(offsets), f"non-monotonic chain: {stages}"
     distinct = {stage for stage, _ in stages}
     assert len(distinct) >= MIN_STAGES, f"only {sorted(distinct)}"
-    covered = sum(duration for _, duration in stage_segments(record))
+    covered = sum(duration for _, duration in segments(stages))
     latency = record["latency_s"]
     assert covered == pytest.approx(
         latency, rel=COVERAGE_TOLERANCE, abs=COVERAGE_JITTER_S
     ), f"stages cover {covered * 1e3:.3f} ms of {latency * 1e3:.3f} ms"
+
+
+def _assert_worker_chain_is_real(record, backend):
+    """The worker's side of the waterfall is the runtime's own record
+    chain on both backends: ``compute``, ``detect`` and ``recover`` are
+    distinct instants in pipeline order.  On the process backend the
+    ``compute`` stamp used to be taken after recovery and tuning, which
+    silently folded detect+recover+tune into its segment."""
+    names = [stage for stage, _ in record["stages"]]
+    offset = dict(record["stages"])
+    assert (
+        names.index("compute") < names.index("detect")
+        <= names.index("recover")
+    )
+    # The checker scores every element: detect is strictly later.
+    assert offset["compute"] < offset["detect"] <= offset["recover"]
+    own_hops = {
+        "thread": ["invoke", "compute", "detect", "recovery_wait",
+                   "recover", "tune"],
+        "process": ["shm_write", "shm_read", "invoke", "compute", "detect",
+                    "recover", "tune", "collect"],
+    }[backend]
+    start = names.index(own_hops[0])
+    assert names[start:start + len(own_hops)] == own_hops
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -84,6 +108,7 @@ def test_backend_waterfall_acceptance(
         assert record["trace_id"] != 0
         assert record["error"] is None
         _assert_acceptable_waterfall(record)
+        _assert_worker_chain_is_real(record, backend)
 
 
 def test_trace_ids_are_distinct_per_request(
