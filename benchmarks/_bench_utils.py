@@ -97,8 +97,8 @@ def persist_report(
 ) -> None:
     """Persist one bench report: JSON view + experiment-DB run.
 
-    The JSON file keeps the historical ``BENCH_*.json`` artifact contract
-    (the perf gate and CI uploads read it); the authoritative copy goes
+    The JSON file keeps the ``BENCH_*.json`` artifact contract (CI
+    uploads it); the authoritative copy goes
     into the sqlite experiment DB (``$RUMBA_EXPDB`` or
     ``experiments.sqlite``), where ``python -m repro report --expdb``
     and cross-run queries read it back.  A DB failure must not fail a

@@ -68,6 +68,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from collections import deque
 from typing import List, Optional
 
 import numpy as np
@@ -77,6 +79,7 @@ from repro.apps.workloads import invocation_stream
 from repro.core import RumbaConfig, prepare_system
 from repro.core.purity_survey import survey_purity
 from repro.core.stream import QualityManagedStream
+from repro.errors import OverloadedError, ServingError
 from repro.eval.experiments import headline_summary
 from repro.eval.report import generate_report
 from repro.eval.reporting import format_table
@@ -224,7 +227,6 @@ def _serve_config(args: argparse.Namespace):
 def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
     """``serve --listen``: expose the server over TCP until stopped."""
     import signal
-    import time
 
     from repro.serving import NetServer, parse_address
 
@@ -263,10 +265,62 @@ def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
+class _Session:
+    """The request session under ``serve`` and ``client``: submit through
+    a callable, harvest oldest first, tally each submission as completed,
+    refused (:class:`OverloadedError`) or failed — ``hung`` keeping the
+    failures that were only ``timeout_s`` running out — for ``--selftest``."""
 
-    from repro.errors import OverloadedError, ServingError
+    def __init__(self, timeout_s: float):
+        self.timeout_s = timeout_s
+        self.results: list = []
+        self.hung: List[ServingError] = []
+        self.submitted = self.refused = self.failed = 0
+        self._inflight: deque = deque()
+        self._started = time.perf_counter()
+
+    def submit(self, send) -> None:
+        self.submitted += 1
+        try:
+            self._inflight.append(send())
+        except OverloadedError:
+            self.refused += 1
+
+    def drain(self, down_to: int = 0) -> None:
+        while len(self._inflight) > down_to:
+            handle = self._inflight.popleft()
+            try:
+                self.results.append(handle.result(self.timeout_s))
+            except OverloadedError:
+                self.refused += 1
+            except ServingError as exc:
+                self.failed += 1
+                if not handle.done():
+                    self.hung.append(exc)
+
+    def timing_rows(self) -> list:
+        elapsed = time.perf_counter() - self._started
+        done = len(self.results)
+        latencies = sorted(result.latency_s for result in self.results)
+        p50 = latencies[done // 2] if done else float("nan")
+        p95 = latencies[int(done * 0.95)] if done else float("nan")
+        return [
+            ["throughput", f"{done / elapsed:.1f} req/s"],
+            ["p50 latency", f"{p50 * 1e3:.2f} ms"],
+            ["p95 latency", f"{p95 * 1e3:.2f} ms"],
+        ]
+
+    def selftest(self, also: bool = True, suffix: str = "", **tally) -> bool:
+        """True when ``tally`` covers every submission and ``also`` holds."""
+        accounted = sum(tally.values())
+        ok = also and accounted == self.submitted
+        parts = " + ".join(f"{n} {what}" for what, n in tally.items())
+        print(f"selftest: {parts} = {accounted} of {self.submitted} "
+              f"submitted{suffix} -> {'OK' if ok else 'FAIL'}")
+        return ok
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import RumbaServer
 
     config = _serve_config(args)
@@ -282,48 +336,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_listen(args, server)
     rng = np.random.default_rng(args.seed + 100)
     pool = np.atleast_2d(server.prototype.app.test_inputs(rng))
-    latencies: List[float] = []
-    shed = 0
-    failed = 0
-    hung = 0
-    started = time.perf_counter()
+    # A hard wall-clock bound per request: under --selftest a handle that
+    # neither completes nor fails within it counts as a hang, which is
+    # exactly the bug class the chaos harness exists to find.
+    session = _Session(timeout_s=args.deadline_s + 30.0)
     with server:
-        handles = []
         interval = 1.0 / args.rate if args.rate > 0 else 0.0
         for i in range(args.requests):
             lo = (i * args.elements) % max(pool.shape[0] - args.elements, 1)
-            try:
-                handles.append(server.submit(pool[lo: lo + args.elements]))
-            except OverloadedError:
-                shed += 1
+            session.submit(lambda: server.submit(pool[lo: lo + args.elements]))
             if interval:
                 time.sleep(interval)
-        # A hard wall-clock bound per request: under --selftest a handle
-        # that neither completes nor fails within it counts as a hang,
-        # which is exactly the bug class the chaos harness exists to find.
-        for handle in handles:
-            try:
-                result = handle.result(timeout=args.deadline_s + 30.0)
-                latencies.append(result.latency_s)
-            except ServingError as exc:
-                if handle.done():
-                    failed += 1
-                else:
-                    hung += 1
-                    print(f"HUNG request: {exc}")
+        session.drain()
+        for exc in session.hung:
+            print(f"HUNG request: {exc}")
         stats = server.stats()
-    elapsed = time.perf_counter() - started
-    completed = len(latencies)
-    latencies.sort()
-    p50 = latencies[completed // 2] if completed else float("nan")
-    p95 = latencies[int(completed * 0.95)] if completed else float("nan")
+    completed, hung = len(session.results), len(session.hung)
+    failed = session.failed - hung  # a hang is its own selftest column
     rows = [
         ["requests completed", completed],
         ["requests failed", failed],
-        ["requests shed", shed],
-        ["throughput", f"{completed / elapsed:.1f} req/s"],
-        ["p50 latency", f"{p50 * 1e3:.2f} ms"],
-        ["p95 latency", f"{p95 * 1e3:.2f} ms"],
+        ["requests shed", session.refused],
+        *session.timing_rows(),
         ["degradation events",
          server.controller.degrade_events if server.controller else 0],
         ["drift flagged", stats["drifted"]],
@@ -381,11 +415,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{journal['path']} (re-run: python -m repro replay "
               f"{journal['path']})")
     if args.selftest:
-        accounted = completed + failed + shed
-        ok = hung == 0 and accounted == args.requests
-        print(f"selftest: {completed} completed + {failed} failed + "
-              f"{shed} shed = {accounted} of {args.requests} submitted, "
-              f"{hung} hung -> {'OK' if ok else 'FAIL'}")
+        ok = session.selftest(
+            completed=completed, failed=failed, shed=session.refused,
+            also=hung == 0, suffix=f", {hung} hung",
+        )
         if args.ensemble:
             # The ensemble acceptance check: routing actually spread rows
             # across members, and recovery outcomes drove online retrains.
@@ -401,7 +434,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import signal
-    import time
 
     from repro.serving import ClusterConfig, serve_cluster, spawn_local_fleet
 
@@ -463,64 +495,35 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_client(args: argparse.Namespace) -> int:
     import json
-    import time
 
-    from repro.errors import OverloadedError, ServingError
     from repro.serving import connect
 
     with connect(args.connect, timeout_s=args.timeout_s) as client:
         print(f"connected: app={client.app} scheme={client.scheme} "
               f"features={client.features} protocol={client.protocol_version}")
         rng = np.random.default_rng(args.seed)
-        latencies: List[float] = []
-        trace_ids: List[int] = []
-        overloaded = 0
-        failed = 0
-        submitted = 0
-        inflight: List = []
-        started = time.perf_counter()
-
-        def drain(down_to: int) -> None:
-            nonlocal failed, overloaded
-            while len(inflight) > down_to:
-                handle = inflight.pop(0)
-                try:
-                    result = handle.result(args.timeout_s)
-                    latencies.append(result.latency_s)
-                    if result.trace_sampled:
-                        trace_ids.append(result.trace_id)
-                except OverloadedError:
-                    overloaded += 1
-                except ServingError:
-                    failed += 1
-
+        session = _Session(timeout_s=args.timeout_s)
         for i in range(args.requests):
             # An optional burst of back-to-back submissions designed to
             # overflow a small admission queue and prove the typed
             # OverloadedError round-trips over the wire.
             burst = args.overload_burst if i == args.requests // 2 else 0
             for _ in range(max(burst, 1)):
-                inflight.append(client.submit(
+                session.submit(lambda: client.submit(
                     rng.random((args.elements, max(client.features, 1))),
                     deadline_s=args.deadline_s,
                     trace=args.trace,
                 ))
-                submitted += 1
-            drain(args.depth)
-        drain(0)
-        elapsed = time.perf_counter() - started
-        completed = len(latencies)
-        latencies.sort()
-        p50 = latencies[completed // 2] if completed else float("nan")
-        p95 = latencies[int(completed * 0.95)] if completed else float("nan")
+            session.drain(args.depth)
+        session.drain()
+        completed = len(session.results)
+        trace_ids = [r.trace_id for r in session.results if r.trace_sampled]
         rows = [
-            ["requests submitted", submitted],
+            ["requests submitted", session.submitted],
             ["requests completed", completed],
-            ["requests overloaded", overloaded],
-            ["requests failed", failed],
-            ["throughput", f"{completed / elapsed:.1f} req/s"],
-            ["p50 latency", f"{p50 * 1e3:.2f} ms"],
-            ["p95 latency", f"{p95 * 1e3:.2f} ms"],
+            ["requests overloaded", session.refused],
+            ["requests failed", session.failed],
+            *session.timing_rows(),
         ]
         print(format_table(["quantity", "value"], rows,
                            title=f"Client session against {args.connect}"))
@@ -531,16 +534,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
                   + (f" ... +{more} more" if more else ""))
         if args.stats:
             print(json.dumps(client.stats(), indent=2, sort_keys=True))
-    if args.selftest:
-        accounted = completed + overloaded + failed
-        ok = accounted == submitted
-        if args.overload_burst > 0:
-            ok = ok and overloaded > 0
-        print(f"selftest: {completed} completed + {overloaded} overloaded + "
-              f"{failed} failed = {accounted} of {submitted} submitted "
-              f"-> {'OK' if ok else 'FAIL'}")
-        if not ok:
-            return 1
+    if args.selftest and not session.selftest(
+        completed=completed, overloaded=session.refused,
+        failed=session.failed,
+        also=session.refused > 0 or args.overload_burst <= 0,
+    ):
+        return 1
     return 0
 
 

@@ -67,8 +67,9 @@ def _expdb_sections(expdb_path: str) -> List[str]:
         benches = db.benches()
         if not benches:
             sections.append("")
-            sections.append("_No runs recorded yet — run the "
-                            "`benchmarks/bench_*_scaling.py` benches._")
+            sections.append("_No runs recorded yet — run "
+                            "`benchmarks/bench_pareto_energy_quality.py "
+                            "--ensemble-only`._")
             return sections
         for bench in benches:
             latest = db.latest_report(bench)

@@ -25,7 +25,10 @@ from typing import Optional, Sequence
 from repro.core.runtime import RumbaSystem
 from repro.errors import ConfigurationError
 
-__all__ = ["BackpressureController"]
+__all__ = ["BackpressureController", "DEGRADE_FACTOR"]
+
+#: Multiplicative threshold step per degradation level.
+DEGRADE_FACTOR = 1.5
 
 
 class BackpressureController:
@@ -36,7 +39,7 @@ class BackpressureController:
         shards: Sequence[RumbaSystem],
         high_watermark: int,
         low_watermark: int,
-        factor: float = 1.5,
+        factor: float = DEGRADE_FACTOR,
         max_level: int = 8,
     ):
         if high_watermark <= low_watermark:

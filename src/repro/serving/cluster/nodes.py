@@ -73,7 +73,7 @@ class NodeLink:
         reader, self._stream = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout=timeout
         )
-        buffer = wire.FrameBuffer(self.manager.config.max_frame_bytes)
+        buffer = wire.FrameBuffer()
         try:
             self.welcome = await asyncio.wait_for(
                 _read_welcome(reader, buffer), timeout=timeout
@@ -394,8 +394,7 @@ class NodeManager:
         if node.state == STATE_EVICTED:
             # Failed re-admission probe: back off further.
             node.backoff_s = min(
-                node.backoff_s * self.config.backoff_factor
-                or self.config.backoff_initial_s,
+                node.backoff_s * 2.0 or self.config.backoff_initial_s,
                 self.config.backoff_max_s,
             )
             node.readmit_at = time.monotonic() + node.backoff_s

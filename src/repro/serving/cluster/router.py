@@ -140,7 +140,7 @@ class ClusterRouter(FrameListener):
         tracing: Optional[TracingPolicy] = None,
     ):
         self.config = config or ClusterConfig()
-        super().__init__(host, port, self.config.max_frame_bytes)
+        super().__init__(host, port, wire.DEFAULT_MAX_FRAME_BYTES)
         self.registry = registry or MetricsRegistry()
         self.tracing = tracing or TracingPolicy()
         self.policy = make_policy(self.config.policy)
@@ -269,7 +269,7 @@ class ClusterRouter(FrameListener):
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return future.result(timeout=timeout)
 
-    def drain(self, node: str, timeout: Optional[float] = None) -> bool:
+    def drain(self, node: str, timeout: float = 30.0) -> bool:
         """Stop routing to ``node``; block until its in-flight drains.
 
         The first step of the rolling-restart runbook in
@@ -278,9 +278,8 @@ class ClusterRouter(FrameListener):
         :meth:`undrain` (a restarted node re-admits as healthy on its
         own).  Returns False if in-flight work outlived ``timeout``.
         """
-        budget = self.config.drain_timeout_s if timeout is None else timeout
         return self._call_on_loop(
-            self.manager.drain(node, budget), timeout=budget + 5.0
+            self.manager.drain(node, timeout), timeout=timeout + 5.0
         )
 
     def undrain(self, node: str) -> None:

@@ -12,8 +12,8 @@ and a settable ``chaos`` attribute, so the existing
 a whole *node*.  That is exactly how the cluster chaos drill (tests and
 the CI smoke) murders fleet members mid-run.
 
-Used by ``python -m repro cluster --nodes N`` (spawn mode), the cluster
-scaling benchmark, and the subprocess-level tests.
+Used by ``python -m repro cluster --nodes N`` (spawn mode), the layer
+ladder's network workloads, and the subprocess-level tests.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ class NodeHandle:
     """One spawned node process (ChaosMonkey-compatible worker shape)."""
 
     def __init__(self, index: int, process: subprocess.Popen,
-                 port_file: str):
+                 port_file: str, log_file: Optional[str] = None):
         self.index = index
         self.process = process
         self.port_file = port_file
+        self.log_file = log_file  # the child's stderr, when it was kept
         self.address: Optional[str] = None  # "host:port" once bound
 
     @property
@@ -60,6 +61,7 @@ class NodeHandle:
                 raise ServingError(
                     f"node {self.index} exited with "
                     f"{self.process.returncode} before binding"
+                    + self._stderr_tail()
                 )
             try:
                 with open(self.port_file) as handle:
@@ -73,6 +75,13 @@ class NodeHandle:
         raise ServingError(
             f"node {self.index} did not bind within {timeout:.0f}s"
         )
+
+    def _stderr_tail(self) -> str:
+        if self.log_file is None:
+            return ""
+        with open(self.log_file, errors="replace") as handle:
+            tail = "".join(handle.readlines()[-5:]).strip()
+        return f"; its stderr ends:\n{tail}" if tail else ""
 
 
 class NodeFleet:
@@ -136,8 +145,8 @@ def spawn_local_fleet(
     Each child trains its own predictor stack (the ``serve`` command's
     prepare step), so first bind can take tens of seconds per app — the
     children prepare concurrently, and ``start_timeout`` covers the
-    slowest.  The fleet's temp directory (port files) lives until
-    :meth:`NodeFleet.stop`.
+    slowest.  The fleet's temp directory (port files, each child's
+    stderr as ``node<i>.log``) lives until :meth:`NodeFleet.stop`.
     """
     if n < 1:
         raise ServingError("a fleet needs at least one node")
@@ -156,13 +165,12 @@ def spawn_local_fleet(
                 "--node-id", f"fleet-node-{index}",
                 *extra_args,
             ]
-            process = subprocess.Popen(
-                cmd,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-            handles.append(NodeHandle(index, process, port_file))
+            log_file = os.path.join(workdir.name, f"node{index}.log")
+            with open(log_file, "wb") as log:
+                process = subprocess.Popen(
+                    cmd, env=env, stdout=subprocess.DEVNULL, stderr=log,
+                )
+            handles.append(NodeHandle(index, process, port_file, log_file))
         deadline = time.monotonic() + start_timeout
         for handle in handles:
             handle.wait_for_address(

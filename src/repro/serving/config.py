@@ -81,16 +81,12 @@ class BackpressureConfig:
     high_watermark: Optional[int] = None
     #: Backlog at/below this relaxes one step (None = capacity/8).
     low_watermark: Optional[int] = None
-    #: Multiplicative threshold step per degradation level.
-    degrade_factor: float = 1.5
 
     def __post_init__(self) -> None:
         if self.recovery_backlog_capacity < 1:
             raise ConfigurationError(
                 "recovery_backlog_capacity must be >= 1"
             )
-        if self.degrade_factor <= 1.0:
-            raise ConfigurationError("degrade_factor must be > 1")
         high, low = self.resolved_watermarks()
         if high <= low:
             raise ConfigurationError(
@@ -282,18 +278,12 @@ class ClusterConfig:
     failure_threshold: int = 3
     #: First re-admission probe delay after an eviction ...
     backoff_initial_s: float = 0.5
-    #: ... growing by this factor per failed re-admission probe ...
-    backoff_factor: float = 2.0
-    #: ... up to this cap.
+    #: ... doubling per failed re-admission probe up to this cap.
     backoff_max_s: float = 30.0
     #: Router-level redeliveries per request after a node death.
     max_retries: int = 2
     #: Deadline budget for requests that arrive without one.
     default_deadline_s: float = 30.0
-    #: Upper bound on one wire frame, both faces of the gateway.
-    max_frame_bytes: int = 16 << 20
-    #: Drain timeout used by rolling restarts (`drain(node)`).
-    drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -312,8 +302,6 @@ class ClusterConfig:
             raise ConfigurationError("failure_threshold must be >= 1")
         if self.backoff_initial_s <= 0 or self.backoff_max_s <= 0:
             raise ConfigurationError("backoff bounds must be > 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
         if self.backoff_max_s < self.backoff_initial_s:
             raise ConfigurationError(
                 "backoff_max_s must be >= backoff_initial_s"
@@ -322,8 +310,6 @@ class ClusterConfig:
             raise ConfigurationError("max_retries must be >= 0")
         if self.default_deadline_s <= 0:
             raise ConfigurationError("default_deadline_s must be > 0")
-        if self.drain_timeout_s <= 0:
-            raise ConfigurationError("drain_timeout_s must be > 0")
 
     def with_overrides(self, **fields: object) -> "ClusterConfig":
         """A new config with the named fields replaced (CLI helper)."""
@@ -378,7 +364,6 @@ class ServerConfig:
         ),
         "high_watermark": ("backpressure", "high_watermark"),
         "low_watermark": ("backpressure", "low_watermark"),
-        "degrade_factor": ("backpressure", "degrade_factor"),
         "max_retries": ("retry", "max_retries"),
         "default_deadline_s": ("retry", "default_deadline_s"),
         "retry_backoff_s": ("retry", "retry_backoff_s"),

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
 from repro.observability.reqtrace import STAGE_SHM_READ
+from repro.serving.backpressure import DEGRADE_FACTOR
 from repro.serving.journal import pack_bits
 from repro.serving.shm import (
     FRAME_BATCH,
@@ -368,7 +369,6 @@ class ProcessWorkerPool:
         self,
         worker: ProcessWorker,
         degradation_level: int = 0,
-        degrade_factor: float = 1.5,
     ) -> bool:
         """Replace a dead worker's process and rings in place.
 
@@ -391,7 +391,7 @@ class ProcessWorkerPool:
         worker.restarts += 1
         self.total_restarts += 1
         for _ in range(max(int(degradation_level), 0)):
-            self.send_control(worker, FRAME_DEGRADE, degrade_factor)
+            self.send_control(worker, FRAME_DEGRADE, DEGRADE_FACTOR)
         return True
 
     def stop(self, timeout: float = 10.0) -> None:

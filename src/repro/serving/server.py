@@ -430,7 +430,6 @@ class RumbaServer:
             self._transport.backpressure_targets(),
             high_watermark=high,
             low_watermark=low,
-            factor=bp.degrade_factor,
         )
         self._state = "ready"
         return self

@@ -484,9 +484,7 @@ class ProcessTransport(WorkerTransport):
             ))
             try:
                 restarted = self.pool.restart_worker(
-                    worker,
-                    degradation_level=level,
-                    degrade_factor=self.config.backpressure.degrade_factor,
+                    worker, degradation_level=level
                 )
             except Exception:  # pragma: no cover - spawn failed mid-teardown
                 restarted = False

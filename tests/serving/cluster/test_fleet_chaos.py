@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ServingError
 from repro.serving import (
     ChaosConfig,
     ChaosMonkey,
@@ -95,3 +96,11 @@ def test_fleet_spawns_with_pinned_node_ids(fleet):
         assert node.node_id.startswith("fleet-node-")
     finally:
         router.stop()
+
+
+def test_node_dead_before_binding_reports_its_stderr():
+    # argparse rejects the app and exits 2 long before the bind; the
+    # error must carry the child's own words, not just the exit code.
+    with pytest.raises(ServingError, match="exited with 2") as caught:
+        spawn_local_fleet(1, app="nosuchapp", start_timeout=30.0)
+    assert "nosuchapp" in str(caught.value)

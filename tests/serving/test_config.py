@@ -35,7 +35,6 @@ class TestSectionValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"recovery_backlog_capacity": 0},
-        {"degrade_factor": 1.0},
         {"high_watermark": 2, "low_watermark": 4},
         {"low_watermark": -1, "high_watermark": 8},
     ])

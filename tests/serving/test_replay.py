@@ -297,10 +297,11 @@ class TestReplayEdges:
 
     def test_retired_config_keys_in_meta_still_replay(self, golden_journal,
                                                       tmp_path):
-        """Journals recorded before ``ServerConfig`` shed its five unset
-        options carry them in META's flat config.  Replay reads the keys
-        it names and nothing else, so such a journal must still replay
-        with zero divergence."""
+        """Journals recorded before ``ServerConfig`` shed its unset
+        options (five in ISSUE 14, ``degrade_factor`` in ISSUE 15) carry
+        them in META's flat config.  Replay reads the keys it names and
+        nothing else, so such a journal must still replay with zero
+        divergence."""
         journal = read_journal(golden_journal)
         meta = dict(journal.meta)
         meta["config"] = dict(
@@ -310,6 +311,7 @@ class TestReplayEdges:
             trace_slow_threshold_s=0.1,
             trace_max_exemplars=8,
             journal_record_errors=True,
+            degrade_factor=1.5,
         )
         old = str(tmp_path / "pre-retirement.bin")
         with RequestJournal(old) as writer:
