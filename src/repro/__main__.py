@@ -725,7 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-requests", type=int, default=8,
                        help="max requests batched into one invocation")
     serve.add_argument("--flush-ms", type=float, default=5.0,
-                       help="batch flush deadline in milliseconds")
+                       help="longest a request waits for its batch to fill "
+                            "while every worker is busy, in milliseconds "
+                            "(an idle worker takes it at once)")
     serve.add_argument("--rate", type=float, default=0.0,
                        help="request arrival rate in req/s (0 = closed loop)")
     serve.add_argument("--admission-capacity", type=int, default=256)

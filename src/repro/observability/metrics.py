@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -291,6 +292,16 @@ class _HistogramChild:
                 self._counts[-1] += 1
             self._sum += value
             self._count += 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` every value under one lock acquisition."""
+        bounds, counts = self._bounds, self._counts
+        with self._lock:
+            for value in values:
+                # First bound >= value; past the last one is the +Inf bin.
+                counts[bisect_left(bounds, value)] += 1
+                self._sum += value
+            self._count += len(values)
 
     @property
     def count(self) -> int:

@@ -5,16 +5,19 @@ backpressure: capacity is fixed at construction, and an :meth:`offer`
 against a full queue returns False (the server sheds the request) instead
 of queueing unboundedly.
 
-Batches flush under a two-condition policy:
+A batch flushes for the first of four reasons (:func:`flush_reason`):
 
-* **size** — as soon as ``max_batch_requests`` requests are waiting, or
-* **deadline** — as soon as the *oldest* waiting request has been queued
-  for ``flush_interval_s`` seconds,
+* **size** — ``max_batch_requests`` requests are waiting;
+* **close** — the queue was closed (what is left goes out at once);
+* **idle** — fewer batches are in flight than the server has workers:
+  admission is work-conserving, a request never waits while a worker
+  could run it (Nagle's rule: the batches in flight clock the batching);
+* **timer** — the *oldest* waiting request has been queued for
+  ``flush_interval_s`` seconds while every worker was busy.
 
-whichever comes first.  Under heavy load batches fill instantly and the
-accelerator runs at full occupancy; under light load no request waits
-more than one flush interval — the classic throughput/latency batching
-trade.
+Under heavy load batches fill instantly and the accelerator runs at full
+occupancy; under light load a request leaves the moment it arrives; in
+between, ``flush_interval_s`` bounds the wait.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import threading
 import time
 from collections import deque
 from itertools import islice
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +34,11 @@ from repro.errors import ConfigurationError, ServingError
 from repro.serving.bufpool import BufferPool
 from repro.serving.request import ServeRequest
 
-__all__ = ["AdmissionQueue", "concat_inputs", "split_outputs"]
+__all__ = ["FLUSH_REASONS", "AdmissionQueue", "concat_inputs",
+           "flush_reason", "split_outputs"]
+
+#: Why a batch left the admission queue, in order of precedence.
+FLUSH_REASONS = ("size", "close", "idle", "timer")
 
 
 def concat_inputs(
@@ -71,25 +78,52 @@ def split_outputs(
 ) -> List[np.ndarray]:
     """Slice a batch's merged outputs back into per-request blocks."""
     outputs = np.atleast_2d(outputs)
-    total = sum(r.n_elements for r in requests)
-    if outputs.shape[0] != total:
-        raise ServingError(
-            f"batch outputs have {outputs.shape[0]} rows but the requests "
-            f"submitted {total}"
-        )
     blocks: List[np.ndarray] = []
     offset = 0
     for request in requests:
-        blocks.append(outputs[offset: offset + request.n_elements])
-        offset += request.n_elements
+        end = offset + request.n_elements
+        blocks.append(outputs[offset:end])
+        offset = end
+    if offset != outputs.shape[0]:
+        raise ServingError(
+            f"batch outputs have {outputs.shape[0]} rows but the requests "
+            f"submitted {offset}"
+        )
     return blocks
 
 
+def flush_reason(
+    n_pending: int, oldest_at: float, now: float, in_flight: int,
+    workers: int, closed: bool, max_batch_requests: int,
+    flush_interval_s: float,
+) -> Optional[str]:
+    """Why a batch is due at ``now`` (one of :data:`FLUSH_REASONS`), or
+    None when the ``n_pending`` waiting requests should keep waiting.
+
+    ``oldest_at`` is the oldest waiting request's admission instant and
+    ``in_flight`` the number of batches taken and not yet reported back.
+    """
+    if not n_pending:
+        return None
+    if n_pending >= max_batch_requests:
+        return "size"
+    if closed:
+        return "close"
+    if in_flight < workers:
+        return "idle"
+    if now >= oldest_at + flush_interval_s:
+        return "timer"
+    return None
+
+
 class AdmissionQueue:
-    """Bounded FIFO of waiting requests with deadline-flushed batching.
+    """Bounded FIFO of waiting requests, batched by :func:`flush_reason`.
 
     Thread-safe: any number of producers may :meth:`offer` while worker
-    threads block in :meth:`take_batch`.
+    threads block in :meth:`take`.  ``workers`` is how many batches the
+    server can run at once; every batch taken must be reported back with
+    :meth:`batch_done`.  The in-flight count only ever *adds* a reason to
+    flush, so a missed report degrades to the flush timer, never a hang.
     """
 
     def __init__(
@@ -97,6 +131,7 @@ class AdmissionQueue:
         capacity: int = 256,
         max_batch_requests: int = 8,
         flush_interval_s: float = 0.01,
+        workers: int = 1,
     ):
         if capacity < 1:
             raise ConfigurationError("admission capacity must be >= 1")
@@ -107,9 +142,11 @@ class AdmissionQueue:
         self.capacity = capacity
         self.max_batch_requests = max_batch_requests
         self.flush_interval_s = flush_interval_s
+        self.workers = workers
         self._pending: Deque[ServeRequest] = deque()
         self._cond = threading.Condition()
         self._closed = False
+        self.in_flight = 0
         self.offered = 0
         self.shed = 0
 
@@ -128,11 +165,16 @@ class AdmissionQueue:
             if self._closed:
                 raise ServingError("admission queue is closed")
             self.offered += 1
-            if len(self._pending) >= self.capacity:
+            pending = self._pending
+            if len(pending) >= self.capacity:
                 self.shed += 1
                 return False
-            self._pending.append(request)
-            self._cond.notify()
+            pending.append(request)
+            # Only the arrivals that can make a batch due wake a consumer:
+            # the first one (idle rule, and someone must hold its timer)
+            # and the one that fills the batch.
+            if len(pending) in (1, self.max_batch_requests):
+                self._cond.notify()
             return True
 
     def requeue(self, request: ServeRequest) -> None:
@@ -158,43 +200,59 @@ class AdmissionQueue:
             self._pending.appendleft(request)
             self._cond.notify()
 
-    def take_batch(self) -> Optional[List[ServeRequest]]:
-        """Block until a batch is due; None once closed and drained.
-
-        A batch is due when ``max_batch_requests`` requests are waiting,
-        when the oldest waiting request reaches its flush deadline, or
-        immediately (with whatever is queued) once the queue is closed.
-        """
+    def take(self) -> Optional[Tuple[str, List[ServeRequest]]]:
+        """Block until a batch is due; returns ``(reason, requests)``, or
+        None once the queue is closed and drained.  The batch counts as
+        in flight until :meth:`batch_done`."""
         with self._cond:
+            pending = self._pending
             while True:
-                if self._pending:
-                    now = time.monotonic()
-                    flush_at = (
-                        self._pending[0].submitted_at + self.flush_interval_s
-                    )
-                    if (
-                        len(self._pending) >= self.max_batch_requests
-                        or now >= flush_at
-                        or self._closed
-                    ):
-                        k = min(len(self._pending), self.max_batch_requests)
-                        if k == len(self._pending):
-                            # Full drain: one bulk copy + clear instead of
-                            # k popleft() round trips.
-                            batch = list(self._pending)
-                            self._pending.clear()
-                        else:
-                            batch = list(islice(self._pending, k))
-                            for _ in range(k):
-                                self._pending.popleft()
-                        return batch
-                    # Wake at the oldest request's deadline (or earlier, if
-                    # new arrivals fill the batch and notify us).
-                    self._cond.wait(timeout=flush_at - now)
-                else:
+                if not pending:
                     if self._closed:
                         return None
                     self._cond.wait()
+                    continue
+                oldest_at = pending[0].submitted_at
+                now = time.monotonic()
+                reason = flush_reason(
+                    len(pending), oldest_at, now, self.in_flight,
+                    self.workers, self._closed,
+                    self.max_batch_requests, self.flush_interval_s,
+                )
+                if reason is None:
+                    # Wake at the oldest request's deadline (or earlier:
+                    # the batch fills, a worker frees up, the queue closes).
+                    self._cond.wait(oldest_at + self.flush_interval_s - now)
+                    continue
+                k = self.max_batch_requests
+                if k >= len(pending):
+                    # Full drain: one bulk copy + clear instead of
+                    # k popleft() round trips.
+                    batch = list(pending)
+                    pending.clear()
+                else:
+                    batch = list(islice(pending, k))
+                    for _ in range(k):
+                        pending.popleft()
+                    # Pass the wake on: the leftovers may already be a
+                    # full batch whose fill woke no one, and someone must
+                    # hold their timer while this consumer dispatches.
+                    self._cond.notify()
+                self.in_flight += 1
+                return reason, batch
+
+    def take_batch(self) -> Optional[List[ServeRequest]]:
+        """:meth:`take` without the reason."""
+        taken = self.take()
+        return None if taken is None else taken[1]
+
+    def batch_done(self) -> None:
+        """Report a taken batch back (completed or failed, exactly once)."""
+        with self._cond:
+            self.in_flight -= 1
+            if self._pending and self.in_flight < self.workers:
+                # A worker went idle with requests waiting.
+                self._cond.notify()
 
     def close(self) -> None:
         """Stop admitting; blocked consumers flush what remains then stop."""

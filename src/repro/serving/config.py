@@ -57,7 +57,8 @@ class BatchingConfig:
 
     #: Max requests merged into one accelerator invocation.
     max_batch_requests: int = 8
-    #: Flush deadline: the oldest waiting request departs after this long.
+    #: Flush deadline: the longest the oldest waiting request is held
+    #: back while every worker is busy (an idle worker takes it at once).
     flush_interval_s: float = 0.005
     #: Bound of the admission queue; a full queue sheds (``OverloadedError``).
     admission_capacity: int = 256

@@ -26,7 +26,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import struct
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -176,6 +178,12 @@ def _worker_main(
                     trace_id=frame.trace_id,
                 )
     finally:
+        # An exception that leaves the loop mid-batch (a signalled
+        # worker's KeyboardInterrupt) still holds the batch's zero-copy
+        # payload view — here and in every frame of its traceback — and
+        # a mapping cannot close under a live export.
+        frame = None
+        traceback.clear_frames(sys.exc_info()[2])
         in_ring.close()
         out_ring.close()
 
@@ -335,10 +343,11 @@ class ProcessWorkerPool:
                 worker.process.join(timeout=timeout)
         except Exception:  # pragma: no cover - teardown races
             pass
-        worker.in_ring.close()
-        worker.out_ring.close()
+        # Unlink first: a close that raises must not leak the segment.
         worker.in_ring.unlink()
         worker.out_ring.unlink()
+        worker.in_ring.close()
+        worker.out_ring.close()
 
     def start(self) -> "ProcessWorkerPool":
         if self._started:

@@ -20,7 +20,7 @@ from repro.errors import ServingError
 __all__ = ["ServeRequest", "ServeResult", "ServeHandle"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeResult:
     """What the caller gets back for one request."""
 
@@ -75,7 +75,8 @@ class ServeHandle:
         self._exception: Optional[BaseException] = None
         self._done = False
         self._lock = allocate_lock()
-        self._callbacks: list = []
+        # Created by the first registration: most handles never get one.
+        self._callbacks: Optional[list] = None
 
     def done(self) -> bool:
         return self._done
@@ -94,8 +95,8 @@ class ServeHandle:
                 return
             self._done = True
             self._barrier.release()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
+            callbacks, self._callbacks = self._callbacks, None
+        for callback in callbacks or ():
             callback(self)
 
     def add_done_callback(self, callback) -> None:
@@ -106,6 +107,8 @@ class ServeHandle:
         """
         with self._lock:
             if not self._done:
+                if self._callbacks is None:
+                    self._callbacks = []
                 self._callbacks.append(callback)
                 return
         callback(self)
@@ -127,7 +130,7 @@ class ServeHandle:
         return self._result
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeRequest:
     """One admitted request, queued for batching.
 

@@ -2,8 +2,8 @@
 
 Architecture — one serving core over one worker transport::
 
-    callers ──submit()──► AdmissionQueue (bounded, deadline-flushed)
-                                │ take_batch()
+    callers ──submit()──► AdmissionQueue (bounded, work-conserving)
+                                │ take()             ▲ batch_done()
        core (this module)  admission pump: stamp, chaos, Batch(seq)
                            retry heap · backpressure · drift · journal ·
                            trace export · stats · handle resolution
@@ -70,7 +70,7 @@ from repro.observability.reqtrace import (
     segments,
 )
 from repro.serving.backpressure import BackpressureController
-from repro.serving.batching import AdmissionQueue, split_outputs
+from repro.serving.batching import FLUSH_REASONS, AdmissionQueue, split_outputs
 from repro.serving.bufpool import BufferPool
 from repro.serving.config import ServerConfig
 from repro.serving.faults import ChaosConfig, ChaosMonkey
@@ -194,6 +194,7 @@ class RumbaServer:
             capacity=config.batching.admission_capacity,
             max_batch_requests=config.batching.max_batch_requests,
             flush_interval_s=config.batching.flush_interval_s,
+            workers=config.n_workers,
         )
         # Transport buffers — staged request inputs and multi-request
         # batch concats — are leased from one shared pool and recycled at
@@ -209,8 +210,7 @@ class RumbaServer:
         self._state = "new"
         self._flight_cond = threading.Condition()
         self._inflight = 0
-        self._next_request_id = 0
-        self._id_lock = threading.Lock()
+        self._request_ids = itertools.count()
         self._batch_seq = itertools.count()
 
         # Fault tolerance: deadline-budgeted retries (the transport does
@@ -291,6 +291,14 @@ class RumbaServer:
             "Requests dispatched inside batches, per worker",
             base + ("worker",),
         )
+        flushed = r.counter(
+            "rumba_serve_batches_flushed_total",
+            "Batches dequeued, by what made them due", base + ("reason",),
+        )
+        self._c_flushed = {
+            reason: flushed.labels(reason=reason, **labels)
+            for reason in FLUSH_REASONS
+        }
         self._m_inline = r.counter(
             "rumba_serve_inline_recoveries_total",
             "Batches recovered inline because the backlog was full",
@@ -507,10 +515,7 @@ class RumbaServer:
                 abandoned = [entry[2] for entry in self._retry_heap]
                 self._retry_heap.clear()
             abandoned += self._admission.drain_remaining()
-            for request in abandoned:
-                self._finish_request(
-                    request, error=ServingError("server stopped")
-                )
+            self._finish_requests(abandoned, ServingError("server stopped"))
             self.controller.reset()
             self._g_degradation.set(self.controller.level)
         # After the abandoned requests above, so their (promoted) error
@@ -557,39 +562,30 @@ class RumbaServer:
         if backend_ids is not None:
             backend_ids = np.asarray(backend_ids, dtype=np.int8).ravel()
         arr = np.asarray(inputs, dtype=float)
-        pooled = False
-        if arr is inputs or arr.base is inputs:
+        pooled = not (arr is inputs or arr.base is inputs)
+        arr = np.atleast_2d(arr)
+        if arr.shape[0] == 0:
+            raise ConfigurationError("a request needs at least one element")
+        if backend_ids is not None and len(backend_ids) != len(arr):
+            raise ConfigurationError(
+                "backend_ids needs one member index per input row"
+            )
+        if pooled:
+            # Conversion allocated fresh rows anyway (list input, wrong
+            # dtype); land them in a pooled arena instead so completion
+            # recycles the memory rather than leaving it to the GC.
+            inputs = self._bufpool.lease(arr.shape)
+            np.copyto(inputs, arr)
+        else:
             # The caller handed us a float64 ndarray (or a cheap view of
             # one): use it in place.  The contract is the usual zero-copy
             # one — the rows must stay untouched until the handle
             # completes (dispatch, retries, and recovery all read them).
-            inputs = np.atleast_2d(arr)
-        else:
-            # Conversion allocated fresh rows anyway (list input, wrong
-            # dtype); land them in a pooled arena instead so completion
-            # recycles the memory rather than leaving it to the GC.
-            arr = np.atleast_2d(arr)
-            staged = self._bufpool.lease(arr.shape)
-            np.copyto(staged, arr)
-            inputs = staged
-            pooled = True
-        if inputs.shape[0] == 0:
-            if pooled:
-                self._bufpool.release(inputs)
-            raise ConfigurationError("a request needs at least one element")
-        if backend_ids is not None and backend_ids.shape[0] != inputs.shape[0]:
-            if pooled:
-                self._bufpool.release(inputs)
-            raise ConfigurationError(
-                "backend_ids needs one member index per input row"
-            )
-        with self._id_lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
+            inputs = arr
         if trace is None:
             trace = self.tracing.new_trace()
         request = ServeRequest(
-            request_id=request_id,
+            request_id=next(self._request_ids),
             inputs=inputs,
             submitted_at=time.monotonic(),
             deadline_s=deadline_s,
@@ -599,15 +595,13 @@ class RumbaServer:
         )
         if trace is not None:
             trace.stamp(STAGE_ADMIT, at=request.submitted_at)
+        admitted = False
         try:
             admitted = self._admission.offer(request)
-        except ServingError:
-            if pooled:
+        finally:
+            if pooled and not admitted:
                 self._bufpool.release(inputs)
-            raise
         if not admitted:
-            if pooled:
-                self._bufpool.release(inputs)
             self._c_shed.inc()
             raise OverloadedError(
                 f"admission queue full ({self._admission.capacity} waiting); "
@@ -645,9 +639,11 @@ class RumbaServer:
 
         Returns False once the admission queue is closed and empty.
         """
-        requests = self._admission.take_batch()
-        if requests is None:
+        taken = self._admission.take()
+        if taken is None:
             return False
+        reason, requests = taken
+        self._c_flushed[reason].inc()
         # Stage stamps are only ever read at export, and export is gated
         # on ``sampled`` — so unsampled traces skip the whole stamping
         # pipeline (at the default 1/64 sampling that is nearly every
@@ -705,6 +701,7 @@ class RumbaServer:
         and, with the record facts beside it, what the worker's loop
         series are derived from — the same on either transport.
         """
+        self._admission.batch_done()
         requests = batch.requests
         shard = self._shard_by_name[worker]
         stages = report.get("stages")
@@ -712,9 +709,10 @@ class RumbaServer:
             for trace in batch.traced:
                 trace.splice(stages)
             shard.telemetry.observe(stages, report)
+        rows = sum(r.n_elements for r in requests)
         with self._shard_lock:  # recovery threads complete concurrently
             shard.batches += 1
-            shard.elements += sum(r.n_elements for r in requests)
+            shard.elements += rows
             shard.observe_drift(report.get("fire_fraction", 0.0))
         metrics = self._worker_metrics(worker)
         metrics.batches.inc()
@@ -726,25 +724,20 @@ class RumbaServer:
         try:
             blocks = split_outputs(outputs, requests)
         except Exception as exc:
-            for request in requests:
-                self._finish_request(request, error=exc)
+            self._finish_requests(requests, exc)
         else:
-            layouts = (
-                self._journal_layout(batch, report)
-                if self.journal is not None else [None] * len(requests)
+            self._finish_requests(
+                requests,
+                blocks=blocks,
+                layouts=(
+                    self._journal_layout(batch, report, rows)
+                    if self.journal is not None else None
+                ),
+                worker=worker,
+                degraded=batch.degraded or self.controller.degraded,
+                dispatched_at=batch.dispatched_at,
+                fix_fraction=report.get("fix_fraction", 0.0),
             )
-            degraded = batch.degraded or self.controller.degraded
-            fix_fraction = report.get("fix_fraction", 0.0)
-            for request, block, layout in zip(requests, blocks, layouts):
-                self._finish_request(
-                    request,
-                    outputs=block,
-                    worker=worker,
-                    degraded=degraded,
-                    dispatched_at=batch.dispatched_at,
-                    fix_fraction=fix_fraction,
-                    journal_layout=layout,
-                )
         self._observe_backlog()
 
     # ------------------------------------------------------------------ #
@@ -763,6 +756,7 @@ class RumbaServer:
         its exponential backoff; otherwise the caller gets a
         :class:`ServingError` immediately rather than a doomed wait.
         """
+        self._admission.batch_done()
         policy = self.config.retry
         retryable = isinstance(error, WorkerCrashError)
         now = time.monotonic()
@@ -807,7 +801,7 @@ class RumbaServer:
                         "exhausted after "
                         f"{request.attempts + 1} attempt(s): {error}"
                     )
-            self._finish_request(request, error=final)
+            self._finish_requests([request], final)
         self._observe_backlog()
 
     def _retry_loop(self) -> None:
@@ -840,13 +834,10 @@ class RumbaServer:
                 # request must still reach terminal completion — failing
                 # the handle here is what keeps the submitter from
                 # blocking out its full deadline budget.
-                self._finish_request(
-                    request,
-                    error=ServingError(
-                        f"request {request.request_id} could not be "
-                        f"re-queued after attempt {request.attempts}: {exc}"
-                    ),
-                )
+                self._finish_requests([request], ServingError(
+                    f"request {request.request_id} could not be "
+                    f"re-queued after attempt {request.attempts}: {exc}"
+                ))
 
     # ------------------------------------------------------------------ #
     # Request journal                                                    #
@@ -881,7 +872,7 @@ class RumbaServer:
         })
 
     @staticmethod
-    def _journal_layout(batch: Batch, report: Dict[str, object]):
+    def _journal_layout(batch: Batch, report: Dict[str, object], rows: int):
         """Per-request journal coordinates for one completed batch.
 
         Each request gets ``(header fields, decision bits)``: the batch's
@@ -900,10 +891,7 @@ class RumbaServer:
         choices = None
         if report.get("backend_ids") is not None:
             choices = np.frombuffer(report["backend_ids"], dtype=np.int8)
-        shared = {
-            "batch": batch.seq,
-            "batch_rows": sum(r.n_elements for r in batch.requests),
-        }
+        shared = {"batch": batch.seq, "batch_rows": rows}
         for key in ("threshold", "measured_error"):
             if report.get(key) is not None:
                 shared[key] = float(report[key])
@@ -930,7 +918,7 @@ class RumbaServer:
     ) -> None:
         """Append one terminal completion to the request journal.
 
-        Called from ``_finish_request`` *before* the pooled input buffer
+        Called from ``_finish_requests`` *before* the pooled input buffer
         is recycled (the record snapshots the rows) and before the handle
         resolves (a crash immediately after completion still finds the
         record on disk).  Journaling must never fail a request, so disk
@@ -962,84 +950,94 @@ class RumbaServer:
         except OSError:  # pragma: no cover - disk full / fs races
             pass
 
-    def _finish_request(
+    def _finish_requests(
         self,
-        request: ServeRequest,
-        outputs: Optional[np.ndarray] = None,
+        requests: List[ServeRequest],
+        error: Optional[BaseException] = None,
+        blocks: Optional[List[np.ndarray]] = None,
+        layouts=None,
         worker: str = "",
         degraded: bool = False,
         dispatched_at: Optional[float] = None,
-        error: Optional[BaseException] = None,
         fix_fraction: float = 0.0,
-        journal_layout=None,
     ) -> None:
-        """The terminal funnel: every request ends here exactly once."""
-        if request.handle.done():  # pragma: no cover - defensive backstop
-            return
-        now = time.monotonic()
-        latency = now - request.submitted_at
-        queue_wait = (
-            max(dispatched_at - request.submitted_at, 0.0)
-            if dispatched_at is not None
-            else latency
-        )
-        trace = request.trace
-        if (
-            trace is not None
-            and error is not None
-            and self.tracing.always_sample_errors
-        ):
-            trace.mark_sampled()
-        sampled = trace is not None and trace.sampled
-        if sampled or self.journal is not None:
-            # What the journal header, the flight record and the slow-
-            # request exemplar all say about this completion.
-            code = message = None
-            if error is not None:
-                # Imported lazily: serving.net imports this module at
-                # its own import time.
-                from repro.serving.net import protocol as wire
+        """The terminal funnel: every request ends here exactly once.
 
-                code, message = wire.exception_to_code(error), str(error)
-            facts = {
-                "request_id": request.request_id,
-                "trace_id": trace.trace_id if trace is not None else 0,
-                "worker": worker,
-                "attempts": request.attempts,
-                "latency_s": latency,
-                "queue_wait_s": queue_wait,
-                "fix_fraction": float(fix_fraction) if error is None else 0.0,
-                "degraded": bool(degraded),
-                "error": code,
-                "error_message": message,
-            }
-            if self.journal is not None:
-                self._journal_request(
-                    request, facts, outputs, dispatched_at is not None,
-                    journal_layout,
-                )
-        if request.pooled:
-            # Terminal completion: recycle the request's staged input
-            # buffer.  Every finish path first pops the request from its
-            # owning structure (backlog task, pending map, retry heap), so
-            # ownership is exclusive here, and nothing handed to the
-            # caller aliases the staged rows.
-            request.pooled = False
-            self._bufpool.release(request.inputs)
-        if sampled:
-            trace.stamp(STAGE_COMPLETE, at=now)
-            # Before the handle resolves: resolution wakes the net edge,
-            # whose net_send stamp must not race into this record.
-            # complete is therefore always the final stage on disk.
-            self._export_trace(request, trace, facts)
+        A completed batch arrives whole (``blocks`` and ``layouts`` run
+        parallel to ``requests``); the error paths pass the requests that
+        share one ``error``.  Whatever is per batch — the clock reading,
+        the outcome counter, the latency histogram, the in-flight count
+        and its gauge — is touched once, which leaves the handle's own
+        lock as the only lock taken per request.
+        """
+        now = time.monotonic()
+        latencies = [now - r.submitted_at for r in requests]
+        # Series first: a caller woken by its handle reads them updated.
         if error is not None:
-            self._c_failed.inc()
-            request.handle.set_exception(error)
+            self._c_failed.inc(len(requests))
         else:
-            self._c_completed.inc()
-            self._h_latency.observe(latency)
-            request.handle.set_result(
-                ServeResult(
+            self._c_completed.inc(len(requests))
+            self._h_latency.observe_many(latencies)
+        for i, request in enumerate(requests):
+            if request.handle.done():  # pragma: no cover - defensive backstop
+                continue
+            latency = queue_wait = latencies[i]
+            if dispatched_at is not None:
+                queue_wait = max(dispatched_at - request.submitted_at, 0.0)
+            outputs = None if blocks is None else blocks[i]
+            trace = request.trace
+            if (
+                trace is not None
+                and error is not None
+                and self.tracing.always_sample_errors
+            ):
+                trace.mark_sampled()
+            sampled = trace is not None and trace.sampled
+            if sampled or self.journal is not None:
+                # What the journal header, the flight record and the slow-
+                # request exemplar all say about this completion.
+                code = message = None
+                if error is not None:
+                    # Imported lazily: serving.net imports this module at
+                    # its own import time.
+                    from repro.serving.net import protocol as wire
+
+                    code, message = wire.exception_to_code(error), str(error)
+                facts = {
+                    "request_id": request.request_id,
+                    "trace_id": trace.trace_id if trace is not None else 0,
+                    "worker": worker,
+                    "attempts": request.attempts,
+                    "latency_s": latency,
+                    "queue_wait_s": queue_wait,
+                    "fix_fraction": float(fix_fraction),
+                    "degraded": bool(degraded),
+                    "error": code,
+                    "error_message": message,
+                }
+                if self.journal is not None:
+                    self._journal_request(
+                        request, facts, outputs, dispatched_at is not None,
+                        None if layouts is None else layouts[i],
+                    )
+            if request.pooled:
+                # Terminal completion: recycle the request's staged input
+                # buffer.  Every finish path first pops the request from its
+                # owning structure (backlog task, pending map, retry heap), so
+                # ownership is exclusive here, and nothing handed to the
+                # caller aliases the staged rows.
+                request.pooled = False
+                self._bufpool.release(request.inputs)
+            if sampled:
+                trace.stamp(STAGE_COMPLETE, at=now)
+                # Before the handle resolves: resolution wakes the net edge,
+                # whose net_send stamp must not race into this record.
+                # complete is therefore always the final stage on disk.
+                self._export_trace(request, trace, facts)
+            if error is not None:
+                request.handle.set_exception(error)
+            else:
+                request.handle.set_result(ServeResult(
                     request_id=request.request_id,
                     outputs=outputs,
                     worker=worker,
@@ -1048,10 +1046,10 @@ class RumbaServer:
                     fix_fraction=fix_fraction,
                     degraded=degraded,
                     trace_id=trace.trace_id if trace is not None else 0,
-                )
-            )
+                ))
+        # Last, so that ``drain`` returns only once the handles are resolved.
         with self._flight_cond:
-            self._inflight -= 1
+            self._inflight -= len(requests)
             self._flight_cond.notify_all()
         self._g_inflight.set(self._inflight)
 
@@ -1170,6 +1168,7 @@ class RumbaServer:
             "admission_capacity": self._admission.capacity,
             "requests_offered": self._admission.offered,
             "requests_shed": self._admission.shed,
+            "flushes": {r: int(c.value) for r, c in self._c_flushed.items()},
             "recovery_backlog": self._transport.backlog(),
             "recovery_backlog_capacity": (
                 self.config.backpressure.recovery_backlog_capacity

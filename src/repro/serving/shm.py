@@ -388,9 +388,13 @@ class ShmRing:
     # Lifetime                                                           #
     # ------------------------------------------------------------------ #
     def close(self) -> None:
+        """Unmap the segment.  Raises :class:`BufferError` while a
+        ``zero_copy`` payload view is alive — drop it first: swallowing
+        that here only moved the error into ``SharedMemory.__del__``,
+        where nobody can catch it."""
         try:
             self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown races
+        except OSError:  # pragma: no cover - teardown races
             pass
 
     def unlink(self) -> None:

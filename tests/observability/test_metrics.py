@@ -95,6 +95,19 @@ class TestHistogram:
         hist.observe(1.0)  # le="1.0" is inclusive
         assert hist._self_child().bucket_counts()[0] == (1.0, 1)
 
+    def test_observe_many_is_observe_under_one_lock(self):
+        # Same bins (boundaries inclusive, past the last = +Inf), same
+        # sum and count as one observe() per value.
+        values = [0.0, 0.5, 1.0, 1.0001, 2.0, 4.9, 5.0, 5.1, 100.0]
+        one_by_one = Histogram("a", "help", buckets=(1.0, 2.0, 5.0))
+        batched = Histogram("b", "help", buckets=(1.0, 2.0, 5.0))
+        for value in values:
+            one_by_one.observe(value)
+        batched._self_child().observe_many(values)
+        batched._self_child().observe_many([])
+        assert (batched._self_child()._snapshot()
+                == one_by_one._self_child()._snapshot())
+
     def test_bad_buckets_rejected(self):
         with pytest.raises(ConfigurationError):
             Histogram("h", "help", buckets=())

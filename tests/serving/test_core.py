@@ -164,3 +164,91 @@ class TestRetryBudget:
         with pytest.raises(ServingError, match="deadline budget exhausted"):
             handle.result(timeout=0)
         assert server.stats()["retry_queue_depth"] == 0
+
+
+class TestBatchesInFlight:
+    """The admission queue's work-conserving rule counts batches taken
+    and not yet reported back; whatever happens to a batch, the core
+    reports it exactly once, so the count (and every pooled buffer)
+    is back to zero once the server has drained."""
+
+    @staticmethod
+    def _submit_pooled(server, fft_input_pool, n=4):
+        # A list is staged into a pooled buffer, so the leak check below
+        # has something to find.
+        handle = server.submit(fft_input_pool[:n].tolist())
+        assert server._bufpool.outstanding > 0
+        return handle
+
+    @staticmethod
+    def _assert_closed(server, batches=1):
+        assert server.drain(timeout=1.0)
+        assert server._admission.in_flight == 0
+        assert server._bufpool.outstanding == 0
+        # One flush reason counted per batch dequeued.
+        assert sum(server.stats()["flushes"].values()) == batches
+
+    def test_success(self, fake_server, fft_input_pool):
+        server, fake = fake_server()
+        handle = self._submit_pooled(server, fft_input_pool)
+        batch = _dispatch_one(server, fake)
+        assert server._admission.in_flight == 1
+        fake.complete(batch)
+        assert handle.result(timeout=0).n_elements == 4
+        self._assert_closed(server)
+
+    def test_application_error(self, fake_server, fft_input_pool):
+        server, fake = fake_server()
+        handle = self._submit_pooled(server, fft_input_pool)
+        fake.fail(_dispatch_one(server, fake), ValueError("bad kernel"))
+        assert handle.done()
+        self._assert_closed(server)
+
+    def test_crash_retry_then_success(self, fake_server, fft_input_pool):
+        server, fake = fake_server(retry_backoff_s=FAR,
+                                   default_deadline_s=10 * FAR)
+        handle = self._submit_pooled(server, fft_input_pool)
+        fake.fail(_dispatch_one(server, fake), WorkerCrashError("died"))
+        # Parked in the retry heap: no batch is in flight meanwhile.
+        assert server._admission.in_flight == 0
+        server._requeue_due(time.monotonic() + 2 * FAR)
+        fake.complete(_dispatch_one(server, fake))
+        assert handle.result(timeout=0).n_elements == 4
+        self._assert_closed(server, batches=2)
+
+    @pytest.mark.parametrize("retry,why", [
+        ({"max_retries": 0}, "retry bound"),
+        ({"max_retries": 100, "default_deadline_s": 1.0},
+         "deadline budget"),
+    ])
+    def test_retries_exhausted(self, fake_server, fft_input_pool,
+                               retry, why):
+        server, fake = fake_server(retry_backoff_s=FAR, **retry)
+        handle = self._submit_pooled(server, fft_input_pool)
+        fake.fail(_dispatch_one(server, fake), WorkerCrashError("died"))
+        with pytest.raises(ServingError, match=why):
+            handle.result(timeout=0)
+        self._assert_closed(server)
+
+    def test_dispatch_that_raises(self, fake_server, fft_input_pool):
+        server, fake = fake_server()
+        handle = self._submit_pooled(server, fft_input_pool)
+
+        def exploding(batch):
+            raise RuntimeError("ring full")
+
+        assert server._pump_once(exploding)
+        with pytest.raises(RuntimeError, match="ring full"):
+            handle.result(timeout=0)
+        self._assert_closed(server)
+
+    def test_requeue_after_close(self, fake_server, fft_input_pool):
+        server, fake = fake_server(retry_backoff_s=FAR,
+                                   default_deadline_s=10 * FAR)
+        handle = self._submit_pooled(server, fft_input_pool)
+        fake.fail(_dispatch_one(server, fake), WorkerCrashError("died"))
+        server._admission.close()
+        server._requeue_due(time.monotonic() + 2 * FAR)
+        with pytest.raises(ServingError, match="re-queued"):
+            handle.result(timeout=0)
+        self._assert_closed(server)

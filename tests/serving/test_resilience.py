@@ -11,6 +11,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ServingError, WorkerCrashError
@@ -290,6 +291,53 @@ class TestDrain:
         results = [h.result(timeout=1) for h in handles]
         assert len(results) == 10
         server.stop()
+
+
+class TestBatchesInFlight:
+    """What ``tests/serving/test_core.py`` shows path by path on the fake
+    transport, on the real ones: completions, application errors, chaos
+    faults and kills all report their batch back exactly once."""
+
+    @pytest.mark.parametrize("backend,chaos", [
+        ("thread", None),
+        ("process", None),
+        ("thread", "fail=0.5,seed=5"),
+        ("process", "kill=20,fail=0.5,seed=5"),
+    ])
+    def test_drained_server_has_no_batch_in_flight(
+        self, fft_prototype, fft_input_pool, backend, chaos
+    ):
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend=backend, n_workers=2,
+                batching=BatchingConfig(flush_interval_s=0.001,
+                                        max_batch_requests=4),
+                retry=RetryConfig(retry_backoff_s=0.01),
+                chaos=ChaosConfig.parse(chaos) if chaos else None,
+            ),
+        )
+        server.start()
+        try:
+            # Lists are staged into pooled buffers (the leak check's
+            # subject); the odd width is an application error for
+            # whichever batch it lands in.
+            handles = [
+                server.submit(fft_input_pool[:8].tolist()) for _ in range(40)
+            ]
+            handles.append(server.submit(np.ones((4, 5))))
+            assert server.drain(timeout=60.0)
+            assert all(h.done() for h in handles)
+            assert any(h._exception is None for h in handles)
+            assert handles[-1]._exception is not None
+            assert server._admission.in_flight == 0
+            assert server._bufpool.outstanding == 0
+            stats = server.stats()
+            assert sum(stats["flushes"].values()) >= 11
+            if chaos:
+                assert stats["retries"] > 0
+        finally:
+            server.stop()
 
 
 class TestChaosSoak:
