@@ -1,25 +1,21 @@
 """Network serving — the quality-managed service behind a TCP socket.
 
 Stands up a Rumba server on an ephemeral localhost port via the
-``serving.serve`` facade, then drives it three ways a real deployment
-would: a blocking client with many multiplexed in-flight requests, a
+``serving.serve`` facade, then drives it the ways a real deployment
+would: a blocking client with many multiplexed in-flight requests and a
 typed-error round trip (a bad deadline comes back as the same
-``ConfigurationError`` an in-process caller sees), and the asyncio
-client.  Everything the serving stack does in process — batching,
+``ConfigurationError`` an in-process caller sees).  Everything the serving stack does in process — batching,
 backpressure, degradation, retries — applies unchanged to this traffic;
 the wire format is specified in ``docs/protocol.md``.
 
 Run:  PYTHONPATH=src python examples/network_serving.py
 """
 
-import asyncio
-
 import numpy as np
 
 from repro import serving
 from repro.errors import ConfigurationError
 from repro.serving import BatchingConfig, ServerConfig
-from repro.serving.net import AsyncRumbaClient
 
 
 def main() -> None:
@@ -68,21 +64,6 @@ def main() -> None:
             print(f"\nRemote stats(): state={stats['state']} "
                   f"offered={stats['requests_offered']} "
                   f"shed={stats['requests_shed']}")
-
-        print("\nThe asyncio client, fanning out 10 requests:")
-
-        async def fan_out():
-            async with await AsyncRumbaClient.connect(host, port) as aclient:
-                results = await asyncio.gather(*[
-                    aclient.request(rng.random((8, aclient.features)),
-                                    deadline_s=10.0)
-                    for _ in range(10)
-                ])
-                return [r.latency_s for r in results]
-
-        latencies = asyncio.run(fan_out())
-        print(f"  {len(latencies)} completed; p95 "
-              f"{np.percentile(latencies, 95) * 1e3:.2f} ms")
     finally:
         net.stop()
     print("\nServer stopped cleanly.")

@@ -15,7 +15,7 @@ implements the whole stack in Python:
   runtime,
 * :mod:`repro.metrics` / :mod:`repro.eval` — quality analyses and the
   per-figure experiment drivers,
-* :mod:`repro.observability` — metrics registry, invocation tracing,
+* :mod:`repro.observability` — metrics registry, invocation timelines,
   Prometheus/JSON exporters and the live quality dashboard.
 
 Quickstart::
@@ -28,7 +28,7 @@ Quickstart::
 
 from repro.apps import APPLICATION_NAMES, Application, get_application
 from repro.core import RumbaConfig, RumbaSystem, TunerMode, prepare_system
-from repro.observability import MetricsRegistry, Telemetry, Tracer
+from repro.observability import MetricsRegistry, Telemetry
 from repro.errors import (
     ConfigurationError,
     NotFittedError,
@@ -52,7 +52,6 @@ __all__ = [
     "prepare_system",
     "Telemetry",
     "MetricsRegistry",
-    "Tracer",
     "ReproError",
     "ConfigurationError",
     "TrainingError",

@@ -11,7 +11,8 @@ Commands
 ``monitor --app NAME [--invocations N] [--export F] [--trace F]``
     Run a quality-managed stream with full telemetry attached and render
     the live ASCII quality dashboard; optionally export the metrics
-    snapshot and a JSONL span trace.
+    snapshot and one flight record per invocation (``--trace F``, read
+    back with ``trace --log F``).
 ``serve --app NAME [--workers N] [--backend thread|process] ...``
     Start the batched quality-managed serving layer (worker pool +
     asynchronous recovery + backpressure), drive it with a synthetic
@@ -50,7 +51,8 @@ Commands
     Exits non-zero on any divergence — the reproducibility check that
     turns a chaos-run journal into a regression test.
 ``trace --log FILE [ID] [--tail N]``
-    Browse a flight-recorder log (``serve --flight-log``).  With no ID:
+    Browse a flight-recorder log (``serve --flight-log`` or ``monitor
+    --trace``).  With no ID:
     a per-stage p50/p95/p99 aggregate plus a one-line tail of the most
     recent records.  With an ID (decimal or ``0x...`` hex, matched
     against request *and* trace ids): the full per-stage waterfall for
@@ -84,10 +86,9 @@ from repro.eval.experiments import headline_summary
 from repro.eval.report import generate_report
 from repro.eval.reporting import format_table
 from repro.observability import (
-    JsonlSpanExporter,
+    FlightRecorder,
     MetricsRegistry,
     Telemetry,
-    Tracer,
     render_dashboard,
     write_snapshot,
 )
@@ -144,10 +145,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     print(f"Preparing {args.app} with the {args.scheme} checker...")
     system = prepare_system(args.app, scheme=args.scheme, seed=args.seed)
     registry = MetricsRegistry()
-    exporter = JsonlSpanExporter(args.trace) if args.trace else None
-    tracer = Tracer(exporter=exporter)
+    recorder = FlightRecorder(args.trace) if args.trace else None
     telemetry = Telemetry(app=args.app, scheme=args.scheme,
-                          registry=registry, tracer=tracer)
+                          registry=registry, recorder=recorder)
     system.attach_telemetry(telemetry)
     stream = QualityManagedStream(system)
     chunks = invocation_stream(
@@ -160,9 +160,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             print(clear_screen_prefix(True) + render_dashboard(telemetry))
     if not live:
         print(render_dashboard(telemetry))
-    if exporter is not None:
-        exporter.close()
-        print(f"wrote {exporter.exported} spans to {args.trace}")
+    if recorder is not None:
+        recorder.close()
+        print(f"wrote {recorder.written} flight records to {args.trace} "
+              f"(browse: python -m repro trace --log {args.trace})")
     if args.export:
         fmt = write_snapshot(args.export, registry)
         print(f"wrote {fmt} telemetry snapshot to {args.export}")
@@ -224,20 +225,17 @@ def _serve_config(args: argparse.Namespace):
     )
 
 
-def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
-    """``serve --listen``: expose the server over TCP until stopped."""
+def _serve_until_stopped(start, args: argparse.Namespace) -> None:
+    """Serve until SIGTERM, ctrl-C or ``--duration``; the caller stops
+    what it started.
+
+    ``start()`` returns the started listener and the line announcing it
+    (``{bound}`` is filled in with its address).  It runs under the
+    signal handler, so a stop that lands while a fleet is still spawning
+    is a clean one.
+    """
     import signal
 
-    from repro.serving import NetServer, parse_address
-
-    host, port = parse_address(args.listen)
-    net = NetServer(server, host, port, node_id=args.node_id or None)
-    net.start()
-    bound = f"{net.address[0]}:{net.address[1]}"
-    print(f"listening on {bound} (ctrl-C to stop)", flush=True)
-    if args.port_file:
-        with open(args.port_file, "w") as handle:
-            handle.write(bound + "\n")
     # Shells start background jobs with SIGINT ignored, so scripted
     # shutdown (the CI smoke) arrives as SIGTERM; treat both as "stop".
     interrupted = []
@@ -245,19 +243,39 @@ def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
         signal.SIGTERM, lambda *_: interrupted.append(True)
     )
     try:
+        listener, announce = start()
+        bound = f"{listener.address[0]}:{listener.address[1]}"
+        print(announce.format(bound=bound), flush=True)
+        if args.port_file:
+            with open(args.port_file, "w") as handle:
+                handle.write(bound + "\n")
         deadline = (
             time.monotonic() + args.duration if args.duration > 0 else None
         )
-        while net.is_running and not interrupted:
+        while listener.is_running and not interrupted:
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            net.serve_forever(timeout=0.2)
+            listener.serve_forever(timeout=0.2)
     except KeyboardInterrupt:
         interrupted.append(True)
     finally:
         if interrupted:
             print("interrupted; shutting down", flush=True)
         signal.signal(signal.SIGTERM, previous)
+
+
+def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
+    """``serve --listen``: expose the server over TCP until stopped."""
+    from repro.serving import NetServer, parse_address
+
+    host, port = parse_address(args.listen)
+    net = NetServer(server, host, port, node_id=args.node_id or None)
+    try:
+        _serve_until_stopped(
+            lambda: (net.start(), "listening on {bound} (ctrl-C to stop)"),
+            args,
+        )
+    finally:
         net.stop()
     if args.export:
         fmt = write_snapshot(args.export, server.registry)
@@ -433,63 +451,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import signal
+    import contextlib
 
     from repro.serving import ClusterConfig, serve_cluster, spawn_local_fleet
 
-    fleet = None
-    interrupted = []
-    router = None
-    previous = signal.signal(
-        signal.SIGTERM, lambda *_: interrupted.append(True)
-    )
-    try:
-        if args.attach:
-            addresses = [
-                a.strip() for a in args.attach.split(",") if a.strip()
-            ]
-            if not addresses:
-                print("--attach needs at least one HOST:PORT")
-                return 2
-        else:
+    attached = [a.strip() for a in args.attach.split(",") if a.strip()]
+    if args.attach and not attached:
+        print("--attach needs at least one HOST:PORT")
+        return 2
+
+    def start():
+        addresses = attached
+        if not args.attach:
             print(f"spawning {args.nodes} {args.app} node(s) — each child "
                   "trains its own predictor stack first...", flush=True)
             fleet = spawn_local_fleet(
                 args.nodes, app=args.app, scheme=args.scheme,
                 workers=args.workers_per_node,
             )
+            cleanup.callback(fleet.stop)
             addresses = fleet.addresses
             print("nodes: " + ", ".join(addresses), flush=True)
-        config = ClusterConfig(
-            probe_interval_s=args.probe_interval,
-        )
         router = serve_cluster(
-            addresses, policy=args.policy, config=config,
+            addresses, policy=args.policy,
+            config=ClusterConfig(probe_interval_s=args.probe_interval),
             listen=args.listen, wait_for=len(addresses), timeout=120.0,
         )
-        bound = f"{router.address[0]}:{router.address[1]}"
-        print(f"routing {args.policy} across {len(addresses)} node(s) "
-              f"on {bound} (ctrl-C to stop)", flush=True)
-        if args.port_file:
-            with open(args.port_file, "w") as handle:
-                handle.write(bound + "\n")
-        deadline = (
-            time.monotonic() + args.duration if args.duration > 0 else None
-        )
-        while router.is_running and not interrupted:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            router.serve_forever(timeout=0.2)
-    except KeyboardInterrupt:
-        interrupted.append(True)
-    finally:
-        if interrupted:
-            print("interrupted; shutting down", flush=True)
-        signal.signal(signal.SIGTERM, previous)
-        if router is not None:
-            router.stop()
-        if fleet is not None:
-            fleet.stop()
+        cleanup.callback(router.stop)
+        return router, (f"routing {args.policy} across {len(addresses)} "
+                        "node(s) on {bound} (ctrl-C to stop)")
+
+    with contextlib.ExitStack() as cleanup:  # router first, then its fleet
+        _serve_until_stopped(start, args)
     return 0
 
 
@@ -702,7 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the final metrics snapshot here "
                               "(.prom/.txt Prometheus text, .json JSON)")
     monitor.add_argument("--trace", default="",
-                         help="write per-invocation spans here (JSONL)")
+                         help="write one flight record (stage timeline) "
+                              "per invocation here; browse with "
+                              "`repro trace --log`")
     monitor.add_argument("--no-live", action="store_true",
                          help="render only the final dashboard frame")
     monitor.add_argument("--seed", type=int, default=0)
@@ -872,14 +867,15 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--seed", type=int, default=0)
 
     trace = sub.add_parser(
-        "trace", help="browse a serving flight-recorder log"
+        "trace", help="browse a flight-recorder log"
     )
     trace.add_argument("id", nargs="?", default="",
                        help="request or trace id to show a waterfall for "
                             "(decimal or 0x-prefixed hex); omit for the "
                             "aggregate view")
     trace.add_argument("--log", required=True,
-                       help="flight log written by serve --flight-log")
+                       help="flight log written by serve --flight-log or "
+                            "monitor --trace")
     trace.add_argument("--tail", type=int, default=10,
                        help="one-line summaries of the last N records in "
                             "the aggregate view (0 = none)")

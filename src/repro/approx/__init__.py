@@ -18,17 +18,9 @@ from repro.approx.ensemble import (
     OnlineLearner,
     build_ensemble,
 )
-from repro.approx.loop_perforation import (
-    perforated_mean,
-    perforated_sum,
-    perforation_mask,
-)
+from repro.approx.loop_perforation import perforated_mean, perforation_mask
 from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
-from repro.approx.npu_backend import (
-    NPUBackend,
-    search_npu_backend,
-    train_npu_backend,
-)
+from repro.approx.npu_backend import NPUBackend, train_npu_backend
 from repro.approx.perforation_backend import (
     PerforatedKernelBackend,
     PerforationOutcome,
@@ -48,10 +40,8 @@ __all__ = [
     "build_ensemble",
     "NPUBackend",
     "train_npu_backend",
-    "search_npu_backend",
     "perforation_mask",
     "perforated_mean",
-    "perforated_sum",
     "PerforatedKernelBackend",
     "PerforationQualityManager",
     "PerforationOutcome",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["perforation_mask", "perforated_mean", "perforated_sum"]
+__all__ = ["perforation_mask", "perforated_mean"]
 
 
 def perforation_mask(
@@ -68,20 +68,3 @@ def perforated_mean(
     values = np.asarray(values, dtype=float).ravel()
     mask = perforation_mask(values.size, skip_rate, mode=mode, rng=rng)
     return float(values[mask].mean())
-
-
-def perforated_sum(
-    values: np.ndarray,
-    skip_rate: float,
-    mode: str = "uniform",
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Sum of ``values`` extrapolated from the surviving iterations.
-
-    The partial sum is rescaled by the inverse keep fraction, which is how
-    perforated reductions compensate for dropped iterations.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    mask = perforation_mask(values.size, skip_rate, mode=mode, rng=rng)
-    kept = int(mask.sum())
-    return float(values[mask].sum() * values.size / kept)

@@ -236,56 +236,6 @@ class NPUBackend(BackendBase):
         return self
 
 
-def search_npu_backend(
-    app: Application,
-    widths=(2, 4, 8, 16),
-    max_hidden_layers: int = 2,
-    slack: float = 1.10,
-    seed: int = 0,
-    n_train_cap: Optional[int] = 2000,
-):
-    """Topology-searched accelerator training (Sec. 4, Accelerator Output).
-
-    Instead of taking the Table 1 topology as given, enumerate candidates
-    (≤2 hidden layers, ≤32 neurons each — the NPU constraint), train each,
-    and pick the smallest network whose validation error is within
-    ``slack`` of the best — "the smallest NN that does not produce
-    excessive errors".  Returns ``(backend, candidate_table)``.
-    """
-    from repro.nn.topology import search_topology
-    from repro.nn.trainer import RPropTrainer
-
-    rng = np.random.default_rng(seed)
-    x_all = np.atleast_2d(np.asarray(app.train_inputs(rng), dtype=float))
-    if n_train_cap is not None and x_all.shape[0] > n_train_cap:
-        pick = rng.choice(x_all.shape[0], size=n_train_cap, replace=False)
-        x_all = x_all[pick]
-    y_all = app.exact(x_all)
-    feats = app.rumba_features(x_all)
-
-    input_scaler = MinMaxScaler()
-    output_scaler = MinMaxScaler()
-    x_scaled = input_scaler.fit_transform(feats)
-    y_scaled = output_scaler.fit_transform(y_all)
-    n_val = max(x_scaled.shape[0] // 5, 1)
-    network, candidates = search_topology(
-        x_scaled[n_val:], y_scaled[n_val:],
-        x_scaled[:n_val], y_scaled[:n_val],
-        widths=widths,
-        max_hidden_layers=max_hidden_layers,
-        slack=slack,
-        trainer=RPropTrainer(max_epochs=200, patience=30, seed=seed),
-        seed=seed,
-    )
-    backend = NPUBackend(
-        network=network,
-        input_scaler=input_scaler,
-        output_scaler=output_scaler,
-        input_columns=app.rumba_input_columns,
-    )
-    return backend, candidates
-
-
 def train_npu_backend(
     app: Application,
     use_rumba_topology: bool = True,

@@ -14,7 +14,7 @@ from repro.apps.base import (
     mismatch_fraction,
     relative_errors,
 )
-from repro.apps.workloads import bursty_stream, drifting_stream, invocation_stream
+from repro.apps.workloads import invocation_stream
 from repro.apps.registry import (
     APPLICATION_NAMES,
     all_applications,
@@ -33,6 +33,4 @@ __all__ = [
     "get_application",
     "all_applications",
     "invocation_stream",
-    "drifting_stream",
-    "bursty_stream",
 ]

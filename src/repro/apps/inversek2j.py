@@ -27,7 +27,6 @@ __all__ = [
     "inverse_kinematics",
     "forward_kinematics",
     "generate_targets",
-    "follow_path",
     "make_application",
 ]
 
@@ -73,22 +72,6 @@ def generate_targets(rng: np.random.Generator, n: int = 10000) -> np.ndarray:
     radius = rng.uniform(0.15 * reach, 0.95 * reach, size=n)
     angle = rng.uniform(-np.pi, np.pi, size=n)
     return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-
-
-def follow_path(waypoints: np.ndarray, kernel=inverse_kinematics) -> np.ndarray:
-    """Whole-application run: joint trajectory tracking a Cartesian path.
-
-    The robotics application streams end-effector waypoints through the IK
-    kernel and unwraps the resulting joint angles so consecutive poses are
-    continuous (no 2*pi jumps), which is what a controller would execute.
-    Pass an approximate kernel to run the accelerated variant.
-    """
-    waypoints = np.atleast_2d(np.asarray(waypoints, dtype=float))
-    if waypoints.shape[1] != 2:
-        raise ConfigurationError("waypoints must be (x, y) rows")
-    angles = np.asarray(kernel(waypoints), dtype=float)
-    # Unwrap each joint across the trajectory.
-    return np.unwrap(angles, axis=0)
 
 
 def make_application() -> Application:

@@ -1,27 +1,21 @@
-"""Invocation-stream workload generators.
+"""Invocation-stream workload generator.
 
 Multi-invocation experiments (the online tuner, drift detection, the
 sampling comparison) need *streams* of accelerator invocations rather than
-one big batch.  These helpers produce them for any Table 1 benchmark:
-
-* :func:`invocation_stream` — i.i.d. chunks of the benchmark's own test
-  distribution (the steady-state case),
-* :func:`drifting_stream` — a stream whose input distribution interpolates
-  away from the training population over time (the Challenge II case),
-* :func:`bursty_stream` — alternating easy/hard phases, stressing the
-  tuner's adaptation.
+one big batch.  :func:`invocation_stream` produces one for any Table 1
+benchmark: i.i.d. chunks of the benchmark's own test distribution.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
 from repro.apps.base import Application
 from repro.errors import ConfigurationError
 
-__all__ = ["invocation_stream", "drifting_stream", "bursty_stream"]
+__all__ = ["invocation_stream"]
 
 
 def invocation_stream(
@@ -44,54 +38,3 @@ def invocation_stream(
         chunks.append(buffer[:invocation_size])
         buffer = buffer[invocation_size:]
     return chunks
-
-
-def drifting_stream(
-    app: Application,
-    n_invocations: int,
-    invocation_size: int,
-    drift: Callable[[np.ndarray, float], np.ndarray],
-    seed: int = 0,
-) -> List[np.ndarray]:
-    """A stream whose inputs drift away from the training population.
-
-    ``drift(inputs, t)`` transforms an invocation's inputs given the
-    stream position ``t`` in [0, 1]; ``t=0`` is in-distribution.
-    """
-    base = invocation_stream(app, n_invocations, invocation_size, seed)
-    out: List[np.ndarray] = []
-    for i, chunk in enumerate(base):
-        t = i / max(n_invocations - 1, 1)
-        drifted = np.atleast_2d(np.asarray(drift(chunk, t), dtype=float))
-        if drifted.shape != chunk.shape:
-            raise ConfigurationError("drift must preserve the chunk shape")
-        out.append(drifted)
-    return out
-
-
-def bursty_stream(
-    app: Application,
-    n_invocations: int,
-    invocation_size: int,
-    hard: Callable[[np.ndarray], np.ndarray],
-    burst_period: int = 4,
-    seed: int = 0,
-) -> List[np.ndarray]:
-    """Alternate in-distribution invocations with 'hard' bursts.
-
-    Every ``burst_period``-th invocation is transformed by ``hard`` (e.g.
-    concentrated into the accelerator's weak input region).
-    """
-    if burst_period <= 0:
-        raise ConfigurationError("burst_period must be positive")
-    base = invocation_stream(app, n_invocations, invocation_size, seed)
-    out: List[np.ndarray] = []
-    for i, chunk in enumerate(base):
-        if (i + 1) % burst_period == 0:
-            transformed = np.atleast_2d(np.asarray(hard(chunk), dtype=float))
-            if transformed.shape != chunk.shape:
-                raise ConfigurationError("hard must preserve the chunk shape")
-            out.append(transformed)
-        else:
-            out.append(chunk)
-    return out

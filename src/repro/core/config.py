@@ -39,8 +39,6 @@ class RumbaConfig:
         Starting tuning threshold on predictor scores.
     threshold_gain:
         Multiplicative step of the per-invocation threshold adaptation.
-    recovery_queue_capacity:
-        Depth of the recovery-bit queue between accelerator and CPU.
     detector_placement:
         Sec. 3.5: ``2`` (parallel with the accelerator, the paper's
         choice) or ``1`` (before the accelerator).
@@ -52,7 +50,6 @@ class RumbaConfig:
     iteration_budget_fraction: float = 0.25
     initial_threshold: float = 0.1
     threshold_gain: float = 1.25
-    recovery_queue_capacity: int = 4096
     detector_placement: int = 2
     seed: int = 0
 
@@ -67,8 +64,6 @@ class RumbaConfig:
             raise ConfigurationError("initial_threshold must be >= 0")
         if self.threshold_gain <= 1.0:
             raise ConfigurationError("threshold_gain must be > 1")
-        if self.recovery_queue_capacity <= 0:
-            raise ConfigurationError("recovery_queue_capacity must be positive")
         if self.detector_placement not in (1, 2):
             raise ConfigurationError("detector_placement must be 1 or 2")
 

@@ -80,9 +80,8 @@ class InvocationRecord:
     :data:`repro.observability.reqtrace.STAGES`.  A stage's cost is the
     time since the previous point, so the chain reads exactly like a
     request trace — and is spliced into one when the invocation served a
-    batch.  ``tuned_threshold`` is the tuner's output after this invocation,
-    ``tuner_move`` the direction it moved (+1 raise, -1 lower, 0 hold)
-    and ``queue_capacity`` the recovery-queue bound the run had.
+    batch.  ``tuned_threshold`` is the tuner's output after this invocation
+    and ``tuner_move`` the direction it moved (+1 raise, -1 lower, 0 hold).
     """
 
     outputs: np.ndarray
@@ -96,7 +95,6 @@ class InvocationRecord:
     stages: List[Tuple[str, float]] = field(default_factory=list)
     tuned_threshold: float = 0.0
     tuner_move: int = 0
-    queue_capacity: int = 0
 
     @property
     def fix_fraction(self) -> float:
@@ -119,12 +117,9 @@ class InvocationRecord:
             "fix_fraction": float(self.fix_fraction),
             "threshold": self.tuned_threshold,
             "tuner_move": self.tuner_move,
-            "queue_capacity": self.queue_capacity,
             "cpu_kept_up": bool(pipeline.cpu_kept_up),
             "cpu_utilization": float(pipeline.cpu_utilization),
             "makespan_cycles": float(pipeline.makespan),
-            "accel_cycles": float(pipeline.accel_finish),
-            "cpu_busy_cycles": float(pipeline.cpu_busy),
         }
         if self.measured_error is not None:
             facts["measured_error"] = float(self.measured_error)
@@ -245,8 +240,7 @@ class RumbaSystem:
             [] if max_records is None else deque(maxlen=max_records)
         )
         self.total_invocations = 0
-        self._next_iteration_id = 0
-        # _mutex guards the short iteration-id/threshold handoff in
+        # _mutex guards the short threshold handoff in
         # begin_invocation; _complete_lock serializes the whole CPU-side
         # half (recover + tune + record append).  Two locks so a worker
         # thread can begin the next invocation while recovery workers are
@@ -387,15 +381,9 @@ class RumbaSystem:
 
             with self._mutex:
                 self.detection.threshold = self.tuner.threshold
-                self._next_iteration_id += n
-            # Fast path: detection owns the recovery-bits vector, so the
-            # per-invocation RecoveryQueue — allocate, push n ids through
-            # a locked Python deque, drain, rebuild the bool vector — is
-            # an identity transform here (the queue is private, every
-            # push precedes the single drain, and capacity >= n means no
-            # stalls).  Skip it and take the bits straight from
-            # detection; hardware-facing queue semantics stay covered by
-            # RecoveryQueue's own tests and the hardware model.
+            # Detection owns the recovery-bits vector; the Fig. 4
+            # recovery queue between checker and CPU is modelled in
+            # hardware/queues.py, not instantiated per invocation.
             detection = self.detection.detect_into(
                 features=features,
                 approx_outputs=approx,
@@ -531,12 +519,6 @@ class RumbaSystem:
                     # Serialized against apply_backpressure by the lock,
                     # so the difference is this update's move alone.
                     tuner_move=(tuned > before) - (tuned < before),
-                    # The drained queue this path replaced was sized to
-                    # the configured floor or the invocation, whichever
-                    # is larger.
-                    queue_capacity=max(
-                        self.config.recovery_queue_capacity, n
-                    ),
                 )
             except BaseException:
                 if self.telemetry is not None:

@@ -38,7 +38,8 @@ class DriftDetector:
     (mean ± ``tolerance_sigmas`` standard deviations, clamped between
     ``min_band`` and ``max_band`` — short calibrations estimate the spread
     noisily in both directions); afterwards, an exponentially smoothed
-    fire rate outside the band raises the drift flag.
+    fire rate outside the band raises the drift flag.  ``flags`` counts
+    the observations that raised it since the last :meth:`reset`.
     """
 
     def __init__(
@@ -66,10 +67,16 @@ class DriftDetector:
         self._smoothed: Optional[float] = None
         self.reference_mean: Optional[float] = None
         self.reference_band: Optional[float] = None
+        self.flags = 0
 
     @property
     def is_calibrated(self) -> bool:
         return self.reference_mean is not None
+
+    @property
+    def drifted(self) -> bool:
+        """True once any observation has left the band (until reset)."""
+        return self.flags > 0
 
     def observe(self, fire_rate: float) -> bool:
         """Feed one invocation's fire rate; returns True when drifted."""
@@ -90,10 +97,16 @@ class DriftDetector:
             self.smoothing * fire_rate
             + (1.0 - self.smoothing) * self._smoothed
         )
-        return abs(self._smoothed - self.reference_mean) > self.reference_band
+        drifted_now = (
+            abs(self._smoothed - self.reference_mean) > self.reference_band
+        )
+        if drifted_now:
+            self.flags += 1
+        return drifted_now
 
     def reset(self) -> None:
-        """Forget the calibration (call after retraining)."""
+        """Forget the calibration and the flags (call after retraining)."""
+        self.flags = 0
         self._calibration = []
         self._smoothed = None
         self.reference_mean = None
@@ -132,7 +145,6 @@ class QualityManagedStream:
         self.drift = drift_detector or DriftDetector()
         self.window = window
         self._recent: Deque[InvocationRecord] = deque(maxlen=window)
-        self.drift_flagged_at: List[int] = []
         self._count = 0
 
     def feed(self, inputs: np.ndarray) -> InvocationRecord:
@@ -141,21 +153,18 @@ class QualityManagedStream:
         self._recent.append(record)
         self._count += 1
         drifted_now = self.drift.observe(record.detection.fire_fraction)
-        if drifted_now:
-            self.drift_flagged_at.append(self._count)
         telemetry = self.system.telemetry
         if telemetry is not None:
-            telemetry.on_drift(drifted_now, self.needs_retraining)
+            telemetry.on_drift(drifted_now, self.drift.drifted)
         return record
 
     @property
     def needs_retraining(self) -> bool:
         """True once drift has been flagged and not yet acknowledged."""
-        return bool(self.drift_flagged_at)
+        return self.drift.drifted
 
     def acknowledge_retraining(self) -> None:
         """Clear drift state after the offline trainers have been re-run."""
-        self.drift_flagged_at = []
         self.drift.reset()
 
     def status(self) -> StreamStatus:

@@ -225,19 +225,6 @@ class ExperimentDB:
             for name, value in self._conn.execute(query, params).fetchall()
         }
 
-    def metric_history(
-        self, bench: str, name: str, limit: int = 50
-    ) -> List[Tuple[str, float]]:
-        """``(created_at, value)`` of one metric across runs, oldest first."""
-        rows = self._conn.execute(
-            "SELECT r.created_at, m.value FROM metrics m "
-            "JOIN runs r ON r.id = m.run_id "
-            "WHERE r.bench = ? AND m.name = ? "
-            "ORDER BY r.id DESC LIMIT ?",
-            (bench, name, limit),
-        ).fetchall()
-        return list(reversed(rows))
-
     def close(self) -> None:
         self._conn.close()
 

@@ -23,27 +23,11 @@ from repro.eval.experiments import (
     prediction_time_table,
     quality_target_analysis,
 )
+from repro.eval.reporting import _md_table
 from repro.eval.schemes import evaluate_benchmark
 from repro.predictors.training import SCHEME_NAMES
 
 __all__ = ["generate_report"]
-
-
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    def cell(value: object) -> str:
-        if isinstance(value, float):
-            return f"{value:.3f}"
-        return str(value)
-
-    lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        if len(row) != len(headers):
-            raise ConfigurationError("report row width mismatch")
-        lines.append("| " + " | ".join(cell(c) for c in row) + " |")
-    return "\n".join(lines)
 
 
 def _expdb_sections(expdb_path: str) -> List[str]:

@@ -1,7 +1,8 @@
-"""Plain-text table/series formatting for the benches.
+"""Plain-text and markdown table/series formatting.
 
-The benchmark harness prints the same rows/series the paper's figures plot;
-these helpers keep that output consistent across all bench files.
+The benchmark harness prints the same rows/series the paper's figures plot
+and ``repro report`` renders them as markdown; these helpers keep that
+output consistent across all bench files and the report.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def format_table(
     lines.append("-" * len(header_line))
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """The same rows as a markdown table (``eval/report.py``)."""
+    lines = [
+        "| " + " | ".join(str(h) for h in headers) + " |",
+        "|" + "|".join("---" for _ in headers) + "|",
+    ]
+    for row in rows:
+        if len(row) != len(headers):
+            raise ConfigurationError("report row width mismatch")
+        lines.append("| " + " | ".join(_cell(c) for c in row) + " |")
     return "\n".join(lines)
 
 

@@ -5,11 +5,12 @@ I/O queues for data, a config queue for accelerator and checker
 coefficients, and a *recovery queue* that carries one recovery bit per
 iteration from the detection module back to the CPU.
 
-These are functional FIFO models with occupancy accounting; the pipeline
-simulator uses them to bound in-flight work and the tests use them to check
-ordering and loss-freedom invariants.  All mutating operations are guarded
-by a per-queue re-entrant lock so the serving layer's worker threads can
-share a queue without corrupting the deque or the statistics.
+These are functional FIFO models with occupancy accounting: the runtime
+ships checker coefficients through a :class:`ConfigQueue`, the serving
+layer's bounded recovery backlog is a :class:`FifoQueue`, and the tests use
+them to check ordering and loss-freedom invariants.  All mutating operations
+are guarded by a per-queue re-entrant lock so the serving layer's worker
+threads can share a queue without corrupting the deque or the statistics.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 This subpackage provides the MLP used as the functional model of the NPU
 accelerator: topology parsing (Table 1 notation), forward evaluation,
-RProp/SGD training, feature scaling, and the smallest-adequate-net topology
-search policy described in Sec. 4 of the paper.
+RProp/SGD training and feature scaling.
 """
 
 from repro.nn.activations import (
@@ -16,11 +15,6 @@ from repro.nn.activations import (
 )
 from repro.nn.mlp import MLP, Topology
 from repro.nn.scaler import MinMaxScaler, StandardScaler
-from repro.nn.topology import (
-    CandidateResult,
-    enumerate_topologies,
-    search_topology,
-)
 from repro.nn.trainer import RPropTrainer, SGDTrainer, TrainingResult, mse
 
 __all__ = [
@@ -38,7 +32,4 @@ __all__ = [
     "SGDTrainer",
     "TrainingResult",
     "mse",
-    "CandidateResult",
-    "enumerate_topologies",
-    "search_topology",
 ]

@@ -9,11 +9,9 @@ operator must watch in production.  This package makes them first-class:
 * :mod:`repro.observability.metrics` — a zero-dependency, thread-safe
   metrics registry (labelled counters / gauges / fixed-bucket histograms)
   with a process-global default registry,
-* :mod:`repro.observability.tracing` — per-invocation spans for the
-  accelerate / detect / recover / tune phases with wall-time and
-  model-cycle attributes, plus a JSONL span exporter,
 * :mod:`repro.observability.instrument` — the :class:`Telemetry` facade
-  the runtime hooks call (no-op-cheap when nothing is attached),
+  that reads each finished invocation record into loop metrics, phase
+  counters and (given a recorder) one flight record per invocation,
 * :mod:`repro.observability.export` — Prometheus text exposition and JSON
   snapshots,
 * :mod:`repro.observability.dashboard` — a live ASCII dashboard for
@@ -23,8 +21,8 @@ operator must watch in production.  This package makes them first-class:
   admission, batching, the shm hop, compute, detection, recovery, and
   retries (``rumba_stage_seconds``),
 * :mod:`repro.observability.flightlog` — the append-only, size-capped
-  flight recorder for sampled request traces, browsed with
-  ``python -m repro trace``.
+  flight recorder for sampled request traces and ``monitor --trace``
+  invocation timelines, browsed with ``python -m repro trace``.
 
 The metric catalog is documented in ``docs/observability.md``.
 """
@@ -63,7 +61,6 @@ from repro.observability.reqtrace import (
     TracingPolicy,
     new_trace_id,
 )
-from repro.observability.tracing import JsonlSpanExporter, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -72,9 +69,6 @@ __all__ = [
     "MetricsRegistry",
     "get_default_registry",
     "set_default_registry",
-    "Span",
-    "Tracer",
-    "JsonlSpanExporter",
     "Telemetry",
     "enable_ambient_telemetry",
     "disable_ambient_telemetry",

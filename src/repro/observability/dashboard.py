@@ -70,11 +70,6 @@ def render_dashboard(telemetry: Telemetry, width: int = 60) -> str:
         ["threshold",
          "-" if threshold is None else f"{threshold:.4g}",
          _spark(history["threshold"])],
-        ["queue peak",
-         "-" if gauge("rumba_recovery_queue_occupancy_peak") is None
-         else f"{gauge('rumba_recovery_queue_occupancy_peak'):.0f}"
-         f"/{gauge('rumba_recovery_queue_capacity'):.0f}",
-         _spark(history["queue_peak"])],
     ]
     if history["measured_error"]:
         rows.append(["meas. error", _fmt_pct(gauge("rumba_measured_error")),

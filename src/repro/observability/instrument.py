@@ -1,11 +1,11 @@
 """The :class:`Telemetry` facade — the reader of invocation records.
 
 One ``Telemetry`` instance binds a metrics registry (and optionally a
-tracer) to one running system.  The runtime stamps its stage chain on
-every invocation record whether or not anyone is watching; an attached
-telemetry is handed the finished record once, at the end of
+flight recorder) to one running system.  The runtime stamps its stage
+chain on every invocation record whether or not anyone is watching; an
+attached telemetry is handed the finished record once, at the end of
 ``complete_invocation`` (:meth:`Telemetry.observe`), and derives every
-loop metric, phase counter and exported span from it.  The serving core
+loop metric, phase counter and flight record from it.  The serving core
 feeds the same call from each worker's batch report, so a shard in
 another process exports the same series.
 
@@ -28,6 +28,7 @@ from collections import deque
 from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.observability.flightlog import FLIGHT_LOG_VERSION, FlightRecorder
 from repro.observability.metrics import (
     DEFAULT_CYCLE_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
@@ -43,7 +44,6 @@ from repro.observability.reqtrace import (
     STAGE_TUNE,
     segments,
 )
-from repro.observability.tracing import Tracer
 
 __all__ = [
     "Telemetry",
@@ -57,7 +57,7 @@ __all__ = [
 PHASES = ("accelerate", "detect", "recover", "tune")
 
 #: The stages whose segment is a phase of the loop, under the phase name
-#: the metrics and spans have always used.  Every other stage of a chain
+#: the metrics have always used.  Every other stage of a chain
 #: (``invoke``, ``measure``, ``shm_read``, ``recovery_wait``) is a hop
 #: or the experimenter's instrument and never pollutes a phase timing.
 _PHASE_OF_STAGE = {
@@ -68,16 +68,6 @@ _PHASE_OF_STAGE = {
     STAGE_TUNE: "tune",
     STAGE_LEARN: "learn",
 }
-#: Which facts of the record annotate which phase's span.
-_PHASE_ATTRIBUTES = {
-    "detect": ("n_fired",),
-    "recover": ("n_recovered",),
-    "tune": ("threshold",),
-}
-_INVOCATION_ATTRIBUTES = (
-    "n_elements", "makespan_cycles", "accel_cycles", "cpu_busy_cycles",
-    "n_recovered", "n_fired",
-)
 _MOVE_NAMES = {1: "raise", -1: "lower"}
 
 _ambient_registry: Optional[MetricsRegistry] = None
@@ -113,7 +103,7 @@ def ambient_telemetry_registry() -> Optional[MetricsRegistry]:
 
 
 class Telemetry:
-    """Metrics + tracing for one quality-managed system.
+    """Metrics + flight records for one quality-managed system.
 
     Parameters
     ----------
@@ -121,8 +111,10 @@ class Telemetry:
         Label values stamped on every series this instance writes.
     registry:
         Target registry; defaults to the process-global one.
-    tracer:
-        Optional :class:`Tracer`; when absent only metrics are kept.
+    recorder:
+        Optional :class:`FlightRecorder`: one timeline record per
+        invocation, in the format ``python -m repro trace`` reads; when
+        absent only metrics are kept.
     history:
         Length of the per-invocation history deques the dashboard plots.
     extra_labels:
@@ -138,12 +130,12 @@ class Telemetry:
         app: str = "",
         scheme: str = "",
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
+        recorder: Optional[FlightRecorder] = None,
         history: int = 240,
         extra_labels: Optional[Mapping[str, str]] = None,
     ):
         self.registry = registry if registry is not None else get_default_registry()
-        self.tracer = tracer
+        self.recorder = recorder
         self.app = app
         self.scheme = scheme
         extra = dict(extra_labels or {})
@@ -204,20 +196,6 @@ class Telemetry:
             "rumba_cpu_utilization",
             "CPU busy fraction over the last invocation's makespan", labels,
         ).labels(**ls)
-        self._b_queue_peak = r.gauge(
-            "rumba_recovery_queue_occupancy_peak",
-            "Peak recovery-queue occupancy last invocation (entries)", labels,
-        ).labels(**ls)
-        self._b_queue_capacity = r.gauge(
-            "rumba_recovery_queue_capacity",
-            "Recovery-queue capacity last invocation (entries)", labels,
-        ).labels(**ls)
-        # Registered (and exported at 0) for the documented catalog; the
-        # runtime's queue-less fast path cannot stall.
-        r.counter(
-            "rumba_recovery_queue_stalls_total",
-            "Recovery-queue push stalls (full queue)", labels,
-        ).labels(**ls)
         self._b_measured_error = r.gauge(
             "rumba_measured_error",
             "Measured whole-output error after fixes (when measured)", labels,
@@ -265,8 +243,7 @@ class Telemetry:
             key: deque(maxlen=history)
             for key in (
                 "fire_rate", "recovered_fraction", "threshold",
-                "cpu_utilization", "queue_peak", "measured_error",
-                "latency_s",
+                "cpu_utilization", "measured_error", "latency_s",
             )
         }
 
@@ -294,15 +271,14 @@ class Telemetry:
         ``facts`` its :meth:`~repro.core.runtime.InvocationRecord.facts`
         (or a serving worker's batch report, which carries them).
         ``facts=None`` means the loop raised mid-invocation: the phases
-        that did finish are accounted and the ``invocation`` span is
-        still committed, flagged ``aborted`` so it is never mistaken for
-        a completed invocation — only completed invocations count.
+        that did finish are accounted and the flight record is still
+        written, flagged ``aborted`` so it is never mistaken for a
+        completed invocation — only completed invocations count.
         """
         wall = stages[-1][1] - stages[0][1]
         self._b_latency.observe(wall)
         self.history["latency_s"].append(wall)
-        timeline = []
-        for (stage, at), (_, seconds) in zip(stages, segments(stages)):
+        for stage, seconds in segments(stages):
             phase = _PHASE_OF_STAGE.get(stage)
             if phase is None:
                 continue
@@ -315,23 +291,26 @@ class Telemetry:
                 self._b_phase[phase] = children
             children[0].inc()
             children[1].inc(seconds)
-            if self.tracer is not None:
-                names = (
-                    () if facts is None else _PHASE_ATTRIBUTES.get(phase, ())
-                )
-                timeline.append(
-                    (phase, at - seconds, at, {k: facts[k] for k in names})
-                )
-        if facts is None:
-            attributes = {"aborted": True}
-        else:
+        if facts is not None:
             self._observe_facts(facts)
-            attributes = {k: facts[k] for k in _INVOCATION_ATTRIBUTES}
-        if self.tracer is not None:
-            timeline.append(
-                ("invocation", stages[0][1], stages[-1][1], attributes)
-            )
-            self.tracer.commit(timeline)
+        if self.recorder is not None:
+            t0 = stages[0][1]
+            document = {
+                "v": FLIGHT_LOG_VERSION,
+                # The invocation's ordinal in this log, from 1: `trace 0`
+                # would match every record's absent trace id.
+                "request_id": self.recorder.written + 1,
+                "app": self.app,
+                "scheme": self.scheme,
+                "latency_s": wall,
+                "stages": [[stage, at - t0] for stage, at in stages],
+            }
+            if facts is None:
+                document["aborted"] = True
+            else:
+                document["elements"] = facts["n_elements"]
+                document["fix_fraction"] = facts["fix_fraction"]
+            self.recorder.record(document)
 
     def _observe_facts(self, facts: Mapping[str, object]) -> None:
         """The per-invocation metrics of one completed record."""
@@ -344,12 +323,6 @@ class Telemetry:
         self._b_recovered.inc(facts["n_recovered"])
         self._b_recovered_fraction.set(facts["fix_fraction"])
         self.on_threshold(facts["threshold"], facts["tuner_move"])
-        # The runtime takes the recovery bits straight from detection
-        # (no per-invocation queue), so the queue series report what the
-        # drained path would have: all n entries in flight at the drain
-        # point, and a capacity >= n that never stalls.
-        self._b_queue_peak.set(n)
-        self._b_queue_capacity.set(facts["queue_capacity"])
         kept_up = bool(facts["cpu_kept_up"])
         self._b_cpu_kept_up.set(1.0 if kept_up else 0.0)
         self._b_keepup["true" if kept_up else "false"].inc()
@@ -360,7 +333,6 @@ class Telemetry:
         history["recovered_fraction"].append(facts["fix_fraction"])
         history["threshold"].append(facts["threshold"])
         history["cpu_utilization"].append(facts["cpu_utilization"])
-        history["queue_peak"].append(float(n))
         measured = facts.get("measured_error")
         if measured is not None:
             self._b_measured_error.set(measured)

@@ -1,10 +1,9 @@
 """Request-scoped distributed tracing across the serving pipeline.
 
-PR 1's :class:`~repro.observability.tracing.Tracer` sees one invocation
-inside one process; since the network edge landed, a request crosses six
-runtime hops (TCP client → asyncio front-end → admission/batch queue →
-shm ring → process worker → recovery/completion) and none of them were
-causally linked.  This module is the linking layer:
+An invocation record's stage chain covers one invocation inside one
+process; a served request crosses six runtime hops (TCP client → asyncio
+front-end → admission/batch queue → shm ring → process worker →
+recovery/completion).  This module is the layer that links them:
 
 * :class:`RequestTrace` — one request's trace context: a u64 trace id, an
   optional parent span id (reserved for callers that already carry a

@@ -6,8 +6,8 @@ checkers; ``EMA`` is the output-based checker; ``Ideal``/``Random``/
 exists for the Sec. 3.2 ablation.
 """
 
-from repro.predictors.base import ErrorPredictor, validate_scores
-from repro.predictors.ema import EMAPredictor, exponential_moving_average
+from repro.predictors.base import ErrorPredictor
+from repro.predictors.ema import EMAPredictor
 from repro.predictors.linear import LinearErrorPredictor, LinearValuePredictor
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.sampling import (
@@ -27,13 +27,11 @@ from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
 
 __all__ = [
     "ErrorPredictor",
-    "validate_scores",
     "LinearErrorPredictor",
     "LinearValuePredictor",
     "DecisionTreeErrorPredictor",
     "TreeNode",
     "EMAPredictor",
-    "exponential_moving_average",
     "OraclePredictor",
     "RandomPredictor",
     "UniformPredictor",

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 
-__all__ = ["ErrorPredictor", "validate_scores"]
+__all__ = ["ErrorPredictor"]
 
 
 class ErrorPredictor(ABC):
@@ -118,13 +118,3 @@ class ErrorPredictor(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def validate_scores(scores: np.ndarray, n: int) -> np.ndarray:
-    """Validate and canonicalize a score vector (finite, length ``n``)."""
-    scores = np.asarray(scores, dtype=float).ravel()
-    if scores.shape[0] != n:
-        raise ConfigurationError(f"expected {n} scores, got {scores.shape[0]}")
-    if not np.all(np.isfinite(scores)):
-        raise ConfigurationError("scores must be finite")
-    return scores

@@ -20,27 +20,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.predictors.base import ErrorPredictor
 
-__all__ = ["EMAPredictor", "exponential_moving_average"]
-
-
-def exponential_moving_average(
-    values: np.ndarray, alpha: float, initial: Optional[float] = None
-) -> np.ndarray:
-    """Running EMA of a 1-D sequence; entry ``i`` includes ``values[i]``.
-
-    ``initial`` seeds the average (defaults to the first value).
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigurationError("alpha must be in (0, 1]")
-    if values.size == 0:
-        return values.copy()
-    out = np.empty_like(values)
-    ema = values[0] if initial is None else float(initial)
-    for i, value in enumerate(values):
-        ema = value * alpha + ema * (1.0 - alpha)
-        out[i] = ema
-    return out
+__all__ = ["EMAPredictor"]
 
 
 class EMAPredictor(ErrorPredictor):

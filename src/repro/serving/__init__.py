@@ -29,7 +29,7 @@ the tier between the two:
 * :mod:`~repro.serving.net` — the network edge: an asyncio TCP
   front-end (:class:`~repro.serving.net.NetServer`) speaking a
   versioned, CRC-checked binary protocol (``docs/protocol.md``), plus
-  blocking and asyncio clients with request-id multiplexing.
+  a blocking client with request-id multiplexing.
 
 * :mod:`~repro.serving.cluster` — the fleet tier: a
   :class:`~repro.serving.cluster.ClusterRouter` gateway that fronts N
@@ -86,12 +86,7 @@ from repro.serving.config import (
 )
 from repro.serving.faults import ChaosConfig, ChaosMonkey, InjectedFault
 from repro.serving.journal import RequestJournal, iter_journal, read_journal
-from repro.serving.net import (
-    AsyncRumbaClient,
-    NetServer,
-    RumbaClient,
-    parse_address,
-)
+from repro.serving.net import NetServer, RumbaClient, parse_address
 from repro.serving.procpool import ProcessWorker, ProcessWorkerPool
 from repro.serving.replay import Divergence, ReplayReport, replay_journal
 from repro.serving.request import ServeHandle, ServeRequest, ServeResult
@@ -100,7 +95,6 @@ from repro.serving.shm import ShmFrame, ShmRing
 
 __all__ = [
     "AdmissionQueue",
-    "AsyncRumbaClient",
     "BackpressureConfig",
     "BackpressureController",
     "BatchingConfig",

@@ -10,10 +10,9 @@ this package turns that service into a *network* service:
   :class:`~repro.serving.server.RumbaServer` admission queue, so
   batching, backpressure, degradation, retries, and chaos apply
   unchanged to remote traffic,
-* :class:`~repro.serving.net.client.RumbaClient` /
-  :class:`~repro.serving.net.client.AsyncRumbaClient` — blocking and
-  asyncio clients with connection reuse and request-id multiplexing
-  (many in-flight requests per socket).
+* :class:`~repro.serving.net.client.RumbaClient` — the blocking client,
+  with connection reuse and request-id multiplexing (many in-flight
+  requests per socket).
 
 Most callers should go through the facade instead of this package::
 
@@ -24,7 +23,6 @@ Most callers should go through the facade instead of this package::
 """
 
 from repro.serving.net.client import (
-    AsyncRumbaClient,
     NetHandle,
     NetResult,
     RumbaClient,
@@ -37,7 +35,6 @@ from repro.serving.net.protocol import (
 from repro.serving.net.server import NetServer
 
 __all__ = [
-    "AsyncRumbaClient",
     "NetHandle",
     "NetResult",
     "NetServer",

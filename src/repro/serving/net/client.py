@@ -1,15 +1,13 @@
 """Client library for the Rumba network edge.
 
-Two clients over the same wire protocol:
+:class:`RumbaClient` is blocking and thread-backed.  One socket carries
+many in-flight requests (request-id multiplexing); a background reader
+thread demultiplexes responses into per-request :class:`NetHandle`
+futures.  (The asyncio side of the wire is the router's
+:class:`~repro.serving.cluster.nodes.NodeLink`, which shares the WELCOME
+and version-negotiation helpers here.)
 
-* :class:`RumbaClient` — blocking, thread-backed.  One socket carries
-  many in-flight requests (request-id multiplexing); a background reader
-  thread demultiplexes responses into per-request :class:`NetHandle`
-  futures.  This is the client the CLI, benchmarks, and most tests use.
-* :class:`AsyncRumbaClient` — the same multiplexing on asyncio, for
-  callers that already live in an event loop.
-
-Both map ERROR frames back to the typed exception hierarchy
+It maps ERROR frames back to the typed exception hierarchy
 (:class:`~repro.errors.OverloadedError`,
 :class:`~repro.errors.ConfigurationError`, ...) via
 :func:`~repro.serving.net.protocol.code_to_exception`, so remote calls
@@ -18,7 +16,6 @@ fail exactly like in-process ``submit_wait`` calls do.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import socket
 import threading
@@ -30,7 +27,7 @@ import numpy as np
 from repro.errors import ConnectionLostError, ProtocolError, ServingError
 from repro.serving.net import protocol as wire
 
-__all__ = ["AsyncRumbaClient", "NetHandle", "NetResult", "RumbaClient"]
+__all__ = ["NetHandle", "NetResult", "RumbaClient"]
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ async def _read_welcome(reader, buffer: wire.FrameBuffer) -> dict:
 
 
 def _adopt_welcome(client, doc: dict) -> None:
-    """Publish a WELCOME's metadata on a client of either flavour."""
+    """Publish a WELCOME's metadata on the client."""
     client.welcome = doc
     client.protocol_version = int(doc.get("protocol", 0))
     client.app = str(doc.get("app", ""))
@@ -457,135 +454,3 @@ class RumbaClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class AsyncRumbaClient:
-    """Asyncio client with the same multiplexed protocol.
-
-    Build with :meth:`connect`::
-
-        client = await AsyncRumbaClient.connect(host, port)
-        result = await client.request(inputs, deadline_s=5.0)
-        await client.close()
-    """
-
-    def __init__(self, reader, writer, welcome: dict, buffer):
-        self._reader = reader
-        self._writer = writer
-        self._buffer = buffer
-        self._frames = wire.FrameWriter(
-            writer.transport, asyncio.get_running_loop()
-        )
-        self.max_frame_bytes = buffer.max_frame_bytes
-        _adopt_welcome(self, welcome)
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._next_id = itertools.count(1)
-        self._closed = False
-        self._reader_task = asyncio.ensure_future(self._reader_loop())
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        max_frame_bytes: int = wire.DEFAULT_MAX_FRAME_BYTES,
-    ) -> "AsyncRumbaClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        buffer = wire.FrameBuffer(max_frame_bytes)
-        try:  # the constructor negotiates: it raises on pre-v1 servers
-            return cls(
-                reader, writer, await _read_welcome(reader, buffer), buffer
-            )
-        except BaseException:
-            writer.close()
-            raise
-
-    def _on_frame(self, frame: wire.Frame) -> None:
-        future = self._pending.pop(frame.request_id, None)
-        if future is not None and not future.done():
-            _settle(frame, future.set_result, future.set_exception)
-
-    async def _reader_loop(self) -> None:
-        try:
-            await wire.read_frames(self._reader, self._buffer, self._on_frame)
-            raise ConnectionError("server closed the connection")
-        except asyncio.CancelledError:
-            self._drop_pending(ServingError("client closed"))
-            raise
-        except (ConnectionError, OSError, ProtocolError) as exc:
-            self._drop_pending(
-                exc if isinstance(exc, ProtocolError)
-                else ServingError(f"connection to the server was lost: {exc}")
-            )
-
-    def _drop_pending(self, exc: BaseException) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(exc)
-
-    def _send(self, frame_type: int, body: bytes = b"") -> asyncio.Future:
-        """Register a pending future, then queue its frame."""
-        if self._closed:
-            raise ServingError("client is closed")
-        request_id = next(self._next_id)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        self._frames.write(wire.encode_frame(
-            frame_type, request_id, body, version=self._wire_version
-        ))
-        return future
-
-    async def _roundtrip(self, future: asyncio.Future):
-        await self._writer.drain()
-        return await future
-
-    def submit(
-        self,
-        inputs: np.ndarray,
-        deadline_s: Optional[float] = None,
-        scheme: Optional[str] = None,
-        trace: bool = False,
-    ) -> "asyncio.Future[NetResult]":
-        """Send one request; returns an awaitable future (not yet sent-safe
-        against backpressure — prefer :meth:`request` unless fanning out)."""
-        return self._send(wire.FT_REQUEST, wire.pack_request(
-            inputs, deadline_s=deadline_s, scheme=scheme or "",
-            force_sample=trace, version=self._wire_version,
-        ))
-
-    async def request(
-        self,
-        inputs: np.ndarray,
-        deadline_s: Optional[float] = None,
-        scheme: Optional[str] = None,
-        trace: bool = False,
-    ) -> NetResult:
-        """Submit one request and await its result."""
-        return await self._roundtrip(
-            self.submit(inputs, deadline_s, scheme, trace)
-        )
-
-    async def stats(self) -> dict:
-        return await self._roundtrip(self._send(wire.FT_STATS))
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncRumbaClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

@@ -106,21 +106,22 @@ class WorkerShard:
     system: Optional[RumbaSystem] = None
     drift: DriftDetector = field(default_factory=DriftDetector)
     telemetry: Optional[Telemetry] = None
-    drift_flags: int = 0
     batches: int = 0
     elements: int = 0
 
     @property
     def drifted(self) -> bool:
         """True once this worker's checker behaviour has left its band."""
-        return self.drift_flags > 0
+        return self.drift.drifted
+
+    @property
+    def drift_flags(self) -> int:
+        return self.drift.flags
 
     def observe_drift(self, fire_fraction: float) -> bool:
         drifted_now = self.drift.observe(fire_fraction)
-        if drifted_now:
-            self.drift_flags += 1
         if self.telemetry is not None:
-            self.telemetry.on_drift(drifted_now, self.drifted)
+            self.telemetry.on_drift(drifted_now, self.drift.drifted)
         return drifted_now
 
 

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.approx.loop_perforation import (
-    perforated_mean,
-    perforated_sum,
-    perforation_mask,
-)
+from repro.approx.loop_perforation import perforated_mean, perforation_mask
 from repro.errors import ConfigurationError
 
 
@@ -54,10 +50,6 @@ class TestPerforatedReductions:
     def test_mean_exact_when_nothing_skipped(self, rng):
         values = rng.normal(size=100)
         assert perforated_mean(values, 0.0) == pytest.approx(values.mean())
-
-    def test_sum_rescaled(self):
-        values = np.ones(100)
-        assert perforated_sum(values, 0.9, mode="uniform") == pytest.approx(100.0)
 
     def test_mean_unbiased_on_random_data(self, rng):
         values = rng.normal(10.0, 1.0, size=10000)

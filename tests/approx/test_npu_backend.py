@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import get_application
-from repro.approx.npu_backend import (
-    NPUBackend,
-    search_npu_backend,
-    train_npu_backend,
-)
+from repro.approx.npu_backend import NPUBackend, train_npu_backend
 from repro.errors import ConfigurationError
 from repro.nn.trainer import RPropTrainer
 
@@ -63,36 +59,6 @@ class TestTrainNpuBackend:
         b, _ = train_npu_backend(fft_app, trainer=FAST, seed=3)
         x = np.random.default_rng(0).random((20, 1)) * 0.5
         np.testing.assert_array_equal(a(x), b(x))
-
-    def test_search_selects_admissible_topology(self):
-        """Sec. 4: the search picks the smallest net within the slack of
-        the best candidate, under the NPU's structural constraints."""
-        app = get_application("inversek2j")
-        backend, candidates = search_npu_backend(
-            app, widths=(2, 4), max_hidden_layers=1, slack=1.2, seed=0
-        )
-        best = min(c.val_error for c in candidates)
-        chosen = next(
-            c for c in candidates if c.topology == backend.network.topology
-        )
-        assert chosen.val_error <= 1.2 * best
-        # No cheaper candidate was also admissible.
-        for c in candidates:
-            if c.n_weights < chosen.n_weights:
-                assert c.val_error > 1.2 * best
-        # NPU constraint: at most 2 hidden layers, <= 32 neurons each.
-        assert len(backend.topology.hidden_sizes) <= 2
-        assert all(w <= 32 for w in backend.topology.hidden_sizes)
-
-    def test_searched_backend_is_usable(self):
-        app = get_application("inversek2j")
-        backend, _ = search_npu_backend(
-            app, widths=(2, 4), max_hidden_layers=1, seed=0
-        )
-        rng = np.random.default_rng(5)
-        x = app.test_inputs(rng)[:500]
-        err = app.output_error(backend(x), app.exact(x))
-        assert 0.0 < err < 1.0
 
     def test_bigger_npu_topology_at_least_as_accurate(self, fft_app):
         rumba, _ = train_npu_backend(fft_app, use_rumba_topology=True, seed=0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.apps.inversek2j import (
     LINK1,
     LINK2,
-    follow_path,
     forward_kinematics,
     generate_targets,
     inverse_kinematics,
@@ -60,28 +59,6 @@ class TestInverseKinematics:
             inverse_kinematics(np.ones((3, 3)))
         with pytest.raises(ConfigurationError):
             forward_kinematics(np.ones((3, 1)))
-
-
-class TestFollowPath:
-    def test_trajectory_tracks_waypoints(self, rng):
-        waypoints = generate_targets(rng, 50)
-        trajectory = follow_path(waypoints)
-        # Unwrapping only shifts by multiples of 2*pi: FK is unchanged.
-        np.testing.assert_allclose(
-            forward_kinematics(trajectory), waypoints, atol=1e-9
-        )
-
-    def test_trajectory_is_continuous(self):
-        # A circular sweep through the atan2 branch cut.
-        angles = np.linspace(-np.pi * 0.95, np.pi * 0.95, 60)
-        waypoints = 0.7 * np.column_stack([np.cos(angles), np.sin(angles)])
-        trajectory = follow_path(waypoints)
-        steps = np.abs(np.diff(trajectory, axis=0))
-        assert steps.max() < 1.0  # no 2*pi jumps survive unwrapping
-
-    def test_wrong_width(self):
-        with pytest.raises(ConfigurationError):
-            follow_path(np.ones((4, 3)))
 
 
 class TestGenerator:

@@ -1,10 +1,10 @@
-"""Tests for the invocation-stream workload generators."""
+"""Tests for the invocation-stream workload generator."""
 
 import numpy as np
 import pytest
 
 from repro.apps import get_application
-from repro.apps.workloads import bursty_stream, drifting_stream, invocation_stream
+from repro.apps.workloads import invocation_stream
 from repro.errors import ConfigurationError
 
 
@@ -41,47 +41,7 @@ class TestInvocationStream:
             invocation_stream(fft_app, 1, 0)
 
 
-class TestDriftingStream:
-    def test_t_spans_unit_interval(self, fft_app):
-        seen = []
-
-        def record(chunk, t):
-            seen.append(t)
-            return chunk
-
-        drifting_stream(fft_app, 5, 50, drift=record, seed=0)
-        assert seen[0] == 0.0 and seen[-1] == 1.0
-
-    def test_drift_applied(self, fft_app):
-        chunks = drifting_stream(
-            fft_app, 3, 50, drift=lambda x, t: x * (1.0 - t), seed=0
-        )
-        assert np.all(chunks[-1] == 0.0)
-        assert not np.all(chunks[0] == 0.0)
-
-    def test_shape_preserving_enforced(self, fft_app):
-        with pytest.raises(ConfigurationError):
-            drifting_stream(fft_app, 2, 50, drift=lambda x, t: x[:10], seed=0)
-
-
 class TestBurstyStream:
-    def test_bursts_on_period(self, fft_app):
-        chunks = bursty_stream(
-            fft_app, 8, 50, hard=lambda x: np.zeros_like(x),
-            burst_period=4, seed=0,
-        )
-        for i, chunk in enumerate(chunks):
-            if (i + 1) % 4 == 0:
-                assert np.all(chunk == 0.0)
-            else:
-                assert not np.all(chunk == 0.0)
-
-    def test_validations(self, fft_app):
-        with pytest.raises(ConfigurationError):
-            bursty_stream(fft_app, 2, 10, hard=lambda x: x, burst_period=0)
-        with pytest.raises(ConfigurationError):
-            bursty_stream(fft_app, 2, 10, hard=lambda x: x[:1], burst_period=1)
-
     def test_tuner_reacts_to_bursts(self, fft_app):
         """Integration: energy-mode tuning rides through hard bursts."""
         from repro.core import RumbaConfig, TunerMode, prepare_system
@@ -93,10 +53,10 @@ class TestBurstyStream:
         system = prepare_system("fft", scheme="treeErrors", config=config,
                                 seed=0)
         # Hard burst: concentrate inputs where the 1->1->2 net is weakest.
-        chunks = bursty_stream(
-            fft_app, 12, 300,
-            hard=lambda x: 0.2 + 0.1 * x, burst_period=3, seed=0,
-        )
+        chunks = [
+            0.2 + 0.1 * chunk if (i + 1) % 3 == 0 else chunk
+            for i, chunk in enumerate(invocation_stream(fft_app, 12, 300, seed=0))
+        ]
         records = system.run_stream(chunks, measure_quality=False)
         fixes = [r.fix_fraction for r in records]
         assert max(fixes) > min(fixes)  # the tuner actually moved

@@ -41,9 +41,5 @@ class TestRumbaConfig:
             RumbaConfig(detector_placement=3)
         assert RumbaConfig(detector_placement=1).detector_placement == 1
 
-    def test_queue_capacity_validation(self):
-        with pytest.raises(ConfigurationError):
-            RumbaConfig(recovery_queue_capacity=0)
-
     def test_modes_enumerated(self):
         assert {m.value for m in TunerMode} == {"toq", "energy", "quality"}

@@ -171,7 +171,7 @@ class TestQualityManagedStream:
         rng = np.random.default_rng(7)
         stream.feed(generate_fractions(rng, 300))
         stream.feed(generate_fractions(rng, 300))
-        stream.drift_flagged_at.append(3)  # simulate a flag
+        stream.drift.flags = 1  # simulate a flag
         assert stream.needs_retraining
         stream.acknowledge_retraining()
         assert not stream.needs_retraining

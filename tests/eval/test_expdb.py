@@ -68,7 +68,7 @@ class TestExperimentDB:
             assert report == {"v": 2}
         assert ExperimentDB(path).latest_report("nope") is None
 
-    def test_metrics_and_history(self, tmp_path):
+    def test_metrics(self, tmp_path):
         path = str(tmp_path / "experiments.sqlite")
         with ExperimentDB(path) as db:
             run_id = db.record_run("backend_scaling", REPORT)
@@ -76,14 +76,6 @@ class TestExperimentDB:
             assert metrics["results.0.requests_per_s"] == 120.5
             filtered = db.metrics(run_id, like="results.%.p50_ms")
             assert set(filtered) == {"results.0.p50_ms", "results.1.p50_ms"}
-            db.record_run(
-                "backend_scaling",
-                {"results": [{"requests_per_s": 99.0}]},
-            )
-            history = db.metric_history(
-                "backend_scaling", "results.0.requests_per_s"
-            )
-            assert [value for _, value in history] == [120.5, 99.0]
 
     def test_configs_capture_top_level_scalars(self, tmp_path):
         path = str(tmp_path / "experiments.sqlite")

@@ -1,5 +1,6 @@
 """End-to-end telemetry: one instrumented invocation emits the documented
-metric set; the stream layer emits drift metrics; the dashboard renders."""
+metric set and one flight record; the stream layer emits drift metrics;
+the dashboard renders."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from repro.apps import get_application
 from repro.core import prepare_system
 from repro.core.stream import DriftDetector, QualityManagedStream
 from repro.observability import (
+    FlightRecorder,
     MetricsRegistry,
     Telemetry,
-    Tracer,
     prometheus_text,
+    read_flight_log,
     render_dashboard,
 )
 from repro.observability.instrument import (
@@ -20,6 +22,7 @@ from repro.observability.instrument import (
     disable_ambient_telemetry,
     enable_ambient_telemetry,
 )
+from repro.observability.reqtrace import segments
 
 #: The catalog of docs/observability.md — one run_invocation must touch
 #: every one of these families (error gauges only when measuring).
@@ -36,9 +39,6 @@ DOCUMENTED_METRICS = [
     "rumba_cpu_kept_up",
     "rumba_cpu_keepup_total",
     "rumba_cpu_utilization",
-    "rumba_recovery_queue_occupancy_peak",
-    "rumba_recovery_queue_capacity",
-    "rumba_recovery_queue_stalls_total",
     "rumba_measured_error",
     "rumba_unchecked_error",
     "rumba_drift_flags_total",
@@ -51,14 +51,14 @@ DOCUMENTED_METRICS = [
 
 
 @pytest.fixture()
-def instrumented_system():
+def instrumented_system(tmp_path):
     system = prepare_system("fft", scheme="treeErrors", seed=0)
     registry = MetricsRegistry()
-    tracer = Tracer()
-    telemetry = Telemetry(app="fft", scheme="treeErrors",
-                          registry=registry, tracer=tracer)
-    system.attach_telemetry(telemetry)
-    return system, telemetry
+    with FlightRecorder(str(tmp_path / "invocations.flight")) as recorder:
+        telemetry = Telemetry(app="fft", scheme="treeErrors",
+                              registry=registry, recorder=recorder)
+        system.attach_telemetry(telemetry)
+        yield system, telemetry
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +101,6 @@ class TestInvocationEmitsMetricSet:
         assert value("rumba_cpu_utilization") == pytest.approx(
             record.pipeline.cpu_utilization
         )
-        assert value("rumba_recovery_queue_capacity") >= 1000
-        assert value("rumba_recovery_queue_occupancy_peak") == 1000
         latency = registry.get("rumba_invocation_latency_seconds")
         assert latency.labels(**labels).count == 1
         for phase in PHASES:
@@ -117,19 +115,37 @@ class TestInvocationEmitsMetricSet:
         assert gauge.labels(app="fft", scheme="treeErrors").value == \
             pytest.approx(system.tuner.threshold)
 
-    def test_tracer_spans_per_invocation(self, instrumented_system,
-                                         fft_inputs):
+    def test_flight_record_per_invocation(self, instrumented_system,
+                                          fft_inputs):
         system, telemetry = instrumented_system
-        system.run_invocation(fft_inputs[:500])
-        system.run_invocation(fft_inputs[500:1000])
-        for invocation in (0, 1):
-            names = [
-                s.name for s in telemetry.tracer.spans_for(invocation)
+        records = [system.run_invocation(fft_inputs[:500]),
+                   system.run_invocation(fft_inputs[500:1000])]
+        logged = read_flight_log(telemetry.recorder.path)
+        assert [doc["request_id"] for doc in logged] == [1, 2]
+        for doc, record in zip(logged, records):
+            assert (doc["app"], doc["scheme"]) == ("fft", "treeErrors")
+            assert doc["elements"] == 500
+            assert doc["fix_fraction"] == pytest.approx(record.fix_fraction)
+            # The record's own chain, rebased to its first stamp.
+            assert [stage for stage, _ in doc["stages"]] == [
+                stage for stage, _ in record.stages
             ]
-            assert names == list(PHASES) + ["invocation"]
-        top = telemetry.tracer.spans_for(1)[-1]
-        assert top.attributes["n_elements"] == 500
-        assert top.attributes["makespan_cycles"] > 0
+            assert sum(d for _, d in segments(doc["stages"])) == \
+                pytest.approx(doc["latency_s"])
+            assert "aborted" not in doc
+
+    def test_phases_are_cut_from_the_stage_chain(self, instrumented_system,
+                                                 fft_inputs):
+        """``measure`` is the experimenter's instrument and ``invoke`` the
+        anchor: neither is a phase, whatever the record's chain holds."""
+        system, telemetry = instrumented_system
+        record = system.run_invocation(fft_inputs[:500])
+        assert "measure" in [stage for stage, _ in record.stages]
+        spans = telemetry.registry.get("rumba_phase_spans_total")
+        counted = {
+            labels["phase"]: child.value for labels, child in spans.series()
+        }
+        assert counted == {phase: 1 for phase in PHASES}
 
     def test_aborted_invocation_is_flagged(self, instrumented_system,
                                            fft_inputs):
@@ -141,9 +157,12 @@ class TestInvocationEmitsMetricSet:
         system.detection.detect_into = boom
         with pytest.raises(RuntimeError):
             system.run_invocation(fft_inputs[:100])
-        top = telemetry.tracer.spans_for(0)[-1]
-        assert top.name == "invocation"
-        assert top.attributes.get("aborted") is True
+        (doc,) = read_flight_log(telemetry.recorder.path)
+        assert doc["aborted"] is True
+        assert [stage for stage, _ in doc["stages"]] == ["invoke", "compute",
+                                                         "measure"]
+        # No record exists, so none of its facts are invented.
+        assert "elements" not in doc and "fix_fraction" not in doc
         # Only completed invocations count.
         counter = telemetry.registry.get("rumba_invocations_total")
         assert counter.labels(app="fft", scheme="treeErrors").value == 0
@@ -181,7 +200,7 @@ class TestStreamDriftTelemetry:
         assert drifted is not None
         flags = registry.get("rumba_drift_flags_total")
         child = flags.labels(app="fft", scheme="treeErrors")
-        assert child.value == len(stream.drift_flagged_at)
+        assert child.value == stream.drift.flags
 
 
 class TestAmbientTelemetry:

@@ -207,10 +207,9 @@ def _invocation(n_elements, n_fired):
         "n_elements": n_elements, "n_fired": n_fired, "n_recovered": n_fired,
         "fire_fraction": n_fired / n_elements,
         "fix_fraction": n_fired / n_elements,
-        "threshold": 0.1, "tuner_move": 0, "queue_capacity": n_elements,
+        "threshold": 0.1, "tuner_move": 0,
         "cpu_kept_up": True, "cpu_utilization": 0.5,
-        "makespan_cycles": 1000.0, "accel_cycles": 800.0,
-        "cpu_busy_cycles": 500.0,
+        "makespan_cycles": 1000.0,
     }
     return stages, facts
 

@@ -4,44 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.predictors.ema import EMAPredictor, exponential_moving_average
-
-
-class TestExponentialMovingAverage:
-    def test_constant_sequence_is_fixed_point(self):
-        values = np.full(20, 5.0)
-        np.testing.assert_allclose(
-            exponential_moving_average(values, alpha=0.3), 5.0
-        )
-
-    def test_paper_formula(self):
-        """EMA = e*alpha + prev*(1-alpha) (Eq. 2)."""
-        values = np.array([1.0, 2.0, 3.0])
-        alpha = 0.5
-        out = exponential_moving_average(values, alpha)
-        assert out[0] == pytest.approx(1.0)          # seeded with first value
-        assert out[1] == pytest.approx(2 * 0.5 + 1 * 0.5)
-        assert out[2] == pytest.approx(3 * 0.5 + out[1] * 0.5)
-
-    def test_initial_seed(self):
-        out = exponential_moving_average(np.array([1.0]), 0.5, initial=3.0)
-        assert out[0] == pytest.approx(1 * 0.5 + 3 * 0.5)
-
-    def test_alpha_one_tracks_exactly(self):
-        values = np.array([4.0, 7.0, -1.0])
-        np.testing.assert_allclose(
-            exponential_moving_average(values, 1.0), values
-        )
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ConfigurationError):
-            exponential_moving_average(np.ones(3), 0.0)
-        with pytest.raises(ConfigurationError):
-            exponential_moving_average(np.ones(3), 1.5)
-
-    def test_empty_sequence(self):
-        out = exponential_moving_average(np.empty(0), 0.5)
-        assert out.size == 0
+from repro.predictors.ema import EMAPredictor
 
 
 class TestEMAPredictor:

@@ -9,7 +9,6 @@ outputs to an in-process caller driving an identical shard.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 import threading
@@ -34,7 +33,6 @@ from repro.serving import (
     RumbaServer,
     ServerConfig,
 )
-from repro.serving.net import AsyncRumbaClient
 from repro.serving.net import protocol as wire
 
 
@@ -376,38 +374,6 @@ class TestRawSocketFuzz:
         while time.monotonic() < deadline and net_server._inflight:
             time.sleep(0.01)
         assert net_server._inflight == 0
-
-
-class TestAsyncClient:
-    def test_async_round_trip_and_stats(self, net_server, fft_input_pool):
-        host, port = net_server.address
-
-        async def scenario():
-            async with await AsyncRumbaClient.connect(host, port) as client:
-                assert client.app == "fft"
-                results = await asyncio.gather(*[
-                    client.request(fft_input_pool[i: i + 4],
-                                   deadline_s=30.0)
-                    for i in range(10)
-                ])
-                stats = await client.stats()
-                return results, stats
-
-        results, stats = asyncio.run(scenario())
-        assert len(results) == 10
-        assert all(r.outputs.shape[0] == 4 for r in results)
-        assert stats["state"] == "running"
-
-    def test_async_typed_errors(self, net_server, fft_input_pool):
-        host, port = net_server.address
-
-        async def scenario():
-            async with await AsyncRumbaClient.connect(host, port) as client:
-                with pytest.raises(ConfigurationError):
-                    await client.request(fft_input_pool[:4],
-                                         deadline_s=-5.0)
-
-        asyncio.run(scenario())
 
 
 class TestChaosExactlyOnce:

@@ -2,9 +2,7 @@
 
 An audit of the serving stack (admission flush deadlines, request
 deadline budgets, retry backoff, supervisor restart windows, the network
-edge) standardized every time source on ``time.monotonic()``.  The one
-legitimate ``time.time()`` in the stack is the tracer's wall-clock span
-field, which is observability metadata, not scheduling input.
+edge) standardized every time source on ``time.monotonic()``.
 
 These tests enforce that invariant the only way that matters: they yank
 the wall clock a year in either direction mid-flight and assert the
@@ -83,45 +81,6 @@ class TestWallClockIndependence:
         # The expiry lands ~5 s ahead on the monotonic axis, unaffected
         # by the year of wall-clock skew the fixture injected.
         assert 0.0 < expires - time.monotonic() <= 5.0
-
-    def test_tracer_spans_are_monotonic_authoritative(
-        self, skewed_wall_clock
-    ):
-        # Regression for the observability layer: spans used to carry
-        # only a wall-clock stamp, which a clock step makes useless for
-        # ordering against the serving stack's monotonic stamps.  The
-        # monotonic stamp is now authoritative; the wall reading is
-        # exported as display-only metadata.
-        from repro.observability.tracing import Tracer
-
-        tracer = Tracer()
-        before = time.monotonic()
-        stamps = [time.monotonic() for _ in range(3)]
-        after = time.monotonic()
-        tracer.commit([
-            ("accelerate", stamps[0], stamps[1], {}),
-            ("detect", stamps[1], stamps[2], {}),
-        ])
-        first, second = tracer.spans
-        # Monotonic stamps order correctly despite the year of wall skew:
-        # they are bounded by honest monotonic readings taken around them.
-        assert before <= first.monotonic_time <= second.monotonic_time
-        assert second.monotonic_time <= after
-        # The wall stamp follows the (skewed) wall clock — it lives on a
-        # different axis and must never be used for ordering math.
-        assert abs(first.wall_time - time.time()) < 60.0
-
-    def test_span_export_labels_wall_time_display_only(self):
-        from repro.observability.tracing import Span
-
-        span = Span(name="x", invocation=0, start=1.0, end=2.0,
-                    monotonic_time=123.0, wall_time=456.0)
-        exported = span.to_dict()
-        assert exported["monotonic_time"] == 123.0
-        assert exported["wall_time_display"] == 456.0
-        # No bare "wall_time" key: downstream consumers cannot mistake
-        # the display stamp for a schedulable time source.
-        assert "wall_time" not in exported
 
     def test_net_edge_survives_wall_clock_skew(
         self, skewed_wall_clock, fft_prototype, fft_input_pool

@@ -63,7 +63,7 @@ class TestMonitor:
 
     def test_monitor_exports_prometheus(self, capsys, tmp_path):
         export = str(tmp_path / "metrics.prom")
-        trace = str(tmp_path / "spans.jsonl")
+        trace = str(tmp_path / "invocations.flight")
         assert main([
             "monitor", "--app", "fft", "--invocations", "3",
             "--elements", "400", "--export", export, "--trace", trace,
@@ -75,12 +75,26 @@ class TestMonitor:
         assert "# TYPE rumba_fire_rate gauge" in text
         assert "rumba_invocation_latency_seconds_bucket" in text
         assert "rumba_phase_spans_total" in text
-        import json
+        from repro.observability import read_flight_log
+        from repro.observability.reqtrace import segments
 
-        with open(trace) as handle:
-            spans = [json.loads(line) for line in handle]
-        # 4 phases + 1 invocation span per invocation.
-        assert len(spans) == 3 * 5
+        records = read_flight_log(trace)
+        assert [r["request_id"] for r in records] == [1, 2, 3]
+        for record in records:
+            assert record["elements"] == 400
+            assert [stage for stage, _ in record["stages"]] == [
+                "invoke", "compute", "detect", "recover", "tune"
+            ]
+            assert sum(d for _, d in segments(record["stages"])) == \
+                pytest.approx(record["latency_s"])
+        # The log is the format ``trace`` reads: aggregate and waterfall.
+        assert main(["trace", "--log", trace]) == 0
+        out = capsys.readouterr().out
+        assert "3 flight records" in out
+        assert all(stage in out for stage in ("compute", "detect",
+                                              "recover", "tune"))
+        assert main(["trace", "2", "--log", trace]) == 0
+        assert "covers 100.0% of end-to-end latency" in capsys.readouterr().out
 
     def test_run_with_telemetry_snapshot(self, capsys, tmp_path):
         snapshot = str(tmp_path / "telemetry.json")
