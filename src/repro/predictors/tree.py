@@ -13,6 +13,7 @@ remaining a faithful CART variant.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -59,7 +60,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
     Parameters
     ----------
     max_depth:
-        Depth cap on decision nodes (the paper uses 7).
+        Depth cap on decision nodes (the paper uses 7; at most 16).
     min_samples_leaf:
         Do not create leaves smaller than this.
     n_thresholds:
@@ -80,6 +81,11 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         super().__init__()
         if max_depth <= 0:
             raise ConfigurationError("max_depth must be positive")
+        if max_depth > 16:
+            raise ConfigurationError(
+                "max_depth must be at most 16: the scoring tables hold "
+                "2**depth entries (the paper uses 7)"
+            )
         if min_samples_leaf <= 0:
             raise ConfigurationError("min_samples_leaf must be positive")
         if n_thresholds < 2:
@@ -90,6 +96,19 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         self.root: Optional[TreeNode] = None
         self._n_features = 0
         self._flat: Optional[Tuple[np.ndarray, ...]] = None
+        self._scratch: Optional[threading.local] = None
+
+    def __getstate__(self) -> dict:
+        # Scratch is per-thread working memory, and threading.local
+        # neither pickles nor deep-copies (clone_shard deep-copies the
+        # predictor, the process backend pickles it); the tables travel.
+        state = self.__dict__.copy()
+        state["_scratch"] = None
+        return state
+
+    def reset_state(self) -> None:
+        """Drop the per-thread descent buffers; the tree is untouched."""
+        self._scratch = None
 
     # ------------------------------------------------------------------ #
     # Fitting                                                            #
@@ -98,6 +117,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         self._n_features = features.shape[1]
         self.root = self._build(features, errors, depth=0)
         self._flat = None
+        self._scratch = None  # row_base depends on the column count
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
         node_value = float(y.mean())
@@ -180,91 +200,131 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
     # Prediction                                                         #
     # ------------------------------------------------------------------ #
     def _flatten(self) -> Tuple[np.ndarray, ...]:
-        """Flatten the node objects into parallel arrays for scoring.
+        """Lay the fitted tree out for scoring; cached until the next fit.
 
-        Leaves get ``feature = -1`` and self-referencing children, so a
-        fixed number of vectorized descent steps (= tree depth) routes
-        every row to its leaf with no per-node Python dispatch.  Built
-        lazily after ``fit`` and cached until the next refit.
+        The tables are a complete binary heap, 1-based: node ``k`` has its
+        right child at ``2k`` and its left child at ``2k + 1``, so one
+        level of the descent is ``k = 2k + (x <= threshold)`` with no
+        children table.  ``feature`` and ``threshold`` cover the decision
+        levels (slots ``1 .. 2**depth - 1``), ``value`` the whole heap
+        with only the bottom level (``2**depth .. 2**(depth+1) - 1``)
+        meaningful.  A leaf above the bottom level owns its whole
+        subtree: its slots keep ``threshold = +inf`` (feature 0), so
+        rows fall through it — NaN to the right, everything else to the
+        left — and every bottom slot under it carries its value.  Values
+        are clamped at zero here, once, instead of per call.
+
+        A tree over a single column is a step function of that column,
+        so for ``n_features == 1`` the heap is only used to build
+        ``(cuts, table)``: the sorted distinct thresholds and the leaf
+        value of each of the ``len(cuts) + 1`` intervals they bound
+        (interval ``i`` is ``cuts[i-1] < x <= cuts[i]``, probed at
+        ``cuts[i]``; the last is probed with NaN, which like any
+        ``x > cuts[-1]`` fails every ``x <= threshold``).
         """
-        nodes: List[TreeNode] = []
-        stack = [self.root]
-        index = {}
+        depth = self.root.depth()
+        size = 1 << depth
+        feature = np.zeros(size, dtype=np.intp)
+        threshold = np.full(size, np.inf)
+        value = np.zeros(2 * size)
+        cuts: List[float] = []
+        stack = [(self.root, 1, depth)]
         while stack:
-            node = stack.pop()
-            index[id(node)] = len(nodes)
-            nodes.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        size = len(nodes)
-        feature = np.empty(size, dtype=np.intp)
-        threshold = np.empty(size, dtype=float)
-        left = np.empty(size, dtype=np.intp)
-        right = np.empty(size, dtype=np.intp)
-        value = np.empty(size, dtype=float)
-        for i, node in enumerate(nodes):
-            value[i] = node.value
+            node, slot, below = stack.pop()
             if node.is_leaf:
-                feature[i] = -1
-                threshold[i] = 0.0
-                left[i] = i
-                right[i] = i
+                value[slot << below:(slot + 1) << below] = node.value
             else:
-                feature[i] = node.feature
-                threshold[i] = node.threshold
-                left[i] = index[id(node.left)]
-                right[i] = index[id(node.right)]
-        # Interleaved children (right at 2i, left at 2i+1) let the descent
-        # pick a row's next node with one gather on ``2*idx + go_left``
-        # instead of two gathers plus a where().
-        children = np.empty(2 * size, dtype=np.intp)
-        children[0::2] = right
-        children[1::2] = left
-        self._flat = (
-            feature, threshold, children, value, self.root.depth()
+                feature[slot] = node.feature
+                threshold[slot] = node.threshold
+                cuts.append(node.threshold)
+                stack.append((node.left, 2 * slot + 1, below - 1))
+                stack.append((node.right, 2 * slot, below - 1))
+        np.maximum(value, 0.0, out=value)
+        flat = (feature, threshold, value, depth)
+        if self._n_features == 1:
+            cuts = np.unique(np.asarray(cuts, dtype=float))
+            probes = np.append(cuts, np.nan)[:, None]
+            bufs = self._new_scratch(probes.shape[0], 1)
+            flat = (cuts, self._descend(flat, probes, bufs))
+        self._flat = flat
+        return flat
+
+    @staticmethod
+    def _new_scratch(n: int, width: int) -> Tuple[np.ndarray, ...]:
+        """Descent buffers for ``n`` rows of ``width`` columns: ``row_base``
+        (row ``r`` starts at ``r * width`` in the raveled matrix), two
+        index vectors, two float vectors and the comparison mask."""
+        return (
+            np.arange(n, dtype=np.intp) * width,
+            np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp),
+            np.empty(n), np.empty(n), np.empty(n, dtype=bool),
         )
-        return self._flat
+
+    def _level_scratch(self, n: int) -> Tuple[np.ndarray, ...]:
+        """This thread's descent buffers, cut to ``n`` rows.
+
+        Grown to the largest batch the thread has seen and sliced for
+        smaller ones, so a steady-state call allocates only its result.
+        Per thread because shards and callers may score on one instance
+        concurrently.
+        """
+        tls = self._scratch
+        if tls is None:
+            tls = self._scratch = threading.local()
+        bufs = getattr(tls, "bufs", None)
+        if bufs is None or bufs[0].shape[0] < n:
+            bufs = tls.bufs = self._new_scratch(n, self._n_features)
+        if bufs[0].shape[0] == n:
+            return bufs
+        return tuple(buf[:n] for buf in bufs)
+
+    @staticmethod
+    def _descend(flat, features: np.ndarray, bufs) -> np.ndarray:
+        """Route every row of C-contiguous ``features`` to its leaf value.
+
+        Three gathers per level — the node's threshold, the node's
+        column, the row's cell in that column (one flat ``take`` on the
+        raveled matrix) — one float64 ``<=`` and two adds.  Every
+        ``take`` writes into scratch with ``mode="clip"`` (the default
+        ``"raise"`` buffers when given ``out=``); indices are in range by
+        construction.  The root is one node for all rows, so level 0 is a
+        scalar compare on one column.
+        """
+        feature, threshold, value, depth = flat
+        if depth == 0:
+            return np.full(features.shape[0], value[1])
+        row_base, node, cell, thr, x, go_left = bufs
+        np.less_equal(features[:, feature[1]], threshold[1], out=go_left)
+        np.add(go_left, 2, out=node)
+        cells = features.reshape(-1)
+        for _ in range(depth - 1):
+            threshold.take(node, out=thr, mode="clip")
+            feature.take(node, out=cell, mode="clip")
+            np.add(cell, row_base, out=cell)
+            cells.take(cell, out=x, mode="clip")
+            np.less_equal(x, thr, out=go_left)
+            np.add(node, node, out=node)
+            np.add(node, go_left, out=node)
+        return value.take(node, mode="clip")
 
     def scores(self, features=None, approx_outputs=None, true_errors=None):
         self._require_fitted()
         if features is None:
             raise ConfigurationError("treeErrors is input-based: needs features")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        # order="C" copies only an input that is not already C-contiguous.
+        features = np.atleast_2d(np.asarray(features, dtype=float, order="C"))
         if features.shape[1] != self._n_features:
             raise ConfigurationError(
                 f"expected {self._n_features} feature columns, got "
                 f"{features.shape[1]}"
             )
         flat = self._flat if self._flat is not None else self._flatten()
-        feature, threshold, children, value, depth = flat
-        n = features.shape[0]
-        idx = np.zeros(n, dtype=np.intp)
-        nxt = np.empty(n, dtype=np.intp)
-        thr = np.empty(n, dtype=float)
-        go_left = np.empty(n, dtype=bool)
         if self._n_features == 1:
-            col0 = features[:, 0]
-            rows = None
-        else:
-            col0 = None
-            rows = np.arange(n)
-        for _ in range(depth):
-            np.take(threshold, idx, out=thr)
-            if col0 is not None:
-                np.less_equal(col0, thr, out=go_left)
-            else:
-                # Leaf rows carry feature -1; clamp to a valid column —
-                # their self-looping children ignore the comparison.
-                col = features[rows, np.maximum(feature[idx], 0)]
-                np.less_equal(col, thr, out=go_left)
-            # Next node: children[2*idx + go_left] (ping-pong buffers so
-            # the gather never reads the array it writes).
-            np.multiply(idx, 2, out=idx)
-            idx += go_left
-            np.take(children, idx, out=nxt)
-            idx, nxt = nxt, idx
-        return np.maximum(value[idx], 0.0)
+            cuts, table = flat
+            return table.take(np.searchsorted(cuts, features[:, 0], side="left"))
+        return self._descend(
+            flat, features, self._level_scratch(features.shape[0])
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection / hardware mapping                                   #

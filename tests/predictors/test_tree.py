@@ -1,12 +1,21 @@
 """Unit and property tests for the decision-tree error predictor."""
 
+import copy
+import pickle
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import APPLICATION_NAMES
+from repro.core import prepare_system
 from repro.errors import ConfigurationError, NotFittedError
 from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
+from tests.predictors.reference_tree import predictor_for, walk_scores
 
 
 class TestTreeNode:
@@ -208,3 +217,275 @@ class TestVectorizedSplit:
         split = tree._best_split(x, y)
         assert split is not None
         assert split[0] == 0
+
+
+# --------------------------------------------------------------------- #
+# The descent against the node-walk oracle                              #
+# --------------------------------------------------------------------- #
+@st.composite
+def hand_built_trees(draw):
+    """(root, n_features, threshold pool): bushy trees, left/right chains
+    and single leaves, depth <= 9, thresholds drawn from a small pool so
+    several nodes share one, leaf values on both sides of zero."""
+    n_features = draw(st.integers(1, 20))
+    pool = draw(st.lists(
+        st.floats(-4.0, 4.0, allow_nan=False, width=32),
+        min_size=1, max_size=6,
+    ))
+    shape = draw(st.sampled_from(["bushy", "left_chain", "right_chain"]))
+    max_depth = draw(st.integers(0, 9))
+    leaf = st.builds(TreeNode, value=st.floats(-1.0, 2.0, allow_nan=False))
+
+    def grow(depth_left):
+        if depth_left == 0 or (
+            shape == "bushy" and draw(st.integers(0, 3)) == 0
+        ):
+            return draw(leaf)
+        deep = grow(depth_left - 1)
+        other = grow(depth_left - 1) if shape == "bushy" else draw(leaf)
+        left, right = (other, deep) if shape == "right_chain" else (deep, other)
+        return TreeNode(
+            feature=draw(st.integers(0, n_features - 1)),
+            threshold=draw(st.sampled_from(pool)),
+            left=left, right=right,
+        )
+
+    return grow(max_depth), n_features, pool
+
+
+def adversarial_inputs(pool, n, n_features, seed):
+    """Rows mixing the tree's own thresholds (exact ties), their float
+    neighbours, NaN, +-inf and ordinary values."""
+    rng = np.random.default_rng(seed)
+    ties = np.asarray(pool, dtype=float)
+    candidates = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        [np.nan, np.inf, -np.inf, 0.0], rng.normal(scale=3.0, size=8),
+    ])
+    return rng.choice(candidates, size=(n, n_features))
+
+
+class TestDescentMatchesNodeWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(hand_built_trees(), st.sampled_from([1, 2, 7, 64, 4096]),
+           st.integers(0, 2**16))
+    def test_hand_built_trees(self, built, n, seed):
+        root, n_features, pool = built
+        x = adversarial_inputs(pool, n, n_features, seed)
+        got = predictor_for(root, n_features).scores(features=x)
+        assert np.array_equal(got, walk_scores(root, x), equal_nan=True)
+
+    def test_single_leaf_has_depth_zero_tables(self):
+        tree = predictor_for(TreeNode(value=-0.5), 3)
+        x = np.array([[np.nan, 1.0, -np.inf], [0.0, 0.0, 0.0]])
+        assert np.array_equal(tree.scores(features=x), [0.0, 0.0])
+
+    def test_tie_goes_left_and_nan_goes_right_under_a_padded_leaf(self):
+        # The left child is a leaf two levels above the bottom: rows that
+        # reach it fall through padded slots, NaN cells included.
+        root = TreeNode(
+            feature=0, threshold=1.0,
+            left=TreeNode(value=0.25),
+            right=TreeNode(
+                feature=1, threshold=1.0,
+                left=TreeNode(value=0.5),
+                right=TreeNode(feature=0, threshold=2.0,
+                               left=TreeNode(value=0.75),
+                               right=TreeNode(value=-3.0)),
+            ),
+        )
+        x = np.array([[1.0, np.nan], [np.nan, 1.0], [np.nan, np.nan],
+                      [2.0, np.inf], [np.inf, 2.0], [-np.inf, 0.0]])
+        want = [0.25, 0.5, 0.0, 0.75, 0.0, 0.25]
+        assert np.array_equal(walk_scores(root, x), want)
+        assert np.array_equal(predictor_for(root, 2).scores(features=x), want)
+
+    def test_single_column_lookup_at_and_around_every_cut(self):
+        root = TreeNode(
+            feature=0, threshold=0.5,
+            left=TreeNode(feature=0, threshold=-1.0,
+                          left=TreeNode(value=1.0), right=TreeNode(value=2.0)),
+            # 0.5 again on the right: unreachable left branch, one cut.
+            right=TreeNode(feature=0, threshold=0.5,
+                           left=TreeNode(value=9.0), right=TreeNode(value=3.0)),
+        )
+        cuts = np.array([-1.0, 0.5])
+        x = np.concatenate([
+            cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
+            [np.nan, np.inf, -np.inf],
+        ])[:, None]
+        got = predictor_for(root, 1).scores(features=x)
+        assert np.array_equal(got, walk_scores(root, x))
+        assert np.array_equal(got, [1, 2, 2, 3, 1, 2, 3, 3, 1])
+
+    @pytest.mark.parametrize("name", APPLICATION_NAMES)
+    def test_trained_application_trees(self, name):
+        system = prepare_system(name, scheme="treeErrors", seed=0)
+        pool = np.atleast_2d(system.app.test_inputs(np.random.default_rng(3)))
+        features = system.backend.features(pool)
+        for lo, n in ((0, 1), (5, 8), (100, 64), (17, 1000)):
+            x = features[lo:lo + n]
+            assert np.array_equal(
+                system.predictor.scores(features=x),
+                walk_scores(system.predictor.root, x),
+            )
+
+
+# --------------------------------------------------------------------- #
+# State and input contract                                              #
+# --------------------------------------------------------------------- #
+def _fitted(n_features, seed=0, n=600):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n_features))
+    errors = np.abs(x[:, 0]) + 0.5 * (x[:, -1] > 0.3) + rng.normal(
+        scale=0.05, size=n
+    )
+    return DecisionTreeErrorPredictor(min_samples_leaf=2).fit(x, errors)
+
+
+class TestScoringState:
+    @pytest.mark.parametrize("n_features", [1, 5])
+    def test_copies_and_pickles_score_identically_and_carry_no_scratch(
+        self, n_features, rng
+    ):
+        tree = _fitted(n_features)
+        x = rng.normal(size=(64, n_features))
+        want = tree.scores(features=x)
+        assert (tree._scratch is not None) == (n_features > 1)
+        for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert clone._scratch is None
+            assert np.array_equal(clone.scores(features=x), want)
+        assert np.array_equal(tree.scores(features=x), want)
+
+    def test_reset_state_drops_scratch_and_keeps_the_tree(self, rng):
+        tree = _fitted(4)
+        x = rng.normal(size=(32, 4))
+        want = tree.scores(features=x)
+        tree.reset_state()
+        assert tree._scratch is None
+        assert np.array_equal(tree.scores(features=x), want)
+
+    @pytest.mark.parametrize("widths", [(5, 3), (1, 4), (4, 1), (1, 1)])
+    def test_refit_invalidates_the_tables(self, widths, rng):
+        tree = _fitted(widths[0], seed=1)
+        tree.scores(features=rng.normal(size=(16, widths[0])))
+        rng2 = np.random.default_rng(2)
+        x = rng2.normal(size=(500, widths[1]))
+        tree.fit(x, np.abs(x[:, -1]))
+        probe = rng.normal(size=(128, widths[1]))
+        assert np.array_equal(
+            tree.scores(features=probe), walk_scores(tree.root, probe)
+        )
+
+    def test_batch_size_changes_between_calls(self, rng):
+        tree = _fitted(9)
+        for n in (4096, 8, 4096, 1, 5000, 64):
+            x = rng.normal(size=(n, 9))
+            assert np.array_equal(
+                tree.scores(features=x), walk_scores(tree.root, x)
+            )
+
+    def test_two_threads_score_different_batches_on_one_instance(self):
+        tree = _fitted(6)
+        batches = [np.random.default_rng(s).normal(size=(n, 6))
+                   for s, n in ((10, 512), (11, 300))]
+        want = [walk_scores(tree.root, x) for x in batches]
+        mismatches, start = [], threading.Barrier(2)
+
+        def worker(which):
+            start.wait(timeout=10)
+            for _ in range(400):
+                if not np.array_equal(
+                    tree.scores(features=batches[which]), want[which]
+                ):
+                    mismatches.append(which)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+
+class TestScoringInputs:
+    @pytest.mark.parametrize("n_features", [1, 7])
+    def test_layouts_dtypes_and_read_only_inputs(self, n_features, rng):
+        tree = _fitted(n_features)
+        base = rng.normal(size=(96, 2 * n_features)).astype(np.float32)
+        variants = {
+            "float32": base[:, :n_features].copy(),
+            "fortran": np.asfortranarray(
+                base[:, :n_features].astype(float)),
+            "row_strided": base.astype(float)[::2, :n_features],
+            "col_reversed": base.astype(float)[:, ::-1][:, :n_features],
+            "col_strided": base.astype(float)[:, ::2],
+            "read_only": base[:, :n_features].astype(float),
+        }
+        variants["read_only"].flags.writeable = False
+        for name, x in variants.items():
+            before = x.tobytes()
+            plain = np.ascontiguousarray(x, dtype=float)
+            got = tree.scores(features=x)
+            assert np.array_equal(got, tree.scores(features=plain)), name
+            assert np.array_equal(got, walk_scores(tree.root, plain)), name
+            assert x.tobytes() == before, name
+
+    def test_one_row_given_as_a_vector(self):
+        tree = _fitted(3)
+        row = np.array([0.1, -0.2, 0.9])
+        assert np.array_equal(
+            tree.scores(features=row), walk_scores(tree.root, row)
+        )
+
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_zero_rows_score_to_an_empty_vector(self, n_features):
+        tree = _fitted(n_features)
+        assert tree.scores(features=np.empty((0, n_features))).shape == (0,)
+
+    def test_depth_cap_of_the_tables(self):
+        DecisionTreeErrorPredictor(max_depth=16)
+        with pytest.raises(ConfigurationError, match="at most 16"):
+            DecisionTreeErrorPredictor(max_depth=17)
+
+
+# --------------------------------------------------------------------- #
+# Allocation guard (host-independent: bytes and counts, not time)       #
+# --------------------------------------------------------------------- #
+def _warm_call_peak(tree, x):
+    """(bytes tracemalloc saw live at the peak of a warmed call, result)."""
+    tree.scores(features=x)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = tree.scores(features=x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, result
+
+
+class TestScoringAllocations:
+    def test_multi_column_call_allocates_little_beyond_its_result(self, rng):
+        # The old descent peaked at 237 KB here: five vectors up front and
+        # three temporaries per level.
+        tree = _fitted(9, n=3000)
+        assert tree.depth == 7
+        peak, result = _warm_call_peak(tree, rng.normal(size=(4096, 9)))
+        assert peak <= 1.5 * result.nbytes
+
+    def test_single_column_call_holds_two_vectors_at_its_peak(self, rng):
+        # tracemalloc cannot count allocations already freed, so "index
+        # vector, result, nothing per level" is stated in bytes: two
+        # n-vectors plus 1 KiB of array headers (the old descent peaked
+        # at 3.5 KB here).
+        peak, result = _warm_call_peak(_fitted(1), rng.normal(size=(64, 1)))
+        assert peak <= 2 * result.nbytes + 1024

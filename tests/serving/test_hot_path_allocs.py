@@ -9,9 +9,10 @@ results included — some fourteen allocations a caller keeps per request
 (the handle and its two locks, two allocations each; the result, its
 output view and scalars) plus each batch's share of the shard's
 retained invocation records.  It
-reads 18.7–19.6 per request now that requests and results are slotted
-and a handle's callback list exists only once something registers
-(20.3–21.2 before); the budget is that reading + 25 %, room for
+reads 18.0–18.9 per request (18.1–19.3 before the checker scored a
+single-column tree by interval lookup, 20.3–21.2 before requests and
+results were slotted and a handle's callback list existed only once
+something registers); the budget is that reading + 25 %, room for
 interpreter noise and a fragmented batch or two, none for a copy.
 """
 
