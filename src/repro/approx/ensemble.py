@@ -48,9 +48,11 @@ from repro.approx.alt_backends import (
 )
 from repro.approx.base import ApproxBackend, CostProfile
 from repro.approx.memoization import MemoizingBackend
-from repro.approx.npu_backend import NPUBackend
+from repro.approx.npu_backend import NPUBackend, train_npu_backend
 from repro.approx.perforation_backend import PerforatedKernelBackend
 from repro.errors import ConfigurationError
+from repro.nn.mlp import Topology
+from repro.nn.trainer import RPropTrainer
 from repro.predictors.base import ErrorPredictor
 from repro.predictors.linear import LinearErrorPredictor
 from repro.predictors.tree import DecisionTreeErrorPredictor
@@ -610,37 +612,16 @@ def _train_sized_mlp(app: Application, scale: float, seed: int) -> NPUBackend:
     (floor 1 neuron), producing the cheaper/lower-quality siblings of
     the reference network.
     """
-    from repro.nn.mlp import MLP, Topology
-    from repro.nn.scaler import MinMaxScaler
-    from repro.nn.trainer import RPropTrainer
-
     base = app.rumba_topology
     hidden = [max(1, int(round(w * scale))) for w in base.hidden_sizes]
-    topology = Topology((base.n_inputs, *hidden, base.n_outputs))
-
-    rng = np.random.default_rng(seed)
-    x_train = np.atleast_2d(np.asarray(app.train_inputs(rng), dtype=float))
-    if x_train.shape[0] > 2000:
-        pick = rng.choice(x_train.shape[0], size=2000, replace=False)
-        x_train = x_train[pick]
-    y_train = app.exact(x_train)
-    columns = app.rumba_input_columns
-    feats = x_train if columns is None else x_train[:, list(columns)]
-
-    input_scaler = MinMaxScaler()
-    output_scaler = MinMaxScaler()
-    x_scaled = input_scaler.fit_transform(feats)
-    y_scaled = output_scaler.fit_transform(y_train)
-    network = MLP(topology, rng=np.random.default_rng(seed))
-    RPropTrainer(max_epochs=300, patience=40, seed=seed).train(
-        network, x_scaled, y_scaled
+    backend, _ = train_npu_backend(
+        app,
+        topology=Topology((base.n_inputs, *hidden, base.n_outputs)),
+        trainer=RPropTrainer(max_epochs=300, patience=40, seed=seed),
+        seed=seed,
+        n_train_cap=2000,
     )
-    return NPUBackend(
-        network=network,
-        input_scaler=input_scaler,
-        output_scaler=output_scaler,
-        input_columns=columns,
-    )
+    return backend
 
 
 def _build_member_backend(

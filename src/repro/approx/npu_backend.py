@@ -242,13 +242,16 @@ def train_npu_backend(
     trainer: Optional[RPropTrainer] = None,
     seed: int = 0,
     n_train_cap: Optional[int] = 4000,
+    topology: Optional[Topology] = None,
 ) -> Tuple[NPUBackend, TrainingResult]:
     """Offline accelerator training for a benchmark (Fig. 4, first trainer).
 
     Generates the Table 1 training set, computes exact kernel outputs, and
     fits either the Rumba topology (default) or the larger unchecked-NPU
     topology.  ``n_train_cap`` subsamples very large training sets (image
-    benchmarks) to keep offline training fast.
+    benchmarks) to keep offline training fast.  ``topology`` replaces the
+    chosen Table 1 topology with one of the same input and output widths
+    (the ensemble's width-scaled siblings).
     """
     rng = np.random.default_rng(seed)
     x_train = np.atleast_2d(np.asarray(app.train_inputs(rng), dtype=float))
@@ -257,7 +260,8 @@ def train_npu_backend(
         x_train = x_train[pick]
     y_train = app.exact(x_train)
 
-    topology = app.rumba_topology if use_rumba_topology else app.npu_topology
+    if topology is None:
+        topology = app.rumba_topology if use_rumba_topology else app.npu_topology
     columns = app.rumba_input_columns if use_rumba_topology else None
     feats = x_train if columns is None else x_train[:, list(columns)]
     if feats.shape[1] != topology.n_inputs:

@@ -2,7 +2,7 @@
 
 This subpackage provides the MLP used as the functional model of the NPU
 accelerator: topology parsing (Table 1 notation), forward evaluation,
-RProp/SGD training and feature scaling.
+RProp training and feature scaling.
 """
 
 from repro.nn.activations import (
@@ -15,7 +15,7 @@ from repro.nn.activations import (
 )
 from repro.nn.mlp import MLP, Topology
 from repro.nn.scaler import MinMaxScaler, StandardScaler
-from repro.nn.trainer import RPropTrainer, SGDTrainer, TrainingResult, mse
+from repro.nn.trainer import RPropTrainer, TrainingResult, mse
 
 __all__ = [
     "Activation",
@@ -29,7 +29,6 @@ __all__ = [
     "MinMaxScaler",
     "StandardScaler",
     "RPropTrainer",
-    "SGDTrainer",
     "TrainingResult",
     "mse",
 ]

@@ -7,7 +7,9 @@ so topology experiments can explore alternatives.
 Each activation is a small value object exposing ``__call__`` and
 ``derivative``.  ``derivative`` is expressed in terms of the *activation
 output* where that is cheaper (sigmoid, tanh), which is what the backprop
-trainer expects.
+trainer expects.  Both take an optional destination buffer and write the
+same ufunc sequence into it, so the trainer's per-epoch pass allocates
+nothing and matches the allocating path bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ class Activation:
         """
         raise NotImplementedError
 
-    def derivative(self, out: np.ndarray) -> np.ndarray:
+    def derivative(
+        self, out: np.ndarray, dst: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Local gradient at activation output ``out``, into ``dst`` if given."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -75,8 +80,14 @@ class Sigmoid(Activation):
         np.divide(1.0, out, out=out)
         return out
 
-    def derivative(self, out: np.ndarray) -> np.ndarray:
-        return out * (1.0 - out)
+    def derivative(
+        self, out: np.ndarray, dst: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if dst is None:
+            return out * (1.0 - out)
+        np.subtract(1.0, out, out=dst)
+        dst *= out
+        return dst
 
 
 class Tanh(Activation):
@@ -91,8 +102,13 @@ class Tanh(Activation):
             return np.tanh(x)
         return np.tanh(x, out=out)
 
-    def derivative(self, out: np.ndarray) -> np.ndarray:
-        return 1.0 - out * out
+    def derivative(
+        self, out: np.ndarray, dst: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if dst is None:
+            return 1.0 - out * out
+        np.multiply(out, out, out=dst)
+        return np.subtract(1.0, dst, out=dst)
 
 
 class ReLU(Activation):
@@ -107,8 +123,12 @@ class ReLU(Activation):
             return np.maximum(x, 0.0)
         return np.maximum(x, 0.0, out=out)
 
-    def derivative(self, out: np.ndarray) -> np.ndarray:
-        return (out > 0.0).astype(out.dtype)
+    def derivative(
+        self, out: np.ndarray, dst: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if dst is None:
+            return (out > 0.0).astype(out.dtype)
+        return np.greater(out, 0.0, out=dst)
 
 
 class Linear(Activation):
@@ -124,8 +144,13 @@ class Linear(Activation):
         np.copyto(out, x)
         return out
 
-    def derivative(self, out: np.ndarray) -> np.ndarray:
-        return np.ones_like(out)
+    def derivative(
+        self, out: np.ndarray, dst: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if dst is None:
+            return np.ones_like(out)
+        dst.fill(1.0)
+        return dst
 
 
 _REGISTRY: Dict[str, Activation] = {

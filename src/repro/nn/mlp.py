@@ -13,7 +13,7 @@ units, linear output — exactly what an 8-PE NPU schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,25 +172,6 @@ class MLP:
             h = self.activation_for_layer(layer)(dst, out=dst)
         return h
 
-    def forward_trace(self, x: np.ndarray):
-        """Like :meth:`forward` but also return all layer activations.
-
-        The trace (a list of arrays, starting with the input) is used by the
-        backprop trainer.
-        """
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, self.topology.n_inputs)
-        if arr.shape[1] != self.topology.n_inputs:
-            raise ConfigurationError(
-                f"expected {self.topology.n_inputs} inputs, got shape {arr.shape}"
-            )
-        activations = [arr]
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = activations[-1] @ w + b
-            activations.append(self.activation_for_layer(layer)(pre))
-        return activations[-1], activations
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -213,20 +194,31 @@ class MLP:
             parts.append(b.ravel())
         return np.concatenate(parts)
 
-    def set_flat_params(self, flat: Sequence[float]) -> None:
-        """Load parameters from a flat vector (inverse of get_flat_params)."""
-        flat = np.asarray(flat, dtype=float)
-        expected = self.topology.n_weights
-        if flat.size != expected:
+    def layer_views(self, flat: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(weights, biases)`` views of a flat vector laid out
+        like :meth:`get_flat_params`."""
+        if flat.size != self.topology.n_weights:
             raise ConfigurationError(
-                f"expected {expected} parameters, got {flat.size}"
+                f"expected {self.topology.n_weights} parameters, got {flat.size}"
             )
+        views = []
         pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-            self.biases[i] = flat[pos : pos + b.size].reshape(b.shape)
-            pos += b.size
+        for w, b in zip(self.weights, self.biases):
+            mid, end = pos + w.size, pos + w.size + b.size
+            views.append((flat[pos:mid].reshape(w.shape), flat[mid:end]))
+            pos = end
+        return views
+
+    def set_flat_params(self, flat: Sequence[float]) -> None:
+        """Load parameters from a flat vector (inverse of get_flat_params).
+
+        The layers become views of ``flat`` when it is already a float
+        array: writing to it afterwards moves the network, which is how
+        the trainer updates every layer in one step.
+        """
+        views = self.layer_views(np.asarray(flat, dtype=float))
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MLP({self.topology})"

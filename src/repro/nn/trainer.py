@@ -1,17 +1,16 @@
 """Offline NN trainers — the "accelerator trainer" of Rumba's Fig. 4.
 
-Two trainers are provided:
+:class:`RPropTrainer` is resilient backpropagation, the default trainer in
+pyBrain (the library the paper used to obtain accelerator outputs).  RProp
+is a full-batch method that adapts a per-parameter step size from gradient
+sign agreement; it is insensitive to learning-rate choice, which makes the
+topology search robust.  It minimizes mean squared error, reports a
+training history, and supports an early-stop patience on a validation
+split.
 
-* :class:`RPropTrainer` — resilient backpropagation, the default trainer in
-  pyBrain (the library the paper used to obtain accelerator outputs).  RProp
-  is a full-batch method that adapts a per-parameter step size from gradient
-  sign agreement; it is insensitive to learning-rate choice, which makes the
-  topology search robust.
-* :class:`SGDTrainer` — plain mini-batch stochastic gradient descent with
-  momentum, as a cheaper alternative for the large benchmark runs.
-
-Both minimize mean squared error, report a training history, and support an
-early-stop patience on a validation split.
+An epoch costs one evaluation of the training set: the loss recorded after
+an update and the gradient of the next update come from the same forward
+pass (:class:`_TrainingPass`), held in buffers that live for the run.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from repro.errors import ConfigurationError, TrainingError
 from repro.nn.mlp import MLP
 
-__all__ = ["TrainingResult", "RPropTrainer", "SGDTrainer", "mse"]
+__all__ = ["TrainingResult", "RPropTrainer", "mse"]
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -74,30 +73,62 @@ class TrainingResult:
         return losses[self.best_epoch]
 
 
-def _backprop_gradients(
-    net: MLP, x: np.ndarray, y: np.ndarray
-) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
-    """Return (weight_grads, bias_grads, batch_mse) for one batch."""
-    out, trace = net.forward_trace(x)
-    target = np.asarray(y, dtype=float)
-    if target.ndim == 1:
-        target = target.reshape(-1, net.topology.n_outputs)
-    n = out.shape[0]
-    err = out - target
-    loss = float(np.mean(err**2))
-    # dL/d(out) for MSE with mean over samples *and* outputs.
-    delta = (2.0 / err.size) * err * net.activation_for_layer(net.n_layers - 1).derivative(out)
-    w_grads: List[np.ndarray] = [np.empty(0)] * net.n_layers
-    b_grads: List[np.ndarray] = [np.empty(0)] * net.n_layers
-    for layer in range(net.n_layers - 1, -1, -1):
-        inp = trace[layer]
-        w_grads[layer] = inp.T @ delta
-        b_grads[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ net.weights[layer].T) * net.activation_for_layer(
-                layer - 1
-            ).derivative(trace[layer])
-    return w_grads, b_grads, loss
+def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
+    """``a.sum(axis=0)`` into ``out``, bit for bit, in a third of the time.
+
+    numpy adds the rows of two or more columns in order, and ``einsum``
+    does the same without a ufunc call per row; a single column it sums
+    pairwise, which ``einsum`` does not.
+    """
+    if a.shape[1] == 1:
+        np.sum(a, axis=0, out=out)
+    else:
+        np.einsum("ij->j", a, out=out)
+
+
+class _TrainingPass:
+    """Loss and gradient of a network on one fixed batch, from one evaluation.
+
+    Holds one activation, one delta and one scratch buffer per layer for
+    the run.  :meth:`forward` evaluates the network into them and returns
+    the loss; :meth:`gradients` backpropagates from what that call left
+    behind, so it may follow each ``forward`` at most once and only while
+    the parameters have not moved.
+    """
+
+    def __init__(self, net: MLP, x: np.ndarray, y: np.ndarray):
+        self._net, self._x, self._y = net, x, y
+        shapes = [(x.shape[0], w.shape[1]) for w in net.weights]
+        if y.shape != shapes[-1]:
+            raise ConfigurationError(
+                f"targets have shape {y.shape}, the network produces {shapes[-1]}"
+            )
+        self._acts = [np.empty(shape) for shape in shapes]
+        self._deltas = [np.empty(shape) for shape in shapes]
+        self._scratch = [np.empty(shape) for shape in shapes]
+
+    def forward(self) -> float:
+        """Evaluate the batch; returns its mean squared error."""
+        out = self._net.forward(self._x, out=self._acts[-1], scratch=self._acts[:-1])
+        err = np.subtract(out, self._y, out=self._deltas[-1])
+        return float(np.mean(np.square(err, out=self._scratch[-1])))
+
+    def gradients(self, into: List[Tuple[np.ndarray, np.ndarray]]) -> None:
+        """Write each layer's ``(weight, bias)`` gradients into ``into``."""
+        net = self._net
+        # dL/d(out) for MSE with mean over samples *and* outputs.
+        self._deltas[-1] *= 2.0 / self._deltas[-1].size
+        for layer in range(net.n_layers - 1, -1, -1):
+            delta = self._deltas[layer]
+            delta *= net.activation_for_layer(layer).derivative(
+                self._acts[layer], dst=self._scratch[layer]
+            )
+            w_grad, b_grad = into[layer]
+            inp = self._acts[layer - 1] if layer else self._x
+            np.matmul(inp.T, delta, out=w_grad)
+            _column_sums(delta, out=b_grad)
+            if layer:
+                np.matmul(delta, net.weights[layer].T, out=self._deltas[layer - 1])
 
 
 def _split_validation(
@@ -174,37 +205,46 @@ class RPropTrainer:
         else:
             x_tr, y_tr, x_val, y_val = x, y, None, None
 
-        deltas_w = [np.full_like(w, self.delta_init) for w in net.weights]
-        deltas_b = [np.full_like(b, self.delta_init) for b in net.biases]
-        prev_gw = [np.zeros_like(w) for w in net.weights]
-        prev_gb = [np.zeros_like(b) for b in net.biases]
+        # One flat vector holds every layer, so an epoch is one update.
+        params = net.get_flat_params()
+        net.set_flat_params(params)
+        step = np.full_like(params, self.delta_init)
+        # RProp compares this epoch's gradient with the last one's: two
+        # buffers, alternating, never the same storage two epochs running.
+        grads = [np.zeros_like(params), np.zeros_like(params)]
+        grad_views = [net.layer_views(grad) for grad in grads]
+        train_pass = _TrainingPass(net, x_tr, y_tr)
+        val_pass = None if x_val is None else _TrainingPass(net, x_val, y_val)
 
         result = TrainingResult()
         best = np.inf
-        best_params = net.get_flat_params()
+        best_params = params.copy()
         stall = 0
+        train_pass.forward()
         for epoch in range(self.max_epochs):
-            gw, gb, _ = _backprop_gradients(net, x_tr, y_tr)
-            for i in range(net.n_layers):
-                self._rprop_update(
-                    net.weights[i], gw[i], prev_gw[i], deltas_w[i]
-                )
-                self._rprop_update(net.biases[i], gb[i], prev_gb[i], deltas_b[i])
-                prev_gw[i], prev_gb[i] = gw[i], gb[i]
+            this, last = epoch % 2, 1 - epoch % 2
+            train_pass.gradients(grad_views[this])
+            self._rprop_update(params, grads[this], grads[last], step)
             # Measure *after* the update so the recorded loss corresponds to
-            # the parameters that best_params may snapshot below.
-            loss = mse(net.forward(x_tr), y_tr)
+            # the parameters that best_params may snapshot below; the same
+            # pass feeds the next epoch's gradient.
+            loss = train_pass.forward()
             result.train_losses.append(loss)
-            if x_val is not None:
-                val_loss = mse(net.forward(x_val), y_val)
-                result.val_losses.append(val_loss)
-                monitor = val_loss
-            else:
-                monitor = loss
+            monitor = loss
+            if val_pass is not None:
+                monitor = val_pass.forward()
+                result.val_losses.append(monitor)
+            if not np.isfinite(monitor):
+                # Not a plateau: nan < best is never true, so patience would
+                # end the run as converged on the weights it started from.
+                net.set_flat_params(best_params)
+                raise TrainingError(
+                    f"RProp loss became non-finite ({monitor}) at epoch {epoch}"
+                )
             if monitor < best - 1e-15:
                 best = monitor
                 result.best_epoch = epoch
-                best_params = net.get_flat_params()
+                np.copyto(best_params, params)
                 stall = 0
             else:
                 stall += 1
@@ -212,7 +252,7 @@ class RPropTrainer:
                 result.converged = True
                 break
         net.set_flat_params(best_params)
-        if not np.all(np.isfinite(net.get_flat_params())):
+        if not np.all(np.isfinite(best_params)):
             raise TrainingError("RProp training diverged to non-finite weights")
         return result
 
@@ -232,87 +272,3 @@ class RPropTrainer:
         # iRprop-: on a sign flip, zero the gradient so no step is taken.
         grad[shrink] = 0.0
         params -= np.sign(grad) * delta
-
-
-class SGDTrainer:
-    """Mini-batch SGD with classical momentum."""
-
-    def __init__(
-        self,
-        max_epochs: int = 200,
-        learning_rate: float = 0.05,
-        momentum: float = 0.9,
-        batch_size: int = 64,
-        patience: int = 25,
-        val_fraction: float = 0.0,
-        tol: float = 1e-10,
-        seed: int = 0,
-    ):
-        if max_epochs <= 0:
-            raise ConfigurationError("max_epochs must be positive")
-        if learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        self.max_epochs = max_epochs
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.batch_size = batch_size
-        self.patience = patience
-        self.val_fraction = val_fraction
-        self.tol = tol
-        self.seed = seed
-
-    def train(self, net: MLP, x: np.ndarray, y: np.ndarray) -> TrainingResult:
-        """Train ``net`` in place; returns the loss history."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, net.topology.n_inputs)
-        if y.ndim == 1:
-            y = y.reshape(-1, net.topology.n_outputs)
-        rng = np.random.default_rng(self.seed)
-        if self.val_fraction > 0.0:
-            x_tr, y_tr, x_val, y_val = _split_validation(x, y, self.val_fraction, rng)
-        else:
-            x_tr, y_tr, x_val, y_val = x, y, None, None
-
-        vel_w = [np.zeros_like(w) for w in net.weights]
-        vel_b = [np.zeros_like(b) for b in net.biases]
-        result = TrainingResult()
-        best = np.inf
-        best_params = net.get_flat_params()
-        stall = 0
-        n = x_tr.shape[0]
-        for epoch in range(self.max_epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                gw, gb, _ = _backprop_gradients(net, x_tr[batch], y_tr[batch])
-                for i in range(net.n_layers):
-                    vel_w[i] = self.momentum * vel_w[i] - self.learning_rate * gw[i]
-                    vel_b[i] = self.momentum * vel_b[i] - self.learning_rate * gb[i]
-                    net.weights[i] += vel_w[i]
-                    net.biases[i] += vel_b[i]
-            loss = mse(net.forward(x_tr), y_tr)
-            result.train_losses.append(loss)
-            if x_val is not None:
-                val_loss = mse(net.forward(x_val), y_val)
-                result.val_losses.append(val_loss)
-                monitor = val_loss
-            else:
-                monitor = loss
-            if monitor < best - 1e-15:
-                best = monitor
-                result.best_epoch = epoch
-                best_params = net.get_flat_params()
-                stall = 0
-            else:
-                stall += 1
-            if monitor <= self.tol or stall >= self.patience:
-                result.converged = True
-                break
-        net.set_flat_params(best_params)
-        if not np.all(np.isfinite(net.get_flat_params())):
-            raise TrainingError("SGD training diverged to non-finite weights")
-        return result

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.mlp import MLP, Topology
+from tests.nn.reference_trainer import forward_trace
 
 
 class TestTopology:
@@ -92,16 +93,31 @@ class TestMLP:
         assert not np.array_equal(net.weights[0], clone.weights[0])
 
     def test_forward_trace_layers(self, rng):
+        # The trainer's oracle keeps the allocating trace; it must agree
+        # with the in-place path bit for bit.
         net = MLP("2->3->4->1", rng=rng)
-        out, trace = net.forward_trace(rng.normal(size=(5, 2)))
+        x = rng.normal(size=(5, 2))
+        out, trace = forward_trace(net, x)
         assert len(trace) == 4  # input + 3 layers
         np.testing.assert_array_equal(trace[-1], out)
+        hidden = [np.empty((5, 3)), np.empty((5, 4))]
+        np.testing.assert_array_equal(net.forward(x, scratch=hidden), out)
+        for buf, layer in zip(hidden, trace[1:]):
+            np.testing.assert_array_equal(buf, layer)
 
     def test_hidden_sigmoid_bounded(self, rng):
         net = MLP("2->3->1", rng=rng)
-        _, trace = net.forward_trace(rng.normal(size=(50, 2)) * 100)
-        hidden = trace[1]
+        hidden = np.empty((50, 3))
+        net.forward(rng.normal(size=(50, 2)) * 100, scratch=[hidden])
         assert np.all(hidden >= 0.0) and np.all(hidden <= 1.0)
+
+    def test_set_flat_params_makes_layers_views(self, rng):
+        net = MLP("2->3->1", rng=rng)
+        flat = net.get_flat_params()
+        net.set_flat_params(flat)
+        flat += 1.0
+        np.testing.assert_array_equal(net.get_flat_params(), flat)
+        assert all(np.shares_memory(w, flat) for w in net.weights + net.biases)
 
     def test_activation_for_layer(self):
         net = MLP("2->3->1")

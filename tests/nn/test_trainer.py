@@ -1,11 +1,11 @@
-"""Unit tests for the RProp and SGD trainers."""
+"""Unit tests for the RProp trainer."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TrainingError
 from repro.nn.mlp import MLP
-from repro.nn.trainer import RPropTrainer, SGDTrainer, mse
+from repro.nn.trainer import RPropTrainer, _TrainingPass, mse
 
 
 def _toy_regression(n=200, seed=0):
@@ -13,6 +13,20 @@ def _toy_regression(n=200, seed=0):
     x = rng.uniform(0, 1, size=(n, 1))
     y = 0.5 + 0.3 * np.sin(2 * np.pi * x)
     return x, y
+
+
+@pytest.fixture
+def forward_rows(monkeypatch):
+    """Row count of every batch ``MLP.forward`` evaluates, in call order."""
+    rows = []
+    forward = MLP.forward
+
+    def counting(self, inputs, *args, **kwargs):
+        rows.append(inputs.shape[0])
+        return forward(self, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(MLP, "forward", counting)
+    return rows
 
 
 class TestMse:
@@ -78,34 +92,90 @@ class TestRPropTrainer:
         result = RPropTrainer(max_epochs=300, patience=50).train(net, x, y)
         assert result.best_loss < 0.05
 
+    def test_target_shape_mismatch(self):
+        x, _ = _toy_regression(20)
+        with pytest.raises(ConfigurationError):
+            RPropTrainer(max_epochs=5).train(MLP("1->2->2"), x, np.zeros((20, 1)))
 
-class TestSGDTrainer:
-    def test_loss_decreases(self):
-        x, y = _toy_regression()
-        net = MLP("1->8->1", rng=np.random.default_rng(0))
-        initial = mse(net.forward(x), y)
-        result = SGDTrainer(max_epochs=100, learning_rate=0.1, seed=0).train(
-            net, x, y
+    def test_one_training_set_pass_per_epoch_plus_one(self, forward_rows):
+        x, y = _toy_regression(40)
+        result = RPropTrainer(max_epochs=25, patience=1000).train(MLP("1->3->1"), x, y)
+        assert len(result.train_losses) == 25
+        assert forward_rows == [40] * 26
+
+    def test_validation_costs_one_more_pass_per_epoch(self, forward_rows):
+        x, y = _toy_regression(40)
+        result = RPropTrainer(max_epochs=12, patience=1000, val_fraction=0.25).train(
+            MLP("1->3->1"), x, y
         )
-        assert result.final_loss < initial
+        assert len(result.train_losses) == 12
+        assert forward_rows.count(30) == 13
+        assert forward_rows.count(10) == 12
+        assert len(forward_rows) == 25
 
-    def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            SGDTrainer(learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            SGDTrainer(batch_size=0)
 
-    def test_validation_split(self):
-        x, y = _toy_regression(80)
+class TestNonFiniteLoss:
+    """A loss that is not a number is a failure, never a plateau."""
+
+    def test_nan_target_raises(self):
+        x, y = _toy_regression(50)
+        y[7, 0] = np.nan
         net = MLP("1->4->1")
-        result = SGDTrainer(max_epochs=20, val_fraction=0.2).train(net, x, y)
-        assert len(result.val_losses) == len(result.train_losses)
+        with pytest.raises(TrainingError, match="non-finite"):
+            RPropTrainer(max_epochs=100, patience=5).train(net, x, y)
 
-    def test_comparable_to_rprop_on_easy_problem(self):
-        x, y = _toy_regression(300, seed=3)
-        rprop_net = MLP("1->8->1", rng=np.random.default_rng(5))
-        sgd_net = rprop_net.copy()
-        rprop = RPropTrainer(max_epochs=200, seed=5).train(rprop_net, x, y)
-        sgd = SGDTrainer(max_epochs=200, seed=5).train(sgd_net, x, y)
-        assert rprop.best_loss < 0.02
-        assert sgd.best_loss < 0.05
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_input_raises(self):
+        x, y = _toy_regression(50)
+        x[3, 0] = 1e200  # squared error of a relu network overflows to inf
+        net = MLP("1->4->1", hidden_activation="relu")
+        with pytest.raises(TrainingError, match="non-finite"):
+            RPropTrainer(max_epochs=100, patience=5).train(net, x, y)
+
+    def test_nan_in_validation_split_raises(self):
+        x, y = _toy_regression(40)
+        y[:, 0] = np.nan
+        with pytest.raises(TrainingError, match="non-finite"):
+            RPropTrainer(max_epochs=100, patience=5, val_fraction=0.25).train(
+                MLP("1->4->1"), x, y
+            )
+
+
+def _numeric_gradient(net, x, y, h=1e-6):
+    """Central finite differences of the pass's own loss, one parameter at a time."""
+    params = net.get_flat_params()
+    net.set_flat_params(params)
+    loss = _TrainingPass(net, x, y).forward
+    numeric = np.empty_like(params)
+    for i in range(params.size):
+        keep = params[i]
+        params[i] = keep + h
+        up = loss()
+        params[i] = keep - h
+        down = loss()
+        params[i] = keep
+        numeric[i] = (up - down) / (2 * h)
+    return numeric
+
+
+class TestGradientCheck:
+    """The pass's analytic gradients against finite differences of its loss."""
+
+    @pytest.mark.parametrize("output", ["linear", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("hidden", ["sigmoid", "tanh", "relu", "linear"])
+    @pytest.mark.parametrize("topology", ["3->4->2", "2->3->3->1", "2->1"])
+    def test_weight_and_bias_gradients(self, topology, hidden, output):
+        rng = np.random.default_rng(11)
+        net = MLP(topology, hidden_activation=hidden, output_activation=output, rng=rng)
+        for b in net.biases:  # off zero, and relu units off their kink
+            b[:] = rng.uniform(0.2, 0.6, size=b.shape)
+        x = rng.uniform(-1.0, 1.0, size=(17, net.topology.n_inputs))
+        y = rng.uniform(0.0, 1.0, size=(17, net.topology.n_outputs))
+        numeric = _numeric_gradient(net, x, y)
+
+        analytic = np.zeros_like(numeric)
+        train_pass = _TrainingPass(net, x, y)
+        train_pass.forward()
+        train_pass.gradients(net.layer_views(analytic))
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+        assert np.any(np.abs(numeric) > 1e-4)  # not a check of zero against zero
