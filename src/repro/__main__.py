@@ -30,7 +30,7 @@ Commands
     (``docs/protocol.md``) and runs until interrupted or ``--duration``
     elapses; ``--port-file`` records the bound ``host:port`` for
     scripting against an ephemeral port.
-``cluster --app NAME [--nodes N | --attach H:P,H:P] [--policy P] ...``
+``cluster --app NAME [--nodes N | --attach H:P,H:P] ...``
     Stand up the cluster tier (``docs/cluster.md``): a routing gateway
     in front of N serving nodes — spawned locally as ``serve --listen``
     child processes, or attached to with ``--attach``.  The router
@@ -473,12 +473,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             addresses = fleet.addresses
             print("nodes: " + ", ".join(addresses), flush=True)
         router = serve_cluster(
-            addresses, policy=args.policy,
+            addresses,
             config=ClusterConfig(probe_interval_s=args.probe_interval),
             listen=args.listen, wait_for=len(addresses), timeout=120.0,
         )
         cleanup.callback(router.stop)
-        return router, (f"routing {args.policy} across {len(addresses)} "
+        return router, (f"routing across {len(addresses)} "
                         "node(s) on {bound} (ctrl-C to stop)")
 
     with contextlib.ExitStack() as cleanup:  # router first, then its fleet
@@ -821,10 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated HOST:PORT list of already-"
                               "running nodes to route across instead of "
                               "spawning a local fleet")
-    cluster.add_argument("--policy", default="least_loaded",
-                         choices=("least_loaded", "consistent_hash",
-                                  "round_robin"),
-                         help="routing policy (see docs/cluster.md)")
     cluster.add_argument("--workers-per-node", type=int, default=1,
                          help="worker threads inside each spawned node")
     cluster.add_argument("--listen", default="127.0.0.1:0",

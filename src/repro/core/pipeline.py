@@ -138,17 +138,17 @@ def simulate_pipeline(
     if detector_placement not in (1, 2):
         raise ConfigurationError("detector_placement must be 1 or 2")
 
+    flagged = np.flatnonzero(bits)
     if detector_placement == 1:
         effective_accel = accel_cycles_per_iteration + checker_cycles
         # Verdict for iteration i is ready when its check completes,
         # i.e. before the accelerator processes it.
-        arrivals = np.arange(n) * effective_accel + checker_cycles
+        arr = flagged * effective_accel + checker_cycles
     else:
         effective_accel = accel_cycles_per_iteration
-        arrivals = (np.arange(n) + 1) * effective_accel
+        arr = (flagged + 1) * effective_accel
 
     accel_finish = n * effective_accel
-    flagged = np.flatnonzero(bits)
     k = flagged.size
     cpu = cpu_cycles_per_iteration
     if k == 0:
@@ -164,7 +164,6 @@ def simulate_pipeline(
     # to  end_i = (i+1)*cpu + max_{j<=i}(arrival_j - j*cpu), which is a
     # running maximum — one `np.maximum.accumulate` instead of a Python
     # loop over every flagged iteration.
-    arr = arrivals[flagged]
     rank = np.arange(k, dtype=float)
     ends = np.maximum.accumulate(arr - rank * cpu) + (rank + 1.0) * cpu
     starts = ends - cpu

@@ -203,7 +203,9 @@ class RumbaSystem:
                 f"config scheme {self.config.scheme!r} does not match the "
                 f"predictor {predictor.name!r}"
             )
-        self.tuner = OnlineTuner(self.config)
+        if max_records is not None and max_records < 1:
+            raise ConfigurationError("max_records must be >= 1")
+        self.tuner = OnlineTuner(self.config, max_history=max_records)
         if self.ensemble is not None:
             # Backpressure degradations shift the router's cost/quality
             # trade-off in lockstep with the detection threshold.
@@ -233,8 +235,6 @@ class RumbaSystem:
                         f"coefficients but declares {expected}"
                     )
                 self.config_queue.send("checker", coefficients)
-        if max_records is not None and max_records < 1:
-            raise ConfigurationError("max_records must be >= 1")
         self.max_records = max_records
         self.records: MutableSequence[InvocationRecord] = (
             [] if max_records is None else deque(maxlen=max_records)
@@ -595,7 +595,7 @@ class RumbaSystem:
         # Carry over any threshold calibration applied after construction
         # (prepare_system calibrates EMA/Random/Uniform TOQ thresholds).
         clone.tuner.threshold = self.tuner.threshold
-        clone.tuner.history = [clone.tuner.threshold]
+        clone.tuner.history[-1] = clone.tuner.threshold
         clone.detection.threshold = self.detection.threshold
         clone.recovery.verify = self.recovery.verify
         return clone

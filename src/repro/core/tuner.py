@@ -20,8 +20,9 @@ quickly across decades of score scales and settles geometrically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List
+from typing import MutableSequence, Optional
 
 from repro.core.config import RumbaConfig, TunerMode
 from repro.errors import ConfigurationError
@@ -51,9 +52,14 @@ class InvocationFeedback:
 
 
 class OnlineTuner:
-    """Per-invocation threshold controller."""
+    """Per-invocation threshold controller.
 
-    def __init__(self, config: RumbaConfig):
+    ``history`` holds the threshold after every move, newest last; with
+    ``max_history`` it is a ring of that many entries (a serving shard
+    passes its record window), otherwise it keeps every one.
+    """
+
+    def __init__(self, config: RumbaConfig, max_history: Optional[int] = None):
         self.config = config
         if config.mode == TunerMode.TOQ:
             # The dynamic check compares *predicted error* against the
@@ -61,7 +67,10 @@ class OnlineTuner:
             self.threshold = config.target_output_error
         else:
             self.threshold = config.initial_threshold
-        self.history: List[float] = [self.threshold]
+        self.history: MutableSequence[float] = (
+            [self.threshold] if max_history is None
+            else deque([self.threshold], maxlen=max_history)
+        )
         self._gain = config.threshold_gain
         self._last_direction = 0
         self._degradation_level = 0

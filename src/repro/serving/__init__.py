@@ -33,8 +33,8 @@ the tier between the two:
 
 * :mod:`~repro.serving.cluster` — the fleet tier: a
   :class:`~repro.serving.cluster.ClusterRouter` gateway that fronts N
-  ``NetServer`` nodes behind one address, with pluggable routing
-  policies, health-checked eviction and backoff re-admission, drain
+  ``NetServer`` nodes behind one address, with least-loaded
+  routing, health-checked eviction and backoff re-admission, drain
   for rolling restarts, deadline-budgeted cross-node retries, and
   fleet-wide aggregated stats (``docs/cluster.md``; ``python -m repro
   cluster``).
@@ -176,7 +176,6 @@ def serve(
 
 def serve_cluster(
     nodes,
-    policy: str = "least_loaded",
     config: Optional[ClusterConfig] = None,
     *,
     listen=("127.0.0.1", 0),
@@ -189,7 +188,7 @@ def serve_cluster(
     ``nodes`` is an iterable of ``"host:port"`` strings (or tuples) of
     already-listening ``NetServer`` nodes — e.g. from
     :func:`spawn_local_fleet`'s ``addresses``.  ``config`` supplies the
-    full knob set; ``nodes``/``policy`` override its matching fields.
+    full knob set; ``nodes`` overrides its matching field.
     Blocks until ``wait_for`` nodes are routable (raises otherwise),
     then returns the started router — talk to it with :func:`connect`.
     """
@@ -197,7 +196,7 @@ def serve_cluster(
 
     base = config or ClusterConfig()
     router = ClusterRouter(
-        base.with_overrides(nodes=tuple(nodes), policy=policy),
+        base.with_overrides(nodes=tuple(nodes)),
         host=parse_address(listen)[0],
         port=parse_address(listen)[1],
         registry=registry,

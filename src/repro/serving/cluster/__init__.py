@@ -2,10 +2,11 @@
 
 One :class:`ClusterRouter` listens on a single address and speaks the
 ``docs/protocol.md`` wire protocol to clients while forwarding each
-request — by a pluggable routing policy — over pooled connections to N
-independent :class:`~repro.serving.net.server.NetServer` nodes.  The
+request over one multiplexed connection per node to the least loaded
+of N independent :class:`~repro.serving.net.server.NetServer` nodes, a
+member list fixed at start.  The
 :class:`~repro.serving.cluster.nodes.NodeManager` health-checks the
-member set (probe → evict → back off → re-admit), ``drain`` enables
+members (probe → evict → back off → re-admit), ``drain`` enables
 rolling restarts, and a STATS round-trip to the router returns the
 aggregated fleet document.  ``docs/cluster.md`` is the operator guide.
 
@@ -15,7 +16,6 @@ Quick start::
 
     router = ClusterRouter(ClusterConfig(
         nodes=("127.0.0.1:9001", "127.0.0.1:9002"),
-        policy="least_loaded",
     )).start()
     router.wait_for_nodes(2)
     with connect(router.address) as client:
@@ -26,15 +26,6 @@ or on the command line: ``python -m repro cluster --app fft --nodes 2``.
 
 from repro.serving.cluster.nodes import Node, NodeLink, NodeManager
 from repro.serving.cluster.router import ClusterRouter
-from repro.serving.cluster.routing import (
-    ConsistentHashPolicy,
-    LeastLoadedPolicy,
-    POLICY_NAMES,
-    RequestContext,
-    RoundRobinPolicy,
-    RoutingPolicy,
-    make_policy,
-)
 from repro.serving.cluster.spawn import (
     NodeFleet,
     NodeHandle,
@@ -50,13 +41,6 @@ __all__ = [
     "NodeFleet",
     "NodeHandle",
     "spawn_local_fleet",
-    "RoutingPolicy",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "ConsistentHashPolicy",
-    "RequestContext",
-    "POLICY_NAMES",
-    "make_policy",
     "aggregate_fleet_stats",
     "merge_stats",
 ]

@@ -1,4 +1,4 @@
-"""Fleet membership: pooled node links and the health supervisor.
+"""Fleet membership: node links and the health supervisor.
 
 This is the PR 4 worker supervisor pattern lifted one level up: where
 the :class:`~repro.serving.procpool.ProcessWorkerPool` watches worker
@@ -6,20 +6,21 @@ the :class:`~repro.serving.procpool.ProcessWorkerPool` watches worker
 whole ``NetServer`` *nodes* over TCP and manages the member set the
 router routes across:
 
-* every node gets ``pool_size`` pooled, multiplexed connections
-  (:class:`NodeLink`) carrying forwarded requests and health probes;
+* the member set is ``ClusterConfig.nodes``, fixed at start; every
+  node gets one multiplexed connection (:class:`NodeLink`) carrying
+  forwarded requests and health probes;
 * a probe loop sends a STATS frame to every node each
-  ``probe_interval_s`` — the reply doubles as the load signal for the
-  ``least_loaded`` policy;
+  ``probe_interval_s`` — the reply doubles as the load signal for
+  least-loaded routing;
 * ``failure_threshold`` consecutive probe/connect failures **evict** a
-  node (its links close; stranded requests go back to the router's
+  node (its link closes; stranded requests go back to the router's
   retry path), and re-admission probes back off exponentially
   (``backoff_initial_s`` → ``backoff_max_s``) until one succeeds;
 * the WELCOME document's ``node_id`` / ``started_at_monotonic`` pair
   identifies one process lifetime, so a *restarted* node behind the same
   address is recognized and its failure/backoff state reset instead of
   serving a stale eviction sentence;
-* :meth:`NodeManager.drain` flips a node to ``draining`` — the policy
+* :meth:`NodeManager.drain` flips a node to ``draining`` — the router
   stops selecting it, in-flight work completes — which is the building
   block of the rolling-restart runbook in ``docs/cluster.md``.
 
@@ -49,7 +50,7 @@ STATE_EVICTED = "evicted"
 
 
 class NodeLink:
-    """One pooled, multiplexed connection from the router to a node.
+    """The multiplexed connection from the router to one node.
 
     Carries both forwarded REQUEST frames (pending entries owned by the
     router) and STATS health probes (plain futures).  Event-loop only.
@@ -189,14 +190,13 @@ class NodeLink:
 
 
 class Node:
-    """One fleet member: address, identity, health, and link pool."""
+    """One fleet member: address, identity, health, and its link."""
 
     def __init__(self, address_spec):
         self.address = wire.parse_address(address_spec)
         self.name = f"{self.address[0]}:{self.address[1]}"
         self.state = STATE_NEW
-        self.links: List[NodeLink] = []
-        self._link_rr = 0
+        self.link: Optional[NodeLink] = None
         self.welcome: dict = {}
         self.node_id = ""
         self.started_at: Optional[float] = None
@@ -211,7 +211,7 @@ class Node:
         self.probe_successes = 0
 
     # ------------------------------------------------------------------ #
-    # Selection surface (what routing policies see)                      #
+    # Selection surface (what the router's routing rule sees)            #
     # ------------------------------------------------------------------ #
     def load(self) -> int:
         """In-flight depth: router ledger + the node's own last report."""
@@ -220,22 +220,17 @@ class Node:
         # double counting never inverts a least-loaded decision.
         return max(self.inflight, reported)
 
+    @property
+    def connected(self) -> bool:
+        return self.link is not None and self.link.connected
+
     def routable(self) -> bool:
-        return self.state == STATE_HEALTHY and any(
-            link.connected for link in self.links
-        )
+        return self.state == STATE_HEALTHY and self.connected
 
-    def pick_link(self) -> Optional[NodeLink]:
-        live = [link for link in self.links if link.connected]
-        if not live:
-            return None
-        self._link_rr = (self._link_rr + 1) % len(live)
-        return live[self._link_rr]
-
-    def close_links(self) -> None:
-        for link in list(self.links):
+    def close_link(self) -> None:
+        link, self.link = self.link, None
+        if link is not None:
             link.close()
-        self.links = []
 
     def health_document(self) -> dict:
         """This node's row of the fleet stats health section."""
@@ -243,7 +238,7 @@ class Node:
             "address": self.name,
             "node_id": self.node_id,
             "state": self.state,
-            "links": sum(1 for link in self.links if link.connected),
+            "links": int(self.connected),
             "inflight": self.inflight,
             "reported_inflight": int(
                 self.stats.get("inflight_requests", 0) or 0
@@ -264,7 +259,7 @@ class NodeManager:
     ----------
     config:
         The :class:`~repro.serving.config.ClusterConfig` (probe cadence,
-        failure threshold, backoff bounds, pool size).
+        failure threshold, backoff bounds).
     on_reply:
         ``(link, entry, frame)`` — a forwarded request's RESULT/ERROR
         arrived; the router delivers (or retries) it.
@@ -273,9 +268,9 @@ class NodeManager:
         requests unanswered; the router's retry path owns them now.
     on_node_event:
         ``(event, node)`` — observability hook (``welcome``,
-        ``removed``, ``evicted``, ``readmitted``, ``restart_detected``,
-        ``probe_ok``, ``probe_failed``, ``drained``); the router exports
-        metrics and re-reads the fleet's WELCOME fields.
+        ``evicted``, ``readmitted``, ``restart_detected``, ``probe_ok``,
+        ``probe_failed``, ``drained``); the router exports metrics and
+        re-reads the fleet's WELCOME fields.
     """
 
     def __init__(
@@ -296,9 +291,16 @@ class NodeManager:
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #
     # ------------------------------------------------------------------ #
-    async def start(self) -> None:
+    def start(self) -> None:
+        """Fix the member set and start supervising it.
+
+        ``config.nodes`` is the membership for this manager's lifetime.
+        An address whose node is not up yet fails its probes, is evicted
+        and is re-admitted with backoff once it answers.
+        """
         for spec in self.config.nodes:
-            await self.add_node(spec)
+            node = Node(spec)
+            self.nodes.setdefault(node.name, node)
         self._probe_task = asyncio.ensure_future(self._probe_loop())
 
     async def stop(self) -> None:
@@ -311,40 +313,23 @@ class NodeManager:
                 pass
             self._probe_task = None
         for node in self.nodes.values():
-            node.close_links()
-
-    async def add_node(self, address_spec) -> Node:
-        """Join a node to the fleet and try to connect it right away."""
-        node = Node(address_spec)
-        if node.name in self.nodes:
-            return self.nodes[node.name]
-        self.nodes[node.name] = node
-        await self._try_connect(node)
-        return node
-
-    def remove_node(self, name: str) -> Optional[Node]:
-        node = self.nodes.pop(name, None)
-        if node is not None:
-            node.close_links()
-            self.on_node_event("removed", node)
-        return node
+            node.close_link()
 
     # ------------------------------------------------------------------ #
     # Connection management                                              #
     # ------------------------------------------------------------------ #
     async def _try_connect(self, node: Node) -> bool:
-        """Top the node's link pool up to ``pool_size``; False on failure."""
-        node.links = [link for link in node.links if link.connected]
-        try:
-            while len(node.links) < self.config.pool_size:
-                link = NodeLink(node, self)
+        """Dial the node if its link is down; False on failure."""
+        if not node.connected:
+            link = NodeLink(node, self)
+            try:
                 welcome = await link.connect(self.config.probe_timeout_s)
-                node.links.append(link)
-                self._note_welcome(node, welcome)
-        except (ConnectionError, OSError, ProtocolError,
-                asyncio.TimeoutError) as exc:
-            self._record_failure(node, exc)
-            return False
+            except (ConnectionError, OSError, ProtocolError,
+                    asyncio.TimeoutError) as exc:
+                self._record_failure(node, exc)
+                return False
+            node.link = link
+            self._note_welcome(node, welcome)
         if node.state in (STATE_NEW, STATE_EVICTED):
             readmitted = node.state == STATE_EVICTED
             node.state = STATE_HEALTHY
@@ -379,13 +364,10 @@ class NodeManager:
 
     def note_link_down(self, node: Node) -> None:
         """A link died outside a probe; treat it as one failure signal."""
-        node.links = [link for link in node.links if link.connected]
         if self._stopped:
             return
         if node.state in (STATE_HEALTHY, STATE_DRAINING):
-            self._record_failure(
-                node, ConnectionError("pooled link lost")
-            )
+            self._record_failure(node, ConnectionError("link lost"))
 
     def _record_failure(self, node: Node, cause: BaseException) -> None:
         node.consecutive_failures += 1
@@ -403,7 +385,7 @@ class NodeManager:
             self.evict(node, reason=str(cause))
 
     def evict(self, node: Node, reason: str = "") -> None:
-        """Remove a node from rotation; links close, strands retry."""
+        """Remove a node from rotation; its link closes, strands retry."""
         if node.state == STATE_EVICTED:
             return
         node.state = STATE_EVICTED
@@ -412,12 +394,15 @@ class NodeManager:
         node.readmit_at = time.monotonic() + node.backoff_s
         node.stats = {}
         self.on_node_event("evicted", node)
-        node.close_links()
+        node.close_link()
 
     # ------------------------------------------------------------------ #
     # Probing                                                            #
     # ------------------------------------------------------------------ #
     async def _probe_loop(self) -> None:
+        # All members dial at once: an address that accepts and never
+        # answers costs one probe timeout, not one per member behind it.
+        await asyncio.gather(*map(self._try_connect, self.nodes.values()))
         while not self._stopped:
             await asyncio.sleep(self.config.probe_interval_s)
             await self.probe_all()
@@ -438,12 +423,8 @@ class NodeManager:
         """One WELCOME/STATS health probe; updates the load signal."""
         if not await self._try_connect(node):
             return False
-        link = node.pick_link()
-        if link is None:
-            self._record_failure(node, ConnectionError("no live link"))
-            return False
         try:
-            node.stats = await link.roundtrip_stats(
+            node.stats = await node.link.roundtrip_stats(
                 self.config.probe_timeout_s
             )
         except (ConnectionLostError, ProtocolError,
@@ -459,7 +440,7 @@ class NodeManager:
     # Routing / draining surface                                         #
     # ------------------------------------------------------------------ #
     def candidates(self) -> List[Node]:
-        """Nodes a policy may route to right now."""
+        """Nodes the router may route to right now."""
         return [node for node in self.nodes.values() if node.routable()]
 
     def states(self) -> Dict[str, int]:
@@ -472,7 +453,7 @@ class NodeManager:
         """Stop routing to a node and wait for its in-flight to finish.
 
         Returns True when the node went idle within ``timeout``.  The
-        node stays ``draining`` (links open, probes continue) until
+        node stays ``draining`` (link open, probes continue) until
         :meth:`undrain` or :meth:`evict` — a rolling restart drains,
         restarts the process, then relies on restart detection plus
         re-admission to bring the new incarnation back.

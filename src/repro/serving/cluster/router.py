@@ -5,13 +5,13 @@
 they would to a single :class:`~repro.serving.net.server.NetServer` —
 same WELCOME, same REQUEST/RESULT/ERROR/STATS frames, same
 :class:`~repro.serving.net.client.RumbaClient` — while the router
-forwards each validated request over pooled, multiplexed backend
-connections to whichever node the configured routing policy picks
-(``least_loaded`` / ``consistent_hash`` / ``round_robin``; see
-``cluster/routing.py``).  REQUEST and RESULT bodies are *relayed*, not
-decoded: ``peek_*`` validates the whole body in place and ``relay_*``
-rewrites only the fields a gateway owns (``docs/cluster.md`` lists the
-patch points), so the float64 blocks are never copied or parsed here.
+forwards each validated request over one multiplexed backend
+connection per node to the routable node with the fewest requests in
+flight (``Node.load()``, ties by name) — the one routing rule.  REQUEST
+and RESULT bodies are *relayed*, not decoded: ``peek_*`` validates the
+whole body in place and ``relay_*`` rewrites only the fields a gateway
+owns (``docs/cluster.md`` lists the patch points), so the float64
+blocks are never copied or parsed here.
 
 Reliability model (the node-level mirror of the serving core's
 worker-crash story):
@@ -69,7 +69,6 @@ from repro.observability.reqtrace import (
     TracingPolicy,
 )
 from repro.serving.cluster.nodes import NodeManager
-from repro.serving.cluster.routing import RequestContext, make_policy
 from repro.serving.cluster.stats import aggregate_fleet_stats
 from repro.serving.config import ClusterConfig
 from repro.serving.net import protocol as wire
@@ -120,7 +119,7 @@ class ClusterRouter(FrameListener):
     ----------
     config:
         :class:`~repro.serving.config.ClusterConfig` — member addresses,
-        routing policy, probe cadence, eviction/backoff/retry knobs.
+        probe cadence, eviction/backoff/retry knobs.
     host, port:
         Client-facing listen address (port 0 binds ephemeral; read
         :attr:`address` after :meth:`start`).
@@ -143,7 +142,6 @@ class ClusterRouter(FrameListener):
         super().__init__(host, port, wire.DEFAULT_MAX_FRAME_BYTES)
         self.registry = registry or MetricsRegistry()
         self.tracing = tracing or TracingPolicy()
-        self.policy = make_policy(self.config.policy)
         self.manager = NodeManager(
             self.config,
             on_reply=self._on_backend_reply,
@@ -212,8 +210,8 @@ class ClusterRouter(FrameListener):
         return pair
 
     def _refresh_fleet(self) -> None:
-        """Cache the fleet's WELCOME fields; runs when one arrives or the
-        member set changes, never per request."""
+        """Cache the fleet's WELCOME fields; runs when one arrives,
+        never per request."""
         welcomes = [node.welcome for node in self.manager.nodes.values()]
 
         def first(key, default):
@@ -229,10 +227,9 @@ class ClusterRouter(FrameListener):
     _thread_name = "rumba-cluster-loop"
 
     async def _loop_started(self) -> None:
-        # Join the configured members before accepting work, so a
-        # start() caller can rely on the initial connect attempts
-        # having happened (wait_for_nodes covers slow starters).
-        await self.manager.start()
+        # Members connect in the background; wait_for_nodes is how a
+        # caller learns that enough of them are routable.
+        self.manager.start()
 
     async def _loop_stopping(self) -> None:
         await self.manager.stop()
@@ -287,18 +284,6 @@ class ClusterRouter(FrameListener):
         if self._loop is not None and self.is_running:
             self._loop.call_soon_threadsafe(self.manager.undrain, node)
 
-    def add_node(self, address) -> None:
-        """Join a node to the fleet (connects and probes right away)."""
-        self._call_on_loop(
-            self.manager.add_node(address),
-            timeout=self.config.probe_timeout_s + 5.0,
-        )
-
-    def remove_node(self, node: str) -> None:
-        """Drop a node from the member set entirely."""
-        if self._loop is not None and self.is_running:
-            self._loop.call_soon_threadsafe(self.manager.remove_node, node)
-
     def stats_document(self) -> dict:
         """The fleet-wide stats document (thread-safe snapshot)."""
         async def _build():
@@ -348,23 +333,8 @@ class ClusterRouter(FrameListener):
                 f"forwarding attempt(s)"
             ))
             return
-        context = RequestContext(
-            app=self._fleet_app,
-            scheme=entry.view.scheme,
-            n_elements=entry.view.n_rows * entry.view.n_cols,
-        )
-        link = None
         candidates = self.manager.candidates()
-        while candidates:
-            node = self.policy.select(candidates, context)
-            link = node.pick_link()
-            if link is not None:
-                break
-            # A candidate with no live link is stale news; tell the
-            # manager and try the rest.
-            self.manager.note_link_down(node)
-            candidates = [c for c in candidates if c.name != node.name]
-        if link is None:
+        if not candidates:
             self._deliver_error(entry, wire.ERR_SERVING, str(
                 NoHealthyNodesError(
                     "no healthy node to route to "
@@ -372,6 +342,9 @@ class ClusterRouter(FrameListener):
                 )
             ))
             return
+        # The one routing rule: least loaded, ties by name (so the choice
+        # is deterministic under test).  A candidate's link is connected.
+        link = min(candidates, key=lambda n: (n.load(), n.name)).link
         try:
             link.send_request(entry, remaining)
         except (ConnectionError, OSError) as exc:
@@ -453,7 +426,7 @@ class ClusterRouter(FrameListener):
             self._retry_or_fail(entry, "connection_lost", str(error))
 
     def _on_node_event(self, event: str, node) -> None:
-        if event in ("welcome", "removed"):
+        if event == "welcome":
             self._refresh_fleet()
         elif event == "evicted":
             self._m_evictions.labels(node=node.name).inc()
@@ -527,14 +500,12 @@ class ClusterRouter(FrameListener):
             cluster={
                 "nodes": len(self.manager.nodes),
                 "healthy": self.manager.states().get("healthy", 0),
-                "policy": self.policy.name,
             },
         )
 
     def _router_section(self) -> dict:
         return {
             "listen": list(self._bound) if self._bound else None,
-            "policy": self.policy.name,
             "open_connections": self._open_connections,
             "inflight_requests": self._inflight,
             "requests_routed": self._requests_routed,

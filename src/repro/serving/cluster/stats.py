@@ -7,7 +7,7 @@ including histogram bucket tables — merge recursively, and string
 fields collapse to ``"mixed"`` when the fleet disagrees.  Alongside it
 ride a per-node ``health`` section from the
 :class:`~repro.serving.cluster.nodes.NodeManager` and the router's own
-section (policy, routed/retried counters), so one STATS round-trip to
+section (routed/retried counters), so one STATS round-trip to
 the gateway answers "how is the tier doing" without fanning out.
 """
 

@@ -249,9 +249,6 @@ class EnsembleConfig:
         )
 
 
-_ROUTING_POLICIES = ("least_loaded", "consistent_hash", "round_robin")
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Everything a :class:`~repro.serving.cluster.ClusterRouter` needs.
@@ -264,13 +261,9 @@ class ClusterConfig:
     redelivery of requests stranded by a dead node.
     """
 
-    #: Initial member set, ``host:port`` strings (may be empty; nodes
-    #: can also be added live via ``NodeManager.add_node``).
+    #: The member set, ``host:port`` strings, fixed for the router's
+    #: lifetime (an address whose node is not up yet is probed until it is).
     nodes: "tuple" = ()
-    #: Routing policy name (see :mod:`repro.serving.cluster.routing`).
-    policy: str = "least_loaded"
-    #: Pooled connections the router keeps open per node.
-    pool_size: int = 2
     #: Seconds between WELCOME/STATS health probes of each node.
     probe_interval_s: float = 1.0
     #: Per-probe timeout before it counts as one failure.
@@ -288,13 +281,6 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        if self.policy not in _ROUTING_POLICIES:
-            raise ConfigurationError(
-                f"unknown routing policy {self.policy!r}; choose from "
-                f"{_ROUTING_POLICIES}"
-            )
-        if self.pool_size < 1:
-            raise ConfigurationError("pool_size must be >= 1")
         if self.probe_interval_s <= 0 or self.probe_timeout_s <= 0:
             raise ConfigurationError(
                 "probe_interval_s and probe_timeout_s must be > 0"

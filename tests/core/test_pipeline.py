@@ -115,6 +115,49 @@ class TestSimulatePipeline:
             assert start >= prev_end - 1e-9
 
 
+def _reference_segments(bits, accel, cpu, placement, checker):
+    """The model as it was written before arrivals were computed for
+    flagged iterations only: every iteration's verdict time, then indexed."""
+    n = bits.shape[0]
+    if placement == 1:
+        effective = accel + checker
+        arrivals = np.arange(n) * effective + checker
+    else:
+        effective = accel
+        arrivals = (np.arange(n) + 1) * effective
+    flagged = np.flatnonzero(bits)
+    rank = np.arange(flagged.size, dtype=float)
+    ends = (np.maximum.accumulate(arrivals[flagged] - rank * cpu)
+            + (rank + 1.0) * cpu)
+    finish = n * effective
+    makespan = max(finish, float(ends[-1])) if flagged.size else finish
+    return makespan, flagged.size * cpu, ends - cpu, ends, flagged
+
+
+class TestMatchesAllIterationsFormula:
+    """Arrival times computed for the flagged iterations alone are the
+    same floats as the all-iterations array indexed afterwards."""
+
+    @pytest.mark.parametrize("placement", [1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 37, 256])
+    def test_bit_identical(self, placement, k):
+        n = 256
+        rng = np.random.default_rng(100 * placement + k)
+        bits = np.zeros(n, dtype=bool)
+        bits[rng.choice(n, size=k, replace=False)] = True
+        accel, cpu, checker = 0.7312, 3.119, 0.0413
+        result = simulate_pipeline(bits, accel, cpu, placement, checker)
+        makespan, busy, starts, ends, ids = _reference_segments(
+            bits, accel, cpu, placement, checker
+        )
+        assert result.makespan == makespan
+        assert result.cpu_busy == busy
+        assert result.n_recovered == k
+        assert [s[0] for s in result.cpu_segments] == starts.tolist()
+        assert [s[1] for s in result.cpu_segments] == ends.tolist()
+        assert [s[2] for s in result.cpu_segments] == ids.tolist()
+
+
 class TestKeepupFraction:
     def test_matches_inverse_speedup(self):
         assert max_keepup_fix_fraction(1.0, 2.0) == pytest.approx(0.5)

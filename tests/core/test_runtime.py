@@ -270,6 +270,44 @@ class TestCloneShard:
         assert len(shard.records) == 2
         assert shard.total_invocations == 4
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_tuner_history_is_bounded_by_the_record_window(
+        self, tree_system, fft_inputs, backend
+    ):
+        """A serving shard's threshold history must not outgrow its
+        records: it grew one float per invocation forever (5,001 entries
+        beside 64 records).  Thread shards are cloned from the prototype,
+        process shards from its unpickled copy in the worker."""
+        import pickle
+
+        prototype = tree_system
+        if backend == "process":
+            prototype = pickle.loads(pickle.dumps(tree_system))
+        shard = prototype.clone_shard(max_records=64)
+        x = np.atleast_2d(fft_inputs)[:8]
+        for _ in range(5000):
+            shard.run_invocation(x, measure_quality=False)
+        assert shard.total_invocations == 5000
+        assert len(shard.records) == 64
+        assert len(shard.tuner.history) == 64
+
+    def test_tuner_history_ends_at_the_threshold_after_wraparound(
+        self, tree_system
+    ):
+        shard = tree_system.clone_shard(max_records=4)
+        assert list(shard.tuner.history) == [shard.tuner.threshold]
+        for _ in range(9):
+            shard.tuner.degrade(factor=1.5)
+            assert shard.tuner.history[-1] == shard.tuner.threshold
+        assert len(shard.tuner.history) == 4
+        shard.tuner.relax(factor=1.5)
+        assert shard.tuner.history[-1] == shard.tuner.threshold
+        # Experimenters' systems keep every move.
+        unbounded = tree_system.clone_shard()
+        for _ in range(9):
+            unbounded.tuner.degrade(factor=1.5)
+        assert len(unbounded.tuner.history) == 10
+
 
 class TestApplyBackpressure:
     def test_roundtrip_restores_threshold(self, tree_system, fft_inputs):

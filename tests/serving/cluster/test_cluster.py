@@ -9,12 +9,15 @@ subprocess/SIGKILL drill lives in ``test_fleet_chaos.py``.
 
 from __future__ import annotations
 
+import socket
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import ServingError
+from repro.serving.cluster.nodes import Node, NodeManager
 from repro.observability.export import prometheus_text
 from repro.observability.reqtrace import TracingPolicy
 from repro.serving import (
@@ -27,6 +30,7 @@ from repro.serving import (
     ServerConfig,
     serve_cluster,
 )
+from tests.serving.cluster.fleet import burst_nodes
 
 
 def _config(**overrides) -> ServerConfig:
@@ -52,9 +56,7 @@ def _addr(net: NetServer) -> str:
 
 def _cluster_config(**overrides) -> ClusterConfig:
     base = dict(
-        policy="round_robin",
         probe_interval_s=0.05,
-        pool_size=1,
         backoff_initial_s=0.2,
         backoff_max_s=2.0,
     )
@@ -77,7 +79,6 @@ def two_nodes(fft_prototype):
 def router(two_nodes):
     r = serve_cluster(
         [_addr(n) for n in two_nodes],
-        policy="round_robin",
         config=_cluster_config(),
         wait_for=2,
     )
@@ -102,20 +103,16 @@ class TestRouterFront:
         assert client.scheme == "treeErrors"
         assert client.features > 0
         cluster = client.welcome["cluster"]
-        assert cluster["nodes"] == 2
-        assert cluster["policy"] == "round_robin"
+        assert cluster == {"nodes": 2, "healthy": 2}
 
     def test_requests_spread_across_nodes(
-        self, client, two_nodes, fft_input_pool
+        self, router, two_nodes, fft_input_pool
     ):
-        handles = [
-            client.submit(_inputs(fft_input_pool), deadline_s=30.0)
-            for _ in range(10)
-        ]
-        nodes_seen = {
-            h.result(30.0).worker.split("/", 1)[0] for h in handles
-        }
-        assert nodes_seen == {_addr(n) for n in two_nodes}
+        # Held in flight together across two idle nodes, requests leave
+        # neither node idle: each forward raises one ledger, so the
+        # least-loaded pick alternates.
+        answered = burst_nodes(router, _inputs(fft_input_pool), 10)
+        assert set(answered) == {_addr(n) for n in two_nodes}
 
     def test_results_match_direct_node(
         self, client, two_nodes, fft_input_pool
@@ -156,29 +153,7 @@ class TestRouterFront:
             assert row["state"] == "healthy"
             assert row["node_id"]
         assert doc["router"]["requests_routed"] >= 6
-        assert doc["router"]["policy"] == "round_robin"
-
-    def test_consistent_hash_sticks_to_one_node(
-        self, two_nodes, fft_input_pool
-    ):
-        router = serve_cluster(
-            [_addr(n) for n in two_nodes],
-            policy="consistent_hash",
-            config=_cluster_config(policy="consistent_hash"),
-            wait_for=2,
-        )
-        try:
-            with RumbaClient(*router.address) as client:
-                handles = [
-                    client.submit(_inputs(fft_input_pool), deadline_s=30.0)
-                    for _ in range(8)
-                ]
-                nodes_seen = {
-                    h.result(30.0).worker.split("/", 1)[0] for h in handles
-                }
-            assert len(nodes_seen) == 1
-        finally:
-            router.stop()
+        assert "policy" not in doc["router"]
 
     def test_router_stage_stamps_exported(
         self, two_nodes, fft_input_pool
@@ -212,23 +187,18 @@ class TestDrain:
         assert router.drain(target, timeout=20.0) is True
         # Every request accepted before the drain still completes.
         assert all(h.result(30.0) is not None for h in handles)
-        # New traffic only touches the survivor.
-        after = [
-            client.submit(_inputs(fft_input_pool), deadline_s=30.0)
-            for _ in range(6)
-        ]
-        nodes_seen = {
-            h.result(30.0).worker.split("/", 1)[0] for h in after
-        }
-        assert nodes_seen == {_addr(two_nodes[1])}
+        # New traffic only touches the survivor: a drained node gets none.
+        after = burst_nodes(router, _inputs(fft_input_pool), 6)
+        assert set(after) == {_addr(two_nodes[1])}
         # Undrain restores the pair.
         router.undrain(target)
         deadline = time.monotonic() + 10.0
-        seen = set()
-        while time.monotonic() < deadline and len(seen) < 2:
-            h = client.submit(_inputs(fft_input_pool), deadline_s=30.0)
-            seen.add(h.result(30.0).worker.split("/", 1)[0])
-        assert seen == {_addr(n) for n in two_nodes}
+        while time.monotonic() < deadline and (
+            len(router.manager.candidates()) < 2
+        ):
+            time.sleep(0.01)
+        restored = burst_nodes(router, _inputs(fft_input_pool), 6)
+        assert set(restored) == {_addr(n) for n in two_nodes}
 
 
 class TestFailover:
@@ -255,7 +225,6 @@ class TestFailover:
         node = _make_node(fft_prototype)
         router = serve_cluster(
             [_addr(node)],
-            policy="round_robin",
             config=_cluster_config(
                 failure_threshold=1,
                 backoff_initial_s=30.0,
@@ -288,7 +257,6 @@ class TestFailover:
         addr_a, addr_b = _addr(node_a), _addr(node_b)
         router = serve_cluster(
             [addr_a, addr_b],
-            policy="round_robin",
             config=_cluster_config(
                 failure_threshold=2,
                 backoff_initial_s=0.2,
@@ -305,6 +273,10 @@ class TestFailover:
                 time.sleep(0.05)
             assert state.state == "evicted"
             assert state.evictions >= 1
+            # An evicted node gets none of the traffic.
+            assert set(burst_nodes(router, _inputs(fft_input_pool), 6)) == {
+                addr_b
+            }
             old_id = state.node_id
             # Same address, new process: restart detection must reset
             # the health record and the re-admission probe must bring
@@ -314,15 +286,8 @@ class TestFailover:
             assert state.state == "healthy"
             assert state.node_id != old_id
             assert state.restarts_detected >= 1
-            with RumbaClient(*router.address) as client:
-                seen = set()
-                deadline = time.monotonic() + 15.0
-                while time.monotonic() < deadline and len(seen) < 2:
-                    h = client.submit(
-                        _inputs(fft_input_pool), deadline_s=30.0
-                    )
-                    seen.add(h.result(30.0).worker.split("/", 1)[0])
-                assert seen == {addr_a, addr_b}
+            readmitted = burst_nodes(router, _inputs(fft_input_pool), 6)
+            assert set(readmitted) == {addr_a, addr_b}
         finally:
             router.stop()
             for node in (node_a, node_b):
@@ -332,34 +297,136 @@ class TestFailover:
                     pass
 
 
-class TestFleetManagement:
-    def test_add_and_remove_node_live(
+class _RecordingLink:
+    """What ``_forward`` needs of a link: it is connected and it takes
+    the entry, raising the node's ledger as ``NodeLink`` does."""
+
+    connected = True
+
+    def __init__(self, node):
+        self.node, self.sent = node, []
+
+    def send_request(self, entry, deadline_s):
+        self.sent.append(entry)
+        self.node.inflight += 1
+
+
+class TestLeastLoaded:
+    """The one routing rule, driven through ``ClusterRouter._forward`` on
+    a router that was never started: no sockets, just ledgers."""
+
+    def _router(self, **ledgers) -> ClusterRouter:
+        router = ClusterRouter(ClusterConfig())
+        for name, inflight in ledgers.items():
+            node = Node(f"{name}:1")
+            node.state, node.inflight = "healthy", inflight
+            node.link = _RecordingLink(node)
+            router.manager.nodes[node.name] = node
+        return router
+
+    def _forward(self, router) -> str:
+        entry = SimpleNamespace(
+            deadline_at=time.monotonic() + 30.0, attempts=0, trace=None,
+            node_name="",
+        )
+        router._forward(entry)
+        assert entry.attempts == 1
+        return entry.node_name
+
+    def test_picks_minimum_depth(self):
+        assert self._forward(self._router(a=5, b=1, c=3)) == "b:1"
+
+    def test_ties_break_by_name(self):
+        assert self._forward(self._router(b=2, a=2)) == "a:1"
+
+    def test_load_is_the_max_of_ledger_and_reported_depth(self):
+        node = Node("a:1")
+        node.inflight = 2
+        assert node.load() == 2
+        node.stats = {"inflight_requests": 5}  # other routers' traffic
+        assert node.load() == 5
+        node.stats = {"inflight_requests": 1}  # includes what we sent
+        assert node.load() == 2
+        # And the rule reads load(), not the ledger alone.
+        router = self._router(a=0, b=1)
+        router.manager.nodes["a:1"].stats = {"inflight_requests": 4}
+        assert self._forward(router) == "b:1"
+
+    def test_requests_held_in_flight_leave_no_node_idle(self):
+        router = self._router(a=0, b=0)
+        picks = [self._forward(router) for _ in range(6)]
+        assert picks == ["a:1", "b:1"] * 3
+
+    def test_draining_and_evicted_nodes_get_none(self):
+        router = self._router(a=0, b=0, c=7)
+        router.manager.nodes["a:1"].state = "draining"
+        router.manager.nodes["b:1"].state = "evicted"
+        assert [self._forward(router) for _ in range(3)] == ["c:1"] * 3
+
+
+class TestStaticMembership:
+    def test_no_membership_mutator_and_no_policy_leaf(self):
+        for owner in (ClusterRouter, NodeManager):
+            assert not hasattr(owner, "add_node")
+            assert not hasattr(owner, "remove_node")
+        with pytest.raises(TypeError):
+            ClusterConfig(policy="least_loaded")
+        with pytest.raises(TypeError):
+            ClusterConfig(pool_size=2)
+        with pytest.raises(TypeError):
+            serve_cluster([], policy="least_loaded")
+
+    def test_a_silent_member_does_not_delay_the_others(
         self, fft_prototype, fft_input_pool
     ):
-        node_a = _make_node(fft_prototype)
+        """The first address accepts and never sends a WELCOME.  Members
+        dial concurrently, so the second is routable at once — not one
+        ``probe_timeout_s`` later — and the silent one is evicted, then
+        re-admitted once a real node answers there."""
+        silent = socket.create_server(("127.0.0.1", 0))
+        silent_port = silent.getsockname()[1]
+        silent_addr = f"127.0.0.1:{silent_port}"
         node_b = _make_node(fft_prototype)
-        router = serve_cluster(
-            [_addr(node_a)], policy="round_robin",
-            config=_cluster_config(), wait_for=1,
-        )
+        node_a = None
+        probe_timeout_s = 3.0
+        started = time.monotonic()
+        router = ClusterRouter(_cluster_config(
+            nodes=(silent_addr, _addr(node_b)),
+            probe_timeout_s=probe_timeout_s,
+            failure_threshold=1,
+        )).start()
         try:
-            router.add_node(_addr(node_b))
-            assert router.wait_for_nodes(2, timeout=10.0)
-            router.remove_node(_addr(node_a))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and (
-                _addr(node_a) in router.manager.nodes
-            ):
-                time.sleep(0.02)
+            assert router.wait_for_nodes(1, timeout=probe_timeout_s)
             with RumbaClient(*router.address) as client:
                 result = client.submit_wait(
                     _inputs(fft_input_pool), deadline_s=30.0
                 )
             assert result.worker.startswith(_addr(node_b))
+            assert time.monotonic() - started < probe_timeout_s / 2
+
+            def health():
+                return router.stats_document()["health"][silent_addr]
+
+            deadline = time.monotonic() + 4 * probe_timeout_s
+            while time.monotonic() < deadline and (
+                health()["state"] != "evicted"
+            ):
+                time.sleep(0.05)
+            row = health()
+            assert row["state"] == "evicted" and row["evictions"] == 1
+            assert row["backoff_s"] > 0 and row["links"] == 0
+            # A node comes up behind the address: the probe loop that
+            # evicted it re-admits it.
+            silent.close()
+            node_a = _make_node(fft_prototype, port=silent_port)
+            assert router.wait_for_nodes(2, timeout=8 * probe_timeout_s)
+            assert health()["state"] == "healthy"
         finally:
             router.stop()
-            node_a.stop()
-            node_b.stop()
+            silent.close()
+            for node in (node_a, node_b):
+                if node is not None:
+                    node.stop()
 
 
 class TestLinkSendRegistration:

@@ -24,6 +24,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ClusterRouter  # noqa: F401 - re-export check
 from repro.serving.config import ClusterConfig
+from tests.serving.cluster.fleet import burst_nodes
 
 pytestmark = pytest.mark.slow
 
@@ -39,10 +40,8 @@ def test_sigkilled_node_requests_retried_on_survivor(
 ):
     router = serve_cluster(
         fleet.addresses,
-        policy="round_robin",
         config=ClusterConfig(
             probe_interval_s=0.1,
-            pool_size=1,
             failure_threshold=2,
             max_retries=2,
             backoff_initial_s=1.0,
@@ -74,8 +73,11 @@ def test_sigkilled_node_requests_retried_on_survivor(
         )
         doc = router.stats_document()
         assert doc["router"]["requests_retried"] >= 1
-        # The dead node leaves the routable set.
+        # The dead node leaves the routable set and gets no traffic.
         assert not router.wait_for_nodes(2, timeout=1.0)
+        assert set(burst_nodes(router, fft_input_pool[:8], 6)) == {
+            survivor.address
+        }
     finally:
         router.stop()
 
@@ -85,8 +87,7 @@ def test_fleet_spawns_with_pinned_node_ids(fleet):
     alive = [h.address for h in fleet.workers if h.alive()]
     router = serve_cluster(
         alive[:1],
-        policy="round_robin",
-        config=ClusterConfig(probe_interval_s=0.2, pool_size=1),
+        config=ClusterConfig(probe_interval_s=0.2),
         wait_for=1,
         timeout=60.0,
     )

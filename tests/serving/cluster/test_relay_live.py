@@ -26,10 +26,11 @@ from repro.serving import (
     serve_cluster,
 )
 from repro.serving.net import protocol as wire
+from tests.serving.cluster.fleet import RawPeer
 
 
 def _cluster_config(**overrides) -> ClusterConfig:
-    base = dict(policy="round_robin", probe_interval_s=0.05, pool_size=1)
+    base = dict(probe_interval_s=0.05)
     base.update(overrides)
     return ClusterConfig(**base)
 
@@ -59,28 +60,6 @@ def router(node):
     r.stop()
 
 
-class _RawPeer:
-    """A socket that speaks frames, with the WELCOME already read."""
-
-    def __init__(self, address):
-        self.sock = socket.create_connection(address, timeout=10.0)
-        self.buffer = wire.FrameBuffer()
-        self.welcome = self.read_frame()
-
-    def read_frame(self):
-        return RumbaClient._recv_frame(self.sock, self.buffer)
-
-    def at_eof(self) -> bool:
-        try:
-            self.read_frame()
-        except ConnectionError:
-            return True
-        return False
-
-    def close(self):
-        self.sock.close()
-
-
 def _settled(router) -> bool:
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
@@ -96,7 +75,7 @@ class TestVersionInterop:
     def test_client_of_either_version_in_front_of_a_v2_node(
         self, router, fft_input_pool, version
     ):
-        peer = _RawPeer(router.address)
+        peer = RawPeer(router.address)
         try:
             inputs = fft_input_pool[:8]
             peer.sock.sendall(wire.encode_frame(
@@ -148,7 +127,7 @@ class TestHostileClient:
     def test_lying_body_is_one_typed_error_and_the_stream_lives_on(
         self, router, fft_input_pool
     ):
-        peer = _RawPeer(router.address)
+        peer = RawPeer(router.address)
         try:
             for request_id, (name, body) in enumerate(
                 self._bodies().items(), start=1
@@ -179,7 +158,7 @@ class TestHostileClient:
         assert _settled(router)
 
     def test_bad_crc_is_a_typed_error_then_a_closed_connection(self, router):
-        peer = _RawPeer(router.address)
+        peer = RawPeer(router.address)
         try:
             blob = bytearray(wire.encode_frame(
                 wire.FT_REQUEST, 1, wire.pack_request(np.ones((2, 1)))
@@ -283,30 +262,22 @@ class TestHostileNode:
 
 
 class TestFleetFieldCache:
-    def test_fields_follow_membership_not_requests(self, node):
+    def test_fields_follow_membership_not_requests(self, node, router):
         address = f"{node.address[0]}:{node.address[1]}"
-        router = serve_cluster([], config=_cluster_config(), wait_for=0)
+        memberless = serve_cluster([], config=_cluster_config(), wait_for=0)
         try:
-            with RumbaClient(*router.address) as client:
+            with RumbaClient(*memberless.address) as client:
                 assert (client.app, client.features) == ("", 0)
-            router.add_node(address)
-            assert router.wait_for_nodes(1, timeout=10.0)
-            with RumbaClient(*router.address) as client:
-                assert (client.app, client.scheme) == ("fft", "treeErrors")
-                assert client.features > 0
-                calls = []
-                router._refresh_fleet = lambda: calls.append(1)
-                for _ in range(5):
-                    client.submit_wait(np.ones((2, client.features)),
-                                       deadline_s=30.0)
-                assert calls == []  # nothing re-read per request
-                del router._refresh_fleet
-            completed = router._outcomes(address)[0]
-            assert completed.value == 5
-            router.remove_node(address)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and router._fleet_app:
-                time.sleep(0.01)
-            assert router._fleet_app == ""
         finally:
-            router.stop()
+            memberless.stop()
+        with RumbaClient(*router.address) as client:
+            assert (client.app, client.scheme) == ("fft", "treeErrors")
+            assert client.features > 0
+            calls = []
+            router._refresh_fleet = lambda: calls.append(1)
+            for _ in range(5):
+                client.submit_wait(np.ones((2, client.features)),
+                                   deadline_s=30.0)
+            assert calls == []  # nothing re-read per request
+        completed = router._outcomes(address)[0]
+        assert completed.value == 5
