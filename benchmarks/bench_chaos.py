@@ -106,7 +106,6 @@ def chaos_soak() -> List[Dict[str, float]]:
             config=ServerConfig(
                 backend=backend,
                 n_workers=2,
-                n_recovery_workers=1,
                 seed=0,
                 batching=BatchingConfig(
                     max_batch_requests=8, flush_interval_s=0.002,

@@ -34,7 +34,6 @@ from repro.errors import (
     NotFittedError,
     PurityError,
     ReproError,
-    SimulationError,
     TrainingError,
     UnknownApplicationError,
 )
@@ -57,6 +56,5 @@ __all__ = [
     "TrainingError",
     "NotFittedError",
     "PurityError",
-    "SimulationError",
     "UnknownApplicationError",
 ]

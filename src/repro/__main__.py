@@ -15,9 +15,9 @@ Commands
     back with ``trace --log F``).
 ``serve --app NAME [--workers N] [--backend thread|process] ...``
     Start the batched quality-managed serving layer (worker pool +
-    asynchronous recovery + backpressure), drive it with a synthetic
-    request load, and print the throughput/latency/health report.  With
-    ``--backend process`` each worker is an OS process fed over
+    backpressure; each worker runs an invocation whole), drive it with a
+    synthetic request load, and print the throughput/latency/health
+    report.  With ``--backend process`` each worker is an OS process fed over
     shared-memory rings (GIL-free scaling).  ``--chaos kill=2,...``
     injects faults (worker kills, batch faults, control-frame damage) and
     ``--selftest`` verifies every request completed exactly once or
@@ -173,7 +173,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _serve_config(args: argparse.Namespace):
     """Build the ServerConfig shared by the local and network modes."""
     from repro.serving import (
-        BackpressureConfig,
         BatchingConfig,
         ChaosConfig,
         EnsembleConfig,
@@ -206,16 +205,12 @@ def _serve_config(args: argparse.Namespace):
         app=args.app,
         scheme=args.scheme,
         n_workers=args.workers,
-        n_recovery_workers=args.recovery_workers,
         backend=args.backend,
         seed=args.seed,
         batching=BatchingConfig(
             max_batch_requests=args.batch_requests,
             flush_interval_s=args.flush_ms / 1000.0,
             admission_capacity=args.admission_capacity,
-        ),
-        backpressure=BackpressureConfig(
-            recovery_backlog_capacity=args.recovery_capacity,
         ),
         retry=RetryConfig(default_deadline_s=args.deadline_s),
         chaos=chaos,
@@ -344,8 +339,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = _serve_config(args)
     chaos = config.chaos
     print(f"Preparing {args.app} with the {args.scheme} checker "
-          f"({args.workers} {args.backend} workers, "
-          f"{args.recovery_workers} recovery"
+          f"({args.workers} {args.backend} workers"
           + (f", chaos {args.chaos!r}" if chaos and chaos.enabled else "")
           + ")...")
     server = RumbaServer(config=config)
@@ -712,7 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("thread", "process"),
                        help="worker engine: in-process threads, or one OS "
                             "process per worker fed over shared memory")
-    serve.add_argument("--recovery-workers", type=int, default=1)
     serve.add_argument("--requests", type=int, default=100,
                        help="synthetic requests to drive through the server")
     serve.add_argument("--elements", type=int, default=256,
@@ -726,8 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate", type=float, default=0.0,
                        help="request arrival rate in req/s (0 = closed loop)")
     serve.add_argument("--admission-capacity", type=int, default=256)
-    serve.add_argument("--recovery-capacity", type=int, default=16,
-                       help="bounded async recovery backlog (batches)")
     serve.add_argument("--deadline-s", type=float, default=30.0,
                        help="per-request deadline budget in seconds "
                             "(dispatch + fault retries + recovery)")

@@ -2,9 +2,9 @@
 
 For every output element the detection module computes the predictor's
 score and fires a check when the score exceeds the tuning threshold; firing
-sets the element's *recovery bit* in the recovery queue.  The module also
-keeps the statistics the evaluation needs (fire counts, score traces) and
-knows its own hardware cost via :class:`CheckerModel`.
+sets the element's *recovery bit* (the bits vector is the recovery queue).
+The module also keeps the statistics the evaluation needs (fire counts,
+score traces) and knows its own hardware cost via :class:`CheckerModel`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.checker_hw import CheckerModel
-from repro.hardware.queues import RecoveryQueue
 from repro.predictors.base import ErrorPredictor
 
 __all__ = ["DetectionModule", "DetectionResult"]
@@ -74,36 +73,6 @@ class DetectionModule:
         )
         self.total_checks = 0
         self.total_fires = 0
-        # Per-group fire counters, populated when callers pass group ids
-        # to detect_into (the ensemble runtime groups by routed member).
-        self.group_fires = np.zeros(0, dtype=np.int64)
-
-    def detect(
-        self,
-        features: Optional[np.ndarray] = None,
-        approx_outputs: Optional[np.ndarray] = None,
-        true_errors: Optional[np.ndarray] = None,
-        recovery_queue: Optional[RecoveryQueue] = None,
-        first_iteration_id: int = 0,
-    ) -> DetectionResult:
-        """Score one invocation's elements and set recovery bits.
-
-        When ``recovery_queue`` is provided, one ``(iteration_id, bit)``
-        entry per element is pushed in iteration order — the channel the
-        CPU-side recovery module drains.
-        """
-        result = self.detect_into(
-            features=features,
-            approx_outputs=approx_outputs,
-            true_errors=true_errors,
-        )
-        if recovery_queue is not None:
-            bits = result.recovery_bits
-            recovery_queue.push_many(
-                range(first_iteration_id, first_iteration_id + bits.shape[0]),
-                bits,
-            )
-        return result
 
     def detect_into(
         self,
@@ -111,20 +80,13 @@ class DetectionModule:
         approx_outputs: Optional[np.ndarray] = None,
         true_errors: Optional[np.ndarray] = None,
         bits_out: Optional[np.ndarray] = None,
-        group_ids: Optional[np.ndarray] = None,
     ) -> DetectionResult:
-        """Score one invocation, thresholding into ``bits_out`` if given.
+        """Score one invocation's elements and set recovery bits.
 
-        The serving fast path owns the bits vector directly (no
-        ``RecoveryQueue`` round trip), so it can hand detection a
-        caller-provided boolean buffer and avoid the per-invocation
-        allocation.  Numerically identical to :meth:`detect`: a bit is set
-        when the score exceeds the threshold or is non-finite.
-
-        ``group_ids`` (one small non-negative int per element, e.g. the
-        routed ensemble-member index) additionally accumulates fires into
-        :attr:`group_fires`, so per-member fire rates are observable
-        without a second pass over the bits.
+        A bit is set when the score exceeds the threshold or is
+        non-finite.  The bits land in ``bits_out`` when the caller owns a
+        boolean buffer for them (no per-invocation allocation), in a
+        fresh vector otherwise.
         """
         scores = np.asarray(
             self.predictor.scores(
@@ -154,15 +116,6 @@ class DetectionModule:
         n_fired = int(bits.sum())
         self.total_checks += n
         self.total_fires += n_fired
-        if group_ids is not None and n_fired:
-            group_ids = np.asarray(group_ids).ravel()
-            fired = group_ids[bits]
-            top = int(fired.max()) + 1
-            if top > self.group_fires.shape[0]:
-                grown = np.zeros(top, dtype=np.int64)
-                grown[: self.group_fires.shape[0]] = self.group_fires
-                self.group_fires = grown
-            np.add.at(self.group_fires, fired, 1)
         return DetectionResult(scores=scores, recovery_bits=bits,
                                threshold=self.threshold)
 

@@ -134,10 +134,9 @@ class PendingInvocation:
 
     Produced by :meth:`RumbaSystem.begin_invocation` (accelerate + detect)
     and consumed by :meth:`RumbaSystem.complete_invocation` (recover +
-    tune).  This is the paper's producer/consumer pipeline made explicit:
-    the accelerator can begin the next invocation while the CPU is still
-    recovering this one — the serving layer's recovery workers drain
-    pending invocations from a shared queue.
+    tune).  This is the paper's producer/consumer split made explicit;
+    :meth:`RumbaSystem.run_invocation` is the two composed, and the
+    ladder times each half on its own.
     """
 
     inputs: np.ndarray
@@ -148,8 +147,7 @@ class PendingInvocation:
     exact: Optional[np.ndarray] = None
     choices: Optional[np.ndarray] = None
     router_features: Optional[np.ndarray] = None
-    #: The timeline so far (see :attr:`InvocationRecord.stages`); a
-    #: transport that parks the invocation appends its own hop here.
+    #: The timeline so far (see :attr:`InvocationRecord.stages`).
     stages: List[Tuple[str, float]] = field(default_factory=list)
 
     @property
@@ -240,14 +238,10 @@ class RumbaSystem:
             [] if max_records is None else deque(maxlen=max_records)
         )
         self.total_invocations = 0
-        # _mutex guards the short threshold handoff in
-        # begin_invocation; _complete_lock serializes the whole CPU-side
-        # half (recover + tune + record append).  Two locks so a worker
-        # thread can begin the next invocation while recovery workers are
-        # still completing earlier ones on the same shard — the paper's
-        # producer/consumer overlap.
-        self._mutex = threading.Lock()
-        self._complete_lock = threading.Lock()
+        # One thread drives a system's invocations; the lock serializes
+        # that thread's threshold reads and tuner update against
+        # apply_backpressure, which the serving core calls from others.
+        self._lock = threading.Lock()
         self.telemetry: Optional[Telemetry] = None
         if telemetry is None and ambient_telemetry_registry() is not None:
             telemetry = Telemetry(
@@ -276,15 +270,13 @@ class RumbaSystem:
         fork/spawn boundary.
         """
         state = self.__dict__.copy()
-        del state["_mutex"]
-        del state["_complete_lock"]
+        del state["_lock"]
         state["telemetry"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._mutex = threading.Lock()
-        self._complete_lock = threading.Lock()
+        self._lock = threading.Lock()
         self.telemetry = None
         # Pre-ensemble pickles (older journals) lack the attribute.
         self.ensemble = state.get("ensemble")
@@ -322,10 +314,9 @@ class RumbaSystem:
         """Accelerator-side half of one invocation: accelerate + detect.
 
         Returns a :class:`PendingInvocation` whose recovery bits are set;
-        pass it to :meth:`complete_invocation` (possibly from another
-        thread) to run CPU recovery, tuning and record-keeping.  The
-        caller is the accelerator-side producer: only one thread may drive
-        ``begin_invocation`` on a given system at a time.
+        pass it to :meth:`complete_invocation` to run CPU recovery, tuning
+        and record-keeping.  Only one thread may drive a given system's
+        invocations at a time.
 
         On an ensemble system a *route* step precedes acceleration: the
         router picks a member per row, and the routed members compute the
@@ -360,7 +351,7 @@ class RumbaSystem:
                             "forced_choices needs one entry per row"
                         )
                 else:
-                    with self._mutex:
+                    with self._lock:
                         threshold = self.tuner.threshold
                     choices = self.ensemble.route(router_features, threshold)
                 stages.append((STAGE_ROUTE, clock()))
@@ -379,16 +370,15 @@ class RumbaSystem:
                 true_errors = self.app.element_errors(approx, exact)
                 stages.append((STAGE_MEASURE, clock()))
 
-            with self._mutex:
+            with self._lock:
                 self.detection.threshold = self.tuner.threshold
-            # Detection owns the recovery-bits vector; the Fig. 4
-            # recovery queue between checker and CPU is modelled in
-            # hardware/queues.py, not instantiated per invocation.
+            # Detection owns the recovery-bits vector: the Fig. 4
+            # recovery queue between checker and CPU is that vector plus
+            # simulate_pipeline's FIFO service order.
             detection = self.detection.detect_into(
                 features=features,
                 approx_outputs=approx,
                 true_errors=true_errors,
-                group_ids=choices,
             )
             bits = detection.recovery_bits
             if self.ensemble is not None:
@@ -414,17 +404,10 @@ class RumbaSystem:
     def complete_invocation(
         self, pending: PendingInvocation
     ) -> InvocationRecord:
-        """CPU-side half of one invocation: recover + tune + record.
-
-        Safe to call from a different thread than the one that ran
-        :meth:`begin_invocation`; completions of one system serialize on
-        an internal lock, so several recovery workers may drain a shared
-        backlog of pending invocations without corrupting the tuner or
-        the record history.
-        """
+        """CPU-side half of one invocation: recover + tune + record."""
         clock = time.monotonic
         stages = pending.stages
-        with self._complete_lock:
+        with self._lock:
             try:
                 recovery = self.recovery.recover(
                     pending.inputs, pending.approx, pending.recovery_bits
@@ -538,10 +521,11 @@ class RumbaSystem:
         ``direction > 0`` raises the detection threshold one step
         (:meth:`OnlineTuner.degrade` — fewer elements recovered, shedding
         CPU-side work); ``direction < 0`` undoes one step
-        (:meth:`OnlineTuner.relax`).  Serialized against concurrent
-        :meth:`complete_invocation` tuner updates.  Returns the threshold.
+        (:meth:`OnlineTuner.relax`).  Serialized against the driving
+        thread's :meth:`complete_invocation` tuner update.  Returns the
+        threshold.
         """
-        with self._complete_lock:
+        with self._lock:
             level = self.tuner.degradation_level
             if direction > 0:
                 threshold = self.tuner.degrade(factor)

@@ -135,7 +135,7 @@ class OnlineTuner:
         """Raise the threshold in response to external backpressure.
 
         Unlike :meth:`update`, this applies in every tuner mode — when the
-        CPU-side recovery backlog grows faster than it drains, fixing
+        serving backlog grows faster than it drains, fixing
         *fewer* elements is the only lever that sheds recovery work, even
         in TOQ mode where the threshold is normally pinned to the error
         budget.  Each call is one degradation step; :meth:`relax` undoes

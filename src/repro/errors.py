@@ -29,10 +29,6 @@ class PurityError(ReproError):
     """A kernel that must be pure (side-effect free) was found not to be."""
 
 
-class SimulationError(ReproError):
-    """The hardware/pipeline simulation reached an inconsistent state."""
-
-
 class UnknownApplicationError(ReproError, KeyError):
     """An application name was looked up that is not in the registry."""
 

@@ -5,7 +5,9 @@
 unchecked-NPU topology), runs them over the Table 1 test set, fits every
 detection scheme, and scores all test elements under each scheme.  The
 result object is what the per-figure experiments consume; an in-process
-cache avoids retraining across benches.
+cache keeps it across benches, and the trained backends come from (and
+stay in) :func:`repro.core.offline.prepare_backend`'s cache, shared with
+``prepare_system``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,9 @@ import numpy as np
 
 from repro.apps.base import Application
 from repro.apps.registry import get_application
-from repro.approx.npu_backend import NPUBackend, train_npu_backend
+from repro.approx.npu_backend import NPUBackend
 from repro.predictors.base import ErrorPredictor
-from repro.predictors.training import (
-    SCHEME_NAMES,
-    collect_training_data,
-    train_predictor,
-)
+from repro.predictors.training import SCHEME_NAMES, train_predictor
 
 __all__ = ["BenchmarkEvaluation", "evaluate_benchmark", "clear_evaluation_cache"]
 
@@ -74,10 +72,14 @@ def evaluate_benchmark(
     if cache and key in _EVAL_CACHE:
         return _EVAL_CACHE[key]
 
+    # Imported here: repro.core reaches this package at import time
+    # (observability.dashboard draws with eval.ascii_plots).
+    from repro.core.offline import prepare_backend
+
     app = get_application(name)
-    backend, _ = train_npu_backend(app, use_rumba_topology=True, seed=seed)
-    npu_backend, _ = train_npu_backend(app, use_rumba_topology=False, seed=seed)
-    data = collect_training_data(app, backend, seed=seed + 1)
+    # The trained backends are the serving stack's too: one cache.
+    backend, data = prepare_backend(app, True, seed=seed, cache=cache)
+    npu_backend, _ = prepare_backend(app, False, seed=seed, cache=cache)
 
     rng = np.random.default_rng(seed + 2)
     test_inputs = np.atleast_2d(np.asarray(app.test_inputs(rng), dtype=float))

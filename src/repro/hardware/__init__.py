@@ -1,13 +1,13 @@
 """Hardware substrate models: CPU energy/timing (GEM5+McPAT substitute),
 the 8-PE NPU accelerator, the checker datapaths of Fig. 7, and the
-core↔accelerator queues of Fig. 4.
+config queue of Fig. 4.
 """
 
 from repro.hardware.checker_hw import CheckerCostParams, CheckerModel
 from repro.hardware.energy import CostBreakdown, EnergyModel, InstructionMix
 from repro.hardware.microarch import TABLE2_X86_64, MicroArchParams
 from repro.hardware.npu import NPUConfig, NPUModel
-from repro.hardware.queues import ConfigQueue, FifoQueue, QueueStats, RecoveryQueue
+from repro.hardware.queues import ConfigQueue
 
 __all__ = [
     "MicroArchParams",
@@ -19,8 +19,5 @@ __all__ = [
     "NPUModel",
     "CheckerModel",
     "CheckerCostParams",
-    "FifoQueue",
-    "RecoveryQueue",
     "ConfigQueue",
-    "QueueStats",
 ]

@@ -58,7 +58,7 @@ PHASES = ("accelerate", "detect", "recover", "tune")
 
 #: The stages whose segment is a phase of the loop, under the phase name
 #: the metrics have always used.  Every other stage of a chain
-#: (``invoke``, ``measure``, ``shm_read``, ``recovery_wait``) is a hop
+#: (``invoke``, ``measure``, ``shm_read``) is a hop
 #: or the experimenter's instrument and never pollutes a phase timing.
 _PHASE_OF_STAGE = {
     STAGE_ROUTE: "route",

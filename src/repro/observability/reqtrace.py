@@ -3,7 +3,7 @@
 An invocation record's stage chain covers one invocation inside one
 process; a served request crosses six runtime hops (TCP client → asyncio
 front-end → admission/batch queue → shm ring → process worker →
-recovery/completion).  This module is the layer that links them:
+completion).  This module is the layer that links them:
 
 * :class:`RequestTrace` — one request's trace context: a u64 trace id, an
   optional parent span id (reserved for callers that already carry a
@@ -54,7 +54,6 @@ __all__ = [
     "STAGE_COMPUTE",
     "STAGE_MEASURE",
     "STAGE_DETECT",
-    "STAGE_RECOVERY_WAIT",
     "STAGE_RECOVER",
     "STAGE_TUNE",
     "STAGE_LEARN",
@@ -80,7 +79,6 @@ STAGE_ROUTE = "route"                  # ensemble router picked per-row members
 STAGE_COMPUTE = "compute"              # accelerator produced the approx outputs
 STAGE_MEASURE = "measure"              # experimenter's exact reference computed
 STAGE_DETECT = "detect"                # checker scored, recovery bits set
-STAGE_RECOVERY_WAIT = "recovery_wait"  # batch popped from the recovery backlog
 STAGE_RECOVER = "recover"              # flagged rows re-executed and merged
 STAGE_TUNE = "tune"                    # pipeline/cost models run, tuner updated
 STAGE_LEARN = "learn"                  # ensemble router fed the recovery labels
@@ -103,7 +101,6 @@ STAGES: Tuple[str, ...] = (
     STAGE_COMPUTE,
     STAGE_MEASURE,
     STAGE_DETECT,
-    STAGE_RECOVERY_WAIT,
     STAGE_RECOVER,
     STAGE_TUNE,
     STAGE_LEARN,
@@ -153,7 +150,7 @@ class RequestTrace:
     """One request's trace context: identity + stage event chain.
 
     Thread-safe: stamps arrive from the admission thread, dispatcher
-    threads, recovery threads, the collector, and the event loop.  The
+    threads, the collector, and the event loop.  The
     event list is append-only; every read method returns a copy.
     """
 

@@ -8,13 +8,14 @@ the tier between the two:
   admission with deadline-based batch flushing,
 * :class:`~repro.serving.server.RumbaServer` — a pool of worker threads,
   each owning a :class:`~repro.core.RumbaSystem` shard cloned from one
-  prepared prototype, plus a recovery worker group that drains a shared
-  backlog of :class:`~repro.core.PendingInvocation` halves asynchronously
-  (the paper's Fig. 8 producer/consumer overlap, at service scale),
+  prepared prototype and running each invocation whole (the paper's
+  Fig. 8 producer/consumer overlap is priced per invocation by
+  ``simulate_pipeline``, not enacted with a second thread),
 * :class:`~repro.serving.backpressure.BackpressureController` — when the
-  recovery backlog exceeds its high watermark the detection threshold is
-  raised (graceful quality degradation) and admission stays bounded, so
-  backlogs cannot grow without bound,
+  backlog (batches in flight plus those the waiting requests would form)
+  exceeds its high watermark the detection threshold is raised (graceful
+  quality degradation) and admission stays bounded, so backlogs cannot
+  grow without bound,
 * :class:`~repro.serving.procpool.ProcessWorkerPool` and
   :class:`~repro.serving.shm.ShmRing` — the ``backend="process"``
   engine: worker *processes* each owning a full system shard, fed

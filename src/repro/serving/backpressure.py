@@ -1,8 +1,10 @@
-"""Watermark-based backpressure over the shared recovery backlog.
+"""Watermark-based backpressure over the serving core's backlog.
 
 The paper's Fig. 8 pipeline only works when the CPU "keeps up" with the
-accelerator; at service scale the observable symptom of a CPU that is
-falling behind is a growing backlog of pending recoveries.  The
+accelerator; at service scale the observable symptom of workers that are
+falling behind is a growing backlog — batches in flight plus the batches
+the waiting requests would form
+(:meth:`~repro.serving.batching.AdmissionQueue.backlog`).  The
 controller watches that backlog and trades *quality* for *stability*:
 
 * backlog above the **high watermark** → raise every shard's detection
@@ -32,7 +34,7 @@ DEGRADE_FACTOR = 1.5
 
 
 class BackpressureController:
-    """Hysteresis controller mapping recovery backlog to quality steps."""
+    """Hysteresis controller mapping the backlog to quality steps."""
 
     def __init__(
         self,

@@ -159,6 +159,14 @@ class AdmissionQueue:
         with self._cond:
             return self._closed
 
+    def backlog(self) -> int:
+        """Batches of work the server owes: those taken and not yet
+        reported back, plus the batches the waiting requests would form.
+        This is what the backpressure controller watches."""
+        with self._cond:
+            waiting = -(-len(self._pending) // self.max_batch_requests)
+            return self.in_flight + waiting
+
     def offer(self, request: ServeRequest) -> bool:
         """Admit a request; returns False (sheds) when the queue is full."""
         with self._cond:

@@ -6,8 +6,8 @@ the redesigned surface: a frozen :class:`ServerConfig` whose fields are
 grouped by concern —
 
 * :class:`BatchingConfig` — the admission queue and batch formation,
-* :class:`BackpressureConfig` — the recovery backlog and the watermark
-  controller that trades quality for stability,
+* :class:`BackpressureConfig` — the watermark controller that trades
+  quality for stability,
 * :class:`RetryConfig` — deadline budgets, fault retries, and worker
   supervision,
 * :class:`TracingConfig` — request-trace sampling and the flight
@@ -31,7 +31,7 @@ Configs are immutable; derive variants with :func:`dataclasses.replace`::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
@@ -74,41 +74,25 @@ class BatchingConfig:
 
 @dataclass(frozen=True)
 class BackpressureConfig:
-    """Recovery-backlog bound and the watermark degradation controller."""
+    """The watermark degradation controller (see ``BackpressureController``).
 
-    #: Bound of the shared pending-recovery queue (batches).
-    recovery_backlog_capacity: int = 16
-    #: Backlog above this triggers one degradation step (None = capacity/2).
-    high_watermark: Optional[int] = None
-    #: Backlog at/below this relaxes one step (None = capacity/8).
-    low_watermark: Optional[int] = None
+    The backlog it watches is the core's: batches taken and not reported
+    back plus the batches the waiting requests would form
+    (:meth:`~repro.serving.batching.AdmissionQueue.backlog`).
+    """
+
+    #: Backlog above this triggers one degradation step.
+    high_watermark: int = 8
+    #: Backlog at/below this relaxes one step.
+    low_watermark: int = 2
 
     def __post_init__(self) -> None:
-        if self.recovery_backlog_capacity < 1:
-            raise ConfigurationError(
-                "recovery_backlog_capacity must be >= 1"
-            )
-        high, low = self.resolved_watermarks()
-        if high <= low:
+        if self.high_watermark <= self.low_watermark:
             raise ConfigurationError(
                 "high_watermark must be above low_watermark"
             )
-        if low < 0:
+        if self.low_watermark < 0:
             raise ConfigurationError("low_watermark must be >= 0")
-
-    def resolved_watermarks(self) -> "tuple[int, int]":
-        """The (high, low) pair with the capacity-derived defaults filled."""
-        high = (
-            self.high_watermark
-            if self.high_watermark is not None
-            else max(self.recovery_backlog_capacity // 2, 1)
-        )
-        low = (
-            self.low_watermark
-            if self.low_watermark is not None
-            else max(self.recovery_backlog_capacity // 8, 0)
-        )
-        return high, low
 
 
 @dataclass(frozen=True)
@@ -316,7 +300,6 @@ class ServerConfig:
     app: str = "fft"
     scheme: str = "treeErrors"
     n_workers: int = 2
-    n_recovery_workers: int = 1
     backend: str = "thread"
     ring_capacity_bytes: int = 1 << 22
     start_method: Optional[str] = None
@@ -331,12 +314,16 @@ class ServerConfig:
     journal: JournalConfig = field(default_factory=JournalConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     chaos: Optional[object] = None
+    #: Retired: recovery runs on the shard thread, so nothing reads this.
+    #: Still accepted (and validated) because ``benchmarks/ladder/harness.py``
+    #: passes it and benchmark issues alone may edit that file; an InitVar
+    #: is not a field, so it reaches neither ``flat()`` nor journal META.
+    n_recovery_workers: InitVar[int] = 1
 
     #: Journal-META key -> (section attribute or None, field name); see
     #: :meth:`flat`.  ``repro replay`` reads these keys from disk.
     _FLAT_FIELDS = {
         "n_workers": (None, "n_workers"),
-        "n_recovery_workers": (None, "n_recovery_workers"),
         "backend": (None, "backend"),
         "ring_capacity_bytes": (None, "ring_capacity_bytes"),
         "start_method": (None, "start_method"),
@@ -346,9 +333,6 @@ class ServerConfig:
         "max_batch_requests": ("batching", "max_batch_requests"),
         "flush_interval_s": ("batching", "flush_interval_s"),
         "admission_capacity": ("batching", "admission_capacity"),
-        "recovery_backlog_capacity": (
-            "backpressure", "recovery_backlog_capacity"
-        ),
         "high_watermark": ("backpressure", "high_watermark"),
         "low_watermark": ("backpressure", "low_watermark"),
         "max_retries": ("retry", "max_retries"),
@@ -371,8 +355,8 @@ class ServerConfig:
         "ensemble_learn_buffer": ("ensemble", "learn_buffer"),
     }
 
-    def __post_init__(self) -> None:
-        if self.n_workers < 1 or self.n_recovery_workers < 1:
+    def __post_init__(self, n_recovery_workers: int) -> None:
+        if self.n_workers < 1 or n_recovery_workers < 1:
             raise ConfigurationError("need at least one worker of each kind")
         if self.backend not in _BACKENDS:
             raise ConfigurationError(

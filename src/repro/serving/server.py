@@ -11,18 +11,18 @@ Architecture — one serving core over one worker transport::
                                 ▼                    │ on_failure(error)
        transport.py        ThreadTransport    |    ProcessTransport
                            shard threads w0…wN     dispatcher → shm rings
-                           ▼ bounded backlog       worker processes p0…pN
-                           recovery threads r0…rM  collector + supervisor
+                           (run_invocation         worker processes p0…pN
+                            whole, in place)       collector + supervisor
 
 The core is written once; ``config.backend`` picks the transport, which
 only moves a batch to a :class:`~repro.core.runtime.RumbaSystem` shard
 and reports the outcome (contract: :mod:`repro.serving.transport` and
-``docs/serving.md``).  With threads, the accelerator-side and CPU-side
-halves of invocations overlap exactly as in the paper's Fig. 8 pipeline:
-a worker begins its next batch while recovery workers are still
-re-executing flagged iterations of its previous ones.  The
-:class:`BackpressureController` watches the transport's backlog and
-trades quality for stability when recovery falls behind; the bounded
+``docs/serving.md``).  On either backend a worker runs an invocation
+whole — accelerate, detect, recover, tune — the paper's Fig. 8 overlap
+of the two halves being modelled by ``simulate_pipeline``, not enacted.
+The :class:`BackpressureController` watches the core's backlog (batches
+in flight plus the batches the waiting requests would form) and trades
+quality for stability when the workers fall behind; the bounded
 admission queue sheds load past that.
 
 Everything is observable: the core keeps one per-worker
@@ -188,7 +188,6 @@ class RumbaServer:
         self._prototype = prototype
         self.backend = config.backend
         self.n_workers = config.n_workers
-        self.n_recovery_workers = config.n_recovery_workers
         self.registry = registry if registry is not None else MetricsRegistry()
 
         self._admission = AdmissionQueue(
@@ -300,18 +299,14 @@ class RumbaServer:
             reason: flushed.labels(reason=reason, **labels)
             for reason in FLUSH_REASONS
         }
-        self._m_inline = r.counter(
-            "rumba_serve_inline_recoveries_total",
-            "Batches recovered inline because the backlog was full",
-            base + ("worker",),
-        )
         self._g_admission_depth = r.gauge(
             "rumba_serve_admission_depth",
             "Requests waiting in the admission queue", base,
         ).labels(**labels)
         self._g_backlog = r.gauge(
             "rumba_serve_recovery_backlog",
-            "Batches awaiting asynchronous CPU recovery", base,
+            "Batches in flight plus batches the waiting requests would form",
+            base,
         ).labels(**labels)
         self._g_inflight = r.gauge(
             "rumba_serve_inflight_requests",
@@ -387,7 +382,6 @@ class RumbaServer:
             child = SimpleNamespace(
                 batches=self._m_batches.labels(**labels),
                 batch_requests=self._m_batch_requests.labels(**labels),
-                inline=self._m_inline.labels(**labels),
                 restarts=self._m_worker_restarts.labels(**labels),
                 threshold=self._m_worker_threshold.labels(**labels),
                 invocations=self._m_worker_invocations.labels(**labels),
@@ -434,11 +428,10 @@ class RumbaServer:
             ))
         self._shard_by_name = {shard.name: shard for shard in self.shards}
         bp = self.config.backpressure
-        high, low = bp.resolved_watermarks()
         self.controller = BackpressureController(
             self._transport.backpressure_targets(),
-            high_watermark=high,
-            low_watermark=low,
+            high_watermark=bp.high_watermark,
+            low_watermark=bp.low_watermark,
         )
         self._state = "ready"
         return self
@@ -672,13 +665,17 @@ class RumbaServer:
             dispatch(batch)
         except Exception as exc:
             self._retry_or_fail(batch, exc, worker)
-        else:
-            self._observe_backlog()
         return True
 
     def _observe_backlog(self) -> None:
-        """Export the transport's backlog and feed the controller."""
-        backlog = self._transport.backlog()
+        """Export the backlog and feed the controller.
+
+        Called once per batch reported back, completed or failed — a
+        take only moves a batch from waiting to in flight — so the
+        controller steps at the pace the workers finish work, and a
+        burst escalates one level per completed batch, not all at once.
+        """
+        backlog = self._admission.backlog()
         self._g_backlog.set(backlog)
         step = self.controller.update(backlog)
         if step != 0:
@@ -711,7 +708,7 @@ class RumbaServer:
                 trace.splice(stages)
             shard.telemetry.observe(stages, report)
         rows = sum(r.n_elements for r in requests)
-        with self._shard_lock:  # recovery threads complete concurrently
+        with self._shard_lock:  # a transport may report from any thread
             shard.batches += 1
             shard.elements += rows
             shard.observe_drift(report.get("fire_fraction", 0.0))
@@ -861,7 +858,6 @@ class RumbaServer:
             "scheme": self.scheme,
             "backend": self.backend,
             "n_workers": self.n_workers,
-            "n_recovery_workers": self.n_recovery_workers,
             "seed": self.config.seed,
             "measure_quality": self.config.measure_quality,
             "threshold": (
@@ -1163,17 +1159,13 @@ class RumbaServer:
             "backend": self.backend,
             "healthy": self._state == "running" and degradation == 0,
             "n_workers": self.n_workers,
-            "n_recovery_workers": self.n_recovery_workers,
             "inflight_requests": self._inflight,
             "admission_depth": len(self._admission),
             "admission_capacity": self._admission.capacity,
             "requests_offered": self._admission.offered,
             "requests_shed": self._admission.shed,
             "flushes": {r: int(c.value) for r, c in self._c_flushed.items()},
-            "recovery_backlog": self._transport.backlog(),
-            "recovery_backlog_capacity": (
-                self.config.backpressure.recovery_backlog_capacity
-            ),
+            "recovery_backlog": self._admission.backlog(),
             "degradation_level": degradation,
             "degraded": degradation > 0,
             "drifted": any(entry["drifted"] for entry in per_worker),

@@ -12,8 +12,9 @@ travels to one:
   batches concurrently, each bound to a ``dispatch(batch)`` callable
   (which may raise; the core then applies its retry policy);
 * ``stop(timeout)`` joins the pumps and tears the workers down;
-* ``backlog()``, ``backpressure_targets()`` and ``workers()`` are the
-  read-outs for backpressure and ``stats()``.
+* ``backpressure_targets()`` and ``workers()`` are the read-outs for
+  backpressure and ``stats()`` (the backlog the controller watches is
+  the core's own: :meth:`AdmissionQueue.backlog`).
 
 Every accepted batch is reported back exactly once through the callback
 pair given at construction: ``on_complete(batch, worker, outputs,
@@ -37,14 +38,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.runtime import PendingInvocation, RumbaSystem
+from repro.core.runtime import InvocationRecord, RumbaSystem
 from repro.errors import ConfigurationError, ServingError, WorkerCrashError
-from repro.hardware.queues import FifoQueue
-from repro.observability.reqtrace import (
-    STAGE_COLLECT,
-    STAGE_RECOVERY_WAIT,
-    STAGE_SHM_WRITE,
-)
+from repro.observability.reqtrace import STAGE_COLLECT, STAGE_SHM_WRITE
 from repro.serving.batching import concat_inputs
 from repro.serving.procpool import (
     SHARD_RECORD_WINDOW,
@@ -143,7 +139,6 @@ class WorkerTransport:
         self._worker_metrics = worker_metrics
         self._include_bits = include_bits
         self._threads: List[threading.Thread] = []
-        self._stopping = False
 
     def _spawn(self, target, *args, name: str) -> None:
         thread = threading.Thread(
@@ -161,41 +156,22 @@ class WorkerTransport:
 # ---------------------------------------------------------------------- #
 # In-process threads                                                     #
 # ---------------------------------------------------------------------- #
-@dataclass
-class _RecoveryTask:
-    """One batch whose accelerator half is done, awaiting CPU recovery."""
-
-    worker: str
-    system: RumbaSystem
-    batch: Batch
-    pending: PendingInvocation
-    #: Pooled concat buffer backing ``pending.inputs`` (multi-request
-    #: batches only); recycled once ``complete_invocation`` — its last
-    #: reader — returns.
-    lease: Optional[np.ndarray] = None
-
-
 class ThreadTransport(WorkerTransport):
-    """One thread per shard plus a shared pool of recovery threads.
+    """One thread per shard; a batch runs whole on the thread that took it.
 
-    The accelerator-side and CPU-side halves of invocations overlap as in
-    the paper's Fig. 8 pipeline: a shard thread begins its next batch
-    while recovery threads are still re-executing flagged iterations of
-    its previous ones, decoupled by a bounded backlog.  A full backlog
-    makes the shard thread absorb its own recovery inline — the hard
-    backstop that stalls the producer.
+    Concat, ``run_invocation``, report: the same sequence a worker
+    process runs (:func:`repro.serving.procpool._worker_main`).  The
+    paper overlaps CPU recovery with the accelerator (Fig. 8) because
+    they are two pieces of hardware; here both halves are Python on one
+    interpreter, where a second thread buys no overlap, so the overlap
+    is modelled (:func:`repro.core.pipeline.simulate_pipeline` prices it
+    for every invocation) and not enacted.
     """
 
     def __init__(self, config, *, bufpool, **core):
         super().__init__(config, **core)
         self._bufpool = bufpool
         self._shards: List[Tuple[str, RumbaSystem]] = []
-        self.recovery_backlog: FifoQueue[_RecoveryTask] = FifoQueue(
-            capacity=config.backpressure.recovery_backlog_capacity,
-            name="serve-recovery-backlog",
-            strict=False,
-        )
-        self._rcond = threading.Condition()
 
     def prepare(self, prototype: RumbaSystem):
         for i in range(self.config.n_workers):
@@ -209,20 +185,12 @@ class ThreadTransport(WorkerTransport):
     def start(self, pump) -> None:
         for name, system in self._shards:
             self._spawn(
-                pump, partial(self._begin, name, system), name,
+                pump, partial(self._run, name, system), name,
                 name=f"rumba-serve-{name}",
             )
-        for i in range(self.config.n_recovery_workers):
-            self._spawn(self._recovery_loop, name=f"rumba-recover-r{i}")
 
     def stop(self, timeout: float) -> None:
-        with self._rcond:
-            self._stopping = True
-            self._rcond.notify_all()
         self._join(timeout)
-
-    def backlog(self) -> int:
-        return len(self.recovery_backlog)
 
     def backpressure_targets(self) -> List[RumbaSystem]:
         return [system for _, system in self._shards]
@@ -234,67 +202,34 @@ class ThreadTransport(WorkerTransport):
             for name, system in self._shards
         ]
 
-    def _begin(self, worker: str, system: RumbaSystem, batch: Batch) -> None:
-        inputs = concat_inputs(batch.requests, pool=self._bufpool)
-        # Multi-request batches concatenate into a leased buffer the task
-        # owns until recovery finishes; a single-request batch rides its
-        # own staged input block, which the request itself owns.
-        lease = inputs if len(batch.requests) > 1 else None
+    def _run(self, worker: str, system: RumbaSystem, batch: Batch) -> None:
         try:
-            pending = system.begin_invocation(
+            record = self._invoke(system, batch)
+        except Exception as exc:
+            # A retry re-runs the invocation from the top on a healthy
+            # shard; kernels are pure, so re-execution is safe.
+            self._on_failure(batch, exc, worker)
+            return
+        report = worker_snapshot(
+            system, record, include_bits=self._include_bits
+        )
+        self._on_complete(batch, worker, record.outputs, report)
+
+    def _invoke(self, system: RumbaSystem, batch: Batch) -> InvocationRecord:
+        inputs = concat_inputs(batch.requests, pool=self._bufpool)
+        try:
+            return system.run_invocation(
                 inputs,
                 measure_quality=self.config.measure_quality,
                 forced_choices=_forced_choices(batch.requests),
             )
-        except Exception:
-            if lease is not None:
-                self._bufpool.release(lease)
-            raise
-        task = _RecoveryTask(worker, system, batch, pending, lease)
-        with self._rcond:
-            queued = self.recovery_backlog.try_push(task)
-            if queued:
-                self._rcond.notify()
-        if not queued:
-            self._worker_metrics(worker).inline.inc()
-            self._complete(task)
-
-    def _recovery_loop(self) -> None:
-        while True:
-            with self._rcond:
-                task = self.recovery_backlog.try_pop()
-                while task is None and not self._stopping:
-                    self._rcond.wait(timeout=0.1)
-                    task = self.recovery_backlog.try_pop()
-            if task is None:
-                return
-            self._complete(task)
-
-    def _complete(self, task: _RecoveryTask) -> None:
-        # Popped off the recovery backlog: the gap back to ``detect`` is
-        # the time the batch sat waiting for a recovery worker.  This
-        # side's own hop, so it goes on the invocation's chain — between
-        # the runtime's ``detect`` and ``recover`` points, which keeps
-        # the wait out of the recover phase's segment.
-        task.pending.stages.append((STAGE_RECOVERY_WAIT, time.monotonic()))
-        try:
-            record = task.system.complete_invocation(task.pending)
-        except Exception as exc:
-            if task.lease is not None:
-                self._bufpool.release(task.lease)
-            # A retry re-runs the invocation from the top on a healthy
-            # shard; kernels are pure, so re-execution is safe.
-            self._on_failure(task.batch, exc, task.worker)
-            return
-        if task.lease is not None:
-            # ``complete_invocation`` was the concat buffer's last reader
-            # (recovery re-executes flagged rows from it) and nothing in
-            # the record aliases it, so the arena can recycle now.
-            self._bufpool.release(task.lease)
-        report = worker_snapshot(
-            task.system, record, include_bits=self._include_bits
-        )
-        self._on_complete(task.batch, task.worker, record.outputs, report)
+        finally:
+            # Multi-request batches concatenate into a leased buffer (a
+            # single request rides its own staged block).  Recovery —
+            # re-executing flagged rows — was its last reader and nothing
+            # in the record aliases it, so the arena can recycle now.
+            if len(batch.requests) > 1:
+                self._bufpool.release(inputs)
 
 
 # ---------------------------------------------------------------------- #
@@ -321,6 +256,7 @@ class ProcessTransport(WorkerTransport):
         self._fleet_level = fleet_level
         self._pending: Dict[int, Tuple[Batch, ProcessWorker]] = {}
         self._lock = threading.Lock()
+        self._stopping = False
 
     def prepare(self, prototype: RumbaSystem):
         # Fail at prepare time, not in a worker, if the prototype cannot
@@ -353,9 +289,6 @@ class ProcessTransport(WorkerTransport):
         self._stopping = True
         self._join(timeout)
         self.pool.stop(timeout=timeout)
-
-    def backlog(self) -> int:
-        return len(self._pending)
 
     def backpressure_targets(self):
         return self.pool.backpressure_proxies()

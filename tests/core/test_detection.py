@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.detection import DetectionModule
 from repro.errors import ConfigurationError
-from repro.hardware.queues import RecoveryQueue
 from repro.predictors.oracle import OraclePredictor
 from repro.predictors.linear import LinearErrorPredictor
 
@@ -18,7 +17,7 @@ class TestDetectionModule:
     def test_fires_above_threshold(self):
         module = _oracle_module(0.5)
         errors = np.array([0.1, 0.6, 0.4, 0.9])
-        result = module.detect(true_errors=errors)
+        result = module.detect_into(true_errors=errors)
         np.testing.assert_array_equal(
             result.recovery_bits, [False, True, False, True]
         )
@@ -27,29 +26,17 @@ class TestDetectionModule:
 
     def test_threshold_is_strict_greater(self):
         module = _oracle_module(0.5)
-        result = module.detect(true_errors=np.array([0.5]))
+        result = module.detect_into(true_errors=np.array([0.5]))
         assert result.n_fired == 0
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             DetectionModule(OraclePredictor(), threshold=-0.1)
 
-    def test_pushes_recovery_bits_in_order(self):
-        module = _oracle_module(0.5)
-        queue = RecoveryQueue()
-        module.detect(
-            true_errors=np.array([0.9, 0.1, 0.8]),
-            recovery_queue=queue,
-            first_iteration_id=100,
-        )
-        assert queue.pop() == (100, True)
-        assert queue.pop() == (101, False)
-        assert queue.pop() == (102, True)
-
     def test_lifetime_statistics(self):
         module = _oracle_module(0.5)
-        module.detect(true_errors=np.array([0.9, 0.1]))
-        module.detect(true_errors=np.array([0.9, 0.9]))
+        module.detect_into(true_errors=np.array([0.9, 0.1]))
+        module.detect_into(true_errors=np.array([0.9, 0.9]))
         assert module.total_checks == 4
         assert module.total_fires == 3
         assert module.lifetime_fire_fraction == pytest.approx(0.75)
@@ -89,7 +76,7 @@ class TestDetectionModule:
 
         module = DetectionModule(_Passthrough(), threshold=100.0)
         scores = np.array([0.1, np.nan, 0.2, np.inf])
-        result = module.detect(true_errors=scores)
+        result = module.detect_into(true_errors=scores)
         np.testing.assert_array_equal(
             result.recovery_bits, [False, True, False, True]
         )
@@ -97,30 +84,14 @@ class TestDetectionModule:
     def test_threshold_mutable_between_invocations(self):
         module = _oracle_module(0.5)
         errors = np.array([0.3, 0.4])
-        assert module.detect(true_errors=errors).n_fired == 0
+        assert module.detect_into(true_errors=errors).n_fired == 0
         module.threshold = 0.2
-        assert module.detect(true_errors=errors).n_fired == 2
+        assert module.detect_into(true_errors=errors).n_fired == 2
 
 
 class TestDetectInto:
-    """The serving fast path (`detect_into`) must be numerically identical
-    to `detect` — same bits, same scores, same statistics."""
-
-    def test_matches_detect(self, rng):
-        errors = rng.random(256)
-        a = _oracle_module(0.5)
-        b = _oracle_module(0.5)
-        via_detect = a.detect(true_errors=errors)
-        via_into = b.detect_into(true_errors=errors)
-        np.testing.assert_array_equal(
-            via_into.recovery_bits, via_detect.recovery_bits
-        )
-        np.testing.assert_allclose(
-            via_into.scores, via_detect.scores, atol=1e-12, rtol=0
-        )
-        assert via_into.threshold == via_detect.threshold
-        assert a.total_checks == b.total_checks
-        assert a.total_fires == b.total_fires
+    """A caller-owned ``bits_out`` buffer receives the same bits a fresh
+    vector would."""
 
     def test_bits_out_buffer_is_used(self):
         module = _oracle_module(0.5)

@@ -444,7 +444,7 @@ class TestPickleRoundTrip:
         import threading
 
         restored = pickle.loads(pickle.dumps(tree_system))
-        assert isinstance(restored._mutex, type(threading.Lock()))
+        assert isinstance(restored._lock, type(threading.Lock()))
         # Telemetry binds to the origin process's registry: stripped.
         assert restored.telemetry is None
 

@@ -46,3 +46,34 @@ class TestEvaluateBenchmark:
         a = evaluate_benchmark("fft", seed=0, n_test_cap=4000)
         b = evaluate_benchmark("fft", seed=0, n_test_cap=4000)
         assert a is b
+
+    def test_backends_come_from_the_serving_cache(self, monkeypatch):
+        """A process that serves and evaluates one app trains it once per
+        topology: ``evaluate_benchmark`` takes both backends (and the
+        checker training data) from ``prepare_backend``'s cache, where
+        ``prepare_system`` left the Rumba-topology one — and they are
+        what it used to train for itself, weight for weight."""
+        from repro.apps import get_application
+        from repro.core import offline
+
+        seed = 7  # a key no other test has put in either cache
+        trained = []
+        train = offline.train_npu_backend
+
+        def counting(app, use_rumba_topology, seed):
+            trained.append(use_rumba_topology)
+            return train(app, use_rumba_topology=use_rumba_topology,
+                         seed=seed)
+
+        monkeypatch.setattr(offline, "train_npu_backend", counting)
+        system = offline.prepare_system("fft", seed=seed)
+        ev = evaluate_benchmark("fft", seed=seed, n_test_cap=2000)
+        assert trained == [True, False]  # two trainings, not three
+        assert ev.backend is system.backend
+        app = get_application("fft")
+        for backend, rumba in ((ev.backend, True), (ev.npu_backend, False)):
+            fresh, _ = train(app, use_rumba_topology=rumba, seed=seed)
+            np.testing.assert_array_equal(
+                backend.network.get_flat_params(),
+                fresh.network.get_flat_params(),
+            )

@@ -1,262 +1,6 @@
-"""Unit and property tests for the core↔accelerator queue models."""
+"""Unit tests for the config queue (the one Fig. 4 queue that is an object)."""
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.errors import ConfigurationError, SimulationError
-from repro.hardware.queues import ConfigQueue, FifoQueue, RecoveryQueue
-
-
-class TestFifoQueue:
-    def test_fifo_order(self):
-        q = FifoQueue(capacity=8)
-        for i in range(5):
-            q.push(i)
-        assert [q.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_overflow_strict_raises(self):
-        q = FifoQueue(capacity=2)
-        q.push(1)
-        q.push(2)
-        with pytest.raises(SimulationError, match="overflow"):
-            q.push(3)
-        assert q.stats.stall_events == 1
-
-    def test_overflow_nonstrict_returns_false(self):
-        q = FifoQueue(capacity=1, strict=False)
-        assert q.push(1)
-        assert not q.push(2)
-        assert q.stats.stall_events == 1
-        assert len(q) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            FifoQueue().pop()
-
-    def test_peek(self):
-        q = FifoQueue()
-        q.push("a")
-        q.push("b")
-        assert q.peek() == "a"
-        assert len(q) == 2  # peek does not consume
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(SimulationError):
-            FifoQueue().peek()
-
-    def test_drain(self):
-        q = FifoQueue()
-        for i in range(3):
-            q.push(i)
-        assert q.drain() == [0, 1, 2]
-        assert q.is_empty
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            FifoQueue(capacity=0)
-
-    def test_max_occupancy_tracked(self):
-        q = FifoQueue(capacity=10)
-        for i in range(6):
-            q.push(i)
-        for _ in range(3):
-            q.pop()
-        q.push(99)
-        assert q.stats.max_occupancy == 6
-        assert q.stats.occupancy == 4
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(), max_size=40))
-    def test_preserves_order_property(self, items):
-        q = FifoQueue(capacity=max(len(items), 1))
-        for item in items:
-            q.push(item)
-        assert q.drain() == items
-
-
-class TestFifoQueueThreaded:
-    """Non-raising ops + the concurrency contract the serving layer uses."""
-
-    def test_try_push_never_raises_on_full_strict_queue(self):
-        q = FifoQueue(capacity=1, strict=True)
-        assert q.try_push("a")
-        assert not q.try_push("b")
-        assert q.stats.stall_events == 1
-        assert len(q) == 1
-
-    def test_try_pop_returns_none_when_empty(self):
-        q = FifoQueue()
-        assert q.try_pop() is None
-        q.push(7)
-        assert q.try_pop() == 7
-        assert q.try_pop() is None
-
-    def test_concurrent_producers_consumers_lose_nothing(self):
-        import threading
-
-        q = FifoQueue(capacity=10_000)
-        n_producers, per_producer = 4, 500
-        consumed = []
-        consumed_lock = threading.Lock()
-        done = threading.Event()
-
-        def produce(base):
-            for i in range(per_producer):
-                q.push(base + i)
-
-        def consume():
-            while True:
-                item = q.try_pop()
-                if item is None:
-                    if done.is_set() and q.is_empty:
-                        return
-                    continue
-                with consumed_lock:
-                    consumed.append(item)
-
-        consumers = [threading.Thread(target=consume) for _ in range(2)]
-        producers = [
-            threading.Thread(target=produce, args=(k * per_producer,))
-            for k in range(n_producers)
-        ]
-        for t in consumers + producers:
-            t.start()
-        for t in producers:
-            t.join()
-        done.set()
-        for t in consumers:
-            t.join(timeout=10.0)
-
-        total = n_producers * per_producer
-        assert sorted(consumed) == list(range(total))
-        assert q.stats.pushes == total
-        assert q.stats.pops == total
-        assert q.stats.occupancy == 0
-
-    def test_concurrent_try_push_respects_capacity(self):
-        import threading
-
-        q = FifoQueue(capacity=32, strict=True)
-        accepted = []
-        lock = threading.Lock()
-
-        def hammer():
-            ok = sum(q.try_push(object()) for _ in range(100))
-            with lock:
-                accepted.append(ok)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(accepted) == 32
-        assert q.stats.max_occupancy == 32
-        assert q.stats.stall_events == 400 - 32
-
-
-class TestRecoveryQueue:
-    def test_tracks_pending_recoveries(self):
-        q = RecoveryQueue()
-        q.push(0, True)
-        q.push(1, False)
-        q.push(2, True)
-        assert q.pending_recoveries == 2
-        q.pop()
-        assert q.pending_recoveries == 1
-
-    def test_out_of_order_push_rejected(self):
-        q = RecoveryQueue()
-        q.push(5, True)
-        with pytest.raises(SimulationError, match="out of order"):
-            q.push(5, False)
-        with pytest.raises(SimulationError, match="out of order"):
-            q.push(3, True)
-
-    def test_drain_flagged_returns_only_set_bits(self):
-        q = RecoveryQueue()
-        bits = [True, False, False, True, True]
-        for i, bit in enumerate(bits):
-            q.push(i, bit)
-        assert q.drain_flagged() == [0, 3, 4]
-        assert q.is_empty
-        assert q.pending_recoveries == 0
-
-    def test_pop_returns_pairs_in_order(self):
-        q = RecoveryQueue()
-        q.push(10, False)
-        q.push(11, True)
-        assert q.pop() == (10, False)
-        assert q.pop() == (11, True)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=64))
-    def test_flagged_matches_input_property(self, bits):
-        q = RecoveryQueue(capacity=len(bits))
-        for i, bit in enumerate(bits):
-            q.push(i, bit)
-        expected = [i for i, bit in enumerate(bits) if bit]
-        assert q.drain_flagged() == expected
-
-
-class TestRecoveryQueuePushMany:
-    def test_matches_elementwise_pushes(self):
-        bits = [True, False, True, True, False]
-        bulk = RecoveryQueue(capacity=8)
-        loop = RecoveryQueue(capacity=8)
-        assert bulk.push_many(range(5), bits) == 5
-        for i, bit in enumerate(bits):
-            loop.push(i, bit)
-        assert [bulk.pop() for _ in range(5)] == [loop.pop() for _ in range(5)]
-
-    def test_bulk_stats_match_elementwise(self):
-        bits = [True, True, False]
-        bulk = RecoveryQueue(capacity=4)
-        bulk.push_many([3, 4, 5], bits)
-        assert bulk.stats.pushes == 3
-        assert bulk.stats.max_occupancy == 3
-        assert bulk.pending_recoveries == 2
-
-    def test_continues_past_last_pushed_id(self):
-        q = RecoveryQueue(capacity=16)
-        q.push(4, True)
-        q.push_many([5, 6], [False, True])
-        with pytest.raises(SimulationError, match="out of order"):
-            q.push_many([6, 7], [True, True])
-        with pytest.raises(SimulationError, match="out of order"):
-            q.push_many([10, 10], [True, True])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigurationError, match="equal length"):
-            RecoveryQueue().push_many([0, 1], [True])
-
-    def test_empty_push_is_noop(self):
-        q = RecoveryQueue()
-        assert q.push_many([], []) == 0
-        assert q.stats.pushes == 0
-
-    def test_overflow_strict_raises_after_partial_fill(self):
-        q = RecoveryQueue(capacity=2, strict=True)
-        with pytest.raises(SimulationError, match="overflow"):
-            q.push_many(range(4), [True] * 4)
-        # The entries that fit were enqueued, exactly like the
-        # element-wise loop would have before its own overflow raise.
-        assert len(q) == 2
-        assert q.stats.stall_events == 1
-        assert q.pending_recoveries == 2
-
-    def test_overflow_nonstrict_truncates(self):
-        q = RecoveryQueue(capacity=3, strict=False)
-        assert q.push_many(range(5), [True] * 5) == 3
-        assert q.drain_flagged() == [0, 1, 2]
-
-    def test_accepts_numpy_bits(self):
-        q = RecoveryQueue(capacity=8)
-        bits = np.array([True, False, True])
-        q.push_many(np.arange(3), bits)
-        assert q.drain_flagged() == [0, 2]
+from repro.hardware.queues import ConfigQueue
 
 
 class TestConfigQueue:

@@ -171,3 +171,27 @@ class TestAnalysis:
     def test_format_waterfall_empty_stages(self):
         text = format_waterfall(_record(stages=[]))
         assert "no stage events" in text
+
+    def test_a_retired_stage_in_an_old_log_still_renders(self, tmp_path,
+                                                         capsys):
+        """Flight logs written while the thread backend still parked
+        batches for a recovery pool carry ``recovery_wait``, which is no
+        longer in ``STAGES``: ``repro trace`` shows it all the same — in
+        place in the waterfall, after the known stages in the aggregate."""
+        from repro.__main__ import main
+
+        path = str(tmp_path / "old.flight")
+        with FlightRecorder(path) as recorder:
+            recorder.record(_record(request_id=7, stages=[
+                ["admit", 0.0], ["detect", 0.003], ["recovery_wait", 0.004],
+                ["recover", 0.008], ["complete", 0.010],
+            ]))
+        assert main(["trace", "7", "--log", path]) == 0
+        waterfall = capsys.readouterr().out
+        assert "recovery_wait" in waterfall
+        assert "covers 100.0% of end-to-end latency" in waterfall
+        assert main(["trace", "--log", path]) == 0
+        assert "recovery_wait" in capsys.readouterr().out
+        assert list(aggregate_stages(read_flight_log(path))) == [
+            "admit", "detect", "recover", "complete", "recovery_wait",
+        ]

@@ -36,7 +36,6 @@ from tests.serving.cluster.fleet import burst_nodes
 def _config(**overrides) -> ServerConfig:
     base = dict(
         n_workers=1,
-        n_recovery_workers=1,
         batching=BatchingConfig(max_batch_requests=4,
                                 flush_interval_s=0.002),
     )

@@ -72,9 +72,6 @@ class FakeTransport:
     def dispatch(self, batch):
         self.batches.append(batch)
 
-    def backlog(self):
-        return len(self.batches)
-
     def backpressure_targets(self):
         return []
 
@@ -98,10 +95,11 @@ class FakeTransport:
 
 @pytest.fixture()
 def fake_server(fft_prototype):
-    """``build(drift=None, **retry_fields) -> (server, fake)``: a started
-    core over a :class:`FakeTransport`, stopped at teardown.  ``drift``
-    is the per-worker drift-detector factory."""
+    """``build(drift=None, backpressure=None, **retry_fields) -> (server,
+    fake)``: a started core over a :class:`FakeTransport`, stopped at
+    teardown.  ``drift`` is the per-worker drift-detector factory."""
     from repro.serving import (
+        BackpressureConfig,
         BatchingConfig,
         RetryConfig,
         RumbaServer,
@@ -110,11 +108,12 @@ def fake_server(fft_prototype):
 
     servers = []
 
-    def build(drift=None, **retry):
+    def build(drift=None, backpressure=None, **retry):
         server = RumbaServer(
             prototype=fft_prototype,
             config=ServerConfig(
                 batching=BatchingConfig(flush_interval_s=0.0),
+                backpressure=backpressure or BackpressureConfig(),
                 retry=RetryConfig(**retry),
             ),
             **({} if drift is None else {"drift_detector_factory": drift}),

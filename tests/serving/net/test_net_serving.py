@@ -39,7 +39,6 @@ from repro.serving.net import protocol as wire
 def _config(**overrides) -> ServerConfig:
     base = dict(
         n_workers=2,
-        n_recovery_workers=1,
         batching=BatchingConfig(max_batch_requests=4,
                                 flush_interval_s=0.002),
     )
@@ -432,7 +431,7 @@ class TestFacade:
 
     def test_serve_in_process(self, fft_input_pool):
         server = serving.serve(
-            "fft", config=ServerConfig(n_workers=1, n_recovery_workers=1)
+            "fft", config=ServerConfig(n_workers=1)
         )
         try:
             assert isinstance(server, RumbaServer)

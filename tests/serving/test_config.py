@@ -34,7 +34,7 @@ class TestSectionValidation:
             BatchingConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"recovery_backlog_capacity": 0},
+        {"high_watermark": 2, "low_watermark": 2},
         {"high_watermark": 2, "low_watermark": 4},
         {"low_watermark": -1, "high_watermark": 8},
     ])
@@ -43,10 +43,27 @@ class TestSectionValidation:
             BackpressureConfig(**kwargs)
 
     def test_backpressure_watermark_defaults(self):
-        config = BackpressureConfig(recovery_backlog_capacity=16)
-        assert config.resolved_watermarks() == (8, 2)
-        explicit = BackpressureConfig(high_watermark=5, low_watermark=1)
-        assert explicit.resolved_watermarks() == (5, 1)
+        """Plain ints: the defaults are what a 16-deep recovery backlog
+        used to derive (capacity/2, capacity/8); the capacity is gone."""
+        config = BackpressureConfig()
+        assert (config.high_watermark, config.low_watermark) == (8, 2)
+        with pytest.raises(TypeError):
+            BackpressureConfig(recovery_backlog_capacity=32)
+
+    def test_retired_recovery_workers_argument(self):
+        """``n_recovery_workers`` is the one retired argument the
+        constructor tolerates (the ladder harness passes it): accepted,
+        validated, read by nothing — not a field, so it reaches neither
+        ``flat()`` nor a derived config."""
+        import dataclasses
+
+        config = ServerConfig(n_recovery_workers=1)
+        assert config == ServerConfig()
+        assert "n_recovery_workers" not in {
+            f.name for f in dataclasses.fields(config)
+        }
+        assert "n_recovery_workers" not in config.flat()
+        assert replace(config, n_workers=3).n_workers == 3
 
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},

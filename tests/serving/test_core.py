@@ -11,6 +11,7 @@ import pytest
 from repro.core.stream import DriftDetector
 from repro.errors import ServingError, WorkerCrashError
 from repro.observability.reqtrace import RequestTrace
+from repro.serving import BackpressureConfig
 
 FAR = 1e6  # seconds: a backoff / deadline no test run reaches
 
@@ -60,6 +61,75 @@ class TestCompletion:
         assert server._pump_once(exploding)
         with pytest.raises(ServingError, match="retry bound 0"):
             handle.result(timeout=0)
+
+
+class TestBacklog:
+    """The one backlog, computed by the core from what its admission
+    queue holds: batches taken and not reported back, plus the batches
+    the waiting requests would form.  The no-sleep twin of
+    ``test_server.py::TestBackpressure::test_bounded_queues_and_degradation``."""
+
+    def test_waiting_and_in_flight_batches_step_the_controller(
+        self, fake_server, fft_input_pool
+    ):
+        server, fake = fake_server(backpressure=BackpressureConfig(
+            high_watermark=2, low_watermark=1,
+        ))
+        controller = server.controller
+
+        def backlog():
+            value = server.stats()["recovery_backlog"]
+            assert value == server._admission.backlog()
+            return value
+
+        # 20 undispatched requests at 8 per batch: ceil(20 / 8) batches.
+        handles = [server.submit(fft_input_pool[:2]) for _ in range(20)]
+        assert backlog() == 3
+        assert controller.level == 0  # nothing has observed it yet
+        server._observe_backlog()
+        assert controller.level == 1
+        gauge = server.registry.get("rumba_serve_recovery_backlog")
+        assert gauge.labels(**server._labels).value == 3
+
+        # A take moves a batch from waiting to in flight: the backlog
+        # stays, and the controller is not consulted.
+        batches = []
+        for _ in range(3):
+            batches.append(_dispatch_one(server, fake))
+            assert backlog() == 3
+        assert controller.level == 1
+        assert [len(b.requests) for b in batches] == [8, 8, 4]
+        # Dispatched at a degraded level, and reported so.
+        assert all(b.degraded for b in batches)
+
+        # One observation per batch reported back: 2 left holds (between
+        # the watermarks), 1 and 0 relax a step each.
+        server._observe_backlog()
+        assert controller.level == 2
+        for batch, (left, level) in zip(batches, [(2, 2), (1, 1), (0, 0)]):
+            fake.complete(batch)
+            assert backlog() == left
+            assert controller.level == level
+        assert all(h.result(timeout=0).degraded for h in handles)
+        assert controller.degrade_events == 2
+        assert controller.relax_events == 2
+        assert gauge.labels(**server._labels).value == 0
+
+    def test_a_failed_batch_is_an_observation_too(self, fake_server,
+                                                  fft_input_pool):
+        server, fake = fake_server(
+            backpressure=BackpressureConfig(high_watermark=1,
+                                            low_watermark=0),
+            max_retries=0,
+        )
+        handles = [server.submit(fft_input_pool[:2]) for _ in range(20)]
+        doomed = _dispatch_one(server, fake)
+        fake.fail(doomed, ValueError("bad kernel"))
+        assert server.stats()["recovery_backlog"] == 2
+        assert server.controller.level == 1
+        for handle in handles[:8]:
+            with pytest.raises(ValueError):
+                handle.result(timeout=0)
 
 
 class TestWorkerReport:

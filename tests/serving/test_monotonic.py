@@ -48,7 +48,6 @@ class TestWallClockIndependence:
             prototype=fft_prototype.clone_shard(),
             config=ServerConfig(
                 n_workers=1,
-                n_recovery_workers=1,
                 batching=BatchingConfig(max_batch_requests=4,
                                         flush_interval_s=0.002),
                 retry=RetryConfig(default_deadline_s=10.0),
@@ -89,7 +88,7 @@ class TestWallClockIndependence:
 
         server = RumbaServer(
             prototype=fft_prototype.clone_shard(),
-            config=ServerConfig(n_workers=1, n_recovery_workers=1),
+            config=ServerConfig(n_workers=1),
         )
         with NetServer(server, "127.0.0.1", 0) as net:
             with RumbaClient(*net.address) as client:

@@ -298,8 +298,9 @@ class TestReplayEdges:
     def test_retired_config_keys_in_meta_still_replay(self, golden_journal,
                                                       tmp_path):
         """Journals recorded before ``ServerConfig`` shed its unset
-        options (five in ISSUE 14, ``degrade_factor`` in ISSUE 15) carry
-        them in META's flat config.  Replay reads the keys it names and
+        options (five in ISSUE 14, ``degrade_factor`` in ISSUE 15, the
+        recovery pool's two in ISSUE 24) carry them in META's flat config
+        — and ``n_recovery_workers`` at META's top level too.  Replay reads the keys it names and
         nothing else, so such a journal must still replay with zero
         divergence."""
         journal = read_journal(golden_journal)
@@ -312,7 +313,10 @@ class TestReplayEdges:
             trace_max_exemplars=8,
             journal_record_errors=True,
             degrade_factor=1.5,
+            n_recovery_workers=1,
+            recovery_backlog_capacity=16,
         )
+        meta["n_recovery_workers"] = 1
         old = str(tmp_path / "pre-retirement.bin")
         with RequestJournal(old) as writer:
             writer.write_meta(meta)

@@ -38,7 +38,6 @@ def _config(tmp_path, backend="thread", **overrides):
     base = dict(
         backend=backend,
         n_workers=1,
-        n_recovery_workers=1,
         batching=BatchingConfig(max_batch_requests=4,
                                 flush_interval_s=0.002),
         tracing=TracingConfig(
@@ -79,8 +78,7 @@ def _assert_worker_chain_is_real(record, backend):
     # The checker scores every element: detect is strictly later.
     assert offset["compute"] < offset["detect"] <= offset["recover"]
     own_hops = {
-        "thread": ["invoke", "compute", "detect", "recovery_wait",
-                   "recover", "tune"],
+        "thread": ["invoke", "compute", "detect", "recover", "tune"],
         "process": ["shm_write", "shm_read", "invoke", "compute", "detect",
                     "recover", "tune", "collect"],
     }[backend]

@@ -1,6 +1,7 @@
-"""End-to-end serving: parallel workers, async recovery, lifecycle,
-backpressure, and per-worker telemetry."""
+"""End-to-end serving: parallel workers, recovery on the shard thread,
+lifecycle, backpressure, and per-worker telemetry."""
 
+import threading
 import time
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.serving.server import WorkerShard
 
 def _server(prototype, registry=None, **config):
     config.setdefault("n_workers", 2)
-    config.setdefault("n_recovery_workers", 2)
     config.setdefault("batching", BatchingConfig(
         max_batch_requests=4, flush_interval_s=0.002,
     ))
@@ -127,28 +127,97 @@ class TestLifecycle:
                 server.submit(np.empty((0, 1)))
 
 
+class TestOneExecutionModel:
+    """A thread worker runs an invocation whole, as a worker process
+    does: the shard thread that accelerated a batch recovers it, and a
+    batch has one owner from ``take()`` to ``on_complete``."""
+
+    def test_a_thread_server_is_its_workers_plus_the_retry_thread(
+        self, fft_prototype, fft_input_pool
+    ):
+        before = set(threading.enumerate())
+        with _server(fft_prototype, n_workers=2) as server:
+            server.submit_wait(fft_input_pool[:8], timeout=30.0)
+            names = sorted(
+                t.name for t in set(threading.enumerate()) - before
+            )
+        assert names == [
+            "rumba-serve-retry", "rumba-serve-w0", "rumba-serve-w1",
+        ]
+
+    def test_recovery_failure_is_reported_once_with_the_lease_released(
+        self, fft_prototype, fft_input_pool
+    ):
+        server = _server(
+            fft_prototype, n_workers=1,
+            batching=BatchingConfig(max_batch_requests=4,
+                                    flush_interval_s=5.0),
+        )
+        server.prepare()
+        system = server.shards[0].system
+        entered, gate = threading.Event(), threading.Event()
+        ran_on, failures = [], []
+        recover = system.recovery.recover
+
+        def gated_then_broken(inputs, approx, bits):
+            ran_on.append(threading.current_thread().name)
+            if len(ran_on) > 1:
+                raise ValueError("recovery exploded")
+            entered.set()
+            assert gate.wait(timeout=30.0)
+            return recover(inputs, approx, bits)
+
+        system.recovery.recover = gated_then_broken
+        report = server._transport._on_failure
+
+        def counted(batch, error, worker):
+            failures.append((len(batch.requests), worker))
+            report(batch, error, worker)
+
+        server._transport._on_failure = counted
+        with server:
+            first = server.submit(fft_input_pool[:8])
+            assert entered.wait(timeout=30.0)
+            # The one worker is inside recovery, so these three wait and
+            # then leave as one batch — a leased concat buffer.
+            rest = [server.submit(fft_input_pool[:8]) for _ in range(3)]
+            leases = server._bufpool.leases
+            gate.set()
+            assert first.result(timeout=30.0).n_elements == 8
+            for handle in rest:
+                with pytest.raises(ValueError, match="recovery exploded"):
+                    handle.result(timeout=30.0)
+            assert server._bufpool.leases == leases + 1
+            assert server._bufpool.outstanding == 0
+            assert server._admission.in_flight == 0
+            assert server.stats()["retries"] == 0
+        assert failures == [(3, "w0")]
+        # The thread that accelerated each batch recovered it.
+        assert ran_on == ["rumba-serve-w0", "rumba-serve-w0"]
+
+
 class TestBackpressure:
     def test_bounded_queues_and_degradation(self, fft_prototype, fft_input_pool):
         """Overload must produce shedding + threshold degradation, never
-        unbounded queues."""
+        unbounded queues — and quality must come back once it clears."""
         registry = MetricsRegistry()
         server = _server(
             fft_prototype,
             registry=registry,
             n_workers=2,
-            n_recovery_workers=1,
             batching=BatchingConfig(
                 max_batch_requests=1, flush_interval_s=0.002,
                 admission_capacity=6,
             ),
             backpressure=BackpressureConfig(
-                recovery_backlog_capacity=3, high_watermark=1,
-                low_watermark=0,
+                high_watermark=1, low_watermark=0,
             ),
         )
         server.prepare()
-        # Make CPU recovery artificially slow so the accelerator side
-        # outruns it — the keep-up failure the paper warns about.
+        # Make CPU recovery artificially slow so arrivals outrun the
+        # workers — the keep-up failure the paper warns about.  With
+        # recovery on the shard thread that shows as a growing admission
+        # queue, which is what the backlog counts.
         for shard in server.shards:
             shard.system.recovery.verify = False
             original = shard.system.recovery.exact_kernel
@@ -171,14 +240,12 @@ class TestBackpressure:
         for handle in handles:
             handle.result(timeout=60.0)
         stats = server.stats()
-        server.stop()
+        peak_level = server.controller.level
 
         # Bounded admission shed load instead of queueing unboundedly.
         assert shed > 0
         assert stats["requests_shed"] == shed
-        # The recovery backlog never outgrew its bound (inline fallback
-        # absorbs the overflow).
-        assert server._transport.recovery_backlog.stats.max_occupancy <= 3
+        assert stats["recovery_backlog"] == 0  # everything drained
         # Backpressure raised the detection threshold at least once.
         assert server.controller.degrade_events > 0
         peak_threshold = max(
@@ -188,6 +255,17 @@ class TestBackpressure:
         # And the degradation is visible through the metrics registry.
         gauge = registry.get("rumba_serve_degradation_level")
         assert gauge is not None
+
+        # The overload is over: a trickle of lone requests (backlog 1
+        # while running, 0 when done) relaxes one step per completion.
+        for _ in range(peak_level + 1):
+            server.submit_wait(fft_input_pool[:4], timeout=60.0)
+        assert server.controller.level == 0
+        assert all(
+            s.system.tuner.threshold == pytest.approx(baseline_threshold)
+            for s in server.shards
+        )
+        server.stop()
 
     def test_controller_hysteresis_and_reset(self, fft_prototype):
         shard = fft_prototype.clone_shard()

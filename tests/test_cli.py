@@ -114,7 +114,7 @@ class TestServe:
         args = build_parser().parse_args(["serve", "--app", "fft"])
         assert args.command == "serve"
         assert args.workers == 2
-        assert args.recovery_workers == 1
+        assert not hasattr(args, "recovery_workers")
         assert args.requests == 100
         assert args.batch_requests == 8
         assert args.export == ""
@@ -122,6 +122,13 @@ class TestServe:
     def test_serve_requires_app(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
+
+    @pytest.mark.parametrize("flag", [
+        "--recovery-workers", "--recovery-capacity",
+    ])
+    def test_recovery_pool_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--app", "fft", flag, "1"])
 
     def test_serve_session(self, capsys, tmp_path):
         snapshot = str(tmp_path / "serve.json")

@@ -29,7 +29,7 @@ class TestDetectionRecoveryInvariants:
     def test_detection_fixes_exactly_above_threshold(self, errors, threshold):
         """Detection + merge leaves exactly the below-threshold errors."""
         module = DetectionModule(OraclePredictor(), threshold=threshold)
-        result = module.detect(true_errors=errors)
+        result = module.detect_into(true_errors=errors)
         n = errors.shape[0]
         approx = np.arange(n, dtype=float).reshape(-1, 1)
         exact = approx + errors.reshape(-1, 1)
