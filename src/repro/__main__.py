@@ -548,7 +548,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.summary())
-    return 0 if report.ok else 1
+    return 0 if report.ok and report.compared else 1  # compared nothing: no pass
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.apps.base import Application
 from repro.approx.base import BackendBase, CostProfile
 from repro.errors import ConfigurationError
-from repro.nn.mlp import MLP, Topology
+from repro.nn.mlp import MLP, Topology, add_bias
 from repro.nn.scaler import MinMaxScaler
 from repro.nn.trainer import RPropTrainer, TrainingResult
 
@@ -196,7 +196,7 @@ class NPUBackend(BackendBase):
             else:
                 dst = bufs[layer]
             np.matmul(h, w, out=dst)
-            dst += b
+            add_bias(dst, b)
             h = self.network.activation_for_layer(layer)(dst, out=dst)
         return h
 

@@ -120,9 +120,11 @@ class _TrainingPass:
         self._deltas[-1] *= 2.0 / self._deltas[-1].size
         for layer in range(net.n_layers - 1, -1, -1):
             delta = self._deltas[layer]
-            delta *= net.activation_for_layer(layer).derivative(
-                self._acts[layer], dst=self._scratch[layer]
-            )
+            activation = net.activation_for_layer(layer)
+            if activation.name != "linear":  # times 1 moves no bit
+                delta *= activation.derivative(
+                    self._acts[layer], dst=self._scratch[layer]
+                )
             w_grad, b_grad = into[layer]
             inp = self._acts[layer - 1] if layer else self._x
             np.matmul(inp.T, delta, out=w_grad)
@@ -178,6 +180,14 @@ class RPropTrainer:
     ):
         if max_epochs <= 0:
             raise ConfigurationError("max_epochs must be positive")
+        if patience <= 0:  # else training stops, "converged", after one update
+            raise ConfigurationError("patience must be positive")
+        if not (eta_plus > 1.0 and 0.0 < eta_minus < 1.0):
+            raise ConfigurationError("need eta_plus > 1 and 0 < eta_minus < 1")
+        if not 0.0 < delta_min <= delta_init <= delta_max:
+            raise ConfigurationError(
+                "step sizes must satisfy 0 < delta_min <= delta_init <= delta_max"
+            )
         if not (0.0 <= val_fraction < 1.0):
             raise ConfigurationError("val_fraction must be in [0, 1)")
         self.max_epochs = max_epochs

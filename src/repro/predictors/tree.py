@@ -8,7 +8,10 @@ comparators and a coefficient buffer (Fig. 7(b)).
 The paper limits the depth to 7; that is the default here.  Splits minimize
 the sum of squared errors over a quantile grid of candidate thresholds,
 which keeps fitting fast on the image benchmarks' large sample counts while
-remaining a faithful CART variant.
+remaining a faithful CART variant.  Each column is sorted once per tree: a
+node carries its rows' per-column orders as one index matrix, hands each
+child the parent's orders filtered to its side (the child's own stable
+argsort), and scores all its columns in one pass over that matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +26,17 @@ from repro.errors import ConfigurationError
 from repro.predictors.base import ErrorPredictor
 
 __all__ = ["DecisionTreeErrorPredictor", "TreeNode"]
+
+
+def _first_of_runs(sorted_rows: np.ndarray) -> np.ndarray:
+    """Where each row of a sorted, NaN-last matrix starts a value (NaNs as one)."""
+    first = np.empty(sorted_rows.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(sorted_rows[:, 1:], sorted_rows[:, :-1], out=first[:, 1:])
+    nan = np.flatnonzero(np.isnan(sorted_rows[:, -1]))
+    if nan.size:
+        first[nan, 1:] &= ~np.isnan(sorted_rows[nan, :-1])
+    return first
 
 
 @dataclass
@@ -115,11 +129,18 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
     # ------------------------------------------------------------------ #
     def _fit(self, features: np.ndarray, errors: np.ndarray) -> None:
         self._n_features = features.shape[1]
-        self.root = self._build(features, errors, depth=0)
+        columns = np.ascontiguousarray(features.T)
+        orders = np.argsort(columns, axis=1, kind="stable")
+        self.root = self._build(columns, errors, np.arange(len(errors)), orders, 0)
         self._flat = None
         self._scratch = None  # row_base depends on the column count
 
-    def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
+    def _build(self, columns, errors, rows, orders, depth: int) -> TreeNode:
+        """Grow the subtree over ``rows`` (ascending row indices), whose
+        ``orders[f]`` lists them by ascending ``columns[f]``, ties by row —
+        a stable argsort.  A child keeps the parent's orders filtered to
+        its side, which is its own stable argsort: nothing sorts again."""
+        y = errors[rows]
         node_value = float(y.mean())
         if (
             depth >= self.max_depth
@@ -127,74 +148,77 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
             or np.allclose(y, y[0])
         ):
             return TreeNode(value=node_value)
-        split = self._best_split(x, y)
+        split = self._best_split(columns, errors, y, orders)
         if split is None:
             return TreeNode(value=node_value)
         feature, threshold = split
-        mask = x[:, feature] <= threshold
-        left = self._build(x[mask], y[mask], depth + 1)
-        right = self._build(x[~mask], y[~mask], depth + 1)
+        go_left = columns[feature] <= threshold
+        left, right = (
+            self._build(columns, errors, rows[side[rows]],
+                        orders[side[orders]].reshape(len(orders), -1), depth + 1)
+            for side in (go_left, ~go_left)
+        )
         return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
-    def _best_split(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> Optional[Tuple[int, float]]:
+    def _best_split(self, columns, errors, y, orders) -> Optional[Tuple[int, float]]:
         """Best (feature, threshold) by SSE reduction over a quantile grid.
 
-        For each feature the column is sorted once; every candidate
-        threshold then reduces to a ``searchsorted`` index into the sorted
-        order, and the left/right sums of squares come from prefix sums —
-        O(features × (n log n + thresholds)) instead of the former
-        O(features × thresholds × n) Python double loop.  ``y`` is centred
-        first so the prefix-sum SSE identity stays numerically stable, and
-        candidates are evaluated in the same feature-major, ascending-
-        threshold order as before, with ties broken toward the earliest
-        candidate — training output is deterministic.
-        """
-        n = y.shape[0]
-        y_centred = y - y.mean()
-        base_sse = float(np.sum(y_centred**2))
-        best_gain = 1e-12
-        best: Optional[Tuple[int, float]] = None
-        quantiles = np.linspace(0.0, 1.0, self.n_thresholds + 2)[1:-1]
-        for feature in range(x.shape[1]):
-            col = x[:, feature]
-            order = np.argsort(col, kind="stable")
-            col_sorted = col[order]
-            unique = np.unique(col_sorted)
-            if unique.size <= 4 * self.n_thresholds:
-                # Few distinct values: exact CART midpoints.
-                thresholds = (unique[:-1] + unique[1:]) / 2.0
-            else:
-                thresholds = np.unique(np.quantile(col, quantiles))
-            if thresholds.size == 0:
-                continue
-            y_sorted = y_centred[order]
-            prefix_sum = np.cumsum(y_sorted)
-            prefix_sq = np.cumsum(y_sorted**2)
-            n_left = np.searchsorted(col_sorted, thresholds, side="right")
-            valid = (n_left >= self.min_samples_leaf) & (
-                n - n_left >= self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-            n_left = n_left[valid]
-            sum_left = prefix_sum[n_left - 1]
-            sq_left = prefix_sq[n_left - 1]
-            n_right = n - n_left
-            # SSE about each side's own mean: Σy² - (Σy)²/m, per side.
-            sse = (
-                sq_left
-                - sum_left**2 / n_left
-                + (prefix_sq[-1] - sq_left)
-                - (prefix_sum[-1] - sum_left) ** 2 / n_right
-            )
-            gains = base_sse - sse
-            pick = int(np.argmax(gains))  # first maximum: stable tie-break
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                best = (feature, float(thresholds[valid][pick]))
-        return best
+        All columns at once, from values and centred errors (``y`` is in
+        row order) gathered through the node's ``orders``.  A column of at
+        most ``4 * n_thresholds`` distinct values (NaNs one, as in
+        ``np.unique``) is cut at their midpoints, any other at the distinct
+        cuts of one ``np.quantile(..., axis=1)`` over the sorted rows — a
+        quantile depends only on the values, bar the sign of a zero cut
+        where -0.0 and +0.0 mix, which no ``<=`` sees.  Cuts fill a NaN-padded
+        ``(features, 4 * n_thresholds - 1)`` matrix (NaN sorts past every
+        row: no pad is a valid split); the pick is the first maximum,
+        feature-major, and must gain more than 1e-12."""
+        n_features, n = orders.shape
+        x_sorted = columns[np.arange(n_features)[:, None], orders]
+        n_cuts = 4 * self.n_thresholds
+        first = _first_of_runs(x_sorted)
+        few = first.sum(axis=1) <= n_cuts
+        thresholds = np.full((n_features, n_cuts - 1), np.nan)
+        if few.any():  # few distinct values: exact CART midpoints
+            keep = first[few]
+            slot = keep.cumsum(axis=1)[keep] - 1  # rank among the row's values
+            unique = np.full((keep.shape[0], n_cuts), np.nan)
+            unique[np.nonzero(keep)[0], slot] = x_sorted[few][keep]
+            thresholds[few] = (unique[:, :-1] + unique[:, 1:]) / 2.0
+        if not few.all():
+            grid = np.linspace(0.0, 1.0, self.n_thresholds + 2)[1:-1]
+            cuts = np.quantile(x_sorted[~few].T, grid, axis=0, overwrite_input=True)
+            # Sorted as np.unique sorts; a repeated cut becomes a pad.
+            cuts = np.sort(cuts.T, axis=1)
+            cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.nan
+            thresholds[~few, :self.n_thresholds] = cuts
+
+        n_left = np.array([np.searchsorted(values, cut, side="right")
+                           for values, cut in zip(x_sorted, thresholds)])
+        del x_sorted, first  # before the two prefix-sum matrices exist
+        leaf = self.min_samples_leaf
+        feature, cut = np.nonzero((n_left >= leaf) & (n - n_left >= leaf))
+        if feature.size == 0:
+            return None
+        mean = y.mean()
+        base_sse = float(np.sum((y - mean) ** 2))
+        # Centred first, so the prefix-sum SSE identity stays stable.
+        prefix_sum = errors.take(orders)
+        prefix_sum -= mean
+        prefix_sq = np.square(prefix_sum)
+        np.cumsum(prefix_sq, axis=1, out=prefix_sq)
+        np.cumsum(prefix_sum, axis=1, out=prefix_sum)
+        n_left = n_left[feature, cut]
+        sum_left = prefix_sum[feature, n_left - 1]
+        sq_left = prefix_sq[feature, n_left - 1]
+        # SSE about each side's own mean: Σy² - (Σy)²/m, per side.
+        sse = (sq_left - sum_left**2 / n_left + (prefix_sq[feature, -1] - sq_left)
+               - (prefix_sum[feature, -1] - sum_left) ** 2 / (n - n_left))
+        gains = base_sse - sse
+        pick = int(np.argmax(gains))  # first maximum: stable tie-break
+        if not gains[pick] > 1e-12:
+            return None
+        return int(feature[pick]), float(thresholds[feature[pick], cut[pick]])
 
     # ------------------------------------------------------------------ #
     # Prediction                                                         #

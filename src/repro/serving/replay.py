@@ -100,13 +100,14 @@ class ReplayReport:
         }
 
     def summary(self) -> str:
+        verdict = (f"{len(self.divergences)} DIVERGENCES" if not self.ok
+                   else "OK — no divergence" if self.compared
+                   else "NOTHING VERIFIED — every recorded batch was skipped")
         lines = [
             f"replayed {self.replayed}/{self.batches} recorded batches "
             f"({self.total_records} records, {self.error_records} errors) "
             f"on backend={self.backend}",
-            f"compared {self.compared} batches bit-for-bit: "
-            + ("OK — no divergence"
-               if self.ok else f"{len(self.divergences)} DIVERGENCES"),
+            f"compared {self.compared} batches bit-for-bit: {verdict}",
         ]
         if self.skipped_degraded:
             lines.append(

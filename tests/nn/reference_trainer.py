@@ -2,11 +2,16 @@
 
 Tests only.  This is the trainer as it stood before the training pass
 moved into caller-owned buffers: every epoch runs the allocating
-``forward_trace`` for the gradient and then ``MLP.forward`` again for
-the loss, ``_backprop_gradients`` builds fresh gradient arrays, and each
-layer's weights and biases get their own iRprop- update.  The product
-trainer is pinned to it byte for byte — losses, stopping epoch and the
-final weights.
+``forward_trace`` for the gradient and then again for the loss,
+``_backprop_gradients`` builds fresh gradient arrays, and each layer's
+weights and biases get their own iRprop- update.  The product trainer
+is pinned to it byte for byte — losses, stopping epoch and the final
+weights.
+
+The forward pass is frozen here too — a plain broadcast bias add and
+the sigmoid as ``frozen_sigmoid`` writes it — so a change to
+``MLP.forward`` or to an activation is checked against this, not
+followed by it.
 """
 
 import numpy as np
@@ -16,12 +21,21 @@ from repro.nn.mlp import MLP
 from repro.nn.trainer import RPropTrainer, TrainingResult, _split_validation, mse
 
 
+def frozen_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The sigmoid with both-sided clipping, the formula the trainer shipped with."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
 def forward_trace(net: MLP, x: np.ndarray):
     """``(output, [input, layer 1, ..., output])`` through the allocating path."""
     activations = [np.asarray(x, dtype=float)]
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
         pre = activations[-1] @ w + b
-        activations.append(net.activation_for_layer(layer)(pre))
+        activation = net.activation_for_layer(layer)
+        if activation.name == "sigmoid":
+            activations.append(frozen_sigmoid(pre))
+        else:
+            activations.append(activation(pre))
     return activations[-1], activations
 
 
@@ -87,10 +101,10 @@ def reference_train(
             _rprop_update(trainer, net.weights[i], gw[i], prev_gw[i], deltas_w[i])
             _rprop_update(trainer, net.biases[i], gb[i], prev_gb[i], deltas_b[i])
             prev_gw[i], prev_gb[i] = gw[i], gb[i]
-        loss = mse(net.forward(x_tr), y_tr)
+        loss = mse(forward_trace(net, x_tr)[0], y_tr)
         result.train_losses.append(loss)
         if x_val is not None:
-            val_loss = mse(net.forward(x_val), y_val)
+            val_loss = mse(forward_trace(net, x_val)[0], y_val)
             result.val_losses.append(val_loss)
             monitor = val_loss
         else:

@@ -12,6 +12,7 @@ from repro.nn.activations import (
     Tanh,
     get_activation,
 )
+from tests.nn.reference_trainer import frozen_sigmoid
 
 FINITE = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -44,6 +45,24 @@ class TestSigmoid:
         numeric = (act(arr + h) - act(arr - h)) / (2 * h)
         analytic = act.derivative(act(arr))
         assert numeric[0] == pytest.approx(analytic[0], abs=1e-5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(709+)
+    def test_both_paths_equal_the_frozen_formula_bit_for_bit(self):
+        """The allocating and in-place sigmoids against the trainer
+        oracle's formula, compared as raw bits: at and around the clip
+        points, at the ends of the float range, on NaN, and on random
+        bit patterns."""
+        edges = np.array([60.0, -60.0, np.inf, -np.inf, np.nan, -np.nan,
+                          1e308, -1e308, 0.0, -0.0, 745.0, -745.0, 709.8])
+        x = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            np.random.default_rng(0).integers(
+                0, 2**64, size=20000, dtype=np.uint64).view(np.float64),
+        ])
+        want = frozen_sigmoid(x).view(np.uint64)
+        assert np.array_equal(Sigmoid()(x).view(np.uint64), want)
+        out = np.empty_like(x)
+        assert np.array_equal(Sigmoid()(x, out=out).view(np.uint64), want)
 
 
 class TestTanh:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn.mlp import MLP, Topology
+from repro.nn.mlp import MLP, Topology, add_bias
 from tests.nn.reference_trainer import forward_trace
 
 
@@ -172,3 +172,30 @@ class TestForwardOutBuffers:
                 atol=1e-12,
                 rtol=0,
             )
+
+
+class TestAddBias:
+    """The row-folded bias add is the broadcast add, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2000, 4000, 4096])
+    @pytest.mark.parametrize("w", [1, 2, 3, 8, 32])
+    def test_equals_broadcast_add(self, n, w, rng):
+        h = rng.normal(size=(n, w)) * 1e3
+        b = rng.normal(size=w)
+        want = h + b
+        add_bias(h, b)
+        assert h.tobytes() == want.tobytes()
+
+    def test_strided_layer(self, rng):
+        base = rng.normal(size=(4096, 16))
+        h = base[:, ::2]
+        b = rng.normal(size=8)
+        want = h + b
+        add_bias(h, b)
+        assert h.tobytes() == want.tobytes()
+        assert np.shares_memory(h, base)
+
+    def test_forward_equals_the_broadcast_forward(self, rng):
+        net = MLP("18->32->2->2", rng=rng)
+        x = rng.normal(size=(4000, 18))
+        assert net.forward(x).tobytes() == forward_trace(net, x)[0].tobytes()

@@ -84,6 +84,42 @@ class TestRPropTrainer:
         with pytest.raises(ConfigurationError):
             RPropTrainer(val_fraction=1.0)
 
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_must_be_positive(self, patience):
+        # Before: stall >= patience held after epoch 0, and a single
+        # update came back as converged=True.
+        with pytest.raises(ConfigurationError, match="patience"):
+            RPropTrainer(patience=patience)
+
+    @pytest.mark.parametrize("eta_plus", [1.0, 0.9, float("nan")])
+    def test_eta_plus_must_exceed_one(self, eta_plus):
+        with pytest.raises(ConfigurationError, match="eta_plus"):
+            RPropTrainer(eta_plus=eta_plus)
+
+    @pytest.mark.parametrize("eta_minus", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_eta_minus_must_be_in_the_open_unit_interval(self, eta_minus):
+        with pytest.raises(ConfigurationError, match="eta_minus"):
+            RPropTrainer(eta_minus=eta_minus)
+
+    @pytest.mark.parametrize("delta_min", [0.0, -1e-8])
+    def test_delta_min_must_be_positive(self, delta_min):
+        with pytest.raises(ConfigurationError, match="delta_min"):
+            RPropTrainer(delta_min=delta_min)
+
+    @pytest.mark.parametrize("steps", [
+        dict(delta_init=1e-9),                 # below delta_min
+        dict(delta_init=6.0),                  # above delta_max
+        dict(delta_max=1e-9),                  # max below min
+        dict(delta_init=0.5, delta_max=0.1),   # init above max
+    ])
+    def test_step_sizes_must_be_ordered(self, steps):
+        with pytest.raises(ConfigurationError, match="delta_init"):
+            RPropTrainer(**steps)
+
+    def test_boundary_settings_are_accepted(self):
+        RPropTrainer(patience=1, eta_plus=1.0001, eta_minus=0.9999,
+                     delta_min=0.01, delta_init=0.01, delta_max=0.01)
+
     def test_multi_output(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 1, size=(150, 2))

@@ -12,10 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import APPLICATION_NAMES
+from repro.apps.registry import get_application
 from repro.core import prepare_system
+from repro.approx.ensemble import EnsembleSpec
+from repro.core.offline import prepare_backend, prepare_ensemble
 from repro.errors import ConfigurationError, NotFittedError
+from repro.predictors.training import train_predictor
 from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
-from tests.predictors.reference_tree import predictor_for, walk_scores
+from tests.predictors.reference_tree import (
+    predictor_for,
+    reference_fit,
+    walk_scores,
+)
 
 
 class TestTreeNode:
@@ -132,6 +140,13 @@ class TestDecisionTree:
         assert deeper_sse <= shallow_sse + 1e-9
 
 
+def _root_split(tree, x, y):
+    """``tree._best_split`` at the root of a fit on ``(x, y)``."""
+    columns = np.ascontiguousarray(x.T)
+    orders = np.argsort(columns, axis=1, kind="stable")
+    return tree._best_split(columns, y, y, orders)
+
+
 class TestVectorizedSplit:
     """The prefix-sum split search must stay deterministic and agree with
     the direct per-threshold SSE computation."""
@@ -172,7 +187,7 @@ class TestVectorizedSplit:
                 scale=0.05, size=300
             )
             tree = DecisionTreeErrorPredictor(max_depth=3)
-            got = tree._best_split(x, y)
+            got = _root_split(tree, x, y)
             want = self._brute_force_best(tree, x, y)
             assert (got is None) == (want is None)
             if got is not None:
@@ -195,7 +210,7 @@ class TestVectorizedSplit:
         x = np.hstack([x, x])
         y = (x[:, 0] >= 20).astype(float)
         tree = DecisionTreeErrorPredictor(max_depth=1, min_samples_leaf=1)
-        feature, threshold = tree._best_split(x, y)
+        feature, threshold = _root_split(tree, x, y)
         assert feature == 0
         assert threshold == pytest.approx(19.5)
 
@@ -214,9 +229,138 @@ class TestVectorizedSplit:
         x = rng.normal(size=(400, 2))
         y = 1e9 + np.abs(x[:, 0])
         tree = DecisionTreeErrorPredictor(max_depth=3)
-        split = tree._best_split(x, y)
+        split = _root_split(tree, x, y)
         assert split is not None
         assert split[0] == 0
+
+
+# --------------------------------------------------------------------- #
+# The fit against the per-node-sort oracle                              #
+# --------------------------------------------------------------------- #
+def _assert_same_tree(tree, want_root, same_bytes=True):
+    """Equal ``TreeNode`` structure (floats compared with ``==``) and,
+    unless told otherwise, equal ``coefficients()`` bytes."""
+    assert tree.root == want_root
+    if same_bytes:
+        want = predictor_for(want_root, tree._n_features).coefficients()
+        assert (np.asarray(tree.coefficients()).tobytes()
+                == np.asarray(want).tobytes())
+
+
+def _mixes_signed_zeros(x):
+    zero = x == 0
+    negative = np.signbit(x)
+    return bool(np.any((zero & negative).any(0) & (zero & ~negative).any(0)))
+
+
+def _column(kind, n, n_thresholds, rng):
+    """One feature column of the named shape (see ``fitting_cases``)."""
+    if kind == "ties":
+        return rng.integers(-3, 4, size=n).astype(float)
+    if kind == "few":  # at or just past the midpoint path's limit
+        width = 4 * n_thresholds + rng.integers(0, 2)
+        return rng.integers(0, width, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, float(rng.integers(-2, 3)))
+    if kind == "lumpy":  # one heavy value: quantiles repeat it
+        return np.where(rng.random(n) < 0.7, 1.0,
+                        rng.integers(-40, 40, size=n).astype(float))
+    if kind == "signed_zeros":
+        return np.where(rng.random(n) < 0.6, rng.choice([-0.0, 0.0], size=n),
+                        rng.normal(size=n))
+    return rng.normal(size=n)
+
+
+@st.composite
+def fitting_cases(draw):
+    """(x, errors, max_depth, min_samples_leaf, n_thresholds) built to hit
+    every branch of the split search: integer-valued columns and errors
+    (many ties), columns at and past ``4 * n_thresholds`` distinct values
+    (midpoints or quantiles), constant columns, quantile grids that
+    repeat a value, NaN and +-inf cells, row counts on both sides of
+    ``2 * min_samples_leaf``, and columns mixing -0.0 with +0.0.
+    """
+    n_thresholds = draw(st.integers(2, 32))
+    min_samples_leaf = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.integers(1, 24), st.integers(60, 320)))
+    kinds = draw(st.lists(
+        st.sampled_from(
+            ["ties", "few", "constant", "lumpy", "normal", "signed_zeros"]
+        ),
+        min_size=1, max_size=5,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.column_stack([_column(k, n, n_thresholds, rng) for k in kinds])
+    if draw(st.booleans()):
+        cells = rng.random(x.shape) < draw(st.sampled_from([0.02, 0.2]))
+        x[cells] = rng.choice([np.nan, np.inf, -np.inf], size=int(cells.sum()))
+    errors = rng.integers(0, draw(st.integers(2, 6)), size=n).astype(float)
+    if draw(st.booleans()):  # a step the tree can learn
+        column = x[:, rng.integers(x.shape[1])]
+        errors += 4.0 * (column > column[rng.integers(n)])
+    return x, errors, draw(st.integers(1, 9)), min_samples_leaf, n_thresholds
+
+
+class TestFitMatchesPerNodeSort:
+    """Sorting each column once per tree grows the trees the fitter that
+    re-sorted at every node grew (``reference_fit``), node for node and
+    coefficient byte for coefficient byte.
+
+    One exception, in the bytes only: the quantile grid is taken over
+    the sorted column, the oracle's over the column in row order, and
+    where a column holds both -0.0 and +0.0 the two partitions may leave
+    different zeros at a grid position, so an interpolated threshold of
+    zero may carry the other sign — which no ``x <= threshold`` can see.
+    No application's features hold a -0.0.
+    """
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @settings(max_examples=300, deadline=None)
+    @given(fitting_cases())
+    def test_random_data(self, case):
+        x, errors, max_depth, min_samples_leaf, n_thresholds = case
+        tree = DecisionTreeErrorPredictor(
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            n_thresholds=n_thresholds,
+        ).fit(x, errors)
+        want = reference_fit(
+            x, errors, max_depth, min_samples_leaf, n_thresholds,
+        )
+        _assert_same_tree(tree, want, same_bytes=not _mixes_signed_zeros(x))
+
+    @pytest.mark.parametrize("rumba", [True, False], ids=["rumba", "npu"])
+    @pytest.mark.parametrize("name", APPLICATION_NAMES)
+    def test_trained_applications(self, name, rumba):
+        _, data = prepare_backend(
+            get_application(name), use_rumba_topology=rumba, seed=0
+        )
+        tree = train_predictor("treeErrors", data, seed=0)
+        assert tree.depth == 7
+        _assert_same_tree(tree, reference_fit(data.features, data.errors))
+
+    def test_ensemble_members_after_a_retrain(self, fft_app):
+        ensemble = prepare_ensemble(
+            fft_app, EnsembleSpec(router="tree"), seed=0
+        ).clone_shard()
+        learner = ensemble.learner
+        rng = np.random.default_rng(4)
+        pool = np.atleast_2d(ensemble.app.test_inputs(rng))
+        n = learner.retrain_interval * 3
+        rows = pool[rng.choice(pool.shape[0], size=n, replace=False)]
+        learner.observe(
+            rows,
+            np.arange(n) % len(ensemble.members),
+            rng.random(n) * 0.2,
+        )
+        assert learner.retrain_count == 1
+        for idx, member in enumerate(ensemble.members):
+            x_on, y_on = learner._member_online(idx)
+            want = reference_fit(
+                np.vstack([learner.base_features, x_on]),
+                np.concatenate([learner.base_errors[idx], y_on]),
+                max_depth=member.error_predictor.max_depth,
+            )
+            _assert_same_tree(member.error_predictor, want)
 
 
 # --------------------------------------------------------------------- #

@@ -340,3 +340,28 @@ class TestReplayEdges:
             golden_journal, tmp_path, "outputs"
         )
         assert main(["replay", tampered, "--backend", "thread"]) == 1
+
+    def test_cli_fails_when_every_batch_is_skipped(self, golden_journal,
+                                                   tmp_path, capsys):
+        """A journal whose every batch ran degraded (what an unpaced
+        burst deeper than the backpressure watermarks records) compares
+        nothing; before, the CLI said "OK — no divergence" and exited 0."""
+        from repro.__main__ import main
+
+        journal = read_journal(golden_journal)
+        degraded = str(tmp_path / "all-degraded.bin")
+        with RequestJournal(degraded) as writer:
+            writer.write_meta(journal.meta)
+            for record in journal.records:
+                writer.record_request(dict(record.header, degraded=True),
+                                      inputs=record.inputs,
+                                      outputs=record.outputs,
+                                      bits=record.bits)
+        report = replay_journal(degraded, backend="thread")
+        assert report.compared == 0
+        assert report.skipped_degraded == len(journal.batches()) > 0
+        capsys.readouterr()
+        assert main(["replay", degraded, "--backend", "thread"]) == 1
+        printed = capsys.readouterr().out
+        assert "NOTHING VERIFIED" in printed
+        assert "OK" not in printed
