@@ -26,35 +26,21 @@ Quickstart::
     print(record.measured_error, record.costs.energy_savings)
 """
 
-from repro.apps import APPLICATION_NAMES, Application, get_application
-from repro.core import RumbaConfig, RumbaSystem, TunerMode, prepare_system
-from repro.observability import MetricsRegistry, Telemetry
-from repro.errors import (
-    ConfigurationError,
-    NotFittedError,
-    PurityError,
-    ReproError,
-    TrainingError,
-    UnknownApplicationError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "APPLICATION_NAMES",
-    "Application",
-    "get_application",
-    "RumbaSystem",
-    "RumbaConfig",
-    "TunerMode",
-    "prepare_system",
-    "Telemetry",
-    "MetricsRegistry",
-    "ReproError",
-    "ConfigurationError",
-    "TrainingError",
-    "NotFittedError",
-    "PurityError",
-    "UnknownApplicationError",
-]
+# Imported on first use, so ``import repro.errors`` (or the router) does
+# not load the core, the apps and numpy; see ``repro._lazy``.
+_EXPORTS = {
+    "APPLICATION_NAMES": "apps", "Application": "apps",
+    "get_application": "apps",
+    "RumbaSystem": "core", "RumbaConfig": "core", "TunerMode": "core",
+    "prepare_system": "core",
+    "Telemetry": "observability", "MetricsRegistry": "observability",
+    "ReproError": "errors", "ConfigurationError": "errors",
+    "TrainingError": "errors", "NotFittedError": "errors",
+    "PurityError": "errors", "UnknownApplicationError": "errors",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["__version__", *_EXPORTS]

@@ -69,36 +69,24 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from collections import deque
 from typing import List, Optional
 
-import numpy as np
-
-from repro.apps import APPLICATION_NAMES, all_applications
-from repro.apps.workloads import invocation_stream
-from repro.core import RumbaConfig, prepare_system
-from repro.core.purity_survey import survey_purity
-from repro.core.stream import QualityManagedStream
 from repro.errors import OverloadedError, ServingError
-from repro.eval.experiments import headline_summary
-from repro.eval.report import generate_report
-from repro.eval.reporting import format_table
-from repro.observability import (
-    FlightRecorder,
-    MetricsRegistry,
-    Telemetry,
-    render_dashboard,
-    write_snapshot,
-)
-from repro.observability.dashboard import clear_screen_prefix
-from repro.predictors.training import SCHEME_NAMES
+from repro.tables import format_table
 
 __all__ = ["main"]
 
 
+# Each command imports what it runs, so a router (``cluster --attach``)
+# never loads numpy or the core, and a node (``serve``) not the
+# evaluation, dashboard or cluster modules.
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.apps import all_applications
+
     rows = [
         [app.name, app.domain, str(app.rumba_topology), str(app.npu_topology),
          app.metric_name]
@@ -111,7 +99,21 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _export(path: str, registry) -> None:
+    """Write ``registry``'s snapshot to ``path`` (a no-op when empty)."""
+    if path:
+        from repro.observability.export import write_snapshot
+
+        fmt = write_snapshot(path, registry)
+        print(f"wrote {fmt} telemetry snapshot to {path}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.core import RumbaConfig, prepare_system
+    from repro.observability import MetricsRegistry, Telemetry
+
     print(f"Preparing {args.app} with the {args.scheme} checker...")
     config = RumbaConfig(scheme=args.scheme, target_output_quality=args.quality)
     system = prepare_system(args.app, scheme=args.scheme, config=config,
@@ -135,13 +137,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ["speedup", f"{record.costs.speedup:.2f}x"],
     ]
     print(format_table(["quantity", "value"], rows))
-    if registry is not None:
-        fmt = write_snapshot(args.telemetry, registry)
-        print(f"wrote {fmt} telemetry snapshot to {args.telemetry}")
+    _export(args.telemetry, registry)
     return 0
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
+    from repro.apps.workloads import invocation_stream
+    from repro.core import prepare_system
+    from repro.core.stream import QualityManagedStream
+    from repro.observability import FlightRecorder, MetricsRegistry, Telemetry
+    from repro.observability.dashboard import (
+        clear_screen_prefix, render_dashboard,
+    )
+
     print(f"Preparing {args.app} with the {args.scheme} checker...")
     system = prepare_system(args.app, scheme=args.scheme, seed=args.seed)
     registry = MetricsRegistry()
@@ -164,9 +172,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         recorder.close()
         print(f"wrote {recorder.written} flight records to {args.trace} "
               f"(browse: python -m repro trace --log {args.trace})")
-    if args.export:
-        fmt = write_snapshot(args.export, registry)
-        print(f"wrote {fmt} telemetry snapshot to {args.export}")
+    _export(args.export, registry)
     return 0
 
 
@@ -261,7 +267,7 @@ def _serve_until_stopped(start, args: argparse.Namespace) -> None:
 
 def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
     """``serve --listen``: expose the server over TCP until stopped."""
-    from repro.serving import NetServer, parse_address
+    from repro.serving.net import NetServer, parse_address
 
     host, port = parse_address(args.listen)
     net = NetServer(server, host, port, node_id=args.node_id or None)
@@ -272,9 +278,7 @@ def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
         )
     finally:
         net.stop()
-    if args.export:
-        fmt = write_snapshot(args.export, server.registry)
-        print(f"wrote {fmt} telemetry snapshot to {args.export}")
+    _export(args.export, server.registry)
     return 0
 
 
@@ -334,7 +338,9 @@ class _Session:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import RumbaServer
+    import numpy as np
+
+    from repro.serving.server import RumbaServer
 
     config = _serve_config(args)
     chaos = config.chaos
@@ -414,9 +420,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["worker", "batches", "elements", "threshold", "drifted", "restarts"],
         worker_rows,
     ))
-    if args.export:
-        fmt = write_snapshot(args.export, server.registry)
-        print(f"wrote {fmt} telemetry snapshot to {args.export}")
+    _export(args.export, server.registry)
     if args.flight_log:
         print(f"wrote {tracing.get('flight_records', 0)} flight records "
               f"to {args.flight_log} (browse: python -m repro trace "
@@ -482,6 +486,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_client(args: argparse.Namespace) -> int:
     import json
+
+    import numpy as np
 
     from repro.serving import connect
 
@@ -603,6 +609,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
+    from repro.apps import APPLICATION_NAMES
+    from repro.eval.experiments import headline_summary
+
     apps = args.apps.split(",") if args.apps else list(APPLICATION_NAMES)
     print(f"Computing headline summary over {', '.join(apps)} ...")
     summary = headline_summary(benchmarks=apps, seed=args.seed)
@@ -627,6 +636,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(_args: argparse.Namespace) -> int:
+    from repro.core.purity_survey import survey_purity
+
     survey = survey_purity()
     print(format_table(
         ["Pattern", "Category", "Re-executable?"], survey.rows(),
@@ -638,6 +649,8 @@ def _cmd_survey(_args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.eval.report import generate_report
+
     apps = args.apps.split(",") if args.apps else None
     kwargs = {"seed": args.seed}
     if apps:
@@ -656,6 +669,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Names:
+    """``choices`` read from ``module.attr`` on the first membership
+    test, so building the parser imports neither the apps nor the
+    predictors; the owning module stays the one list of names."""
+
+    def __init__(self, module: str, attr: str):
+        self.module, self.attr = module, attr
+
+    def __contains__(self, name) -> bool:
+        return name in iter(self)
+
+    def __iter__(self):  # argparse lists the names on a bad choice
+        return iter(getattr(importlib.import_module(self.module), self.attr))
+
+
+def _add_app_scheme(parser, app_default: Optional[str] = None) -> None:
+    # No help= text: argparse would list the choices, importing them.
+    parser.add_argument(
+        "--app", default=app_default, required=app_default is None,
+        metavar="APP",
+        choices=_Names("repro.apps.registry", "APPLICATION_NAMES"),
+    )
+    parser.add_argument(
+        "--scheme", default="treeErrors", metavar="SCHEME",
+        choices=_Names("repro.predictors.training", "SCHEME_NAMES"),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -666,8 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="show the Table 1 benchmark suite")
 
     run = sub.add_parser("run", help="run one benchmark end to end")
-    run.add_argument("--app", required=True, choices=APPLICATION_NAMES)
-    run.add_argument("--scheme", default="treeErrors", choices=SCHEME_NAMES)
+    _add_app_scheme(run)
     run.add_argument("--elements", type=int, default=10000)
     run.add_argument("--quality", type=float, default=0.90,
                      help="target output quality (TOQ mode)")
@@ -679,9 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor = sub.add_parser(
         "monitor", help="stream with live telemetry dashboard"
     )
-    monitor.add_argument("--app", required=True, choices=APPLICATION_NAMES)
-    monitor.add_argument("--scheme", default="treeErrors",
-                         choices=SCHEME_NAMES)
+    _add_app_scheme(monitor)
     monitor.add_argument("--invocations", type=int, default=20)
     monitor.add_argument("--elements", type=int, default=2000,
                          help="elements per invocation")
@@ -699,8 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the batched quality-managed serving layer"
     )
-    serve.add_argument("--app", required=True, choices=APPLICATION_NAMES)
-    serve.add_argument("--scheme", default="treeErrors", choices=SCHEME_NAMES)
+    _add_app_scheme(serve)
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--backend", default="thread",
                        choices=("thread", "process"),
@@ -802,9 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser(
         "cluster", help="route traffic across a fleet of serving nodes"
     )
-    cluster.add_argument("--app", default="fft", choices=APPLICATION_NAMES)
-    cluster.add_argument("--scheme", default="treeErrors",
-                         choices=SCHEME_NAMES)
+    _add_app_scheme(cluster, app_default="fft")
     cluster.add_argument("--nodes", type=int, default=2,
                          help="spawn this many local node processes "
                               "(ignored with --attach)")

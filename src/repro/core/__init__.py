@@ -1,6 +1,8 @@
 """Rumba core: detection, recovery, online tuning, the pipelined execution
 model, the detector-placement trade-off and the end-to-end runtime."""
 
+from repro._lazy import lazy_exports
+
 from repro.core.config import RumbaConfig, TunerMode
 from repro.core.costs import AppCosts, CostModel, OffloadOverhead
 from repro.core.detection import DetectionModule, DetectionResult
@@ -18,16 +20,17 @@ from repro.core.recovery import (
     merge_outputs,
     verify_purity,
 )
-from repro.core.purity_survey import (
-    PATTERN_CATALOG,
-    KernelPattern,
-    PuritySurvey,
-    survey_purity,
-)
 from repro.core.runtime import InvocationRecord, PendingInvocation, RumbaSystem
 from repro.core.sampling_monitor import QualitySamplingMonitor, SamplingReport
 from repro.core.stream import DriftDetector, QualityManagedStream, StreamStatus
 from repro.core.tuner import InvocationFeedback, OnlineTuner
+
+# The Sec. 2.2 survey is a CLI command, imported on first use.
+_EXPORTS = {
+    "KernelPattern": "purity_survey", "PATTERN_CATALOG": "purity_survey",
+    "PuritySurvey": "purity_survey", "survey_purity": "purity_survey",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "RumbaConfig",

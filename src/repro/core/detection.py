@@ -79,14 +79,11 @@ class DetectionModule:
         features: Optional[np.ndarray] = None,
         approx_outputs: Optional[np.ndarray] = None,
         true_errors: Optional[np.ndarray] = None,
-        bits_out: Optional[np.ndarray] = None,
     ) -> DetectionResult:
         """Score one invocation's elements and set recovery bits.
 
         A bit is set when the score exceeds the threshold or is
-        non-finite.  The bits land in ``bits_out`` when the caller owns a
-        boolean buffer for them (no per-invocation allocation), in a
-        fresh vector otherwise.
+        non-finite.
         """
         scores = np.asarray(
             self.predictor.scores(
@@ -97,15 +94,7 @@ class DetectionModule:
             dtype=float,
         ).ravel()
         n = scores.shape[0]
-        if bits_out is None:
-            bits = np.empty(n, dtype=bool)
-        else:
-            if bits_out.shape != (n,) or bits_out.dtype != np.bool_:
-                raise ConfigurationError(
-                    f"bits_out must be a bool vector of shape ({n},)"
-                )
-            bits = bits_out
-        np.greater(scores, self.threshold, out=bits)
+        bits = np.greater(scores, self.threshold)
         # A non-finite score means the accelerator (or the checker datapath)
         # produced garbage for that element; a hardware checker's sanity
         # logic fires unconditionally on such values, and so do we.

@@ -7,11 +7,10 @@ output consistent across all bench files and the report.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.tables import _cell, format_table
 
 __all__ = ["format_table", "format_series", "format_percent", "banner"]
 
@@ -25,37 +24,6 @@ def banner(title: str, width: int = 78) -> str:
 def format_percent(value: float, digits: int = 1) -> str:
     """Render a fraction as a percentage string."""
     return f"{value * 100:.{digits}f}%"
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: Optional[str] = None,
-) -> str:
-    """Fixed-width text table."""
-    if not headers:
-        raise ConfigurationError("table needs headers")
-    str_rows: List[List[str]] = [[_cell(c) for c in row] for row in rows]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ConfigurationError(
-                f"row width {len(row)} does not match {len(headers)} headers"
-            )
-    widths = [
-        max(len(str(headers[i])), *(len(r[i]) for r in str_rows))
-        if str_rows
-        else len(str(headers[i]))
-        for i in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    header_line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    lines.append(header_line)
-    lines.append("-" * len(header_line))
-    for row in str_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -86,9 +54,3 @@ def format_series(
         row.extend(fmt.format(float(series[name][i])) for name in series)
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return f"{value:.3f}"
-    return str(value)

@@ -15,7 +15,7 @@ from repro.nn.activations import (
 )
 from repro.nn.mlp import MLP, Topology
 from repro.nn.scaler import MinMaxScaler, StandardScaler
-from repro.nn.trainer import RPropTrainer, TrainingResult, mse
+from repro.nn.trainer import RPropTrainer, TrainingResult
 
 __all__ = [
     "Activation",
@@ -30,5 +30,4 @@ __all__ = [
     "StandardScaler",
     "RPropTrainer",
     "TrainingResult",
-    "mse",
 ]

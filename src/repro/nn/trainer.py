@@ -23,18 +23,7 @@ import numpy as np
 from repro.errors import ConfigurationError, TrainingError
 from repro.nn.mlp import MLP
 
-__all__ = ["TrainingResult", "RPropTrainer", "mse"]
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error between two equally-shaped arrays."""
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ConfigurationError(
-            f"shape mismatch in mse: {pred.shape} vs {target.shape}"
-        )
-    return float(np.mean((pred - target) ** 2))
+__all__ = ["TrainingResult", "RPropTrainer"]
 
 
 @dataclass

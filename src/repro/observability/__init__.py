@@ -27,64 +27,23 @@ operator must watch in production.  This package makes them first-class:
 The metric catalog is documented in ``docs/observability.md``.
 """
 
-from repro.observability.dashboard import render_dashboard
-from repro.observability.export import (
-    json_snapshot,
-    prometheus_text,
-    write_snapshot,
-)
-from repro.observability.flightlog import (
-    FlightRecorder,
-    aggregate_stages,
-    format_record_line,
-    format_waterfall,
-    iter_flight_records,
-    read_flight_log,
-)
-from repro.observability.instrument import (
-    Telemetry,
-    ambient_telemetry_registry,
-    disable_ambient_telemetry,
-    enable_ambient_telemetry,
-)
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_default_registry,
-    set_default_registry,
-)
-from repro.observability.reqtrace import (
-    STAGES,
-    RequestTrace,
-    TracingPolicy,
-    new_trace_id,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_default_registry",
-    "set_default_registry",
-    "Telemetry",
-    "enable_ambient_telemetry",
-    "disable_ambient_telemetry",
-    "ambient_telemetry_registry",
-    "prometheus_text",
-    "json_snapshot",
-    "write_snapshot",
-    "render_dashboard",
-    "RequestTrace",
-    "TracingPolicy",
-    "STAGES",
-    "new_trace_id",
-    "FlightRecorder",
-    "read_flight_log",
-    "iter_flight_records",
-    "aggregate_stages",
-    "format_record_line",
-    "format_waterfall",
-]
+_EXPORTS = {
+    "Counter": "metrics", "Gauge": "metrics", "Histogram": "metrics",
+    "MetricsRegistry": "metrics", "get_default_registry": "metrics",
+    "set_default_registry": "metrics",
+    "Telemetry": "instrument", "enable_ambient_telemetry": "instrument",
+    "disable_ambient_telemetry": "instrument",
+    "ambient_telemetry_registry": "instrument",
+    "prometheus_text": "export", "json_snapshot": "export",
+    "write_snapshot": "export",
+    "render_dashboard": "dashboard",
+    "RequestTrace": "reqtrace", "TracingPolicy": "reqtrace",
+    "STAGES": "reqtrace", "new_trace_id": "reqtrace",
+    "FlightRecorder": "flightlog", "read_flight_log": "flightlog",
+    "iter_flight_records": "flightlog", "aggregate_stages": "flightlog",
+    "format_record_line": "flightlog", "format_waterfall": "flightlog",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

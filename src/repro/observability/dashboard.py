@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.eval.ascii_plots import bar_chart, line_chart, sparkline
-from repro.eval.reporting import format_table
 from repro.observability.instrument import PHASES, Telemetry
+from repro.tables import format_table
 
 __all__ = ["render_dashboard", "clear_screen_prefix"]
 

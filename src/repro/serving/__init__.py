@@ -65,77 +65,38 @@ See ``docs/serving.md`` for the architecture and ``python -m repro
 serve`` / ``python -m repro client`` for the command-line entry points.
 """
 
+from __future__ import annotations
+
 from typing import Optional
 
-from repro.serving.backpressure import BackpressureController
-from repro.serving.batching import AdmissionQueue, concat_inputs, split_outputs
-from repro.serving.cluster import (
-    ClusterRouter,
-    NodeFleet,
-    NodeManager,
-    spawn_local_fleet,
-)
-from repro.serving.config import (
-    BackpressureConfig,
-    BatchingConfig,
-    ClusterConfig,
-    EnsembleConfig,
-    JournalConfig,
-    RetryConfig,
-    ServerConfig,
-    TracingConfig,
-)
-from repro.serving.faults import ChaosConfig, ChaosMonkey, InjectedFault
-from repro.serving.journal import RequestJournal, iter_journal, read_journal
-from repro.serving.net import NetServer, RumbaClient, parse_address
-from repro.serving.procpool import ProcessWorker, ProcessWorkerPool
-from repro.serving.replay import Divergence, ReplayReport, replay_journal
-from repro.serving.request import ServeHandle, ServeRequest, ServeResult
-from repro.serving.server import RumbaServer, WorkerShard
-from repro.serving.shm import ShmFrame, ShmRing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "BackpressureConfig",
-    "BackpressureController",
-    "BatchingConfig",
-    "ChaosConfig",
-    "ChaosMonkey",
-    "ClusterConfig",
-    "EnsembleConfig",
-    "ClusterRouter",
-    "Divergence",
-    "InjectedFault",
-    "JournalConfig",
-    "NetServer",
-    "NodeFleet",
-    "NodeManager",
-    "ProcessWorker",
-    "ProcessWorkerPool",
-    "ReplayReport",
-    "RequestJournal",
-    "RetryConfig",
-    "RumbaClient",
-    "RumbaServer",
-    "ServeHandle",
-    "ServeRequest",
-    "ServeResult",
-    "ServerConfig",
-    "ShmFrame",
-    "ShmRing",
-    "TracingConfig",
-    "WorkerShard",
-    "concat_inputs",
-    "connect",
-    "iter_journal",
-    "parse_address",
-    "read_journal",
-    "replay_journal",
-    "serve",
-    "serve_cluster",
-    "spawn_local_fleet",
-    "split_outputs",
-]
+# Imported on first use: a router process never loads the core or numpy.
+_EXPORTS = {
+    "BackpressureController": "backpressure",
+    "AdmissionQueue": "batching", "concat_inputs": "batching",
+    "split_outputs": "batching",
+    "ClusterRouter": "cluster", "NodeFleet": "cluster",
+    "NodeManager": "cluster", "spawn_local_fleet": "cluster",
+    "BackpressureConfig": "config", "BatchingConfig": "config",
+    "ClusterConfig": "config", "EnsembleConfig": "config",
+    "JournalConfig": "config", "RetryConfig": "config",
+    "ServerConfig": "config", "TracingConfig": "config",
+    "ChaosConfig": "faults", "ChaosMonkey": "faults",
+    "InjectedFault": "faults",
+    "RequestJournal": "journal", "iter_journal": "journal",
+    "read_journal": "journal",
+    "NetServer": "net", "RumbaClient": "net", "parse_address": "net",
+    "ProcessWorker": "procpool", "ProcessWorkerPool": "procpool",
+    "Divergence": "replay", "ReplayReport": "replay",
+    "replay_journal": "replay",
+    "ServeHandle": "request", "ServeRequest": "request",
+    "ServeResult": "request",
+    "RumbaServer": "server", "WorkerShard": "server",
+    "ShmFrame": "shm", "ShmRing": "shm",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS, "connect", "serve", "serve_cluster"]
 
 
 def serve(
@@ -161,6 +122,9 @@ def serve(
     is returned with ``.stop()`` — the net front-end stops the server it
     started.
     """
+    from repro.serving.net import NetServer, parse_address
+    from repro.serving.server import RumbaServer
+
     server = RumbaServer(
         app=app,
         scheme=scheme,
@@ -194,6 +158,9 @@ def serve_cluster(
     then returns the started router — talk to it with :func:`connect`.
     """
     from repro.errors import NoHealthyNodesError
+    from repro.serving.cluster import ClusterRouter
+    from repro.serving.config import ClusterConfig
+    from repro.serving.net import parse_address
 
     base = config or ClusterConfig()
     router = ClusterRouter(
@@ -218,5 +185,7 @@ def connect(address, **kwargs) -> RumbaClient:
     returned.  Extra keyword arguments go to the client constructor
     (``timeout_s``, ``max_frame_bytes``).
     """
+    from repro.serving.net import RumbaClient, parse_address
+
     host, port = parse_address(address)
     return RumbaClient(host, port, **kwargs)

@@ -24,23 +24,13 @@ Quick start::
 or on the command line: ``python -m repro cluster --app fft --nodes 2``.
 """
 
-from repro.serving.cluster.nodes import Node, NodeLink, NodeManager
-from repro.serving.cluster.router import ClusterRouter
-from repro.serving.cluster.spawn import (
-    NodeFleet,
-    NodeHandle,
-    spawn_local_fleet,
-)
-from repro.serving.cluster.stats import aggregate_fleet_stats, merge_stats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterRouter",
-    "Node",
-    "NodeLink",
-    "NodeManager",
-    "NodeFleet",
-    "NodeHandle",
-    "spawn_local_fleet",
-    "aggregate_fleet_stats",
-    "merge_stats",
-]
+_EXPORTS = {
+    "ClusterRouter": "router",
+    "Node": "nodes", "NodeLink": "nodes", "NodeManager": "nodes",
+    "NodeFleet": "spawn", "NodeHandle": "spawn", "spawn_local_fleet": "spawn",
+    "aggregate_fleet_stats": "stats", "merge_stats": "stats",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

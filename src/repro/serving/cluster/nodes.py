@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConnectionLostError, ProtocolError, ServingError
 from repro.serving.net import protocol as wire
-from repro.serving.net.client import _negotiate_version, _read_welcome
 
 __all__ = ["Node", "NodeLink", "NodeManager"]
 
@@ -77,9 +76,9 @@ class NodeLink:
         buffer = wire.FrameBuffer()
         try:
             self.welcome = await asyncio.wait_for(
-                _read_welcome(reader, buffer), timeout=timeout
+                wire._read_welcome(reader, buffer), timeout=timeout
             )
-            self.version = _negotiate_version(self.welcome)
+            self.version = wire._negotiate_version(self.welcome)
         except BaseException:
             self._stream.close()
             raise

@@ -30,7 +30,7 @@ from repro.errors import ServingError
 
 __all__ = ["NodeHandle", "NodeFleet", "spawn_local_fleet"]
 
-_PORT_POLL_S = 0.05
+_PORT_POLL_S = 0.005
 
 
 class NodeHandle:
@@ -52,7 +52,12 @@ class NodeHandle:
         return self.process.poll() is None
 
     def wait_for_address(self, timeout: float = 60.0) -> str:
-        """Block until the node wrote its bound ``host:port``."""
+        """Block until the node wrote its bound ``host:port`` line.
+
+        Only a line ending in the newline the writer always appends is
+        taken: a read that lands between the truncating open and the
+        write would otherwise return a cut-off address.
+        """
         if self.address:
             return self.address
         deadline = time.monotonic() + timeout
@@ -65,12 +70,12 @@ class NodeHandle:
                 )
             try:
                 with open(self.port_file) as handle:
-                    text = handle.read().strip()
+                    text = handle.read()
             except OSError:
                 text = ""
-            if text:
-                self.address = text
-                return text
+            if text.endswith("\n") and text.strip():
+                self.address = text.strip()
+                return self.address
             time.sleep(_PORT_POLL_S)
         raise ServingError(
             f"node {self.index} did not bind within {timeout:.0f}s"

@@ -22,24 +22,13 @@ Most callers should go through the facade instead of this package::
         result = client.submit_wait(inputs, deadline_s=5.0)
 """
 
-from repro.serving.net.client import (
-    NetHandle,
-    NetResult,
-    RumbaClient,
-)
-from repro.serving.net.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    parse_address,
-)
-from repro.serving.net.server import NetServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NetHandle",
-    "NetResult",
-    "NetServer",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RumbaClient",
-    "parse_address",
-]
+_EXPORTS = {
+    "NetHandle": "client", "NetResult": "client", "RumbaClient": "client",
+    "NetServer": "server",
+    "PROTOCOL_VERSION": "protocol", "ProtocolError": "protocol",
+    "parse_address": "protocol",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

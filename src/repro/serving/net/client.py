@@ -4,8 +4,8 @@
 many in-flight requests (request-id multiplexing); a background reader
 thread demultiplexes responses into per-request :class:`NetHandle`
 futures.  (The asyncio side of the wire is the router's
-:class:`~repro.serving.cluster.nodes.NodeLink`, which shares the WELCOME
-and version-negotiation helpers here.)
+:class:`~repro.serving.cluster.nodes.NodeLink`; both use the WELCOME
+and version-negotiation helpers in :mod:`~repro.serving.net.protocol`.)
 
 It maps ERROR frames back to the typed exception hierarchy
 (:class:`~repro.errors.OverloadedError`,
@@ -107,22 +107,6 @@ def _settle(frame: wire.Frame, set_result, set_exception) -> None:
         set_exception(exc)
 
 
-def _welcome_document(frame: wire.Frame) -> dict:
-    if frame.frame_type != wire.FT_WELCOME:
-        raise ProtocolError(f"expected a WELCOME frame, got {frame.type_name}")
-    return wire.unpack_json(frame.body)
-
-
-async def _read_welcome(reader, buffer: wire.FrameBuffer) -> dict:
-    """The WELCOME document that opens every connection (asyncio side)."""
-    while True:
-        data = await reader.read(wire.READ_BYTES)
-        if not data:
-            raise ConnectionError("peer closed before its WELCOME")
-        for frame in buffer.feed(data):
-            return _welcome_document(frame)
-
-
 def _adopt_welcome(client, doc: dict) -> None:
     """Publish a WELCOME's metadata on the client."""
     client.welcome = doc
@@ -134,24 +118,7 @@ def _adopt_welcome(client, doc: dict) -> None:
     client.server_max_frame_bytes = int(
         doc.get("max_frame_bytes", wire.DEFAULT_MAX_FRAME_BYTES)
     )
-    client._wire_version = _negotiate_version(doc)
-
-
-def _negotiate_version(welcome: dict) -> int:
-    """Pick the wire version to speak from a WELCOME document.
-
-    The server advertises its newest (``protocol``) and oldest
-    (``min_protocol``, absent on v1 servers) generations; the client
-    speaks the newest both sides understand and only refuses servers
-    that predate the protocol entirely.
-    """
-    server_version = int(welcome.get("protocol", 0))
-    if server_version < wire.MIN_SUPPORTED_VERSION:
-        raise ProtocolError(
-            f"server speaks protocol {server_version}, this client "
-            f"needs at least {wire.MIN_SUPPORTED_VERSION}"
-        )
-    return min(server_version, wire.PROTOCOL_VERSION)
+    client._wire_version = wire._negotiate_version(doc)
 
 
 class RumbaClient:
@@ -223,7 +190,7 @@ class RumbaClient:
         buffer = wire.FrameBuffer(self.max_frame_bytes)
         try:
             _adopt_welcome(
-                self, _welcome_document(self._recv_frame(sock, buffer))
+                self, wire._welcome_document(self._recv_frame(sock, buffer))
             )
         except BaseException:
             sock.close()

@@ -46,8 +46,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import (
     ConfigurationError,
     OverloadedError,
@@ -372,7 +370,19 @@ class FrameWriter:
 # --------------------------------------------------------------------- #
 # Bodies                                                                #
 # --------------------------------------------------------------------- #
+#: numpy, bound by the first matrix coded: a router relays bodies
+#: undecoded and never loads it.
+np = None
+
+
+def _numpy() -> None:
+    global np
+    import numpy as np
+
+
 def _matrix_bytes(matrix: np.ndarray) -> Tuple[bytes, int, int]:
+    if np is None:
+        _numpy()
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
     if matrix.ndim != 2:
         raise ConfigurationError("wire payloads must be 2-D float64 blocks")
@@ -380,6 +390,8 @@ def _matrix_bytes(matrix: np.ndarray) -> Tuple[bytes, int, int]:
 
 
 def _copy_matrix(body, n_rows: int, n_cols: int, end: int) -> np.ndarray:
+    if np is None:
+        _numpy()
     return np.frombuffer(
         body, dtype=np.float64, count=n_rows * n_cols,
         offset=end - n_rows * n_cols * 8,
@@ -652,6 +664,34 @@ def unpack_json(body: bytes) -> Dict[str, object]:
     if not isinstance(document, dict):
         raise ProtocolError("JSON control body must be an object")
     return document
+
+
+def _welcome_document(frame: Frame) -> dict:
+    if frame.frame_type != FT_WELCOME:
+        raise ProtocolError(f"expected a WELCOME frame, got {frame.type_name}")
+    return unpack_json(frame.body)
+
+
+async def _read_welcome(reader, buffer: FrameBuffer) -> dict:
+    """The WELCOME document that opens every connection (asyncio side)."""
+    while True:
+        data = await reader.read(READ_BYTES)
+        if not data:
+            raise ConnectionError("peer closed before its WELCOME")
+        for frame in buffer.feed(data):
+            return _welcome_document(frame)
+
+
+def _negotiate_version(welcome: dict) -> int:
+    """The wire version to speak to a WELCOME's sender: the newest both
+    sides understand; only a server older than the protocol is refused."""
+    server_version = int(welcome.get("protocol", 0))
+    if server_version < MIN_SUPPORTED_VERSION:
+        raise ProtocolError(
+            f"server speaks protocol {server_version}, this client "
+            f"needs at least {MIN_SUPPORTED_VERSION}"
+        )
+    return min(server_version, PROTOCOL_VERSION)
 
 
 # --------------------------------------------------------------------- #

@@ -27,12 +27,14 @@ import time
 import uuid
 from collections import deque
 from functools import partial
-from typing import Callable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError, ServingError
 from repro.observability.reqtrace import STAGE_NET_RECV, STAGE_NET_SEND
 from repro.serving.net import protocol as wire
-from repro.serving.server import RumbaServer
+
+if TYPE_CHECKING:  # the router shares this module and runs no server
+    from repro.serving.server import RumbaServer
 
 __all__ = ["ClientConnection", "FrameListener", "NetServer"]
 

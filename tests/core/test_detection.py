@@ -90,28 +90,7 @@ class TestDetectionModule:
 
 
 class TestDetectInto:
-    """A caller-owned ``bits_out`` buffer receives the same bits a fresh
-    vector would."""
-
-    def test_bits_out_buffer_is_used(self):
-        module = _oracle_module(0.5)
-        errors = np.array([0.1, 0.9, 0.6, 0.2])
-        bits = np.ones(4, dtype=bool)
-        result = module.detect_into(true_errors=errors, bits_out=bits)
-        assert result.recovery_bits is bits
-        np.testing.assert_array_equal(bits, [False, True, True, False])
-
-    def test_bits_out_shape_and_dtype_validated(self):
-        module = _oracle_module(0.5)
-        errors = np.array([0.1, 0.9])
-        with pytest.raises(ConfigurationError, match="bits_out"):
-            module.detect_into(
-                true_errors=errors, bits_out=np.zeros(3, dtype=bool)
-            )
-        with pytest.raises(ConfigurationError, match="bits_out"):
-            module.detect_into(
-                true_errors=errors, bits_out=np.zeros(2, dtype=float)
-            )
+    """Non-finite scores fire whatever the threshold."""
 
     def test_nonfinite_scores_fire_into_buffer(self):
         from repro.predictors.base import ErrorPredictor
@@ -127,8 +106,9 @@ class TestDetectInto:
                 return np.asarray(true_errors, dtype=float)
 
         module = DetectionModule(_Passthrough(), threshold=100.0)
-        bits = np.zeros(4, dtype=bool)
-        module.detect_into(
-            true_errors=np.array([0.1, np.nan, 0.2, np.inf]), bits_out=bits
+        result = module.detect_into(
+            true_errors=np.array([0.1, np.nan, 0.2, np.inf])
         )
-        np.testing.assert_array_equal(bits, [False, True, False, True])
+        np.testing.assert_array_equal(
+            result.recovery_bits, [False, True, False, True]
+        )

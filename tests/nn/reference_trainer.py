@@ -16,9 +16,20 @@ followed by it.
 
 import numpy as np
 
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, TrainingError
 from repro.nn.mlp import MLP
-from repro.nn.trainer import RPropTrainer, TrainingResult, _split_validation, mse
+from repro.nn.trainer import RPropTrainer, TrainingResult, _split_validation
+
+
+def mse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean squared error between two equally-shaped arrays."""
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ConfigurationError(
+            f"shape mismatch in mse: {pred.shape} vs {target.shape}"
+        )
+    return float(np.mean((pred - target) ** 2))
 
 
 def frozen_sigmoid(x: np.ndarray) -> np.ndarray:

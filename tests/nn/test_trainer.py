@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError, TrainingError
 from repro.nn.mlp import MLP
-from repro.nn.trainer import RPropTrainer, _TrainingPass, mse
+from repro.nn.trainer import RPropTrainer, _TrainingPass
+from tests.nn.reference_trainer import mse
 
 
 def _toy_regression(n=200, seed=0):

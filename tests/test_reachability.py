@@ -4,8 +4,9 @@ A module stays only if a *product root* -- the CLI (``repro/__main__.py``),
 the ladder gate (``benchmarks/ladder/*.py``) or a figure/table bench
 (``benchmarks/*.py``; ``_bench_utils.py`` is what every ``bench_*`` imports)
 -- reaches it through real import statements.  ``from repro.pkg import
-Name`` is resolved through the package's ``__init__`` to the module that
-defines ``Name``, so a re-export keeps nothing alive; tests and
+Name`` is resolved through the package's ``__init__`` -- its import
+statements or its literal ``_EXPORTS`` table of lazy re-exports -- to the
+module that defines ``Name``, so a re-export keeps nothing alive; tests and
 ``examples/`` are not roots.
 """
 
@@ -63,7 +64,16 @@ def _resolve(source, name, seen):
         yield source
         return
     for stmt in TREES[source].body:  # look ``name`` up in the __init__
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        if isinstance(stmt, ast.Assign):
+            if any(getattr(t, "id", None) == "_EXPORTS" for t in stmt.targets):
+                table = ast.literal_eval(stmt.value)  # name -> submodule
+                if name in table:
+                    yield from _resolve(f"{source}.{table[name]}", name, seen)
+            # Runs on import, e.g. ``lazy_exports(__name__, _EXPORTS)``.
+            for used in {n.id for n in ast.walk(stmt.value)
+                         if isinstance(n, ast.Name)}:
+                yield from _resolve(source, used, seen)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
             for src, imported, bound in _imports(stmt, source):
                 if bound == name:
                     yield from _resolve(src, imported, seen)
