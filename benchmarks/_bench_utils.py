@@ -1,89 +1,32 @@
-"""Shared helpers for the per-figure benches.
+"""Shared helpers for the benches that drive what the fidelity table cannot.
 
-Each ``bench_*.py`` regenerates one table or figure of the paper: it runs
-the corresponding experiment from :mod:`repro.eval.experiments` and prints
-the same rows/series the paper plots.  Run the whole harness with::
+The paper's figures, tables and ablations are rows of
+:mod:`repro.eval.fidelity`, rendered by ``python -m repro report``.  What
+stays here: the Pareto energy/quality sweep (``bench_pareto_energy_quality``,
+which CI runs), the serving chaos soak (``bench_chaos``) and the cost-model
+validation against the simulators (``bench_model_validation``).  Run one
+directly::
 
-    pytest benchmarks/ --benchmark-only
-
-or any single figure directly::
-
-    python benchmarks/bench_fig10_error_vs_fixed.py
-
-Telemetry opt-in
-----------------
-Set ``RUMBA_BENCH_TELEMETRY`` to a directory and every bench dumps a JSON
-metrics snapshot (``<bench>.telemetry.json``) of all systems it ran next
-to its printed results::
-
-    RUMBA_BENCH_TELEMETRY=/tmp/tel python benchmarks/bench_headline_summary.py
-
-With the variable unset nothing is recorded and the runtime's
-instrumentation stays on its no-op path.  Benches that only post-process
-offline evaluation material (most figure benches) never build an online
-system, so their snapshot is legitimately empty; benches that drive the
-online loop (e.g. ``bench_tuner_modes``) record every invocation.
+    python benchmarks/bench_pareto_energy_quality.py --ensemble-only
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable
 
 from repro.apps.registry import APPLICATION_NAMES
-from repro.observability import (
-    MetricsRegistry,
-    disable_ambient_telemetry,
-    enable_ambient_telemetry,
-    write_snapshot,
-)
 
-__all__ = [
-    "APPLICATION_NAMES",
-    "run_once",
-    "emit",
-    "bench_telemetry",
-    "persist_report",
-]
-
-_TELEMETRY_ENV = "RUMBA_BENCH_TELEMETRY"
-
-
-@contextmanager
-def bench_telemetry(name: str) -> Iterator[Optional[MetricsRegistry]]:
-    """Arm ambient telemetry for one bench when the env opt-in is set.
-
-    Every :class:`~repro.core.RumbaSystem` built inside the block records
-    into a fresh registry (labelled per app/scheme); on exit the snapshot
-    is written to ``$RUMBA_BENCH_TELEMETRY/<name>.telemetry.json``.
-    Yields the registry, or None when the opt-in is off.
-    """
-    directory = os.environ.get(_TELEMETRY_ENV, "")
-    if not directory:
-        yield None
-        return
-    registry = MetricsRegistry()
-    enable_ambient_telemetry(registry)
-    try:
-        yield registry
-    finally:
-        disable_ambient_telemetry()
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{name}.telemetry.json")
-        write_snapshot(path, registry)
-        print(f"[telemetry] wrote {path}")
+__all__ = ["APPLICATION_NAMES", "run_once", "emit", "persist_report"]
 
 
 def run_once(benchmark, fn: Callable, *args, **kwargs):
     """Benchmark ``fn`` with a single round (experiments are deterministic
     and dominated by one-time training, which the eval layer caches)."""
-    with bench_telemetry(getattr(fn, "__name__", "bench")):
-        if benchmark is None:
-            return fn(*args, **kwargs)
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
-                                  iterations=1)
+    if benchmark is None:
+        return fn(*args, **kwargs)
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
+                              iterations=1)
 
 
 def emit(text: str) -> None:

@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.energy import EnergyModel
 from repro.hardware.npu import NPUModel
 from repro.hardware.queues import ConfigQueue
-from repro.observability.instrument import Telemetry, ambient_telemetry_registry
+from repro.observability.instrument import Telemetry
 from repro.observability.reqtrace import (
     STAGE_COMPUTE,
     STAGE_DETECT,
@@ -168,10 +168,8 @@ class RumbaSystem:
         metrics registry.  Default (None) keeps every record, matching the
         experimenters' workflows.
     telemetry:
-        Optional :class:`~repro.observability.Telemetry`.  When omitted
-        and ambient telemetry is armed (see
-        :func:`repro.observability.enable_ambient_telemetry`), one is
-        created automatically against the ambient registry.
+        Optional :class:`~repro.observability.Telemetry`, the reader of
+        every finished invocation record.
     """
 
     def __init__(
@@ -243,12 +241,6 @@ class RumbaSystem:
         # apply_backpressure, which the serving core calls from others.
         self._lock = threading.Lock()
         self.telemetry: Optional[Telemetry] = None
-        if telemetry is None and ambient_telemetry_registry() is not None:
-            telemetry = Telemetry(
-                app=app.name,
-                scheme=predictor.name,
-                registry=ambient_telemetry_registry(),
-            )
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 

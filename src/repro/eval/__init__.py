@@ -17,9 +17,8 @@ from repro.eval.experiments import (
     quality_target_analysis,
 )
 from repro.eval.ascii_plots import bar_chart, line_chart, sparkline
-from repro.eval.golden import GOLDEN_HEADLINE, GoldenBand, check_headline
 from repro.eval.report import generate_report
-from repro.eval.reporting import banner, format_percent, format_series, format_table
+from repro.eval.reporting import banner, format_table
 from repro.eval.schemes import (
     BenchmarkEvaluation,
     clear_evaluation_cache,
@@ -45,14 +44,9 @@ __all__ = [
     "headline_summary",
     "geomean",
     "format_table",
-    "format_series",
-    "format_percent",
     "banner",
     "bar_chart",
     "line_chart",
     "sparkline",
-    "GoldenBand",
-    "GOLDEN_HEADLINE",
-    "check_headline",
     "generate_report",
 ]

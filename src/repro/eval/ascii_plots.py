@@ -1,9 +1,8 @@
-"""Terminal plotting for the benchmark harness.
+"""Terminal plotting: compact renderings for the live dashboard.
 
-The benches print each figure's data as tables; these helpers add compact
-visual renderings — horizontal bar charts for the per-scheme figures and
-multi-series line charts for the sweeps — so the paper's plots can be read
-directly off a terminal.
+Horizontal bar charts for per-category values and multi-series line
+charts for sweeps and histories, so a figure's shape can be read
+directly off a terminal (``python -m repro monitor`` draws with them).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Each function regenerates the data behind one table or figure of the paper
 from the shared :class:`~repro.eval.schemes.BenchmarkEvaluation` material.
-The benches under ``benchmarks/`` are thin wrappers that print these
-results in the paper's row/series layout.
+:func:`repro.eval.fidelity.collect` gathers their results into the data
+the paper-fidelity rows (and ``repro report``) read.
 """
 
 from __future__ import annotations

@@ -1,0 +1,616 @@
+"""Paper fidelity: the evaluation of Sec. 5 as one table of quantities.
+
+:func:`collect` evaluates each requested application once at one seed and
+returns the data behind every figure, the abstract's numbers and every
+ablation as one JSON-serialisable dict (fractions stay fractions).
+:data:`ROWS` declares the quantities read from it, each with the paper's
+value and the shape the paper implies as a check.  ``repro report``
+renders them (:func:`render`); ``fidelity.json`` at the repository root is
+the seed-0 snapshot the rows are tested against, written with::
+
+    PYTHONPATH=src python -m repro.eval.fidelity > fidelity.json
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
+
+from repro.apps.datasets import flower_image, natural_image
+from repro.apps.registry import APPLICATION_NAMES, get_application
+from repro.approx.alt_backends import NoisyAnalogBackend, QuantizedKernelBackend
+from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
+from repro.approx.perforation_backend import PerforationQualityManager
+from repro.apps.mosaic import perforation_error_survey
+from repro.core.config import RumbaConfig, TunerMode
+from repro.core.offline import prepare_backend, prepare_system
+from repro.core.pipeline import max_keepup_fix_fraction
+from repro.core.placement import evaluate_placement
+from repro.core.sampling_monitor import QualitySamplingMonitor
+from repro.errors import ConfigurationError
+from repro.eval.experiments import (
+    DEFAULT_TARGET_ERROR, cpu_activity_case_study, energy_speedup_table,
+    energy_vs_toq, error_vs_fixed_sweep, gaussian_case_study, geomean,
+    headline_summary, prediction_time_table, quality_target_analysis)
+from repro.eval.reporting import _md_table
+from repro.eval.schemes import BenchmarkEvaluation, evaluate_benchmark
+from repro.hardware.checker_hw import CheckerModel
+from repro.hardware.npu import NPUModel
+from repro.metrics.analysis import (
+    error_cdf, error_vs_fixed_curve, fixes_required_for_quality)
+from repro.metrics.quality import fig2_pair, mean_error_fraction, psnr
+from repro.predictors.ema import EMAPredictor
+from repro.predictors.training import SCHEME_NAMES
+from repro.predictors.tree import DecisionTreeErrorPredictor
+
+__all__ = ["Row", "ROWS", "collect", "render"]
+
+Data = Dict[str, Any]
+Paper = Union[float, Tuple[float, float], None]
+
+#: The bars of Figs. 14/15: the unchecked NPU, then every scheme.
+_COLUMNS = ("NPU",) + tuple(SCHEME_NAMES)
+_CDF_LEVELS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.30, 0.50, 1.00)
+
+
+#: Figs. 11-13: the attribute of a scheme's quality analysis each plots.
+_QUALITY = (("fig11", "false_positive_fraction"), ("fig12", "fixed_fraction"),
+            ("fig13", "relative_coverage"))
+
+
+def collect(
+    apps: Sequence[str] = APPLICATION_NAMES,
+    seed: int = 0,
+    target_error: float = DEFAULT_TARGET_ERROR,
+) -> Data:
+    """Every figure's and ablation's data for ``apps`` at ``seed``.
+
+    Means, geomeans and the pooled Fig. 1 CDF cover the evaluated apps.
+    A case study or ablation that runs on one application (fft,
+    inversek2j, sobel, kmeans) is present only when it is among ``apps``.
+    """
+    apps = list(apps)
+    if not apps:
+        raise ConfigurationError("need at least one benchmark")
+    summary = headline_summary(apps, target_error=target_error, seed=seed)
+    per: Data = defaultdict(dict)
+    pooled = []
+    npu = NPUModel()
+    for name in apps:
+        ev = evaluate_benchmark(name, seed=seed)
+        analyses = quality_target_analysis(ev, target_error)
+        costs = {r.scheme: r for r in energy_speedup_table(ev, target_error)}
+        per["fig10"][name] = {s: c.tolist() for s, c in error_vs_fixed_sweep(ev).items()}
+        for fig, attr in _QUALITY:
+            per[fig][name] = {s: getattr(a, attr) for s, a in analyses.items()}
+        for key, attr in (("fig14", "normalized_energy"), ("fig15", "speedup"),
+                          ("savings", "energy_savings")):
+            per[key][name] = {c: getattr(r, attr) for c, r in costs.items()}
+        per["fig17"][name] = prediction_time_table(ev)
+        pooled.append(ev.errors)
+        rumba_t, npu_t = ev.app.rumba_topology, ev.app.npu_topology
+        per["topology"][name] = {
+            "topologies": f"{rumba_t} vs {npu_t}",
+            "rumba_error": ev.unchecked_error, "npu_error": ev.npu_unchecked_error,
+            "energy_ratio": npu.invocation_energy_pj(npu_t)
+            / npu.invocation_energy_pj(rumba_t)}
+        npu_area = npu.area_gates(ev.backend.topology)
+        per["area"][name] = {"npu_gates": npu_area, **{  # the Fig. 7 extension
+            kind: CheckerModel(kind, n_inputs=ev.backend.topology.n_inputs).area_gates(
+                ev.predictors[scheme].coefficient_count() if scheme else 1) / npu_area
+            for kind, scheme in (("linear", "linearErrors"), ("tree", "treeErrors"),
+                                 ("ema", None))}}
+
+    def over_apps(key: str, reduce, columns) -> Data:
+        return {c: reduce([per[key][a][c] for a in apps]) for c in columns}
+
+    curves = [(c, p["Ideal"]) for p in per["fig10"].values() for c in p.values()]
+    errors = np.concatenate(pooled)
+    _, below = error_cdf(errors, levels=np.array(_CDF_LEVELS))
+    ratios = [t["energy_ratio"] for t in per["topology"].values()]
+    data: Data = {
+        "apps": apps, "seed": seed, "target_error": target_error,
+        "headline": dataclasses.asdict(summary),
+        "fig01": {"levels": list(_CDF_LEVELS), "below": below.tolist(),
+                  "at_most_10pct": float(below[_CDF_LEVELS.index(0.10)]),
+                  "tail_over_20pct": float((errors > 0.2).mean())},
+        "fig02": _fig02(seed), "fig03": _fig03(seed), "fig05": _fig05(seed),
+        "fig10": {"fixed": np.linspace(0.0, 1.0, 11).tolist(), "per_app": per["fig10"],
+                  "ideal_slack": float(np.min([np.subtract(c, i) for c, i in curves])),
+                  "error_at_full_fix": float(np.max([c[-1] for c, _ in curves]))},
+        **{fig: {"per_app": per[fig], "mean": over_apps(
+            fig, lambda v: float(np.mean(v)), SCHEME_NAMES)} for fig, _ in _QUALITY},
+        "fig14": {"per_app": per["fig14"],
+                  "geomean_savings": over_apps("savings", geomean, _COLUMNS)},
+        "fig15": {"per_app": per["fig15"],
+                  "geomean": over_apps("fig15", geomean, _COLUMNS)},
+        "fig17": {"per_app": per["fig17"],
+                  "max": over_apps("fig17", max, ("linearErrors", "treeErrors"))},
+        "ablation": {"topology": {"per_app": per["topology"],
+                                  "min_energy_ratio": min(ratios),
+                                  "smaller_rumba_nets": sum(r > 1.0 for r in ratios)}},
+        "extension": {"checker_area": {"per_app": per["area"], "max": over_apps(
+                          "area", max, ("linear", "tree", "ema"))},
+                      "sampling": _sampling(seed)},
+    }
+    fixed = data["fig12"]["mean"]
+    data["fig12"]["extra_fixes"] = {s: fixed[s] - fixed["Ideal"]
+                                    for s in ("Random", "linearErrors", "treeErrors")}
+    if "fft" in apps:
+        data["fig16"] = _fig16(evaluate_benchmark("fft", seed=seed))
+        data["fig18"] = _fig18(seed, target_error)
+        data["ablation"]["tuner"] = _tuner_modes(seed)
+    if "inversek2j" in apps:
+        ev = evaluate_benchmark("inversek2j", seed=seed)
+        data["ablation"]["tree_depth"] = _tree_depth(ev, seed, target_error)
+        data["extension"]["alt_accelerators"] = _alt_accelerators(ev, seed)
+        data["extension"]["memoization"] = _memoization(ev, seed)
+    if "sobel" in apps:
+        ev = evaluate_benchmark("sobel", seed=seed)
+        data["ablation"]["ema_window"] = _ema_window(ev, target_error)
+        data["ablation"]["placement"] = _placement(ev)
+    if "kmeans" in apps:
+        # Its unchecked error is under the 10 % budget, so every scheme
+        # fixes nothing there; at a 5 % budget the schemes differ.
+        toq95 = quality_target_analysis(evaluate_benchmark("kmeans", seed=seed), 0.05)
+        for fig, attr in _QUALITY:
+            data[fig]["kmeans_toq95"] = {s: getattr(a, attr) for s, a in toq95.items()}
+    return data
+
+
+def _fig02(seed: int) -> Data:
+    """Concentrated vs spread corruption of one image at the same mean error."""
+    image = natural_image((256, 256), seed=42 + seed)
+    pair = fig2_pair(image, pixel_fraction=0.10, seed=seed)[:2]
+    c, s = ({"mean_error": mean_error_fraction(img, image), "psnr_db": psnr(img, image)}
+            for img in pair)
+    return {"concentrated": c, "spread": s, "psnr_gain": s["psnr_db"] - c["psnr_db"],
+            "mean_error_gap": abs(c["mean_error"] - s["mean_error"])}
+
+
+def _fig03(seed: int) -> Data:
+    """Mosaic brightness error over 800 flower images (loop perforation)."""
+    survey = perforation_error_survey(n_images=800, skip_rate=0.995, seed=seed)
+    errors = survey.errors_percent
+    return {"n_images": survey.n_images, "mean_error": survey.mean_error / 100,
+            "max_error": survey.max_error / 100,
+            "images_per_bucket": {
+                f"{lo}-{hi}%": int(((errors >= lo) & (errors < hi)).sum())
+                for lo, hi in ((0, 2), (2, 5), (5, 10), (10, 15), (15, 100))}}
+
+
+def _fig05(seed: int) -> Data:
+    """The Gaussian case study: a decimated Fig. 5 and the EVP/EEP distances."""
+    study = gaussian_case_study(seed=seed)
+    idx = np.linspace(0, study.inputs.size - 1, 13).astype(int)
+    return {"evp_distance": study.evp_distance, "eep_distance": study.eep_distance,
+            "eep_advantage": study.eep_advantage,
+            "series": {name: values[idx].tolist() for name, values in (
+                ("input", study.inputs), ("exact", study.exact),
+                ("approximate", study.approx), ("error", study.errors))}}
+
+
+def _fig16(ev: BenchmarkEvaluation) -> Data:
+    """Normalized energy across target error rates on fft."""
+    curves = {s: c.tolist() for s, c in energy_vs_toq(ev).items()}
+    ideal = curves["Ideal"]
+    return {"targets": np.arange(0.01, 0.105, 0.01).tolist(), "curves": curves,
+            "max_rise": float(np.max([np.diff(c) for c in curves.values()])),
+            "ideal_slack": float(np.min([np.subtract(c, ideal)
+                                         for c in curves.values()])),
+            "tree_gap": np.subtract(curves["treeErrors"], ideal).tolist()}
+
+
+def _fig18(seed: int, target_error: float) -> Data:
+    """A 200-element window of treeErrors detection on fft."""
+    study = cpu_activity_case_study("fft", n_elements=200,
+                                    target_error=target_error, seed=seed)
+    return {"threshold": study.threshold, "n_fixed": int(study.recovery_bits.sum()),
+            "fix_fraction": study.fix_fraction,
+            "max_keepup_speedup": study.max_keepup_speedup,
+            "cpu_busy_samples": int(study.cpu_trace.sum()),
+            "cpu_strip": "".join("#" if v else "." for v in study.cpu_trace[:100])}
+
+
+def _tuner_modes(seed: int) -> Data:
+    """Sec. 3.4: the three tuner modes' steady state on a live fft stream."""
+    inputs = get_application("fft").test_inputs(np.random.default_rng(123 + seed))
+    chunks = [inputs[i * 250:(i + 1) * 250] for i in range(20)]
+    result: Data = {}
+    for label, mode, extra in (
+        ("toq", TunerMode.TOQ, {"target_output_quality": 0.9}),
+        ("energy", TunerMode.ENERGY, {"iteration_budget_fraction": 0.15,
+                                      "initial_threshold": 0.5}),
+        ("quality", TunerMode.QUALITY, {"initial_threshold": 1.0}),
+    ):
+        config = RumbaConfig(scheme="treeErrors", mode=mode, **extra)
+        system = prepare_system("fft", config=config, seed=seed)
+        late = system.run_stream(chunks)[-6:]
+        result[label] = {"fix_fraction": float(np.mean([r.fix_fraction for r in late])),
+                         "error": float(np.mean([r.measured_error for r in late])),
+                         "threshold": system.tuner.threshold,
+                         "kept_up": all(r.pipeline.cpu_kept_up for r in late)}
+    result["keepup_limit"] = max_keepup_fix_fraction(
+        system.cost_model.npu.invocation_cycles(system.backend.topology),
+        system.cost_model.cpu_iteration_cycles())
+    return result
+
+
+def _tree_depth(ev: BenchmarkEvaluation, seed: int, target_error: float) -> Data:
+    """treeErrors refit at each depth on the same training material."""
+    _, training = prepare_backend(ev.app, seed=seed)
+    result: Data = {}
+    for depth in (1, 2, 3, 5, 7, 9):
+        tree = DecisionTreeErrorPredictor(max_depth=depth).fit(
+            training.features, training.errors)
+        n_fixed, _ = fixes_required_for_quality(
+            tree.scores(features=ev.features), ev.errors, target_error)
+        checker = CheckerModel("tree", tree_depth=depth)
+        result[str(depth)] = {
+            "fixed": n_fixed / ev.n_elements, "coefficients": tree.coefficient_count(),
+            "checker_time": checker.relative_time(NPUModel(), ev.backend.topology)}
+    return result
+
+
+def _ema_window(ev: BenchmarkEvaluation, target_error: float) -> Data:
+    """The EMA detector's history window N (alpha = 2 / (1 + N), Eq. 2)."""
+    result: Data = {}
+    for window in (1, 3, 7, 15, 31, 63):
+        ema = EMAPredictor(history=window)
+        n_fixed, achieved = fixes_required_for_quality(
+            ema.scores(approx_outputs=ev.approx), ev.errors, target_error)
+        result[str(window)] = {"alpha": ema.alpha, "fixed": n_fixed / ev.n_elements,
+                               "achieved": achieved}
+    result["max_achieved"] = max(w["achieved"] for w in result.values())
+    return result
+
+
+def _placement(ev: BenchmarkEvaluation) -> Data:
+    """Sec. 3.5: the checker before (config 1) or beside (config 2) the NPU."""
+    topology = ev.app.rumba_topology
+    checker = CheckerModel("tree", n_inputs=topology.n_inputs)
+    rates = np.linspace(0.0, 0.8, 9)
+    runs = {c: [evaluate_placement(c, NPUModel(), checker, topology, r) for r in rates]
+            for c in (1, 2)}
+    cycles = {c: [p.cycles_per_iteration for p in runs[c]] for c in runs}
+    energy = {c: [p.energy_pj_per_iteration for p in runs[c]] for c in runs}
+    return {"fire_rates": rates.tolist(),
+            **{f"config{c}": {"energy_pj": energy[c], "cycles": cycles[c]} for c in runs},
+            "config1_extra_cycles": float(np.min(np.subtract(cycles[1], cycles[2]))),
+            "config1_saving_pj": np.subtract(energy[2], energy[1]).tolist()}
+
+
+def _alt_accelerators(ev: BenchmarkEvaluation, seed: int) -> Data:
+    """Sec. 4: the detection recipe on two non-NPU substrates, 30 % fixed."""
+    schemes = ("Ideal", "Random", "EMA", "treeErrors")
+    app = ev.app
+    result: Data = {"npu": {"unchecked": ev.unchecked_error, **{
+        s: float(error_vs_fixed_curve(ev.scores[s], ev.errors, [0.3])[0])
+        for s in schemes}}}
+    for label, backend in (("quantized_5bit", QuantizedKernelBackend(app, bits=5)),
+                           ("analog_4pct", NoisyAnalogBackend(app, noise_fraction=0.04))):
+        rng = 9 + seed
+        train = app.train_inputs(np.random.default_rng(rng))[:2000]
+        tree = DecisionTreeErrorPredictor().fit(
+            backend.features(train), app.element_errors(backend(train), app.exact(train)))
+        test = app.test_inputs(np.random.default_rng(rng + 1))[:4000]
+        approx = backend(test)
+        errors = app.element_errors(approx, app.exact(test))
+        scores = {"Ideal": errors,
+                  "Random": np.random.default_rng(rng + 2).random(errors.size),
+                  "EMA": EMAPredictor().scores(approx_outputs=approx),
+                  "treeErrors": tree.scores(features=backend.features(test))}
+        result[label] = {"unchecked": float(errors.mean()), **{
+            s: float(error_vs_fixed_curve(scores[s], errors, [0.0, 0.3])[1])
+            for s in schemes}}
+    return result
+
+
+def _memoization(ev: BenchmarkEvaluation, seed: int) -> Data:
+    """Sec. 3.1 extension: fuzzy memoization's reuse vs the managed error."""
+    app = ev.app
+    probe = app.test_inputs(np.random.default_rng(11 + seed))[:3000]
+    exact = app.exact(probe)
+    result: Data = {}
+    for bits in (6, 5, 4, 3):
+        raw = MemoizingBackend(app, key_bits=bits)
+        raw(app.train_inputs(np.random.default_rng(12 + seed))[:3000])  # warm
+        raw_error = app.output_error(raw(probe), exact)
+        manager = MemoizationQualityManager(app, key_bits=bits, threshold=0.03,
+                                            seed=seed).fit(n_train=3000)
+        outcome = manager.process(probe)
+        result[str(bits)] = {"reuse_rate": raw.hit_rate, "raw_error": raw_error,
+                             "managed_error": app.output_error(outcome.outputs, exact),
+                             "reexecuted": outcome.recovered_fraction}
+    for key in ("raw_error", "managed_error"):
+        result[f"{key}_growth"] = result["3"][key] - result["6"][key]
+    return result
+
+
+def _sampling(seed: int, target: float = 0.05) -> Data:
+    """Secs. 2.1/6: quality sampling vs continuous checking on mosaic."""
+    train = [flower_image((64, 64), seed=10_000 + seed + i) for i in range(300)]
+    test = [flower_image((64, 64), seed=20_000 + seed + i) for i in range(400)]
+    outcome = PerforationQualityManager(
+        skip_rate=0.995, threshold=target).fit(train).process_stream(test)
+    before = outcome.errors(outcome.approx_values)
+    bad = before > 2 * target
+
+    def policy(errors, reexecuted, checked) -> Data:
+        return {"mean_error": float(errors.mean()), "max_error": float(errors.max()),
+                "reexecuted": float(reexecuted), "missed": int((bad & ~checked).sum())}
+
+    result = {"unchecked": policy(before, 0.0, np.zeros_like(bad))}
+    for n in (20, 10, 5):
+        report = QualitySamplingMonitor(check_every_n=n, target_error=target
+                                        ).process_stream(before)
+        result[f"every_{n}"] = policy(report.errors_after,
+                                      report.exact_reexecution_fraction, report.checked)
+    result["rumba"] = policy(outcome.errors(), outcome.recovered_fraction,
+                             outcome.recovered)
+    return result
+
+
+@dataclass(frozen=True)
+class Row:
+    """One regenerated quantity.
+
+    ``paper`` is the paper's value, a ``(lo, hi)`` pair where the paper
+    gives a range, or None for a quantity only this reproduction measures.
+    ``value`` reads the quantity in ``unit`` from :func:`collect`'s data
+    and raises KeyError when its inputs were not evaluated; ``check``,
+    when set, is the shape the paper implies and may read any of the data.
+    """
+
+    id: str
+    source: str
+    paper: Paper
+    unit: str
+    value: Callable[[Data], float]
+    check: Optional[Callable[[Data], bool]] = None
+    note: str = ""
+
+
+def _get(data: Any, path: str) -> Any:
+    for key in path.split("."):
+        data = data[int(key)] if isinstance(data, list) else data[key]
+    return data
+
+
+def _row(id: str, source: str, paper: Paper, unit: str,
+         check: Optional[Callable[[Data], bool]] = None, *,
+         ok: Optional[Callable[[float], bool]] = None, path: str = "",
+         suite: bool = False, note: str = "") -> Row:
+    """A row whose value is the number at ``path`` (default: its id).
+
+    Data keeps fractions; a row in ``%`` or ``pp`` shows them times 100.
+    ``ok`` is a check on the row's own value, in its unit.  A ``suite``
+    row (a mean over the suite, say) needs every application evaluated.
+    """
+    scale = 100.0 if unit in ("%", "pp") else 1.0
+
+    def value(data: Data) -> float:
+        missing = set(APPLICATION_NAMES) - set(data["apps"]) if suite else ()
+        if missing:
+            raise KeyError(f"{id} needs {sorted(missing)}")
+        return scale * _get(data, path or id)
+
+    if ok is not None:
+        check = lambda d: ok(value(d))  # noqa: E731
+    return Row(id, source, paper, unit, value, check, note)
+
+
+# Checks compare numbers directly, never through ``not``, so every one is
+# False on data whose numbers are NaN.
+def _golden(field: str, expected: float, tolerance: float):
+    """The seed-0 band a headline number has been held to since it was recorded."""
+    return lambda d: abs(d["headline"][field] - expected) <= tolerance * abs(expected)
+
+
+def _mean(d: Data, fig: str, scheme: str) -> float:
+    return d[fig]["mean"][scheme]
+
+
+def _sampling_shape(d: Data) -> bool:
+    s = d["extension"]["sampling"]
+    unchecked, rumba = s["unchecked"], s["rumba"]
+    return (all(s[f"every_{n}"]["mean_error"] > 0.7 * unchecked["mean_error"]
+                for n in (20, 10, 5))
+            and rumba["mean_error"] < unchecked["mean_error"]
+            and rumba["max_error"] <= unchecked["max_error"]
+            and rumba["missed"] < s["every_5"]["missed"])
+
+
+# (field, paper, unit, seed-0 value, relative tolerance) of the abstract's numbers.
+_HEADLINE = (
+    ("mean_unchecked_error", 20.6, "%", 0.166, 0.30),
+    ("mean_rumba_error", 10.0, "%", 0.098, 0.25),
+    ("error_reduction", 2.1, "x", 1.69, 0.30),
+    ("npu_energy_savings", 3.2, "x", 3.94, 0.30),
+    ("rumba_energy_savings", 2.2, "x", 2.27, 0.30),
+    ("npu_speedup", (2.1, 2.3), "x", 2.25, 0.30),
+    ("rumba_speedup", (2.1, 2.3), "x", 2.25, 0.30),
+)
+_PAPER = {
+    "fig11.mean": {"Ideal": 0.0, "Random": 14.8, "Uniform": 14.5, "EMA": 13.3,
+                   "linearErrors": 2.1, "treeErrors": 0.76},
+    "fig12.mean": {"Random": 41.0},
+    "fig13.mean": {"Ideal": 100.0, "linearErrors": 57.6, "treeErrors": 67.2},
+    "fig14.geomean_savings": {"NPU": 3.2, "treeErrors": 2.2},
+    "fig15.geomean": {"NPU": (2.1, 2.3), "treeErrors": (2.1, 2.3)},
+}
+_CHECKS = {
+    "headline.error_reduction": lambda d: _golden("error_reduction", 1.69, 0.30)(d)
+    and d["headline"]["error_reduction"] > 1.3,
+    "fig11.mean.Ideal": lambda d: _mean(d, "fig11", "Ideal") == 0.0,
+    "fig11.mean.treeErrors": lambda d: _mean(d, "fig11", "treeErrors")
+    < min(_mean(d, "fig11", "Random"), _mean(d, "fig11", "EMA")),
+    "fig13.mean.Ideal": lambda d: _mean(d, "fig13", "Ideal") == 1.0,
+    "fig13.mean.treeErrors": lambda d: _mean(d, "fig13", "treeErrors")
+    > _mean(d, "fig13", "Random"),
+    "fig12.extra_fixes.treeErrors": lambda d: _mean(d, "fig12", "Ideal")
+    <= _mean(d, "fig12", "treeErrors") <= _mean(d, "fig12", "linearErrors") + 1e-11
+    and _mean(d, "fig12", "treeErrors") < _mean(d, "fig12", "Random"),
+    "fig14.geomean_savings.treeErrors": lambda d: (
+        lambda g: g["NPU"] > g["treeErrors"] > 1.5 and g["treeErrors"] >= g["Random"])(
+            d["fig14"]["geomean_savings"]),
+    "fig15.geomean.treeErrors": lambda d: d["fig15"]["geomean"]["treeErrors"]
+    > 0.85 * d["fig15"]["geomean"]["NPU"],
+}
+_KMEANS_NOTE = (
+    "kmeans' unchecked error (fig12.kmeans.unchecked_error) is under the 10 % "
+    "budget, so at 90 % TOQ every scheme fixes nothing on it: its Figs. 11/12 "
+    "entries read 0 and its Fig. 13 entry 100. The kmeans_toq95 rows measure "
+    "it at a 5 % budget.")
+_KMEANS = "headline.per_app.kmeans"
+
+ROWS: Tuple[Row, ...] = (
+    # The abstract: 20.6 % -> 10 % error (2.1x), 3.2x -> 2.2x energy
+    # savings at the NPU's speedup.
+    *(_row(f"headline.{field}", "Abstract", paper, unit,
+           _CHECKS.get(f"headline.{field}", _golden(field, expected, tolerance)),
+           suite=True) for field, paper, unit, expected, tolerance in _HEADLINE),
+    # Fig. 1: most elements have small errors, a tail has large ones.
+    _row("fig01.at_most_10pct", "Fig. 1", 80.0, "%", lambda d: d["fig01"]
+         ["at_most_10pct"] > 0.5 and d["fig01"]["below"][-1] <= 1.0, suite=True),
+    _row("fig01.tail_over_20pct", "Fig. 1", None, "%", ok=lambda v: v > 2, suite=True),
+    # Fig. 2: one average error, two perceptual qualities.
+    _row("fig02.mean_error_gap", "Fig. 2", None, "pp", ok=lambda v: v < 1.0),
+    _row("fig02.psnr_gain", "Fig. 2", None, "dB", ok=lambda v: v > 0),
+    # Fig. 3: input-dependent error, the worst case far above the mean.
+    _row("fig03.mean_error", "Fig. 3", 5.0, "%", ok=lambda v: 1 < v < 15),
+    _row("fig03.max_error", "Fig. 3", 23.0, "%", lambda d: d["fig03"]["n_images"]
+         == 800 and d["fig03"]["max_error"] > 3 * d["fig03"]["mean_error"]),
+    # Fig. 5 / Sec. 3.2: predicting the error beats predicting the value.
+    _row("fig05.eep_advantage", "Fig. 5", 2.5, "x", ok=lambda v: v > 1),
+    # Fig. 10: Ideal bounds every scheme; fixing everything leaves no error.
+    _row("fig10.ideal_slack", "Fig. 10", None, "pp", ok=lambda v: v >= -1e-10),
+    _row("fig10.error_at_full_fix", "Fig. 10", None, "%", ok=lambda v: v <= 1e-7),
+    _row("fig10.inversek2j.treeErrors_at_30pct", "Fig. 10", None, "%",
+         lambda d: (lambda c: c["Ideal"][3] <= c["treeErrors"][3] < c["Random"][3])(
+             d["fig10"]["per_app"]["inversek2j"]),
+         path="fig10.per_app.inversek2j.treeErrors.3"),
+    # Figs. 11-15, averaged over the suite; kmeans is the outlier.
+    *(_row(f"{fig}.{s}", f"Fig. {fig[3:5]}", _PAPER[fig].get(s), unit,
+           _CHECKS.get(f"{fig}.{s}"), suite=True)
+      for fig, unit, columns in (
+          ("fig11.mean", "%", SCHEME_NAMES), ("fig12.mean", "%", SCHEME_NAMES),
+          ("fig13.mean", "%", SCHEME_NAMES), ("fig14.geomean_savings", "x", _COLUMNS),
+          ("fig15.geomean", "x", _COLUMNS))
+      for s in columns),
+    *(_row(f"fig12.extra_fixes.{s}", "Fig. 12", paper, "pp",
+           _CHECKS.get(f"fig12.extra_fixes.{s}"), suite=True)
+      for s, paper in (("Random", 29.0), ("linearErrors", 9.0), ("treeErrors", 6.0))),
+    _row("fig12.kmeans.unchecked_error", "Fig. 12", None, "%",
+         path=f"{_KMEANS}.unchecked_error", note=_KMEANS_NOTE),
+    *(_row(f"fig{n}.kmeans_toq95.{s}", f"Fig. {n}", None, "%", note=_KMEANS_NOTE)
+      for n in (11, 12, 13) for s in ("Ideal", "Random", "linearErrors", "treeErrors")),
+    _row("fig14.kmeans.npu_energy_savings", "Fig. 14", None, "x",
+         ok=lambda v: v < 1.6, path=f"{_KMEANS}.npu_energy_savings"),
+    _row("fig15.kmeans.npu_speedup", "Fig. 15", None, "x",
+         ok=lambda v: v < 1.0, path=f"{_KMEANS}.npu_speedup"),
+    # Fig. 16 (fft): energy falls as the target loosens, Ideal is the
+    # cheapest, the tree's gap to Ideal is widest at the strictest target.
+    _row("fig16.max_rise", "Fig. 16", None, "ratio", ok=lambda v: v <= 1e-12),
+    _row("fig16.ideal_slack", "Fig. 16", None, "ratio", ok=lambda v: v >= -1e-12),
+    _row("fig16.tree_gap_at_1pct", "Fig. 16", None, "ratio", lambda d: d["fig16"]
+         ["tree_gap"][0] >= d["fig16"]["tree_gap"][-1] - 1e-12, path="fig16.tree_gap.0"),
+    # Fig. 17: every checker finishes inside one NPU invocation.
+    *(_row(f"fig17.max.{s}", "Fig. 17", (0.0, 1.0), "NPU invocations",
+           ok=lambda v: v < 1.0) for s in ("linearErrors", "treeErrors")),
+    # Fig. 18 (fft): one 200-element window of the online loop.
+    _row("fig18.threshold", "Fig. 18", 0.33, "score"),
+    _row("fig18.fix_fraction", "Fig. 18", 15.0, "%", ok=lambda v: 3 < v < 50),
+    _row("fig18.max_keepup_speedup", "Fig. 18", 6.67, "x", ok=lambda v: v > 2),
+    # Ablations, measured here only.
+    _row("ablation.topology.min_energy_ratio", "Table 1 ablation", None, "x",
+         lambda d: d["ablation"]["topology"]["min_energy_ratio"] >= 1.0 and all(
+             100 * t["npu_error"] <= 100 * t["rumba_error"] * 1.6 + 1.0
+             for t in d["ablation"]["topology"]["per_app"].values())),
+    _row("ablation.topology.smaller_rumba_nets", "Table 1 ablation", None, "apps",
+         ok=lambda v: v >= 4, suite=True),
+    # Depth 7 needs no more fixes than depth 1 and is within 3 points of 9.
+    _row("ablation.tree_depth.7.fixed", "Tree-depth ablation", None, "%",
+         lambda d: (lambda t: t["7"]["fixed"] <= t["1"]["fixed"] + 1e-11 and abs(
+             t["9"]["fixed"] - t["7"]["fixed"]) < 0.03)(d["ablation"]["tree_depth"])),
+    _row("ablation.ema_window.max_achieved", "EMA-window ablation", None, "%",
+         lambda d: d["ablation"]["ema_window"]["max_achieved"] <= 0.10 + 1e-11
+         and all(0.0 <= w["fixed"] <= 1.0 for k, w in
+                 d["ablation"]["ema_window"].items() if k != "max_achieved")),
+    _row("ablation.placement.config1_extra_cycles", "Sec. 3.5", None, "cycles",
+         ok=lambda v: v > 0),
+    _row("ablation.placement.config1_saving_at_80pct_fire_rate", "Sec. 3.5", None, "pJ",
+         lambda d: bool(np.all(np.diff(d["ablation"]["placement"]["config1_saving_pj"])
+                               > 0)), path="ablation.placement.config1_saving_pj.8"),
+    _row("ablation.tuner.toq.error", "Sec. 3.4", None, "%", ok=lambda v: v < 10),
+    _row("ablation.tuner.energy.fix_fraction", "Sec. 3.4", None, "%",
+         ok=lambda v: abs(v - 15) < 10),
+    _row("ablation.tuner.quality.fix_fraction", "Sec. 3.4", None, "%",
+         lambda d: (lambda t: 0.25 * t["keepup_limit"] < t["quality"]["fix_fraction"]
+                    < 1.3 * t["keepup_limit"])(d["ablation"]["tuner"])),
+    # Extensions beyond the paper's figures.
+    *(_row(f"extension.checker_area.max.{kind}", "Fig. 7 extension", None, "%",
+           ok=lambda v, cap=cap: v < cap)
+      for kind, cap in (("linear", 60), ("tree", 60), ("ema", 20))),
+    _row("extension.memoization.raw_error_growth", "Sec. 3.1 extension", None,
+         "pp", ok=lambda v: v > 0),
+    _row("extension.memoization.managed_error_growth", "Sec. 3.1 extension", None,
+         "pp", lambda d: (lambda m: m["managed_error_growth"] < m["raw_error_growth"]
+                          and all(m[b]["managed_error"] <= m[b]["raw_error"] + 1e-11
+                                  for b in ("6", "5", "4", "3")))(
+             d["extension"]["memoization"])),
+    *(_row(f"extension.alt_accelerators.{sub}.treeErrors", "Sec. 4 extension", None,
+           "%", lambda d, sub=sub: (lambda r: r["Ideal"] <= r["treeErrors"] + 1e-12 and
+                                    r["treeErrors"] < min(r["unchecked"], r["Random"]))(
+               d["extension"]["alt_accelerators"][sub]))
+      for sub in ("npu", "quantized_5bit", "analog_4pct")),
+    _row("extension.sampling.every_5.mean_error", "Secs. 2.1/6 extension", None, "%"),
+    _row("extension.sampling.rumba.mean_error", "Secs. 2.1/6 extension", None, "%",
+         _sampling_shape),
+)
+
+
+def _paper(paper: Paper) -> str:
+    if isinstance(paper, tuple):
+        return f"{paper[0]:g}–{paper[1]:g}"
+    return "—" if paper is None else f"{paper:g}"
+
+
+def render(data: Data) -> List[str]:
+    """The "Paper fidelity" report section: every row whose inputs
+    ``data`` holds, then the rows' notes."""
+    notes: List[str] = []
+    table = []
+    for row in ROWS:
+        try:
+            ours = row.value(data)
+        except KeyError:
+            continue
+        status = "—" if row.check is None else "ok" if row.check(data) else "FAIL"
+        if row.note and row.note not in notes:
+            notes.append(row.note)
+        marker = f"[{notes.index(row.note) + 1}]" if row.note else ""
+        table.append([f"`{row.id}`", row.source, _paper(row.paper), f"{ours:.3g}",
+                      row.unit, status, marker])
+    lines = [
+        "## Paper fidelity",
+        "",
+        f"Each regenerated quantity at seed {data['seed']} beside the paper's "
+        "value (— where the paper gives none). `check` is the shape the paper "
+        "implies, evaluated on these numbers; rows whose applications were not "
+        "evaluated are left out.",
+        "",
+        _md_table(["id", "source", "paper", "ours", "unit", "check", "note"], table),
+    ]
+    if notes:
+        lines += [""] + [f"[{i}] {note}" for i, note in enumerate(notes, 1)]
+    return lines + [""]
+
+
+if __name__ == "__main__":
+    print(json.dumps(collect(APPLICATION_NAMES, seed=0), indent=1, allow_nan=False))

@@ -10,21 +10,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.apps.registry import APPLICATION_NAMES
 from repro.errors import ConfigurationError
-from repro.eval.experiments import (
-    DEFAULT_TARGET_ERROR,
-    energy_speedup_table,
-    gaussian_case_study,
-    geomean,
-    headline_summary,
-    prediction_time_table,
-    quality_target_analysis,
-)
+from repro.eval.experiments import DEFAULT_TARGET_ERROR
 from repro.eval.reporting import _md_table
-from repro.eval.schemes import evaluate_benchmark
 from repro.predictors.training import SCHEME_NAMES
 
 __all__ = ["generate_report"]
@@ -99,28 +88,36 @@ def generate_report(
 ) -> str:
     """Run the full evaluation and render a markdown report.
 
-    Training results are cached per process, so the first call trains
-    every requested benchmark (~30 s for the full suite) and later calls
-    are fast.  With ``expdb_path`` the serving-benchmark tables are
-    appended from the latest runs in that experiment database.
+    Every section reads one :func:`~repro.eval.fidelity.collect` pass,
+    which evaluates each benchmark once (training is cached per process:
+    the full suite takes ~10 s the first time).  With ``expdb_path`` the
+    serving-benchmark tables are appended from the latest runs in that
+    experiment database.
     """
+    # Not a module-level import: ``python -m repro.eval.fidelity`` would
+    # find the module already imported by this package and warn.
+    from repro.eval.fidelity import collect, render
+
     if not benchmarks:
         raise ConfigurationError("need at least one benchmark")
+    data = collect(benchmarks, seed=seed, target_error=target_error)
+    head = data["headline"]
+
+    def per_app(headers: List[str], cells) -> str:
+        """One row per benchmark: its name, then ``cells(name)``."""
+        return _md_table(["benchmark"] + headers,
+                         [[name] + cells(name) for name in benchmarks])
+
+    def percent(fig: str):
+        return lambda name: [f"{data[fig]['per_app'][name][s] * 100:.1f}"
+                             for s in SCHEME_NAMES]
+
     sections: List[str] = [
         "# Rumba reproduction — generated experiment report",
         "",
         f"Benchmarks: {', '.join(benchmarks)}; quality target: "
         f"{(1 - target_error) * 100:.0f}% (error budget "
         f"{target_error * 100:.0f}%); seed {seed}.",
-    ]
-
-    # ------------------------------------------------------------------ #
-    # Headline                                                           #
-    # ------------------------------------------------------------------ #
-    summary = headline_summary(
-        benchmarks=benchmarks, target_error=target_error, seed=seed
-    )
-    sections += [
         "",
         "## Headline",
         "",
@@ -128,99 +125,50 @@ def generate_report(
             ["quantity", "value"],
             [
                 ["mean unchecked accelerator error",
-                 f"{summary.mean_unchecked_error * 100:.1f}%"],
+                 f"{head['mean_unchecked_error'] * 100:.1f}%"],
                 ["mean Rumba (treeErrors) error",
-                 f"{summary.mean_rumba_error * 100:.1f}%"],
-                ["error reduction", f"{summary.error_reduction:.2f}x"],
+                 f"{head['mean_rumba_error'] * 100:.1f}%"],
+                ["error reduction", f"{head['error_reduction']:.2f}x"],
                 ["unchecked NPU energy savings",
-                 f"{summary.npu_energy_savings:.2f}x"],
+                 f"{head['npu_energy_savings']:.2f}x"],
                 ["Rumba energy savings",
-                 f"{summary.rumba_energy_savings:.2f}x"],
+                 f"{head['rumba_energy_savings']:.2f}x"],
                 ["NPU / Rumba speedup",
-                 f"{summary.npu_speedup:.2f}x / {summary.rumba_speedup:.2f}x"],
+                 f"{head['npu_speedup']:.2f}x / {head['rumba_speedup']:.2f}x"],
             ],
         ),
-    ]
-
-    # ------------------------------------------------------------------ #
-    # Per-benchmark quality analysis (Figs. 11-13)                       #
-    # ------------------------------------------------------------------ #
-    fix_rows = []
-    fp_rows = []
-    for name in benchmarks:
-        evaluation = evaluate_benchmark(name, seed=seed)
-        analyses = quality_target_analysis(evaluation, target_error)
-        fix_rows.append(
-            [name] + [f"{analyses[s].fixed_fraction * 100:.1f}"
-                      for s in SCHEME_NAMES]
-        )
-        fp_rows.append(
-            [name] + [f"{analyses[s].false_positive_fraction * 100:.1f}"
-                      for s in SCHEME_NAMES]
-        )
-    sections += [
         "",
         f"## Elements re-executed (%) at {(1 - target_error) * 100:.0f}% "
         f"target quality (Fig. 12)",
         "",
-        _md_table(["benchmark"] + list(SCHEME_NAMES), fix_rows),
+        per_app(list(SCHEME_NAMES), percent("fig12")),
         "",
         "## False positives (% of all elements) (Fig. 11)",
         "",
-        _md_table(["benchmark"] + list(SCHEME_NAMES), fp_rows),
-    ]
-
-    # ------------------------------------------------------------------ #
-    # Energy and speedup (Figs. 14-15)                                   #
-    # ------------------------------------------------------------------ #
-    energy_rows = []
-    for name in benchmarks:
-        evaluation = evaluate_benchmark(name, seed=seed)
-        rows = {r.scheme: r for r in
-                energy_speedup_table(evaluation, target_error)}
-        energy_rows.append([
-            name,
-            f"{rows['NPU'].energy_savings:.2f}",
-            f"{rows['treeErrors'].energy_savings:.2f}",
-            f"{rows['NPU'].speedup:.2f}",
-            f"{rows['treeErrors'].speedup:.2f}",
-        ])
-    sections += [
+        per_app(list(SCHEME_NAMES), percent("fig11")),
         "",
         "## Energy savings and speedup (Figs. 14-15)",
         "",
-        _md_table(
-            ["benchmark", "NPU energy x", "Rumba energy x", "NPU speedup",
-             "Rumba speedup"],
-            energy_rows,
-        ),
-    ]
-
-    # ------------------------------------------------------------------ #
-    # Checker timing (Fig. 17) and the EVP/EEP case study                #
-    # ------------------------------------------------------------------ #
-    timing_rows = []
-    for name in benchmarks:
-        evaluation = evaluate_benchmark(name, seed=seed)
-        times = prediction_time_table(evaluation)
-        timing_rows.append([
-            name, f"{times['linearErrors']:.3f}", f"{times['treeErrors']:.3f}"
-        ])
-    study = gaussian_case_study(seed=seed)
-    sections += [
+        per_app(["NPU energy x", "Rumba energy x", "NPU speedup",
+                 "Rumba speedup"],
+                lambda name: [f"{head['per_app'][name][k]:.2f}" for k in (
+                    "npu_energy_savings", "rumba_energy_savings",
+                    "npu_speedup", "rumba_speedup")]),
         "",
         "## Checker time relative to one NPU invocation (Fig. 17)",
         "",
-        _md_table(["benchmark", "linearErrors", "treeErrors"], timing_rows),
+        per_app(["linearErrors", "treeErrors"],
+                lambda name: [f"{data['fig17']['per_app'][name][s]:.3f}"
+                              for s in ("linearErrors", "treeErrors")]),
         "",
         "## EVP vs EEP (Sec. 3.2)",
         "",
-        f"EEP tracks true errors {study.eep_advantage:.1f}x closer than EVP "
-        f"(mean distances {study.eep_distance:.4f} vs "
-        f"{study.evp_distance:.4f}).",
+        f"EEP tracks true errors {data['fig05']['eep_advantage']:.1f}x closer "
+        f"than EVP (mean distances {data['fig05']['eep_distance']:.4f} vs "
+        f"{data['fig05']['evp_distance']:.4f}).",
         "",
+        *render(data),
     ]
-
     if expdb_path:
         sections += _expdb_sections(expdb_path)
         sections.append("")

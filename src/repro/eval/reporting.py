@@ -1,29 +1,23 @@
-"""Plain-text and markdown table/series formatting.
+"""Plain-text and markdown table formatting.
 
-The benchmark harness prints the same rows/series the paper's figures plot
-and ``repro report`` renders them as markdown; these helpers keep that
-output consistent across all bench files and the report.
+The benches under ``benchmarks/`` print text tables and ``repro report``
+renders markdown ones; these helpers keep that output consistent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.tables import _cell, format_table
 
-__all__ = ["format_table", "format_series", "format_percent", "banner"]
+__all__ = ["format_table", "banner"]
 
 
 def banner(title: str, width: int = 78) -> str:
     """A section banner for bench output."""
     bar = "=" * width
     return f"{bar}\n{title}\n{bar}"
-
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Render a fraction as a percentage string."""
-    return f"{value * 100:.{digits}f}%"
 
 
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -38,19 +32,3 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
         lines.append("| " + " | ".join(_cell(c) for c in row) + " |")
     return "\n".join(lines)
 
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[float],
-    series: Dict[str, Sequence[float]],
-    title: Optional[str] = None,
-    fmt: str = "{:.3f}",
-) -> str:
-    """A figure's data as a table: one x column plus one column per series."""
-    headers = [x_label] + list(series)
-    rows = []
-    for i, x in enumerate(x_values):
-        row = [fmt.format(float(x))]
-        row.extend(fmt.format(float(series[name][i])) for name in series)
-        rows.append(row)
-    return format_table(headers, rows, title=title)

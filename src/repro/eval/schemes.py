@@ -5,7 +5,7 @@
 unchecked-NPU topology), runs them over the Table 1 test set, fits every
 detection scheme, and scores all test elements under each scheme.  The
 result object is what the per-figure experiments consume; an in-process
-cache keeps it across benches, and the trained backends come from (and
+cache keeps it for the process, and the trained backends come from (and
 stay in) :func:`repro.core.offline.prepare_backend`'s cache, shared with
 ``prepare_system``.
 """
@@ -20,6 +20,7 @@ import numpy as np
 from repro.apps.base import Application
 from repro.apps.registry import get_application
 from repro.approx.npu_backend import NPUBackend
+from repro.core.offline import prepare_backend
 from repro.predictors.base import ErrorPredictor
 from repro.predictors.training import SCHEME_NAMES, train_predictor
 
@@ -71,10 +72,6 @@ def evaluate_benchmark(
     key = (name, seed, n_test_cap)
     if cache and key in _EVAL_CACHE:
         return _EVAL_CACHE[key]
-
-    # Imported here: repro.core reaches this package at import time
-    # (observability.dashboard draws with eval.ascii_plots).
-    from repro.core.offline import prepare_backend
 
     app = get_application(name)
     # The trained backends are the serving stack's too: one cache.

@@ -33,9 +33,7 @@ _EXPORTS = {
     "Counter": "metrics", "Gauge": "metrics", "Histogram": "metrics",
     "MetricsRegistry": "metrics", "get_default_registry": "metrics",
     "set_default_registry": "metrics",
-    "Telemetry": "instrument", "enable_ambient_telemetry": "instrument",
-    "disable_ambient_telemetry": "instrument",
-    "ambient_telemetry_registry": "instrument",
+    "Telemetry": "instrument",
     "prometheus_text": "export", "json_snapshot": "export",
     "write_snapshot": "export",
     "render_dashboard": "dashboard",

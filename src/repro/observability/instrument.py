@@ -11,19 +11,10 @@ another process exports the same series.
 
 The full metric catalog lives in ``docs/observability.md``; the names are
 stable — dashboards and tests key off them.
-
-Ambient mode
-------------
-``enable_ambient_telemetry()`` arms a process-global flag: every
-:class:`~repro.core.runtime.RumbaSystem` constructed while it is armed
-attaches a ``Telemetry`` bound to the default registry automatically.
-This is how the benchmark harness's opt-in telemetry dump works without
-threading a registry through thirty bench scripts.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -45,13 +36,7 @@ from repro.observability.reqtrace import (
     segments,
 )
 
-__all__ = [
-    "Telemetry",
-    "PHASES",
-    "enable_ambient_telemetry",
-    "disable_ambient_telemetry",
-    "ambient_telemetry_registry",
-]
+__all__ = ["Telemetry", "PHASES"]
 
 #: Phase names of the Fig. 4 loop, in execution order.
 PHASES = ("accelerate", "detect", "recover", "tune")
@@ -69,38 +54,6 @@ _PHASE_OF_STAGE = {
     STAGE_LEARN: "learn",
 }
 _MOVE_NAMES = {1: "raise", -1: "lower"}
-
-_ambient_registry: Optional[MetricsRegistry] = None
-# Arming/disarming and reads race when worker threads construct systems
-# while the host toggles ambient mode; one lock keeps the handoff clean.
-_ambient_lock = threading.Lock()
-
-
-def enable_ambient_telemetry(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Arm auto-instrumentation for subsequently built systems.
-
-    Returns the registry that ambient systems will record into (the
-    process default unless one is given).  Safe to call from any thread.
-    """
-    global _ambient_registry
-    with _ambient_lock:
-        _ambient_registry = (
-            registry if registry is not None else get_default_registry()
-        )
-        return _ambient_registry
-
-
-def disable_ambient_telemetry() -> None:
-    global _ambient_registry
-    with _ambient_lock:
-        _ambient_registry = None
-
-
-def ambient_telemetry_registry() -> Optional[MetricsRegistry]:
-    """The armed ambient registry, or None when ambient mode is off."""
-    with _ambient_lock:
-        return _ambient_registry
-
 
 class Telemetry:
     """Metrics + flight records for one quality-managed system.

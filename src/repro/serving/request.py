@@ -19,6 +19,12 @@ from repro.errors import ServingError
 
 __all__ = ["ServeRequest", "ServeResult", "ServeHandle"]
 
+# Guards every handle's ``_done`` flag and callback list.  The critical
+# sections are a few attribute reads and writes, no callback runs under
+# it and none nests, so one process-wide lock serves all handles and a
+# handle allocates no lock for it.
+_STATE_LOCK = allocate_lock()
+
 
 @dataclass(slots=True)
 class ServeResult:
@@ -57,24 +63,22 @@ class ServeHandle:
     block.
     """
 
-    __slots__ = ("_barrier", "_result", "_exception", "_done", "_lock",
-                 "_callbacks")
+    __slots__ = ("_barrier", "_result", "_exception", "_done", "_callbacks")
 
     def __init__(self) -> None:
         # One request is created per submit, so construction cost is hot-
-        # path cost: two raw locks and a flag instead of a full
+        # path cost: one raw lock and a flag instead of a full
         # threading.Event (whose Condition allocates a lock, a deque, and
         # three bound methods per instance).  ``_barrier`` starts held and
         # is released exactly once at completion; waiters acquire-then-
         # release it in a chain, and late arrivals short-circuit on the
-        # ``_done`` flag.
+        # ``_done`` flag, which ``_STATE_LOCK`` guards.
         barrier = allocate_lock()
         barrier.acquire()
         self._barrier = barrier
         self._result: Optional[ServeResult] = None
         self._exception: Optional[BaseException] = None
         self._done = False
-        self._lock = allocate_lock()
         # Created by the first registration: most handles never get one.
         self._callbacks: Optional[list] = None
 
@@ -90,7 +94,7 @@ class ServeHandle:
         self._finish()
 
     def _finish(self) -> None:
-        with self._lock:
+        with _STATE_LOCK:
             if self._done:  # first completion wins (Event.set idempotency)
                 return
             self._done = True
@@ -105,7 +109,7 @@ class ServeHandle:
         Exactly-once per registration: a callback registered after
         completion fires immediately on the calling thread.
         """
-        with self._lock:
+        with _STATE_LOCK:
             if not self._done:
                 if self._callbacks is None:
                     self._callbacks = []

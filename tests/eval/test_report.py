@@ -20,8 +20,17 @@ class TestGenerateReport:
             "## Energy savings and speedup",
             "## Checker time relative to one NPU invocation",
             "## EVP vs EEP",
+            "## Paper fidelity",
         ):
             assert heading in fft_report
+        # fft's rows and the app-independent ones render; a suite mean
+        # or another app's ablation is left out, not shown over fft alone.
+        for present in ("`fig16.max_rise`", "`fig18.fix_fraction`",
+                        "`fig05.eep_advantage`", "`fig10.ideal_slack`"):
+            assert present in fft_report
+        for absent in ("`headline.error_reduction`", "`fig12.mean.Random`",
+                       "`ablation.tree_depth.7.fixed`", "kmeans"):
+            assert absent not in fft_report
 
     def test_markdown_tables_well_formed(self, fft_report):
         lines = fft_report.splitlines()

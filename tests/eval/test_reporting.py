@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.eval.reporting import banner, format_percent, format_series, format_table
+from repro.eval.reporting import banner, format_table
 
 
 class TestFormatTable:
@@ -31,19 +31,6 @@ class TestFormatTable:
         assert "a" in text
 
 
-class TestFormatSeries:
-    def test_columns_per_series(self):
-        text = format_series(
-            "x", [0.0, 1.0], {"s1": [10.0, 20.0], "s2": [30.0, 40.0]}
-        )
-        assert "s1" in text and "s2" in text
-        assert "10.000" in text and "40.000" in text
-
-
 class TestSmallHelpers:
-    def test_percent(self):
-        assert format_percent(0.123) == "12.3%"
-        assert format_percent(0.5, digits=0) == "50%"
-
     def test_banner_contains_title(self):
         assert "Fig. 10" in banner("Fig. 10")

@@ -16,12 +16,7 @@ from repro.observability import (
     read_flight_log,
     render_dashboard,
 )
-from repro.observability.instrument import (
-    PHASES,
-    ambient_telemetry_registry,
-    disable_ambient_telemetry,
-    enable_ambient_telemetry,
-)
+from repro.observability.instrument import PHASES
 from repro.observability.reqtrace import segments
 
 #: The catalog of docs/observability.md — one run_invocation must touch
@@ -201,23 +196,6 @@ class TestStreamDriftTelemetry:
         flags = registry.get("rumba_drift_flags_total")
         child = flags.labels(app="fft", scheme="treeErrors")
         assert child.value == stream.drift.flags
-
-
-class TestAmbientTelemetry:
-    def test_systems_auto_attach_while_armed(self, fft_inputs):
-        registry = MetricsRegistry()
-        enable_ambient_telemetry(registry)
-        try:
-            assert ambient_telemetry_registry() is registry
-            system = prepare_system("fft", scheme="treeErrors", seed=0)
-            assert system.telemetry is not None
-            system.run_invocation(fft_inputs[:200])
-        finally:
-            disable_ambient_telemetry()
-        assert "rumba_invocations_total" in registry
-        assert ambient_telemetry_registry() is None
-        later = prepare_system("fft", scheme="treeErrors", seed=0)
-        assert later.telemetry is None
 
 
 class TestDashboard:

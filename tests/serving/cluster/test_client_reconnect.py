@@ -9,6 +9,7 @@ because the client cannot know whether the server executed them.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -84,13 +85,36 @@ class TestAutoReconnect:
     def test_inflight_requests_fail_fast_and_typed(
         self, fft_prototype, fft_input_pool
     ):
-        node = _make_node(fft_prototype)
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                n_workers=1,
+                batching=BatchingConfig(max_batch_requests=4,
+                                        flush_interval_s=0.002),
+            ),
+        )
+        server.prepare()
+        # Park each batch on its worker until the node has stopped: a
+        # reply that beat stop() would leave its request nothing to fail.
+        entered, release = threading.Event(), threading.Event()
+        for shard in server.shards:
+            def parked(*args, _run=shard.system.run_invocation, **kwargs):
+                entered.set()
+                release.wait(30.0)
+                return _run(*args, **kwargs)
+
+            shard.system.run_invocation = parked
+        server.start()
+        # The node fronts a server it did not start, so stopping the node
+        # leaves the parked worker to the ``finally`` below.
+        node = NetServer(server, "127.0.0.1", 0).start()
         client = RumbaClient(*node.address)
         try:
             handles = [
                 client.submit(fft_input_pool[:8], deadline_s=30.0)
                 for _ in range(4)
             ]
+            assert entered.wait(10.0)
             node.stop()
             started = time.monotonic()
             failures = 0
@@ -107,6 +131,9 @@ class TestAutoReconnect:
             assert time.monotonic() - started < 10.0
         finally:
             client.close()
+            node.stop()
+            release.set()
+            server.stop()
 
     def test_submit_after_reconnect_works(
         self, fft_prototype, fft_input_pool

@@ -101,9 +101,7 @@ SURFACE = {
     "repro.observability": {
         "repro.observability.metrics": "Counter Gauge Histogram "
             "MetricsRegistry get_default_registry set_default_registry",
-        "repro.observability.instrument": "Telemetry "
-            "enable_ambient_telemetry disable_ambient_telemetry "
-            "ambient_telemetry_registry",
+        "repro.observability.instrument": "Telemetry",
         "repro.observability.export": "prometheus_text json_snapshot "
                                       "write_snapshot",
         "repro.observability.dashboard": "render_dashboard",

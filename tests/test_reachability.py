@@ -1,9 +1,9 @@
 """Nothing lives under ``src/repro`` without a caller.
 
-A module stays only if a *product root* -- the CLI (``repro/__main__.py``),
-the ladder gate (``benchmarks/ladder/*.py``) or a figure/table bench
-(``benchmarks/*.py``; ``_bench_utils.py`` is what every ``bench_*`` imports)
--- reaches it through real import statements.  ``from repro.pkg import
+A module stays only if a *product root* -- the CLI (``repro/__main__.py``,
+whose ``report`` renders the paper-fidelity table), the ladder gate
+(``benchmarks/ladder/*.py``) or a remaining bench (``benchmarks/*.py``) --
+reaches it through real import statements.  ``from repro.pkg import
 Name`` is resolved through the package's ``__init__`` -- its import
 statements or its literal ``_EXPORTS`` table of lazy re-exports -- to the
 module that defines ``Name``, so a re-export keeps nothing alive; tests and
@@ -20,11 +20,6 @@ ROOT_SCRIPTS = [
     *sorted((REPO / "benchmarks").glob("*.py")),
     *sorted((REPO / "benchmarks" / "ladder").glob("*.py")),
 ]
-# Unreachable on purpose -- one line of reason each.
-ALLOWED_UNREACHABLE = {
-    "repro.eval.golden": "fidelity bands tier-1 reads by design; the "
-                         "ROADMAP ledger item grows it into a product table",
-}
 
 TREES, PACKAGES = {}, set()
 for _path in sorted((SRC / "repro").rglob("*.py")):
@@ -99,11 +94,8 @@ def _reachable():
 
 
 def test_every_module_has_a_product_caller():
-    unreachable = set(TREES) - PACKAGES - _reachable()
-    orphans = sorted(unreachable - set(ALLOWED_UNREACHABLE))
+    orphans = sorted(set(TREES) - PACKAGES - _reachable())
     assert not orphans, (
         f"no CLI command, ladder rung or bench imports {orphans}: "
         "wire them into a product root or delete them"
     )
-    stale = sorted(set(ALLOWED_UNREACHABLE) - unreachable)
-    assert not stale, f"{stale} are reachable now: drop them from the allowlist"
