@@ -13,11 +13,13 @@ directly::
 from __future__ import annotations
 
 import json
+import os
+import platform
 from typing import Callable
 
 from repro.apps.registry import APPLICATION_NAMES
 
-__all__ = ["APPLICATION_NAMES", "run_once", "emit", "persist_report"]
+__all__ = ["APPLICATION_NAMES", "run_once", "emit", "banner", "persist_report"]
 
 
 def run_once(benchmark, fn: Callable, *args, **kwargs):
@@ -35,30 +37,18 @@ def emit(text: str) -> None:
     print(text)
 
 
-def persist_report(
-    report: dict, json_path: str, bench: str, quick: bool = False
-) -> None:
-    """Persist one bench report: JSON view + experiment-DB run.
+def banner(title: str, width: int = 78) -> str:
+    """A section banner for bench output."""
+    bar = "=" * width
+    return f"{bar}\n{title}\n{bar}"
 
-    The JSON file keeps the ``BENCH_*.json`` artifact contract (CI
-    uploads it); the authoritative copy goes
-    into the sqlite experiment DB (``$RUMBA_EXPDB`` or
-    ``experiments.sqlite``), where ``python -m repro report --expdb``
-    and cross-run queries read it back.  A DB failure must not fail a
-    bench that already produced its numbers, so it downgrades to a
-    warning.
-    """
+
+def persist_report(report: dict, json_path: str) -> None:
+    """Write one bench report (a ``BENCH_*.json`` file, which CI uploads)
+    with a ``host`` block naming the machine that produced it."""
+    host = {"platform": platform.platform(), "python": platform.python_version(),
+            "cpu_count": os.cpu_count()}
     with open(json_path, "w") as handle:
-        json.dump(report, handle, indent=2)
+        json.dump({**report, "host": host}, handle, indent=2)
         handle.write("\n")
     emit(f"wrote {json_path}")
-    from repro.eval.expdb import ExperimentDB, default_db_path
-
-    db_path = default_db_path()
-    try:
-        with ExperimentDB(db_path) as db:
-            run_id = db.record_run(bench, report, quick=quick)
-    except Exception as exc:  # pragma: no cover - disk/sqlite trouble
-        emit(f"[expdb] not recorded in {db_path}: {exc}")
-    else:
-        emit(f"[expdb] recorded run {run_id} of {bench} in {db_path}")

@@ -26,11 +26,11 @@ from typing import Dict, List
 
 import numpy as np
 
-from _bench_utils import emit, run_once
+from _bench_utils import banner, emit, run_once
 
 from repro.core import prepare_system
 from repro.errors import ServingError
-from repro.eval.reporting import banner, format_table
+from repro.tables import format_table
 from repro.serving import (
     BatchingConfig,
     ChaosConfig,

@@ -15,10 +15,10 @@ preserved orderings.
 """
 
 import numpy as np
-from _bench_utils import APPLICATION_NAMES, emit, run_once
+from _bench_utils import APPLICATION_NAMES, banner, emit, run_once
 
 from repro.apps import all_applications
-from repro.eval.reporting import banner, format_table
+from repro.tables import format_table
 from repro.hardware.cpusim import simulate_mix
 from repro.hardware.energy import EnergyModel
 from repro.hardware.npu import NPUModel

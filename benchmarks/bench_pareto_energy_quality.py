@@ -19,14 +19,14 @@ can only add savings, never lose quality headroom.  Results persist to
 import os
 
 import numpy as np
-from _bench_utils import APPLICATION_NAMES, emit, persist_report, run_once
+from _bench_utils import APPLICATION_NAMES, banner, emit, persist_report, run_once
 
 from repro.core.costs import CostModel
 from repro.core.offline import prepare_ensemble
 from repro.eval import evaluate_benchmark
-from repro.eval.reporting import banner, format_table
 from repro.hardware.checker_hw import CheckerModel
 from repro.metrics.analysis import fixes_required_for_quality
+from repro.tables import format_table
 
 TARGETS = (0.20, 0.15, 0.10, 0.05, 0.02)
 
@@ -179,10 +179,7 @@ def test_pareto_ensemble(benchmark):
         "apps": list(ENSEMBLE_APPS),
         "points": points,
     }
-    persist_report(
-        report, ENSEMBLE_OUTPUT_PATH, bench="pareto_ensemble",
-        quick=os.environ.get("RUMBA_BENCH_QUICK", "") == "1",
-    )
+    persist_report(report, ENSEMBLE_OUTPUT_PATH)
 
 
 if __name__ == "__main__":

@@ -63,7 +63,8 @@ Commands
 ``survey``
     Run the Sec. 2.2 purity survey over the kernel-pattern catalog.
 ``report [--apps a,b,...] [--out FILE]``
-    Run the full evaluation and emit a markdown experiment report.
+    Run the full evaluation and emit the paper-vs-measured document
+    (``EXPERIMENTS.md`` for the whole suite at seed 0).
 """
 
 from __future__ import annotations
@@ -649,16 +650,12 @@ def _cmd_survey(_args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.eval.report import generate_report
+    from repro.eval.fidelity import generate_report
 
     apps = args.apps.split(",") if args.apps else None
     kwargs = {"seed": args.seed}
     if apps:
         kwargs["benchmarks"] = apps
-    if args.expdb is not None:
-        from repro.eval.expdb import default_db_path
-
-        kwargs["expdb_path"] = args.expdb or default_db_path()
     text = generate_report(**kwargs)
     if args.out:
         with open(args.out, "w") as handle:
@@ -914,10 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated benchmark subset")
     report.add_argument("--out", default="", help="write to a file")
     report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--expdb", nargs="?", const="", default=None,
-                        help="append serving-bench tables from this "
-                             "experiment DB (bare flag: $RUMBA_EXPDB or "
-                             "experiments.sqlite)")
     return parser
 
 

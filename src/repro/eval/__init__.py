@@ -1,5 +1,7 @@
-"""Evaluation harness: scheme scoring, per-figure experiments, reporting."""
+"""Evaluation harness: scheme scoring, per-figure experiments, and the
+paper-vs-measured document (:mod:`repro.eval.fidelity`)."""
 
+from repro._lazy import lazy_exports
 from repro.eval.experiments import (
     DEFAULT_TARGET_ERROR,
     ActivityCaseStudy,
@@ -17,13 +19,16 @@ from repro.eval.experiments import (
     quality_target_analysis,
 )
 from repro.eval.ascii_plots import bar_chart, line_chart, sparkline
-from repro.eval.report import generate_report
-from repro.eval.reporting import banner, format_table
 from repro.eval.schemes import (
     BenchmarkEvaluation,
     clear_evaluation_cache,
     evaluate_benchmark,
 )
+
+# ``python -m repro.eval.fidelity`` rewrites the committed snapshot; were
+# the module imported here, runpy would find it loaded and warn.
+_EXPORTS = {"generate_report": "fidelity"}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DEFAULT_TARGET_ERROR",
@@ -43,8 +48,6 @@ __all__ = [
     "HeadlineSummary",
     "headline_summary",
     "geomean",
-    "format_table",
-    "banner",
     "bar_chart",
     "line_chart",
     "sparkline",

@@ -1,4 +1,5 @@
-"""Fixed-width text tables, for the CLI and every bench.
+"""Fixed-width text tables for the CLI and every bench, and markdown
+tables for ``repro report``.
 
 Kept apart from :mod:`repro.eval` so that a command printing a table
 (``serve``, ``client``) does not load the evaluation stack.
@@ -11,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["format_table"]
+__all__ = ["format_table", "markdown_table"]
 
 
 def format_table(
@@ -42,6 +43,19 @@ def format_table(
     lines.append("-" * len(header_line))
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """The same rows as a markdown table."""
+    lines = [
+        "| " + " | ".join(str(h) for h in headers) + " |",
+        "|" + "|".join("---" for _ in headers) + "|",
+    ]
+    for row in rows:
+        if len(row) != len(headers):
+            raise ConfigurationError("report row width mismatch")
+        lines.append("| " + " | ".join(_cell(c) for c in row) + " |")
     return "\n".join(lines)
 
 

@@ -1,9 +1,10 @@
 """The paper-fidelity table against its committed snapshot.
 
 ``fidelity.json`` at the repository root is ``collect(APPLICATION_NAMES,
-seed=0)``.  A change that moves a number on purpose regenerates it with
-``PYTHONPATH=src python -m repro.eval.fidelity > fidelity.json`` and says
-which rows moved.
+seed=0)`` and ``EXPERIMENTS.md`` its rendering.  A change that moves a
+number or a note on purpose regenerates both with ``PYTHONPATH=src python
+-m repro.eval.fidelity`` (from the repository root) and says which rows
+moved.
 """
 
 import copy
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.apps.registry import APPLICATION_NAMES
-from repro.eval.fidelity import ROWS, collect
+from repro.eval.fidelity import GRIDS, ROWS, SOURCES, collect, render
 
 SNAPSHOT = Path(__file__).resolve().parents[2] / "fidelity.json"
+EXPERIMENTS = SNAPSHOT.with_name("EXPERIMENTS.md")
 
 #: The paper's numbers each row must carry (abstract, Figs. 1-18).
 PAPER_VALUES = {
@@ -120,6 +122,20 @@ def test_headline_checks_flag_multiple_drifts(snapshot):
 def test_the_papers_values_are_rows():
     paper = {row.id: row.paper for row in ROWS}
     assert {key: paper.get(key) for key in PAPER_VALUES} == PAPER_VALUES
+
+
+def test_experiments_md_is_the_rendering_of_the_snapshot(snapshot):
+    """Neither file is edited by hand: the snapshot is in the form the
+    generator writes, and the document is its rendering (whose header
+    carries a digest of all of it, so any edit to either shows here)."""
+    assert SNAPSHOT.read_text() == json.dumps(snapshot, indent=1) + "\n"
+    assert EXPERIMENTS.read_text() == render(snapshot) + "\n"
+
+
+def test_every_source_is_a_section():
+    sections = [source for source, _, _ in SOURCES]
+    assert len(set(sections)) == len(sections)
+    assert {item.source for item in (*ROWS, *GRIDS)} <= set(sections)
 
 
 @pytest.mark.slow

@@ -1,9 +1,13 @@
-"""Unit tests for the bench reporting helpers."""
+"""Unit tests for the text and markdown tables, and the benches' banner."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.eval.reporting import banner, format_table
+from repro.tables import format_table, markdown_table
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestFormatTable:
@@ -31,6 +35,17 @@ class TestFormatTable:
         assert "a" in text
 
 
+class TestMarkdownTable:
+    def test_layout_and_row_width(self):
+        assert markdown_table(["a", "b"], [["x", 1.5]]).splitlines() == [
+            "| a | b |", "|---|---|", "| x | 1.500 |"]
+        with pytest.raises(ConfigurationError):
+            markdown_table(["a", "b"], [["only-one"]])
+
+
 class TestSmallHelpers:
-    def test_banner_contains_title(self):
+    def test_banner_contains_title(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        from _bench_utils import banner
+
         assert "Fig. 10" in banner("Fig. 10")
