@@ -3,8 +3,7 @@
 The paper's figures, tables and ablations are rows of
 :mod:`repro.eval.fidelity`, rendered by ``python -m repro report``.  What
 stays here: the Pareto energy/quality sweep (``bench_pareto_energy_quality``,
-which CI runs), the serving chaos soak (``bench_chaos``) and the cost-model
-validation against the simulators (``bench_model_validation``).  Run one
+which CI runs) and the serving chaos soak (``bench_chaos``).  Run one
 directly::
 
     python benchmarks/bench_pareto_energy_quality.py --ensemble-only

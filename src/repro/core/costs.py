@@ -102,10 +102,6 @@ class CostModel:
     def overhead_energy_pj(self) -> float:
         return self.energy_model.iteration_energy_pj(self.overhead.instruction_mix)
 
-    def accelerator_speedup(self, topology: Topology) -> float:
-        """Kernel-only per-iteration speedup of the accelerator."""
-        return self.cpu_iteration_cycles() / self.npu.invocation_cycles(topology)
-
     # ------------------------------------------------------------------ #
     # Whole-application accounting                                       #
     # ------------------------------------------------------------------ #

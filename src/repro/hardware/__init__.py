@@ -4,7 +4,7 @@ config queue of Fig. 4.
 """
 
 from repro.hardware.checker_hw import CheckerCostParams, CheckerModel
-from repro.hardware.energy import CostBreakdown, EnergyModel, InstructionMix
+from repro.hardware.energy import EnergyModel, InstructionMix
 from repro.hardware.microarch import TABLE2_X86_64, MicroArchParams
 from repro.hardware.npu import NPUConfig, NPUModel
 from repro.hardware.queues import ConfigQueue
@@ -14,7 +14,6 @@ __all__ = [
     "TABLE2_X86_64",
     "EnergyModel",
     "InstructionMix",
-    "CostBreakdown",
     "NPUConfig",
     "NPUModel",
     "CheckerModel",

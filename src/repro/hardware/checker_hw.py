@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.hardware.energy import CostBreakdown
 from repro.hardware.npu import NPUModel
 from repro.nn.mlp import Topology
 
@@ -130,9 +129,6 @@ class CheckerModel:
             # Tree levels are sequentially dependent: one compare per cycle.
             return self.tree_depth + 1.0
         return 3.0  # EMA: mult/add tree + compare
-
-    def check_cost(self) -> CostBreakdown:
-        return CostBreakdown(self.check_energy_pj(), self.check_cycles())
 
     def area_gates(self, coefficient_words: int = 0) -> float:
         """NAND2-equivalent gate count of the checker block (Fig. 7).

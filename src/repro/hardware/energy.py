@@ -21,19 +21,20 @@ FPUs, load/store units), plus long-latency transcendental operations which
 are modeled as unpipelined multi-cycle ops.
 
 Absolute joules are not the point — the paper's claims are relative (3.2x
-unchecked-NPU savings dropping to 2.2x with Rumba) and those ratios are what
-this model is calibrated to reproduce.
+unchecked-NPU savings dropping to 2.2x with Rumba).  Energy is a sum of
+per-event charges and involves no cycle count, so only these constants and
+the NPU's per-event energies set the savings ratios; the cycle model sets
+the speedups alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.hardware.microarch import MicroArchParams, TABLE2_X86_64
 
-__all__ = ["InstructionMix", "EnergyModel", "CostBreakdown"]
+__all__ = ["InstructionMix", "EnergyModel"]
 
 
 @dataclass(frozen=True)
@@ -69,46 +70,6 @@ class InstructionMix:
             + self.branches
             + self.transcendentals * EnergyModel.TRANSCENDENTAL_EXPANSION
         )
-
-    def scaled(self, factor: float) -> "InstructionMix":
-        """A mix with every count multiplied by ``factor``."""
-        if factor < 0:
-            raise ConfigurationError("scale factor must be >= 0")
-        return InstructionMix(
-            int_ops=self.int_ops * factor,
-            fp_ops=self.fp_ops * factor,
-            loads=self.loads * factor,
-            stores=self.stores * factor,
-            branches=self.branches * factor,
-            transcendentals=self.transcendentals * factor,
-        )
-
-    def __add__(self, other: "InstructionMix") -> "InstructionMix":
-        return InstructionMix(
-            int_ops=self.int_ops + other.int_ops,
-            fp_ops=self.fp_ops + other.fp_ops,
-            loads=self.loads + other.loads,
-            stores=self.stores + other.stores,
-            branches=self.branches + other.branches,
-            transcendentals=self.transcendentals + other.transcendentals,
-        )
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Energy (pJ) and time (cycles) for some unit of work."""
-
-    energy_pj: float
-    cycles: float
-
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            energy_pj=self.energy_pj + other.energy_pj,
-            cycles=self.cycles + other.cycles,
-        )
-
-    def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(self.energy_pj * factor, self.cycles * factor)
 
 
 class EnergyModel:
@@ -213,31 +174,3 @@ class EnergyModel:
             + mem_stall
             + branch_stall
         )
-
-    def iteration_cost(self, mix: InstructionMix) -> CostBreakdown:
-        """Combined energy and timing for one iteration."""
-        return CostBreakdown(
-            energy_pj=self.iteration_energy_pj(mix),
-            cycles=self.iteration_cycles(mix),
-        )
-
-    def iteration_time_ns(self, mix: InstructionMix) -> float:
-        """Wall-clock nanoseconds for one iteration at the configured clock."""
-        return self.iteration_cycles(mix) / self.params.clock_ghz
-
-    def breakdown(self, mix: InstructionMix) -> Dict[str, float]:
-        """Per-component energy breakdown (pJ) for reporting."""
-        fp_ops = mix.fp_ops + mix.transcendentals * self.TRANSCENDENTAL_EXPANSION
-        mem_accesses = mix.loads + mix.stores
-        return {
-            "frontend": mix.total_instructions * self.FRONTEND_PJ,
-            "int": mix.int_ops * self.INT_OP_PJ,
-            "fp": fp_ops * self.FP_OP_PJ,
-            "cache": mem_accesses
-            * (
-                self.l1_hit_ratio * self.L1_ACCESS_PJ
-                + (1.0 - self.l1_hit_ratio)
-                * (self.L1_ACCESS_PJ + self.L2_ACCESS_PJ)
-            ),
-            "branch": mix.branches * self.BRANCH_PJ,
-        }

@@ -10,8 +10,7 @@ and timing models in :mod:`repro.hardware.energy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 
@@ -58,33 +57,6 @@ class MicroArchParams:
                     f"microarchitectural parameter {f.name} must be positive, "
                     f"got {value!r}"
                 )
-
-    def as_table(self) -> Dict[str, object]:
-        """Parameter table in the paper's (name, value) layout."""
-        return {
-            "Fetch/Issue width": f"{self.fetch_width}/{self.issue_width}",
-            "INT ALUs/FPUs": f"{self.int_alus}/{self.fpus}",
-            "Load/Store FUs": f"{self.load_store_fus}/{self.load_store_fus}",
-            "Issue Queue Entries": self.issue_queue_entries,
-            "ROB Entries": self.rob_entries,
-            "INT/FP Physical Registers": (
-                f"{self.int_physical_registers}/{self.fp_physical_registers}"
-            ),
-            "BTB Entries": self.btb_entries,
-            "RAS Entries": self.ras_entries,
-            "Load/Store Queue Entries": (
-                f"{self.load_queue_entries}/{self.store_queue_entries}"
-            ),
-            "L1 iCache": f"{self.l1_icache_bytes // 1024}KB",
-            "L1 dCache": f"{self.l1_dcache_bytes // 1024}KB",
-            "L1/L2 Hit Latency": (
-                f"{self.l1_hit_latency_cycles}/{self.l2_hit_latency_cycles} cycles"
-            ),
-            "L1/L2 Associativity": self.l1_associativity,
-            "ITLB/DTLB Entries": f"{self.itlb_entries}/{self.dtlb_entries}",
-            "L2 Size": f"{self.l2_bytes // (1024 * 1024)} MB",
-            "Branch Predictor": self.branch_predictor.capitalize(),
-        }
 
 
 #: The exact configuration evaluated in the paper (Table 2).

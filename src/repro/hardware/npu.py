@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.hardware.energy import CostBreakdown
 from repro.nn.mlp import Topology
 
 __all__ = ["NPUConfig", "NPUModel"]
@@ -95,13 +94,6 @@ class NPUModel:
             + topology.n_neurons * cfg.activation_energy_pj
             + (topology.n_inputs + topology.n_outputs) * cfg.queue_word_energy_pj
             + cfg.invocation_overhead_pj
-        )
-
-    def invocation_cost(self, topology: Topology) -> CostBreakdown:
-        """Combined energy and timing for one invocation."""
-        return CostBreakdown(
-            energy_pj=self.invocation_energy_pj(topology),
-            cycles=self.invocation_cycles(topology),
         )
 
     def area_gates(self, topology: Topology,

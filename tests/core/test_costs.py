@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps import get_application
+from repro.apps import APPLICATION_NAMES, get_application
 from repro.core.costs import CostModel, OffloadOverhead
 from repro.errors import ConfigurationError
 from repro.hardware.checker_hw import CheckerModel
-from repro.hardware.energy import InstructionMix
+from repro.hardware.energy import EnergyModel, InstructionMix
+from repro.hardware.npu import NPUConfig, NPUModel
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,9 @@ class TestCostModel:
         app = sobel_cost_model.app
         checker = CheckerModel("tree", n_inputs=9)
         none = sobel_cost_model.whole_app_costs(app.rumba_topology, checker, 0.0)
-        keepup = sobel_cost_model.accelerator_speedup(app.rumba_topology)
+        keepup = sobel_cost_model.cpu_iteration_cycles() / (
+            sobel_cost_model.npu.invocation_cycles(app.rumba_topology)
+        )
         modest = 0.5 / keepup
         some = sobel_cost_model.whole_app_costs(
             app.rumba_topology, checker, modest
@@ -107,3 +110,29 @@ class TestCostModel:
                                              CheckerModel("tree"), 0.5)
         assert a.baseline_energy_pj == b.baseline_energy_pj
         assert a.baseline_cycles == b.baseline_cycles
+
+
+@pytest.mark.parametrize("name", APPLICATION_NAMES)
+def test_energy_savings_independent_of_cycle_model(name):
+    """Energy is a sum of per-event charges: no cycle parameter moves it.
+
+    The Fig. 14 and headline energy rows rest on this; a time-dependent
+    term (static power) would break it, and their note with it.
+    """
+    app = get_application(name)
+    slow = CostModel(
+        app,
+        energy_model=EnergyModel(effective_ipc=0.7, branch_mispredict_ratio=0.1,
+                                 mispredict_penalty_cycles=30.0),
+        npu=NPUModel(NPUConfig(n_pes=2, queue_words_per_cycle=0.5,
+                               invocation_overhead_cycles=40.0)),
+    )
+    configurations = (
+        (app.npu_topology, CheckerModel("none"), 0.0),
+        (app.rumba_topology, CheckerModel("tree"), 0.2),
+    )
+    for topology, checker, fix_fraction in configurations:
+        analytic = CostModel(app).whole_app_costs(topology, checker, fix_fraction)
+        other = slow.whole_app_costs(topology, checker, fix_fraction)
+        assert other.energy_savings == analytic.energy_savings
+        assert other.speedup != analytic.speedup

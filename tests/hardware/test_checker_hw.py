@@ -50,12 +50,6 @@ class TestCheckerModel:
         with pytest.raises(ConfigurationError):
             CheckerCostParams(macs_per_cycle=0.0)
 
-    def test_check_cost_bundles_both(self):
-        checker = CheckerModel("linear", n_inputs=4)
-        cost = checker.check_cost()
-        assert cost.energy_pj == checker.check_energy_pj()
-        assert cost.cycles == checker.check_cycles()
-
 
 class TestAreaModel:
     def test_none_checker_has_no_area(self):

@@ -74,13 +74,6 @@ class TestNPUModel:
             assert model.invocation_cycles(topo) > 0
             assert model.invocation_energy_pj(topo) > 0
 
-    def test_invocation_cost_bundles_both(self):
-        model = NPUModel()
-        topo = Topology.parse("6->4->4->1")
-        cost = model.invocation_cost(topo)
-        assert cost.cycles == model.invocation_cycles(topo)
-        assert cost.energy_pj == model.invocation_energy_pj(topo)
-
     def test_area_scales_with_weights(self):
         model = NPUModel()
         small = Topology.parse("2->2->2")
