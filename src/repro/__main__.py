@@ -194,7 +194,6 @@ def _serve_config(args: argparse.Namespace):
         ensemble = EnsembleConfig(
             enabled=True,
             members=args.ensemble,
-            router=args.ensemble_router,
             margin=args.ensemble_margin,
         )
     else:
@@ -798,9 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "separated, best-first member tokens, e.g. "
                             "'mlp:large,mlp:small,memo' (empty disables; "
                             "see docs/ensemble.md)")
-    serve.add_argument("--ensemble-router", default="linear",
-                       choices=("linear", "tree"),
-                       help="router predictor family for --ensemble")
     serve.add_argument("--ensemble-margin", type=float, default=1.0,
                        help="router budget as a multiple of the detection "
                             "threshold (lower = more rows on the "

@@ -55,7 +55,6 @@ from repro.nn.mlp import Topology
 from repro.nn.trainer import RPropTrainer
 from repro.predictors.base import ErrorPredictor
 from repro.predictors.linear import LinearErrorPredictor
-from repro.predictors.tree import DecisionTreeErrorPredictor
 
 __all__ = [
     "ApproximatorEnsemble",
@@ -65,6 +64,13 @@ __all__ = [
     "OnlineLearner",
     "build_ensemble",
 ]
+
+#: Routing-budget widening per tuner degradation level.
+DEGRADE_BIAS = 2.0
+#: Recovery-labelled samples between online retrains.
+RETRAIN_INTERVAL = 64
+#: Per-member online ring-buffer capacity.
+LEARN_BUFFER = 1024
 
 
 @dataclass(frozen=True)
@@ -78,15 +84,12 @@ class EnsembleSpec:
     perforation), ``quantize`` (reduced-precision datapath), ``analog``
     (noisy analog datapath — stochastic, excluded from replay-grade
     serving ensembles).  The first member is the reference: it must be
-    an NPU MLP and serves as the router's quality fallback.
+    an NPU MLP and serves as the router's quality fallback.  ``margin``
+    scales the router's budget (see :class:`InvocationRouter`).
     """
 
     members: str = "mlp:large,mlp:small,memo"
-    router: str = "linear"
     margin: float = 1.0
-    degrade_bias: float = 2.0
-    retrain_interval: int = 64
-    learn_buffer: int = 1024
 
     def __post_init__(self) -> None:
         tokens = self.member_tokens()
@@ -98,19 +101,8 @@ class EnsembleSpec:
             raise ConfigurationError(
                 "the first (reference) ensemble member must be an mlp"
             )
-        if self.router not in ("linear", "tree"):
-            raise ConfigurationError(
-                f"unknown router predictor {self.router!r}; "
-                "choose 'linear' or 'tree'"
-            )
         if self.margin <= 0:
             raise ConfigurationError("margin must be > 0")
-        if self.degrade_bias < 1.0:
-            raise ConfigurationError("degrade_bias must be >= 1")
-        if self.retrain_interval < 1:
-            raise ConfigurationError("retrain_interval must be >= 1")
-        if self.learn_buffer < 16:
-            raise ConfigurationError("learn_buffer must be >= 16")
 
     def member_tokens(self) -> Tuple[str, ...]:
         return tuple(
@@ -139,26 +131,18 @@ class InvocationRouter:
 
     Policy: rows go to the *cheapest* member whose predicted error —
     scaled by that member's learned ``caution`` factor — stays within
-    ``threshold * margin * degrade_bias**degradation_level``.  Rows no
+    ``threshold * margin * DEGRADE_BIAS**degradation_level``.  Rows no
     cheap member can serve fall back to the reference member (index 0).
     Raising ``degradation_level`` (the tuner's degrade signal) widens
     the accepted budget, deliberately trading quality for cost when the
     recovery path is backpressured; relax undoes it.
     """
 
-    def __init__(
-        self,
-        members: Sequence[EnsembleMember],
-        margin: float = 1.0,
-        degrade_bias: float = 2.0,
-    ):
+    def __init__(self, members: Sequence[EnsembleMember], margin: float = 1.0):
         if margin <= 0:
             raise ConfigurationError("margin must be > 0")
-        if degrade_bias < 1.0:
-            raise ConfigurationError("degrade_bias must be >= 1")
         self.members = list(members)
         self.margin = float(margin)
-        self.degrade_bias = float(degrade_bias)
         self.degradation_level = 0
         #: Learned per-member correction on predicted errors (>1 means
         #: the member's predictor has been under-predicting: be careful).
@@ -175,7 +159,7 @@ class InvocationRouter:
         return (
             float(threshold)
             * self.margin
-            * self.degrade_bias ** self.degradation_level
+            * DEGRADE_BIAS ** self.degradation_level
         )
 
     def set_degradation(self, level: int) -> None:
@@ -207,8 +191,9 @@ class OnlineLearner:
 
     Every flagged row the CPU recovers yields an exact-vs-approx error
     label for the member that produced it.  Labels accumulate in
-    per-member ring buffers on top of the offline training base; every
-    ``retrain_interval`` labels the learner (a) refits each member's
+    per-member ring buffers (the newest :data:`LEARN_BUFFER` kept) on top
+    of the offline training base; every :data:`RETRAIN_INTERVAL` labels
+    the learner (a) refits each member's
     error predictor on base+online data and (b) recalibrates the
     router's per-member caution factors from how observed errors compare
     to what the member predicted.  Only the routing layer learns — the
@@ -221,20 +206,12 @@ class OnlineLearner:
         router: InvocationRouter,
         base_features: np.ndarray,
         base_errors: List[np.ndarray],
-        retrain_interval: int = 64,
-        buffer_cap: int = 1024,
     ):
-        if retrain_interval < 1:
-            raise ConfigurationError("retrain_interval must be >= 1")
-        if buffer_cap < 16:
-            raise ConfigurationError("buffer_cap must be >= 16")
         self.members = list(members)
         self.router = router
         # Shared, read-only offline base (features x per-member errors).
         self.base_features = base_features
         self.base_errors = base_errors
-        self.retrain_interval = int(retrain_interval)
-        self.buffer_cap = int(buffer_cap)
         self._online_features: List[List[np.ndarray]] = [
             [] for _ in self.members
         ]
@@ -263,7 +240,7 @@ class OnlineLearner:
             self._online_errors[idx].append(errors[rows])
         self._pending += int(errors.size)
         self.samples_consumed += int(errors.size)
-        if self._pending >= self.retrain_interval:
+        if self._pending >= RETRAIN_INTERVAL:
             self._retrain()
             self._pending = 0
 
@@ -275,8 +252,8 @@ class OnlineLearner:
             return None, None
         x = np.vstack(feats)
         y = np.concatenate(errs)
-        if x.shape[0] > self.buffer_cap:
-            x, y = x[-self.buffer_cap:], y[-self.buffer_cap:]
+        if x.shape[0] > LEARN_BUFFER:
+            x, y = x[-LEARN_BUFFER:], y[-LEARN_BUFFER:]
             # Compact the ring in place so memory stays bounded.
             self._online_features[idx] = [x]
             self._online_errors[idx] = [y]
@@ -582,11 +559,7 @@ class ApproximatorEnsemble:
             )
             for m in self.members
         ]
-        router = InvocationRouter(
-            members,
-            margin=self.router.margin,
-            degrade_bias=self.router.degrade_bias,
-        )
+        router = InvocationRouter(members, margin=self.router.margin)
         learner = None
         if self.learner is not None:
             learner = OnlineLearner(
@@ -594,8 +567,6 @@ class ApproximatorEnsemble:
                 router,
                 base_features=self.learner.base_features,
                 base_errors=self.learner.base_errors,
-                retrain_interval=self.learner.retrain_interval,
-                buffer_cap=self.learner.buffer_cap,
             )
         return ApproximatorEnsemble(
             self.app, members, router, learner=learner
@@ -666,12 +637,6 @@ def _build_member_backend(
     raise ConfigurationError(f"unknown ensemble member token {token!r}")
 
 
-def _make_router_predictor(kind: str) -> ErrorPredictor:
-    if kind == "tree":
-        return DecisionTreeErrorPredictor(max_depth=5)
-    return LinearErrorPredictor()
-
-
 def build_ensemble(
     app: Application,
     spec: Optional[EnsembleSpec] = None,
@@ -713,7 +678,7 @@ def build_ensemble(
         errors = np.asarray(
             app.element_errors(approx, exact), dtype=float
         ).ravel()
-        predictor = _make_router_predictor(spec.router).fit(x, errors)
+        predictor = LinearErrorPredictor().fit(x, errors)
         members.append(
             EnsembleMember(
                 name=name,
@@ -724,15 +689,8 @@ def build_ensemble(
         )
         base_errors.append(errors)
 
-    router = InvocationRouter(
-        members, margin=spec.margin, degrade_bias=spec.degrade_bias
-    )
+    router = InvocationRouter(members, margin=spec.margin)
     learner = OnlineLearner(
-        members,
-        router,
-        base_features=x,
-        base_errors=base_errors,
-        retrain_interval=spec.retrain_interval,
-        buffer_cap=spec.learn_buffer,
+        members, router, base_features=x, base_errors=base_errors
     )
     return ApproximatorEnsemble(app, members, router, learner=learner)

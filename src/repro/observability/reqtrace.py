@@ -251,7 +251,7 @@ class TracingPolicy:
 
     ``sample_every=N`` keeps every N-th request (counter-based, so the
     rate is exact, not probabilistic); errors and retries are promoted
-    to sampled regardless when ``always_sample_errors`` is set.  When
+    to sampled regardless.  When
     tracing is disabled :meth:`new_trace` returns None and every stamp
     site stays a cheap ``is None`` check.  Unsampled traces still carry
     an identity (so a later promotion keeps the same trace id), but
@@ -259,25 +259,15 @@ class TracingPolicy:
     serving hot path does.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        sample_every: int = 64,
-        always_sample_errors: bool = True,
-    ):
+    def __init__(self, enabled: bool = True, sample_every: int = 64):
         self.enabled = bool(enabled)
         self.sample_every = max(int(sample_every), 1)
-        self.always_sample_errors = bool(always_sample_errors)
         self._counter = itertools.count()
 
     @classmethod
     def from_config(cls, config) -> "TracingPolicy":
         """Build from any object with the ``TracingConfig`` attributes."""
-        return cls(
-            enabled=config.enabled,
-            sample_every=config.sample_every,
-            always_sample_errors=config.always_sample_errors,
-        )
+        return cls(enabled=config.enabled, sample_every=config.sample_every)
 
     def new_trace(
         self, trace_id: int = 0, force: Optional[bool] = None

@@ -60,7 +60,6 @@ class NodeLink:
         self.manager = manager
         self._stream = None                   # asyncio StreamWriter
         self.writer: Optional[wire.FrameWriter] = None
-        self.version = wire.PROTOCOL_VERSION
         self.welcome: dict = {}
         self.connected = False
         self.pending: Dict[int, object] = {}  # backend id -> entry | Future
@@ -68,7 +67,7 @@ class NodeLink:
         self._reader_task: Optional[asyncio.Task] = None
 
     async def connect(self, timeout: float) -> dict:
-        """Dial the node, read its WELCOME, start the reader task."""
+        """Dial the node, read and check its WELCOME, start the reader."""
         host, port = self.node.address
         reader, self._stream = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout=timeout
@@ -78,7 +77,6 @@ class NodeLink:
             self.welcome = await asyncio.wait_for(
                 wire._read_welcome(reader, buffer), timeout=timeout
             )
-            self.version = wire._negotiate_version(self.welcome)
         except BaseException:
             self._stream.close()
             raise
@@ -141,8 +139,8 @@ class NodeLink:
     def send_request(self, entry, deadline_s: float) -> int:
         """Queue one forward of ``entry``; returns the backend id.
 
-        The frame is ``entry.request_frame(backend_id, deadline_s,
-        version)`` and leaves with the rest of this loop tick's frames.
+        The frame is ``entry.request_frame(backend_id, deadline_s)`` and
+        leaves with the rest of this loop tick's frames.
         A closing link refuses *before* registering the entry, so
         connection_lost cannot strand it into the retry path a second
         time — the caller owns the single retry on that failure.  Once
@@ -153,9 +151,7 @@ class NodeLink:
                 f"link to node {self.node.name} is closing"
             )
         backend_id = next(self._ids)
-        self.writer.write(
-            entry.request_frame(backend_id, deadline_s, self.version)
-        )
+        self.writer.write(entry.request_frame(backend_id, deadline_s))
         self.pending[backend_id] = entry
         self.node.inflight += 1
         return backend_id
@@ -165,9 +161,7 @@ class NodeLink:
         backend_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self.pending[backend_id] = future
-        self.writer.write(wire.encode_frame(
-            wire.FT_STATS, backend_id, version=self.version
-        ))
+        self.writer.write(wire.encode_frame(wire.FT_STATS, backend_id))
         try:
             frame = await asyncio.wait_for(future, timeout=timeout)
         except asyncio.TimeoutError:

@@ -1,6 +1,6 @@
 """The cluster gateway: one listening address in front of N nodes.
 
-:class:`ClusterRouter` speaks the versioned binary protocol of
+:class:`ClusterRouter` speaks the binary protocol of
 ``docs/protocol.md`` on *both* faces.  Clients connect to it exactly as
 they would to a single :class:`~repro.serving.net.server.NetServer` —
 same WELCOME, same REQUEST/RESULT/ERROR/STATS frames, same
@@ -84,7 +84,7 @@ class _PendingEntry:
     """One accepted client request while the fleet works on it."""
 
     __slots__ = (
-        "conn", "client_id", "client_version", "body", "view",
+        "conn", "client_id", "body", "view",
         "deadline_at", "trace", "trace_id",
         "attempts", "node_name", "received_at",
     )
@@ -94,7 +94,6 @@ class _PendingEntry:
     ):
         self.conn = conn
         self.client_id = frame.request_id
-        self.client_version = frame.version
         self.body = frame.body                # relayed, never decoded
         self.view = view                      # its validated layout
         self.deadline_at = deadline_at        # absolute retry budget
@@ -104,16 +103,15 @@ class _PendingEntry:
         self.node_name = ""                   # last node it went to
         self.received_at = received_at
 
-    def request_frame(self, request_id, deadline_s, version) -> bytes:
+    def request_frame(self, request_id, deadline_s) -> bytes:
         """The REQUEST frame for one forward (what a NodeLink sends)."""
         return wire.relay_request(
-            self.body, self.view, request_id, deadline_s, self.trace_id,
-            version,
+            self.body, self.view, request_id, deadline_s, self.trace_id
         )
 
 
 class ClusterRouter(FrameListener):
-    """Route protocol-v2 clients across a fleet of ``NetServer`` nodes.
+    """Route clients across a fleet of ``NetServer`` nodes.
 
     Parameters
     ----------
@@ -296,12 +294,10 @@ class ClusterRouter(FrameListener):
     def _on_request(self, conn: ClientConnection, frame: wire.Frame) -> None:
         received_at = time.monotonic()
         try:
-            view = wire.peek_request(frame.body, version=frame.version)
+            view = wire.peek_request(frame.body)
         except ProtocolError as exc:
             self._m_rejected.inc()
-            conn.send_error(
-                frame.request_id, wire.ERR_PROTOCOL, str(exc), frame.version
-            )
+            conn.send_error(frame.request_id, wire.ERR_PROTOCOL, str(exc))
             return
         trace = self.tracing.new_trace(
             trace_id=view.trace_id,
@@ -400,7 +396,7 @@ class ClusterRouter(FrameListener):
     # -- backend callbacks (from NodeManager, on the loop) ------------- #
     def _on_backend_reply(self, link, entry: _PendingEntry, frame) -> None:
         if frame.frame_type == wire.FT_RESULT:
-            self._deliver_result(entry, frame, link.version)
+            self._deliver_result(entry, frame)
             return
         if frame.frame_type == wire.FT_ERROR:
             try:
@@ -451,9 +447,7 @@ class ClusterRouter(FrameListener):
         )
         return True
 
-    def _deliver_result(
-        self, entry: _PendingEntry, frame, link_version: int
-    ) -> None:
+    def _deliver_result(self, entry: _PendingEntry, frame) -> None:
         if not self._finish(entry):
             return
         completed, failed = self._outcomes(entry.node_name)
@@ -461,16 +455,12 @@ class ClusterRouter(FrameListener):
             # The worker name gains a node prefix so a client (and the
             # chaos drill) can see which fleet member answered.
             blob = wire.relay_result(
-                frame.body, wire.peek_result(frame.body, link_version),
+                frame.body, wire.peek_result(frame.body),
                 entry.client_id, f"{entry.node_name}/", entry.trace_id,
-                entry.client_version,
             )
         except ProtocolError as exc:  # malformed node reply
             failed.inc()
-            entry.conn.send_error(
-                entry.client_id, wire.ERR_PROTOCOL, str(exc),
-                entry.client_version,
-            )
+            entry.conn.send_error(entry.client_id, wire.ERR_PROTOCOL, str(exc))
             return
         completed.inc()
         entry.conn.frames.write(blob)
@@ -481,9 +471,7 @@ class ClusterRouter(FrameListener):
         if not self._finish(entry):
             return
         self._outcomes(entry.node_name)[1].inc()
-        entry.conn.send_error(
-            entry.client_id, code, message, entry.client_version
-        )
+        entry.conn.send_error(entry.client_id, code, message)
 
     # ------------------------------------------------------------------ #
     # Documents                                                          #

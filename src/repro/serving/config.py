@@ -131,18 +131,16 @@ class TracingConfig:
     Every request gets a trace identity when ``enabled``, but only the
     one-in-``sample_every`` requests picked by the sampler pay for stage
     stamping and are exported (stage histograms and the flight-recorder
-    record).  Errors and retried requests are promoted to sampled
-    regardless when ``always_sample_errors`` is set, so failures always
-    leave a record — their waterfall starts at the promotion point
-    (admission and the error stages are always present).
+    record).  Errors and retried requests are always promoted to
+    sampled, so failures always leave a record — their waterfall starts
+    at the promotion point (admission and the error stages are always
+    present).
     """
 
     #: Master switch; False makes every stamp site a no-op.
     enabled: bool = True
     #: Export one request in N (counter-based; 1 = export everything).
     sample_every: int = 64
-    #: Promote failed and retried requests to sampled.
-    always_sample_errors: bool = True
     #: Flight-recorder path (None = no flight log, histograms only).
     flight_log_path: Optional[str] = None
 
@@ -195,42 +193,22 @@ class EnsembleConfig:
     enabled: bool = False
     #: Comma-separated, best-first member tokens (see ``EnsembleSpec``).
     members: str = "mlp:large,mlp:small,memo"
-    #: Router predictor family: "linear" or "tree".
-    router: str = "linear"
     #: Router budget = detection threshold x margin.
     margin: float = 1.0
-    #: Budget widening per tuner degradation level (>= 1).
-    degrade_bias: float = 2.0
-    #: Recovery-labeled samples between online retrains.
-    retrain_interval: int = 64
-    #: Per-member online ring-buffer capacity.
-    learn_buffer: int = 1024
 
     def __post_init__(self) -> None:
         if self.enabled:
             # Full validation lives in EnsembleSpec; building one here
             # surfaces bad member lists at config-construction time.
             self.to_spec()
-        else:
-            if self.margin <= 0:
-                raise ConfigurationError("ensemble margin must be > 0")
-            if self.retrain_interval < 1:
-                raise ConfigurationError(
-                    "ensemble retrain_interval must be >= 1"
-                )
+        elif self.margin <= 0:
+            raise ConfigurationError("ensemble margin must be > 0")
 
     def to_spec(self):
         """The :class:`~repro.approx.ensemble.EnsembleSpec` this describes."""
         from repro.approx.ensemble import EnsembleSpec
 
-        return EnsembleSpec(
-            members=self.members,
-            router=self.router,
-            margin=self.margin,
-            degrade_bias=self.degrade_bias,
-            retrain_interval=self.retrain_interval,
-            learn_buffer=self.learn_buffer,
-        )
+        return EnsembleSpec(members=self.members, margin=self.margin)
 
 
 @dataclass(frozen=True)
@@ -302,7 +280,6 @@ class ServerConfig:
     n_workers: int = 2
     backend: str = "thread"
     ring_capacity_bytes: int = 1 << 22
-    start_method: Optional[str] = None
     measure_quality: bool = False
     seed: int = 0
     batching: BatchingConfig = field(default_factory=BatchingConfig)
@@ -326,7 +303,6 @@ class ServerConfig:
         "n_workers": (None, "n_workers"),
         "backend": (None, "backend"),
         "ring_capacity_bytes": (None, "ring_capacity_bytes"),
-        "start_method": (None, "start_method"),
         "measure_quality": (None, "measure_quality"),
         "seed": (None, "seed"),
         "chaos": (None, "chaos"),
@@ -342,17 +318,12 @@ class ServerConfig:
         "max_worker_restarts": ("retry", "max_worker_restarts"),
         "trace_enabled": ("tracing", "enabled"),
         "trace_sample_every": ("tracing", "sample_every"),
-        "trace_always_sample_errors": ("tracing", "always_sample_errors"),
         "flight_log_path": ("tracing", "flight_log_path"),
         "journal_path": ("journal", "path"),
         "journal_max_bytes": ("journal", "max_bytes"),
         "ensemble_enabled": ("ensemble", "enabled"),
         "ensemble_members": ("ensemble", "members"),
-        "ensemble_router": ("ensemble", "router"),
         "ensemble_margin": ("ensemble", "margin"),
-        "ensemble_degrade_bias": ("ensemble", "degrade_bias"),
-        "ensemble_retrain_interval": ("ensemble", "retrain_interval"),
-        "ensemble_learn_buffer": ("ensemble", "learn_buffer"),
     }
 
     def __post_init__(self, n_recovery_workers: int) -> None:

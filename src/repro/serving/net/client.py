@@ -4,8 +4,8 @@
 many in-flight requests (request-id multiplexing); a background reader
 thread demultiplexes responses into per-request :class:`NetHandle`
 futures.  (The asyncio side of the wire is the router's
-:class:`~repro.serving.cluster.nodes.NodeLink`; both use the WELCOME
-and version-negotiation helpers in :mod:`~repro.serving.net.protocol`.)
+:class:`~repro.serving.cluster.nodes.NodeLink`; both read and check
+the WELCOME with the helpers in :mod:`~repro.serving.net.protocol`.)
 
 It maps ERROR frames back to the typed exception hierarchy
 (:class:`~repro.errors.OverloadedError`,
@@ -41,7 +41,7 @@ class NetResult:
     latency_s: float
     fix_fraction: float
     degraded: bool
-    #: Server-assigned request-trace id (0 on v1 servers / untraced).
+    #: Server-assigned request-trace id (0 when untraced).
     trace_id: int = 0
     #: True when the server exported this request's trace (flight log +
     #: stage histograms); look it up with ``python -m repro trace``.
@@ -90,7 +90,7 @@ def _settle(frame: wire.Frame, set_result, set_exception) -> None:
     """Resolve one pending request from the frame that answers it."""
     try:
         if frame.frame_type == wire.FT_RESULT:
-            fields = wire.unpack_result(frame.body, version=frame.version)
+            fields = wire.unpack_result(frame.body)
             set_result(NetResult(request_id=frame.request_id, **fields))
         elif frame.frame_type == wire.FT_STATS_RESULT:
             set_result(wire.unpack_json(frame.body))
@@ -118,7 +118,6 @@ def _adopt_welcome(client, doc: dict) -> None:
     client.server_max_frame_bytes = int(
         doc.get("max_frame_bytes", wire.DEFAULT_MAX_FRAME_BYTES)
     )
-    client._wire_version = wire._negotiate_version(doc)
 
 
 class RumbaClient:
@@ -176,7 +175,7 @@ class RumbaClient:
     # Socket plumbing                                                    #
     # ------------------------------------------------------------------ #
     def _open_connection(self) -> None:
-        """Dial, read the WELCOME, negotiate, start a reader thread."""
+        """Dial, read and check the WELCOME, start a reader thread."""
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout_s
         )
@@ -345,7 +344,7 @@ class RumbaClient:
         self._ensure_connected()
         return self._send(wire.FT_REQUEST, wire.pack_request(
             inputs, deadline_s=deadline_s, scheme=scheme or "",
-            force_sample=trace, version=self._wire_version,
+            force_sample=trace,
         ))
 
     def _send(self, frame_type: int, body: bytes = b"") -> NetHandle:
@@ -357,9 +356,7 @@ class RumbaClient:
                 raise ServingError("client is closed")
             self._pending[request_id] = handle
         try:
-            self._send_frame(wire.encode_frame(
-                frame_type, request_id, body, version=self._wire_version
-            ))
+            self._send_frame(wire.encode_frame(frame_type, request_id, body))
         except ConnectionLostError:
             with self._lock:
                 self._pending.pop(request_id, None)

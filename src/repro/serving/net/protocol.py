@@ -1,22 +1,18 @@
-"""The versioned binary wire protocol (spec: ``docs/protocol.md``).
+"""The binary wire protocol (spec: ``docs/protocol.md``).
 
 Every message on the TCP stream is one **frame**::
 
     uint32 LE   length       bytes that follow (header + body + crc)
     uint32 LE   magic        0x52554D42  ("RUMB", same as the shm rings)
-    uint16 LE   version      a member of SUPPORTED_VERSIONS
+    uint16 LE   version      PROTOCOL_VERSION; any other value is refused
     uint16 LE   frame type   FT_* below
     uint64 LE   request id   caller-chosen; echoed on the response
     bytes       body         type-specific payload
     uint32 LE   crc32        zlib.crc32 over magic..body
 
-Version 2 (the current :data:`PROTOCOL_VERSION`) extends the REQUEST
-and RESULT bodies with a trailing **trace block** (u64 trace id + u8
-flags) carrying the distributed-tracing context of
-:mod:`repro.observability.reqtrace`.  Version 1 frames remain fully
-accepted: decoders parse each body according to the *frame's* version,
-and the server answers every frame in the version it arrived with, so
-old clients keep working unchanged.
+The REQUEST and RESULT bodies end in a **trace block** (u64 trace id +
+u8 flags) carrying the distributed-tracing context of
+:mod:`repro.observability.reqtrace`.
 
 The CRC closes the same integrity gap the shm transport closes with its
 framed magic: a torn or corrupted frame is *detected* (typed
@@ -57,8 +53,6 @@ from repro.errors import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_SUPPORTED_VERSION",
-    "SUPPORTED_VERSIONS",
     "MAGIC",
     "DEFAULT_MAX_FRAME_BYTES",
     "FT_WELCOME",
@@ -106,11 +100,8 @@ __all__ = [
     "parse_address",
 ]
 
-#: The version this end emits by default.  v2 added the request/result
-#: trace block; v1 frames are still accepted (and answered in v1).
+#: The one version this end writes and accepts.
 PROTOCOL_VERSION = 2
-MIN_SUPPORTED_VERSION = 1
-SUPPORTED_VERSIONS = (1, 2)
 MAGIC = 0x52554D42  # "RUMB" — shared with the shm ring frames
 #: Default bound on one frame; an advertised length beyond this is a
 #: protocol error and closes the connection before any allocation.
@@ -137,7 +128,7 @@ FRAME_TYPE_NAMES: Dict[int, str] = {
     FT_JOURNAL: "JOURNAL",
 }
 
-#: Trace-block flag bits (v2 REQUEST/RESULT bodies).  On a REQUEST the
+#: Trace-block flag bits (REQUEST/RESULT bodies).  On a REQUEST the
 #: bit asks the server to force-sample this request; on a RESULT it
 #: reports whether the request was sampled into the flight recorder.
 FLAG_TRACE_SAMPLED = 0x01
@@ -178,9 +169,11 @@ class Frame:
 # --------------------------------------------------------------------- #
 # Frame envelope                                                        #
 # --------------------------------------------------------------------- #
-def _seal(frame_type: int, request_id: int, version: int, *parts) -> bytes:
+def _seal(frame_type: int, request_id: int, *parts) -> bytes:
     """Length prefix + header + ``parts`` + CRC, joined in one copy."""
-    header = struct.pack(_HEADER_FMT, MAGIC, version, frame_type, request_id)
+    header = struct.pack(
+        _HEADER_FMT, MAGIC, PROTOCOL_VERSION, frame_type, request_id
+    )
     crc = zlib.crc32(header)
     length = _HEADER_BYTES + _CRC_BYTES
     for part in parts:
@@ -191,19 +184,17 @@ def _seal(frame_type: int, request_id: int, version: int, *parts) -> bytes:
     )
 
 
-def encode_frame(
-    frame_type: int,
-    request_id: int,
-    body: bytes = b"",
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
+def encode_frame(frame_type: int, request_id: int, body: bytes = b"") -> bytes:
     """Serialize one frame, length prefix through CRC."""
-    if version not in SUPPORTED_VERSIONS:
-        raise ConfigurationError(
-            f"cannot encode protocol version {version}; "
-            f"supported: {SUPPORTED_VERSIONS}"
+    return _seal(frame_type, request_id, body)
+
+
+def _check_version(version: int) -> None:
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"unsupported protocol version {version} "
+            f"(this end speaks {PROTOCOL_VERSION})"
         )
-    return _seal(frame_type, request_id, version, body)
 
 
 def decode_frame(blob: bytes) -> Frame:
@@ -226,18 +217,13 @@ def decode_frame(blob: bytes) -> Frame:
     )
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic:#010x}")
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"unsupported protocol version {version} "
-            f"(this end speaks {SUPPORTED_VERSIONS})"
-        )
+    _check_version(version)
     if frame_type not in FRAME_TYPE_NAMES:
         raise ProtocolError(f"unknown frame type {frame_type}")
     return Frame(
         frame_type=frame_type,
         request_id=request_id,
         body=checked[_HEADER_BYTES:],
-        version=version,
     )
 
 
@@ -418,7 +404,7 @@ def _trace_block(trace_id: int, sampled: bool) -> bytes:
     return struct.pack(_TRACE_FMT, trace_id, flags)
 
 
-def _peek_body(body: bytes, offset: int, version: int, kind: str) -> tuple:
+def _peek_body(body: bytes, offset: int, kind: str) -> tuple:
     """Validate string, matrix block and tail from ``offset`` to the end.
 
     Returns ``(text, matrix header offset, n_rows, n_cols, matrix end,
@@ -435,12 +421,10 @@ def _peek_body(body: bytes, offset: int, version: int, kind: str) -> tuple:
             f"frame body truncated: matrix claims {n_rows}x{n_cols} "
             f"({n_bytes} bytes) but only {len(body) - offset - 8} remain"
         )
-    trace_id, flags, tail = 0, 0, end
-    if version >= 2:  # the trailing trace block
-        if len(body) < end + _TRACE_BYTES:
-            raise ProtocolError(f"{kind} body truncated before trace block")
-        trace_id, flags = struct.unpack_from(_TRACE_FMT, body, end)
-        tail += _TRACE_BYTES
+    if len(body) < end + _TRACE_BYTES:
+        raise ProtocolError(f"{kind} body truncated before trace block")
+    trace_id, flags = struct.unpack_from(_TRACE_FMT, body, end)
+    tail = end + _TRACE_BYTES
     if tail != len(body):
         raise ProtocolError(
             f"{kind} body has {len(body) - tail} trailing bytes"
@@ -457,44 +441,41 @@ def pack_request(
     scheme: str = "",
     trace_id: int = 0,
     force_sample: bool = False,
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
-    """REQUEST body: deadline, scheme steering option, input block.
+    """REQUEST body: deadline, scheme steering option, input block, trace.
 
     ``deadline_s`` is the request's total time budget (NaN on the wire
     means "use the server default"); ``scheme`` is the per-request
     steering option — the empty string accepts whatever scheme the
-    server runs.  From version 2 a trailing trace block follows the
-    input block: ``trace_id`` propagates a caller-held trace (0 asks
-    the server to assign one) and ``force_sample`` requests promotion
-    past the server's 1/N sampling.  Version 1 omits the block.
+    server runs.  The trailing trace block follows the input block:
+    ``trace_id`` propagates a caller-held trace (0 asks the server to
+    assign one) and ``force_sample`` requests promotion past the
+    server's 1/N sampling.
     """
     data, n_rows, n_cols = _matrix_bytes(inputs)
     scheme_b = scheme.encode("utf-8")
-    body = (
+    return (
         struct.pack("<d", float("nan") if deadline_s is None else deadline_s)
         + struct.pack("<H", len(scheme_b)) + scheme_b
         + struct.pack("<II", n_rows, n_cols) + data
+        + _trace_block(trace_id, force_sample)
     )
-    if version >= 2:
-        body += _trace_block(trace_id, force_sample)
-    return body
 
 
 #: A validated REQUEST body with the matrix left where it is:
 #: ``matrix_start`` is the offset of its header, ``matrix_end`` one past
-#: its float64 block.  v1 bodies report ``trace_id=0, force_sample=False``.
+#: its float64 block.
 RequestView = namedtuple("RequestView", (
     "deadline_s", "scheme", "matrix_start", "n_rows", "n_cols",
     "matrix_end", "trace_id", "force_sample",
 ))
 
 
-def peek_request(body: bytes, version: int = PROTOCOL_VERSION) -> RequestView:
-    """Validate a whole REQUEST body of wire ``version`` without copying.
+def peek_request(body: bytes) -> RequestView:
+    """Validate a whole REQUEST body without copying.
 
     Checks everything a full decode would — string bounds and UTF-8,
-    matrix dims against the bytes that remain, the v2 trace block, no
+    matrix dims against the bytes that remain, the trace block, no
     trailing bytes — so a body that passes can be relayed or decoded.
     """
     if len(body) < 8:
@@ -502,18 +483,23 @@ def peek_request(body: bytes, version: int = PROTOCOL_VERSION) -> RequestView:
     (deadline,) = struct.unpack_from("<d", body, 0)
     return RequestView(
         deadline if math.isfinite(deadline) else None,
-        *_peek_body(body, 8, version, "REQUEST"),
+        *_peek_body(body, 8, "REQUEST"),
     )
 
 
 def unpack_request(
     body: bytes, version: int = PROTOCOL_VERSION
 ) -> Tuple[np.ndarray, Optional[float], str, int, bool]:
-    """Decode a REQUEST body of the given wire ``version``.
+    """Decode a REQUEST body.
 
     Returns ``(inputs, deadline_s, scheme, trace_id, force_sample)``.
+    ``version`` (of the frame the body came in) is kept for
+    ``benchmarks/ladder/layers.py``, which passes ``frame.version`` and
+    changes only with the benchmark itself; any value other than
+    :data:`PROTOCOL_VERSION` is refused.
     """
-    view = peek_request(body, version)
+    _check_version(version)
+    view = peek_request(body)
     return (
         _copy_matrix(body, view.n_rows, view.n_cols, view.matrix_end),
         view.deadline_s, view.scheme, view.trace_id, view.force_sample,
@@ -522,20 +508,20 @@ def unpack_request(
 
 def relay_request(
     body: bytes, view: RequestView, request_id: int, deadline_s: float,
-    trace_id: int, version: int,
+    trace_id: int,
 ) -> bytes:
     """Re-frame a peeked REQUEST for the next hop, as a whole frame.
 
-    Rewrites what a gateway owns (request id, ``version``, remaining
-    deadline, trace block: written for a v2 hop, left off for v1) and
-    the CRC; scheme and matrix bytes pass through.  Byte-identical to
-    ``unpack_request`` -> ``pack_request`` -> ``encode_frame``.
+    Rewrites what a gateway owns (request id, remaining deadline, trace
+    id) and the CRC; scheme, matrix bytes and the force-sample flag pass
+    through.  Byte-identical to ``unpack_request`` -> ``pack_request``
+    -> ``encode_frame``.
     """
-    passed_through = memoryview(body)[8:view.matrix_end]
-    parts = [struct.pack("<d", deadline_s), passed_through]
-    if version >= 2:
-        parts.append(_trace_block(trace_id, view.force_sample))
-    return _seal(FT_REQUEST, request_id, version, *parts)
+    return _seal(
+        FT_REQUEST, request_id, struct.pack("<d", deadline_s),
+        memoryview(body)[8:view.matrix_end],
+        _trace_block(trace_id, view.force_sample),
+    )
 
 
 def pack_result(
@@ -547,26 +533,23 @@ def pack_result(
     degraded: bool,
     trace_id: int = 0,
     trace_sampled: bool = False,
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
-    """RESULT body: quality/latency metadata + output block.
+    """RESULT body: quality/latency metadata + output block + trace.
 
-    From version 2 a trailing trace block echoes the server-assigned
-    ``trace_id`` (clients surface it on :class:`NetResult`) and reports
-    whether the request was sampled into the flight recorder.
+    The trailing trace block echoes the server-assigned ``trace_id``
+    (clients surface it on :class:`NetResult`) and reports whether the
+    request was sampled into the flight recorder.
     """
     data, n_rows, n_cols = _matrix_bytes(outputs)
     worker_b = worker.encode("utf-8")
-    body = (
+    return (
         struct.pack(
             "<dddB", queue_wait_s, latency_s, fix_fraction, int(degraded)
         )
         + struct.pack("<H", len(worker_b)) + worker_b
         + struct.pack("<II", n_rows, n_cols) + data
+        + _trace_block(trace_id, trace_sampled)
     )
-    if version >= 2:
-        body += _trace_block(trace_id, trace_sampled)
-    return body
 
 
 #: A validated RESULT body; offsets as in :data:`RequestView`.
@@ -576,17 +559,19 @@ ResultView = namedtuple("ResultView", (
 ))
 
 
-def peek_result(body: bytes, version: int = PROTOCOL_VERSION) -> ResultView:
-    """Validate a whole RESULT body of wire ``version`` without copying."""
+def peek_result(body: bytes) -> ResultView:
+    """Validate a whole RESULT body without copying."""
     if len(body) < 25:
         raise ProtocolError("RESULT body truncated before metadata")
-    return ResultView(*_peek_body(body, 25, version, "RESULT"))
+    return ResultView(*_peek_body(body, 25, "RESULT"))
 
 
 def unpack_result(
     body: bytes, version: int = PROTOCOL_VERSION
 ) -> Dict[str, object]:
-    view = peek_result(body, version)
+    """Decode a RESULT body (``version`` as in :func:`unpack_request`)."""
+    _check_version(version)
+    view = peek_result(body)
     queue_wait, latency, fix_fraction, degraded = struct.unpack_from(
         "<dddB", body, 0
     )
@@ -606,34 +591,38 @@ def unpack_result(
 
 def relay_result(
     body: bytes, view: ResultView, request_id: int, worker_prefix: str,
-    trace_id: int, version: int,
+    trace_id: int,
 ) -> bytes:
     """Re-frame a peeked RESULT for the client, as a whole frame.
 
-    Rewrites request id, ``version``, the worker name (prefixed:
-    ``node/worker``), the trace block (the node's id, or ``trace_id``
-    when a v1 node sent none; left off for a v1 client) and the CRC;
-    metadata and matrix bytes pass through.  Byte-identical to
-    ``unpack_result`` -> ``pack_result`` -> ``encode_frame``.
+    Rewrites request id, the worker name (prefixed: ``node/worker``),
+    the trace block (the node's id, or ``trace_id`` when the node sent
+    0) and the CRC; metadata and matrix bytes pass through.
+    Byte-identical to ``unpack_result`` -> ``pack_result`` ->
+    ``encode_frame``.
     """
     worker_b = (worker_prefix + view.worker).encode("utf-8")
     if len(worker_b) > 0xFFFF:
         raise ProtocolError("RESULT worker name exceeds 65535 bytes")
-    parts = [
+    return _seal(
+        FT_RESULT, request_id,
         body[:24], b"\x01" if body[24] else b"\x00",
         struct.pack("<H", len(worker_b)), worker_b,
         memoryview(body)[view.matrix_start:view.matrix_end],
-    ]
-    if version >= 2:
-        parts.append(
-            _trace_block(view.trace_id or trace_id, view.trace_sampled)
-        )
-    return _seal(FT_RESULT, request_id, version, *parts)
+        _trace_block(view.trace_id or trace_id, view.trace_sampled),
+    )
 
 
 def pack_error(code: int, message: str) -> bytes:
-    """ERROR body: error code + human-readable message."""
-    message_b = message.encode("utf-8")[:65000]
+    """ERROR body: error code + human-readable message.
+
+    A message longer than 65,000 bytes is cut on a character boundary,
+    so the far end can still decode it.
+    """
+    message_b = message.encode("utf-8")
+    if len(message_b) > 65000:
+        cut = message_b[:65000].decode("utf-8", "ignore")
+        message_b = cut.encode("utf-8")
     return struct.pack("<H", code) + struct.pack(
         "<I", len(message_b)
     ) + message_b
@@ -667,9 +656,16 @@ def unpack_json(body: bytes) -> Dict[str, object]:
 
 
 def _welcome_document(frame: Frame) -> dict:
+    """A WELCOME's document; refuses any peer not on PROTOCOL_VERSION."""
     if frame.frame_type != FT_WELCOME:
         raise ProtocolError(f"expected a WELCOME frame, got {frame.type_name}")
-    return unpack_json(frame.body)
+    document = unpack_json(frame.body)
+    if document.get("protocol") != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"peer speaks protocol {document.get('protocol')!r}; this end "
+            f"speaks only {PROTOCOL_VERSION}"
+        )
+    return document
 
 
 async def _read_welcome(reader, buffer: FrameBuffer) -> dict:
@@ -680,18 +676,6 @@ async def _read_welcome(reader, buffer: FrameBuffer) -> dict:
             raise ConnectionError("peer closed before its WELCOME")
         for frame in buffer.feed(data):
             return _welcome_document(frame)
-
-
-def _negotiate_version(welcome: dict) -> int:
-    """The wire version to speak to a WELCOME's sender: the newest both
-    sides understand; only a server older than the protocol is refused."""
-    server_version = int(welcome.get("protocol", 0))
-    if server_version < MIN_SUPPORTED_VERSION:
-        raise ProtocolError(
-            f"server speaks protocol {server_version}, this client "
-            f"needs at least {MIN_SUPPORTED_VERSION}"
-        )
-    return min(server_version, PROTOCOL_VERSION)
 
 
 # --------------------------------------------------------------------- #

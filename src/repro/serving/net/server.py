@@ -51,13 +51,9 @@ class ClientConnection:
         self.outstanding: Set[int] = set()
         self.closed = False
 
-    def send_error(
-        self, request_id: int, code: int, message: str,
-        version: int = wire.PROTOCOL_VERSION,
-    ) -> None:
+    def send_error(self, request_id: int, code: int, message: str) -> None:
         self.frames.write(wire.encode_frame(
-            wire.FT_ERROR, request_id, wire.pack_error(code, message),
-            version=version,
+            wire.FT_ERROR, request_id, wire.pack_error(code, message)
         ))
 
 
@@ -208,7 +204,6 @@ class FrameListener:
         """The WELCOME keys every listener sends; subclasses add theirs."""
         return {
             "protocol": wire.PROTOCOL_VERSION,
-            "min_protocol": wire.MIN_SUPPORTED_VERSION,
             "max_frame_bytes": self.max_frame_bytes,
             "started_at_monotonic": self.started_at_monotonic,
         }
@@ -224,11 +219,8 @@ class FrameListener:
         self._conn_tasks.add(task)
         conn = ClientConnection(writer, self._loop, on_sent=self._on_sent)
         self._note_connections(+1)
-        # The WELCOME rides the *lowest* supported envelope so clients of
-        # any protocol generation can decode it and then negotiate.
         conn.frames.write(wire.encode_frame(
-            wire.FT_WELCOME, 0, wire.pack_json(self._welcome_document()),
-            version=wire.MIN_SUPPORTED_VERSION,
+            wire.FT_WELCOME, 0, wire.pack_json(self._welcome_document())
         ))
         buffer = wire.FrameBuffer(self.max_frame_bytes)
         try:
@@ -266,7 +258,6 @@ class FrameListener:
             conn.frames.write(wire.encode_frame(
                 wire.FT_STATS_RESULT, frame.request_id,
                 wire.pack_json(self._stats_document()),
-                version=frame.version,
             ))
         else:
             raise ProtocolError(
@@ -459,7 +450,7 @@ class NetServer(FrameListener):
         received_at = time.monotonic()
         try:
             inputs, deadline_s, scheme, trace_id, force_sample = (
-                wire.unpack_request(frame.body, version=frame.version)
+                wire.unpack_request(frame.body)
             )
             if scheme and scheme != self.server.scheme:
                 raise ConfigurationError(
@@ -479,10 +470,7 @@ class NetServer(FrameListener):
             )
         except Exception as exc:
             self._m_rejected.inc()
-            conn.send_error(
-                request_id, wire.exception_to_code(exc), str(exc),
-                frame.version,
-            )
+            conn.send_error(request_id, wire.exception_to_code(exc), str(exc))
             return
         conn.outstanding.add(request_id)
         self._inflight += 1
@@ -491,19 +479,14 @@ class NetServer(FrameListener):
         # last argument: the inbox hops to the loop, once per batch.
         handle.add_done_callback(partial(
             self._completions.put,
-            conn, request_id, frame.version, trace, received_at,
+            conn, request_id, trace, received_at,
         ))
 
     def _deliver(
-        self, conn: ClientConnection, request_id: int, version: int,
-        trace, received_at: float, handle,
+        self, conn: ClientConnection, request_id: int, trace,
+        received_at: float, handle,
     ) -> None:
-        """Event-loop half of completion: encode and queue the answer.
-
-        Replies are encoded in the same protocol version the request
-        arrived in, so mixed-generation clients each get frames they can
-        decode.
-        """
+        """Event-loop half of completion: encode and queue the answer."""
         if (conn.closed or self._stopping
                 or request_id not in conn.outstanding):
             return
@@ -526,9 +509,7 @@ class NetServer(FrameListener):
             result = handle.result(timeout=0)
         except Exception as exc:
             self._m_failed.inc()
-            conn.send_error(
-                request_id, wire.exception_to_code(exc), str(exc), version
-            )
+            conn.send_error(request_id, wire.exception_to_code(exc), str(exc))
             return
         self._m_completed.inc()
         payload = wire.pack_result(
@@ -540,10 +521,7 @@ class NetServer(FrameListener):
             degraded=result.degraded,
             trace_id=result.trace_id,
             trace_sampled=trace.sampled if trace is not None else False,
-            version=version,
         )
         conn.frames.write(
-            wire.encode_frame(
-                wire.FT_RESULT, request_id, payload, version=version
-            )
+            wire.encode_frame(wire.FT_RESULT, request_id, payload)
         )

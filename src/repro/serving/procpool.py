@@ -263,8 +263,6 @@ class ProcessWorkerPool:
     ring_capacity_bytes:
         Per-direction ring size.  Must hold at least one frame of the
         largest batch (inputs one way, outputs the other).
-    start_method:
-        ``multiprocessing`` start method; None = platform default.
     """
 
     def __init__(
@@ -273,7 +271,6 @@ class ProcessWorkerPool:
         n_workers: int,
         ring_capacity_bytes: int = 1 << 22,
         measure_quality: bool = False,
-        start_method: Optional[str] = None,
         ship_decision_bits: bool = False,
     ):
         if n_workers < 1:
@@ -285,7 +282,7 @@ class ProcessWorkerPool:
         # Workers ship each batch's packed decision bits in the RESULT
         # snapshot only when a request journal needs them.
         self.ship_decision_bits = ship_decision_bits
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context()
         self.workers: List[ProcessWorker] = []
         self._started = False
         self._stopped = False

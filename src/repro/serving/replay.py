@@ -36,7 +36,7 @@ golden-journal tests key on.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -318,12 +318,14 @@ def replay_journal(
     # The META's flattened config round-trips the ensemble spec, so an
     # ensemble-enabled recording rebuilds the identical member set (same
     # seed ⇒ same trained members); the journaled per-row choices below
-    # then force the router, making online learning replay-proof.
+    # then force the router, making online learning replay-proof.  Keys
+    # of retired ensemble options (older METAs carry them, at the values
+    # that are now constants) are skipped.
     flat_config = meta.get("config") or {}
     ensemble_kwargs = {
-        key[len("ensemble_"):]: value
-        for key, value in flat_config.items()
-        if key.startswith("ensemble_")
+        f.name: flat_config["ensemble_" + f.name]
+        for f in fields(EnsembleConfig)
+        if "ensemble_" + f.name in flat_config
     }
     config = ServerConfig(
         ensemble=EnsembleConfig(**ensemble_kwargs),

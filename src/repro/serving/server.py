@@ -770,9 +770,8 @@ class RumbaServer:
                 request.attempts += 1
                 if request.trace is not None:
                     request.trace.stamp(STAGE_RETRY, at=now)
-                    if self.tracing.always_sample_errors:
-                        # Retried requests always leave a flight record.
-                        request.trace.mark_sampled()
+                    # Retried requests always leave a flight record.
+                    request.trace.mark_sampled()
                 self._retries_total += 1
                 self._m_retries.labels(
                     worker=worker or "none", **self._labels
@@ -983,11 +982,7 @@ class RumbaServer:
                 queue_wait = max(dispatched_at - request.submitted_at, 0.0)
             outputs = None if blocks is None else blocks[i]
             trace = request.trace
-            if (
-                trace is not None
-                and error is not None
-                and self.tracing.always_sample_errors
-            ):
+            if trace is not None and error is not None:
                 trace.mark_sampled()
             sampled = trace is not None and trace.sampled
             if sampled or self.journal is not None:
@@ -1136,7 +1131,6 @@ class RumbaServer:
         tracing_summary = {
             "enabled": self.tracing.enabled,
             "sample_every": self.tracing.sample_every,
-            "always_sample_errors": self.tracing.always_sample_errors,
             "traced_requests": traced_total,
             "flight_log": self.config.tracing.flight_log_path,
             "flight_records": (

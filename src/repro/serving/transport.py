@@ -273,7 +273,6 @@ class ProcessTransport(WorkerTransport):
             n_workers=self.config.n_workers,
             ring_capacity_bytes=self.config.ring_capacity_bytes,
             measure_quality=self.config.measure_quality,
-            start_method=self.config.start_method,
             ship_decision_bits=self._include_bits,
         )
         return [(name, None) for name in self.pool.worker_names]

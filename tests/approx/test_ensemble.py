@@ -12,6 +12,8 @@ import pytest
 from repro.approx.alt_backends import QuantizedKernelBackend
 from repro.approx.base import CostProfile
 from repro.approx.ensemble import (
+    LEARN_BUFFER,
+    RETRAIN_INTERVAL,
     ApproximatorEnsemble,
     EnsembleMember,
     EnsembleSpec,
@@ -78,11 +80,7 @@ class TestEnsembleSpec:
     @pytest.mark.parametrize("kwargs,match", [
         ({"members": "mlp:large"}, "at least two members"),
         ({"members": "memo,mlp:large"}, "reference.*must be an mlp"),
-        ({"router": "forest"}, "unknown router"),
         ({"margin": 0.0}, "margin must be > 0"),
-        ({"degrade_bias": 0.5}, "degrade_bias must be >= 1"),
-        ({"retrain_interval": 0}, "retrain_interval must be >= 1"),
-        ({"learn_buffer": 4}, "learn_buffer must be >= 16"),
     ])
     def test_validation(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -126,7 +124,7 @@ class TestInvocationRouter:
                                                fft_backend):
         router = InvocationRouter(
             make_members(fft_app, fft_backend),
-            margin=0.5, degrade_bias=2.0,
+            margin=0.5,
         )
         assert router.tolerance(0.1) == pytest.approx(0.05)
         router.set_degradation(2)
@@ -156,19 +154,16 @@ class TestInvocationRouter:
         members = make_members(fft_app, fft_backend)
         with pytest.raises(ConfigurationError):
             InvocationRouter(members, margin=0.0)
-        with pytest.raises(ConfigurationError):
-            InvocationRouter(members, degrade_bias=0.9)
 
 
 class TestOnlineLearner:
-    def _learner(self, fft_app, fft_backend, interval=16):
+    def _learner(self, fft_app, fft_backend):
         members = make_members(fft_app, fft_backend)
         router = InvocationRouter(members)
         base_x = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
         base_errors = [np.full(32, 0.01) for _ in members]
         return OnlineLearner(
-            members, router, base_features=base_x,
-            base_errors=base_errors, retrain_interval=interval,
+            members, router, base_features=base_x, base_errors=base_errors,
         ), members, router
 
     def test_below_interval_no_retrain(self, fft_app, fft_backend):
@@ -183,9 +178,10 @@ class TestOnlineLearner:
                                                    fft_backend):
         learner, members, router = self._learner(fft_app, fft_backend)
         members[2].error_predictor = StubPredictor(0.05)
-        x = np.random.default_rng(1).random((16, 1))
+        n = RETRAIN_INTERVAL
+        x = np.random.default_rng(1).random((n, 1))
         # Observed error 4x what member 2 predicted: caution must rise.
-        learner.observe(x, np.full(16, 2), np.full(16, 0.20))
+        learner.observe(x, np.full(n, 2), np.full(n, 0.20))
         assert learner.retrain_count == 1
         assert members[2].error_predictor.fit_calls == 1
         assert router.caution[2] > 1.0
@@ -194,25 +190,15 @@ class TestOnlineLearner:
         assert router.caution[1] == 1.0
 
     def test_online_buffer_is_capped(self, fft_app, fft_backend):
-        learner, _, _ = self._learner(fft_app, fft_backend, interval=1000)
+        learner, _, _ = self._learner(fft_app, fft_backend)
         rng = np.random.default_rng(2)
-        for _ in range(8):
-            learner.observe(rng.random((8, 1)), np.full(8, 1),
-                            rng.random(8) * 0.1)
-        learner.buffer_cap = 16
+        labels = rng.random(LEARN_BUFFER + 200) * 0.1
+        for batch in np.array_split(labels, 3):
+            learner.observe(rng.random((batch.size, 1)),
+                            np.full(batch.size, 1), batch)
         x_on, y_on = learner._member_online(1)
-        assert x_on.shape[0] == 16 and y_on.shape[0] == 16
-
-    def test_parameter_validation(self, fft_app, fft_backend):
-        members = make_members(fft_app, fft_backend)
-        router = InvocationRouter(members)
-        base = np.zeros((16, 1)), [np.zeros(16)] * 3
-        with pytest.raises(ConfigurationError):
-            OnlineLearner(members, router, base[0], base[1],
-                          retrain_interval=0)
-        with pytest.raises(ConfigurationError):
-            OnlineLearner(members, router, base[0], base[1],
-                          buffer_cap=8)
+        assert x_on.shape[0] == LEARN_BUFFER
+        np.testing.assert_array_equal(y_on, labels[-LEARN_BUFFER:])
 
 
 class TestApproximatorEnsemble:
@@ -289,8 +275,7 @@ class TestApproximatorEnsemble:
         ens = ApproximatorEnsemble(
             fft_app, members, router,
             learner=OnlineLearner(members, router, base,
-                                  [np.full(32, 0.01)] * 3,
-                                  retrain_interval=8),
+                                  [np.full(32, 0.01)] * 3),
         )
         clone = ens.clone_shard()
         # Immutable reference weights are shared; router state is not.

@@ -139,10 +139,9 @@ class TestTracingPolicy:
         assert policy.new_trace(trace_id=77).trace_id == 77
 
     def test_from_config(self):
-        config = TracingConfig(sample_every=9, always_sample_errors=False)
+        config = TracingConfig(sample_every=9)
         policy = TracingPolicy.from_config(config)
         assert policy.sample_every == 9
-        assert policy.always_sample_errors is False
         assert policy.enabled is True
 
     def test_sample_every_floor_is_one(self):

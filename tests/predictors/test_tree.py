@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from repro.apps import APPLICATION_NAMES
 from repro.apps.registry import get_application
 from repro.core import prepare_system
-from repro.approx.ensemble import EnsembleSpec
-from repro.core.offline import prepare_backend, prepare_ensemble
+from repro.core.offline import prepare_backend
 from repro.errors import ConfigurationError, NotFittedError
 from repro.predictors.training import train_predictor
 from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
@@ -337,30 +336,6 @@ class TestFitMatchesPerNodeSort:
         tree = train_predictor("treeErrors", data, seed=0)
         assert tree.depth == 7
         _assert_same_tree(tree, reference_fit(data.features, data.errors))
-
-    def test_ensemble_members_after_a_retrain(self, fft_app):
-        ensemble = prepare_ensemble(
-            fft_app, EnsembleSpec(router="tree"), seed=0
-        ).clone_shard()
-        learner = ensemble.learner
-        rng = np.random.default_rng(4)
-        pool = np.atleast_2d(ensemble.app.test_inputs(rng))
-        n = learner.retrain_interval * 3
-        rows = pool[rng.choice(pool.shape[0], size=n, replace=False)]
-        learner.observe(
-            rows,
-            np.arange(n) % len(ensemble.members),
-            rng.random(n) * 0.2,
-        )
-        assert learner.retrain_count == 1
-        for idx, member in enumerate(ensemble.members):
-            x_on, y_on = learner._member_online(idx)
-            want = reference_fit(
-                np.vstack([learner.base_features, x_on]),
-                np.concatenate([learner.base_errors[idx], y_on]),
-                max_depth=member.error_predictor.max_depth,
-            )
-            _assert_same_tree(member.error_predictor, want)
 
 
 # --------------------------------------------------------------------- #

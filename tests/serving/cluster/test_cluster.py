@@ -474,7 +474,7 @@ class TestLinkSendRegistration:
             self.links_down += 1
 
     class _Entry:
-        def request_frame(self, request_id, deadline_s, version):
+        def request_frame(self, request_id, deadline_s):
             return b"frame-%d" % request_id
 
     def _link(self, transport):

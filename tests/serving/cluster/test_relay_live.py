@@ -7,10 +7,12 @@ ERROR frame for that request and nothing left in flight.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.serving import (
     ServerConfig,
     serve_cluster,
 )
+from repro.serving.cluster.nodes import Node, NodeLink
 from repro.serving.net import protocol as wire
 from tests.serving.cluster.fleet import RawPeer
 
@@ -71,29 +74,28 @@ def _settled(router) -> bool:
 
 
 class TestVersionInterop:
-    @pytest.mark.parametrize("version", wire.SUPPORTED_VERSIONS)
-    def test_client_of_either_version_in_front_of_a_v2_node(
-        self, router, fft_input_pool, version
+    """One dialect: a client on it is relayed, a peer on any other
+    protocol version is refused."""
+
+    def test_raw_request_is_answered_with_the_propagated_trace(
+        self, router, fft_input_pool
     ):
         peer = RawPeer(router.address)
         try:
             inputs = fft_input_pool[:8]
             peer.sock.sendall(wire.encode_frame(
                 wire.FT_REQUEST, 41,
-                wire.pack_request(inputs, deadline_s=30.0, trace_id=99,
-                                  version=version),
-                version=version,
+                wire.pack_request(inputs, deadline_s=30.0, trace_id=99),
             ))
             frame = peer.read_frame()
-            assert (frame.frame_type, frame.request_id, frame.version) == (
-                wire.FT_RESULT, 41, version
+            assert (frame.frame_type, frame.request_id) == (
+                wire.FT_RESULT, 41
             )
-            doc = wire.unpack_result(frame.body, version=version)
+            doc = wire.unpack_result(frame.body)
             assert doc["outputs"].shape[0] == 8
             node_name, worker = doc["worker"].split("/", 1)
             assert node_name in router.manager.nodes and worker
-            # v2 echoes the propagated trace id; v1 has no block for it.
-            assert doc["trace_id"] == (99 if version >= 2 else 0)
+            assert doc["trace_id"] == 99
         finally:
             peer.close()
         assert _settled(router)
@@ -107,6 +109,44 @@ class TestVersionInterop:
             b = direct.submit_wait(fft_input_pool[:8], deadline_s=30.0)
         assert a.outputs.tobytes() == b.outputs.tobytes()
         assert a.worker == f"{node.address[0]}:{node.address[1]}/{b.worker}"
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_wrong_version_closes_with_typed_error(self, router, version):
+        peer = RawPeer(router.address)
+        try:
+            blob = bytearray(wire.encode_frame(wire.FT_STATS, 1))
+            struct.pack_into("<H", blob, 8, version)
+            struct.pack_into("<I", blob, len(blob) - 4,
+                             zlib.crc32(bytes(blob[4:-4])))
+            peer.sock.sendall(bytes(blob))
+            frame = peer.read_frame()
+            assert frame.frame_type == wire.FT_ERROR
+            code, message = wire.unpack_error(frame.body)
+            assert code == wire.ERR_PROTOCOL
+            assert f"version {version}" in message
+            assert peer.at_eof()
+        finally:
+            peer.close()
+        assert _settled(router)
+
+    def test_client_refuses_a_version_1_welcome(self):
+        liar = _LyingNode(protocol=1)
+        try:
+            host, port = wire.parse_address(liar.address)
+            with pytest.raises(ProtocolError, match="protocol 1"):
+                RumbaClient(host, port, timeout_s=10.0)
+        finally:
+            liar.stop()
+
+    def test_node_link_refuses_a_version_1_welcome(self):
+        liar = _LyingNode(protocol=1)
+        link = NodeLink(Node(liar.address), manager=None)
+        try:
+            with pytest.raises(ProtocolError, match="protocol 1"):
+                asyncio.run(link.connect(timeout=10.0))
+            assert not link.connected
+        finally:
+            liar.stop()
 
 
 class TestHostileClient:
@@ -176,11 +216,13 @@ class TestHostileClient:
 
 
 class _LyingNode(threading.Thread):
-    """A node whose RESULT bodies are garbage inside a sound envelope."""
+    """A node whose RESULT bodies are garbage inside a sound envelope
+    (or whose WELCOME claims another ``protocol``)."""
 
-    def __init__(self, reply_body: bytes):
+    def __init__(self, reply_body: bytes = b"", protocol: int = 2):
         super().__init__(daemon=True)
         self.reply_body = reply_body
+        self.protocol = protocol
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.address = "127.0.0.1:%d" % self.listener.getsockname()[1]
         self.start()
@@ -196,13 +238,13 @@ class _LyingNode(threading.Thread):
             ).start()
 
     def _serve(self, sock):
-        welcome = {"server": "rumba", "protocol": 2, "min_protocol": 1,
+        welcome = {"server": "rumba", "protocol": self.protocol,
                    "app": "fft", "scheme": "treeErrors", "features": 1,
                    "node_id": "liar", "started_at_monotonic": 1.0}
         buffer = wire.FrameBuffer()
         try:
             sock.sendall(wire.encode_frame(
-                wire.FT_WELCOME, 0, wire.pack_json(welcome), version=1
+                wire.FT_WELCOME, 0, wire.pack_json(welcome)
             ))
             while True:
                 data = sock.recv(65536)

@@ -70,14 +70,12 @@ def _corpus():
         wire.FT_REQUEST, 7,
         wire.pack_request(np.ones((4, 2)), deadline_s=1.0, scheme="t"),
     )
-    result_v1 = wire.encode_frame(
+    result = wire.encode_frame(
         wire.FT_RESULT, 8,
-        wire.pack_result(np.ones((2, 2)), "w0", 0.0, 0.0, 0.0, False,
-                         version=1),
-        version=1,
+        wire.pack_result(np.ones((2, 2)), "w0", 0.0, 0.0, 0.0, False),
     )
     stats = wire.encode_frame(wire.FT_STATS, 9)
-    good = request + result_v1 + stats
+    good = request + result + stats
 
     def mutated(offset, fmt, value):
         blob = bytearray(stats)
@@ -91,6 +89,7 @@ def _corpus():
         "empty": b"",
         "bad_magic": good + mutated(4, "<I", 0xDEADBEEF) + stats,
         "wrong_version": good + mutated(8, "<H", 99) + stats,
+        "version_1": good + mutated(8, "<H", 1) + stats,
         "unknown_type": good + mutated(10, "<H", 250) + stats,
         "corrupted_crc": good + bytes(corrupt) + stats,
         "oversized_prefix": good + struct.pack("<I", 1 << 31) + stats,
@@ -136,6 +135,7 @@ class TestFrameBuffer:
         }
         for name, needle in [
             ("bad_magic", "magic"), ("wrong_version", "version"),
+            ("version_1", "version 1"),
             ("unknown_type", "frame type"), ("corrupted_crc", "CRC"),
             ("oversized_prefix", "exceeds"),
             ("undersized_prefix", "below minimum"),
@@ -146,7 +146,6 @@ class TestFrameBuffer:
     def test_frames_before_a_bad_one_are_delivered_first(self):
         frames, error = _buffer_parse([_CORPUS["corrupted_crc"]], _MAX)
         assert [f.request_id for f in frames] == [7, 8, 9]
-        assert [f.version for f in frames] == [2, 1, 2]
         assert "CRC" in error
 
     def test_oversized_prefix_is_rejected_before_its_body_arrives(self):

@@ -13,6 +13,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -290,17 +291,17 @@ class TestRawSocketFuzz:
         (length,) = struct.unpack("<I", exactly(4))
         return wire.decode_frame(exactly(length))
 
-    def _expect_protocol_error_then_close(self, sock):
+    def _expect_protocol_error_then_close(self, sock) -> str:
         frame = self._read_frame(sock)
         assert frame.frame_type == wire.FT_ERROR
-        code, _ = wire.unpack_error(frame.body)
+        code, message = wire.unpack_error(frame.body)
         assert code == wire.ERR_PROTOCOL
         # ... and then EOF: the server hangs up on protocol violations.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             chunk = sock.recv(4096)
             if not chunk:
-                return
+                return message
         pytest.fail("server kept the connection open after a bad frame")
 
     def test_bad_magic_closes_with_typed_error(self, net_server):
@@ -311,12 +312,18 @@ class TestRawSocketFuzz:
         self._expect_protocol_error_then_close(sock)
         sock.close()
 
-    def test_wrong_version_closes_with_typed_error(self, net_server):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_wrong_version_closes_with_typed_error(self, net_server,
+                                                   version):
         sock = self._raw(net_server)
         blob = bytearray(wire.encode_frame(wire.FT_STATS, 1))
-        struct.pack_into("<H", blob, 8, 99)
+        struct.pack_into("<H", blob, 8, version)
+        # A sound CRC, so the version is what the server refuses.
+        struct.pack_into("<I", blob, len(blob) - 4,
+                         zlib.crc32(bytes(blob[4:-4])))
         sock.sendall(bytes(blob))
-        self._expect_protocol_error_then_close(sock)
+        message = self._expect_protocol_error_then_close(sock)
+        assert f"version {version}" in message
         sock.close()
 
     def test_corrupted_crc_closes_with_typed_error(self, net_server):

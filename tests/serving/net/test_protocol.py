@@ -100,6 +100,15 @@ class TestRoundTrips:
         assert wire.unpack_error(body) == (wire.ERR_OVERLOADED,
                                            "queue is full")
 
+    def test_long_error_message_is_cut_on_a_character_boundary(self):
+        message = "\u20ac" * 30000  # 90,000 UTF-8 bytes, 3 per character
+        code, back = wire.unpack_error(
+            wire.pack_error(wire.ERR_SERVING, message)
+        )
+        assert code == wire.ERR_SERVING
+        assert message.startswith(back)
+        assert len(back.encode("utf-8")) == 65000 // 3 * 3
+
     def test_json_body(self):
         doc = {"app": "fft", "nested": {"x": [1, 2, 3]}}
         assert wire.unpack_json(wire.pack_json(doc)) == doc
@@ -115,37 +124,14 @@ class TestRoundTrips:
         np.testing.assert_array_equal(out, inputs)
         assert deadline == 1.0
 
-    def test_v1_frames_still_accepted(self):
-        """Version-1 peers remain speakable: no trace block, same fields."""
-        inputs = np.arange(4, dtype=np.float64).reshape(2, 2)
-        body = wire.pack_request(inputs, deadline_s=0.5, scheme="s",
-                                 version=1)
-        blob = wire.encode_frame(wire.FT_REQUEST, 9, body, version=1)
-        frame = wire.decode_frame(blob[4:])
-        assert frame.version == 1
-        out, deadline, scheme, trace_id, force = wire.unpack_request(
-            frame.body, version=frame.version
-        )
-        np.testing.assert_array_equal(out, inputs)
-        assert (deadline, scheme, trace_id, force) == (0.5, "s", 0, False)
-        # A v1 body must not carry (or tolerate) the v2 trailer.
-        v2_body = wire.pack_request(inputs)
-        assert len(v2_body) == len(wire.pack_request(inputs, version=1)) + 9
-        with pytest.raises(ProtocolError, match="trailing"):
-            wire.unpack_request(v2_body, version=1)
-
-    def test_v1_result_round_trip(self):
-        body = wire.pack_result(
-            np.ones((1, 1)), worker="w", queue_wait_s=0.0, latency_s=0.0,
-            fix_fraction=0.0, degraded=False, version=1,
-        )
-        fields = wire.unpack_result(body, version=1)
-        assert fields["trace_id"] == 0
-        assert fields["trace_sampled"] is False
-
-    def test_unsupported_encode_version_rejected(self):
-        with pytest.raises(ConfigurationError):
-            wire.encode_frame(wire.FT_REQUEST, 1, b"", version=99)
+    def test_unpackers_refuse_any_other_version(self):
+        request = wire.pack_request(np.ones((1, 1)))
+        result = wire.pack_result(np.ones((1, 1)), "w", 0.0, 0.0, 0.0, False)
+        for version in (1, wire.PROTOCOL_VERSION + 1):
+            with pytest.raises(ProtocolError, match="version"):
+                wire.unpack_request(request, version=version)
+            with pytest.raises(ProtocolError, match="version"):
+                wire.unpack_result(result, version=version)
 
 
 class TestErrorMapping:
@@ -202,6 +188,17 @@ class TestFrameFuzz:
         struct.pack_into("<H", blob, 4, wire.PROTOCOL_VERSION + 1)
         self._refresh_crc(blob)
         with pytest.raises(ProtocolError, match="version"):
+            wire.decode_frame(bytes(blob))
+
+    def test_version_1_is_refused(self):
+        """A whole v1 frame — its header, and a REQUEST body without the
+        trace block — is refused on the header."""
+        blob = bytearray(_frame_blob(
+            body=wire.pack_request(np.ones((2, 2)))[:-9]
+        ))
+        struct.pack_into("<H", blob, 4, 1)
+        self._refresh_crc(blob)
+        with pytest.raises(ProtocolError, match="version 1"):
             wire.decode_frame(bytes(blob))
 
     def test_unknown_frame_type(self):

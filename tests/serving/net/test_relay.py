@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.serving.net import protocol as wire
 
-_VERSIONS = st.sampled_from(wire.SUPPORTED_VERSIONS)
 _TEXT = st.text(max_size=24)  # scheme / worker names, any unicode
 _U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -41,35 +40,30 @@ class TestRelayEquivalence:
         deadline=st.one_of(st.none(), _FINITE),
         trace_id=_U64, force=st.booleans(), router_trace=_U64,
         remaining=st.floats(min_value=1e-6, max_value=1e6),
-        backend_id=_U64, client_version=_VERSIONS, link_version=_VERSIONS,
+        backend_id=_U64,
     )
     def test_request(self, inputs, scheme, deadline, trace_id, force,
-                     router_trace, remaining, backend_id, client_version,
-                     link_version):
+                     router_trace, remaining, backend_id):
         body = wire.pack_request(
             inputs, deadline_s=deadline, scheme=scheme, trace_id=trace_id,
-            force_sample=force, version=client_version,
+            force_sample=force,
         )
-        decoded, _, d_scheme, d_trace, d_force = wire.unpack_request(
-            body, version=client_version
-        )
+        decoded, _, d_scheme, d_trace, d_force = wire.unpack_request(body)
         forwarded_trace = d_trace or router_trace
         expected = wire.encode_frame(
             wire.FT_REQUEST, backend_id,
             wire.pack_request(
                 decoded, deadline_s=remaining, scheme=d_scheme,
                 trace_id=forwarded_trace, force_sample=d_force,
-                version=link_version,
             ),
-            version=link_version,
         )
-        view = wire.peek_request(body, version=client_version)
+        view = wire.peek_request(body)
         assert (view.scheme, view.trace_id, view.force_sample) == (
             d_scheme, d_trace, d_force
         )
         assert view.n_rows * view.n_cols == decoded.size
         assert wire.relay_request(
-            body, view, backend_id, remaining, forwarded_trace, link_version
+            body, view, backend_id, remaining, forwarded_trace
         ) == expected
 
     @settings(max_examples=300, deadline=None)
@@ -78,16 +72,14 @@ class TestRelayEquivalence:
         timings=st.tuples(_FINITE, _FINITE, _FINITE),
         degraded=st.booleans(), trace_id=_U64, sampled=st.booleans(),
         entry_trace=_U64, client_id=_U64,
-        client_version=_VERSIONS, link_version=_VERSIONS,
     )
     def test_result(self, outputs, worker, node, timings, degraded,
-                    trace_id, sampled, entry_trace, client_id,
-                    client_version, link_version):
+                    trace_id, sampled, entry_trace, client_id):
         body = wire.pack_result(
             outputs, worker, *timings, degraded, trace_id=trace_id,
-            trace_sampled=sampled, version=link_version,
+            trace_sampled=sampled,
         )
-        doc = wire.unpack_result(body, version=link_version)
+        doc = wire.unpack_result(body)
         expected = wire.encode_frame(
             wire.FT_RESULT, client_id,
             wire.pack_result(
@@ -96,13 +88,12 @@ class TestRelayEquivalence:
                 latency_s=doc["latency_s"],
                 fix_fraction=doc["fix_fraction"], degraded=doc["degraded"],
                 trace_id=doc["trace_id"] or entry_trace,
-                trace_sampled=doc["trace_sampled"], version=client_version,
+                trace_sampled=doc["trace_sampled"],
             ),
-            version=client_version,
         )
-        view = wire.peek_result(body, version=link_version)
+        view = wire.peek_result(body)
         assert wire.relay_result(
-            body, view, client_id, f"{node}/", entry_trace, client_version
+            body, view, client_id, f"{node}/", entry_trace
         ) == expected
 
     def test_relay_does_not_copy_flag_bits_it_does_not_own(self):
@@ -115,7 +106,7 @@ class TestRelayEquivalence:
         body[-1] = 0xF1         # flags: sampled + reserved bits
         body = bytes(body)
         frame = wire.decode_frame(wire.relay_result(
-            body, wire.peek_result(body), 1, "n/", 0, 2
+            body, wire.peek_result(body), 1, "n/", 0
         )[4:])
         assert frame.body[24] == 1 and frame.body[-1] == 1
 
@@ -125,7 +116,7 @@ class TestRelayEquivalence:
         )
         with pytest.raises(ProtocolError, match="worker name"):
             wire.relay_result(
-                body, wire.peek_result(body), 1, "n" * 600 + "/", 0, 2
+                body, wire.peek_result(body), 1, "n" * 600 + "/", 0
             )
 
 
@@ -145,40 +136,35 @@ def _hostile(good: bytes, matrix_header_at: int):
     return cases
 
 
-def _outcome(function, body, version):
+def _outcome(function, body):
     try:
-        function(body, version=version)
+        function(body)
     except ProtocolError as exc:
         return str(exc)
     return None
 
 
 class TestHostileBodies:
-    @pytest.mark.parametrize("version", wire.SUPPORTED_VERSIONS)
-    def test_peek_request_rejects_what_unpack_rejects(self, version):
-        good = wire.pack_request(
-            np.ones((4, 2)), deadline_s=1.0, scheme="tree", version=version
-        )
+    def test_peek_request_rejects_what_unpack_rejects(self):
+        good = wire.pack_request(np.ones((4, 2)), deadline_s=1.0,
+                                 scheme="tree")
         rejected = 0
         for body in _hostile(good, matrix_header_at=8 + 2 + 4):
-            error = _outcome(wire.unpack_request, body, version)
-            assert _outcome(wire.peek_request, body, version) == error
+            error = _outcome(wire.unpack_request, body)
+            assert _outcome(wire.peek_request, body) == error
             rejected += error is not None
         assert rejected == len(good) + 5
-        assert _outcome(wire.peek_request, good, version) is None
+        assert _outcome(wire.peek_request, good) is None
 
-    @pytest.mark.parametrize("version", wire.SUPPORTED_VERSIONS)
-    def test_peek_result_rejects_what_unpack_rejects(self, version):
-        good = wire.pack_result(
-            np.ones((2, 2)), "w0", 0.0, 0.0, 0.0, False, version=version
-        )
+    def test_peek_result_rejects_what_unpack_rejects(self):
+        good = wire.pack_result(np.ones((2, 2)), "w0", 0.0, 0.0, 0.0, False)
         rejected = 0
         for body in _hostile(good, matrix_header_at=25 + 2 + 2):
-            error = _outcome(wire.unpack_result, body, version)
-            assert _outcome(wire.peek_result, body, version) == error
+            error = _outcome(wire.unpack_result, body)
+            assert _outcome(wire.peek_result, body) == error
             rejected += error is not None
         assert rejected == len(good) + 5
-        assert _outcome(wire.peek_result, good, version) is None
+        assert _outcome(wire.peek_result, good) is None
 
     def test_the_errors_are_the_ones_the_decoders_always_raised(self):
         good = wire.pack_request(np.ones((4, 2)), scheme="tree")
@@ -193,8 +179,6 @@ class TestHostileBodies:
         ]:
             with pytest.raises(ProtocolError, match=needle):
                 wire.peek_request(body)
-        with pytest.raises(ProtocolError, match="9 trailing bytes"):
-            wire.peek_request(good, version=1)  # v2 body on a v1 frame
         result = wire.pack_result(np.ones((1, 1)), "w", 0.0, 0.0, 0.0, False)
         with pytest.raises(ProtocolError, match="truncated before metadata"):
             wire.peek_result(result[:24])
