@@ -23,9 +23,12 @@ Commands
     ``--selftest`` verifies every request completed exactly once or
     failed fast — the fault-tolerance acceptance check.
     ``--ensemble 'mlp:large,mlp:small,memo'`` serves a routed
-    multi-approximator ensemble with online router learning
-    (``docs/ensemble.md``); ``--selftest`` then additionally checks that
-    routing spread rows across members and that retrains happened.  With
+    multi-approximator ensemble (``docs/ensemble.md``); ``--selftest``
+    then additionally checks that routing spread rows across >= 2
+    members.  The router is fit offline, so the spread comes from the
+    load: a closed-loop burst degrades the server, and each degradation
+    level doubles the routing budget.  Undegraded, fft at margin 0.1
+    sends every row to ``mlp-large``.  With
     ``--listen HOST:PORT`` the server is instead exposed over TCP
     (``docs/protocol.md``) and runs until interrupted or ``--duration``
     elapses; ``--port-file`` records the bound ``host:port`` for
@@ -397,7 +400,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         w["ensemble"] for w in stats["workers"] if w.get("ensemble")
     ]
     ens_members_chosen = 0
-    ens_retrains = 0
     if ens_snaps:
         members = ens_snaps[0]["members"]
         routed_total = [
@@ -405,11 +407,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for i in range(len(members))
         ]
         ens_members_chosen = sum(1 for v in routed_total if v > 0)
-        ens_retrains = sum(int(s["retrains"]) for s in ens_snaps)
         rows.append(["ensemble members", ", ".join(
             f"{m}={v}" for m, v in zip(members, routed_total)
         )])
-        rows.append(["ensemble retrains", ens_retrains])
     print(format_table(["quantity", "value"], rows, title="Serving session"))
     worker_rows = [
         [w["worker"], w["batches"], w["elements"],
@@ -437,11 +437,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if args.ensemble:
             # The ensemble acceptance check: routing actually spread rows
-            # across members, and recovery outcomes drove online retrains.
-            ens_ok = ens_members_chosen >= 2 and ens_retrains > 0
+            # across members (the burst's degradation widens the budget).
+            ens_ok = ens_members_chosen >= 2
             print(f"ensemble selftest: {ens_members_chosen} members "
-                  f"chosen, {ens_retrains} retrains -> "
-                  f"{'OK' if ens_ok else 'FAIL'}")
+                  f"chosen -> {'OK' if ens_ok else 'FAIL'}")
             ok = ok and ens_ok
         if not ok:
             return 1

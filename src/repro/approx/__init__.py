@@ -15,7 +15,6 @@ from repro.approx.ensemble import (
     EnsembleMember,
     EnsembleSpec,
     InvocationRouter,
-    OnlineLearner,
     build_ensemble,
 )
 from repro.approx.loop_perforation import perforated_mean, perforation_mask
@@ -36,7 +35,6 @@ __all__ = [
     "EnsembleMember",
     "EnsembleSpec",
     "InvocationRouter",
-    "OnlineLearner",
     "build_ensemble",
     "NPUBackend",
     "train_npu_backend",

@@ -1,12 +1,11 @@
-"""Multi-approximator ensembles with online-learned invocation routing.
+"""Multi-approximator ensembles with offline-fit invocation routing.
 
 One approximator per app wastes the structure of real workloads: most
-rows are easy (a tiny network, a memo hit, or a perforated reuse is
-good enough) and a few are hard (only the full-size network meets the
-error budget).  Following the invocation-driven multi-approximator idea
-(arXiv:1810.08379) and online self-compensation (arXiv:2001.03783),
-this module adds the ensemble tier on top of the unified
-:class:`~repro.approx.base.ApproxBackend` API:
+rows are easy (a tiny network or a memo hit is good enough) and a few
+are hard (only the full-size network meets the error budget).
+Following the invocation-driven multi-approximator idea
+(arXiv:1810.08379), this module adds the ensemble tier on top of the
+unified :class:`~repro.approx.base.ApproxBackend` API:
 
 :class:`ApproximatorEnsemble`
     N ranked backends (rank 0 = highest quality, the *reference*
@@ -20,36 +19,29 @@ this module adds the ensemble tier on top of the unified
     budget, with the reference member as fallback.  The tuner's
     degrade/relax signals widen the budget multiplicatively, shifting
     traffic toward cheap members under backpressure.
-:class:`OnlineLearner`
-    Consumes recovery outcomes — the exact-vs-approx error of every
-    flagged row, which the CPU recovery path computes anyway — and
-    periodically retrains both the per-member error predictors and the
-    router's per-member caution calibration from that free labeled data.
 
-Determinism contract (``repro replay``): routing decisions are journaled
-per request and *forced* during replay, so online learning may reshape
-future choices freely without breaking bit-for-bit reproduction; the
-detection bits themselves come from the statically trained scheme
-predictor and depend only on the row features.
+Like Rumba's checkers (and the multiclass router of 1810.08379), the
+routing layer is fit once, offline: :func:`build_ensemble` fits each
+member's error predictor from one shared labelling pass, and the fitted
+predictors are read-only afterwards.  A routing decision therefore
+depends only on the row's features, the threshold and the degradation
+level.  Replay still forces the journaled per-row choices, because it
+does not reproduce the capture-time degradation level; the detection
+bits come from the statically trained scheme predictor and depend only
+on the row features.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.base import Application
-from repro.approx.alt_backends import (
-    NoisyAnalogBackend,
-    QuantizedKernelBackend,
-)
 from repro.approx.base import ApproxBackend, CostProfile
 from repro.approx.memoization import MemoizingBackend
 from repro.approx.npu_backend import NPUBackend, train_npu_backend
-from repro.approx.perforation_backend import PerforatedKernelBackend
 from repro.errors import ConfigurationError
 from repro.nn.mlp import Topology
 from repro.nn.trainer import RPropTrainer
@@ -61,16 +53,13 @@ __all__ = [
     "EnsembleMember",
     "EnsembleSpec",
     "InvocationRouter",
-    "OnlineLearner",
     "build_ensemble",
 ]
 
 #: Routing-budget widening per tuner degradation level.
 DEGRADE_BIAS = 2.0
-#: Recovery-labelled samples between online retrains.
-RETRAIN_INTERVAL = 64
-#: Per-member online ring-buffer capacity.
-LEARN_BUFFER = 1024
+#: The member tokens an :class:`EnsembleSpec` accepts.
+MEMBER_TOKENS = ("mlp:large", "mlp:small", "memo")
 
 
 @dataclass(frozen=True)
@@ -78,14 +67,12 @@ class EnsembleSpec:
     """Declarative description of an ensemble (JSON-scalar fields only,
     so it round-trips through the serving config and the journal META).
 
-    ``members`` is a comma-separated, best-first list of member tokens:
-    ``mlp:large`` / ``mlp:medium`` / ``mlp:small`` (sized NPU networks),
-    ``memo`` (frozen fuzzy memoization), ``perforate`` (row-wise loop
-    perforation), ``quantize`` (reduced-precision datapath), ``analog``
-    (noisy analog datapath — stochastic, excluded from replay-grade
-    serving ensembles).  The first member is the reference: it must be
-    an NPU MLP and serves as the router's quality fallback.  ``margin``
-    scales the router's budget (see :class:`InvocationRouter`).
+    ``members`` is a comma-separated, best-first list of distinct
+    :data:`MEMBER_TOKENS`: ``mlp:large`` / ``mlp:small`` (sized NPU
+    networks) and ``memo`` (frozen fuzzy memoization).  The first member
+    is the reference: it must be an NPU MLP and serves as the router's
+    quality fallback.  ``margin`` scales the router's budget (see
+    :class:`InvocationRouter`).
     """
 
     members: str = "mlp:large,mlp:small,memo"
@@ -96,6 +83,16 @@ class EnsembleSpec:
         if len(tokens) < 2:
             raise ConfigurationError(
                 "an ensemble needs at least two members"
+            )
+        unknown = [tok for tok in tokens if tok not in MEMBER_TOKENS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown ensemble member token(s) {unknown}; "
+                f"expected distinct tokens from {MEMBER_TOKENS}"
+            )
+        if len(set(tokens)) != len(tokens):
+            raise ConfigurationError(
+                f"repeated ensemble member token in {self.members!r}"
             )
         if not tokens[0].startswith("mlp"):
             raise ConfigurationError(
@@ -129,10 +126,10 @@ class EnsembleMember:
 class InvocationRouter:
     """Per-row backend selection from features and the TOQ threshold.
 
-    Policy: rows go to the *cheapest* member whose predicted error —
-    scaled by that member's learned ``caution`` factor — stays within
-    ``threshold * margin * DEGRADE_BIAS**degradation_level``.  Rows no
-    cheap member can serve fall back to the reference member (index 0).
+    Policy: rows go to the *cheapest* member whose predicted error
+    stays within ``threshold * margin * DEGRADE_BIAS**degradation_level``.
+    Rows no cheap member can serve fall back to the reference member
+    (index 0).
     Raising ``degradation_level`` (the tuner's degrade signal) widens
     the accepted budget, deliberately trading quality for cost when the
     recovery path is backpressured; relax undoes it.
@@ -144,9 +141,6 @@ class InvocationRouter:
         self.members = list(members)
         self.margin = float(margin)
         self.degradation_level = 0
-        #: Learned per-member correction on predicted errors (>1 means
-        #: the member's predictor has been under-predicting: be careful).
-        self.caution = np.ones(len(self.members))
         # Cheapest-first candidate order; the reference (0) is the
         # fallback so it never needs to win on price.
         self._cost_order = sorted(
@@ -176,109 +170,13 @@ class InvocationRouter:
         assigned = np.zeros(n, dtype=bool)
         for idx in self._cost_order:
             member = self.members[idx]
-            pred = member.predicted_errors(features) * self.caution[idx]
-            take = (pred <= tol) & ~assigned
+            take = (member.predicted_errors(features) <= tol) & ~assigned
             if take.any():
                 choices[take] = idx
                 assigned |= take
             if assigned.all():
                 break
         return choices
-
-
-class OnlineLearner:
-    """Recovery-fed incremental retraining of the routing layer.
-
-    Every flagged row the CPU recovers yields an exact-vs-approx error
-    label for the member that produced it.  Labels accumulate in
-    per-member ring buffers (the newest :data:`LEARN_BUFFER` kept) on top
-    of the offline training base; every :data:`RETRAIN_INTERVAL` labels
-    the learner (a) refits each member's
-    error predictor on base+online data and (b) recalibrates the
-    router's per-member caution factors from how observed errors compare
-    to what the member predicted.  Only the routing layer learns — the
-    detection predictor stays static, keeping replayed bits exact.
-    """
-
-    def __init__(
-        self,
-        members: Sequence[EnsembleMember],
-        router: InvocationRouter,
-        base_features: np.ndarray,
-        base_errors: List[np.ndarray],
-    ):
-        self.members = list(members)
-        self.router = router
-        # Shared, read-only offline base (features x per-member errors).
-        self.base_features = base_features
-        self.base_errors = base_errors
-        self._online_features: List[List[np.ndarray]] = [
-            [] for _ in self.members
-        ]
-        self._online_errors: List[List[np.ndarray]] = [
-            [] for _ in self.members
-        ]
-        self._pending = 0
-        self.samples_consumed = 0
-        self.retrain_count = 0
-
-    def observe(
-        self,
-        features: np.ndarray,
-        choices: np.ndarray,
-        errors: np.ndarray,
-    ) -> None:
-        """Record labeled rows (router features, chosen member, error)."""
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        choices = np.asarray(choices).ravel()
-        errors = np.asarray(errors, dtype=float).ravel()
-        if not errors.size:
-            return
-        for idx in np.unique(choices):
-            rows = np.flatnonzero(choices == idx)
-            self._online_features[idx].append(features[rows])
-            self._online_errors[idx].append(errors[rows])
-        self._pending += int(errors.size)
-        self.samples_consumed += int(errors.size)
-        if self._pending >= RETRAIN_INTERVAL:
-            self._retrain()
-            self._pending = 0
-
-    def _member_online(
-        self, idx: int
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        feats, errs = self._online_features[idx], self._online_errors[idx]
-        if not feats:
-            return None, None
-        x = np.vstack(feats)
-        y = np.concatenate(errs)
-        if x.shape[0] > LEARN_BUFFER:
-            x, y = x[-LEARN_BUFFER:], y[-LEARN_BUFFER:]
-            # Compact the ring in place so memory stays bounded.
-            self._online_features[idx] = [x]
-            self._online_errors[idx] = [y]
-        return x, y
-
-    def _retrain(self) -> None:
-        for idx, member in enumerate(self.members):
-            x_on, y_on = self._member_online(idx)
-            if x_on is None:
-                continue
-            # Router caution: compare what the member predicted for the
-            # recovered rows against what recovery actually measured.
-            predicted = member.predicted_errors(x_on)
-            mean_pred = float(predicted.mean())
-            mean_obs = float(y_on.mean())
-            if mean_pred > 1e-12:
-                ratio = np.clip(mean_obs / mean_pred, 0.5, 4.0)
-                self.router.caution[idx] = float(
-                    0.7 * self.router.caution[idx] + 0.3 * ratio
-                )
-            member.error_predictor.fit(
-                np.vstack([self.base_features, x_on]),
-                np.concatenate([self.base_errors[idx], y_on]),
-            )
-        self.retrain_count += 1
 
 
 class ApproximatorEnsemble:
@@ -297,7 +195,6 @@ class ApproximatorEnsemble:
         app: Application,
         members: Sequence[EnsembleMember],
         router: InvocationRouter,
-        learner: Optional[OnlineLearner] = None,
     ):
         if len(members) < 2:
             raise ConfigurationError("an ensemble needs >= 2 members")
@@ -317,7 +214,6 @@ class ApproximatorEnsemble:
         self.app = app
         self.members = list(members)
         self.router = router
-        self.learner = learner
         self.rows_routed = np.zeros(len(members), dtype=np.int64)
         self.fires_by_member = np.zeros(len(members), dtype=np.int64)
 
@@ -332,17 +228,12 @@ class ApproximatorEnsemble:
     def member_names(self) -> List[str]:
         return [m.name for m in self.members]
 
-    @property
-    def retrain_count(self) -> int:
-        return self.learner.retrain_count if self.learner else 0
-
     def snapshot(self) -> dict:
         """Cumulative per-member counters (shm RESULT snapshot payload)."""
         return {
             "members": self.member_names,
             "routed": [int(v) for v in self.rows_routed],
             "fires": [int(v) for v in self.fires_by_member],
-            "retrains": self.retrain_count,
             "degradation_level": self.router.degradation_level,
         }
 
@@ -397,29 +288,6 @@ class ApproximatorEnsemble:
         bits = np.asarray(bits, dtype=bool).ravel()
         np.add.at(self.fires_by_member, choices[bits], 1)
 
-    def observe_recovery(
-        self,
-        features: np.ndarray,
-        choices: np.ndarray,
-        recovery_indices: np.ndarray,
-        approx_outputs: np.ndarray,
-        exact_outputs: np.ndarray,
-    ) -> None:
-        """Feed the learner with one invocation's recovery outcomes."""
-        if self.learner is None:
-            return
-        recovery_indices = np.asarray(recovery_indices, dtype=int).ravel()
-        if not recovery_indices.size:
-            return
-        errors = self.app.element_errors(
-            np.atleast_2d(approx_outputs), np.atleast_2d(exact_outputs)
-        )
-        self.learner.observe(
-            np.atleast_2d(features)[recovery_indices],
-            np.asarray(choices).ravel()[recovery_indices],
-            np.asarray(errors, dtype=float).ravel(),
-        )
-
     def set_degradation(self, level: int) -> None:
         self.router.set_degradation(level)
 
@@ -462,39 +330,14 @@ class ApproximatorEnsemble:
                 detector_placement=detector_placement,
                 observed_kernel_cycles=observed_kernel_cycles,
             )
-        from repro.core.costs import AppCosts
-
-        profile = member.cost
-        f = self.app.offload_fraction
         cpu_energy = cost_model.cpu_iteration_energy_pj()
         cpu_cycles = cost_model.cpu_iteration_cycles()
-        baseline_energy = cpu_energy / f
-        baseline_cycles = cpu_cycles / f
-        accel_energy = (
-            profile.relative_energy * cpu_energy + checker.check_energy_pj()
-        )
-        accel_stream = (
-            profile.relative_latency * cpu_cycles
-            + checker.check_cycles()
-            + cost_model.overhead.overlapped_cycles
-        )
-        if observed_kernel_cycles is not None:
-            kernel_cycles = max(observed_kernel_cycles, accel_stream)
-        else:
-            kernel_cycles = max(accel_stream, fix_fraction * cpu_cycles)
-        scheme_energy = (
-            baseline_energy * (1.0 - f)
-            + accel_energy
-            + cost_model.overhead_energy_pj()
-            + fix_fraction * cpu_energy
-        )
-        scheme_cycles = baseline_cycles * (1.0 - f) + kernel_cycles
-        return AppCosts(
-            baseline_energy_pj=baseline_energy,
-            scheme_energy_pj=scheme_energy,
-            baseline_cycles=baseline_cycles,
-            scheme_cycles=scheme_cycles,
-            fix_fraction=fix_fraction,
+        return cost_model.accelerated_app_costs(
+            member.cost.relative_energy * cpu_energy
+            + checker.check_energy_pj(),
+            member.cost.relative_latency * cpu_cycles + checker.check_cycles(),
+            fix_fraction,
+            observed_kernel_cycles,
         )
 
     def blended_app_costs(
@@ -545,32 +388,22 @@ class ApproximatorEnsemble:
         """An ensemble for a fresh shard.
 
         Backends delegate to their own ``clone_shard`` (stateful ones
-        return independent copies); router predictors are deep-copied so
-        each shard's online learning stays private; the learner restarts
-        with empty online buffers over the shared offline base; counters
-        and degradation start clean.
+        return independent copies); the fitted error predictors are
+        read-only, so shards share them; each shard gets its own router
+        (its degradation level is the shard's tuner's), and counters
+        start clean.
         """
         members = [
             EnsembleMember(
                 name=m.name,
                 backend=m.backend.clone_shard(),
-                error_predictor=copy.deepcopy(m.error_predictor),
+                error_predictor=m.error_predictor,
                 cost=m.cost,
             )
             for m in self.members
         ]
         router = InvocationRouter(members, margin=self.router.margin)
-        learner = None
-        if self.learner is not None:
-            learner = OnlineLearner(
-                members,
-                router,
-                base_features=self.learner.base_features,
-                base_errors=self.learner.base_errors,
-            )
-        return ApproximatorEnsemble(
-            self.app, members, router, learner=learner
-        )
+        return ApproximatorEnsemble(self.app, members, router)
 
 
 # ---------------------------------------------------------------------- #
@@ -602,15 +435,13 @@ def _build_member_backend(
     reference: Optional[NPUBackend],
 ) -> Tuple[str, ApproxBackend]:
     """Instantiate one member backend from its spec token."""
-    if token in ("mlp", "mlp:large"):
+    if token == "mlp:large":
         backend = (
             reference
             if reference is not None
             else _train_sized_mlp(app, 1.0, seed)
         )
         return "mlp-large", backend
-    if token == "mlp:medium":
-        return "mlp-medium", _train_sized_mlp(app, 0.5, seed + 11)
     if token == "mlp:small":
         return "mlp-small", _train_sized_mlp(app, 0.25, seed + 12)
     if token == "memo":
@@ -624,16 +455,6 @@ def _build_member_backend(
         memo.hits = 0
         memo.misses = 0
         return "memo", memo
-    if token == "perforate":
-        return "perforate", PerforatedKernelBackend(app, keep_every=2)
-    if token == "quantize":
-        return "quantize", QuantizedKernelBackend(
-            app, bits=8, calibration_seed=seed
-        )
-    if token == "analog":
-        return "analog", NoisyAnalogBackend(
-            app, calibration_seed=seed, noise_seed=seed + 1
-        )
     raise ConfigurationError(f"unknown ensemble member token {token!r}")
 
 
@@ -648,9 +469,8 @@ def build_ensemble(
 
     ``reference`` lets callers inject the (cached) standard single-MLP
     backend as the rank-0 member; :func:`repro.core.offline.prepare_ensemble`
-    does exactly that.  Per-member router predictors are fitted offline
-    on a shared labeled sample, so routing works from the first request;
-    the :class:`OnlineLearner` then refines them from recovery outcomes.
+    does exactly that.  Per-member router predictors are fitted once, on
+    a shared labeled sample, and are read-only from then on.
     """
     spec = spec or EnsembleSpec()
     if cost_model is None:
@@ -672,7 +492,6 @@ def build_ensemble(
     exact = app.exact(x)
 
     members: List[EnsembleMember] = []
-    base_errors: List[np.ndarray] = []
     for name, backend in backends:
         approx = backend(x)
         errors = np.asarray(
@@ -687,10 +506,6 @@ def build_ensemble(
                 cost=backend.cost_profile(cost_model),
             )
         )
-        base_errors.append(errors)
 
     router = InvocationRouter(members, margin=spec.margin)
-    learner = OnlineLearner(
-        members, router, base_features=x, base_errors=base_errors
-    )
-    return ApproximatorEnsemble(app, members, router, learner=learner)
+    return ApproximatorEnsemble(app, members, router)

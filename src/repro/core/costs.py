@@ -124,6 +124,31 @@ class CostModel:
         for bursty recovery demand that the uniform-spread estimate
         cannot see).
         """
+        accel_side = evaluate_placement(
+            detector_placement, self.npu, checker, topology, fix_fraction
+        )
+        return self.accelerated_app_costs(
+            accel_side.energy_pj_per_iteration,
+            accel_side.cycles_per_iteration,
+            fix_fraction,
+            observed_kernel_cycles,
+        )
+
+    def accelerated_app_costs(
+        self,
+        accel_energy_pj: float,
+        accel_cycles: float,
+        fix_fraction: float,
+        observed_kernel_cycles: Optional[float] = None,
+    ) -> AppCosts:
+        """Whole-app energy/cycles per element around one accelerator side.
+
+        ``accel_energy_pj`` and ``accel_cycles`` are what the accelerator
+        (checker included) spends per iteration; :meth:`whole_app_costs`
+        takes them from the NPU placement model, an ensemble member
+        without an NPU from its measured cost profile.  The Amdahl term,
+        the queue glue and the overlapped CPU recovery are added here.
+        """
         if not (0.0 <= fix_fraction <= 1.0):
             raise ConfigurationError("fix_fraction must be in [0, 1]")
         f = self.app.offload_fraction
@@ -136,14 +161,9 @@ class CostModel:
         non_kernel_energy = baseline_energy * (1.0 - f)
         non_kernel_cycles = baseline_cycles * (1.0 - f)
 
-        accel_side = evaluate_placement(
-            detector_placement, self.npu, checker, topology, fix_fraction
-        )
         # Kernel-region time: accelerator stream vs overlapped CPU recovery
         # (Fig. 8), plus the un-hideable queue glue.
-        accel_stream = (
-            accel_side.cycles_per_iteration + self.overhead.overlapped_cycles
-        )
+        accel_stream = accel_cycles + self.overhead.overlapped_cycles
         if observed_kernel_cycles is not None:
             kernel_cycles = max(observed_kernel_cycles, accel_stream)
         else:
@@ -152,7 +172,7 @@ class CostModel:
 
         scheme_energy = (
             non_kernel_energy
-            + accel_side.energy_pj_per_iteration
+            + accel_energy_pj
             + self.overhead_energy_pj()
             + fix_fraction * cpu_energy
         )

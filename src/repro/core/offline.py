@@ -118,7 +118,7 @@ def prepare_system(
         Optional :class:`~repro.approx.ensemble.EnsembleSpec`; when given
         the system routes every invocation across the spec's members (the
         reference member being the same cached single-MLP backend a plain
-        system would use) and learns the router online from recovery.
+        system would use), with router predictors fit once, offline.
     """
     app = (
         app_or_name
@@ -134,7 +134,7 @@ def prepare_system(
     prototype_ensemble = None
     if ensemble is not None:
         # Hand each system a shard clone so the cached prototype's
-        # counters and online learner stay pristine across systems.
+        # counters and degradation level stay pristine across systems.
         prototype_ensemble = prepare_ensemble(
             app, ensemble, seed=seed, cache=cache
         ).clone_shard()

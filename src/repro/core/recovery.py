@@ -12,7 +12,7 @@ mutated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -56,16 +56,13 @@ def merge_outputs(
 class RecoveryResult:
     """Outcome of recovering one invocation.
 
-    ``exact_outputs`` holds the re-executed rows (ordered like
-    ``recovery_indices``; ``None`` when nothing was flagged).  The online
-    ensemble learner consumes these exact-vs-approx pairs as free labeled
-    data — the CPU already paid for them.
+    ``merged_outputs[recovery_indices]`` are the re-executed (exact) rows;
+    every other row is the accelerator's approximate output.
     """
 
     merged_outputs: np.ndarray
     recovery_indices: np.ndarray
     n_recovered: int
-    exact_outputs: Optional[np.ndarray] = None
 
     @property
     def recovered_fraction(self) -> float:
@@ -134,7 +131,6 @@ class RecoveryModule:
             merged_outputs=merged,
             recovery_indices=indices,
             n_recovered=int(indices.size),
-            exact_outputs=exact,
         )
 
 

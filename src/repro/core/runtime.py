@@ -55,7 +55,6 @@ from repro.observability.reqtrace import (
     STAGE_COMPUTE,
     STAGE_DETECT,
     STAGE_INVOKE,
-    STAGE_LEARN,
     STAGE_MEASURE,
     STAGE_RECOVER,
     STAGE_ROUTE,
@@ -146,7 +145,6 @@ class PendingInvocation:
     measure_quality: bool
     exact: Optional[np.ndarray] = None
     choices: Optional[np.ndarray] = None
-    router_features: Optional[np.ndarray] = None
     #: The timeline so far (see :attr:`InvocationRecord.stages`).
     stages: List[Tuple[str, float]] = field(default_factory=list)
 
@@ -314,7 +312,10 @@ class RumbaSystem:
         router picks a member per row, and the routed members compute the
         batch.  ``forced_choices`` (per-row member indices) bypasses the
         router — this is how ``repro replay`` reproduces a journaled run
-        bit-for-bit regardless of what the online learner did since.
+        bit-for-bit.  Forcing is needed although the router is fit once:
+        replay does not reproduce the capture-time degradation level
+        (which widens the routing budget), and journals recorded before
+        the router became read-only were routed by one that learned.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         n = inputs.shape[0]
@@ -331,9 +332,7 @@ class RumbaSystem:
         stages = [(STAGE_INVOKE, clock())]
         try:
             choices = None
-            router_features = None
             if self.ensemble is not None:
-                router_features = self.ensemble.router_features(inputs)
                 if forced_choices is not None:
                     choices = np.asarray(
                         forced_choices, dtype=np.int8
@@ -345,7 +344,9 @@ class RumbaSystem:
                 else:
                     with self._lock:
                         threshold = self.tuner.threshold
-                    choices = self.ensemble.route(router_features, threshold)
+                    choices = self.ensemble.route(
+                        self.ensemble.router_features(inputs), threshold
+                    )
                 stages.append((STAGE_ROUTE, clock()))
                 approx = self.ensemble.forward_routed(inputs, choices)
             else:
@@ -389,7 +390,6 @@ class RumbaSystem:
             measure_quality=measure_quality,
             exact=exact,
             choices=choices,
-            router_features=router_features,
             stages=stages,
         )
 
@@ -450,25 +450,6 @@ class RumbaSystem:
                     )
                 )
                 stages.append((STAGE_TUNE, clock()))
-
-                if (
-                    self.ensemble is not None
-                    and recovery.exact_outputs is not None
-                    and recovery.n_recovered
-                ):
-                    # Recovery already paid for exact re-execution of the
-                    # flagged rows: feed those labels to the online
-                    # routing learner.  Routing-only — detection stays on
-                    # the statically trained predictor, so replayed
-                    # recovery bits are unaffected.
-                    self.ensemble.observe_recovery(
-                        pending.router_features,
-                        pending.choices,
-                        recovery.recovery_indices,
-                        pending.approx[recovery.recovery_indices],
-                        recovery.exact_outputs,
-                    )
-                    stages.append((STAGE_LEARN, clock()))
 
                 measured_error = None
                 unchecked_error = None
@@ -544,7 +525,8 @@ class RumbaSystem:
         too: each member backend decides via its own
         ``ApproxBackend.clone_shard`` hook whether to share (immutable
         weights, frozen memo tables) or copy (mutable runtime state), and
-        the shard gets a fresh learner and router calibration.
+        the shard gets its own router (fresh degradation level) over the
+        shared, read-only fitted error predictors.
         """
         shard_ensemble = (
             self.ensemble.clone_shard() if self.ensemble is not None else None

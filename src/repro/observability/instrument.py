@@ -29,7 +29,6 @@ from repro.observability.metrics import (
 from repro.observability.reqtrace import (
     STAGE_COMPUTE,
     STAGE_DETECT,
-    STAGE_LEARN,
     STAGE_RECOVER,
     STAGE_ROUTE,
     STAGE_TUNE,
@@ -51,7 +50,6 @@ _PHASE_OF_STAGE = {
     STAGE_DETECT: "detect",
     STAGE_RECOVER: "recover",
     STAGE_TUNE: "tune",
-    STAGE_LEARN: "learn",
 }
 _MOVE_NAMES = {1: "raise", -1: "lower"}
 

@@ -56,7 +56,6 @@ __all__ = [
     "STAGE_DETECT",
     "STAGE_RECOVER",
     "STAGE_TUNE",
-    "STAGE_LEARN",
     "STAGE_COLLECT",
     "STAGE_RETRY",
     "STAGE_COMPLETE",
@@ -81,7 +80,6 @@ STAGE_MEASURE = "measure"              # experimenter's exact reference computed
 STAGE_DETECT = "detect"                # checker scored, recovery bits set
 STAGE_RECOVER = "recover"              # flagged rows re-executed and merged
 STAGE_TUNE = "tune"                    # pipeline/cost models run, tuner updated
-STAGE_LEARN = "learn"                  # ensemble router fed the recovery labels
 STAGE_COLLECT = "collect"              # parent read the worker's RESULT frame
 STAGE_RETRY = "retry"                  # re-dispatch scheduled after a fault
 STAGE_COMPLETE = "complete"            # handle resolved (result or error)
@@ -103,7 +101,6 @@ STAGES: Tuple[str, ...] = (
     STAGE_DETECT,
     STAGE_RECOVER,
     STAGE_TUNE,
-    STAGE_LEARN,
     STAGE_COLLECT,
     STAGE_RETRY,
     STAGE_COMPLETE,

@@ -182,10 +182,9 @@ class EnsembleConfig:
 
     When ``enabled``, each worker shard serves an
     :class:`~repro.approx.ensemble.ApproximatorEnsemble` instead of the
-    single MLP backend: a router picks a member per row, recovery
-    outcomes retrain the routing layer online, and the journal records
-    the chosen member ids so ``repro replay`` reproduces the run
-    bit-for-bit.  All fields are JSON scalars, so they round-trip
+    single MLP backend: a router picks a member per row from error
+    predictors fit once, offline, and the journal records the chosen
+    member ids so ``repro replay`` reproduces the run bit-for-bit.  All fields are JSON scalars, so they round-trip
     through the journal META frame like every other flat field.
     """
 

@@ -12,9 +12,11 @@ journals its own run, and compares record against record:
 * **outputs** — raw float64 blocks, byte equality;
 * **decision bits** — the checker's per-row recovery verdicts;
 * **backend ids** — on ensemble runs, the per-row member choices (the
-  recorded ones are *forced* through the replay router, so online
-  router learning cannot diverge the re-run; a diff here means the
-  journal was tampered with or the forcing path broke);
+  recorded ones are *forced* through the replay router, because replay
+  does not reproduce the capture-time degradation level and journals
+  recorded before the router became read-only were routed by one that
+  learned online; a diff here means the journal was tampered with or
+  the forcing path broke);
 * **quality metrics** — threshold, fix fraction, and (when the recorded
   run measured quality) the measured error, exact float equality.
 
@@ -318,7 +320,8 @@ def replay_journal(
     # The META's flattened config round-trips the ensemble spec, so an
     # ensemble-enabled recording rebuilds the identical member set (same
     # seed ⇒ same trained members); the journaled per-row choices below
-    # then force the router, making online learning replay-proof.  Keys
+    # then force the router, so neither the capture-time degradation
+    # level nor an older journal's online-learned routing matters.  Keys
     # of retired ensemble options (older METAs carry them, at the values
     # that are now constants) are skipped.
     flat_config = meta.get("config") or {}

@@ -165,8 +165,9 @@ class ServeRequest:
     pooled: bool = False
     #: Forced per-row ensemble member indices (int8, one per input row).
     #: Replay passes the journaled routing decisions here so an
-    #: ensemble-enabled run reproduces bit for bit even after the online
-    #: learner shifted the router; None = route live.
+    #: ensemble-enabled run reproduces bit for bit: replay does not
+    #: reproduce the capture-time degradation level, and older journals
+    #: were routed by a router that learned online; None = route live.
     backend_ids: Optional[np.ndarray] = None
 
     @property

@@ -350,18 +350,13 @@ class RumbaServer:
             "Invocations completed, last reported by each worker",
             base + ("worker",),
         )
-        # Ensemble routing: cumulative per-member row counts and online
-        # retrain passes, per worker, from each batch's report; silent
-        # when the server runs without an ensemble.
+        # Ensemble routing: cumulative per-member row counts per worker,
+        # from each batch's report; silent when the server runs without
+        # an ensemble.
         self._m_ens_routed = r.gauge(
             "rumba_ensemble_routed_rows",
             "Rows routed to each ensemble member, cumulative per worker",
             base + ("worker", "member"),
-        )
-        self._m_ens_retrains = r.gauge(
-            "rumba_ensemble_retrains",
-            "Online router retrain passes completed, per worker",
-            base + ("worker",),
         )
         # Label resolution (dict hashing under the family lock) costs a
         # few microseconds; the per-request and per-batch paths pay it
@@ -396,9 +391,6 @@ class RumbaServer:
         members = snapshot.get("members", ())
         for member, rows in zip(members, snapshot.get("routed", ())):
             self._m_ens_routed.labels(member=member, **labels).set(int(rows))
-        self._m_ens_retrains.labels(**labels).set(
-            int(snapshot.get("retrains", 0))
-        )
 
     def prepare(self) -> "RumbaServer":
         """Train (or adopt) the prototype and lay out one shard per worker."""
@@ -877,7 +869,8 @@ class RumbaServer:
         batch's threshold and measured error, its slice of the per-row
         decision bits, and — on ensemble runs — its slice of the routed
         member choices (``backend_ids``), which replay forces back
-        through the ensemble so online router learning cannot diverge
+        through the ensemble so neither the capture-time degradation
+        level nor an older journal's online-learned routing can diverge
         the re-run.  Bits and choices arrive packed in the worker's
         report (``include_bits``).
         """

@@ -1,7 +1,7 @@
 """Unit tests for the multi-approximator ensemble tier.
 
-Router policy and learner mechanics are tested against stub error
-predictors (canned scores) so each decision rule is pinned exactly;
+Router policy is tested against stub error predictors (canned scores)
+so each decision rule is pinned exactly;
 construction, sharding and cost blending run against real backends; and
 one end-to-end group exercises the trained default-spec fft ensemble.
 """
@@ -12,13 +12,10 @@ import pytest
 from repro.approx.alt_backends import QuantizedKernelBackend
 from repro.approx.base import CostProfile
 from repro.approx.ensemble import (
-    LEARN_BUFFER,
-    RETRAIN_INTERVAL,
     ApproximatorEnsemble,
     EnsembleMember,
     EnsembleSpec,
     InvocationRouter,
-    OnlineLearner,
 )
 from repro.approx.memoization import MemoizingBackend
 from repro.approx.perforation_backend import PerforatedKernelBackend
@@ -35,17 +32,12 @@ class StubPredictor:
 
     def __init__(self, value=0.0):
         self.value = value
-        self.fit_calls = 0
 
     def scores(self, features=None, **_):
         features = np.atleast_2d(features)
         if self.value == "col0":
             return features[:, 0].astype(float)
         return np.full(features.shape[0], float(self.value))
-
-    def fit(self, x, y):
-        self.fit_calls += 1
-        return self
 
 
 def make_members(fft_app, fft_backend, cheap=0.0, mid=0.0):
@@ -85,6 +77,21 @@ class TestEnsembleSpec:
     def test_validation(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
             EnsembleSpec(**kwargs)
+
+    @pytest.mark.parametrize("members,match", [
+        ("mlp:large,bogus", "unknown ensemble member"),
+        ("mlp,mlp:large", "unknown ensemble member"),
+        ("mlp:large,perforate", "unknown ensemble member"),
+        ("mlp:large,quantize", "unknown ensemble member"),
+        ("mlp:large,analog", "unknown ensemble member"),
+        ("mlp:large,memo,memo", "repeated ensemble member"),
+        ("mlp:large,mlp:large", "repeated ensemble member"),
+    ])
+    def test_member_list_rejected_at_construction(self, members, match):
+        """Only the tokens serving builds, each at most once: a bad list
+        fails here, not when a server trains its prototype."""
+        with pytest.raises(ConfigurationError, match=match):
+            EnsembleSpec(members=members)
 
 
 class TestInvocationRouter:
@@ -141,64 +148,10 @@ class TestInvocationRouter:
         router.set_degradation(1)  # tolerance 0.1 -> 0.2
         assert (router.route(probe, threshold=0.1) == 2).all()
 
-    def test_caution_pushes_rows_back_to_reference(self, fft_app,
-                                                   fft_backend, probe):
-        router = InvocationRouter(
-            make_members(fft_app, fft_backend, cheap=0.05, mid=9.0)
-        )
-        assert (router.route(probe, threshold=0.1) == 2).all()
-        router.caution[2] = 3.0  # learned: member under-predicts 3x
-        assert (router.route(probe, threshold=0.1) == 0).all()
-
     def test_parameter_validation(self, fft_app, fft_backend):
         members = make_members(fft_app, fft_backend)
         with pytest.raises(ConfigurationError):
             InvocationRouter(members, margin=0.0)
-
-
-class TestOnlineLearner:
-    def _learner(self, fft_app, fft_backend):
-        members = make_members(fft_app, fft_backend)
-        router = InvocationRouter(members)
-        base_x = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
-        base_errors = [np.full(32, 0.01) for _ in members]
-        return OnlineLearner(
-            members, router, base_features=base_x, base_errors=base_errors,
-        ), members, router
-
-    def test_below_interval_no_retrain(self, fft_app, fft_backend):
-        learner, members, _ = self._learner(fft_app, fft_backend)
-        x = np.random.default_rng(0).random((8, 1))
-        learner.observe(x, np.full(8, 2), np.full(8, 0.02))
-        assert learner.retrain_count == 0
-        assert all(m.error_predictor.fit_calls == 0 for m in members)
-        assert learner.samples_consumed == 8
-
-    def test_interval_triggers_retrain_and_caution(self, fft_app,
-                                                   fft_backend):
-        learner, members, router = self._learner(fft_app, fft_backend)
-        members[2].error_predictor = StubPredictor(0.05)
-        n = RETRAIN_INTERVAL
-        x = np.random.default_rng(1).random((n, 1))
-        # Observed error 4x what member 2 predicted: caution must rise.
-        learner.observe(x, np.full(n, 2), np.full(n, 0.20))
-        assert learner.retrain_count == 1
-        assert members[2].error_predictor.fit_calls == 1
-        assert router.caution[2] > 1.0
-        # Members that saw no labels keep their predictor and caution.
-        assert members[1].error_predictor.fit_calls == 0
-        assert router.caution[1] == 1.0
-
-    def test_online_buffer_is_capped(self, fft_app, fft_backend):
-        learner, _, _ = self._learner(fft_app, fft_backend)
-        rng = np.random.default_rng(2)
-        labels = rng.random(LEARN_BUFFER + 200) * 0.1
-        for batch in np.array_split(labels, 3):
-            learner.observe(rng.random((batch.size, 1)),
-                            np.full(batch.size, 1), batch)
-        x_on, y_on = learner._member_online(1)
-        assert x_on.shape[0] == LEARN_BUFFER
-        np.testing.assert_array_equal(y_on, labels[-LEARN_BUFFER:])
 
 
 class TestApproximatorEnsemble:
@@ -265,36 +218,28 @@ class TestApproximatorEnsemble:
         assert snap["members"] == ["mlp-large", "quantize", "perforate"]
         assert snap["routed"] == [0, 0, 0]
         assert snap["fires"] == [0, 0, 0]
-        assert snap["retrains"] == 0
         assert snap["degradation_level"] == 0
+        assert set(snap) == {"members", "routed", "fires",
+                             "degradation_level"}
 
     def test_clone_shard_isolation(self, fft_app, fft_backend, probe):
-        members = make_members(fft_app, fft_backend)
-        router = InvocationRouter(members)
-        base = np.linspace(0, 1, 32).reshape(-1, 1)
-        ens = ApproximatorEnsemble(
-            fft_app, members, router,
-            learner=OnlineLearner(members, router, base,
-                                  [np.full(32, 0.01)] * 3),
-        )
+        ens = self._ensemble(fft_app, fft_backend)
         clone = ens.clone_shard()
-        # Immutable reference weights are shared; router state is not.
+        # The trained artifacts are shared: reference weights and the
+        # fitted (read-only) error predictors.
         assert clone.members[0].backend is ens.members[0].backend
-        assert clone.members[1].error_predictor is not \
-            ens.members[1].error_predictor
-        clone.router.caution[2] = 5.0
+        for mine, theirs in zip(clone.members, ens.members):
+            assert mine.error_predictor is theirs.error_predictor
+        # Router, counters and degradation are private to the shard.
+        assert clone.router is not ens.router
         clone.router.set_degradation(3)
         clone.forward_routed(probe, np.zeros(probe.shape[0],
                                              dtype=np.int8))
-        clone.learner.observe(probe, np.full(probe.shape[0], 1),
-                              np.full(probe.shape[0], 0.1))
-        assert ens.router.caution[2] == 1.0
+        clone.observe_detection(np.zeros(4, dtype=np.int8),
+                                np.ones(4, dtype=bool))
         assert ens.router.degradation_level == 0
         assert ens.rows_routed.sum() == 0
-        assert ens.learner.retrain_count == 0
-        assert ens.learner.samples_consumed == 0
-        # The offline base is a shared read-only artifact.
-        assert clone.learner.base_features is ens.learner.base_features
+        assert ens.fires_by_member.sum() == 0
 
     def test_blended_invocation_cycles_interpolates(self, fft_app,
                                                     fft_backend):

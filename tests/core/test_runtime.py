@@ -360,16 +360,23 @@ class TestEnsembleRuntime:
         np.testing.assert_array_equal(forced.choices, live.choices)
         assert forced.detection.n_fired == live.detection.n_fired
 
-    def test_forced_choices_bypass_online_drift(self, ens_system,
-                                                fft_inputs):
+    def test_forced_choices_ignore_the_replaying_router(self, ens_system,
+                                                       fft_inputs):
         """Forcing must reproduce a recorded run even when the replaying
-        shard's router has since learned different preferences — the
-        replay determinism contract."""
+        shard's router would route differently — replay does not
+        reproduce the capture-time degradation level — the replay
+        determinism contract."""
         x = fft_inputs[:400]
         live = ens_system.clone_shard().run_invocation(x)
-        drifted = ens_system.clone_shard()
-        drifted.ensemble.router.caution[:] = 7.0  # simulate learning
-        forced = drifted.run_invocation(x, forced_choices=live.choices)
+        replaying = ens_system.clone_shard()
+        replaying.ensemble.set_degradation(3)
+        replaying.ensemble.router.margin = 0.5
+        rerouted = replaying.ensemble.route(
+            replaying.ensemble.router_features(x),
+            replaying.tuner.threshold,
+        )
+        assert (rerouted != live.choices).any()
+        forced = replaying.run_invocation(x, forced_choices=live.choices)
         assert forced.outputs.tobytes() == live.outputs.tobytes()
         np.testing.assert_array_equal(forced.choices, live.choices)
 
@@ -399,7 +406,10 @@ class TestEnsembleRuntime:
             fired += record.detection.n_fired
         assert int(shard.ensemble.fires_by_member.sum()) == fired
 
-    def test_recovery_feeds_online_learner(self, ens_system, fft_inputs):
+    def test_routing_is_stationary(self, ens_system, fft_inputs):
+        """Routing depends only on (features, threshold, degradation
+        level): after a stream with recoveries, a shard routes a probe
+        exactly like a fresh clone at every threshold and level."""
         shard = ens_system.clone_shard()
         recovered = 0
         for i in range(4):
@@ -408,7 +418,16 @@ class TestEnsembleRuntime:
             )
             recovered += record.recovery.n_recovered
         assert recovered > 0, "fixture needs a config that recovers rows"
-        assert shard.ensemble.learner.samples_consumed == recovered
+        fresh = ens_system.clone_shard()
+        probe = fresh.ensemble.router_features(fft_inputs[1600:3600])
+        for level in range(3):
+            shard.ensemble.set_degradation(level)
+            fresh.ensemble.set_degradation(level)
+            for threshold in np.geomspace(1e-3, 1.0, 25):
+                np.testing.assert_array_equal(
+                    shard.ensemble.route(probe, threshold),
+                    fresh.ensemble.route(probe, threshold),
+                )
 
     def test_degradation_hook_reaches_router(self, ens_system):
         shard = ens_system.clone_shard()

@@ -20,7 +20,7 @@ from repro.serving import (
     RumbaServer,
     ServerConfig,
 )
-from repro.serving.config import replace
+from repro.serving.config import EnsembleConfig, replace
 
 
 class TestSectionValidation:
@@ -85,6 +85,21 @@ class TestSectionValidation:
     def test_server_config_rejects(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServerConfig(**kwargs)
+
+    @pytest.mark.parametrize("members,match", [
+        ("mlp:large,bogus", "unknown ensemble member"),
+        ("mlp:large,memo,memo", "repeated ensemble member"),
+        ("mlp,mlp:large", "unknown ensemble member"),
+        ("mlp:large,analog", "unknown ensemble member"),
+    ])
+    def test_ensemble_rejects_bad_member_lists(self, members, match):
+        """At construction, not from inside ``RumbaServer.prepare()``."""
+        with pytest.raises(ConfigurationError, match=match):
+            EnsembleConfig(enabled=True, members=members)
+        with pytest.raises(ConfigurationError, match=match):
+            ServerConfig(
+                ensemble=EnsembleConfig(enabled=True, members=members)
+            )
 
     def test_configs_are_frozen(self):
         config = ServerConfig()
