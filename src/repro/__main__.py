@@ -21,7 +21,9 @@ Commands
     shared-memory rings (GIL-free scaling).  ``--chaos kill=2,...``
     injects faults (worker kills, batch faults, control-frame damage) and
     ``--selftest`` verifies every request completed exactly once or
-    failed fast — the fault-tolerance acceptance check.
+    failed fast — the fault-tolerance acceptance check — and, on a
+    thread server with >= 2 CPUs, that it held one CPU while serving and
+    gave the main thread its mask back at stop (``docs/serving.md``).
     ``--ensemble 'mlp:large,mlp:small,memo'`` serves a routed
     multi-approximator ensemble (``docs/ensemble.md``); ``--selftest``
     then additionally checks that routing spread rows across >= 2
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 import time
 from collections import deque
@@ -361,6 +364,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # neither completes nor fails within it counts as a hang, which is
     # exactly the bug class the chaos harness exists to find.
     session = _Session(timeout_s=args.deadline_s + 30.0)
+    mask = _cpu_mask()
     with server:
         interval = 1.0 / args.rate if args.rate > 0 else 0.0
         for i in range(args.requests):
@@ -384,6 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["drift flagged", stats["drifted"]],
         ["worker restarts", stats["worker_restarts"]],
         ["batch retries", stats["retries"]],
+        ["cpu hold", stats["cpu_hold"]],
     ]
     if stats.get("chaos"):
         rows.extend([
@@ -442,9 +447,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"ensemble selftest: {ens_members_chosen} members "
                   f"chosen -> {'OK' if ens_ok else 'FAIL'}")
             ok = ok and ens_ok
+        if args.backend == "thread" and mask is not None and len(mask) > 1:
+            # The thread backend holds one CPU while serving and gives
+            # the starting thread its mask back at stop().
+            restored = _cpu_mask() == mask
+            hold_ok = stats["cpu_hold"] is not None and restored
+            print(f"cpu hold selftest: CPU {stats['cpu_hold']} held while "
+                  f"serving, mask {'restored' if restored else 'NOT restored'}"
+                  f" after stop -> {'OK' if hold_ok else 'FAIL'}")
+            ok = ok and hold_ok
         if not ok:
             return 1
     return 0
+
+
+def _cpu_mask():
+    """The calling thread's CPU mask (None where the OS has none)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return getaffinity(0) if getaffinity is not None else None
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:

@@ -27,6 +27,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.errors import ServingError
+from repro.serving.cpuhold import unheld
 
 __all__ = ["NodeHandle", "NodeFleet", "spawn_local_fleet"]
 
@@ -171,7 +172,8 @@ def spawn_local_fleet(
                 *extra_args,
             ]
             log_file = os.path.join(workdir.name, f"node{index}.log")
-            with open(log_file, "wb") as log:
+            # A node must not inherit a thread server's CPU hold.
+            with open(log_file, "wb") as log, unheld():
                 process = subprocess.Popen(
                     cmd, env=env, stdout=subprocess.DEVNULL, stderr=log,
                 )

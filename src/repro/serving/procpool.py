@@ -37,6 +37,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ServingError
 from repro.observability.reqtrace import STAGE_SHM_READ
 from repro.serving.backpressure import DEGRADE_FACTOR
+from repro.serving.cpuhold import unheld
 from repro.serving.journal import pack_bits
 from repro.serving.shm import (
     FRAME_BATCH,
@@ -321,7 +322,8 @@ class ProcessWorkerPool:
                 name=f"rumba-serve-p{index}",
                 daemon=True,
             )
-            process.start()
+            with unheld():  # a worker must not inherit a thread server's hold
+                process.start()
         except Exception:
             in_ring.close()
             out_ring.close()

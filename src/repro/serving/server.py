@@ -454,11 +454,13 @@ class RumbaServer:
         self._state = "running"
         if self.journal is not None:
             self._write_journal_meta()
+        self._transport.start(self._pump)
+        # After the transport: on threads, the retry thread re-dispatches
+        # onto the shards' queue, so it joins their CPU hold (cpuhold.py).
         self._retry_thread = threading.Thread(
             target=self._retry_loop, name="rumba-serve-retry", daemon=True,
         )
         self._retry_thread.start()
-        self._transport.start(self._pump)
         if self.chaos_monkey is not None:
             self.chaos_monkey.start()
         return self
@@ -495,7 +497,8 @@ class RumbaServer:
                 self._retry_stop = True
                 self._retry_cond.notify_all()
             self._transport.stop(timeout)
-            self._retry_thread.join(timeout=timeout)
+            if self._retry_thread is not None:  # None: transport.start raised
+                self._retry_thread.join(timeout=timeout)
             # Fail anything that somehow survived the drain (e.g. timeout).
             with self._retry_cond:
                 abandoned = [entry[2] for entry in self._retry_heap]
@@ -1159,6 +1162,7 @@ class RumbaServer:
             "worker_restarts": sum(e["restarts"] for e in per_worker),
             "retries": self._retries_total,
             "retry_queue_depth": len(self._retry_heap),
+            "cpu_hold": self._transport.cpu_hold,
             "chaos": chaos_summary,
             "tracing": tracing_summary,
             "journal": journal_summary,

@@ -12,9 +12,9 @@ travels to one:
   batches concurrently, each bound to a ``dispatch(batch)`` callable
   (which may raise; the core then applies its retry policy);
 * ``stop(timeout)`` joins the pumps and tears the workers down;
-* ``backpressure_targets()`` and ``workers()`` are the read-outs for
-  backpressure and ``stats()`` (the backlog the controller watches is
-  the core's own: :meth:`AdmissionQueue.backlog`).
+* ``backpressure_targets()``, ``workers()`` and ``cpu_hold`` are the
+  read-outs for backpressure and ``stats()`` (the backlog the controller
+  watches is the core's own: :meth:`AdmissionQueue.backlog`).
 
 Every accepted batch is reported back exactly once through the callback
 pair given at construction: ``on_complete(batch, worker, outputs,
@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.runtime import InvocationRecord, RumbaSystem
 from repro.errors import ConfigurationError, ServingError, WorkerCrashError
 from repro.observability.reqtrace import STAGE_COLLECT, STAGE_SHM_WRITE
+from repro.serving import cpuhold
 from repro.serving.batching import concat_inputs
 from repro.serving.procpool import (
     SHARD_RECORD_WINDOW,
@@ -123,6 +124,8 @@ class WorkerTransport:
 
     #: The process pool, for callers that need worker pids (None here).
     pool: Optional[ProcessWorkerPool] = None
+    #: The CPU the transport's threads are held on (None: not held).
+    cpu_hold: Optional[int] = None
 
     def __init__(
         self,
@@ -166,12 +169,19 @@ class ThreadTransport(WorkerTransport):
     interpreter, where a second thread buys no overlap, so the overlap
     is modelled (:func:`repro.core.pipeline.simulate_pipeline` prices it
     for every invocation) and not enacted.
+
+    For the same reason the shard threads run on one CPU: ``start()``
+    holds the starting thread on the CPU it is on (:mod:`cpuhold`), the
+    threads it starts from then on inherit the mask, and ``stop()``
+    releases the hold.  The submitter and the shards then hand the GIL
+    over without a cross-CPU wake-up.
     """
 
     def __init__(self, config, *, bufpool, **core):
         super().__init__(config, **core)
         self._bufpool = bufpool
         self._shards: List[Tuple[str, RumbaSystem]] = []
+        self._hold: Optional[cpuhold.CpuHold] = None
 
     def prepare(self, prototype: RumbaSystem):
         for i in range(self.config.n_workers):
@@ -182,7 +192,12 @@ class ThreadTransport(WorkerTransport):
             self._shards.append((name, system))
         return list(self._shards)
 
+    @property
+    def cpu_hold(self) -> Optional[int]:
+        return self._hold.cpu if self._hold is not None else None
+
     def start(self, pump) -> None:
+        self._hold = cpuhold.hold()
         for name, system in self._shards:
             self._spawn(
                 pump, partial(self._run, name, system), name,
@@ -191,6 +206,9 @@ class ThreadTransport(WorkerTransport):
 
     def stop(self, timeout: float) -> None:
         self._join(timeout)
+        if self._hold is not None:
+            self._hold.release()
+            self._hold = None
 
     def backpressure_targets(self) -> List[RumbaSystem]:
         return [system for _, system in self._shards]

@@ -7,6 +7,8 @@ fast while still exercising real trained networks.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,52 @@ from repro.approx import train_npu_backend
 from repro.eval import evaluate_benchmark
 from repro.nn.trainer import RPropTrainer
 from repro.predictors import collect_training_data
+
+
+def _mask():
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return getaffinity(0) if getaffinity is not None else None
+
+
+def _check_no_leaked_hold(before, what: str) -> None:
+    """Fail ``what`` if it left the pytest thread's CPU mask changed (a
+    thread server's CPU hold, ``repro.serving.cpuhold``, that no stop()
+    released), then give the thread its mask back so later tests and the
+    processes they spawn run unheld."""
+    after = _mask()
+    if after == before:
+        return
+    os.sched_setaffinity(0, before)
+    pytest.fail(
+        f"{what} left the pytest thread on CPUs {sorted(after)} "
+        f"(was {sorted(before)}): a thread server was not stopped",
+        pytrace=False,
+    )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_cpu_hold(request):
+    """A test that starts a thread server and never stops it fails here,
+    after its own fixtures are torn down.  Module- and session-scoped
+    fixtures are set up before this one and torn down after it, so a
+    server they hold is checked when their scope ends (below)."""
+    before = _mask()
+    yield
+    _check_no_leaked_hold(before, request.node.nodeid)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_cpu_hold_in_module(request):
+    before = _mask()
+    yield
+    _check_no_leaked_hold(before, f"a fixture of {request.node.nodeid}")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_cpu_hold_in_session():
+    before = _mask()
+    yield
+    _check_no_leaked_hold(before, "a session-scoped fixture")
 
 
 @pytest.fixture

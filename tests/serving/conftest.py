@@ -55,6 +55,7 @@ class FakeTransport:
     ``server._pump_once(fake.dispatch)``."""
 
     pool = None
+    cpu_hold = None
 
     def __init__(self, on_complete, on_failure):
         self._on_complete, self._on_failure = on_complete, on_failure
