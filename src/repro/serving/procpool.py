@@ -10,7 +10,8 @@ pairs as raw float64 blocks; pickle never touches the data path after
 startup.  Each ``FRAME_RESULT`` carries, besides the merged outputs, a
 small pickled *metrics snapshot* of the worker's cumulative counters —
 the channel the parent uses to aggregate ``stats()`` and registry series
-across processes.
+across processes.  Each ring has a *doorbell*: a pipe its writer rings
+with one byte after every publish, which its reader blocks on.
 
 Protocol (per worker, ``seq`` identifies the batch)::
 
@@ -24,12 +25,17 @@ Protocol (per worker, ``seq`` identifies the batch)::
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
+import select
 import struct
 import sys
+import threading
 import time
 import traceback
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -52,7 +58,11 @@ from repro.serving.shm import (
 
 __all__ = ["ProcessWorkerPool", "ProcessWorker", "worker_snapshot"]
 
-_POLL_S = 0.0005  # worker/parent idle poll interval
+#: Back-off while a ring is full, the one wait without a bell: a 4 MB
+#: ring against frames of <= 16 KB fills only while its reader stalls.
+_FULL_RING_S = 0.0005
+#: A worker's bell wait; on each timeout it checks that its parent lives.
+_ORPHAN_CHECK_MS = 100
 #: Invocation records a serving shard retains (``RumbaSystem.max_records``).
 #: Nothing in serving reads them; unbounded, a long-lived shard leaks one
 #: record per batch.
@@ -103,16 +113,34 @@ def worker_snapshot(
     return snap
 
 
+def _ring(bell: Connection) -> None:
+    """Wake a ring's reader; call only after the frame is published."""
+    try:
+        os.write(bell.fileno(), b"\0")
+    except (BlockingIOError, BrokenPipeError):
+        # A full pipe already holds a pending wake; a broken one has no
+        # reader left (a dead worker reaches the collector by its sentinel).
+        pass
+
+
 def _worker_main(
     system_blob: bytes,
     in_name: str,
     out_name: str,
+    in_bell: Connection,
+    out_bell: Connection,
     measure_quality: bool,
     ship_decision_bits: bool = False,
 ) -> None:
     """Worker process entry point: unpickle once, then serve frames."""
     in_ring = ShmRing.attach(in_name)
     out_ring = ShmRing.attach(out_name)
+    # Recorded in the parent at Process(): under fork, siblings hold the
+    # bells' write ends, so no EOF tells a worker that its parent died.
+    parent = mp.parent_process()
+    parent_pid = parent.pid if parent is not None else os.getppid()
+    waiter = select.poll()
+    waiter.register(in_bell.fileno(), select.POLLIN)
     try:
         prototype = pickle.loads(system_blob)
         system = prototype.clone_shard(max_records=SHARD_RECORD_WINDOW)
@@ -124,7 +152,13 @@ def _worker_main(
             # inputs, so advancing right after run_invocation is safe.
             frame = in_ring.try_read(zero_copy=True)
             if frame is None:
-                time.sleep(_POLL_S)
+                # Wait, drain the bell, read again: the parent rings after
+                # it publishes, so no wake is lost (spurious ones are).
+                if not waiter.poll(_ORPHAN_CHECK_MS):
+                    if os.getppid() != parent_pid:
+                        return  # orphaned: nobody writes this ring again
+                elif not os.read(in_bell.fileno(), 4096):
+                    return  # every write end closed: the parent is gone
                 continue
             read_at = time.monotonic()
             if frame.kind == FRAME_STOP:
@@ -161,6 +195,7 @@ def _worker_main(
                 except Exception:
                     blob = pickle.dumps(ServingError(repr(exc)))
                 _write_blocking(out_ring, FRAME_ERROR, frame.seq, None, blob)
+                _ring(out_bell)
             else:
                 in_ring.advance(frame)
                 snapshot = worker_snapshot(
@@ -178,6 +213,7 @@ def _worker_main(
                     out_ring, FRAME_RESULT, frame.seq, record.outputs, extra,
                     trace_id=frame.trace_id,
                 )
+                _ring(out_bell)
     finally:
         # An exception that leaves the loop mid-batch (a signalled
         # worker's KeyboardInterrupt) still holds the batch's zero-copy
@@ -187,6 +223,11 @@ def _worker_main(
         traceback.clear_frames(sys.exc_info()[2])
         in_ring.close()
         out_ring.close()
+
+
+def _destroy(ring: ShmRing) -> None:
+    ring.unlink()  # first: a close that raises must not leak the segment
+    ring.close()
 
 
 def _write_blocking(
@@ -208,7 +249,7 @@ def _write_blocking(
             return False
         if deadline is not None and time.monotonic() >= deadline:
             return False
-        time.sleep(_POLL_S)
+        time.sleep(_FULL_RING_S)
     return True
 
 
@@ -217,15 +258,17 @@ class ProcessWorker:
     """Parent-side handle for one worker process and its ring pair.
 
     The handle is *stable across restarts*: when the supervisor replaces
-    a dead worker it swaps ``process`` and both rings in place, so
-    anything holding the handle (backpressure proxies, shard views) keeps
-    addressing the same logical worker slot.
+    a dead worker it swaps ``process``, both rings and both bells in
+    place, so anything holding the handle (backpressure proxies, shard
+    views) keeps addressing the same logical worker slot.
     """
 
     name: str
     process: mp.Process
     in_ring: ShmRing   # parent writes, worker reads
     out_ring: ShmRing  # worker writes, parent reads
+    in_bell: Connection   # the parent rings it after each in_ring publish
+    out_bell: Connection  # the worker rings it after each out_ring publish
     outstanding: int = 0
     dead: bool = False
     restarts: int = 0
@@ -285,6 +328,9 @@ class ProcessWorkerPool:
         self.ship_decision_bits = ship_decision_bits
         self._ctx = mp.get_context()
         self.workers: List[ProcessWorker] = []
+        # Held to ring an in_bell and to mark a worker dead before its
+        # bells close, so no write lands on an fd number the OS reused.
+        self._bell_lock = threading.Lock()
         self._started = False
         self._stopped = False
         self._blob: Optional[bytes] = None  # kept for supervisor restarts
@@ -301,52 +347,59 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #
     # ------------------------------------------------------------------ #
-    def _spawn(self, index: int) -> "tuple[mp.Process, ShmRing, ShmRing]":
-        """Create one worker's ring pair and (started) process.
+    def _spawn(self, index: int):
+        """Create one worker's rings, bells and (started) process.
 
-        On any failure nothing leaks: rings created before the failing
-        step are closed and unlinked before the exception propagates.
+        Returns the :class:`ProcessWorker` fields after ``name``.  On any
+        failure nothing leaks: what was created before the failing step
+        is closed (rings also unlinked) before the exception propagates.
         """
-        in_ring = ShmRing(self.ring_capacity_bytes)
-        try:
+        with ExitStack() as undo:
+            in_ring = ShmRing(self.ring_capacity_bytes)
+            undo.callback(_destroy, in_ring)
             out_ring = ShmRing(self.ring_capacity_bytes)
-        except Exception:
-            in_ring.close()
-            in_ring.unlink()
-            raise
-        try:
+            undo.callback(_destroy, out_ring)
+            child_in, in_bell = self._ctx.Pipe(duplex=False)
+            out_bell, child_out = self._ctx.Pipe(duplex=False)
+            for bell in (child_in, in_bell, out_bell, child_out):
+                undo.callback(bell.close)
+            for writer in (in_bell, child_out):  # see _ring
+                os.set_blocking(writer.fileno(), False)
             process = self._ctx.Process(
                 target=_worker_main,
                 args=(self._blob, in_ring.name, out_ring.name,
+                      child_in, child_out,
                       self.measure_quality, self.ship_decision_bits),
                 name=f"rumba-serve-p{index}",
                 daemon=True,
             )
             with unheld():  # a worker must not inherit a thread server's hold
                 process.start()
-        except Exception:
-            in_ring.close()
-            out_ring.close()
-            in_ring.unlink()
-            out_ring.unlink()
-            raise
-        return process, in_ring, out_ring
+            undo.pop_all()
+        child_in.close()  # the worker's ends live on in the worker
+        child_out.close()
+        return process, in_ring, out_ring, in_bell, out_bell
 
-    @staticmethod
-    def _dismantle(worker: ProcessWorker, timeout: float = 5.0) -> None:
-        """Kill a worker's process (if any) and destroy its rings."""
-        worker.dead = True
+    def _dismantle(self, worker: ProcessWorker, timeout: float = 5.0) -> None:
+        """Kill a worker's process (if any); destroy its rings and bells."""
+        with self._bell_lock:
+            worker.dead = True
         try:
             if worker.process.pid is not None and worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=timeout)
         except Exception:  # pragma: no cover - teardown races
             pass
-        # Unlink first: a close that raises must not leak the segment.
-        worker.in_ring.unlink()
-        worker.out_ring.unlink()
-        worker.in_ring.close()
-        worker.out_ring.close()
+        _destroy(worker.in_ring)
+        _destroy(worker.out_ring)
+        worker.in_bell.close()
+        worker.out_bell.close()
+
+    def _wake(self, worker: ProcessWorker) -> None:
+        """Ring a worker's in_bell after a publish on its input ring."""
+        with self._bell_lock:
+            if not worker.dead:
+                _ring(worker.in_bell)
 
     def start(self) -> "ProcessWorkerPool":
         if self._started:
@@ -354,13 +407,7 @@ class ProcessWorkerPool:
         self._blob = pickle.dumps(self._prototype)  # one pickle per lifetime
         try:
             for i, name in enumerate(self.worker_names):
-                process, in_ring, out_ring = self._spawn(i)
-                self.workers.append(
-                    ProcessWorker(
-                        name=name, process=process,
-                        in_ring=in_ring, out_ring=out_ring,
-                    )
-                )
+                self.workers.append(ProcessWorker(name, *self._spawn(i)))
         except Exception:
             # Partial start: reap every worker (and shm segment) that did
             # come up, then surface the original failure.  Without this a
@@ -390,10 +437,8 @@ class ProcessWorkerPool:
             return False
         index = self.workers.index(worker)
         self._dismantle(worker)
-        process, in_ring, out_ring = self._spawn(index)
-        worker.process = process
-        worker.in_ring = in_ring
-        worker.out_ring = out_ring
+        (worker.process, worker.in_ring, worker.out_ring,
+         worker.in_bell, worker.out_bell) = self._spawn(index)
         worker.outstanding = 0
         worker.dead = False
         worker.restarts += 1
@@ -412,6 +457,7 @@ class ProcessWorkerPool:
                     worker.in_ring, FRAME_STOP, 0, None, b"",
                     timeout_s=1.0, still_alive=worker.process.is_alive,
                 )
+                self._wake(worker)
         for worker in self.workers:
             worker.process.join(timeout=timeout)
             self._dismantle(worker, timeout=1.0)  # terminates a straggler
@@ -442,6 +488,7 @@ class ProcessWorkerPool:
         timeout_s: float = 30.0,
         trace_id: int = 0,
         extra: bytes = b"",
+        published=None,
     ) -> None:
         """Ship one batch as per-request row blocks written directly into
         ring memory (:meth:`ShmRing.write_rows`) — the zero-copy dispatch
@@ -449,6 +496,8 @@ class ProcessWorkerPool:
         (the batch-representative request trace) rides in the frame
         header and is echoed back on the worker's RESULT frame; ``extra``
         carries the batch's forced routing choices during replay.
+        ``published()`` runs once the frame is on the ring and before the
+        worker is woken, so a stamp it takes precedes the worker's own.
         Raises when the batch cannot be delivered.
         """
         if not worker.alive():
@@ -462,7 +511,10 @@ class ProcessWorkerPool:
                     f"could not deliver batch {seq} to worker {worker.name} "
                     f"(ring full for {timeout_s:.0f}s or worker died)"
                 )
-            time.sleep(_POLL_S)
+            time.sleep(_FULL_RING_S)
+        if published is not None:
+            published()
+        self._wake(worker)
 
     def poll(self, worker: ProcessWorker) -> List[ShmFrame]:
         """Drain every completed frame currently on a worker's out ring."""
@@ -484,10 +536,13 @@ class ProcessWorkerPool:
             extra = self.chaos.filter_control(extra)
             if extra is None:  # injected drop
                 return False
-        return _write_blocking(
+        sent = _write_blocking(
             worker.in_ring, kind, 0, None, extra,
             timeout_s=1.0, still_alive=worker.alive,
         )
+        if sent:
+            self._wake(worker)
+        return sent
 
     def backpressure_proxies(self) -> List[_WorkerBackpressureProxy]:
         """Shard stand-ins wiring a BackpressureController to the pool."""

@@ -29,7 +29,10 @@ ships that chain to the core; only the core resolves handles.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import pickle
+import select
 import threading
 import time
 from dataclasses import dataclass
@@ -258,7 +261,8 @@ class ProcessTransport(WorkerTransport):
 
     The dispatcher writes each batch's rows straight into the least
     loaded live worker's input ring and parks it in the pending map; the
-    collector harvests RESULT/ERROR frames and supervises: a dead worker
+    collector blocks on the workers' out-bells and process sentinels,
+    harvests RESULT/ERROR frames and supervises: a dead worker
     is restarted in place and every batch it held is failed with
     :class:`WorkerCrashError`, which the core's retry policy re-dispatches
     — the paper's "re-execute what the checker flagged", one level up.
@@ -275,6 +279,8 @@ class ProcessTransport(WorkerTransport):
         self._pending: Dict[int, Tuple[Batch, ProcessWorker]] = {}
         self._lock = threading.Lock()
         self._stopping = False
+        # (reader, writer): stop() rings it to wake an idle collector.
+        self._stop_bell = mp.Pipe(duplex=False)
 
     def prepare(self, prototype: RumbaSystem):
         # Fail at prepare time, not in a worker, if the prototype cannot
@@ -304,8 +310,11 @@ class ProcessTransport(WorkerTransport):
 
     def stop(self, timeout: float) -> None:
         self._stopping = True
+        os.write(self._stop_bell[1].fileno(), b"\0")
         self._join(timeout)
         self.pool.stop(timeout=timeout)
+        for end in self._stop_bell:
+            end.close()
 
     def backpressure_targets(self):
         return self.pool.backpressure_proxies()
@@ -318,12 +327,14 @@ class ProcessTransport(WorkerTransport):
             for w in self.pool.workers
         ]
 
-    def _dispatch(self, batch: Batch) -> None:
+    def _dispatch(self, batch: Batch, skip=None) -> None:
         # No concat buffer: each request's staged rows are written
         # directly into the worker's ring (one frame, block by block).
         blocks = [np.atleast_2d(r.inputs) for r in batch.requests]
         with self._lock:
-            alive = [w for w in self.pool.workers if w.alive()]
+            # ``dead`` is the collector's verdict: no waitpid per batch.
+            alive = [w for w in self.pool.workers
+                     if not w.dead and w is not skip]
             if alive:
                 worker = min(alive, key=lambda w: (w.outstanding, w.name))
                 self._pending[batch.seq] = (batch, worker)
@@ -341,6 +352,7 @@ class ProcessTransport(WorkerTransport):
             self.pool.submit_rows(
                 worker, batch.seq, blocks, trace_id=trace_id,
                 extra=forced.tobytes() if forced is not None else b"",
+                published=partial(stamp_batch, batch.traced, STAGE_SHM_WRITE),
             )
         except Exception as exc:
             if self._take(batch.seq, worker) is None:
@@ -348,13 +360,16 @@ class ProcessTransport(WorkerTransport):
                 # owns (has already retried or failed) the batch.
                 return
             if not worker.alive():
+                if skip is None:
+                    # Dead, not yet reaped: try another worker rather
+                    # than spend one of the batch's retries.
+                    self._dispatch(batch, skip=worker)
+                    return
                 exc = WorkerCrashError(
                     f"worker {worker.name} died while batch {batch.seq} "
                     f"was being delivered: {exc}"
                 )
             self._on_failure(batch, exc, worker.name)
-            return
-        stamp_batch(batch.traced, STAGE_SHM_WRITE)
 
     def _take(self, seq: int, worker: ProcessWorker) -> Optional[Batch]:
         """Claim a pending batch (None when someone else already did)."""
@@ -366,27 +381,47 @@ class ProcessTransport(WorkerTransport):
         return entry[0]
 
     def _collect_loop(self) -> None:
+        watch = None
         while True:
-            progressed = False
+            if watch is None:
+                watch = self._watch()
             for worker in self.pool.workers:
                 for frame in self.pool.poll(worker):
-                    progressed = True
                     self._handle_frame(worker, frame)
-                if not worker.process.is_alive() and not worker.dead:
-                    # Harvest anything it managed to publish before dying
-                    # (death is final, so every pre-death write is visible
-                    # by now), then supervise: restart the worker and
-                    # re-dispatch what it took down with it.
-                    for frame in self.pool.poll(worker):
-                        self._handle_frame(worker, frame)
-                    self._reap(worker)
-                    progressed = True
             with self._lock:
                 n_pending = len(self._pending)
             if self._stopping and n_pending == 0:
                 return
-            if not progressed:
-                time.sleep(0.0005)
+            poller, sentinels = watch
+            for fd, _ in poller.poll():
+                worker = sentinels.get(fd)
+                if worker is None:
+                    os.read(fd, 4096)  # drain a bell
+                    continue
+                # Harvest anything it managed to publish before dying
+                # (death is final, so every pre-death write is visible
+                # by now), then supervise: restart the worker and
+                # re-dispatch what it took down with it.
+                worker.process.join(timeout=1.0)
+                for frame in self.pool.poll(worker):
+                    self._handle_frame(worker, frame)
+                self._reap(worker)
+                # Its fds are closed, or its sentinel stays readable.
+                watch = None
+                break
+
+    def _watch(self):
+        """One poll over the stop bell and each live worker's out-bell
+        and sentinel, kept until a reap changes the set."""
+        poller = select.poll()
+        poller.register(self._stop_bell[0].fileno(), select.POLLIN)
+        sentinels = {}
+        for worker in self.pool.workers:
+            if not worker.dead:
+                poller.register(worker.out_bell.fileno(), select.POLLIN)
+                poller.register(worker.process.sentinel, select.POLLIN)
+                sentinels[worker.process.sentinel] = worker
+        return poller, sentinels
 
     def _handle_frame(self, worker: ProcessWorker, frame) -> None:
         batch = self._take(frame.seq, worker)

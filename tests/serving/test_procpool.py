@@ -1,11 +1,15 @@
 """Process-backend lifecycle tests: clean startup/shutdown, crash
-surfacing, and the ProcessWorkerPool data path."""
+surfacing, the ProcessWorkerPool data path and its doorbells."""
 
+import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,180 @@ class TestProcessWorkerPool:
             pool.stop()
 
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads /proc"
+)
+
+# Starts a 2-worker process server, prints its worker pids, then idles.
+_SERVER_SCRIPT = """
+import time
+from repro.core import prepare_system
+from repro.serving import RumbaServer, ServerConfig
+server = RumbaServer(
+    prototype=prepare_system("fft", scheme="treeErrors", seed=0),
+    config=ServerConfig(backend="process", n_workers=2),
+).start()
+print(*(w.process.pid for w in server.pool.workers), flush=True)
+time.sleep(120)
+"""
+
+
+def _stat(pid: int) -> list:
+    """``/proc/<pid>/stat`` from field 3 (state) on."""
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()
+
+
+def _running(pid: int) -> bool:
+    """The process exists and has not exited (an unreaped zombie has)."""
+    try:
+        return _stat(pid)[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def _cpu_s(pid: int) -> float:
+    """User plus system CPU seconds a process has used."""
+    fields = _stat(pid)
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@needs_proc
+class TestDoorbells:
+    """The pool's rings are read by blocking on pipes, not by polling."""
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p
+        ))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _SERVER_SCRIPT],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 2.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if _running(pid)]
+        for pid in orphans:  # do not leave them behind a failing run
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+
+    def test_idle_server_costs_almost_no_cpu(self, fft_prototype,
+                                             fft_input_pool):
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(backend="process", n_workers=2),
+        )
+        with server:
+            # Concurrent requests reach both workers: each has started.
+            handles = [server.submit(fft_input_pool[:8]) for _ in range(8)]
+            for handle in handles:
+                handle.result(timeout=60)
+            time.sleep(0.5)
+            pids = [w.process.pid for w in server.pool.workers]
+
+            def cpu_s() -> float:
+                own = os.times()
+                return own.user + own.system + sum(map(_cpu_s, pids))
+
+            before = cpu_s()
+            time.sleep(2.0)
+            used = cpu_s() - before
+        assert used < 0.040, f"2 s idle cost {used:.3f} s of CPU"
+
+    def test_every_publish_wakes_its_reader(self, fft_prototype,
+                                            fft_input_pool):
+        # More workers than CPUs and a short switch interval.  A missed
+        # wake costs a worker its 0.1 s orphan-check timeout, and can
+        # leave the collector asleep on a published result for good.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=(os.cpu_count() or 1) + 1,
+            ),
+        )
+        try:
+            with server:
+                for _ in range(20):
+                    handles = [server.submit(fft_input_pool[i:i + 4])
+                               for i in range(0, 64, 4)]
+                    for handle in handles:
+                        handle.result(timeout=10)
+                round_trips = []
+                for _ in range(40):
+                    sent = time.monotonic()
+                    server.submit_wait(fft_input_pool[:4], timeout=10)
+                    round_trips.append(time.monotonic() - sent)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(round_trips)[len(round_trips) // 2] < 0.05
+
+    def test_a_dead_worker_the_collector_has_not_reaped_costs_no_retry(
+        self, fft_prototype, fft_input_pool
+    ):
+        # The dispatcher picks by the collector's ``dead`` flag.  Until the
+        # collector reaps a death, the pick can land on the corpse; with
+        # no retries to spend, the batch must still reach the live worker.
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=2,
+                retry=RetryConfig(max_retries=0, restart_workers=False),
+            ),
+        )
+        reaping, release = threading.Event(), threading.Event()
+        with server:
+            server.submit_wait(fft_input_pool[:8], timeout=60)
+            transport = server._transport
+            reap = transport._reap
+
+            def held_reap(worker):
+                # Returns unreaped until released: the collector keeps
+                # harvesting, and meets the sentinel again next pass.
+                reaping.set()
+                if release.is_set():
+                    reap(worker)
+
+            transport._reap = held_reap
+            victim = server.pool.workers[0]  # ties go to p0
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(timeout=10)
+            assert reaping.wait(timeout=10)
+            try:
+                for i in range(4):
+                    server.submit_wait(fft_input_pool[i * 8:(i + 1) * 8],
+                                       timeout=30)
+            finally:
+                release.set()
+
+    def test_doorbells_leak_no_fd(self, fft_prototype):
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        warm = ShmRing(1 << 12)  # starts the resource tracker (its pipe stays)
+        warm.close()
+        warm.unlink()
+        before = open_fds()
+        pool = ProcessWorkerPool(fft_prototype, n_workers=2).start()
+        for _ in range(3):
+            assert pool.restart_worker(pool.workers[0])
+        pool.stop()
+        multiprocessing.active_children()  # forgets the finished workers
+        for worker in pool.workers:
+            worker.process.close()  # the handle's own sentinel pipe
+        assert open_fds() == before
+
+
 class _InterruptingSystem:
     """Picklable stand-in whose invocation raises like a delivered signal."""
 
@@ -117,6 +295,8 @@ class TestWorkerMainInterrupts:
         # interrupt can never be stopped by signal.
         in_ring = ShmRing(1 << 12)
         out_ring = ShmRing(1 << 12)
+        bells = [*multiprocessing.Pipe(duplex=False),
+                 *multiprocessing.Pipe(duplex=False)]
         try:
             in_ring_w = ShmRing.attach(in_ring.name)
             in_ring_w.try_write(FRAME_BATCH, seq=0, payload=np.ones((2, 2)))
@@ -127,7 +307,8 @@ class TestWorkerMainInterrupts:
                 try:
                     _worker_main(
                         pickle.dumps(_InterruptingSystem()),
-                        in_ring.name, out_ring.name, False,
+                        in_ring.name, out_ring.name, bells[0], bells[3],
+                        False,
                     )
                 except BaseException as exc:  # noqa: BLE001 - the assertion
                     caught.append(exc)
@@ -147,6 +328,8 @@ class TestWorkerMainInterrupts:
             for ring in (in_ring, out_ring):
                 ring.close()
                 ring.unlink()
+            for bell in bells:
+                bell.close()
 
 
 class TestProcessServerLifecycle:
