@@ -19,7 +19,7 @@ Commands
     synthetic request load, and print the throughput/latency/health
     report.  With ``--backend process`` each worker is an OS process fed over
     shared-memory rings (GIL-free scaling).  ``--chaos kill=2,...``
-    injects faults (worker kills, batch faults, control-frame damage) and
+    injects faults (worker kills, batch faults) and
     ``--selftest`` verifies every request completed exactly once or
     failed fast — the fault-tolerance acceptance check — and, on a
     thread server with >= 2 CPUs, that it held one CPU while serving and
@@ -394,7 +394,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows.extend([
             ["chaos kills", stats["chaos"]["kills"]],
             ["chaos injected faults", stats["chaos"]["injected_faults"]],
-            ["chaos dropped controls", stats["chaos"]["dropped_controls"]],
         ])
     tracing = stats.get("tracing") or {}
     if tracing.get("enabled"):
@@ -775,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline budget in seconds "
                             "(dispatch + fault retries + recovery)")
     serve.add_argument("--chaos", default="",
-                       help="fault-injection spec, e.g. "
-                            "'kill=2,fail=0.05,drop=0.1,delay=0.005,"
-                            "corrupt=0.01,seed=1' (see docs/serving.md)")
+                       help="fault-injection spec: worker kills per second, "
+                            "per-batch fault probability and RNG seed, e.g. "
+                            "'kill=2,fail=0.05,seed=1' (see docs/serving.md)")
     serve.add_argument("--selftest", action="store_true",
                        help="verify every request completed exactly once "
                             "or failed fast (exit 1 on any hang or drop)")

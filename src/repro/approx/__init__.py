@@ -8,24 +8,35 @@ serving tier, and the :mod:`repro.approx.ensemble` router treat them
 interchangeably.
 """
 
-from repro.approx.alt_backends import NoisyAnalogBackend, QuantizedKernelBackend
-from repro.approx.base import ApproxBackend, BackendBase, CostProfile
-from repro.approx.ensemble import (
-    ApproximatorEnsemble,
-    EnsembleMember,
-    EnsembleSpec,
-    InvocationRouter,
-    build_ensemble,
-)
-from repro.approx.loop_perforation import perforated_mean, perforation_mask
-from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
-from repro.approx.npu_backend import NPUBackend, train_npu_backend
-from repro.approx.perforation_backend import (
-    PerforatedKernelBackend,
-    PerforationOutcome,
-    PerforationQualityManager,
-    sample_statistics,
-)
+from repro._lazy import lazy_exports
+
+# Lazy, so importing one backend module does not first import them all:
+# ``apps.mosaic`` imports ``approx.loop_perforation``, and an eager
+# package would import ``perforation_backend``, which imports
+# ``apps.mosaic`` back before it has finished initialising.
+_EXPORTS = {
+    "NoisyAnalogBackend": "alt_backends",
+    "QuantizedKernelBackend": "alt_backends",
+    "ApproxBackend": "base",
+    "BackendBase": "base",
+    "CostProfile": "base",
+    "ApproximatorEnsemble": "ensemble",
+    "EnsembleMember": "ensemble",
+    "EnsembleSpec": "ensemble",
+    "InvocationRouter": "ensemble",
+    "build_ensemble": "ensemble",
+    "perforated_mean": "loop_perforation",
+    "perforation_mask": "loop_perforation",
+    "MemoizationQualityManager": "memoization",
+    "MemoizingBackend": "memoization",
+    "NPUBackend": "npu_backend",
+    "train_npu_backend": "npu_backend",
+    "PerforatedKernelBackend": "perforation_backend",
+    "PerforationOutcome": "perforation_backend",
+    "PerforationQualityManager": "perforation_backend",
+    "sample_statistics": "perforation_backend",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ApproxBackend",

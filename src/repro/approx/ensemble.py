@@ -16,9 +16,9 @@ unified :class:`~repro.approx.base.ApproxBackend` API:
     Picks a member per row from the row's features plus the current TOQ
     threshold: the cheapest member whose *predicted* error (per-member
     error predictors from :mod:`repro.predictors`) stays inside the
-    budget, with the reference member as fallback.  The tuner's
-    degrade/relax signals widen the budget multiplicatively, shifting
-    traffic toward cheap members under backpressure.
+    budget, with the reference member as fallback.  Each backpressure
+    degradation level, passed with the call, widens the budget
+    multiplicatively, shifting traffic toward cheap members.
 
 Like Rumba's checkers (and the multiclass router of 1810.08379), the
 routing layer is fit once, offline: :func:`build_ensemble` fits each
@@ -56,7 +56,7 @@ __all__ = [
     "build_ensemble",
 ]
 
-#: Routing-budget widening per tuner degradation level.
+#: Routing-budget widening per backpressure degradation level.
 DEGRADE_BIAS = 2.0
 #: The member tokens an :class:`EnsembleSpec` accepts.
 MEMBER_TOKENS = ("mlp:large", "mlp:small", "memo")
@@ -127,12 +127,12 @@ class InvocationRouter:
     """Per-row backend selection from features and the TOQ threshold.
 
     Policy: rows go to the *cheapest* member whose predicted error
-    stays within ``threshold * margin * DEGRADE_BIAS**degradation_level``.
+    stays within ``threshold * margin * DEGRADE_BIAS**level``.
     Rows no cheap member can serve fall back to the reference member
     (index 0).
-    Raising ``degradation_level`` (the tuner's degrade signal) widens
-    the accepted budget, deliberately trading quality for cost when the
-    recovery path is backpressured; relax undoes it.
+    A backpressure ``level`` above 0 widens the accepted budget,
+    deliberately trading quality for cost when the recovery path is
+    backpressured.
     """
 
     def __init__(self, members: Sequence[EnsembleMember], margin: float = 1.0):
@@ -140,7 +140,6 @@ class InvocationRouter:
             raise ConfigurationError("margin must be > 0")
         self.members = list(members)
         self.margin = float(margin)
-        self.degradation_level = 0
         # Cheapest-first candidate order; the reference (0) is the
         # fallback so it never needs to win on price.
         self._cost_order = sorted(
@@ -148,25 +147,20 @@ class InvocationRouter:
             key=lambda i: self.members[i].cost.relative_energy,
         )
 
-    def tolerance(self, threshold: float) -> float:
-        """The accepted per-row predicted error at the current level."""
-        return (
-            float(threshold)
-            * self.margin
-            * DEGRADE_BIAS ** self.degradation_level
-        )
+    def tolerance(self, threshold: float, level: int = 0) -> float:
+        """The accepted per-row predicted error at ``level``."""
+        return float(threshold) * self.margin * DEGRADE_BIAS ** level
 
-    def set_degradation(self, level: int) -> None:
-        self.degradation_level = max(int(level), 0)
-
-    def route(self, features: np.ndarray, threshold: float) -> np.ndarray:
+    def route(
+        self, features: np.ndarray, threshold: float, level: int = 0
+    ) -> np.ndarray:
         """Choose a member index per row (vectorized; int8 choices)."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
         n = features.shape[0]
         choices = np.zeros(n, dtype=np.int8)
         if not self._cost_order:
             return choices
-        tol = self.tolerance(threshold)
+        tol = self.tolerance(threshold, level)
         assigned = np.zeros(n, dtype=bool)
         for idx in self._cost_order:
             member = self.members[idx]
@@ -216,6 +210,8 @@ class ApproximatorEnsemble:
         self.router = router
         self.rows_routed = np.zeros(len(members), dtype=np.int64)
         self.fires_by_member = np.zeros(len(members), dtype=np.int64)
+        #: The backpressure level of the last routed call.
+        self.degradation_level = 0
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -234,7 +230,7 @@ class ApproximatorEnsemble:
             "members": self.member_names,
             "routed": [int(v) for v in self.rows_routed],
             "fires": [int(v) for v in self.fires_by_member],
-            "degradation_level": self.router.degradation_level,
+            "degradation_level": self.degradation_level,
         }
 
     # ------------------------------------------------------------------ #
@@ -244,8 +240,11 @@ class ApproximatorEnsemble:
         """The router scores raw kernel inputs (all columns)."""
         return np.atleast_2d(np.asarray(inputs, dtype=float))
 
-    def route(self, features: np.ndarray, threshold: float) -> np.ndarray:
-        return self.router.route(features, threshold)
+    def route(
+        self, features: np.ndarray, threshold: float, level: int = 0
+    ) -> np.ndarray:
+        self.degradation_level = level
+        return self.router.route(features, threshold, level)
 
     def forward_routed(
         self,
@@ -287,9 +286,6 @@ class ApproximatorEnsemble:
         choices = np.asarray(choices).ravel()
         bits = np.asarray(bits, dtype=bool).ravel()
         np.add.at(self.fires_by_member, choices[bits], 1)
-
-    def set_degradation(self, level: int) -> None:
-        self.router.set_degradation(level)
 
     # ------------------------------------------------------------------ #
     # Blended cost accounting                                            #
@@ -389,9 +385,8 @@ class ApproximatorEnsemble:
 
         Backends delegate to their own ``clone_shard`` (stateful ones
         return independent copies); the fitted error predictors are
-        read-only, so shards share them; each shard gets its own router
-        (its degradation level is the shard's tuner's), and counters
-        start clean.
+        read-only, so shards share them; each shard gets its own router,
+        and counters start clean.
         """
         members = [
             EnsembleMember(

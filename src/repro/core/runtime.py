@@ -29,7 +29,6 @@ check per invocation.
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -80,7 +79,8 @@ class InvocationRecord:
     time since the previous point, so the chain reads exactly like a
     request trace — and is spliced into one when the invocation served a
     batch.  ``tuned_threshold`` is the tuner's output after this invocation
-    and ``tuner_move`` the direction it moved (+1 raise, -1 lower, 0 hold).
+    at the invocation's backpressure ``level`` and ``tuner_move`` the
+    direction the tuner moved (+1 raise, -1 lower, 0 hold).
     """
 
     outputs: np.ndarray
@@ -94,6 +94,7 @@ class InvocationRecord:
     stages: List[Tuple[str, float]] = field(default_factory=list)
     tuned_threshold: float = 0.0
     tuner_move: int = 0
+    level: int = 0
 
     @property
     def fix_fraction(self) -> float:
@@ -147,6 +148,8 @@ class PendingInvocation:
     choices: Optional[np.ndarray] = None
     #: The timeline so far (see :attr:`InvocationRecord.stages`).
     stages: List[Tuple[str, float]] = field(default_factory=list)
+    #: Backpressure degradation steps the invocation runs under.
+    level: int = 0
 
     @property
     def n_elements(self) -> int:
@@ -200,10 +203,6 @@ class RumbaSystem:
         if max_records is not None and max_records < 1:
             raise ConfigurationError("max_records must be >= 1")
         self.tuner = OnlineTuner(self.config, max_history=max_records)
-        if self.ensemble is not None:
-            # Backpressure degradations shift the router's cost/quality
-            # trade-off in lockstep with the detection threshold.
-            self.tuner.on_degradation = self.ensemble.set_degradation
         self.detection = DetectionModule(
             predictor,
             threshold=self.tuner.threshold,
@@ -234,10 +233,6 @@ class RumbaSystem:
             [] if max_records is None else deque(maxlen=max_records)
         )
         self.total_invocations = 0
-        # One thread drives a system's invocations; the lock serializes
-        # that thread's threshold reads and tuner update against
-        # apply_backpressure, which the serving core calls from others.
-        self._lock = threading.Lock()
         self.telemetry: Optional[Telemetry] = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
@@ -252,26 +247,15 @@ class RumbaSystem:
     # Serialization (process-backend serving)                            #
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        """Pickle everything except locks and telemetry.
+        """Pickle everything except telemetry.
 
         The process serving backend ships one prepared system to each
-        worker process exactly once, at startup; locks are per-process and
-        telemetry is bound to the parent's registry, so neither crosses the
-        fork/spawn boundary.
+        worker process exactly once, at startup; telemetry is bound to the
+        parent's registry, so it does not cross the fork/spawn boundary.
         """
         state = self.__dict__.copy()
-        del state["_lock"]
         state["telemetry"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self.telemetry = None
-        # Pre-ensemble pickles (older journals) lack the attribute.
-        self.ensemble = state.get("ensemble")
-        if self.ensemble is not None:
-            self.tuner.on_degradation = self.ensemble.set_degradation
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #
@@ -281,17 +265,20 @@ class RumbaSystem:
         inputs: np.ndarray,
         measure_quality: bool = True,
         forced_choices: Optional[np.ndarray] = None,
+        level: int = 0,
     ) -> InvocationRecord:
         """Run one accelerator invocation through detect-recover-tune.
 
         ``measure_quality=True`` additionally computes the exact outputs
         for the *whole* invocation to report measured output error — that
         is the experimenter's measurement, not something the deployed
-        system would do.
+        system would do.  ``level`` is the serving layer's backpressure
+        degradation level for this invocation (see :meth:`begin_invocation`).
         """
         return self.complete_invocation(
             self.begin_invocation(
-                inputs, measure_quality, forced_choices=forced_choices
+                inputs, measure_quality, forced_choices=forced_choices,
+                level=level,
             )
         )
 
@@ -300,13 +287,19 @@ class RumbaSystem:
         inputs: np.ndarray,
         measure_quality: bool = True,
         forced_choices: Optional[np.ndarray] = None,
+        level: int = 0,
     ) -> PendingInvocation:
         """Accelerator-side half of one invocation: accelerate + detect.
 
         Returns a :class:`PendingInvocation` whose recovery bits are set;
         pass it to :meth:`complete_invocation` to run CPU recovery, tuning
         and record-keeping.  Only one thread may drive a given system's
-        invocations at a time.
+        invocations at a time; nothing else writes to it.
+
+        Detection runs at ``tuner.threshold_at(level)``: each backpressure
+        level raises the threshold one ``DEGRADE_FACTOR`` step and widens
+        the ensemble router's budget.  The tuner keeps its own threshold,
+        so the next level-0 invocation detects at exactly that value.
 
         On an ensemble system a *route* step precedes acceleration: the
         router picks a member per row, and the routed members compute the
@@ -330,6 +323,7 @@ class RumbaSystem:
         # whether or not telemetry is attached (``invoke`` anchors it).
         clock = time.monotonic
         stages = [(STAGE_INVOKE, clock())]
+        threshold = self.tuner.threshold_at(level)
         try:
             choices = None
             if self.ensemble is not None:
@@ -342,10 +336,9 @@ class RumbaSystem:
                             "forced_choices needs one entry per row"
                         )
                 else:
-                    with self._lock:
-                        threshold = self.tuner.threshold
                     choices = self.ensemble.route(
-                        self.ensemble.router_features(inputs), threshold
+                        self.ensemble.router_features(inputs), threshold,
+                        level,
                     )
                 stages.append((STAGE_ROUTE, clock()))
                 approx = self.ensemble.forward_routed(inputs, choices)
@@ -363,8 +356,7 @@ class RumbaSystem:
                 true_errors = self.app.element_errors(approx, exact)
                 stages.append((STAGE_MEASURE, clock()))
 
-            with self._lock:
-                self.detection.threshold = self.tuner.threshold
+            self.detection.threshold = threshold
             # Detection owns the recovery-bits vector: the Fig. 4
             # recovery queue between checker and CPU is that vector plus
             # simulate_pipeline's FIFO service order.
@@ -391,6 +383,7 @@ class RumbaSystem:
             exact=exact,
             choices=choices,
             stages=stages,
+            level=level,
         )
 
     def complete_invocation(
@@ -399,117 +392,90 @@ class RumbaSystem:
         """CPU-side half of one invocation: recover + tune + record."""
         clock = time.monotonic
         stages = pending.stages
-        with self._lock:
-            try:
-                recovery = self.recovery.recover(
-                    pending.inputs, pending.approx, pending.recovery_bits
+        try:
+            recovery = self.recovery.recover(
+                pending.inputs, pending.approx, pending.recovery_bits
+            )
+            stages.append((STAGE_RECOVER, clock()))
+
+            n = pending.n_elements
+            if self.ensemble is not None:
+                accel_cycles = self.ensemble.blended_invocation_cycles(
+                    pending.choices, self.cost_model
                 )
-                stages.append((STAGE_RECOVER, clock()))
-
-                n = pending.n_elements
-                if self.ensemble is not None:
-                    accel_cycles = self.ensemble.blended_invocation_cycles(
-                        pending.choices, self.cost_model
-                    )
-                else:
-                    accel_cycles = self.cost_model.npu.invocation_cycles(
-                        self.backend.topology
-                    )
-                pipeline = simulate_pipeline(
-                    pending.recovery_bits,
-                    accel_cycles_per_iteration=accel_cycles,
-                    cpu_cycles_per_iteration=(
-                        self.cost_model.cpu_iteration_cycles()
-                    ),
-                    detector_placement=self.config.detector_placement,
-                    checker_cycles=self.detection.checker.check_cycles(),
-                )
-                if self.ensemble is not None:
-                    costs = self.ensemble.blended_app_costs(
-                        self.cost_model,
-                        self.detection.checker,
-                        pending.choices,
-                        fix_fraction=recovery.recovered_fraction,
-                        detector_placement=self.config.detector_placement,
-                        observed_kernel_cycles=pipeline.makespan / n,
-                    )
-                else:
-                    costs = self.cost_model.whole_app_costs(
-                        topology=self.backend.topology,
-                        checker=self.detection.checker,
-                        fix_fraction=recovery.recovered_fraction,
-                        detector_placement=self.config.detector_placement,
-                        observed_kernel_cycles=pipeline.makespan / n,
-                    )
-                before = self.tuner.threshold
-                tuned = self.tuner.update(
-                    InvocationFeedback(
-                        fix_fraction=recovery.recovered_fraction,
-                        cpu_kept_up=pipeline.cpu_kept_up,
-                        cpu_utilization=pipeline.cpu_utilization,
-                    )
-                )
-                stages.append((STAGE_TUNE, clock()))
-
-                measured_error = None
-                unchecked_error = None
-                if pending.measure_quality and pending.exact is not None:
-                    measured_error = self.app.output_error(
-                        recovery.merged_outputs, pending.exact
-                    )
-                    unchecked_error = self.app.output_error(
-                        pending.approx, pending.exact
-                    )
-
-                record = InvocationRecord(
-                    outputs=recovery.merged_outputs,
-                    detection=pending.detection,
-                    recovery=recovery,
-                    pipeline=pipeline,
-                    costs=costs,
-                    measured_error=measured_error,
-                    unchecked_error=unchecked_error,
-                    choices=pending.choices,
-                    stages=stages,
-                    tuned_threshold=float(tuned),
-                    # Serialized against apply_backpressure by the lock,
-                    # so the difference is this update's move alone.
-                    tuner_move=(tuned > before) - (tuned < before),
-                )
-            except BaseException:
-                if self.telemetry is not None:
-                    self.telemetry.observe(stages)
-                raise
-            if self.telemetry is not None:
-                self.telemetry.observe(stages, record.facts())
-            self.records.append(record)
-            self.total_invocations += 1
-            return record
-
-    def apply_backpressure(
-        self, direction: int, factor: Optional[float] = None
-    ) -> float:
-        """Thread-safe graceful degradation hook for the serving layer.
-
-        ``direction > 0`` raises the detection threshold one step
-        (:meth:`OnlineTuner.degrade` — fewer elements recovered, shedding
-        CPU-side work); ``direction < 0`` undoes one step
-        (:meth:`OnlineTuner.relax`).  Serialized against the driving
-        thread's :meth:`complete_invocation` tuner update.  Returns the
-        threshold.
-        """
-        with self._lock:
-            level = self.tuner.degradation_level
-            if direction > 0:
-                threshold = self.tuner.degrade(factor)
-            elif direction < 0:
-                threshold = self.tuner.relax(factor)
             else:
-                return self.tuner.threshold
-            moved = self.tuner.degradation_level - level
-            if self.telemetry is not None and moved:
-                self.telemetry.on_threshold(threshold, moved)
-            return threshold
+                accel_cycles = self.cost_model.npu.invocation_cycles(
+                    self.backend.topology
+                )
+            pipeline = simulate_pipeline(
+                pending.recovery_bits,
+                accel_cycles_per_iteration=accel_cycles,
+                cpu_cycles_per_iteration=(
+                    self.cost_model.cpu_iteration_cycles()
+                ),
+                detector_placement=self.config.detector_placement,
+                checker_cycles=self.detection.checker.check_cycles(),
+            )
+            if self.ensemble is not None:
+                costs = self.ensemble.blended_app_costs(
+                    self.cost_model,
+                    self.detection.checker,
+                    pending.choices,
+                    fix_fraction=recovery.recovered_fraction,
+                    detector_placement=self.config.detector_placement,
+                    observed_kernel_cycles=pipeline.makespan / n,
+                )
+            else:
+                costs = self.cost_model.whole_app_costs(
+                    topology=self.backend.topology,
+                    checker=self.detection.checker,
+                    fix_fraction=recovery.recovered_fraction,
+                    detector_placement=self.config.detector_placement,
+                    observed_kernel_cycles=pipeline.makespan / n,
+                )
+            before = self.tuner.threshold
+            tuned = self.tuner.update(
+                InvocationFeedback(
+                    fix_fraction=recovery.recovered_fraction,
+                    cpu_kept_up=pipeline.cpu_kept_up,
+                    cpu_utilization=pipeline.cpu_utilization,
+                )
+            )
+            stages.append((STAGE_TUNE, clock()))
+
+            measured_error = None
+            unchecked_error = None
+            if pending.measure_quality and pending.exact is not None:
+                measured_error = self.app.output_error(
+                    recovery.merged_outputs, pending.exact
+                )
+                unchecked_error = self.app.output_error(
+                    pending.approx, pending.exact
+                )
+
+            record = InvocationRecord(
+                outputs=recovery.merged_outputs,
+                detection=pending.detection,
+                recovery=recovery,
+                pipeline=pipeline,
+                costs=costs,
+                measured_error=measured_error,
+                unchecked_error=unchecked_error,
+                choices=pending.choices,
+                stages=stages,
+                tuned_threshold=float(self.tuner.threshold_at(pending.level)),
+                tuner_move=(tuned > before) - (tuned < before),
+                level=pending.level,
+            )
+        except BaseException:
+            if self.telemetry is not None:
+                self.telemetry.observe(stages)
+            raise
+        if self.telemetry is not None:
+            self.telemetry.observe(stages, record.facts())
+        self.records.append(record)
+        self.total_invocations += 1
+        return record
 
     def clone_shard(self, max_records: Optional[int] = None) -> "RumbaSystem":
         """A fresh system sharing this one's trained (immutable) models.
@@ -525,8 +491,8 @@ class RumbaSystem:
         too: each member backend decides via its own
         ``ApproxBackend.clone_shard`` hook whether to share (immutable
         weights, frozen memo tables) or copy (mutable runtime state), and
-        the shard gets its own router (fresh degradation level) over the
-        shared, read-only fitted error predictors.
+        the shard gets its own router over the shared, read-only fitted
+        error predictors.
         """
         shard_ensemble = (
             self.ensemble.clone_shard() if self.ensemble is not None else None

@@ -16,6 +16,12 @@ iterations are re-executed.  The tuner adjusts it between invocations:
 
 Threshold moves are multiplicative (``threshold_gain``), which adapts
 quickly across decades of score scales and settles geometrically.
+
+The serving layer's backpressure raises the threshold on top of that, one
+``DEGRADE_FACTOR`` step per degradation level.  The level rides on each
+batch and the invocation detects at :meth:`OnlineTuner.threshold_at`; the
+tuner itself never holds a degraded value, so level 0 is its own
+threshold, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from typing import MutableSequence, Optional
 from repro.core.config import RumbaConfig, TunerMode
 from repro.errors import ConfigurationError
 
-__all__ = ["OnlineTuner", "InvocationFeedback"]
+__all__ = ["OnlineTuner", "InvocationFeedback", "DEGRADE_FACTOR"]
 
 _MIN_THRESHOLD = 1e-9
+#: Multiplicative threshold step per backpressure degradation level.
+DEGRADE_FACTOR = 1.5
 
 
 @dataclass
@@ -73,18 +81,6 @@ class OnlineTuner:
         )
         self._gain = config.threshold_gain
         self._last_direction = 0
-        self._degradation_level = 0
-        # Optional degradation listener ``level -> None`` (the ensemble
-        # router biases toward cheap members while degraded; set by
-        # RumbaSystem, rebound after unpickling).
-        self.on_degradation = None
-
-    def __getstate__(self) -> dict:
-        # The degradation listener closes over the owning system and is
-        # rebound by RumbaSystem.__setstate__.
-        state = self.__dict__.copy()
-        state["on_degradation"] = None
-        return state
 
     @property
     def mode(self) -> TunerMode:
@@ -123,48 +119,14 @@ class OnlineTuner:
         self.history.append(self.threshold)
         return self.threshold
 
-    # ------------------------------------------------------------------ #
-    # Backpressure degradation (serving layer)                           #
-    # ------------------------------------------------------------------ #
-    @property
-    def degradation_level(self) -> int:
-        """How many un-relaxed backpressure degradations are in effect."""
-        return self._degradation_level
+    def threshold_at(self, level: int) -> float:
+        """The threshold under ``level`` backpressure degradation steps.
 
-    def degrade(self, factor: float | None = None) -> float:
-        """Raise the threshold in response to external backpressure.
-
-        Unlike :meth:`update`, this applies in every tuner mode — when the
-        serving backlog grows faster than it drains, fixing
-        *fewer* elements is the only lever that sheds recovery work, even
-        in TOQ mode where the threshold is normally pinned to the error
-        budget.  Each call is one degradation step; :meth:`relax` undoes
-        one step.  Returns the new threshold.
+        Applies in every mode: when the serving backlog grows faster than
+        it drains, fixing fewer elements is the only lever that sheds
+        recovery work, even in TOQ mode.  Level 0 returns
+        :attr:`threshold` itself, so leaving degradation is exact.
         """
-        factor = self.config.threshold_gain if factor is None else factor
-        if factor <= 1.0:
-            raise ConfigurationError("degrade factor must be > 1")
-        self.threshold *= factor
-        self._degradation_level += 1
-        self.history.append(self.threshold)
-        if self.on_degradation is not None:
-            self.on_degradation(self._degradation_level)
-        return self.threshold
-
-    def relax(self, factor: float | None = None) -> float:
-        """Undo one :meth:`degrade` step once the backlog drains.
-
-        A no-op when no degradation is in effect, so callers can invoke it
-        opportunistically on every quiet period.  Returns the threshold.
-        """
-        if self._degradation_level == 0:
+        if not level:
             return self.threshold
-        factor = self.config.threshold_gain if factor is None else factor
-        if factor <= 1.0:
-            raise ConfigurationError("relax factor must be > 1")
-        self.threshold = max(self.threshold / factor, _MIN_THRESHOLD)
-        self._degradation_level -= 1
-        self.history.append(self.threshold)
-        if self.on_degradation is not None:
-            self.on_degradation(self._degradation_level)
-        return self.threshold
+        return self.threshold * DEGRADE_FACTOR ** level

@@ -301,8 +301,8 @@ class Telemetry:
 
     def on_threshold(self, threshold: float, direction: int) -> None:
         """Publish the threshold and count the move that produced it: each
-        invocation's tuner update, a backpressure step, or (direction 0)
-        the value a reader starts from."""
+        invocation's tuner update, or (direction 0) the value a reader
+        starts from."""
         self._b_threshold.set(threshold)
         self.on_tuner_move(direction)
 

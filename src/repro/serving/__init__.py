@@ -22,10 +22,10 @@ the tier between the two:
   through shared-memory rings that move batches as raw float64 blocks
   (pickle only at worker startup; see ``docs/performance.md``),
 * :mod:`~repro.serving.faults` — the chaos harness
-  (:class:`ChaosConfig` / :class:`ChaosMonkey`): kills workers, injects
-  batch faults, and drops/delays/corrupts control frames so the
-  supervisor's restart + deadline-budgeted retry machinery can be proven
-  under sustained churn (``python -m repro serve --chaos ...``).
+  (:class:`ChaosConfig` / :class:`ChaosMonkey`): kills workers and
+  injects batch faults so the supervisor's restart + deadline-budgeted
+  retry machinery can be proven under sustained churn
+  (``python -m repro serve --chaos ...``).
 
 * :mod:`~repro.serving.net` — the network edge: an asyncio TCP
   front-end (:class:`~repro.serving.net.NetServer`) speaking a

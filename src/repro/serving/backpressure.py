@@ -7,14 +7,17 @@ the waiting requests would form
 (:meth:`~repro.serving.batching.AdmissionQueue.backlog`).  The
 controller watches that backlog and trades *quality* for *stability*:
 
-* backlog above the **high watermark** → raise every shard's detection
-  threshold one multiplicative step (``RumbaSystem.apply_backpressure``),
-  so fewer elements are flagged and the CPU-side work shrinks;
-* backlog at or below the **low watermark** → relax one step, restoring
+* backlog above the **high watermark** → one level up: every batch
+  dispatched from then on detects at a threshold one multiplicative step
+  higher (``OnlineTuner.threshold_at``), so fewer elements are flagged
+  and the CPU-side work shrinks;
+* backlog at or below the **low watermark** → one level down, restoring
   quality as capacity returns.
 
-Steps are bounded (``max_level``) and symmetric, so the threshold always
-returns to its tuned value once the overload clears.  Combined with the
+The controller holds the level and nothing else: the serving core reads
+it into each batch, and the worker runs the batch at that level.  No
+worker holds a degraded threshold, so level 0 is every tuner's own value,
+bit for bit.  Levels are bounded (``max_level``); combined with the
 bounded admission queue this guarantees the service degrades gracefully
 instead of growing queues without bound.
 """
@@ -22,15 +25,10 @@ instead of growing queues without bound.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
 
-from repro.core.runtime import RumbaSystem
 from repro.errors import ConfigurationError
 
-__all__ = ["BackpressureController", "DEGRADE_FACTOR"]
-
-#: Multiplicative threshold step per degradation level.
-DEGRADE_FACTOR = 1.5
+__all__ = ["BackpressureController"]
 
 
 class BackpressureController:
@@ -38,10 +36,8 @@ class BackpressureController:
 
     def __init__(
         self,
-        shards: Sequence[RumbaSystem],
         high_watermark: int,
         low_watermark: int,
-        factor: float = DEGRADE_FACTOR,
         max_level: int = 8,
     ):
         if high_watermark <= low_watermark:
@@ -50,14 +46,10 @@ class BackpressureController:
             )
         if low_watermark < 0:
             raise ConfigurationError("low_watermark must be >= 0")
-        if factor <= 1.0:
-            raise ConfigurationError("degradation factor must be > 1")
         if max_level < 1:
             raise ConfigurationError("max_level must be >= 1")
-        self._shards = list(shards)
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        self.factor = factor
         self.max_level = max_level
         self._level = 0
         self._lock = threading.Lock()
@@ -69,22 +61,14 @@ class BackpressureController:
         """Degradation steps currently in effect (0 = nominal quality)."""
         return self._level
 
-    @property
-    def degraded(self) -> bool:
-        return self._level > 0
-
     def update(self, backlog: int) -> int:
         """Feed the current backlog; returns -1/0/+1 for the step taken."""
         with self._lock:
             if backlog > self.high_watermark and self._level < self.max_level:
-                for shard in self._shards:
-                    shard.apply_backpressure(+1, self.factor)
                 self._level += 1
                 self.degrade_events += 1
                 return +1
             if backlog <= self.low_watermark and self._level > 0:
-                for shard in self._shards:
-                    shard.apply_backpressure(-1, self.factor)
                 self._level -= 1
                 self.relax_events += 1
                 return -1
@@ -93,8 +77,5 @@ class BackpressureController:
     def reset(self) -> None:
         """Relax every step still in effect (teardown path)."""
         with self._lock:
-            while self._level > 0:
-                for shard in self._shards:
-                    shard.apply_backpressure(-1, self.factor)
-                self._level -= 1
-                self.relax_events += 1
+            self.relax_events += self._level
+            self._level = 0

@@ -5,11 +5,10 @@ its own interpreter (GIL-free of its siblings), its own worker pool,
 its own ephemeral port recorded through ``--port-file``.  The
 :class:`NodeFleet` holds the handles and — deliberately — walks and
 quacks like a :class:`~repro.serving.procpool.ProcessWorkerPool`: it
-has a ``workers`` list of handles with ``alive()`` and ``process.pid``
-and a settable ``chaos`` attribute, so the existing
-:class:`~repro.serving.faults.ChaosMonkey` can be pointed at a fleet
-(``monkey.attach_pool(fleet)``) and ``kill_one_worker()`` then SIGKILLs
-a whole *node*.  That is exactly how the cluster chaos drill (tests and
+has a ``workers`` list of handles with ``alive()`` and ``process.pid``,
+so the existing :class:`~repro.serving.faults.ChaosMonkey` can be
+pointed at a fleet (``monkey.attach_pool(fleet)``) and
+``kill_one_worker()`` then SIGKILLs a whole *node*.  That is exactly how the cluster chaos drill (tests and
 the CI smoke) murders fleet members mid-run.
 
 Used by ``python -m repro cluster --nodes N`` (spawn mode), the layer
@@ -93,14 +92,13 @@ class NodeHandle:
 class NodeFleet:
     """A set of spawned node processes behind one lifecycle.
 
-    ``workers`` / per-handle ``alive()`` / ``process.pid`` / settable
-    ``chaos`` mirror the process pool's surface so ChaosMonkey's
-    node-kill path needs no cluster-specific code.
+    ``workers`` / per-handle ``alive()`` / ``process.pid`` mirror the
+    process pool's surface so ChaosMonkey's node-kill path needs no
+    cluster-specific code.
     """
 
     def __init__(self, handles: List[NodeHandle], workdir):
         self.workers = handles
-        self.chaos = None  # set by ChaosMonkey.attach_pool
         self._workdir = workdir
 
     @property

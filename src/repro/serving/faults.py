@@ -14,17 +14,12 @@ with :class:`~repro.errors.ServingError`) under sustained churn:
 * **injected batch faults** — raise :class:`InjectedFault` from a worker
   with a configurable probability (thread backend's analogue of a crash;
   exercises the retry path without OS processes),
-* **control-frame faults** — drop, delay, or corrupt DEGRADE/RELAX
-  frames on their way to a worker (a corrupted factor crashes the worker
-  loop, which the supervisor then restarts — corruption is a kill with
-  extra steps),
 * **frame corruption** — :func:`corrupt_next_frame` flips a byte in the
   next unread frame of a ring so tests can prove the transport *detects*
   torn frames (``ShmRing.try_read`` raises) instead of decoding garbage.
 
 Configuration comes from :class:`ChaosConfig`, parseable from the CLI's
-``--chaos kill=2,fail=0.05,drop=0.1,delay=0.005,corrupt=0.01,seed=1``
-spec string.
+``--chaos kill=2,fail=0.05,seed=1`` spec string.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import os
 import random
 import signal
 import threading
-import time
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
@@ -68,42 +62,22 @@ class ChaosConfig:
         Per-batch probability of raising :class:`InjectedFault` at
         dispatch time.  Works in both backends; the thread backend's
         stand-in for a crash.
-    control_drop_prob / control_delay_s / control_corrupt_prob:
-        Probability of dropping a DEGRADE/RELAX control frame, a uniform
-        upper bound on an injected delivery delay, and the probability of
-        corrupting the frame's factor payload.
     seed:
         Seeds the monkey's private RNG so chaos runs are reproducible.
     """
 
     kill_rate: float = 0.0
     fail_prob: float = 0.0
-    control_drop_prob: float = 0.0
-    control_delay_s: float = 0.0
-    control_corrupt_prob: float = 0.0
     seed: int = 0
 
     #: short CLI spec keys -> field names
-    _SPEC_KEYS = {
-        "kill": "kill_rate",
-        "fail": "fail_prob",
-        "drop": "control_drop_prob",
-        "delay": "control_delay_s",
-        "corrupt": "control_corrupt_prob",
-        "seed": "seed",
-    }
+    _SPEC_KEYS = {"kill": "kill_rate", "fail": "fail_prob", "seed": "seed"}
 
     def __post_init__(self) -> None:
-        for prob in (self.fail_prob, self.control_drop_prob,
-                     self.control_corrupt_prob):
-            if not 0.0 <= prob <= 1.0:
-                raise ConfigurationError(
-                    "chaos probabilities must be in [0, 1]"
-                )
-        if self.kill_rate < 0 or self.control_delay_s < 0:
-            raise ConfigurationError(
-                "chaos rates and delays must be >= 0"
-            )
+        if not 0.0 <= self.fail_prob <= 1.0:
+            raise ConfigurationError("chaos probabilities must be in [0, 1]")
+        if self.kill_rate < 0:
+            raise ConfigurationError("chaos rates must be >= 0")
 
     @property
     def enabled(self) -> bool:
@@ -162,18 +136,13 @@ class ChaosMonkey:
         self._killer: Optional[threading.Thread] = None
         self.kills = 0
         self.injected_faults = 0
-        self.dropped_controls = 0
-        self.delayed_controls = 0
-        self.corrupted_controls = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #
     # ------------------------------------------------------------------ #
     def attach_pool(self, pool) -> None:
-        """Point the monkey at a ProcessWorkerPool (and hook its
-        control-frame path)."""
+        """Point the monkey's killer at a ProcessWorkerPool."""
         self._pool = pool
-        pool.chaos = self
 
     def start(self) -> "ChaosMonkey":
         self._stop_event.clear()
@@ -230,40 +199,10 @@ class ChaosMonkey:
                 f"chaos-injected worker fault ({where or 'dispatch'})"
             )
 
-    def filter_control(self, extra: bytes) -> Optional[bytes]:
-        """Chaos for one outgoing control frame's payload.
-
-        Returns None to drop the frame, possibly after an injected
-        delay; corruption flips one payload byte (the worker will apply
-        a garbage factor or crash — either way, the supervisor's
-        problem, which is the point).
-        """
-        cfg = self.config
-        if cfg.control_delay_s:
-            self.delayed_controls += 1
-            time.sleep(self._rng.uniform(0.0, cfg.control_delay_s))
-        if cfg.control_drop_prob and self._rng.random() < cfg.control_drop_prob:
-            self.dropped_controls += 1
-            return None
-        if (
-            cfg.control_corrupt_prob
-            and extra
-            and self._rng.random() < cfg.control_corrupt_prob
-        ):
-            self.corrupted_controls += 1
-            index = self._rng.randrange(len(extra))
-            corrupted = bytearray(extra)
-            corrupted[index] ^= 0xFF
-            return bytes(corrupted)
-        return extra
-
     def summary(self) -> Dict[str, int]:
         return {
             "kills": self.kills,
             "injected_faults": self.injected_faults,
-            "dropped_controls": self.dropped_controls,
-            "delayed_controls": self.delayed_controls,
-            "corrupted_controls": self.corrupted_controls,
         }
 
 

@@ -15,8 +15,7 @@ with one byte after every publish, which its reader blocks on.
 
 Protocol (per worker, ``seq`` identifies the batch)::
 
-    parent ──FRAME_BATCH(seq, inputs)────────────► worker
-    parent ──FRAME_DEGRADE/FRAME_RELAX(factor)───► worker
+    parent ──FRAME_BATCH(seq, inputs, level)─────► worker
     parent ──FRAME_STOP──────────────────────────► worker
     worker ──FRAME_RESULT(seq, outputs, snapshot)► parent
     worker ──FRAME_ERROR(seq, pickled exception)─► parent
@@ -28,7 +27,6 @@ import multiprocessing as mp
 import os
 import pickle
 import select
-import struct
 import sys
 import threading
 import time
@@ -42,14 +40,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
 from repro.observability.reqtrace import STAGE_SHM_READ
-from repro.serving.backpressure import DEGRADE_FACTOR
 from repro.serving.cpuhold import unheld
 from repro.serving.journal import pack_bits
 from repro.serving.shm import (
     FRAME_BATCH,
-    FRAME_DEGRADE,
     FRAME_ERROR,
-    FRAME_RELAX,
     FRAME_RESULT,
     FRAME_STOP,
     ShmFrame,
@@ -67,7 +62,6 @@ _ORPHAN_CHECK_MS = 100
 #: Nothing in serving reads them; unbounded, a long-lived shard leaks one
 #: record per batch.
 SHARD_RECORD_WINDOW = 256
-_FACTOR_FMT = "<d"
 
 
 def worker_snapshot(
@@ -83,11 +77,18 @@ def worker_snapshot(
     batch's per-element decision bits ride along as packed bytes — the
     request journal needs them, and shipping them only when a journal
     is attached keeps the default RESULT frame small.
+
+    ``degradation_level`` is the level of the worker's last batch and
+    ``threshold`` the tuner's threshold at that level.
     """
+    last = record if record is not None else (
+        system.records[-1] if system.records else None
+    )
+    level = last.level if last is not None else 0
     snap = {
         "invocations": int(system.total_invocations),
-        "threshold": float(system.tuner.threshold),
-        "degradation_level": int(system.tuner.degradation_level),
+        "threshold": float(system.tuner.threshold_at(level)),
+        "degradation_level": level,
         "total_checks": int(system.detection.total_checks),
         "total_fires": int(system.detection.total_fires),
         "total_recoveries": int(system.recovery.total_recoveries),
@@ -164,26 +165,22 @@ def _worker_main(
             if frame.kind == FRAME_STOP:
                 in_ring.advance(frame)
                 return
-            if frame.kind in (FRAME_DEGRADE, FRAME_RELAX):
-                (factor,) = struct.unpack(_FACTOR_FMT, frame.extra)
-                in_ring.advance(frame)
-                direction = +1 if frame.kind == FRAME_DEGRADE else -1
-                system.apply_backpressure(direction, factor)
-                continue
             if frame.kind != FRAME_BATCH:
                 in_ring.advance(frame)
                 continue
             try:
-                # A BATCH frame's extra bytes are the batch's forced
-                # per-row member choices (int8, replay only); copied out
-                # because the frame's ring memory is released below.
+                # A BATCH frame's extra bytes are the batch's backpressure
+                # level (one byte; none: level 0), then its forced per-row
+                # member choices (int8, replay only); try_read copied them
+                # out of the ring.
+                extra = frame.extra
                 forced = (
-                    np.frombuffer(bytes(frame.extra), dtype=np.int8)
-                    if frame.extra else None
+                    np.frombuffer(extra, dtype=np.int8, offset=1)
+                    if len(extra) > 1 else None
                 )
                 record = system.run_invocation(
                     frame.payload, measure_quality=measure_quality,
-                    forced_choices=forced,
+                    forced_choices=forced, level=extra[0] if extra else 0,
                 )
             except Exception as exc:  # forwarded to parent as FRAME_ERROR;
                 # KeyboardInterrupt/SystemExit deliberately propagate so a
@@ -259,8 +256,8 @@ class ProcessWorker:
 
     The handle is *stable across restarts*: when the supervisor replaces
     a dead worker it swaps ``process``, both rings and both bells in
-    place, so anything holding the handle (backpressure proxies, shard
-    views) keeps addressing the same logical worker slot.
+    place, so anything holding the handle keeps addressing the same
+    logical worker slot.
     """
 
     name: str
@@ -276,24 +273,6 @@ class ProcessWorker:
 
     def alive(self) -> bool:
         return not self.dead and self.process.is_alive()
-
-
-class _WorkerBackpressureProxy:
-    """Quacks like a RumbaSystem shard for the BackpressureController.
-
-    ``apply_backpressure`` becomes a control frame on the worker's input
-    ring; the worker applies the step to its own tuner, exactly as the
-    thread backend's direct call would.
-    """
-
-    def __init__(self, pool: "ProcessWorkerPool", index: int):
-        self._pool = pool
-        self._index = index  # resolved per call: handles exist from start()
-
-    def apply_backpressure(self, direction: int, factor: float) -> float:
-        kind = FRAME_DEGRADE if direction > 0 else FRAME_RELAX
-        self._pool.send_control(self._pool.workers[self._index], kind, factor)
-        return 0.0  # the authoritative threshold lives in the worker
 
 
 class ProcessWorkerPool:
@@ -335,9 +314,6 @@ class ProcessWorkerPool:
         self._stopped = False
         self._blob: Optional[bytes] = None  # kept for supervisor restarts
         self.total_restarts = 0
-        #: Optional fault injector (see :mod:`repro.serving.faults`);
-        #: consulted on the control-frame path when set.
-        self.chaos = None
 
     @property
     def worker_names(self) -> List[str]:
@@ -420,18 +396,13 @@ class ProcessWorkerPool:
         self._started = True
         return self
 
-    def restart_worker(
-        self,
-        worker: ProcessWorker,
-        degradation_level: int = 0,
-    ) -> bool:
+    def restart_worker(self, worker: ProcessWorker) -> bool:
         """Replace a dead worker's process and rings in place.
 
         The new process clones a fresh shard from the startup prototype
-        blob, after which ``degradation_level`` backpressure steps (the
-        dead worker's last reported level) are re-applied so the restart
-        does not silently jump the fleet back to nominal quality under
-        load.  Returns False when the pool is not in a restartable state.
+        blob; every batch carries its own backpressure level, so there
+        is no degradation state to restore.  Returns False when the pool
+        is not in a restartable state.
         """
         if not self._started or self._stopped or self._blob is None:
             return False
@@ -443,8 +414,6 @@ class ProcessWorkerPool:
         worker.dead = False
         worker.restarts += 1
         self.total_restarts += 1
-        for _ in range(max(int(degradation_level), 0)):
-            self.send_control(worker, FRAME_DEGRADE, DEGRADE_FACTOR)
         return True
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -487,21 +456,26 @@ class ProcessWorkerPool:
         blocks,
         timeout_s: float = 30.0,
         trace_id: int = 0,
-        extra: bytes = b"",
+        level: int = 0,
+        forced: Optional[np.ndarray] = None,
         published=None,
     ) -> None:
         """Ship one batch as per-request row blocks written directly into
         ring memory (:meth:`ShmRing.write_rows`) — the zero-copy dispatch
         path: no parent-side concat buffer exists at all.  ``trace_id``
         (the batch-representative request trace) rides in the frame
-        header and is echoed back on the worker's RESULT frame; ``extra``
-        carries the batch's forced routing choices during replay.
+        header and is echoed back on the worker's RESULT frame.  The
+        frame's extra bytes carry the batch's backpressure ``level`` (one
+        byte) and, during replay, its ``forced`` routing choices (int8).
         ``published()`` runs once the frame is on the ring and before the
         worker is woken, so a stamp it takes precedes the worker's own.
         Raises when the batch cannot be delivered.
         """
         if not worker.alive():
             raise ServingError(f"worker {worker.name} is not alive")
+        extra = bytes((level,))
+        if forced is not None:
+            extra += forced.tobytes()
         deadline = time.monotonic() + timeout_s
         while not worker.in_ring.write_rows(
             FRAME_BATCH, seq, blocks, extra=extra, trace_id=trace_id
@@ -524,31 +498,6 @@ class ProcessWorkerPool:
             if frame is None:
                 return frames
             frames.append(frame)
-
-    def send_control(
-        self, worker: ProcessWorker, kind: int, factor: float
-    ) -> bool:
-        """Best-effort DEGRADE/RELAX delivery; False if the worker is gone."""
-        if self._stopped or not worker.alive():
-            return False
-        extra = struct.pack(_FACTOR_FMT, factor)
-        if self.chaos is not None:
-            extra = self.chaos.filter_control(extra)
-            if extra is None:  # injected drop
-                return False
-        sent = _write_blocking(
-            worker.in_ring, kind, 0, None, extra,
-            timeout_s=1.0, still_alive=worker.alive,
-        )
-        if sent:
-            self._wake(worker)
-        return sent
-
-    def backpressure_proxies(self) -> List[_WorkerBackpressureProxy]:
-        """Shard stand-ins wiring a BackpressureController to the pool."""
-        return [
-            _WorkerBackpressureProxy(self, i) for i in range(self.n_workers)
-        ]
 
     @staticmethod
     def decode_error(frame: ShmFrame) -> BaseException:

@@ -22,8 +22,9 @@ whole — accelerate, detect, recover, tune — the paper's Fig. 8 overlap
 of the two halves being modelled by ``simulate_pipeline``, not enacted.
 The :class:`BackpressureController` watches the core's backlog (batches
 in flight plus the batches the waiting requests would form) and trades
-quality for stability when the workers fall behind; the bounded
-admission queue sheds load past that.
+quality for stability when the workers fall behind: each batch carries
+the controller's level at dispatch (``Batch.level``) and runs at it.  The
+bounded admission queue sheds load past that.
 
 Everything is observable: the core keeps one per-worker
 :class:`~repro.observability.Telemetry` (``worker=<name>`` label) on the
@@ -261,10 +262,7 @@ class RumbaServer:
         )
         if config.backend == "process":
             self._transport = ProcessTransport(
-                config,
-                chaos=self.chaos_monkey,
-                fleet_level=lambda: self.controller.level,
-                **core,
+                config, chaos=self.chaos_monkey, **core
             )
         else:
             self._transport = ThreadTransport(
@@ -421,7 +419,6 @@ class RumbaServer:
         self._shard_by_name = {shard.name: shard for shard in self.shards}
         bp = self.config.backpressure
         self.controller = BackpressureController(
-            self._transport.backpressure_targets(),
             high_watermark=bp.high_watermark,
             low_watermark=bp.low_watermark,
         )
@@ -652,7 +649,7 @@ class RumbaServer:
             requests=requests,
             traced=traced,
             dispatched_at=dispatched_at,
-            degraded=self.controller.degraded,
+            level=self.controller.level,
         )
         try:
             if self.chaos_monkey is not None:
@@ -675,7 +672,7 @@ class RumbaServer:
         step = self.controller.update(backlog)
         if step != 0:
             self._g_degradation.set(self.controller.level)
-            # Every worker's tuner just took the step.
+            # Every worker's next batch runs at the new level.
             for shard in self.shards:
                 shard.telemetry.on_tuner_move(step)
 
@@ -727,7 +724,7 @@ class RumbaServer:
                     if self.journal is not None else None
                 ),
                 worker=worker,
-                degraded=batch.degraded or self.controller.degraded,
+                degraded=batch.level > 0,
                 dispatched_at=batch.dispatched_at,
                 fix_fraction=report.get("fix_fraction", 0.0),
             )

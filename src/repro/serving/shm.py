@@ -29,8 +29,7 @@ frame belongs to (0 = untraced) so stage timing can be correlated
 across the process boundary; see :mod:`repro.observability.reqtrace`.
 
 Frame kinds (see :mod:`repro.serving.procpool` for the protocol):
-``FRAME_BATCH``, ``FRAME_RESULT``, ``FRAME_ERROR``, ``FRAME_DEGRADE``,
-``FRAME_RELAX``, ``FRAME_STOP``.
+``FRAME_BATCH``, ``FRAME_RESULT``, ``FRAME_ERROR``, ``FRAME_STOP``.
 """
 
 from __future__ import annotations
@@ -50,17 +49,13 @@ __all__ = [
     "FRAME_BATCH",
     "FRAME_RESULT",
     "FRAME_ERROR",
-    "FRAME_DEGRADE",
-    "FRAME_RELAX",
     "FRAME_STOP",
 ]
 
 FRAME_BATCH = 1    # parent -> worker: one accelerator invocation's inputs
 FRAME_RESULT = 2   # worker -> parent: merged outputs + metrics snapshot
 FRAME_ERROR = 3    # worker -> parent: a batch failed (extra = pickled exc)
-FRAME_DEGRADE = 4  # parent -> worker: apply one backpressure step
-FRAME_RELAX = 5    # parent -> worker: undo one backpressure step
-FRAME_STOP = 6     # parent -> worker: exit the worker loop
+FRAME_STOP = 4     # parent -> worker: exit the worker loop
 
 _MAGIC = 0x52554D42  # "RUMB"
 _CTRL_BYTES = 16     # head + tail

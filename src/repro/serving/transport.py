@@ -12,9 +12,11 @@ travels to one:
   batches concurrently, each bound to a ``dispatch(batch)`` callable
   (which may raise; the core then applies its retry policy);
 * ``stop(timeout)`` joins the pumps and tears the workers down;
-* ``backpressure_targets()``, ``workers()`` and ``cpu_hold`` are the
-  read-outs for backpressure and ``stats()`` (the backlog the controller
-  watches is the core's own: :meth:`AdmissionQueue.backlog`).
+* ``workers()`` and ``cpu_hold`` are the read-outs for ``stats()``.
+
+A batch carries its backpressure level (``Batch.level``); the transport
+passes it to ``RumbaSystem.run_invocation(level=)`` with the batch, and
+holds no degradation state of its own.
 
 Every accepted batch is reported back exactly once through the callback
 pair given at construction: ``on_complete(batch, worker, outputs,
@@ -77,8 +79,8 @@ class Batch:
     #: The batch's sampled traces, precomputed at dequeue (empty = none).
     traced: List[object]
     dispatched_at: float
-    #: The fleet was degraded when the batch was dispatched.
-    degraded: bool
+    #: The backpressure level the batch runs at (0 = nominal quality).
+    level: int
 
 
 def stamp_batch(
@@ -213,9 +215,6 @@ class ThreadTransport(WorkerTransport):
             self._hold.release()
             self._hold = None
 
-    def backpressure_targets(self) -> List[RumbaSystem]:
-        return [system for _, system in self._shards]
-
     def workers(self) -> List[WorkerStatus]:
         # Thread shards live and die with the server: never restarted.
         return [
@@ -243,6 +242,7 @@ class ThreadTransport(WorkerTransport):
                 inputs,
                 measure_quality=self.config.measure_quality,
                 forced_choices=_forced_choices(batch.requests),
+                level=batch.level,
             )
         finally:
             # Multi-request batches concatenate into a leased buffer (a
@@ -266,16 +266,16 @@ class ProcessTransport(WorkerTransport):
     is restarted in place and every batch it held is failed with
     :class:`WorkerCrashError`, which the core's retry policy re-dispatches
     — the paper's "re-execute what the checker flagged", one level up.
+    A restarted worker needs nothing re-applied: its next batch carries
+    the fleet's level like every other.
 
     ``chaos`` is the server's fault injector (attached to the pool at
-    start); ``fleet_level()`` is the controller's current degradation
-    level, re-applied to a restarted worker that never reported its own.
+    start).
     """
 
-    def __init__(self, config, *, chaos, fleet_level, **core):
+    def __init__(self, config, *, chaos, **core):
         super().__init__(config, **core)
         self._chaos = chaos
-        self._fleet_level = fleet_level
         self._pending: Dict[int, Tuple[Batch, ProcessWorker]] = {}
         self._lock = threading.Lock()
         self._stopping = False
@@ -316,9 +316,6 @@ class ProcessTransport(WorkerTransport):
         for end in self._stop_bell:
             end.close()
 
-    def backpressure_targets(self):
-        return self.pool.backpressure_proxies()
-
     def workers(self) -> List[WorkerStatus]:
         if self.pool is None:  # stats() on a server not yet prepared
             return []
@@ -344,14 +341,12 @@ class ProcessTransport(WorkerTransport):
             # deadline budget runs out; exhaustion fails fast.
             raise WorkerCrashError("no live serving worker processes")
         # The batch shares one ring frame, so the frame header carries
-        # the first traced request's id (0 when none is traced).  Forced
-        # routing choices (replay) ride as the frame's extra bytes.
+        # the first traced request's id (0 when none is traced).
         trace_id = batch.traced[0].trace_id if batch.traced else 0
         try:
-            forced = _forced_choices(batch.requests)
             self.pool.submit_rows(
                 worker, batch.seq, blocks, trace_id=trace_id,
-                extra=forced.tobytes() if forced is not None else b"",
+                level=batch.level, forced=_forced_choices(batch.requests),
                 published=partial(stamp_batch, batch.traced, STAGE_SHM_WRITE),
             )
         except Exception as exc:
@@ -461,16 +456,9 @@ class ProcessTransport(WorkerTransport):
                 or self.pool.total_restarts < retry.max_worker_restarts
             )
         ):
-            # Restart from the startup prototype blob, then re-apply the
-            # worker's last reported degradation level so a mid-overload
-            # restart does not silently jump back to nominal quality.
-            level = int(worker.snapshot.get(
-                "degradation_level", self._fleet_level()
-            ))
+            # Restart from the startup prototype blob.
             try:
-                restarted = self.pool.restart_worker(
-                    worker, degradation_level=level
-                )
+                restarted = self.pool.restart_worker(worker)
             except Exception:  # pragma: no cover - spawn failed mid-teardown
                 restarted = False
             if restarted:

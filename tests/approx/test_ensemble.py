@@ -134,10 +134,8 @@ class TestInvocationRouter:
             margin=0.5,
         )
         assert router.tolerance(0.1) == pytest.approx(0.05)
-        router.set_degradation(2)
-        assert router.tolerance(0.1) == pytest.approx(0.20)
-        router.set_degradation(-3)  # clamps at zero
-        assert router.degradation_level == 0
+        assert router.tolerance(0.1, level=2) == pytest.approx(0.20)
+        assert router.tolerance(0.1, level=0) == router.tolerance(0.1)
 
     def test_degradation_widens_routing(self, fft_app, fft_backend,
                                         probe):
@@ -145,8 +143,9 @@ class TestInvocationRouter:
             make_members(fft_app, fft_backend, cheap=0.15, mid=9.0)
         )
         assert (router.route(probe, threshold=0.1) == 0).all()
-        router.set_degradation(1)  # tolerance 0.1 -> 0.2
-        assert (router.route(probe, threshold=0.1) == 2).all()
+        # tolerance 0.1 -> 0.2
+        assert (router.route(probe, threshold=0.1, level=1) == 2).all()
+        assert (router.route(probe, threshold=0.1) == 0).all()
 
     def test_parameter_validation(self, fft_app, fft_backend):
         members = make_members(fft_app, fft_backend)
@@ -232,12 +231,13 @@ class TestApproximatorEnsemble:
             assert mine.error_predictor is theirs.error_predictor
         # Router, counters and degradation are private to the shard.
         assert clone.router is not ens.router
-        clone.router.set_degradation(3)
+        clone.route(probe, 0.1, level=3)
         clone.forward_routed(probe, np.zeros(probe.shape[0],
                                              dtype=np.int8))
         clone.observe_detection(np.zeros(4, dtype=np.int8),
                                 np.ones(4, dtype=bool))
-        assert ens.router.degradation_level == 0
+        assert clone.snapshot()["degradation_level"] == 3
+        assert ens.snapshot()["degradation_level"] == 0
         assert ens.rows_routed.sum() == 0
         assert ens.fires_by_member.sum() == 0
 

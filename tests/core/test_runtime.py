@@ -258,7 +258,7 @@ class TestCloneShard:
         before = tree_system.total_invocations
         threshold_before = tree_system.tuner.threshold
         shard.run_invocation(fft_inputs[:800])
-        shard.tuner.degrade(factor=2.0)
+        shard.tuner.threshold *= 2.0
         assert tree_system.total_invocations == before
         assert tree_system.tuner.threshold == threshold_before
         assert shard.records is not tree_system.records
@@ -296,36 +296,43 @@ class TestCloneShard:
     ):
         shard = tree_system.clone_shard(max_records=4)
         assert list(shard.tuner.history) == [shard.tuner.threshold]
+        from repro.core.tuner import InvocationFeedback
+
+        move = InvocationFeedback(fix_fraction=0.5)
         for _ in range(9):
-            shard.tuner.degrade(factor=1.5)
+            shard.tuner.update(move)
             assert shard.tuner.history[-1] == shard.tuner.threshold
         assert len(shard.tuner.history) == 4
-        shard.tuner.relax(factor=1.5)
-        assert shard.tuner.history[-1] == shard.tuner.threshold
         # Experimenters' systems keep every move.
         unbounded = tree_system.clone_shard()
         for _ in range(9):
-            unbounded.tuner.degrade(factor=1.5)
+            unbounded.tuner.update(move)
         assert len(unbounded.tuner.history) == 10
 
 
 class TestApplyBackpressure:
+    """The serving layer's backpressure level, passed per invocation."""
+
     def test_roundtrip_restores_threshold(self, tree_system, fft_inputs):
         shard = tree_system.clone_shard()
         start = shard.tuner.threshold
-        raised = shard.apply_backpressure(+1, factor=2.0)
-        assert raised == pytest.approx(start * 2.0)
-        # The detection module reads the tuner's threshold at the next
-        # begin_invocation — that's the handoff point.
-        pending = shard.begin_invocation(fft_inputs[:200])
-        assert pending.detection.threshold == pytest.approx(start * 2.0)
-        shard.complete_invocation(pending)
-        restored = shard.apply_backpressure(-1, factor=2.0)
-        assert restored == pytest.approx(start)
+        # The level is read at begin_invocation — that's the handoff point.
+        pending = shard.begin_invocation(fft_inputs[:200], level=2)
+        assert pending.detection.threshold == pytest.approx(start * 2.25)
+        record = shard.complete_invocation(pending)
+        assert record.level == 2
+        assert record.tuned_threshold == pytest.approx(start * 2.25)
+        assert shard.tuner.threshold == start
+        # Back at level 0 the threshold is the tuner's own, bit for bit.
+        record = shard.run_invocation(fft_inputs[200:400])
+        assert record.detection.threshold == start
+        assert record.tuned_threshold == start
 
-    def test_zero_direction_reads_threshold(self, tree_system):
+    def test_zero_direction_reads_threshold(self, tree_system, fft_inputs):
         shard = tree_system.clone_shard()
-        assert shard.apply_backpressure(0) == shard.tuner.threshold
+        record = shard.run_invocation(fft_inputs[:200], level=0)
+        assert record.detection.threshold == shard.tuner.threshold
+        assert record.level == 0
 
 
 class TestEnsembleRuntime:
@@ -369,11 +376,10 @@ class TestEnsembleRuntime:
         x = fft_inputs[:400]
         live = ens_system.clone_shard().run_invocation(x)
         replaying = ens_system.clone_shard()
-        replaying.ensemble.set_degradation(3)
         replaying.ensemble.router.margin = 0.5
         rerouted = replaying.ensemble.route(
             replaying.ensemble.router_features(x),
-            replaying.tuner.threshold,
+            replaying.tuner.threshold, 3,
         )
         assert (rerouted != live.choices).any()
         forced = replaying.run_invocation(x, forced_choices=live.choices)
@@ -421,19 +427,24 @@ class TestEnsembleRuntime:
         fresh = ens_system.clone_shard()
         probe = fresh.ensemble.router_features(fft_inputs[1600:3600])
         for level in range(3):
-            shard.ensemble.set_degradation(level)
-            fresh.ensemble.set_degradation(level)
             for threshold in np.geomspace(1e-3, 1.0, 25):
                 np.testing.assert_array_equal(
-                    shard.ensemble.route(probe, threshold),
-                    fresh.ensemble.route(probe, threshold),
+                    shard.ensemble.route(probe, threshold, level),
+                    fresh.ensemble.route(probe, threshold, level),
                 )
 
-    def test_degradation_hook_reaches_router(self, ens_system):
+    def test_degradation_hook_reaches_router(self, ens_system, fft_inputs):
+        """The invocation's level reaches the router with the call."""
         shard = ens_system.clone_shard()
-        assert shard.tuner.on_degradation == shard.ensemble.set_degradation
-        shard.tuner.on_degradation(2)
-        assert shard.ensemble.router.degradation_level == 2
+        x = fft_inputs[:400]
+        record = shard.run_invocation(x, level=2)
+        assert shard.ensemble.snapshot()["degradation_level"] == 2
+        np.testing.assert_array_equal(
+            record.choices,
+            shard.ensemble.router.route(x, shard.tuner.threshold_at(2), 2),
+        )
+        shard.run_invocation(x)
+        assert shard.ensemble.snapshot()["degradation_level"] == 0
 
     def test_clone_shard_gets_private_ensemble(self, ens_system):
         shard = ens_system.clone_shard()
@@ -458,14 +469,17 @@ class TestPickleRoundTrip:
         assert a.detection.n_fired == b.detection.n_fired
         assert a.fix_fraction == b.fix_fraction
 
-    def test_restored_locks_are_fresh(self, tree_system):
+    def test_restored_system_drops_telemetry(self, tree_system):
         import pickle
-        import threading
 
-        restored = pickle.loads(pickle.dumps(tree_system))
-        assert isinstance(restored._lock, type(threading.Lock()))
+        from repro.observability import MetricsRegistry, Telemetry
+
+        shard = tree_system.clone_shard()
+        shard.attach_telemetry(Telemetry(registry=MetricsRegistry()))
+        restored = pickle.loads(pickle.dumps(shard))
         # Telemetry binds to the origin process's registry: stripped.
         assert restored.telemetry is None
+        assert shard.telemetry is not None
 
     def test_registry_application_pickles_by_name(self):
         import pickle

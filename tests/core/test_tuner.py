@@ -1,9 +1,10 @@
 """Unit tests for the online tuner (Sec. 3.4)."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import RumbaConfig, TunerMode
-from repro.core.tuner import InvocationFeedback, OnlineTuner
+from repro.core.tuner import DEGRADE_FACTOR, InvocationFeedback, OnlineTuner
 from repro.errors import ConfigurationError
 
 
@@ -87,55 +88,42 @@ class TestQualityMode:
 
 
 class TestBackpressureDegradation:
-    """degrade()/relax() — the serving layer's overload lever (works in
-    every mode, including TOQ where update() holds the threshold fixed)."""
+    """threshold_at(level) — the serving layer's overload lever (works in
+    every mode, including TOQ where update() holds the threshold fixed).
+    The tuner never holds a degraded value."""
 
     def test_degrade_scales_threshold_and_tracks_level(self):
         tuner = _tuner(TunerMode.TOQ, target_output_quality=0.9)
         before = tuner.threshold
-        assert tuner.degradation_level == 0
-        tuner.degrade(factor=2.0)
-        assert tuner.threshold == pytest.approx(before * 2.0)
-        assert tuner.degradation_level == 1
-        tuner.degrade(factor=2.0)
-        assert tuner.threshold == pytest.approx(before * 4.0)
-        assert tuner.degradation_level == 2
+        assert tuner.threshold_at(1) == pytest.approx(before * 1.5)
+        assert tuner.threshold_at(2) == pytest.approx(before * 1.5 ** 2)
+        assert tuner.threshold_at(2) == before * DEGRADE_FACTOR ** 2
+        assert tuner.threshold == before
+        assert list(tuner.history) == [before]
 
     def test_relax_is_symmetric(self):
-        tuner = _tuner(TunerMode.ENERGY)
-        before = tuner.threshold
-        tuner.degrade(factor=1.5)
-        tuner.degrade(factor=1.5)
-        tuner.relax(factor=1.5)
-        tuner.relax(factor=1.5)
-        assert tuner.threshold == pytest.approx(before)
-        assert tuner.degradation_level == 0
+        """Level 0 is the tuner's own threshold, bit for bit, after any
+        walk of levels interleaved with the tuner's own moves."""
+        rng = np.random.default_rng(0)
+        for mode in TunerMode:
+            for toq in (0.85, 0.9, 0.99):
+                tuner = _tuner(mode, target_output_quality=toq)
+                level = 0
+                for _ in range(200):
+                    level = int(np.clip(level + rng.choice([-1, 1]), 0, 8))
+                    assert tuner.threshold_at(level) > 0
+                    tuner.update(InvocationFeedback(
+                        fix_fraction=float(rng.random()),
+                        cpu_kept_up=bool(rng.random() < 0.5),
+                    ))
+                    assert tuner.threshold_at(0) == tuner.threshold
 
     def test_relax_at_level_zero_is_noop(self):
         tuner = _tuner(TunerMode.QUALITY)
         before = tuner.threshold
-        tuner.relax()
+        assert tuner.threshold_at(0) == before
         assert tuner.threshold == before
-        assert tuner.degradation_level == 0
-
-    def test_default_factor_is_threshold_gain(self):
-        tuner = _tuner(TunerMode.ENERGY, threshold_gain=1.25)
-        before = tuner.threshold
-        tuner.degrade()
-        assert tuner.threshold == pytest.approx(before * 1.25)
-
-    def test_degrade_recorded_in_history(self):
-        tuner = _tuner(TunerMode.TOQ)
-        tuner.degrade(factor=2.0)
-        assert len(tuner.history) == 2
-        assert tuner.history[-1] == tuner.threshold
-
-    def test_invalid_factor_rejected(self):
-        tuner = _tuner(TunerMode.ENERGY)
-        with pytest.raises(ConfigurationError):
-            tuner.degrade(factor=1.0)
-        with pytest.raises(ConfigurationError):
-            tuner.degrade(factor=0.5)
+        assert list(tuner.history) == [before]
 
 
 class TestTunerGeneral:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -73,9 +75,6 @@ class FakeTransport:
     def dispatch(self, batch):
         self.batches.append(batch)
 
-    def backpressure_targets(self):
-        return []
-
     def workers(self):
         return [("f0", True, 0, {})]
 
@@ -127,3 +126,54 @@ def fake_server(fft_prototype):
     yield build
     for server in servers:
         server.stop(timeout=1.0)
+
+
+def _wait_for(condition, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+@pytest.fixture()
+def restart_after_relax(fft_prototype, fft_input_pool):
+    """``run(journal_path=None) -> (server, later)``: a one-worker process
+    server takes one degradation step, serves a batch at it and relaxes
+    after that batch; its worker is then SIGKILLed and, once restarted,
+    serves three more batches.  ``later`` holds those three as
+    ``(ServeResult, the worker's batch report)`` pairs; the server is
+    stopped on return."""
+    from repro.serving import (
+        BatchingConfig,
+        JournalConfig,
+        RetryConfig,
+        RumbaServer,
+        ServerConfig,
+    )
+
+    def run(journal_path=None):
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1,
+                batching=BatchingConfig(flush_interval_s=0.001),
+                retry=RetryConfig(retry_backoff_s=0.01),
+                journal=JournalConfig(path=journal_path),
+            ),
+        )
+        x = fft_input_pool[:8]
+        later = []
+        with server:
+            worker = server.pool.workers[0]
+            assert server.controller.update(100) == +1
+            assert server.submit_wait(x, timeout=60).degraded
+            # The batch's report found an empty backlog: one step back.
+            _wait_for(lambda: server.controller.level == 0)
+            os.kill(worker.process.pid, signal.SIGKILL)
+            _wait_for(lambda: worker.restarts >= 1 and worker.alive())
+            for _ in range(3):
+                result = server.submit_wait(x, timeout=60)
+                later.append((result, dict(worker.snapshot)))
+        return server, later
+
+    return run

@@ -99,8 +99,8 @@ class TestBacklog:
             assert backlog() == 3
         assert controller.level == 1
         assert [len(b.requests) for b in batches] == [8, 8, 4]
-        # Dispatched at a degraded level, and reported so.
-        assert all(b.degraded for b in batches)
+        # Dispatched at the degraded level, which rides on the batch.
+        assert [b.level for b in batches] == [1, 1, 1]
 
         # One observation per batch reported back: 2 left holds (between
         # the watermarks), 1 and 0 relax a step each.

@@ -76,6 +76,21 @@ def golden_journal(tmp_path_factory):
     return path
 
 
+class TestRestartReplay:
+    def test_restart_after_relax_replays_without_divergence(
+        self, restart_after_relax, tmp_path
+    ):
+        """The three batches a restarted worker serves after the fleet
+        left degradation are recorded undegraded, so replay compares them
+        — and they must have run at the threshold replay runs at."""
+        path = str(tmp_path / "restart.journal")
+        restart_after_relax(journal_path=path)
+        report = replay_journal(path, backend="thread")
+        assert report.divergences == [], report.summary()
+        assert report.skipped_degraded == 1
+        assert report.compared == 3
+
+
 class TestGoldenReplay:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_chaos_run_replays_bit_for_bit(self, golden_journal, backend):

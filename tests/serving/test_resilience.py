@@ -63,39 +63,20 @@ class TestSupervisorRestart:
         finally:
             server.stop()
 
-    def test_restart_reapplies_degradation_level(self, fft_prototype,
-                                                 fft_input_pool):
-        server = RumbaServer(
-            prototype=fft_prototype.clone_shard(),
-            config=ServerConfig(
-                backend="process", n_workers=1,
-                batching=BatchingConfig(flush_interval_s=0.001),
-                retry=RetryConfig(retry_backoff_s=0.01),
-            ),
-        )
-        server.start()
-        try:
-            server.submit_wait(fft_input_pool[:8], timeout=60)
-            worker = server.pool.workers[0]
-            # Pretend the worker last reported one degradation step; the
-            # snapshot channel is how the supervisor learns the level.
-            worker.snapshot["degradation_level"] = 1
-            os.kill(worker.process.pid, signal.SIGKILL)
-            # The restarted worker must come back *degraded*, not at
-            # nominal quality: its next snapshot reports level >= 1.
-            deadline = time.monotonic() + 30
-            level = -1
-            while time.monotonic() < deadline:
-                result = server.submit_wait(fft_input_pool[:8], timeout=60)
-                assert result.n_elements == 8
-                level = int(worker.snapshot.get("degradation_level", -1))
-                if worker.restarts >= 1 and level >= 1:
-                    break
-                time.sleep(0.01)
-            assert worker.restarts >= 1
-            assert level >= 1
-        finally:
-            server.stop()
+    def test_restarted_worker_serves_at_the_fleet_level(
+        self, restart_after_relax
+    ):
+        """A worker restarted after the fleet left degradation serves at
+        the tuner's own threshold, and says so: the level rides on each
+        batch, so a restart has nothing to re-apply and nothing stale to
+        come back with."""
+        server, later = restart_after_relax()
+        assert server.pool.workers[0].restarts >= 1
+        base = server.prototype.tuner.threshold
+        for result, report in later:
+            assert result.degraded is False
+            assert report["degradation_level"] == 0
+            assert report["threshold"] == base
 
     def test_restart_telemetry_counter(self, fft_prototype, fft_input_pool):
         server = RumbaServer(
@@ -343,7 +324,7 @@ class TestBatchesInFlight:
 class TestChaosSoak:
     @pytest.mark.parametrize("backend,spec", [
         ("process", "kill=8,seed=1"),
-        ("process", "kill=8,fail=0.05,drop=0.3,corrupt=0.3,seed=2"),
+        ("process", "kill=8,fail=0.05,seed=2"),
         ("thread", "fail=0.15,seed=3"),
     ])
     def test_exactly_once_under_churn(self, fft_prototype, fft_input_pool,

@@ -249,7 +249,8 @@ class TestBackpressure:
         # Backpressure raised the detection threshold at least once.
         assert server.controller.degrade_events > 0
         peak_threshold = max(
-            max(s.system.tuner.history) for s in server.shards
+            r.detection.threshold
+            for s in server.shards for r in s.system.records
         )
         assert peak_threshold > baseline_threshold
         # And the degradation is visible through the metrics registry.
@@ -262,29 +263,101 @@ class TestBackpressure:
             server.submit_wait(fft_input_pool[:4], timeout=60.0)
         assert server.controller.level == 0
         assert all(
-            s.system.tuner.threshold == pytest.approx(baseline_threshold)
+            s.system.tuner.threshold == baseline_threshold
             for s in server.shards
         )
+        # The last batch ran at level 0: at the tuner's own threshold.
+        last = max(
+            (r for s in server.shards for r in s.system.records),
+            key=lambda r: r.stages[0][1],
+        )
+        assert last.level == 0
+        assert last.detection.threshold == baseline_threshold
         server.stop()
 
-    def test_controller_hysteresis_and_reset(self, fft_prototype):
+    def test_controller_hysteresis_and_reset(self, fft_prototype,
+                                             fft_input_pool):
         shard = fft_prototype.clone_shard()
         start = shard.tuner.threshold
+        x = fft_input_pool[:16]
         controller = BackpressureController(
-            [shard], high_watermark=4, low_watermark=1, factor=2.0,
-            max_level=2,
+            high_watermark=4, low_watermark=1, max_level=2,
         )
         assert controller.update(10) == +1
         assert controller.update(10) == +1
         assert controller.update(10) == 0  # capped at max_level
         assert controller.level == 2
-        assert shard.tuner.threshold == pytest.approx(start * 4.0)
+        record = shard.run_invocation(x, level=controller.level)
+        assert record.detection.threshold == pytest.approx(start * 2.25)
         assert controller.update(3) == 0   # between watermarks: hold
         assert controller.update(1) == -1
         controller.reset()
         assert controller.level == 0
-        assert shard.tuner.threshold == pytest.approx(start)
-        assert shard.tuner.degradation_level == 0
+        assert controller.relax_events == 2
+        record = shard.run_invocation(x, level=controller.level)
+        assert record.detection.threshold == start
+        assert shard.tuner.threshold == start
+
+
+class TestLeavingDegradation:
+    """ROADMAP item 10's TOQ contract under backpressure: while degraded
+    the threshold may exceed the budget, and once the controller is back
+    at level 0 a batch runs at the tuner's own threshold, bit for bit."""
+
+    WALKS = 200
+
+    @pytest.fixture(scope="class", params=[0.85, 0.99])
+    def toq_prototype(self, request):
+        from repro.core import RumbaConfig, prepare_system
+
+        return prepare_system("fft", config=RumbaConfig(
+            scheme="treeErrors", target_output_quality=request.param,
+        ))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_seeded_walks_end_on_the_tuner_threshold(
+        self, toq_prototype, fft_input_pool, backend
+    ):
+        from repro.core.tuner import DEGRADE_FACTOR
+
+        base = toq_prototype.tuner.threshold
+        registry = MetricsRegistry()
+        server = _server(
+            toq_prototype, registry=registry, n_workers=1, backend=backend,
+            batching=BatchingConfig(max_batch_requests=1,
+                                    flush_interval_s=0.0),
+        )
+        x = fft_input_pool[:8]
+        rng = np.random.default_rng(round(base * 1000))
+        with server:
+            controller = server.controller
+            gauge = registry.get("rumba_serve_worker_threshold").labels(
+                worker=server.shards[0].name, **server._labels
+            )
+
+            def run_batch():
+                """The level the batch ran at and the threshold it
+                reported (the gauge is set before the handle resolves)."""
+                server.submit_wait(x, timeout=60.0)
+                worker = server.stats()["workers"][0]
+                return worker["degradation_level"], gauge.value
+
+            for _ in range(self.WALKS):
+                for _ in range(rng.integers(2, 41)):
+                    controller.update(100 if rng.random() < 0.5 else 0)
+                    if rng.random() < 0.2:
+                        # A batch mid-walk runs at the level it is taken
+                        # at.  The previous batch's report may still relax
+                        # (never raise) the level after its handle resolved.
+                        taken = controller.level
+                        level, threshold = run_batch()
+                        assert level in (taken, taken - 1)
+                        assert threshold == pytest.approx(
+                            base * DEGRADE_FACTOR ** level
+                        )
+                while controller.level:
+                    controller.update(0)
+                assert run_batch() == (0, base)
 
 
 class TestRecordRetention:

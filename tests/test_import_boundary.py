@@ -82,6 +82,14 @@ def test_serve_node_loads_no_eval_dashboard_cluster_or_replay(tmp_path):
     assert _loaded(modules, NODE_FORBIDDEN) == []
 
 
+def test_apps_mosaic_imports_first():
+    """``apps.mosaic`` and the approximation package import each other:
+    importing the app first (``examples/mosaic_quality.py`` does) must
+    not meet either half-initialised."""
+    modules = _modules_after("import repro.apps.mosaic")
+    assert {"repro.apps.mosaic", "repro.approx.loop_perforation"} <= modules
+
+
 #: The public surface of the lazily re-exporting packages, as it was
 #: when they still imported their subsystems eagerly: defining module
 #: -> names.
@@ -97,6 +105,19 @@ SURFACE = {
         "repro.observability.metrics": "MetricsRegistry",
         "repro.errors": "ReproError ConfigurationError TrainingError "
                         "NotFittedError PurityError UnknownApplicationError",
+    },
+    "repro.approx": {
+        "repro.approx.alt_backends": "NoisyAnalogBackend "
+                                     "QuantizedKernelBackend",
+        "repro.approx.base": "ApproxBackend BackendBase CostProfile",
+        "repro.approx.ensemble": "ApproximatorEnsemble EnsembleMember "
+            "EnsembleSpec InvocationRouter build_ensemble",
+        "repro.approx.loop_perforation": "perforated_mean perforation_mask",
+        "repro.approx.memoization": "MemoizationQualityManager "
+                                    "MemoizingBackend",
+        "repro.approx.npu_backend": "NPUBackend train_npu_backend",
+        "repro.approx.perforation_backend": "PerforatedKernelBackend "
+            "PerforationOutcome PerforationQualityManager sample_statistics",
     },
     "repro.observability": {
         "repro.observability.metrics": "Counter Gauge Histogram "
