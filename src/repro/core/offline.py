@@ -6,13 +6,22 @@ fits the requested checker (second trainer), then wires everything into a
 ready :class:`~repro.core.runtime.RumbaSystem`.
 
 Because several benches and examples prepare the same (app, scheme, seed)
-combinations, a small in-process cache avoids retraining; pass
-``cache=False`` to force fresh training.
+combinations, a small in-process cache avoids retraining, and a
+content-addressed store on disk (:data:`STORE_DIR`) keeps each trained
+network across processes; pass ``cache=False`` to force fresh training.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
+import os
+import tempfile
+from pathlib import Path
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.apps.base import Application
 from repro.apps.registry import get_application
@@ -25,6 +34,8 @@ from repro.approx.npu_backend import NPUBackend, train_npu_backend
 from repro.core.config import RumbaConfig
 from repro.core.runtime import RumbaSystem
 from repro.errors import ConfigurationError
+from repro.nn.mlp import MLP
+from repro.nn.scaler import MinMaxScaler
 from repro.predictors.base import ErrorPredictor
 from repro.metrics.analysis import calibrate_threshold
 from repro.predictors.training import (
@@ -43,11 +54,125 @@ __all__ = [
 _BACKEND_CACHE: Dict[Tuple[str, bool, int], Tuple[NPUBackend, PredictorTrainingData]] = {}
 _ENSEMBLE_CACHE: Dict[Tuple[str, EnsembleSpec, int], ApproximatorEnsemble] = {}
 
+_PACKAGE = Path(__file__).resolve().parents[1]
+#: The trained-network store: one ``.npz`` per (app, topology, seed,
+#: training-source digest), at the repository root and gitignored.
+STORE_DIR = _PACKAGE.parents[1] / ".cache" / "npu"
+#: What training reads, relative to the package: a byte changed in any of
+#: them changes every store key.
+_TRAINING_SOURCES = ("nn/*.py", "apps/*.py", "approx/npu_backend.py",
+                     "core/offline.py")
+#: A stored scaler's arrays (:meth:`MinMaxScaler.state`), as members
+#: ``in_<part>`` and ``out_<part>``.
+_SCALER_PARTS = ("min", "span", "constant")
+
 
 def clear_cache() -> None:
-    """Drop all cached trained backends/ensembles (mainly for tests)."""
+    """Drop all cached trained backends/ensembles (mainly for tests).
+
+    Only this process's caches: the on-disk store is keyed by the source
+    it was trained from and stays (``rm -rf .cache/npu`` empties it).
+    """
     _BACKEND_CACHE.clear()
     _ENSEMBLE_CACHE.clear()
+
+
+def _cacheable(app: Application) -> bool:
+    """Only a registry-built app is fully named by its name: any other
+    (hand-built, ``dataclasses.replace``d) trains for itself."""
+    return getattr(app, "_registry_backed", False)
+
+
+def _source_digest(package: Path = _PACKAGE) -> Optional[str]:
+    """sha256 over numpy's version and the training sources under
+    ``package``; ``None`` (no store) when any of them cannot be read."""
+    digest = hashlib.sha256(np.__version__.encode())
+    try:
+        for pattern in _TRAINING_SOURCES:
+            paths = sorted(package.glob(pattern))
+            if not paths:
+                return None
+            for path in paths:
+                digest.update(path.relative_to(package).as_posix().encode()
+                              + b"\0" + path.read_bytes())
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+#: Computed once per process: the sources do not change under it.
+_store_digest = functools.lru_cache(maxsize=1)(_source_digest)
+
+
+def _store_path(app: Application, use_rumba_topology: bool,
+                seed: int) -> Optional[Path]:
+    digest = _store_digest()
+    if digest is None:
+        return None
+    topology = "rumba" if use_rumba_topology else "npu"
+    return STORE_DIR / f"{app.name}-{topology}-seed{seed}-{digest}.npz"
+
+
+def _store_load(app: Application, use_rumba_topology: bool,
+                seed: int) -> Optional[NPUBackend]:
+    """The stored backend, or ``None`` on a miss: no file, a read error, or
+    an array of the wrong dtype or shape or with a non-finite value."""
+    path = _store_path(app, use_rumba_topology, seed)
+    if path is None:
+        return None
+    topology = app.rumba_topology if use_rumba_topology else app.npu_topology
+    expected = {"params": (np.float64, (topology.n_weights,))}
+    for side, width in (("in", topology.n_inputs), ("out", topology.n_outputs)):
+        for part, dtype in zip(_SCALER_PARTS, (np.float64, np.float64, np.bool_)):
+            expected[f"{side}_{part}"] = (dtype, (width,))
+    try:
+        with np.load(path, allow_pickle=False) as stored:
+            arrays = {name: stored[name] for name in expected}
+    except Exception:  # a damaged file raises any of six types: all a miss
+        return None
+    for name, (dtype, shape) in expected.items():
+        array = arrays[name]
+        if array.dtype != dtype or array.shape != shape or (
+                dtype is np.float64 and not np.isfinite(array).all()):
+            return None
+    network = MLP(topology)
+    network.set_flat_params(arrays["params"])
+    scalers = [MinMaxScaler.from_state(
+        *(arrays[f"{side}_{part}"] for part in _SCALER_PARTS))
+        for side in ("in", "out")]
+    return NPUBackend(
+        network=network, input_scaler=scalers[0], output_scaler=scalers[1],
+        input_columns=app.rumba_input_columns if use_rumba_topology else None,
+    )
+
+
+def _store_save(backend: NPUBackend, app: Application,
+                use_rumba_topology: bool, seed: int) -> None:
+    """Write the backend's arrays; a store that cannot be written is skipped.
+
+    The file is written under a temporary name in the store itself and
+    renamed into place, so processes storing one key at once cannot tear it.
+    """
+    path = _store_path(app, use_rumba_topology, seed)
+    if path is None:
+        return
+    arrays = {"params": backend.network.get_flat_params()}
+    for side, scaler in (("in", backend.input_scaler),
+                         ("out", backend.output_scaler)):
+        for part, array in zip(_SCALER_PARTS, scaler.state()):
+            arrays[f"{side}_{part}"] = array
+    temp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=path.name, suffix=".tmp",
+                                    dir=path.parent)
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(temp, path)
+    except OSError:
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 def prepare_backend(
@@ -56,13 +181,24 @@ def prepare_backend(
     seed: int = 0,
     cache: bool = True,
 ) -> Tuple[NPUBackend, PredictorTrainingData]:
-    """Train (or fetch cached) accelerator backend + checker training data."""
+    """Train (or fetch cached) accelerator backend + checker training data.
+
+    With ``cache``, a registry-built app's backend comes from this
+    process's cache, else from the store, else from training, which then
+    fills both; the checker data is collected afresh on each of the latter
+    two.  ``cache=False`` or any other app trains, touching neither.
+    """
+    cache = cache and _cacheable(app)
     key = (app.name, use_rumba_topology, seed)
     if cache and key in _BACKEND_CACHE:
         return _BACKEND_CACHE[key]
-    backend, _ = train_npu_backend(
-        app, use_rumba_topology=use_rumba_topology, seed=seed
-    )
+    backend = _store_load(app, use_rumba_topology, seed) if cache else None
+    if backend is None:
+        backend, _ = train_npu_backend(
+            app, use_rumba_topology=use_rumba_topology, seed=seed
+        )
+        if cache:
+            _store_save(backend, app, use_rumba_topology, seed)
     data = collect_training_data(app, backend, seed=seed + 1)
     if cache:
         _BACKEND_CACHE[key] = (backend, data)
@@ -84,6 +220,7 @@ def prepare_ensemble(
     :meth:`~repro.approx.ensemble.ApproximatorEnsemble.clone_shard`.
     """
     spec = spec or EnsembleSpec()
+    cache = cache and _cacheable(app)
     key = (app.name, spec, seed)
     if cache and key in _ENSEMBLE_CACHE:
         return _ENSEMBLE_CACHE[key]

@@ -55,6 +55,21 @@ class MinMaxScaler:
         self._constant = span == 0.0
         return self
 
+    def state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fitted ``(data_min, data_span, constant)`` column arrays."""
+        if not self.is_fitted:
+            raise NotFittedError("MinMaxScaler.state called before fit")
+        return self._data_min, self._data_span, self._constant
+
+    @classmethod
+    def from_state(cls, data_min: np.ndarray, data_span: np.ndarray,
+                   constant: np.ndarray) -> "MinMaxScaler":
+        """A default-range scaler fitted to :meth:`state`'s arrays."""
+        scaler = cls()
+        scaler._data_min, scaler._data_span = data_min, data_span
+        scaler._constant = constant
+        return scaler
+
     def transform(self, x: np.ndarray) -> np.ndarray:
         if not self.is_fitted:
             raise NotFittedError("MinMaxScaler.transform called before fit")

@@ -139,21 +139,30 @@ def test_every_source_is_a_section():
 
 
 @pytest.mark.slow
-def test_live_collection_reproduces_the_snapshot(snapshot, monkeypatch):
+def test_live_collection_reproduces_the_snapshot(snapshot, monkeypatch,
+                                                 tmp_path):
     """Training is bit-reproducible, so a fresh seed-0 collection (every
-    app trained once per topology, nothing more) equals the snapshot."""
+    app trained once per topology, nothing more, into an empty store)
+    equals the snapshot, and each network the store then gives back is
+    the one trained."""
+    from repro.apps.registry import get_application
     from repro.core import offline
     from repro.eval import schemes
+    from tests.core.test_offline import assert_same_backend
 
     trained = []
+    backends = {}
     train = offline.train_npu_backend
 
     def counting(app, use_rumba_topology, seed):
         trained.append((app.name, use_rumba_topology))
-        return train(app, use_rumba_topology=use_rumba_topology, seed=seed)
+        result = train(app, use_rumba_topology=use_rumba_topology, seed=seed)
+        backends[app.name, use_rumba_topology] = result[0]
+        return result
 
     monkeypatch.setattr(offline, "train_npu_backend", counting)
     monkeypatch.setattr(offline, "_BACKEND_CACHE", {})
+    monkeypatch.setattr(offline, "STORE_DIR", tmp_path / "npu")
     monkeypatch.setattr(schemes, "_EVAL_CACHE", {})
     data = json.loads(json.dumps(collect(APPLICATION_NAMES, seed=0),
                                  allow_nan=False))
@@ -161,3 +170,6 @@ def test_live_collection_reproduces_the_snapshot(snapshot, monkeypatch):
         (app, rumba) for app in APPLICATION_NAMES for rumba in (True, False))
     _assert_close(data, snapshot)
     assert _failing(data) == []
+    for (name, rumba), backend in backends.items():
+        app = get_application(name)
+        assert_same_backend(backend, offline._store_load(app, rumba, 0), app)

@@ -47,7 +47,8 @@ class TestEvaluateBenchmark:
         b = evaluate_benchmark("fft", seed=0, n_test_cap=4000)
         assert a is b
 
-    def test_backends_come_from_the_serving_cache(self, monkeypatch):
+    def test_backends_come_from_the_serving_cache(self, monkeypatch,
+                                                  tmp_path):
         """A process that serves and evaluates one app trains it once per
         topology: ``evaluate_benchmark`` takes both backends (and the
         checker training data) from ``prepare_backend``'s cache, where
@@ -66,6 +67,7 @@ class TestEvaluateBenchmark:
                          seed=seed)
 
         monkeypatch.setattr(offline, "train_npu_backend", counting)
+        monkeypatch.setattr(offline, "STORE_DIR", tmp_path / "npu")
         system = offline.prepare_system("fft", seed=seed)
         ev = evaluate_benchmark("fft", seed=seed, n_test_cap=2000)
         assert trained == [True, False]  # two trainings, not three
