@@ -6,9 +6,10 @@ fits the requested checker (second trainer), then wires everything into a
 ready :class:`~repro.core.runtime.RumbaSystem`.
 
 Because several benches and examples prepare the same (app, scheme, seed)
-combinations, a small in-process cache avoids retraining, and a
-content-addressed store on disk (:data:`STORE_DIR`) keeps each trained
-network across processes; pass ``cache=False`` to force fresh training.
+combinations, small in-process caches avoid retraining, and a
+content-addressed store on disk (:data:`STORE_DIR`) keeps what both
+trainers produce across processes: each trained network and each fitted
+linear or tree checker.  Pass ``cache=False`` to force fresh training.
 """
 
 from __future__ import annotations
@@ -41,39 +42,51 @@ from repro.metrics.analysis import calibrate_threshold
 from repro.predictors.training import (
     PredictorTrainingData,
     collect_training_data,
+    make_predictor,
     train_predictor,
 )
 
 __all__ = [
     "prepare_system",
     "prepare_backend",
+    "prepare_checker",
+    "checker_data",
     "prepare_ensemble",
     "clear_cache",
 ]
 
-_BACKEND_CACHE: Dict[Tuple[str, bool, int], Tuple[NPUBackend, PredictorTrainingData]] = {}
+_BACKEND_CACHE: Dict[Tuple[str, bool, int], NPUBackend] = {}
+_DATA_CACHE: Dict[Tuple[str, int], PredictorTrainingData] = {}
 _ENSEMBLE_CACHE: Dict[Tuple[str, EnsembleSpec, int], ApproximatorEnsemble] = {}
 
 _PACKAGE = Path(__file__).resolve().parents[1]
-#: The trained-network store: one ``.npz`` per (app, topology, seed,
-#: training-source digest), at the repository root and gitignored.
+#: The store of both trainers: one ``.npz`` per (app, topology, seed,
+#: training-source digest) for a network and per (app, scheme, seed,
+#: checker-source digest) for a checker, at the repository root and
+#: gitignored.
 STORE_DIR = _PACKAGE.parents[1] / ".cache" / "npu"
 #: What training reads, relative to the package: a byte changed in any of
 #: them changes every store key.
 _TRAINING_SOURCES = ("nn/*.py", "apps/*.py", "approx/npu_backend.py",
                      "core/offline.py")
+#: What a checker is fit from: its network's sources and the fitters, so
+#: editing a checker refits checkers without retraining networks.
+_CHECKER_SOURCES = _TRAINING_SOURCES + ("predictors/*.py",)
+#: The schemes whose fitted checker is stored (the others fit nothing).
+_STORED_SCHEMES = ("linearErrors", "treeErrors")
 #: A stored scaler's arrays (:meth:`MinMaxScaler.state`), as members
 #: ``in_<part>`` and ``out_<part>``.
 _SCALER_PARTS = ("min", "span", "constant")
 
 
 def clear_cache() -> None:
-    """Drop all cached trained backends/ensembles (mainly for tests).
+    """Drop all cached backends, checker data and ensembles (mainly for tests).
 
     Only this process's caches: the on-disk store is keyed by the source
     it was trained from and stays (``rm -rf .cache/npu`` empties it).
     """
     _BACKEND_CACHE.clear()
+    _DATA_CACHE.clear()
     _ENSEMBLE_CACHE.clear()
 
 
@@ -83,12 +96,13 @@ def _cacheable(app: Application) -> bool:
     return getattr(app, "_registry_backed", False)
 
 
-def _source_digest(package: Path = _PACKAGE) -> Optional[str]:
-    """sha256 over numpy's version and the training sources under
-    ``package``; ``None`` (no store) when any of them cannot be read."""
+def _source_digest(package: Path = _PACKAGE,
+                   sources: Tuple[str, ...] = _TRAINING_SOURCES) -> Optional[str]:
+    """sha256 over numpy's version and the ``sources`` under ``package``;
+    ``None`` (no store) when any of them cannot be read."""
     digest = hashlib.sha256(np.__version__.encode())
     try:
-        for pattern in _TRAINING_SOURCES:
+        for pattern in sources:
             paths = sorted(package.glob(pattern))
             if not paths:
                 return None
@@ -100,24 +114,32 @@ def _source_digest(package: Path = _PACKAGE) -> Optional[str]:
     return digest.hexdigest()
 
 
-#: Computed once per process: the sources do not change under it.
-_store_digest = functools.lru_cache(maxsize=1)(_source_digest)
+#: Computed once per process and source set: the sources do not change
+#: under it.
+_store_digest = functools.lru_cache(maxsize=2)(_source_digest)
 
 
-def _store_path(app: Application, use_rumba_topology: bool,
-                seed: int) -> Optional[Path]:
-    digest = _store_digest()
-    if digest is None:
-        return None
+def _store_path(stem: str,
+                sources: Tuple[str, ...] = _TRAINING_SOURCES) -> Optional[Path]:
+    digest = _store_digest(_PACKAGE, sources)
+    return None if digest is None else STORE_DIR / f"{stem}-{digest}.npz"
+
+
+def _network_path(app: Application, use_rumba_topology: bool,
+                  seed: int) -> Optional[Path]:
     topology = "rumba" if use_rumba_topology else "npu"
-    return STORE_DIR / f"{app.name}-{topology}-seed{seed}-{digest}.npz"
+    return _store_path(f"{app.name}-{topology}-seed{seed}")
+
+
+def _checker_path(app: Application, scheme: str, seed: int) -> Optional[Path]:
+    return _store_path(f"{app.name}-{scheme}-seed{seed}", _CHECKER_SOURCES)
 
 
 def _store_load(app: Application, use_rumba_topology: bool,
                 seed: int) -> Optional[NPUBackend]:
     """The stored backend, or ``None`` on a miss: no file, a read error, or
     an array of the wrong dtype or shape or with a non-finite value."""
-    path = _store_path(app, use_rumba_topology, seed)
+    path = _network_path(app, use_rumba_topology, seed)
     if path is None:
         return None
     topology = app.rumba_topology if use_rumba_topology else app.npu_topology
@@ -146,21 +168,23 @@ def _store_load(app: Application, use_rumba_topology: bool,
     )
 
 
-def _store_save(backend: NPUBackend, app: Application,
-                use_rumba_topology: bool, seed: int) -> None:
-    """Write the backend's arrays; a store that cannot be written is skipped.
-
-    The file is written under a temporary name in the store itself and
-    renamed into place, so processes storing one key at once cannot tear it.
-    """
-    path = _store_path(app, use_rumba_topology, seed)
-    if path is None:
-        return
+def _network_arrays(backend: NPUBackend) -> Dict[str, np.ndarray]:
     arrays = {"params": backend.network.get_flat_params()}
     for side, scaler in (("in", backend.input_scaler),
                          ("out", backend.output_scaler)):
         for part, array in zip(_SCALER_PARTS, scaler.state()):
             arrays[f"{side}_{part}"] = array
+    return arrays
+
+
+def _store_save(path: Optional[Path], arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path``; a store that cannot be written is skipped.
+
+    The file is written under a temporary name in the store itself and
+    renamed into place, so processes storing one key at once cannot tear it.
+    """
+    if path is None:
+        return
     temp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -180,13 +204,12 @@ def prepare_backend(
     use_rumba_topology: bool = True,
     seed: int = 0,
     cache: bool = True,
-) -> Tuple[NPUBackend, PredictorTrainingData]:
-    """Train (or fetch cached) accelerator backend + checker training data.
+) -> NPUBackend:
+    """Train (or fetch cached) the accelerator backend.
 
     With ``cache``, a registry-built app's backend comes from this
     process's cache, else from the store, else from training, which then
-    fills both; the checker data is collected afresh on each of the latter
-    two.  ``cache=False`` or any other app trains, touching neither.
+    fills both.  ``cache=False`` or any other app trains, touching neither.
     """
     cache = cache and _cacheable(app)
     key = (app.name, use_rumba_topology, seed)
@@ -198,11 +221,69 @@ def prepare_backend(
             app, use_rumba_topology=use_rumba_topology, seed=seed
         )
         if cache:
-            _store_save(backend, app, use_rumba_topology, seed)
+            _store_save(_network_path(app, use_rumba_topology, seed),
+                        _network_arrays(backend))
+    if cache:
+        _BACKEND_CACHE[key] = backend
+    return backend
+
+
+def checker_data(app: Application, backend: NPUBackend, seed: int = 0,
+                 cache: bool = True) -> PredictorTrainingData:
+    """The second trainer's material: ``backend``'s errors on held-out
+    training rows.  ``backend`` is ``prepare_backend(app, seed=seed,
+    cache=cache)``'s; with ``cache`` a registry-built app's data is
+    collected once per process."""
+    cache = cache and _cacheable(app)
+    key = (app.name, seed)
+    if cache and key in _DATA_CACHE:
+        return _DATA_CACHE[key]
     data = collect_training_data(app, backend, seed=seed + 1)
     if cache:
-        _BACKEND_CACHE[key] = (backend, data)
-    return backend, data
+        _DATA_CACHE[key] = data
+    return data
+
+
+def _checker_load(app: Application, scheme: str,
+                  seed: int) -> Optional[ErrorPredictor]:
+    """The stored checker, or ``None`` on a miss: no file, a read error, or
+    arrays its ``load_state`` rejects (a wrong dtype or shape, a
+    non-finite number, a feature outside the network's inputs, a tree
+    that is malformed or deeper than its ``max_depth``)."""
+    path = _checker_path(app, scheme, seed)
+    if path is None:
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as stored:
+            return make_predictor(scheme, seed=seed).load_state(
+                app.rumba_topology.n_inputs, **stored)
+    except Exception:  # a damaged file raises any of six types: all a miss
+        return None
+
+
+def prepare_checker(app: Application, backend: NPUBackend,
+                    scheme: str = "treeErrors", seed: int = 0,
+                    cache: bool = True) -> ErrorPredictor:
+    """The ready checker of ``scheme`` for (app, seed), fit on ``backend``
+    (``prepare_backend(app, seed=seed, cache=cache)``'s).
+
+    With ``cache``, a registry-built app's linear or tree checker comes
+    from the store, else it is fit on :func:`checker_data` and stored.  A
+    scheme that fits nothing needs no data, and ``cache=False`` or any
+    other app fits afresh, touching neither the store nor the data cache.
+    """
+    cache = cache and _cacheable(app)
+    stored = cache and scheme in _STORED_SCHEMES
+    predictor = _checker_load(app, scheme, seed) if stored else None
+    if predictor is not None:
+        return predictor
+    predictor = make_predictor(scheme, seed=seed)
+    if predictor.needs_fit:
+        data = checker_data(app, backend, seed=seed, cache=cache)
+        predictor = train_predictor(scheme, data, seed=seed)
+        if stored:
+            _store_save(_checker_path(app, scheme, seed), predictor.state())
+    return predictor
 
 
 def prepare_ensemble(
@@ -224,7 +305,7 @@ def prepare_ensemble(
     key = (app.name, spec, seed)
     if cache and key in _ENSEMBLE_CACHE:
         return _ENSEMBLE_CACHE[key]
-    reference, _ = prepare_backend(app, seed=seed, cache=cache)
+    reference = prepare_backend(app, seed=seed, cache=cache)
     ensemble = build_ensemble(app, spec, seed=seed, reference=reference)
     if cache:
         _ENSEMBLE_CACHE[key] = ensemble
@@ -267,7 +348,8 @@ def prepare_system(
         raise ConfigurationError(
             f"scheme {scheme!r} disagrees with config.scheme {config.scheme!r}"
         )
-    backend, data = prepare_backend(app, seed=seed, cache=cache)
+    backend = network = prepare_backend(app, seed=seed, cache=cache)
+    predictor = prepare_checker(app, network, scheme, seed=seed, cache=cache)
     prototype_ensemble = None
     if ensemble is not None:
         # Hand each system a shard clone so the cached prototype's
@@ -276,13 +358,13 @@ def prepare_system(
             app, ensemble, seed=seed, cache=cache
         ).clone_shard()
         backend = prototype_ensemble.reference
-    predictor: ErrorPredictor = train_predictor(scheme, data, seed=seed)
     system = RumbaSystem(app=app, backend=backend, predictor=predictor,
                          config=config, ensemble=prototype_ensemble)
     if config.mode.value == "toq" and scheme in ("EMA", "Random", "Uniform"):
         # These schemes score in arbitrary units, not predicted error;
         # calibrate the TOQ threshold on the training data so the quality
         # budget maps onto their score scale.
+        data = checker_data(app, network, seed=seed, cache=cache)
         scores = predictor.scores(
             features=data.features,
             approx_outputs=data.approx_outputs,

@@ -33,7 +33,7 @@ from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
 from repro.approx.perforation_backend import PerforationQualityManager
 from repro.apps.mosaic import perforation_error_survey
 from repro.core.config import RumbaConfig, TunerMode
-from repro.core.offline import prepare_backend, prepare_system
+from repro.core.offline import checker_data, prepare_system
 from repro.core.pipeline import max_keepup_fix_fraction
 from repro.core.placement import evaluate_placement
 from repro.core.sampling_monitor import QualitySamplingMonitor
@@ -249,7 +249,7 @@ def _tuner_modes(seed: int) -> Data:
 
 def _tree_depth(ev: BenchmarkEvaluation, seed: int, target_error: float) -> Data:
     """treeErrors refit at each depth on the same training material."""
-    _, training = prepare_backend(ev.app, seed=seed)
+    training = checker_data(ev.app, ev.backend, seed=seed)
     result: Data = {}
     for depth in (1, 2, 3, 5, 7, 9):
         tree = DecisionTreeErrorPredictor(max_depth=depth).fit(

@@ -5,8 +5,9 @@
 unchecked-NPU topology), runs them over the Table 1 test set, fits every
 detection scheme, and scores all test elements under each scheme.  The
 result object is what the per-figure experiments consume; an in-process
-cache keeps it for the process, and the trained backends come from (and
-stay in) :func:`repro.core.offline.prepare_backend`'s cache, shared with
+cache keeps it for the process, and the trained backends and checkers come
+from (and stay in) :func:`repro.core.offline.prepare_backend`'s and
+:func:`~repro.core.offline.prepare_checker`'s caches and store, shared with
 ``prepare_system``.
 """
 
@@ -20,9 +21,9 @@ import numpy as np
 from repro.apps.base import Application
 from repro.apps.registry import get_application
 from repro.approx.npu_backend import NPUBackend
-from repro.core.offline import prepare_backend
+from repro.core.offline import prepare_backend, prepare_checker
 from repro.predictors.base import ErrorPredictor
-from repro.predictors.training import SCHEME_NAMES, train_predictor
+from repro.predictors.training import SCHEME_NAMES
 
 __all__ = ["BenchmarkEvaluation", "evaluate_benchmark", "clear_evaluation_cache"]
 
@@ -74,9 +75,10 @@ def evaluate_benchmark(
         return _EVAL_CACHE[key]
 
     app = get_application(name)
-    # The trained backends are the serving stack's too: one cache.
-    backend, data = prepare_backend(app, True, seed=seed, cache=cache)
-    npu_backend, _ = prepare_backend(app, False, seed=seed, cache=cache)
+    # The trained backends and checkers are the serving stack's too: one
+    # cache, one store.
+    backend = prepare_backend(app, True, seed=seed, cache=cache)
+    npu_backend = prepare_backend(app, False, seed=seed, cache=cache)
 
     rng = np.random.default_rng(seed + 2)
     test_inputs = np.atleast_2d(np.asarray(app.test_inputs(rng), dtype=float))
@@ -95,7 +97,8 @@ def evaluate_benchmark(
     scores: Dict[str, np.ndarray] = {}
     features = backend.features(test_inputs)
     for scheme in SCHEME_NAMES:
-        predictor = train_predictor(scheme, data, seed=seed)
+        predictor = prepare_checker(app, backend, scheme, seed=seed,
+                                    cache=cache)
         predictors[scheme] = predictor
         scores[scheme] = np.asarray(
             predictor.scores(

@@ -19,7 +19,7 @@ second trainer box in Fig. 4 needs for a linear model.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -80,6 +80,24 @@ class LinearErrorPredictor(ErrorPredictor):
         """Weights then the constant — the Fig. 7(a) buffer contents."""
         self._require_fitted()
         return [float(w) for w in self.weights] + [self.bias]
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """The Fig. 7(a) buffer as arrays: ``weights`` and the ``constant``."""
+        self._require_fitted()
+        return {"weights": self.weights, "constant": np.float64(self.bias)}
+
+    def load_state(self, n_features: int, weights: np.ndarray,
+                   constant: np.ndarray) -> "LinearErrorPredictor":
+        """Fit to :meth:`state`'s arrays, for rows of ``n_features``
+        columns; a wrong dtype or shape or a non-finite number raises
+        ConfigurationError."""
+        if not (weights.dtype == constant.dtype == np.float64
+                and weights.shape == (n_features,) and constant.shape == ()
+                and np.isfinite(weights).all() and np.isfinite(constant)):
+            raise ConfigurationError("not the arrays of a linear checker's state")
+        self.weights, self.bias = weights, float(constant)
+        self._fitted = True
+        return self
 
 
 class LinearValuePredictor(ErrorPredictor):

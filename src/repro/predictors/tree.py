@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -381,3 +381,58 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
                 stack.append(node.right)
                 stack.append(node.left)
         return out
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """The fitted tree as pre-order ``feature`` / ``threshold`` /
+        ``value`` arrays: :meth:`coefficients`' walk, with feature -1
+        marking a leaf.  :meth:`load_state` reads them back."""
+        self._require_fitted()
+        nodes, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
+            nodes.append((-1 if node.is_leaf else node.feature,
+                          node.threshold, node.value))
+            if not node.is_leaf:
+                stack += (node.right, node.left)
+        feature, threshold, value = zip(*nodes)
+        return {"feature": np.array(feature, dtype=np.int64),
+                "threshold": np.array(threshold, dtype=np.float64),
+                "value": np.array(value, dtype=np.float64)}
+
+    def load_state(self, n_features: int, feature: np.ndarray,
+                   threshold: np.ndarray, value: np.ndarray
+                   ) -> "DecisionTreeErrorPredictor":
+        """Fit to :meth:`state`'s arrays, for rows of ``n_features`` columns.
+
+        Anything but one well-formed pre-order tree no deeper than
+        ``max_depth`` raises ConfigurationError: a wrong dtype or length,
+        a non-finite number, a feature outside the columns, a node missing
+        or left over.
+        """
+        if not (feature.dtype == np.int64 and feature.ndim == 1
+                and threshold.dtype == value.dtype == np.float64
+                and threshold.shape == value.shape == feature.shape
+                and np.isfinite(threshold).all() and np.isfinite(value).all()):
+            raise ConfigurationError("not the arrays of a tree's state")
+        codes, thresholds, values = feature.tolist(), threshold.tolist(), value.tolist()
+
+        def grow(at: int, depth: int) -> Tuple[TreeNode, int]:
+            if at == len(codes):
+                raise ConfigurationError("the pre-order tree is missing a node")
+            if codes[at] == -1:
+                return TreeNode(threshold=thresholds[at], value=values[at]), at + 1
+            if not 0 <= codes[at] < n_features or depth == self.max_depth:
+                raise ConfigurationError(
+                    f"node {at}: feature {codes[at]} of {n_features} at depth "
+                    f"{depth} (max_depth {self.max_depth})")
+            left, after = grow(at + 1, depth + 1)
+            right, after = grow(after, depth + 1)
+            return TreeNode(codes[at], thresholds[at], left, right, values[at]), after
+
+        root, end = grow(0, 0)
+        if end != len(codes):
+            raise ConfigurationError("the pre-order tree has a node left over")
+        self.root, self._n_features = root, n_features
+        self._flat = self._scratch = None
+        self._fitted = True
+        return self

@@ -64,7 +64,7 @@ class TestRunInvocation:
         from repro.apps import get_application
 
         app = get_application("fft")
-        backend, _ = prepare_backend(app, seed=0)
+        backend = prepare_backend(app, seed=0)
         with pytest.raises(ConfigurationError):
             RumbaSystem(
                 app,

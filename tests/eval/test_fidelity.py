@@ -162,6 +162,7 @@ def test_live_collection_reproduces_the_snapshot(snapshot, monkeypatch,
 
     monkeypatch.setattr(offline, "train_npu_backend", counting)
     monkeypatch.setattr(offline, "_BACKEND_CACHE", {})
+    monkeypatch.setattr(offline, "_DATA_CACHE", {})
     monkeypatch.setattr(offline, "STORE_DIR", tmp_path / "npu")
     monkeypatch.setattr(schemes, "_EVAL_CACHE", {})
     data = json.loads(json.dumps(collect(APPLICATION_NAMES, seed=0),

@@ -50,10 +50,11 @@ class TestEvaluateBenchmark:
     def test_backends_come_from_the_serving_cache(self, monkeypatch,
                                                   tmp_path):
         """A process that serves and evaluates one app trains it once per
-        topology: ``evaluate_benchmark`` takes both backends (and the
-        checker training data) from ``prepare_backend``'s cache, where
-        ``prepare_system`` left the Rumba-topology one — and they are
-        what it used to train for itself, weight for weight."""
+        topology: ``evaluate_benchmark`` takes both backends from
+        ``prepare_backend``'s cache (and the checker data from
+        ``checker_data``'s), where ``prepare_system`` left the
+        Rumba-topology one — and they are what it used to train for
+        itself, weight for weight."""
         from repro.apps import get_application
         from repro.core import offline
 
@@ -79,3 +80,34 @@ class TestEvaluateBenchmark:
                 backend.network.get_flat_params(),
                 fresh.network.get_flat_params(),
             )
+
+    def test_a_warm_store_collects_no_checker_data(self, monkeypatch,
+                                                   tmp_path):
+        """On an empty store one collection serves both fitted schemes
+        (the unchecked network's data is never collected); warm, the
+        checkers are read back and nothing is collected."""
+        from repro.core import offline
+        from repro.eval import schemes
+
+        calls = []
+        collect = offline.collect_training_data
+
+        def counting(app, backend, seed=1):
+            calls.append((app.name, backend.topology))
+            return collect(app, backend, seed=seed)
+
+        monkeypatch.setattr(offline, "collect_training_data", counting)
+        monkeypatch.setattr(offline, "STORE_DIR", tmp_path / "npu")
+        monkeypatch.setattr(offline, "_BACKEND_CACHE", {})
+        monkeypatch.setattr(offline, "_DATA_CACHE", {})
+        monkeypatch.setattr(schemes, "_EVAL_CACHE", {})
+        cold = evaluate_benchmark("sobel")
+        sobel = cold.app
+        assert calls == [("sobel", sobel.rumba_topology)]
+        offline.clear_cache()
+        schemes.clear_evaluation_cache()
+        warm = evaluate_benchmark("sobel")
+        assert calls == [("sobel", sobel.rumba_topology)]
+        for scheme in SCHEME_NAMES:
+            assert cold.scores[scheme].tobytes() == \
+                warm.scores[scheme].tobytes()

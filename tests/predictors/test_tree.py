@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from repro.apps import APPLICATION_NAMES
 from repro.apps.registry import get_application
 from repro.core import prepare_system
-from repro.core.offline import prepare_backend
+from repro.core.offline import checker_data, prepare_backend
 from repro.errors import ConfigurationError, NotFittedError
-from repro.predictors.training import train_predictor
+from repro.predictors.training import collect_training_data, train_predictor
 from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
 from tests.predictors.reference_tree import (
     predictor_for,
@@ -330,9 +330,12 @@ class TestFitMatchesPerNodeSort:
     @pytest.mark.parametrize("rumba", [True, False], ids=["rumba", "npu"])
     @pytest.mark.parametrize("name", APPLICATION_NAMES)
     def test_trained_applications(self, name, rumba):
-        _, data = prepare_backend(
-            get_application(name), use_rumba_topology=rumba, seed=0
-        )
+        app = get_application(name)
+        backend = prepare_backend(app, use_rumba_topology=rumba, seed=0)
+        # The Rumba network's data is the checkers' (cached per process);
+        # the unchecked network's is collected the same way.
+        data = (checker_data(app, backend, seed=0) if rumba
+                else collect_training_data(app, backend, seed=1))
         tree = train_predictor("treeErrors", data, seed=0)
         assert tree.depth == 7
         _assert_same_tree(tree, reference_fit(data.features, data.errors))
