@@ -1,11 +1,12 @@
-"""Approximation backends behind the unified :class:`ApproxBackend` API.
+"""Approximation techniques and the serving ensemble built from them.
 
-Every technique — the NN-based NPU kernel replacement, fuzzy memoization,
-loop perforation (row-wise and the mosaic image variant), and the
-alternative accelerator substrates — speaks the same protocol
-(:mod:`repro.approx.base`), so the detection/recovery machinery, the
-serving tier, and the :mod:`repro.approx.ensemble` router treat them
-interchangeably.
+The runtime and the :mod:`repro.approx.ensemble` router run two backends:
+the NN-based NPU kernel replacement (:mod:`repro.approx.npu_backend`) and
+frozen fuzzy memoization (:mod:`repro.approx.memoization`), which share
+only :class:`~repro.approx.base.CostProfile`.  Loop perforation (the
+mosaic case study's reductions and their quality manager) lives beside
+them; the Sec. 4 substrates are built by the fidelity row that uses them
+(:mod:`repro.eval.fidelity`).
 """
 
 from repro._lazy import lazy_exports
@@ -15,10 +16,6 @@ from repro._lazy import lazy_exports
 # package would import ``perforation_backend``, which imports
 # ``apps.mosaic`` back before it has finished initialising.
 _EXPORTS = {
-    "NoisyAnalogBackend": "alt_backends",
-    "QuantizedKernelBackend": "alt_backends",
-    "ApproxBackend": "base",
-    "BackendBase": "base",
     "CostProfile": "base",
     "ApproximatorEnsemble": "ensemble",
     "EnsembleMember": "ensemble",
@@ -31,7 +28,6 @@ _EXPORTS = {
     "MemoizingBackend": "memoization",
     "NPUBackend": "npu_backend",
     "train_npu_backend": "npu_backend",
-    "PerforatedKernelBackend": "perforation_backend",
     "PerforationOutcome": "perforation_backend",
     "PerforationQualityManager": "perforation_backend",
     "sample_statistics": "perforation_backend",
@@ -39,8 +35,6 @@ _EXPORTS = {
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
-    "ApproxBackend",
-    "BackendBase",
     "CostProfile",
     "ApproximatorEnsemble",
     "EnsembleMember",
@@ -51,12 +45,9 @@ __all__ = [
     "train_npu_backend",
     "perforation_mask",
     "perforated_mean",
-    "PerforatedKernelBackend",
     "PerforationQualityManager",
     "PerforationOutcome",
     "sample_statistics",
-    "QuantizedKernelBackend",
-    "NoisyAnalogBackend",
     "MemoizingBackend",
     "MemoizationQualityManager",
 ]

@@ -4,8 +4,9 @@ One approximator per app wastes the structure of real workloads: most
 rows are easy (a tiny network or a memo hit is good enough) and a few
 are hard (only the full-size network meets the error budget).
 Following the invocation-driven multi-approximator idea
-(arXiv:1810.08379), this module adds the ensemble tier on top of the
-unified :class:`~repro.approx.base.ApproxBackend` API:
+(arXiv:1810.08379), this module adds the ensemble tier over two kinds of
+member, :class:`~repro.approx.npu_backend.NPUBackend` and frozen
+:class:`~repro.approx.memoization.MemoizingBackend`:
 
 :class:`ApproximatorEnsemble`
     N ranked backends (rank 0 = highest quality, the *reference*
@@ -34,12 +35,12 @@ on the row features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.apps.base import Application
-from repro.approx.base import ApproxBackend, CostProfile
+from repro.approx.base import CostProfile
 from repro.approx.memoization import MemoizingBackend
 from repro.approx.npu_backend import NPUBackend, train_npu_backend
 from repro.errors import ConfigurationError
@@ -60,6 +61,8 @@ __all__ = [
 DEGRADE_BIAS = 2.0
 #: The member tokens an :class:`EnsembleSpec` accepts.
 MEMBER_TOKENS = ("mlp:large", "mlp:small", "memo")
+#: What an ensemble member computes with.
+MemberBackend = Union[NPUBackend, MemoizingBackend]
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class EnsembleMember:
     """One ranked backend plus its router-side error model and cost."""
 
     name: str
-    backend: ApproxBackend
+    backend: MemberBackend
     error_predictor: ErrorPredictor
     cost: CostProfile
 
@@ -199,12 +202,6 @@ class ApproximatorEnsemble:
         names = [m.name for m in members]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate member names: {names}")
-        for member in members:
-            if not isinstance(member.backend, ApproxBackend):
-                raise ConfigurationError(
-                    f"member {member.name!r} does not implement the "
-                    "ApproxBackend protocol"
-                )
         self.app = app
         self.members = list(members)
         self.router = router
@@ -246,6 +243,22 @@ class ApproximatorEnsemble:
         self.degradation_level = level
         return self.router.route(features, threshold, level)
 
+    def member_ids(self, choices: np.ndarray) -> np.ndarray:
+        """Per-row member choices as int8 indices.
+
+        Raises :class:`ConfigurationError` when any id is outside
+        ``[0, n_members)``, before the int8 cast could wrap it into range:
+        forced choices arrive from callers and journals.
+        """
+        ids = np.asarray(choices).ravel()
+        n_members = len(self.members)
+        outside = (ids < 0) | (ids >= n_members)
+        if outside.any():
+            raise ConfigurationError(
+                f"member id {ids[outside][0]} is outside [0, {n_members})"
+            )
+        return ids.astype(np.int8, copy=False)
+
     def forward_routed(
         self,
         inputs: np.ndarray,
@@ -257,10 +270,12 @@ class ApproximatorEnsemble:
         Rows are grouped into per-member sub-batches; a homogeneous
         batch takes the fused ``forward_batch(out=)`` path with zero
         gather copies, preserving the zero-copy hot path for the common
-        case where the router sends a whole batch one way.
+        case where the router sends a whole batch one way.  A choice
+        outside ``[0, n_members)`` raises :class:`ConfigurationError`
+        before any row is computed.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        choices = np.asarray(choices).ravel()
+        choices = self.member_ids(choices)
         n = inputs.shape[0]
         if choices.shape[0] != n:
             raise ConfigurationError("one routing choice per row required")
@@ -428,7 +443,7 @@ def _build_member_backend(
     app: Application,
     seed: int,
     reference: Optional[NPUBackend],
-) -> Tuple[str, ApproxBackend]:
+) -> Tuple[str, MemberBackend]:
     """Instantiate one member backend from its spec token."""
     if token == "mlp:large":
         backend = (
@@ -473,7 +488,7 @@ def build_ensemble(
 
         cost_model = CostModel(app)
 
-    backends: List[Tuple[str, ApproxBackend]] = [
+    backends: List[Tuple[str, MemberBackend]] = [
         _build_member_backend(token, app, seed, reference)
         for token in spec.member_tokens()
     ]

@@ -23,14 +23,14 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import Application
-from repro.approx.base import BackendBase, CostProfile
+from repro.approx.base import CostProfile
 from repro.errors import ConfigurationError, NotFittedError
 from repro.predictors.tree import DecisionTreeErrorPredictor
 
 __all__ = ["MemoizingBackend", "MemoizationQualityManager"]
 
 
-class MemoizingBackend(BackendBase):
+class MemoizingBackend:
     """Fuzzy memoization of a pure kernel.
 
     Inputs are normalized against calibrated ranges and quantized to
@@ -50,9 +50,6 @@ class MemoizingBackend(BackendBase):
     serving ensemble) warm the table offline and freeze it; the unfrozen
     default keeps the original adaptive behaviour.
     """
-
-    name = "memo"
-    quality_class = 1
 
     def __init__(self, app: Application, key_bits: int = 4,
                  calibration_seed: int = 0, n_calibration: int = 1000):
@@ -128,31 +125,26 @@ class MemoizingBackend(BackendBase):
         return self
 
     # ------------------------------------------------------------------ #
-    # ApproxBackend contract                                             #
+    # Ensemble member surface                                            #
     # ------------------------------------------------------------------ #
-    def cost_profile(self, cost_model: Optional[object] = None) -> CostProfile:
-        """Hit-rate-weighted cost: table lookups are nearly free, misses
-        pay the exact kernel (plus lookup overhead).
+    def forward_batch(
+        self, x: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``__call__``, copied into ``out`` when one is given."""
+        result = self(x)
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
-        Uses the observed hit rate when the table has traffic (a warmed
-        ensemble member), otherwise a neutral 50% assumption.
+    def cost_profile(self, cost_model) -> CostProfile:
+        """Hit-rate-weighted cost from the observed traffic: table
+        lookups are nearly free, misses pay the exact kernel (plus lookup
+        overhead).  ``cost_model`` is unused; the NPU member needs it.
         """
-        hit = self.hit_rate if (self.hits + self.misses) else 0.5
+        hit = self.hit_rate
         rel = hit * 0.05 + (1.0 - hit) * 1.05
         return CostProfile(relative_latency=rel, relative_energy=rel)
-
-    def reset_state(self) -> None:
-        """Drop runtime state accumulated by earlier calls.
-
-        Counters and the last-distances trace always reset; the table
-        empties only when unfrozen (a frozen table is a trained artifact,
-        like the NPU weights, and survives sharding).
-        """
-        if not self.frozen:
-            self._table.clear()
-        self.hits = 0
-        self.misses = 0
-        self.last_distances = None
 
     def clone_shard(self) -> "MemoizingBackend":
         """A shard-private backend: fresh counters, independent table.

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import Application
-from repro.approx.base import BackendBase, CostProfile
+from repro.approx.base import CostProfile
 from repro.errors import ConfigurationError
 from repro.nn.mlp import MLP, Topology, add_bias
 from repro.nn.scaler import MinMaxScaler
@@ -29,13 +29,11 @@ __all__ = ["NPUBackend", "train_npu_backend"]
 
 
 @dataclass
-class NPUBackend(BackendBase):
+class NPUBackend:
     """An approximate kernel realized by a trained network.
 
-    Speaks the full :class:`~repro.approx.base.ApproxBackend` contract:
-    the trained weights are immutable at run time, so shards share the
-    instance by reference (:meth:`clone_shard` returns ``self``) and
-    :meth:`reset_state` only drops the per-thread scratch buffers.
+    The trained weights are immutable at run time, so shards share the
+    instance by reference (:meth:`clone_shard` returns ``self``).
 
     Attributes
     ----------
@@ -62,9 +60,6 @@ class NPUBackend(BackendBase):
     _scratch: Optional[threading.local] = field(
         default=None, repr=False, compare=False
     )
-
-    name = "npu-mlp"
-    quality_class = 0
 
     def __getstate__(self) -> dict:
         # threading.local cannot cross pickle/deepcopy boundaries; the
@@ -164,18 +159,14 @@ class NPUBackend(BackendBase):
         return self.forward_batch(inputs)
 
     def forward_batch(
-        self,
-        x: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        scratch: Optional[object] = None,
+        self, x: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Fused batch evaluation writing the final layer into ``out``.
 
-        This is the genuinely fused :class:`~repro.approx.base.ApproxBackend`
-        entry point: the hidden layers run in the per-thread scratch
-        buffers and the output layer lands directly in the caller's
-        array, so routing a sub-batch through this backend costs zero
-        interior allocations beyond the (cached) scratch.
+        The hidden layers run in the per-thread scratch buffers and the
+        output layer lands directly in the caller's array, so routing a
+        sub-batch through this backend costs zero interior allocations
+        beyond the (cached) scratch.
         """
         try:
             weights, biases = self.fused()
@@ -208,28 +199,20 @@ class NPUBackend(BackendBase):
         return self.output_scaler.inverse_transform(raw_out)
 
     # ------------------------------------------------------------------ #
-    # ApproxBackend contract                                             #
+    # Ensemble member surface                                            #
     # ------------------------------------------------------------------ #
-    def cost_profile(self, cost_model: Optional[object] = None) -> CostProfile:
-        """NPU invocation cost, relative to the exact CPU kernel.
-
-        With a :class:`~repro.core.costs.CostModel` the figures come from
-        the hardware models (per-invocation NPU cycles/energy versus one
-        exact CPU iteration); without one, from nominal NPU-class ratios.
+    def cost_profile(self, cost_model) -> CostProfile:
+        """NPU invocation cost, relative to the exact CPU kernel, from
+        the :class:`~repro.core.costs.CostModel`'s hardware models
+        (per-invocation NPU cycles/energy versus one exact CPU iteration).
         """
-        if cost_model is not None:
-            cycles = cost_model.npu.invocation_cycles(self.topology)
-            energy = cost_model.npu.invocation_energy_pj(self.topology)
-            return CostProfile(
-                relative_latency=cycles / cost_model.cpu_iteration_cycles(),
-                relative_energy=energy / cost_model.cpu_iteration_energy_pj(),
-                invocation_cycles=cycles,
-            )
-        return CostProfile(relative_latency=0.3, relative_energy=0.3)
-
-    def reset_state(self) -> None:
-        """Drop per-thread scratch buffers (the weights are immutable)."""
-        object.__setattr__(self, "_scratch", None)
+        cycles = cost_model.npu.invocation_cycles(self.topology)
+        energy = cost_model.npu.invocation_energy_pj(self.topology)
+        return CostProfile(
+            relative_latency=cycles / cost_model.cpu_iteration_cycles(),
+            relative_energy=energy / cost_model.cpu_iteration_energy_pj(),
+            invocation_cycles=cycles,
+        )
 
     def clone_shard(self) -> "NPUBackend":
         """Trained weights are immutable at run time: share by reference."""

@@ -24,14 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.apps.mosaic import average_brightness
-from repro.approx.base import BackendBase, CostProfile
 from repro.approx.loop_perforation import perforation_mask
 from repro.errors import ConfigurationError, NotFittedError
 from repro.predictors.tree import DecisionTreeErrorPredictor
 
 __all__ = [
     "sample_statistics",
-    "PerforatedKernelBackend",
     "PerforationOutcome",
     "PerforationQualityManager",
 ]
@@ -99,56 +97,6 @@ class PerforationOutcome:
         values = self.final_values if values is None else values
         denom = np.maximum(np.abs(self.exact_values), 1e-9)
         return np.abs(values - self.exact_values) / denom
-
-
-class PerforatedKernelBackend(BackendBase):
-    """Row-wise loop perforation of a Table 1 kernel.
-
-    The classic perforation transform applied at iteration granularity:
-    only every ``keep_every``-th row of an invocation runs the exact
-    kernel; each skipped row reuses the output of the nearest computed
-    row (value reuse, the standard perforation substitution).  Cost
-    falls by roughly the keep fraction; error grows with how fast the
-    output varies between neighbouring rows.
-
-    Deterministic — a pure function of the invocation's row block — so
-    it is safe for deterministic-replay serving ensembles, and stateless,
-    so the :class:`~repro.approx.base.BackendBase` sharding defaults
-    apply.  This is the row-kernel sibling of the image-stream
-    :class:`PerforationQualityManager` below.
-    """
-
-    name = "perforate"
-    quality_class = 2
-
-    def __init__(self, app, keep_every: int = 2):
-        if keep_every < 1:
-            raise ConfigurationError("keep_every must be >= 1")
-        self.app = app
-        self.keep_every = keep_every
-
-    def features(self, inputs: np.ndarray) -> np.ndarray:
-        """The checker sees the raw kernel inputs."""
-        return np.atleast_2d(np.asarray(inputs, dtype=float))
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        n = inputs.shape[0]
-        kept = np.arange(0, n, self.keep_every)
-        computed = np.atleast_2d(
-            np.asarray(self.app.exact(inputs[kept]), dtype=float)
-        )
-        # Each row reuses the nearest computed row's output.
-        nearest = np.round(
-            np.arange(n) / float(self.keep_every)
-        ).astype(int)
-        np.clip(nearest, 0, kept.size - 1, out=nearest)
-        return computed[nearest]
-
-    def cost_profile(self, cost_model: Optional[object] = None) -> CostProfile:
-        """Perforation cost is the keep fraction plus reuse glue."""
-        rel = 1.0 / self.keep_every + 0.02
-        return CostProfile(relative_latency=rel, relative_energy=rel)
 
 
 class PerforationQualityManager:

@@ -305,10 +305,12 @@ class RumbaSystem:
         router picks a member per row, and the routed members compute the
         batch.  ``forced_choices`` (per-row member indices) bypasses the
         router — this is how ``repro replay`` reproduces a journaled run
-        bit-for-bit.  Forcing is needed although the router is fit once:
-        replay does not reproduce the capture-time degradation level
-        (which widens the routing budget), and journals recorded before
-        the router became read-only were routed by one that learned.
+        bit-for-bit; an index outside ``[0, n_members)`` raises
+        :class:`ConfigurationError`.  Forcing is needed although the
+        router is fit once: replay does not reproduce the capture-time
+        degradation level (which widens the routing budget), and journals
+        recorded before the router became read-only were routed by one
+        that learned.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         n = inputs.shape[0]
@@ -328,9 +330,7 @@ class RumbaSystem:
             choices = None
             if self.ensemble is not None:
                 if forced_choices is not None:
-                    choices = np.asarray(
-                        forced_choices, dtype=np.int8
-                    ).ravel()
+                    choices = self.ensemble.member_ids(forced_choices)
                     if choices.shape[0] != n:
                         raise ConfigurationError(
                             "forced_choices needs one entry per row"
@@ -488,11 +488,10 @@ class RumbaSystem:
         is rebuilt from scratch and seeded with the current thresholds.
         This is how the serving layer stamps out one shard per worker from
         a single prepared prototype.  Ensemble systems clone the ensemble
-        too: each member backend decides via its own
-        ``ApproxBackend.clone_shard`` hook whether to share (immutable
-        weights, frozen memo tables) or copy (mutable runtime state), and
-        the shard gets its own router over the shared, read-only fitted
-        error predictors.
+        too: the NPU members share their immutable weights, a memo member
+        shares its frozen table with fresh counters (each backend's
+        ``clone_shard``), and the shard gets its own router over the
+        shared, read-only fitted error predictors.
         """
         shard_ensemble = (
             self.ensemble.clone_shard() if self.ensemble is not None else None

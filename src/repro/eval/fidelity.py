@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.apps.datasets import flower_image, natural_image
 from repro.apps.registry import APPLICATION_NAMES, get_application
-from repro.approx.alt_backends import NoisyAnalogBackend, QuantizedKernelBackend
 from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
 from repro.approx.perforation_backend import PerforationQualityManager
 from repro.apps.mosaic import perforation_error_survey
@@ -291,6 +290,57 @@ def _placement(ev: BenchmarkEvaluation) -> Data:
             "config1_saving_pj": np.subtract(energy[2], energy[1]).tolist()}
 
 
+Substrate = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
+
+
+def _calibrated_ranges(app) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column input and output ranges of 1,000 training rows drawn
+    with seed 0: the rails both Sec. 4 substrates are calibrated to."""
+    rng = np.random.default_rng(0)
+    sample = np.atleast_2d(np.asarray(app.train_inputs(rng), dtype=float))
+    if sample.shape[0] > 1000:
+        sample = sample[rng.choice(sample.shape[0], 1000, replace=False)]
+    outputs = app.exact(sample)
+    return sample.min(axis=0), sample.max(axis=0), outputs.min(axis=0), outputs.max(axis=0)
+
+
+def _quantized_datapath(app, bits: int = 5) -> Substrate:
+    """A reduced-precision datapath ([41]-style): the exact kernel between
+    inputs and outputs quantized to ``bits`` bits across the calibrated
+    ranges.  Its errors are deterministic, input-dependent rounding; the
+    checker sees the quantized inputs, as the datapath does."""
+    in_lo, in_hi, out_lo, out_hi = _calibrated_ranges(app)
+    levels = (1 << bits) - 1
+
+    def quantize(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        span = np.where(hi - lo == 0.0, 1.0, hi - lo)
+        unit = np.clip((values - lo) / span, 0.0, 1.0)
+        return lo + np.round(unit * levels) / levels * span
+
+    def features(inputs: np.ndarray) -> np.ndarray:
+        return quantize(np.atleast_2d(np.asarray(inputs, dtype=float)), in_lo, in_hi)
+
+    return features, lambda inputs: quantize(app.exact(features(inputs)), out_lo, out_hi)
+
+
+def _analog_datapath(app, noise_fraction: float = 0.04) -> Substrate:
+    """A limited-precision analog datapath ([4]-style): the exact value plus
+    Gaussian noise that grows with the signal (``noise_fraction`` of the
+    output range at the low rail), saturated at the calibrated output
+    rails.  One ``default_rng(1)`` stream feeds every call in order."""
+    _, _, lo, hi = _calibrated_ranges(app)
+    span = np.where(hi - lo == 0.0, 1.0, hi - lo)
+    rng = np.random.default_rng(1)
+
+    def approximate(inputs: np.ndarray) -> np.ndarray:
+        exact = app.exact(inputs)
+        magnitude = np.abs(exact - lo) / span + 0.25
+        noise = rng.normal(0.0, 1.0, size=exact.shape)
+        return np.clip(exact + noise * magnitude * noise_fraction * span, lo, hi)
+
+    return (lambda inputs: np.atleast_2d(np.asarray(inputs, dtype=float))), approximate
+
+
 def _alt_accelerators(ev: BenchmarkEvaluation, seed: int) -> Data:
     """Sec. 4: the detection recipe on two non-NPU substrates, 30 % fixed."""
     schemes = ("Ideal", "Random", "EMA", "treeErrors")
@@ -298,19 +348,19 @@ def _alt_accelerators(ev: BenchmarkEvaluation, seed: int) -> Data:
     result: Data = {"npu": {"unchecked": ev.unchecked_error, **{
         s: float(error_vs_fixed_curve(ev.scores[s], ev.errors, [0.3])[0])
         for s in schemes}}}
-    for label, backend in (("quantized_5bit", QuantizedKernelBackend(app, bits=5)),
-                           ("analog_4pct", NoisyAnalogBackend(app, noise_fraction=0.04))):
+    for label, (features, approximate) in (("quantized_5bit", _quantized_datapath(app)),
+                                           ("analog_4pct", _analog_datapath(app))):
         rng = 9 + seed
         train = app.train_inputs(np.random.default_rng(rng))[:2000]
         tree = DecisionTreeErrorPredictor().fit(
-            backend.features(train), app.element_errors(backend(train), app.exact(train)))
+            features(train), app.element_errors(approximate(train), app.exact(train)))
         test = app.test_inputs(np.random.default_rng(rng + 1))[:4000]
-        approx = backend(test)
+        approx = approximate(test)
         errors = app.element_errors(approx, app.exact(test))
         scores = {"Ideal": errors,
                   "Random": np.random.default_rng(rng + 2).random(errors.size),
                   "EMA": EMAPredictor().scores(approx_outputs=approx),
-                  "treeErrors": tree.scores(features=backend.features(test))}
+                  "treeErrors": tree.scores(features=features(test))}
         result[label] = {"unchecked": float(errors.mean()), **{
             s: float(error_vs_fixed_curve(scores[s], errors, [0.0, 0.3])[1])
             for s in schemes}}

@@ -536,8 +536,9 @@ class RumbaServer:
         ``default_deadline_s``.  ``trace`` lets a fronting edge (the TCP
         server) hand in a :class:`RequestTrace` it already started; when
         None, the server's sampling policy decides.  ``backend_ids``
-        (one ensemble-member index per row) forces the router's choices
-        — the replay harness passes the journaled decisions here.
+        (one ensemble-member index per row, each in ``[0, n_members)``)
+        forces the router's choices — the replay harness passes the
+        journaled decisions here.
         """
         if self._state != "running":
             raise ServingError(
@@ -546,7 +547,12 @@ class RumbaServer:
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError("deadline_s must be > 0")
         if backend_ids is not None:
-            backend_ids = np.asarray(backend_ids, dtype=np.int8).ravel()
+            ensemble = self._prototype.ensemble
+            if ensemble is None:
+                raise ConfigurationError(
+                    "backend_ids requires an ensemble server"
+                )
+            backend_ids = ensemble.member_ids(backend_ids)
         arr = np.asarray(inputs, dtype=float)
         pooled = not (arr is inputs or arr.base is inputs)
         arr = np.atleast_2d(arr)

@@ -1,15 +1,14 @@
 """Unit tests for the multi-approximator ensemble tier.
 
 Router policy is tested against stub error predictors (canned scores)
-so each decision rule is pinned exactly;
-construction, sharding and cost blending run against real backends; and
+so each decision rule is pinned exactly; construction, sharding and cost
+blending run against the trained NPU reference plus stub backends; and
 one end-to-end group exercises the trained default-spec fft ensemble.
 """
 
 import numpy as np
 import pytest
 
-from repro.approx.alt_backends import QuantizedKernelBackend
 from repro.approx.base import CostProfile
 from repro.approx.ensemble import (
     ApproximatorEnsemble,
@@ -18,7 +17,6 @@ from repro.approx.ensemble import (
     InvocationRouter,
 )
 from repro.approx.memoization import MemoizingBackend
-from repro.approx.perforation_backend import PerforatedKernelBackend
 from repro.errors import ConfigurationError
 
 
@@ -40,16 +38,39 @@ class StubPredictor:
         return np.full(features.shape[0], float(self.value))
 
 
+class StubBackend:
+    """Duck-typed member backend: every output column is the row's input
+    sum times ``scale``, so each member's rows are told apart exactly."""
+
+    def __init__(self, n_outputs, scale):
+        self.n_outputs = n_outputs
+        self.scale = scale
+
+    def features(self, inputs):
+        return np.atleast_2d(np.asarray(inputs, dtype=float))
+
+    def __call__(self, inputs):
+        rows = self.features(inputs).sum(axis=1, keepdims=True)
+        return np.repeat(rows * self.scale, self.n_outputs, axis=1)
+
+    def forward_batch(self, x, out=None):
+        if out is None:
+            return self(x)
+        out[...] = self(x)
+        return out
+
+    def clone_shard(self):
+        return self
+
+
 def make_members(fft_app, fft_backend, cheap=0.0, mid=0.0):
     """Reference + an expensive member (cost 0.6) + a cheap one (0.1)."""
     return [
         EnsembleMember("mlp-large", fft_backend, StubPredictor(0.0),
                        CostProfile(0.3, 0.3)),
-        EnsembleMember("quantize",
-                       QuantizedKernelBackend(fft_app, bits=8),
+        EnsembleMember("quantize", StubBackend(fft_app.n_outputs, 2.0),
                        StubPredictor(mid), CostProfile(0.6, 0.6)),
-        EnsembleMember("perforate",
-                       PerforatedKernelBackend(fft_app, keep_every=2),
+        EnsembleMember("perforate", StubBackend(fft_app.n_outputs, 3.0),
                        StubPredictor(cheap), CostProfile(0.1, 0.1)),
     ]
 
@@ -202,6 +223,21 @@ class TestApproximatorEnsemble:
         ens = self._ensemble(fft_app, fft_backend)
         with pytest.raises(ConfigurationError, match="one routing choice"):
             ens.forward_routed(probe, np.zeros(probe.shape[0] - 1))
+
+    @pytest.mark.parametrize("bad", [5, -1, np.int64(256)],
+                             ids=["5", "-1", "int64-256"])
+    def test_member_ids_outside_range_rejected(self, fft_app, fft_backend,
+                                               probe, bad):
+        """An id outside ``[0, n_members)`` is refused before any row is
+        computed, in a mixed batch and a homogeneous one alike: it must
+        neither leave rows unwritten, index from the end, nor wrap."""
+        ens = self._ensemble(fft_app, fft_backend)
+        mixed = np.zeros(probe.shape[0], dtype=np.int64)
+        mixed[1] = bad
+        for choices in (mixed, np.full(probe.shape[0], bad)):
+            with pytest.raises(ConfigurationError, match="outside"):
+                ens.forward_routed(probe, choices)
+        assert ens.rows_routed.sum() == 0
 
     def test_observe_detection_accumulates_fires(self, fft_app,
                                                  fft_backend):

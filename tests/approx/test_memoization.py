@@ -62,14 +62,6 @@ class TestMemoizingBackend:
         assert results[3][0] > results[6][0]   # more reuse
         assert results[3][1] > results[6][1]   # more error
 
-    def test_clear(self, ik2j_app):
-        backend = MemoizingBackend(ik2j_app, key_bits=4)
-        rng = np.random.default_rng(5)
-        backend(ik2j_app.test_inputs(rng)[:50])
-        backend.reset_state()
-        assert backend.hits == 0 and backend.misses == 0
-        assert backend.hit_rate == 0.0
-
     def test_key_bits_validated(self, ik2j_app):
         with pytest.raises(ConfigurationError):
             MemoizingBackend(ik2j_app, key_bits=0)

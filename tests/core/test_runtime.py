@@ -401,6 +401,18 @@ class TestEnsembleRuntime:
                 fft_inputs[:10], forced_choices=np.zeros(4, dtype=np.int8)
             )
 
+    @pytest.mark.parametrize("bad", [5, -1, np.int64(256)],
+                             ids=["5", "-1", "int64-256"])
+    def test_forced_choices_outside_members_rejected(self, ens_system,
+                                                     fft_inputs, bad):
+        shard = ens_system.clone_shard()
+        forced = np.zeros(10, dtype=np.int64)
+        forced[3] = bad
+        with pytest.raises(ConfigurationError, match="outside"):
+            shard.run_invocation(fft_inputs[:10], forced_choices=forced)
+        assert shard.total_invocations == 0
+        assert shard.ensemble.rows_routed.sum() == 0
+
     def test_detection_fires_accumulate_per_member(self, ens_system,
                                                    fft_inputs):
         shard = ens_system.clone_shard()

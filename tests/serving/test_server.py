@@ -126,6 +126,32 @@ class TestLifecycle:
             with pytest.raises(ConfigurationError):
                 server.submit(np.empty((0, 1)))
 
+    def test_forced_backend_ids_checked_at_submit(self, fft_prototype,
+                                                  fft_input_pool):
+        """A forced member id outside ``[0, n_members)`` is refused at
+        admission: ``5`` and ``-1`` name no member, and an int64 ``256``
+        must not wrap into member 0 on its way to int8."""
+        from repro.approx.ensemble import EnsembleSpec
+        from repro.core.offline import prepare_system
+        from repro.errors import ConfigurationError
+
+        rows = fft_input_pool[:4]
+        with _server(fft_prototype) as server:
+            with pytest.raises(ConfigurationError, match="ensemble"):
+                server.submit(rows, backend_ids=np.zeros(4, dtype=np.int8))
+        ensemble = prepare_system("fft", scheme="treeErrors", seed=0,
+                                  ensemble=EnsembleSpec())
+        with _server(ensemble) as server:
+            for bad in (5, -1, np.int64(256)):
+                ids = np.zeros(4, dtype=np.int64)
+                ids[2] = bad
+                with pytest.raises(ConfigurationError, match="outside"):
+                    server.submit(rows, backend_ids=ids)
+            forced = server.submit(rows, backend_ids=[0, 1, 2, 0])
+            result = forced.result(timeout=30.0)
+        assert result.outputs.shape == (4, 2)
+        assert server.stats()["inflight_requests"] == 0
+
 
 class TestOneExecutionModel:
     """A thread worker runs an invocation whole, as a worker process

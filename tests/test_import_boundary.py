@@ -107,16 +107,14 @@ SURFACE = {
                         "NotFittedError PurityError UnknownApplicationError",
     },
     "repro.approx": {
-        "repro.approx.alt_backends": "NoisyAnalogBackend "
-                                     "QuantizedKernelBackend",
-        "repro.approx.base": "ApproxBackend BackendBase CostProfile",
+        "repro.approx.base": "CostProfile",
         "repro.approx.ensemble": "ApproximatorEnsemble EnsembleMember "
             "EnsembleSpec InvocationRouter build_ensemble",
         "repro.approx.loop_perforation": "perforated_mean perforation_mask",
         "repro.approx.memoization": "MemoizationQualityManager "
                                     "MemoizingBackend",
         "repro.approx.npu_backend": "NPUBackend train_npu_backend",
-        "repro.approx.perforation_backend": "PerforatedKernelBackend "
+        "repro.approx.perforation_backend":
             "PerforationOutcome PerforationQualityManager sample_statistics",
     },
     "repro.observability": {
