@@ -49,10 +49,11 @@ Commands
     accounting check mirroring ``serve --selftest``.  ``--trace``
     force-samples every request and prints the trace ids the server
     echoed back, ready for ``python -m repro trace <id>``.
-``replay JOURNAL [--backend thread|process] [--strict]``
+``replay JOURNAL [--backend thread|process] [--out FILE] [--json]``
     Deterministically re-run a request journal captured with
-    ``serve --journal`` (``docs/replay.md``) against a fresh server and
-    diff outputs, decision bits, and quality metrics bit-for-bit.
+    ``serve --journal`` (``docs/replay.md``) against a fresh server,
+    each batch at its recorded backpressure level, and diff outputs,
+    decision bits, and quality metrics bit-for-bit.
     Exits non-zero on any divergence — the reproducibility check that
     turns a chaos-run journal into a regression test.
 ``trace --log FILE [ID] [--tail N]``
@@ -562,11 +563,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     report = replay_journal(
         args.journal,
         backend=args.backend or None,
-        n_workers=args.workers,
-        strict=args.strict,
         journal_out=args.out or None,
-        deadline_s=args.deadline_s,
-        keep_replay_journal=args.keep_replay_journal,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -830,20 +827,10 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("", "thread", "process"),
                         help="replay against this backend (default: the "
                              "backend recorded in the journal)")
-    replay.add_argument("--workers", type=int, default=1,
-                        help="worker count for the replay server")
-    replay.add_argument("--strict", action="store_true",
-                        help="also diff records flagged degraded at "
-                             "capture time (backpressure-raised "
-                             "thresholds are not deterministic)")
-    replay.add_argument("--deadline-s", type=float, default=30.0,
-                        help="per-request deadline during the replay")
     replay.add_argument("--out", default="",
-                        help="write the replay's own journal here "
-                             "(default: <journal>.replay)")
-    replay.add_argument("--keep-replay-journal", action="store_true",
-                        help="keep the replay-side journal instead of "
-                             "deleting it after the diff")
+                        help="write the replay's own journal here and keep "
+                             "it (default: <journal>.replay, deleted after "
+                             "the diff)")
     replay.add_argument("--json", action="store_true",
                         help="print the divergence report as JSON")
 

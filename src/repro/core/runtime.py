@@ -307,10 +307,8 @@ class RumbaSystem:
         router — this is how ``repro replay`` reproduces a journaled run
         bit-for-bit; an index outside ``[0, n_members)`` raises
         :class:`ConfigurationError`.  Forcing is needed although the
-        router is fit once: replay does not reproduce the capture-time
-        degradation level (which widens the routing budget), and journals
-        recorded before the router became read-only were routed by one
-        that learned.
+        router is fit once: journals recorded before the router became
+        read-only were routed by one that learned online.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         n = inputs.shape[0]

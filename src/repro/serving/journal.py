@@ -23,9 +23,10 @@ Record kinds (first body byte):
     server config.  Written when the server starts and again at the head
     of every rotated generation.
 ``REQUEST``
-    One terminal completion: a JSON header (ids, batch coordinates,
-    status, quality metrics) followed by the raw float64 input block,
-    the raw float64 output block, and the packed decision bits.
+    One terminal completion: a JSON header (ids, batch coordinates and
+    backpressure level, status, quality metrics) followed by the raw
+    float64 input block, the raw float64 output block, and the packed
+    decision bits.
 """
 
 from __future__ import annotations
@@ -171,10 +172,6 @@ class JournalRecord:
     @property
     def batch_rows(self) -> int:
         return int(self.header.get("batch_rows", 0))
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.header.get("degraded", False))
 
     @property
     def fix_fraction(self) -> float:

@@ -4,16 +4,16 @@
 fresh :class:`~repro.serving.server.RumbaServer` and diffs the two runs
 bit for bit.  The journal (see :mod:`repro.serving.journal`) recorded,
 per request, the batch it rode in — sequence number, total rows, row
-offset — plus the inputs, outputs, per-row decision bits, and quality
-metrics.  Replay reconstructs each recorded batch *exactly* (same rows,
-same order, one invocation per batch via ``max_batch_requests=1``),
-journals its own run, and compares record against record:
+offset, backpressure level — plus the inputs, outputs, per-row decision
+bits, and quality metrics.  Replay reconstructs each recorded batch
+*exactly* (same rows, same order, one invocation per batch via
+``max_batch_requests=1``, forced to the recorded level), journals its
+own run, and compares record against record:
 
 * **outputs** — raw float64 blocks, byte equality;
 * **decision bits** — the checker's per-row recovery verdicts;
 * **backend ids** — on ensemble runs, the per-row member choices (the
-  recorded ones are *forced* through the replay router, because replay
-  does not reproduce the capture-time degradation level and journals
+  recorded ones are *forced* through the replay router, because journals
   recorded before the router became read-only were routed by one that
   learned online; a diff here means the journal was tampered with or
   the forcing path broke);
@@ -22,12 +22,11 @@ journals its own run, and compares record against record:
 
 Exact reproduction holds because the default tuner mode (TOQ) pins the
 detection threshold and the checker is a stateless per-row function of
-its inputs — given the same batch composition, every backend produces
-the same bits and the same recovered outputs.  The one exception is
-*backpressure degradation*: a degraded record was produced under a
-temporarily raised threshold that replay (without the same load) will
-not reproduce, so degraded records are skipped by default and only
-compared under ``strict``.
+its inputs — given the same batch composition and backpressure level,
+every backend produces the same bits and the same recovered outputs.  A
+record without a ``level`` (journals written before the level was
+recorded) replays at level 0, so such a journal's degraded batch
+diverges on ``threshold``.
 
 Divergence means one of the determinism claims broke — a kernel stopped
 being pure, a codec corrupted a block, a backend diverged from the other
@@ -48,6 +47,9 @@ from repro.framedlog import generations
 from repro.serving.journal import Journal, JournalRecord, read_journal
 
 __all__ = ["Divergence", "ReplayReport", "replay_journal"]
+
+#: Per-batch deadline of the replay server's submissions.
+_DEADLINE_S = 30.0
 
 
 @dataclass
@@ -75,7 +77,6 @@ class ReplayReport:
     error_records: int
     batches: int
     skipped_incomplete: int
-    skipped_degraded: int
     replayed: int
     compared: int
     divergences: List[Divergence] = field(default_factory=list)
@@ -94,7 +95,6 @@ class ReplayReport:
             "error_records": self.error_records,
             "batches": self.batches,
             "skipped_incomplete": self.skipped_incomplete,
-            "skipped_degraded": self.skipped_degraded,
             "replayed": self.replayed,
             "compared": self.compared,
             "ok": self.ok,
@@ -111,11 +111,6 @@ class ReplayReport:
             f"on backend={self.backend}",
             f"compared {self.compared} batches bit-for-bit: {verdict}",
         ]
-        if self.skipped_degraded:
-            lines.append(
-                f"skipped {self.skipped_degraded} degraded batches "
-                "(threshold not reproducible; rerun with --strict to force)"
-            )
         if self.skipped_incomplete:
             lines.append(
                 f"skipped {self.skipped_incomplete} incomplete batches "
@@ -269,11 +264,7 @@ def _remove_journal(path: str) -> None:
 def replay_journal(
     path: str,
     backend: Optional[str] = None,
-    n_workers: int = 1,
-    strict: bool = False,
     journal_out: Optional[str] = None,
-    deadline_s: float = 30.0,
-    keep_replay_journal: bool = False,
 ) -> ReplayReport:
     """Re-run a recorded journal and diff the two runs bit for bit.
 
@@ -283,13 +274,9 @@ def replay_journal(
         Replay backend; defaults to the one the journal's META records.
         Cross-backend replay (record on ``process``, replay on
         ``thread``, or vice versa) is the two-backends-identical check.
-    strict:
-        Also compare batches recorded under backpressure degradation
-        (their threshold is load-dependent and usually not reproducible).
     journal_out:
-        Where the replay server writes its own journal; defaults to
-        ``<path>.replay`` and is deleted afterwards unless
-        ``keep_replay_journal``.
+        Where the replay server writes its own journal, which is kept;
+        defaults to ``<path>.replay``, which is deleted afterwards.
     """
     # Imported here, not at module top: server pulls in the full serving
     # stack, and journal reading alone must stay import-light.
@@ -314,16 +301,16 @@ def replay_journal(
     error_records = sum(1 for r in recorded.records if not r.ok)
 
     replay_backend = str(backend or meta.get("backend", "thread"))
+    keep_journal_out = journal_out is not None
     journal_out = journal_out or (path + ".replay")
     _remove_journal(journal_out)
 
     # The META's flattened config round-trips the ensemble spec, so an
     # ensemble-enabled recording rebuilds the identical member set (same
     # seed ⇒ same trained members); the journaled per-row choices below
-    # then force the router, so neither the capture-time degradation
-    # level nor an older journal's online-learned routing matters.  Keys
-    # of retired ensemble options (older METAs carry them, at the values
-    # that are now constants) are skipped.
+    # then force the router, so an older journal's online-learned routing
+    # does not matter.  Keys of retired ensemble options (older METAs
+    # carry them, at the values that are now constants) are skipped.
     flat_config = meta.get("config") or {}
     ensemble_kwargs = {
         f.name: flat_config["ensemble_" + f.name]
@@ -335,7 +322,8 @@ def replay_journal(
         app=str(meta.get("app", "fft")),
         scheme=str(meta.get("scheme", "treeErrors")),
         backend=replay_backend,
-        n_workers=max(int(n_workers), 1),
+        # Replay submits and waits one batch at a time.
+        n_workers=1,
         seed=int(meta.get("seed", 0)),
         measure_quality=bool(meta.get("measure_quality", False)),
         # One recorded batch = one submission = one invocation: batching
@@ -363,8 +351,9 @@ def replay_journal(
             # Sequential submit-and-wait: request_id i corresponds to
             # order[i], and no two invocations can interleave state.
             server.submit(
-                inputs, deadline_s=deadline_s, backend_ids=forced
-            ).result(deadline_s)
+                inputs, deadline_s=_DEADLINE_S, backend_ids=forced,
+                level=members[0].header.get("level", 0),
+            ).result(_DEADLINE_S)
             replayed += 1
     finally:
         server.stop()
@@ -380,15 +369,10 @@ def replay_journal(
         error_records=error_records,
         batches=len(batches),
         skipped_incomplete=len(batches) - len(complete),
-        skipped_degraded=0,
         replayed=replayed,
         compared=0,
     )
     for index, seq in enumerate(order):
-        members = complete[seq]
-        if any(m.degraded for m in members) and not strict:
-            report.skipped_degraded += 1
-            continue
         new = by_request.get(index)
         if new is None or not new.ok:
             report.divergences.append(Divergence(
@@ -398,7 +382,7 @@ def replay_journal(
             ))
             continue
         report.compared += 1
-        report.divergences.extend(_diff_batch(seq, members, new))
-    if not keep_replay_journal:
+        report.divergences.extend(_diff_batch(seq, complete[seq], new))
+    if not keep_journal_out:
         _remove_journal(journal_out)
     return report

@@ -164,11 +164,13 @@ class ServeRequest:
     #: (exactly once) when the request reaches terminal completion.
     pooled: bool = False
     #: Forced per-row ensemble member indices (int8, one per input row).
-    #: Replay passes the journaled routing decisions here so an
-    #: ensemble-enabled run reproduces bit for bit: replay does not
-    #: reproduce the capture-time degradation level, and older journals
-    #: were routed by a router that learned online; None = route live.
+    #: Replay passes the journaled routing decisions here because
+    #: journals recorded before the router became read-only were routed
+    #: by one that learned online; None = route live.
     backend_ids: Optional[np.ndarray] = None
+    #: Forced backpressure level for the request's batch; replay passes
+    #: the journaled level here.  None = the controller's level.
+    level: Optional[int] = None
 
     @property
     def n_elements(self) -> int:

@@ -93,6 +93,15 @@ _SLOW_THRESHOLD_S = 0.1
 _MAX_EXEMPLARS = 8
 
 
+def _batch_level(requests: List[ServeRequest], live: int) -> int:
+    """``live``, or the level every request of the batch forces; mixed
+    forcing is refused, as ``_forced_choices`` refuses mixed members."""
+    level = requests[0].level
+    if any(r.level != level for r in requests):
+        raise ConfigurationError("a batch cannot mix forced levels")
+    return live if level is None else level
+
+
 @dataclass
 class WorkerShard:
     """The core's view of one worker: load counters, a drift watch and
@@ -528,6 +537,7 @@ class RumbaServer:
         deadline_s: Optional[float] = None,
         trace: Optional[object] = None,
         backend_ids: Optional[np.ndarray] = None,
+        level: Optional[int] = None,
     ) -> ServeHandle:
         """Admit one request; raises :class:`OverloadedError` when shed.
 
@@ -537,8 +547,10 @@ class RumbaServer:
         server) hand in a :class:`RequestTrace` it already started; when
         None, the server's sampling policy decides.  ``backend_ids``
         (one ensemble-member index per row, each in ``[0, n_members)``)
-        forces the router's choices — the replay harness passes the
-        journaled decisions here.
+        forces the router's choices and ``level`` (in ``[0,
+        controller.max_level]``) the backpressure level the request's
+        batch runs at — the replay harness passes the journaled values
+        here.
         """
         if self._state != "running":
             raise ServingError(
@@ -546,6 +558,11 @@ class RumbaServer:
             )
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError("deadline_s must be > 0")
+        if level is not None:
+            if level not in range(self.controller.max_level + 1):
+                raise ConfigurationError(f"level {level!r} is not in [0, "
+                                         f"{self.controller.max_level}]")
+            level = int(level)
         if backend_ids is not None:
             ensemble = self._prototype.ensemble
             if ensemble is None:
@@ -584,6 +601,7 @@ class RumbaServer:
             trace=trace,
             pooled=pooled,
             backend_ids=backend_ids,
+            level=level,
         )
         if trace is not None:
             trace.stamp(STAGE_ADMIT, at=request.submitted_at)
@@ -658,6 +676,7 @@ class RumbaServer:
             level=self.controller.level,
         )
         try:
+            batch.level = _batch_level(requests, batch.level)
             if self.chaos_monkey is not None:
                 self.chaos_monkey.maybe_fail(where=worker)
             dispatch(batch)
@@ -872,13 +891,13 @@ class RumbaServer:
         Each request gets ``(header fields, decision bits)``: the batch's
         sequence number, its row slice of the batch (offset + total rows
         — what replay needs to rebuild the exact batch composition), the
-        batch's threshold and measured error, its slice of the per-row
-        decision bits, and — on ensemble runs — its slice of the routed
-        member choices (``backend_ids``), which replay forces back
-        through the ensemble so neither the capture-time degradation
-        level nor an older journal's online-learned routing can diverge
-        the re-run.  Bits and choices arrive packed in the worker's
-        report (``include_bits``).
+        batch's backpressure level, threshold and measured error, its
+        slice of the per-row decision bits, and — on ensemble runs — its
+        slice of the routed member choices (``backend_ids``).  Replay
+        forces the level and the choices back; the choices only matter
+        for journals recorded before the router became read-only, whose
+        routing was learned online.  Bits and choices arrive packed in
+        the worker's report (``include_bits``).
         """
         bits = unpack_bits(
             report.get("decision_bits", b""), report.get("decision_nbits", 0)
@@ -886,7 +905,8 @@ class RumbaServer:
         choices = None
         if report.get("backend_ids") is not None:
             choices = np.frombuffer(report["backend_ids"], dtype=np.int8)
-        shared = {"batch": batch.seq, "batch_rows": rows}
+        shared = {"batch": batch.seq, "batch_rows": rows,
+                  "level": batch.level}
         for key in ("threshold", "measured_error"):
             if report.get(key) is not None:
                 shared[key] = float(report[key])
@@ -924,7 +944,7 @@ class RumbaServer:
         header = {
             key: facts[key]
             for key in ("request_id", "trace_id", "worker", "attempts",
-                        "degraded", "latency_s")
+                        "latency_s")
         }
         header["status"] = "error" if failed else "ok"
         header.update(fields)

@@ -25,6 +25,7 @@ from repro.serving import (
     replay_journal,
 )
 from repro.serving.journal import JournalRecord, RequestJournal
+from tests.serving.conftest import _wait_for
 
 N_REQUESTS = 24
 ROWS_PER_REQUEST = 8
@@ -80,15 +81,116 @@ class TestRestartReplay:
     def test_restart_after_relax_replays_without_divergence(
         self, restart_after_relax, tmp_path
     ):
-        """The three batches a restarted worker serves after the fleet
-        left degradation are recorded undegraded, so replay compares them
-        — and they must have run at the threshold replay runs at."""
+        """The degraded batch before the relax replays at its recorded
+        level, and the three a restarted worker serves after the fleet
+        left degradation at level 0: all four compare clean."""
         path = str(tmp_path / "restart.journal")
         restart_after_relax(journal_path=path)
-        report = replay_journal(path, backend="thread")
+        assert [r.header["level"] for r in read_journal(path).records] \
+            == [1, 0, 0, 0]
+        for backend in ("thread", "process"):
+            report = replay_journal(path, backend=backend)
+            assert report.divergences == [], report.summary()
+            assert report.compared == report.batches == 4
+
+
+LEVELS = (0, 1, 3, 8)
+
+
+@pytest.fixture(scope="module", params=[False, True],
+                ids=["plain", "ensemble"])
+def levels_journal(request, tmp_path_factory):
+    """A one-worker server serves one batch at each of ``LEVELS``.
+
+    The controller is stepped by hand (``update(100)`` degrades one
+    level), so no timing is involved; after each batch the core's own
+    backlog reading relaxes one step, which the fixture waits for before
+    stepping again.
+    """
+    path = str(tmp_path_factory.mktemp("levels") / "journal.bin")
+    server = RumbaServer(config=ServerConfig(
+        app="fft", n_workers=1, seed=0,
+        batching=BatchingConfig(flush_interval_s=0.001),
+        journal=JournalConfig(path=path),
+        ensemble=EnsembleConfig(enabled=request.param, margin=0.21),
+    ))
+    server.prepare()
+    rng = np.random.default_rng(7)
+    pool = np.atleast_2d(server.prototype.app.test_inputs(rng))
+    with server:
+        controller = server.controller
+        for i, level in enumerate(LEVELS):
+            while controller.level < level:
+                assert controller.update(100) == +1
+            rows = pool[i * 16: (i + 1) * 16]
+            assert server.submit_wait(rows, timeout=60).degraded == (
+                level > 0
+            )
+            _wait_for(lambda: controller.level == max(level - 1, 0))
+    return path
+
+
+class TestLevelReplay:
+    def test_each_record_carries_its_level(self, levels_journal):
+        records = read_journal(levels_journal).records
+        assert [r.header["level"] for r in records] == list(LEVELS)
+        assert all("degraded" not in r.header for r in records)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_every_level_replays_bit_for_bit(self, levels_journal,
+                                             backend):
+        report = replay_journal(levels_journal, backend=backend)
         assert report.divergences == [], report.summary()
-        assert report.skipped_degraded == 1
-        assert report.compared == 3
+        assert report.compared == report.batches == len(LEVELS)
+
+    def test_rewritten_level_diverges_on_threshold(self, levels_journal,
+                                                   tmp_path):
+        out = _rewrite_level(levels_journal, tmp_path, 1, 0)
+        report = replay_journal(out, backend="thread")
+        assert [d.batch for d in report.divergences
+                if d.field == "threshold"] == [
+            r.batch for r in read_journal(out).records
+            if r.request_id == 1
+        ]
+
+    @pytest.mark.parametrize("bad", [-1, 9, 256])
+    def test_out_of_range_level_is_refused(self, levels_journal, tmp_path,
+                                           fft_prototype, fft_input_pool,
+                                           bad):
+        server = RumbaServer(prototype=fft_prototype.clone_shard(),
+                             config=ServerConfig(n_workers=1))
+        with server:
+            with pytest.raises(ConfigurationError, match="level"):
+                server.submit(fft_input_pool[:4], level=bad)
+        out = _rewrite_level(levels_journal, tmp_path, 3, bad)
+        with pytest.raises(ConfigurationError, match="level"):
+            replay_journal(out, backend="thread")
+
+    def test_batch_mixing_forced_levels_is_refused(self, fake_server,
+                                                   fft_input_pool):
+        server, fake = fake_server()
+        forced = server.submit(fft_input_pool[:4], level=2)
+        live = server.submit(fft_input_pool[4:8])
+        server._pump_once(fake.dispatch)
+        assert fake.batches == []
+        for handle in (forced, live):
+            with pytest.raises(ConfigurationError, match="forced levels"):
+                handle.result(timeout=5)
+
+
+def _rewrite_level(path, tmp_path, old, new):
+    """Copy the journal with every ``level == old`` record set to ``new``."""
+    journal = read_journal(path)
+    out = str(tmp_path / f"level-{old}-to-{new}.bin")
+    with RequestJournal(out) as writer:
+        writer.write_meta(journal.meta)
+        for record in journal.records:
+            header = dict(record.header)
+            if header.get("level") == old:
+                header["level"] = new
+            writer.record_request(header, inputs=record.inputs,
+                                  outputs=record.outputs, bits=record.bits)
+    return out
 
 
 class TestGoldenReplay:
@@ -358,25 +460,26 @@ class TestReplayEdges:
 
     def test_cli_fails_when_every_batch_is_skipped(self, golden_journal,
                                                    tmp_path, capsys):
-        """A journal whose every batch ran degraded (what an unpaced
-        burst deeper than the backpressure watermarks records) compares
-        nothing; before, the CLI said "OK — no divergence" and exited 0."""
+        """A journal whose every batch is incomplete (each claims one row
+        more than its records hold) compares nothing; before, the CLI
+        said "OK — no divergence" and exited 0."""
         from repro.__main__ import main
 
         journal = read_journal(golden_journal)
-        degraded = str(tmp_path / "all-degraded.bin")
-        with RequestJournal(degraded) as writer:
+        torn = str(tmp_path / "all-incomplete.bin")
+        with RequestJournal(torn) as writer:
             writer.write_meta(journal.meta)
             for record in journal.records:
-                writer.record_request(dict(record.header, degraded=True),
-                                      inputs=record.inputs,
+                header = dict(record.header,
+                              batch_rows=record.batch_rows + 1)
+                writer.record_request(header, inputs=record.inputs,
                                       outputs=record.outputs,
                                       bits=record.bits)
-        report = replay_journal(degraded, backend="thread")
+        report = replay_journal(torn, backend="thread")
         assert report.compared == 0
-        assert report.skipped_degraded == len(journal.batches()) > 0
+        assert report.skipped_incomplete == len(journal.batches()) > 0
         capsys.readouterr()
-        assert main(["replay", degraded, "--backend", "thread"]) == 1
+        assert main(["replay", torn, "--backend", "thread"]) == 1
         printed = capsys.readouterr().out
         assert "NOTHING VERIFIED" in printed
         assert "OK" not in printed
