@@ -1,77 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``list``
-    Show the Table 1 benchmark suite.
-``run --app NAME [--scheme S] [--elements N] [--quality Q] [--telemetry F]``
-    Train offline, run one invocation online, print the outcome.  With
-    ``--telemetry`` the full metrics snapshot is dumped afterwards
-    (``.json`` or Prometheus text, chosen by extension).
-``monitor --app NAME [--invocations N] [--export F] [--trace F]``
-    Run a quality-managed stream with full telemetry attached and render
-    the live ASCII quality dashboard; optionally export the metrics
-    snapshot and one flight record per invocation (``--trace F``, read
-    back with ``trace --log F``).
-``serve --app NAME [--workers N] [--backend thread|process] ...``
-    Start the batched quality-managed serving layer (worker pool +
-    backpressure; each worker runs an invocation whole), drive it with a
-    synthetic request load, and print the throughput/latency/health
-    report.  With ``--backend process`` each worker is an OS process fed over
-    shared-memory rings (GIL-free scaling).  ``--chaos kill=2,...``
-    injects faults (worker kills, batch faults) and
-    ``--selftest`` verifies every request completed exactly once or
-    failed fast — the fault-tolerance acceptance check — and, on a
-    thread server with >= 2 CPUs, that it held one CPU while serving and
-    gave the main thread its mask back at stop (``docs/serving.md``).
-    ``--ensemble 'mlp:large,mlp:small,memo'`` serves a routed
-    multi-approximator ensemble (``docs/ensemble.md``); ``--selftest``
-    then additionally checks that routing spread rows across >= 2
-    members.  The router is fit offline, so the spread comes from the
-    load: a closed-loop burst degrades the server, and each degradation
-    level doubles the routing budget.  Undegraded, fft at margin 0.1
-    sends every row to ``mlp-large``.  With
-    ``--listen HOST:PORT`` the server is instead exposed over TCP
-    (``docs/protocol.md``) and runs until interrupted or ``--duration``
-    elapses; ``--port-file`` records the bound ``host:port`` for
-    scripting against an ephemeral port.
-``cluster --app NAME [--nodes N | --attach H:P,H:P] ...``
-    Stand up the cluster tier (``docs/cluster.md``): a routing gateway
-    in front of N serving nodes — spawned locally as ``serve --listen``
-    child processes, or attached to with ``--attach``.  The router
-    health-checks the fleet (evicting dead nodes, re-admitting them
-    with backoff), retries requests stranded by a node death on the
-    survivors, and answers STATS with the aggregated fleet document;
-    point ``python -m repro client`` at its address.
-``client --connect HOST:PORT [--requests N] [--depth D] ...``
-    Drive a remotely served Rumba over the wire protocol: multiplexed
-    in-flight requests, per-request deadlines, and a ``--selftest``
-    accounting check mirroring ``serve --selftest``.  ``--trace``
-    force-samples every request and prints the trace ids the server
-    echoed back, ready for ``python -m repro trace <id>``.
-``replay JOURNAL [--backend thread|process] [--out FILE] [--json]``
-    Deterministically re-run a request journal captured with
-    ``serve --journal`` (``docs/replay.md``) against a fresh server,
-    each batch at its recorded backpressure level, and diff outputs,
-    decision bits, and quality metrics bit-for-bit.
-    Exits non-zero on any divergence — the reproducibility check that
-    turns a chaos-run journal into a regression test.
-``trace --log FILE [ID] [--tail N]``
-    Browse a flight-recorder log (``serve --flight-log`` or ``monitor
-    --trace``).  With no ID:
-    a per-stage p50/p95/p99 aggregate plus a one-line tail of the most
-    recent records.  With an ID (decimal or ``0x...`` hex, matched
-    against request *and* trace ids): the full per-stage waterfall for
-    each matching record.
-``summary [--apps a,b,...]``
-    Recompute the paper's headline numbers (trains every requested
-    benchmark; the full suite takes ~30 s).
-``survey``
-    Run the Sec. 2.2 purity survey over the kernel-pattern catalog.
-``report [--apps a,b,...] [--out FILE]``
-    Run the full evaluation and emit the paper-vs-measured document
-    (``EXPERIMENTS.md`` for the whole suite at seed 0).
-"""
+``python -m repro --help`` lists the commands, and ``python -m repro
+<command> --help`` a command's arguments.  Each command is declared once,
+by :func:`_command` on its handler; a ``serve`` or ``cluster`` flag that
+sets a :mod:`repro.serving.config` leaf takes its default, type and
+choices from that leaf."""
 
 from __future__ import annotations
 
@@ -83,15 +16,92 @@ import time
 from collections import deque
 from typing import List, Optional
 
-from repro.errors import OverloadedError, ServingError
+from repro.errors import (ConfigurationError, OverloadedError, ServingError,
+                          UnknownApplicationError)
+from repro.serving.config import (_BACKENDS, BatchingConfig, ClusterConfig,
+                                  EnsembleConfig, JournalConfig, RetryConfig,
+                                  ServerConfig, TracingConfig)
 from repro.tables import format_table
 
 __all__ = ["main"]
+
+#: The leaves the ``serve`` and ``cluster`` flags default to.
+_SERVER, _CLUSTER = ServerConfig(), ClusterConfig()
+
+#: ``(name, help, arguments, handler)`` per command, in ``--help`` order.
+_COMMANDS: list = []
+
+
+def _command(name: str, help_line: str, *arguments):
+    """Declare ``python -m repro <name>``: its ``--help`` line, its
+    arguments (:func:`_arg` pairs) and the handler it decorates."""
+
+    def register(handler):
+        _COMMANDS.append((name, help_line, arguments, handler))
+        return handler
+
+    return register
+
+
+def _arg(*flags: str, **kwargs):
+    """One ``add_argument`` call, held until :func:`build_parser`."""
+    return flags, kwargs
+
+
+def _leaf(flag: str, default, **kwargs):
+    """A flag setting a config leaf: its default is the leaf's value,
+    and its type that value's type."""
+    return _arg(flag, default=default, type=type(default), **kwargs)
+
+
+def _int_at_least(low: int):
+    """An ``int`` argument type that rejects values below ``low``."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type on a non-integer
+    return parse
+
+
+class _Names:
+    """``choices`` read from ``module.attr`` on the first membership
+    test, so building the parser imports neither the apps nor the
+    predictors; the owning module stays the one list of names."""
+
+    def __init__(self, module: str, attr: str):
+        self.module, self.attr = module, attr
+
+    def __contains__(self, name) -> bool:
+        return name in iter(self)
+
+    def __iter__(self):  # argparse lists the names on a bad choice
+        return iter(getattr(importlib.import_module(self.module), self.attr))
+
+
+def _app_scheme(app_default: Optional[str] = None):
+    # No help= text: argparse would list the choices, importing them.
+    return (
+        _arg("--app", default=app_default, required=app_default is None,
+             metavar="APP",
+             choices=_Names("repro.apps.registry", "APPLICATION_NAMES")),
+        _arg("--scheme", default=_SERVER.scheme, metavar="SCHEME",
+             choices=_Names("repro.predictors.training", "SCHEME_NAMES")),
+    )
+
+
+_SEED = _leaf("--seed", _SERVER.seed)
+_EXPORT = _arg("--export", default="",
+               help="write the final metrics snapshot here "
+                    "(.prom/.txt Prometheus text, .json JSON)")
 
 
 # Each command imports what it runs, so a router (``cluster --attach``)
 # never loads numpy or the core, and a node (``serve``) not the
 # evaluation, dashboard or cluster modules.
+@_command("list", "show the Table 1 benchmark suite")
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.apps import all_applications
 
@@ -116,6 +126,17 @@ def _export(path: str, registry) -> None:
         print(f"wrote {fmt} telemetry snapshot to {path}")
 
 
+@_command(
+    "run", "run one benchmark end to end",
+    *_app_scheme(),
+    _arg("--elements", type=_int_at_least(1), default=10000),
+    _arg("--quality", type=float, default=0.90,
+         help="target output quality (TOQ mode)"),
+    _SEED,
+    _arg("--telemetry", default="",
+         help="dump the metrics snapshot to this file "
+              "(.json or Prometheus text by extension)"),
+)
 def _cmd_run(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -149,6 +170,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "monitor", "stream with live telemetry dashboard",
+    *_app_scheme(),
+    _arg("--invocations", type=int, default=20),
+    _arg("--elements", type=_int_at_least(1), default=2000,
+         help="elements per invocation"),
+    _EXPORT,
+    _arg("--trace", default="",
+         help="write one flight record (stage timeline) per invocation "
+              "here; browse with `repro trace --log`"),
+    _arg("--no-live", action="store_true",
+         help="render only the final dashboard frame"),
+    _SEED,
+)
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.apps.workloads import invocation_stream
     from repro.core import prepare_system
@@ -184,52 +219,30 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace):
-    """Build the ServerConfig shared by the local and network modes."""
-    from repro.serving import (
-        BatchingConfig,
-        ChaosConfig,
-        EnsembleConfig,
-        JournalConfig,
-        RetryConfig,
-        ServerConfig,
-        TracingConfig,
-    )
+def _serve_config(args: argparse.Namespace) -> ServerConfig:
+    """The ServerConfig shared by the local and network modes."""
+    from repro.serving import ChaosConfig
 
-    chaos = ChaosConfig.parse(args.chaos) if args.chaos else None
-    if args.ensemble:
-        ensemble = EnsembleConfig(
-            enabled=True,
-            members=args.ensemble,
-            margin=args.ensemble_margin,
-        )
-    else:
-        ensemble = EnsembleConfig()
-    tracing = TracingConfig(
-        enabled=args.trace_sample > 0,
-        sample_every=max(args.trace_sample, 1),
-        flight_log_path=args.flight_log or None,
-    )
-    journal = JournalConfig(
-        path=args.journal or None,
-        max_bytes=args.journal_max_bytes,
-    )
     return ServerConfig(
-        app=args.app,
-        scheme=args.scheme,
-        n_workers=args.workers,
-        backend=args.backend,
-        seed=args.seed,
+        app=args.app, scheme=args.scheme, n_workers=args.workers,
+        backend=args.backend, seed=args.seed,
         batching=BatchingConfig(
             max_batch_requests=args.batch_requests,
             flush_interval_s=args.flush_ms / 1000.0,
             admission_capacity=args.admission_capacity,
         ),
         retry=RetryConfig(default_deadline_s=args.deadline_s),
-        chaos=chaos,
-        tracing=tracing,
-        journal=journal,
-        ensemble=ensemble,
+        chaos=ChaosConfig.parse(args.chaos) if args.chaos else None,
+        tracing=TracingConfig(
+            enabled=args.trace_sample > 0,
+            sample_every=max(args.trace_sample, 1),
+            flight_log_path=args.flight_log or None,
+        ),
+        journal=JournalConfig(path=args.journal or None,
+                              max_bytes=args.journal_max_bytes),
+        ensemble=EnsembleConfig(
+            enabled=True, members=args.ensemble, margin=args.ensemble_margin,
+        ) if args.ensemble else EnsembleConfig(),
     )
 
 
@@ -247,9 +260,8 @@ def _serve_until_stopped(start, args: argparse.Namespace) -> None:
     # Shells start background jobs with SIGINT ignored, so scripted
     # shutdown (the CI smoke) arrives as SIGTERM; treat both as "stop".
     interrupted = []
-    previous = signal.signal(
-        signal.SIGTERM, lambda *_: interrupted.append(True)
-    )
+    previous = signal.signal(signal.SIGTERM,
+                             lambda *_: interrupted.append(True))
     try:
         listener, announce = start()
         bound = f"{listener.address[0]}:{listener.address[1]}"
@@ -257,11 +269,9 @@ def _serve_until_stopped(start, args: argparse.Namespace) -> None:
         if args.port_file:
             with open(args.port_file, "w") as handle:
                 handle.write(bound + "\n")
-        deadline = (
-            time.monotonic() + args.duration if args.duration > 0 else None
-        )
+        deadline = time.monotonic() + args.duration
         while listener.is_running and not interrupted:
-            if deadline is not None and time.monotonic() >= deadline:
+            if args.duration > 0 and time.monotonic() >= deadline:
                 break
             listener.serve_forever(timeout=0.2)
     except KeyboardInterrupt:
@@ -270,23 +280,6 @@ def _serve_until_stopped(start, args: argparse.Namespace) -> None:
         if interrupted:
             print("interrupted; shutting down", flush=True)
         signal.signal(signal.SIGTERM, previous)
-
-
-def _cmd_serve_listen(args: argparse.Namespace, server) -> int:
-    """``serve --listen``: expose the server over TCP until stopped."""
-    from repro.serving.net import NetServer, parse_address
-
-    host, port = parse_address(args.listen)
-    net = NetServer(server, host, port, node_id=args.node_id or None)
-    try:
-        _serve_until_stopped(
-            lambda: (net.start(), "listening on {bound} (ctrl-C to stop)"),
-            args,
-        )
-    finally:
-        net.stop()
-    _export(args.export, server.registry)
-    return 0
 
 
 class _Session:
@@ -344,6 +337,74 @@ class _Session:
         return ok
 
 
+@_command(
+    "serve", "run the batched quality-managed serving layer",
+    *_app_scheme(),
+    _leaf("--workers", _SERVER.n_workers),
+    _leaf("--backend", _SERVER.backend, choices=_BACKENDS,
+          help="worker engine: in-process threads, or one OS process per "
+               "worker fed over shared memory"),
+    _arg("--requests", type=int, default=100,
+         help="synthetic requests to drive through the server"),
+    _arg("--elements", type=_int_at_least(1), default=256,
+         help="kernel iterations per request"),
+    _leaf("--batch-requests", _SERVER.batching.max_batch_requests,
+          help="max requests batched into one invocation"),
+    _leaf("--flush-ms", _SERVER.batching.flush_interval_s * 1000.0,
+          help="longest a request waits for its batch to fill while every "
+               "worker is busy, in milliseconds (an idle worker takes it "
+               "at once)"),
+    _arg("--rate", type=float, default=0.0,
+         help="request arrival rate in req/s (0 = closed loop)"),
+    _leaf("--admission-capacity", _SERVER.batching.admission_capacity),
+    _leaf("--deadline-s", _SERVER.retry.default_deadline_s,
+          help="per-request deadline budget in seconds "
+               "(dispatch + fault retries + recovery)"),
+    _arg("--chaos", default="",
+         help="fault-injection spec: worker kills per second, per-batch "
+              "fault probability and RNG seed, e.g. "
+              "'kill=2,fail=0.05,seed=1' (see docs/serving.md)"),
+    _arg("--selftest", action="store_true",
+         help="verify every request completed exactly once or failed fast "
+              "(exit 1 on any hang or drop); with --ensemble also that "
+              "routing chose >= 2 members, and on a thread server that it "
+              "held one CPU and gave the mask back at stop"),
+    _EXPORT,
+    _SEED,
+    _arg("--listen", default="",
+         help="expose the server over TCP at HOST:PORT (port 0 = "
+              "ephemeral) instead of driving a synthetic load; see "
+              "docs/protocol.md"),
+    _arg("--port-file", default="",
+         help="with --listen: write the bound host:port here"),
+    _arg("--duration", type=float, default=0.0,
+         help="with --listen: serve for this many seconds then exit "
+              "(0 = until interrupted)"),
+    _arg("--flight-log", default="",
+         help="record sampled request traces to this file "
+              "(browse with 'python -m repro trace')"),
+    _leaf("--trace-sample", _SERVER.tracing.sample_every,
+          help="trace every Nth request (0 disables tracing; errors and "
+               "retries are always sampled)"),
+    _arg("--node-id", default="",
+         help="with --listen: stable identity advertised in the WELCOME "
+              "document (default: fresh uuid per process, so restarts "
+              "are detectable)"),
+    _arg("--journal", default="",
+         help="record every request (inputs, outputs, decision bits) to "
+              "this durable journal for deterministic replay; see "
+              "docs/replay.md"),
+    _leaf("--journal-max-bytes", _SERVER.journal.max_bytes,
+          help="rotate the journal once it exceeds this size "
+               "(one rotated generation is kept)"),
+    _arg("--ensemble", default="",
+         help="serve a multi-approximator ensemble: comma-separated, "
+              "best-first member tokens, e.g. 'mlp:large,mlp:small,memo' "
+              "(empty disables; see docs/ensemble.md)"),
+    _leaf("--ensemble-margin", _SERVER.ensemble.margin,
+          help="router budget as a multiple of the detection threshold "
+               "(lower = more rows on the reference member)"),
+)
 def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -357,8 +418,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           + ")...")
     server = RumbaServer(config=config)
     server.prepare()
-    if args.listen:
-        return _cmd_serve_listen(args, server)
+    if args.listen:  # expose the server over TCP until stopped
+        from repro.serving.net import NetServer, parse_address
+
+        net = NetServer(server, *parse_address(args.listen),
+                        node_id=args.node_id or None)
+        try:
+            _serve_until_stopped(lambda: (
+                net.start(), "listening on {bound} (ctrl-C to stop)"), args)
+        finally:
+            net.stop()
+        _export(args.export, server.registry)
+        return 0
     rng = np.random.default_rng(args.seed + 100)
     pool = np.atleast_2d(server.prototype.app.test_inputs(rng))
     # A hard wall-clock bound per request: under --selftest a handle that
@@ -401,29 +472,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows.append(["requests traced", tracing["traced_requests"]])
         if tracing.get("flight_log"):
             rows.append(["flight records", tracing["flight_records"]])
-    ens_snaps = [
-        w["ensemble"] for w in stats["workers"] if w.get("ensemble")
-    ]
-    ens_members_chosen = 0
-    if ens_snaps:
-        members = ens_snaps[0]["members"]
-        routed_total = [
-            sum(int(s["routed"][i]) for s in ens_snaps)
-            for i in range(len(members))
-        ]
-        ens_members_chosen = sum(1 for v in routed_total if v > 0)
+    routed: dict = {}  # ensemble member -> rows, over every worker
+    for snap in (w["ensemble"] for w in stats["workers"] if w.get("ensemble")):
+        for member, n in zip(snap["members"], snap["routed"]):
+            routed[member] = routed.get(member, 0) + int(n)
+    if routed:
         rows.append(["ensemble members", ", ".join(
-            f"{m}={v}" for m, v in zip(members, routed_total)
-        )])
+            f"{m}={v}" for m, v in routed.items())])
     print(format_table(["quantity", "value"], rows, title="Serving session"))
-    worker_rows = [
-        [w["worker"], w["batches"], w["elements"],
-         f"{w['threshold']:.4g}", w["drifted"], w.get("restarts", 0)]
-        for w in stats["workers"]
-    ]
     print(format_table(
         ["worker", "batches", "elements", "threshold", "drifted", "restarts"],
-        worker_rows,
+        [[w["worker"], w["batches"], w["elements"], f"{w['threshold']:.4g}",
+          w["drifted"], w.get("restarts", 0)] for w in stats["workers"]],
     ))
     _export(args.export, server.registry)
     if args.flight_log:
@@ -443,8 +503,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.ensemble:
             # The ensemble acceptance check: routing actually spread rows
             # across members (the burst's degradation widens the budget).
-            ens_ok = ens_members_chosen >= 2
-            print(f"ensemble selftest: {ens_members_chosen} members "
+            chosen = sum(1 for v in routed.values() if v > 0)
+            ens_ok = chosen >= 2
+            print(f"ensemble selftest: {chosen} members "
                   f"chosen -> {'OK' if ens_ok else 'FAIL'}")
             ok = ok and ens_ok
         if args.backend == "thread" and mask is not None and len(mask) > 1:
@@ -456,8 +517,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"serving, mask {'restored' if restored else 'NOT restored'}"
                   f" after stop -> {'OK' if hold_ok else 'FAIL'}")
             ok = ok and hold_ok
-        if not ok:
-            return 1
+        return 0 if ok else 1
     return 0
 
 
@@ -467,10 +527,31 @@ def _cpu_mask():
     return getaffinity(0) if getaffinity is not None else None
 
 
+@_command(
+    "cluster", "route traffic across a fleet of serving nodes",
+    *_app_scheme(app_default=_SERVER.app),
+    _arg("--nodes", type=int, default=2,
+         help="spawn this many local node processes (ignored with "
+              "--attach)"),
+    _arg("--attach", default="",
+         help="comma-separated HOST:PORT list of already-running nodes to "
+              "route across instead of spawning a local fleet"),
+    _arg("--workers-per-node", type=int, default=1,
+         help="worker threads inside each spawned node"),
+    _arg("--listen", default="127.0.0.1:0",
+         help="client-facing address (port 0 = ephemeral)"),
+    _arg("--port-file", default="",
+         help="write the bound router host:port here"),
+    _arg("--duration", type=float, default=0.0,
+         help="serve for this many seconds then exit (0 = until "
+              "interrupted)"),
+    _leaf("--probe-interval", _CLUSTER.probe_interval_s,
+          help="seconds between node health probes"),
+)
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import contextlib
 
-    from repro.serving import ClusterConfig, serve_cluster, spawn_local_fleet
+    from repro.serving import serve_cluster, spawn_local_fleet
 
     attached = [a.strip() for a in args.attach.split(",") if a.strip()]
     if args.attach and not attached:
@@ -503,6 +584,32 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "client", "drive a remotely served Rumba over TCP",
+    _arg("--connect", required=True, help="server address, HOST:PORT"),
+    _arg("--requests", type=int, default=100),
+    _arg("--elements", type=_int_at_least(1), default=256,
+         help="kernel iterations per request"),
+    _arg("--depth", type=int, default=8,
+         help="in-flight requests kept multiplexed on the one connection"),
+    _leaf("--deadline-s", _SERVER.retry.default_deadline_s,
+          help="per-request deadline budget sent on the wire"),
+    _arg("--timeout-s", type=float, default=60.0,
+         help="client-side wait bound per request"),
+    _arg("--overload-burst", type=int, default=0,
+         help="midway through, submit this many extra back-to-back "
+              "requests to force admission shedding (proves "
+              "OverloadedError round-trips)"),
+    _arg("--trace", action="store_true",
+         help="force-sample a trace for every request and print the "
+              "returned trace ids"),
+    _arg("--stats", action="store_true",
+         help="print the server's stats() document as JSON"),
+    _arg("--selftest", action="store_true",
+         help="verify completed+overloaded+failed accounts for every "
+              "submission (exit 1 otherwise)"),
+    _SEED,
+)
 def _cmd_client(args: argparse.Namespace) -> int:
     import json
 
@@ -555,16 +662,26 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "replay", "re-run a captured request journal and diff outputs "
+              "bit-for-bit",
+    _arg("journal", help="journal file written by serve --journal"),
+    _arg("--backend", default="", choices=("", *_BACKENDS),
+         help="replay against this backend (default: the backend recorded "
+              "in the journal)"),
+    _arg("--out", default="",
+         help="write the replay's own journal here and keep it (default: "
+              "<journal>.replay, deleted after the diff)"),
+    _arg("--json", action="store_true",
+         help="print the divergence report as JSON"),
+)
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
 
     from repro.serving.replay import replay_journal
 
-    report = replay_journal(
-        args.journal,
-        backend=args.backend or None,
-        journal_out=args.out or None,
-    )
+    report = replay_journal(args.journal, backend=args.backend or None,
+                            journal_out=args.out or None)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -572,11 +689,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if report.ok and report.compared else 1  # compared nothing: no pass
 
 
+@_command(
+    "trace", "browse a flight-recorder log",
+    _arg("id", nargs="?", default="",
+         help="request or trace id to show a waterfall for (decimal or "
+              "0x-prefixed hex); omit for the aggregate view"),
+    _arg("--log", required=True,
+         help="flight log written by serve --flight-log or monitor --trace"),
+    _arg("--tail", type=_int_at_least(0), default=10,
+         help="one-line summaries of the last N records in the aggregate "
+              "view (0 = none)"),
+)
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.observability.flightlog import (
-        aggregate_stages,
-        format_record_line,
-        format_waterfall,
+        aggregate_stages, format_record_line, format_waterfall,
         read_flight_log,
     )
 
@@ -599,10 +725,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"no record matching id {wanted:#x} ({wanted}) "
                   f"in {args.log}")
             return 1
-        for i, record in enumerate(matches):
-            if i:
-                print()
-            print(format_waterfall(record))
+        print("\n\n".join(format_waterfall(record) for record in matches))
         return 0
     aggregate = aggregate_stages(records)
     rows = [
@@ -615,7 +738,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ["stage", "count", "mean ms", "p50 ms", "p95 ms", "p99 ms"], rows,
         title=f"{len(records)} flight records in {args.log}",
     ))
-    tail = records[-max(args.tail, 0):] if args.tail else []
+    tail = records[-args.tail:] if args.tail else []
     if tail:
         print(f"last {len(tail)} records:")
         for record in tail:
@@ -623,54 +746,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
-    from repro.apps import APPLICATION_NAMES
-    from repro.eval.experiments import headline_summary
-
-    apps = args.apps.split(",") if args.apps else list(APPLICATION_NAMES)
-    print(f"Computing headline summary over {', '.join(apps)} ...")
-    summary = headline_summary(benchmarks=apps, seed=args.seed)
-    rows = [
-        [name,
-         f"{d['unchecked_error'] * 100:.1f}%",
-         f"{d['rumba_error'] * 100:.1f}%",
-         f"{d['npu_energy_savings']:.2f}x",
-         f"{d['rumba_energy_savings']:.2f}x",
-         f"{d['rumba_speedup']:.2f}x"]
-        for name, d in summary.per_app.items()
-    ]
-    print(format_table(
-        ["Benchmark", "unchecked err", "Rumba err", "NPU energy",
-         "Rumba energy", "Rumba speedup"], rows,
-    ))
-    print(f"error reduction {summary.error_reduction:.2f}x; energy "
-          f"{summary.npu_energy_savings:.2f}x -> "
-          f"{summary.rumba_energy_savings:.2f}x; speedup "
-          f"{summary.rumba_speedup:.2f}x")
-    return 0
-
-
-def _cmd_survey(_args: argparse.Namespace) -> int:
-    from repro.core.purity_survey import survey_purity
-
-    survey = survey_purity()
-    print(format_table(
-        ["Pattern", "Category", "Re-executable?"], survey.rows(),
-        title="Data-parallel kernel purity survey (paper Sec. 2.2)",
-    ))
-    print(f"re-executable fraction: {survey.pure_fraction * 100:.0f}% "
-          f"(paper's Rodinia analysis: >70%)")
-    return 0
-
-
+@_command(
+    "report", "generate a markdown report",
+    _arg("--apps", default="", help="comma-separated benchmark subset"),
+    _arg("--out", default="", help="write to a file"),
+    _SEED,
+)
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.apps import APPLICATION_NAMES
     from repro.eval.fidelity import generate_report
 
-    apps = args.apps.split(",") if args.apps else None
-    kwargs = {"seed": args.seed}
-    if apps:
-        kwargs["benchmarks"] = apps
-    text = generate_report(**kwargs)
+    apps = args.apps.split(",") if args.apps else APPLICATION_NAMES
+    text = generate_report(apps, seed=args.seed)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
@@ -680,257 +767,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Names:
-    """``choices`` read from ``module.attr`` on the first membership
-    test, so building the parser imports neither the apps nor the
-    predictors; the owning module stays the one list of names."""
-
-    def __init__(self, module: str, attr: str):
-        self.module, self.attr = module, attr
-
-    def __contains__(self, name) -> bool:
-        return name in iter(self)
-
-    def __iter__(self):  # argparse lists the names on a bad choice
-        return iter(getattr(importlib.import_module(self.module), self.attr))
-
-
-def _add_app_scheme(parser, app_default: Optional[str] = None) -> None:
-    # No help= text: argparse would list the choices, importing them.
-    parser.add_argument(
-        "--app", default=app_default, required=app_default is None,
-        metavar="APP",
-        choices=_Names("repro.apps.registry", "APPLICATION_NAMES"),
-    )
-    parser.add_argument(
-        "--scheme", default="treeErrors", metavar="SCHEME",
-        choices=_Names("repro.predictors.training", "SCHEME_NAMES"),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Rumba (ISCA'15) reproduction command-line interface",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="show the Table 1 benchmark suite")
-
-    run = sub.add_parser("run", help="run one benchmark end to end")
-    _add_app_scheme(run)
-    run.add_argument("--elements", type=int, default=10000)
-    run.add_argument("--quality", type=float, default=0.90,
-                     help="target output quality (TOQ mode)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--telemetry", default="",
-                     help="dump the metrics snapshot to this file "
-                          "(.json or Prometheus text by extension)")
-
-    monitor = sub.add_parser(
-        "monitor", help="stream with live telemetry dashboard"
-    )
-    _add_app_scheme(monitor)
-    monitor.add_argument("--invocations", type=int, default=20)
-    monitor.add_argument("--elements", type=int, default=2000,
-                         help="elements per invocation")
-    monitor.add_argument("--export", default="",
-                         help="write the final metrics snapshot here "
-                              "(.prom/.txt Prometheus text, .json JSON)")
-    monitor.add_argument("--trace", default="",
-                         help="write one flight record (stage timeline) "
-                              "per invocation here; browse with "
-                              "`repro trace --log`")
-    monitor.add_argument("--no-live", action="store_true",
-                         help="render only the final dashboard frame")
-    monitor.add_argument("--seed", type=int, default=0)
-
-    serve = sub.add_parser(
-        "serve", help="run the batched quality-managed serving layer"
-    )
-    _add_app_scheme(serve)
-    serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--backend", default="thread",
-                       choices=("thread", "process"),
-                       help="worker engine: in-process threads, or one OS "
-                            "process per worker fed over shared memory")
-    serve.add_argument("--requests", type=int, default=100,
-                       help="synthetic requests to drive through the server")
-    serve.add_argument("--elements", type=int, default=256,
-                       help="kernel iterations per request")
-    serve.add_argument("--batch-requests", type=int, default=8,
-                       help="max requests batched into one invocation")
-    serve.add_argument("--flush-ms", type=float, default=5.0,
-                       help="longest a request waits for its batch to fill "
-                            "while every worker is busy, in milliseconds "
-                            "(an idle worker takes it at once)")
-    serve.add_argument("--rate", type=float, default=0.0,
-                       help="request arrival rate in req/s (0 = closed loop)")
-    serve.add_argument("--admission-capacity", type=int, default=256)
-    serve.add_argument("--deadline-s", type=float, default=30.0,
-                       help="per-request deadline budget in seconds "
-                            "(dispatch + fault retries + recovery)")
-    serve.add_argument("--chaos", default="",
-                       help="fault-injection spec: worker kills per second, "
-                            "per-batch fault probability and RNG seed, e.g. "
-                            "'kill=2,fail=0.05,seed=1' (see docs/serving.md)")
-    serve.add_argument("--selftest", action="store_true",
-                       help="verify every request completed exactly once "
-                            "or failed fast (exit 1 on any hang or drop)")
-    serve.add_argument("--export", default="",
-                       help="write the final metrics snapshot here "
-                            "(.prom/.txt Prometheus text, .json JSON)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--listen", default="",
-                       help="expose the server over TCP at HOST:PORT "
-                            "(port 0 = ephemeral) instead of driving a "
-                            "synthetic load; see docs/protocol.md")
-    serve.add_argument("--port-file", default="",
-                       help="with --listen: write the bound host:port here")
-    serve.add_argument("--duration", type=float, default=0.0,
-                       help="with --listen: serve for this many seconds "
-                            "then exit (0 = until interrupted)")
-    serve.add_argument("--flight-log", default="",
-                       help="record sampled request traces to this file "
-                            "(browse with 'python -m repro trace')")
-    serve.add_argument("--trace-sample", type=int, default=64,
-                       help="trace every Nth request (0 disables tracing; "
-                            "errors and retries are always sampled)")
-    serve.add_argument("--node-id", default="",
-                       help="with --listen: stable identity advertised in "
-                            "the WELCOME document (default: fresh uuid per "
-                            "process, so restarts are detectable)")
-    serve.add_argument("--journal", default="",
-                       help="record every request (inputs, outputs, "
-                            "decision bits) to this durable journal for "
-                            "deterministic replay; see docs/replay.md")
-    serve.add_argument("--journal-max-bytes", type=int, default=64 << 20,
-                       help="rotate the journal once it exceeds this size "
-                            "(one rotated generation is kept)")
-    serve.add_argument("--ensemble", default="",
-                       help="serve a multi-approximator ensemble: comma-"
-                            "separated, best-first member tokens, e.g. "
-                            "'mlp:large,mlp:small,memo' (empty disables; "
-                            "see docs/ensemble.md)")
-    serve.add_argument("--ensemble-margin", type=float, default=1.0,
-                       help="router budget as a multiple of the detection "
-                            "threshold (lower = more rows on the "
-                            "reference member)")
-
-    replay = sub.add_parser(
-        "replay", help="re-run a captured request journal and diff "
-                       "outputs bit-for-bit"
-    )
-    replay.add_argument("journal",
-                        help="journal file written by serve --journal")
-    replay.add_argument("--backend", default="",
-                        choices=("", "thread", "process"),
-                        help="replay against this backend (default: the "
-                             "backend recorded in the journal)")
-    replay.add_argument("--out", default="",
-                        help="write the replay's own journal here and keep "
-                             "it (default: <journal>.replay, deleted after "
-                             "the diff)")
-    replay.add_argument("--json", action="store_true",
-                        help="print the divergence report as JSON")
-
-    cluster = sub.add_parser(
-        "cluster", help="route traffic across a fleet of serving nodes"
-    )
-    _add_app_scheme(cluster, app_default="fft")
-    cluster.add_argument("--nodes", type=int, default=2,
-                         help="spawn this many local node processes "
-                              "(ignored with --attach)")
-    cluster.add_argument("--attach", default="",
-                         help="comma-separated HOST:PORT list of already-"
-                              "running nodes to route across instead of "
-                              "spawning a local fleet")
-    cluster.add_argument("--workers-per-node", type=int, default=1,
-                         help="worker threads inside each spawned node")
-    cluster.add_argument("--listen", default="127.0.0.1:0",
-                         help="client-facing address (port 0 = ephemeral)")
-    cluster.add_argument("--port-file", default="",
-                         help="write the bound router host:port here")
-    cluster.add_argument("--duration", type=float, default=0.0,
-                         help="serve for this many seconds then exit "
-                              "(0 = until interrupted)")
-    cluster.add_argument("--probe-interval", type=float, default=1.0,
-                         help="seconds between node health probes")
-
-    client = sub.add_parser(
-        "client", help="drive a remotely served Rumba over TCP"
-    )
-    client.add_argument("--connect", required=True,
-                        help="server address, HOST:PORT")
-    client.add_argument("--requests", type=int, default=100)
-    client.add_argument("--elements", type=int, default=256,
-                        help="kernel iterations per request")
-    client.add_argument("--depth", type=int, default=8,
-                        help="in-flight requests kept multiplexed on the "
-                             "one connection")
-    client.add_argument("--deadline-s", type=float, default=30.0,
-                        help="per-request deadline budget sent on the wire")
-    client.add_argument("--timeout-s", type=float, default=60.0,
-                        help="client-side wait bound per request")
-    client.add_argument("--overload-burst", type=int, default=0,
-                        help="midway through, submit this many extra "
-                             "back-to-back requests to force admission "
-                             "shedding (proves OverloadedError round-trips)")
-    client.add_argument("--trace", action="store_true",
-                        help="force-sample a trace for every request and "
-                             "print the returned trace ids")
-    client.add_argument("--stats", action="store_true",
-                        help="print the server's stats() document as JSON")
-    client.add_argument("--selftest", action="store_true",
-                        help="verify completed+overloaded+failed accounts "
-                             "for every submission (exit 1 otherwise)")
-    client.add_argument("--seed", type=int, default=0)
-
-    trace = sub.add_parser(
-        "trace", help="browse a flight-recorder log"
-    )
-    trace.add_argument("id", nargs="?", default="",
-                       help="request or trace id to show a waterfall for "
-                            "(decimal or 0x-prefixed hex); omit for the "
-                            "aggregate view")
-    trace.add_argument("--log", required=True,
-                       help="flight log written by serve --flight-log or "
-                            "monitor --trace")
-    trace.add_argument("--tail", type=int, default=10,
-                       help="one-line summaries of the last N records in "
-                            "the aggregate view (0 = none)")
-
-    summary = sub.add_parser("summary", help="recompute the headline numbers")
-    summary.add_argument("--apps", default="",
-                         help="comma-separated benchmark subset")
-    summary.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("survey", help="kernel purity survey (Sec. 2.2)")
-
-    report = sub.add_parser("report", help="generate a markdown report")
-    report.add_argument("--apps", default="",
-                        help="comma-separated benchmark subset")
-    report.add_argument("--out", default="", help="write to a file")
-    report.add_argument("--seed", type=int, default=0)
+    for name, help_line, arguments, handler in _COMMANDS:
+        command = sub.add_parser(name, help=help_line)
+        for flags, kwargs in arguments:
+            command.add_argument(*flags, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "monitor": _cmd_monitor,
-        "serve": _cmd_serve,
-        "cluster": _cmd_cluster,
-        "client": _cmd_client,
-        "replay": _cmd_replay,
-        "trace": _cmd_trace,
-        "summary": _cmd_summary,
-        "survey": _cmd_survey,
-        "report": _cmd_report,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except (ConfigurationError, UnknownApplicationError) as exc:
+        # A value the parser cannot check: one line and argparse's status.
+        # (``exc.args[0]``: a KeyError's str() would quote the message.)
+        print(f"repro: error: {exc.args[0] if exc.args else exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

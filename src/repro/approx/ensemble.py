@@ -26,10 +26,10 @@ routing layer is fit once, offline: :func:`build_ensemble` fits each
 member's error predictor from one shared labelling pass, and the fitted
 predictors are read-only afterwards.  A routing decision therefore
 depends only on the row's features, the threshold and the degradation
-level.  Replay still forces the journaled per-row choices, because it
-does not reproduce the capture-time degradation level; the detection
-bits come from the statically trained scheme predictor and depend only
-on the row features.
+level, and replay runs each batch at its journaled level.  Replay still
+forces the journaled per-row choices, for journals recorded while the
+router learned online; the detection bits come from the statically
+trained scheme predictor and depend only on the row features.
 """
 
 from __future__ import annotations

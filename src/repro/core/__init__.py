@@ -1,8 +1,6 @@
 """Rumba core: detection, recovery, online tuning, the pipelined execution
 model, the detector-placement trade-off and the end-to-end runtime."""
 
-from repro._lazy import lazy_exports
-
 from repro.core.config import RumbaConfig, TunerMode
 from repro.core.costs import AppCosts, CostModel, OffloadOverhead
 from repro.core.detection import DetectionModule, DetectionResult
@@ -14,7 +12,6 @@ from repro.core.pipeline import (
 )
 from repro.core.placement import PlacementCosts, evaluate_placement
 from repro.core.recovery import (
-    PurityReport,
     RecoveryModule,
     RecoveryResult,
     merge_outputs,
@@ -25,13 +22,6 @@ from repro.core.sampling_monitor import QualitySamplingMonitor, SamplingReport
 from repro.core.stream import DriftDetector, QualityManagedStream, StreamStatus
 from repro.core.tuner import InvocationFeedback, OnlineTuner
 
-# The Sec. 2.2 survey is a CLI command, imported on first use.
-_EXPORTS = {
-    "KernelPattern": "purity_survey", "PATTERN_CATALOG": "purity_survey",
-    "PuritySurvey": "purity_survey", "survey_purity": "purity_survey",
-}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
 __all__ = [
     "RumbaConfig",
     "TunerMode",
@@ -41,7 +31,6 @@ __all__ = [
     "RecoveryResult",
     "merge_outputs",
     "verify_purity",
-    "PurityReport",
     "OnlineTuner",
     "InvocationFeedback",
     "PipelineResult",
@@ -58,10 +47,6 @@ __all__ = [
     "prepare_system",
     "prepare_backend",
     "clear_cache",
-    "KernelPattern",
-    "PATTERN_CATALOG",
-    "PuritySurvey",
-    "survey_purity",
     "QualitySamplingMonitor",
     "SamplingReport",
     "DriftDetector",

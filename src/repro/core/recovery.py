@@ -23,7 +23,6 @@ __all__ = [
     "RecoveryResult",
     "merge_outputs",
     "verify_purity",
-    "PurityReport",
 ]
 
 
@@ -134,24 +133,12 @@ class RecoveryModule:
         )
 
 
-@dataclass(frozen=True)
-class PurityReport:
-    """Result of a dynamic purity check."""
-
-    deterministic: bool
-    preserves_inputs: bool
-
-    @property
-    def is_pure(self) -> bool:
-        return self.deterministic and self.preserves_inputs
-
-
 def verify_purity(
     kernel: Callable[[np.ndarray], np.ndarray],
     sample_inputs: np.ndarray,
-    raise_on_failure: bool = True,
-) -> PurityReport:
-    """Dynamically verify a kernel is safely re-executable.
+) -> None:
+    """Dynamically verify a kernel is safely re-executable, raising
+    :class:`PurityError` if it is not.
 
     Two properties are checked on a sample: (1) re-execution yields
     bit-identical outputs (determinism — no hidden state), and (2) the
@@ -165,8 +152,7 @@ def verify_purity(
     preserved = bool(np.array_equal(sample_inputs, snapshot))
     second = np.asarray(kernel(sample_inputs), dtype=float)
     deterministic = bool(np.array_equal(first, second))
-    report = PurityReport(deterministic=deterministic, preserves_inputs=preserved)
-    if raise_on_failure and not report.is_pure:
+    if not (deterministic and preserved):
         problems = []
         if not deterministic:
             problems.append("re-execution produced different outputs")
@@ -175,4 +161,3 @@ def verify_purity(
         raise PurityError(
             "kernel is not safely re-executable: " + "; ".join(problems)
         )
-    return report

@@ -326,8 +326,10 @@ class ServerConfig:
     }
 
     def __post_init__(self, n_recovery_workers: int) -> None:
-        if self.n_workers < 1 or n_recovery_workers < 1:
-            raise ConfigurationError("need at least one worker of each kind")
+        if self.n_workers < 1:
+            raise ConfigurationError("n_workers must be >= 1")
+        if n_recovery_workers < 1:
+            raise ConfigurationError("n_recovery_workers must be >= 1")
         if self.backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose from {_BACKENDS}"

@@ -121,9 +121,7 @@ class TestRecoveryModule:
 
 class TestVerifyPurity:
     def test_pure_kernel_passes(self):
-        report = verify_purity(double_kernel, np.ones((4, 1)))
-        assert report.is_pure
-        assert report.deterministic and report.preserves_inputs
+        assert verify_purity(double_kernel, np.ones((4, 1))) is None
 
     def test_nondeterministic_detected(self):
         rng = np.random.default_rng(0)
@@ -131,8 +129,6 @@ class TestVerifyPurity:
         def noisy(x):
             return np.asarray(x) + rng.normal(size=np.asarray(x).shape)
 
-        report = verify_purity(noisy, np.ones((4, 1)), raise_on_failure=False)
-        assert not report.deterministic
         with pytest.raises(PurityError, match="different outputs"):
             verify_purity(noisy, np.ones((4, 1)))
 
@@ -141,7 +137,5 @@ class TestVerifyPurity:
             x += 1.0
             return x * 2.0
 
-        report = verify_purity(mutating, np.ones((4, 1)), raise_on_failure=False)
-        assert not report.preserves_inputs
         with pytest.raises(PurityError, match="mutated"):
             verify_purity(mutating, np.ones((4, 1)))

@@ -1,17 +1,34 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import _serve_config, build_parser, main
+from repro.serving.config import _BACKENDS, ClusterConfig, ServerConfig
+
+COMMANDS = ["list", "run", "monitor", "serve", "cluster", "client", "replay",
+            "trace", "report"]
+
+
+def _subparsers() -> dict:
+    """Command name -> its subparser, in ``--help`` order."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option(command: str, dest: str) -> argparse.Action:
+    """The ``dest`` argument of ``python -m repro <command>``."""
+    return next(a for a in _subparsers()[command]._actions if a.dest == dest)
 
 
 class TestParser:
     def test_commands_registered(self):
+        assert list(_subparsers()) == COMMANDS
         parser = build_parser()
-        for argv in (["list"], ["survey"], ["run", "--app", "fft"],
-                     ["summary"]):
-            args = parser.parse_args(argv)
-            assert args.command == argv[0]
+        for argv in (["list"], ["run", "--app", "fft"], ["report"],
+                     ["cluster"], ["trace", "--log", "f"]):
+            assert parser.parse_args(argv).command == argv[0]
 
     def test_run_requires_app(self):
         with pytest.raises(SystemExit):
@@ -25,6 +42,81 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["summary", "survey"])
+    def test_deleted_commands_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--app", "fft", "--elements", "0"],
+        ["run", "--app", "fft", "--elements", "-3"],
+        ["client", "--connect", "h:1", "--elements", "0"],
+        ["trace", "--log", "f", "--tail", "-1"],
+    ])
+    def test_out_of_range_counts_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+
+
+class TestConfigDefaults:
+    """The serve and cluster flags default to the config leaves they set."""
+
+    def test_serve_defaults_build_the_default_config(self):
+        args = build_parser().parse_args(["serve", "--app", "fft"])
+        assert _serve_config(args) == ServerConfig(app="fft")
+
+    def test_cluster_defaults_build_the_default_config(self, monkeypatch):
+        import repro.serving as serving
+
+        class Built(Exception):
+            pass
+
+        class Fleet:
+            addresses = ["127.0.0.1:1", "127.0.0.1:2"]
+
+            def stop(self):
+                pass
+
+        spawned = {}
+
+        def spawn(n, **kwargs):
+            spawned.update(kwargs, n=n)
+            return Fleet()
+
+        def serve_cluster(addresses, config, **_):
+            raise Built(config)
+
+        monkeypatch.setattr(serving, "spawn_local_fleet", spawn)
+        monkeypatch.setattr(serving, "serve_cluster", serve_cluster)
+        with pytest.raises(Built) as built:
+            main(["cluster"])
+        assert built.value.args[0] == ClusterConfig()
+        default = ServerConfig()
+        assert (spawned["app"], spawned["scheme"]) == (default.app,
+                                                       default.scheme)
+
+    def test_backend_choices_are_the_configs(self):
+        assert _option("serve", "backend").choices is _BACKENDS
+        assert tuple(_option("replay", "backend").choices) == ("", *_BACKENDS)
+
+
+class TestErrors:
+    """A bad value the parser cannot check ends in one stderr line and
+    exit status 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["serve", "--app", "fft", "--workers", "0"],
+         "n_workers must be >= 1"),
+        (["report", "--apps", "doom"], "unknown application 'doom'"),
+    ])
+    def test_error_is_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {message}")
+        assert err.count("\n") == 1
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -32,22 +124,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "blackscholes" in out and "9->8->1" in out
 
-    def test_survey(self, capsys):
-        assert main(["survey"]) == 0
-        out = capsys.readouterr().out
-        assert "re-executable fraction" in out
-        assert "histogram" in out
-
     def test_run_fft(self, capsys):
         assert main(["run", "--app", "fft", "--elements", "1000"]) == 0
         out = capsys.readouterr().out
         assert "Rumba error" in out
         assert "energy savings" in out
-
-    def test_summary_single_app(self, capsys):
-        assert main(["summary", "--apps", "fft"]) == 0
-        out = capsys.readouterr().out
-        assert "error reduction" in out
 
 
 class TestMonitor:
