@@ -754,10 +754,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 )
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.apps import APPLICATION_NAMES
-    from repro.eval.fidelity import generate_report
+    from repro.eval.fidelity import collect, render
 
     apps = args.apps.split(",") if args.apps else APPLICATION_NAMES
-    text = generate_report(apps, seed=args.seed)
+    text = render([collect(apps, seed=args.seed)])
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")

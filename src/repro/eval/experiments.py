@@ -148,40 +148,16 @@ def energy_speedup_table(
     larger Table 1 NPU topology.
     """
     cost_model = cost_model or CostModel(evaluation.app)
-    rows: List[SchemeCostRow] = []
-
-    npu_costs = cost_model.whole_app_costs(
-        topology=evaluation.app.npu_topology,
-        checker=CheckerModel("none"),
-        fix_fraction=0.0,
-    )
-    rows.append(
-        SchemeCostRow(
-            scheme="NPU",
-            fix_fraction=0.0,
-            normalized_energy=npu_costs.normalized_energy,
-            energy_savings=npu_costs.energy_savings,
-            speedup=npu_costs.speedup,
-        )
-    )
-
     analyses = quality_target_analysis(evaluation, target_error)
-    for scheme in SCHEME_NAMES:
-        analysis = analyses[scheme]
+    bars = [("NPU", evaluation.app.npu_topology, CheckerModel("none"), 0.0)] + [
+        (scheme, evaluation.backend.topology, _scheme_checker(scheme, evaluation),
+         analyses[scheme].fixed_fraction) for scheme in SCHEME_NAMES]
+    rows: List[SchemeCostRow] = []
+    for scheme, topology, checker, fix_fraction in bars:
         costs = cost_model.whole_app_costs(
-            topology=evaluation.backend.topology,
-            checker=_scheme_checker(scheme, evaluation),
-            fix_fraction=analysis.fixed_fraction,
-        )
-        rows.append(
-            SchemeCostRow(
-                scheme=scheme,
-                fix_fraction=analysis.fixed_fraction,
-                normalized_energy=costs.normalized_energy,
-                energy_savings=costs.energy_savings,
-                speedup=costs.speedup,
-            )
-        )
+            topology=topology, checker=checker, fix_fraction=fix_fraction)
+        rows.append(SchemeCostRow(scheme, fix_fraction, costs.normalized_energy,
+                                  costs.energy_savings, costs.speedup))
     return rows
 
 
@@ -384,47 +360,33 @@ def headline_summary(
     Figs. 14/15 (the larger Table 1 NPU network).  Per-app results carry
     both unchecked error variants.
     """
-    unchecked_errors: List[float] = []
-    rumba_errors: List[float] = []
-    npu_energy: List[float] = []
-    rumba_energy: List[float] = []
-    npu_speed: List[float] = []
-    rumba_speed: List[float] = []
     per_app: Dict[str, Dict[str, float]] = {}
-
     for name in benchmarks:
         evaluation = evaluate_benchmark(name, seed=seed)
         rows = {r.scheme: r for r in energy_speedup_table(evaluation, target_error)}
         analyses = quality_target_analysis(evaluation, target_error)
-        scheme_row = rows[scheme]
-        achieved = analyses[scheme].achieved_error
-
-        unchecked_errors.append(evaluation.unchecked_error)
-        rumba_errors.append(achieved)
-        npu_energy.append(rows["NPU"].energy_savings)
-        rumba_energy.append(scheme_row.energy_savings)
-        npu_speed.append(rows["NPU"].speedup)
-        rumba_speed.append(scheme_row.speedup)
+        npu, rumba = rows["NPU"], rows[scheme]
         per_app[name] = {
             "unchecked_error": evaluation.unchecked_error,
             "npu_unchecked_error": evaluation.npu_unchecked_error,
-            "rumba_error": achieved,
-            "fix_fraction": scheme_row.fix_fraction,
-            "npu_energy_savings": rows["NPU"].energy_savings,
-            "rumba_energy_savings": scheme_row.energy_savings,
-            "npu_speedup": rows["NPU"].speedup,
-            "rumba_speedup": scheme_row.speedup,
+            "rumba_error": analyses[scheme].achieved_error,
+            "fix_fraction": rumba.fix_fraction,
+            "npu_energy_savings": npu.energy_savings,
+            "rumba_energy_savings": rumba.energy_savings,
+            "npu_speedup": npu.speedup,
+            "rumba_speedup": rumba.speedup,
         }
 
-    mean_unchecked = float(np.mean(unchecked_errors))
-    mean_rumba = float(np.mean(rumba_errors))
+    def over_apps(key: str, reduce=lambda v: float(np.mean(v))) -> float:
+        return reduce([app[key] for app in per_app.values()])
+
+    mean_unchecked, mean_rumba = over_apps("unchecked_error"), over_apps("rumba_error")
     return HeadlineSummary(
         mean_unchecked_error=mean_unchecked,
         mean_rumba_error=mean_rumba,
         error_reduction=mean_unchecked / mean_rumba,
-        npu_energy_savings=geomean(npu_energy),
-        rumba_energy_savings=geomean(rumba_energy),
-        npu_speedup=geomean(npu_speed),
-        rumba_speedup=geomean(rumba_speed),
+        **{key: over_apps(key, geomean) for key in (
+            "npu_energy_savings", "rumba_energy_savings", "npu_speedup",
+            "rumba_speedup")},
         per_app=per_app,
     )

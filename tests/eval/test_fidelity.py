@@ -1,21 +1,28 @@
-"""The paper-fidelity table against its committed snapshot.
+"""The paper-fidelity ledger against its committed population.
 
-``fidelity.json`` at the repository root is ``collect(APPLICATION_NAMES,
-seed=0)`` and ``EXPERIMENTS.md`` its rendering.  A change that moves a
-number or a note on purpose regenerates both with ``PYTHONPATH=src python
--m repro.eval.fidelity`` (from the repository root) and says which rows
-moved.
+``fidelity.json`` at the repository root is ``[collect(APPLICATION_NAMES,
+seed=s) for s in SEEDS]`` and ``EXPERIMENTS.md`` its rendering: each row's
+median and range over the seeds and its status.  Tier-1 re-derives seed 0
+on an empty store and seeds 1-4 from the shared one, each to 1e-9.  A
+change that moves a number or a note on purpose regenerates both with
+``PYTHONPATH=src python -m repro.eval.fidelity`` (from the repository root)
+and says which rows moved; one that moves a row into PARTIAL edits
+``PARTIAL_ROWS`` here as well.
 """
 
 import copy
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from repro.apps.registry import APPLICATION_NAMES
-from repro.eval.fidelity import GRIDS, ROWS, SOURCES, collect, render
+from repro.apps.registry import APPLICATION_NAMES, get_application
+from repro.eval import fidelity
+from repro.eval.fidelity import (
+    GRIDS, ROWS, SEEDS, SOURCES, Row, _status, collect, render)
 
 SNAPSHOT = Path(__file__).resolve().parents[2] / "fidelity.json"
 EXPERIMENTS = SNAPSHOT.with_name("EXPERIMENTS.md")
@@ -56,13 +63,21 @@ PAPER_VALUES = {
 }
 
 
+#: The rows whose check fails at some seeds (and holds at others).
+PARTIAL_ROWS = {"extension.memoization.managed_error_growth"}
+
+
 @pytest.fixture(scope="module")
-def snapshot():
+def runs():
     return json.loads(SNAPSHOT.read_text())
 
 
 def _failing(data):
     return [row.id for row in ROWS if row.check is not None and not row.check(data)]
+
+
+def _statuses(runs):
+    return {row.id: _status(row, runs, [row.value(d) for d in runs]) for row in ROWS}
 
 
 def _numbers_to_nan(node):
@@ -91,32 +106,148 @@ def _assert_close(got, want, path="$"):
         assert got == want, path
 
 
-def test_every_row_resolves_and_every_check_passes_on_the_snapshot(snapshot):
+def test_every_row_resolves_on_every_seed(runs):
+    assert [d["seed"] for d in runs] == list(SEEDS)
     assert len({row.id for row in ROWS}) == len(ROWS)
-    for row in ROWS:
-        assert math.isfinite(row.value(snapshot)), row.id
-    assert _failing(snapshot) == []
+    for data in runs:
+        for row in ROWS:
+            assert math.isfinite(row.value(data)), (row.id, data["seed"])
 
 
-def test_every_check_fails_on_nan_data(snapshot):
+def test_every_check_fails_on_nan_data(runs):
     """A check that holds on NaNs holds on anything: it checks nothing."""
-    nan = _numbers_to_nan(snapshot)
-    checked = [row.id for row in ROWS if row.check is not None]
-    assert sorted(_failing(nan)) == sorted(checked)
+    checked = sorted(row.id for row in ROWS if row.check is not None)
+    for data in runs:
+        assert sorted(_failing(_numbers_to_nan(data))) == checked, data["seed"]
 
 
-def test_headline_checks_flag_drift(snapshot):
-    drifted = copy.deepcopy(snapshot)
-    drifted["headline"]["npu_energy_savings"] = 10.0
-    assert _failing(drifted) == ["headline.npu_energy_savings"]
+def test_no_row_fails_and_every_partial_or_deviating_row_says_why(runs):
+    statuses = _statuses(runs)
+    assert not [i for i, status in statuses.items() if status == "FAIL"]
+    assert {i for i, status in statuses.items()
+            if status.startswith("PARTIAL")} == PARTIAL_ROWS
+    notes = {row.id: row.note for row in ROWS}
+    assert not [i for i, status in statuses.items()
+                if status.startswith(("PARTIAL", "DEVIATES")) and not notes[i]]
 
 
-def test_headline_checks_flag_multiple_drifts(snapshot):
-    drifted = copy.deepcopy(snapshot)
-    drifted["headline"]["npu_energy_savings"] = 10.0
-    drifted["headline"]["rumba_speedup"] = 0.5
-    assert sorted(_failing(drifted)) == [
-        "headline.npu_energy_savings", "headline.rumba_speedup"]
+@pytest.mark.parametrize("seed", SEEDS)
+def test_error_reduction_is_the_unchecked_accelerators_number(runs, seed):
+    """The row is mean(unchecked) / mean(Rumba) over the apps, and each
+    app's Rumba error sits on the budget (fft is over it at every seed)."""
+    def flagged(scale=1.0, **fft):
+        data = copy.deepcopy(runs[seed])
+        headline = data["headline"]
+        headline["per_app"]["fft"].update(fft)
+        apps = headline["per_app"].values()
+        headline["error_reduction"] = scale * (
+            np.mean([a["unchecked_error"] for a in apps])
+            / np.mean([a["rumba_error"] for a in apps]))
+        return "headline.error_reduction" in _failing(data)
+
+    budget = runs[seed]["target_error"]
+    assert not flagged()
+    assert flagged(scale=1 + 1e-9)
+    assert flagged(rumba_error=budget + 1e-9)
+    assert flagged(rumba_error=budget - 2e-3)
+
+
+def _population(*values):
+    return [{"seed": seed, "x": x} for seed, x in enumerate(values)]
+
+
+@pytest.mark.parametrize("values,paper,status", [
+    ((1.0, 2.0, 3.0, 4.0, 5.0), 3.5, "READY"),
+    ((1.0, -2.0, 3.0, 4.0, 5.0), 3.5, "PARTIAL (seed 1)"),
+    ((1.0, -2.0, 3.0, -4.0, 5.0), None, "PARTIAL (seeds 1, 3)"),
+    ((-1.0, -2.0, -3.0, -4.0, -5.0), None, "FAIL"),
+    ((1.0, 2.0, 3.0, 4.0, 5.0), 6.0, "DEVIATES"),
+    ((1.0, 2.0, 3.0, 4.0, 5.0), (5.5, 7.0), "DEVIATES"),
+    ((1.0, 2.0, 3.0, 4.0, 5.0), (4.5, 7.0), "READY"),
+    ((1.0,), 1.0, "READY"),
+    ((-1.0,), 1.0, "FAIL"),
+])
+def test_the_status_rule(values, paper, status):
+    runs = _population(*values)
+    row = Row("x", "test", paper, "x", lambda d: d["x"], lambda d: d["x"] > 0)
+    assert _status(row, runs, values) == status
+    unchecked = Row("x", "test", paper, "x", lambda d: d["x"])
+    assert _status(unchecked, runs, values) in ("READY", "DEVIATES")
+
+
+def test_a_population_of_one_renders_through_the_same_path(runs):
+    text = render(runs[:1])
+    assert "seeds 0;" in text and "`headline.error_reduction`" in text
+    assert "| FAIL |" not in text and "| READY |" in text
+
+
+class _Drawn(Exception):
+    """Raised by a stub once an experiment has drawn all its inputs."""
+
+
+class _RawMemo:
+    """The raw memoizing backend's surface ``_memoization`` reads."""
+
+    hit_rate = 0.0
+
+    def __init__(self, app, key_bits):
+        self.exact = app.exact
+
+    def __call__(self, inputs):
+        return self.exact(inputs)
+
+
+def _stream_seeds(monkeypatch, family, seed):
+    """The seeds of every random stream ``family`` draws from at ``seed``:
+    image seeds, and every ``default_rng`` it (or what it calls) makes.
+    The Sec. 4 substrates and the raw memoizing backend are stubbed: they
+    are hardware, calibrated once with the same stream at every seed."""
+    drawn = set()
+    real = np.random.default_rng
+
+    def default_rng(stream=None):
+        drawn.add(stream)
+        return real(stream)
+
+    def flower_image(shape, seed):
+        drawn.add(("image", seed))
+
+    def stop(*args, **kwargs):
+        raise _Drawn
+
+    app = get_application("inversek2j")
+
+    def rails(app):
+        return (lambda x: np.atleast_2d(np.asarray(x, float))), app.exact
+    ev = SimpleNamespace(app=app, unchecked_error=0.0, errors=np.zeros(10),
+                         scores={s: np.zeros(10) for s in ("Ideal", "Random", "EMA",
+                                                           "treeErrors")})
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(fidelity, "flower_image", flower_image)
+    monkeypatch.setattr(fidelity, "PerforationQualityManager", stop)
+    monkeypatch.setattr(fidelity, "_quantized_datapath", rails)
+    monkeypatch.setattr(fidelity, "_analog_datapath", rails)
+    monkeypatch.setattr(fidelity, "MemoizingBackend", _RawMemo)
+    try:
+        {"sampling": lambda: fidelity._sampling(seed),
+         "alt_accelerators": lambda: fidelity._alt_accelerators(ev, seed),
+         "memoization": lambda: fidelity._memoization(ev, seed)}[family]()
+    except _Drawn:
+        pass
+    monkeypatch.undo()
+    return drawn
+
+
+@pytest.mark.parametrize("family", ["sampling", "alt_accelerators", "memoization"])
+def test_the_ledgers_own_experiments_draw_disjoint_streams_across_seeds(
+        monkeypatch, family):
+    """No two seeds share an input of these experiments, so their spread is
+    the population's.  (The core's streams, ``seed`` / ``seed + 1`` /
+    ``seed + 2`` in ``evaluate_benchmark`` and ``checker_data``, are shared
+    between adjacent seeds: changing them retrains every stored network.)"""
+    streams = [_stream_seeds(monkeypatch, family, seed) for seed in SEEDS]
+    assert all(streams)
+    assert sum(map(len, streams)) == len(set().union(*streams))
 
 
 def test_the_papers_values_are_rows():
@@ -124,12 +255,12 @@ def test_the_papers_values_are_rows():
     assert {key: paper.get(key) for key in PAPER_VALUES} == PAPER_VALUES
 
 
-def test_experiments_md_is_the_rendering_of_the_snapshot(snapshot):
+def test_experiments_md_is_the_rendering_of_the_snapshot(runs):
     """Neither file is edited by hand: the snapshot is in the form the
     generator writes, and the document is its rendering (whose header
     carries a digest of all of it, so any edit to either shows here)."""
-    assert SNAPSHOT.read_text() == json.dumps(snapshot, indent=1) + "\n"
-    assert EXPERIMENTS.read_text() == render(snapshot) + "\n"
+    assert SNAPSHOT.read_text() == json.dumps(runs, indent=1) + "\n"
+    assert EXPERIMENTS.read_text() == render(runs) + "\n"
 
 
 def test_every_source_is_a_section():
@@ -139,8 +270,7 @@ def test_every_source_is_a_section():
 
 
 @pytest.mark.slow
-def test_live_collection_reproduces_the_snapshot(snapshot, monkeypatch,
-                                                 tmp_path):
+def test_live_collection_reproduces_the_snapshot(runs, monkeypatch, tmp_path):
     """Training is bit-reproducible, so a fresh seed-0 collection (every
     app trained once per topology, nothing more, into an empty store)
     equals the snapshot, and each network the store then gives back is
@@ -169,8 +299,24 @@ def test_live_collection_reproduces_the_snapshot(snapshot, monkeypatch,
                                  allow_nan=False))
     assert sorted(trained) == sorted(
         (app, rumba) for app in APPLICATION_NAMES for rumba in (True, False))
-    _assert_close(data, snapshot)
+    _assert_close(data, runs[0])
     assert _failing(data) == []
     for (name, rumba), backend in backends.items():
         app = get_application(name)
         assert_same_backend(backend, offline._store_load(app, rumba, 0), app)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [s for s in SEEDS if s])
+def test_the_shared_store_reproduces_every_other_seed(runs, monkeypatch, seed):
+    """Seeds 1-4 re-derived through the shared store (training only what it
+    lacks), each equal to its committed run."""
+    from repro.core import offline
+    from repro.eval import schemes
+
+    monkeypatch.setattr(offline, "_BACKEND_CACHE", {})
+    monkeypatch.setattr(offline, "_DATA_CACHE", {})
+    monkeypatch.setattr(schemes, "_EVAL_CACHE", {})
+    data = json.loads(json.dumps(collect(APPLICATION_NAMES, seed=seed),
+                                 allow_nan=False))
+    _assert_close(data, runs[seed])

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.eval import generate_report
+from repro.eval.fidelity import collect, render
 
 
 @pytest.fixture(scope="module")
 def fft_report():
-    return generate_report(benchmarks=["fft"], seed=0)
+    return render([collect(["fft"], seed=0)])
 
 
 class TestGenerateReport:
@@ -49,7 +49,7 @@ class TestGenerateReport:
 
     def test_subset_and_full_names(self):
         with pytest.raises(ConfigurationError):
-            generate_report(benchmarks=[])
+            collect([])
 
     def test_cli_report_command(self, tmp_path, capsys):
         from repro.__main__ import main
