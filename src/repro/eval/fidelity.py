@@ -864,6 +864,18 @@ def _paper(paper: Paper) -> str:
     return "—" if paper is None else f"{paper:g}"
 
 
+def _endpoint(value: float, paper: Paper) -> str:
+    """``value`` to 3 significant digits, or more until it keeps its side
+    of each of the paper's values: 9.998 beside 10 does not print as 10."""
+    marks = paper if isinstance(paper, tuple) else () if paper is None else (paper,)
+    digits = 3
+    while np.isfinite(value) and any(
+            np.sign(float(f"{value:.{digits}g}") - m) != np.sign(value - m)
+            for m in marks):
+        digits += 1
+    return f"{value:.{digits}g}"
+
+
 def _status(row: Row, runs: Sequence[Data], values: Sequence[float]) -> str:
     """FAIL when the check fails at every seed, PARTIAL (naming the seeds)
     when at some, DEVIATES when it holds at every seed but the paper's
@@ -892,7 +904,8 @@ def _section(runs: Sequence[Data], rows: Sequence[Row],
             continue
         lo, hi = min(values), max(values)
         ours = f"{np.median(values):.3g}" + (
-            f" [{lo:.3g}–{hi:.3g}]" if lo != hi else "")
+            f" [{_endpoint(lo, row.paper)}–{_endpoint(hi, row.paper)}]"
+            if lo != hi else "")
         name = f"`{row.id}`"
         if row.note:
             if row.note not in notes:

@@ -39,6 +39,14 @@ def _first_of_runs(sorted_rows: np.ndarray) -> np.ndarray:
     return first
 
 
+def _distinct(values) -> np.ndarray:
+    """``np.unique(values)`` of floats, bit for bit: its sort, then the
+    first of each run.  np.unique's first call imports numpy.ma (~17 ms),
+    which a fresh shard would pay on its first scored request."""
+    values = np.sort(np.asarray(values, dtype=float))
+    return values[_first_of_runs(values[None])[0]] if values.size else values
+
+
 @dataclass
 class TreeNode:
     """A tree node; leaves have ``value`` set, internal nodes a split."""
@@ -266,7 +274,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         np.maximum(value, 0.0, out=value)
         flat = (feature, threshold, value, depth)
         if self._n_features == 1:
-            cuts = np.unique(np.asarray(cuts, dtype=float))
+            cuts = _distinct(cuts)
             probes = np.append(cuts, np.nan)[:, None]
             bufs = self._new_scratch(probes.shape[0], 1)
             flat = (cuts, self._descend(flat, probes, bufs))

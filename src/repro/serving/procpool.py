@@ -33,6 +33,7 @@ import time
 import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional
 
@@ -58,10 +59,6 @@ __all__ = ["ProcessWorkerPool", "ProcessWorker", "worker_snapshot"]
 _FULL_RING_S = 0.0005
 #: A worker's bell wait; on each timeout it checks that its parent lives.
 _ORPHAN_CHECK_MS = 100
-#: Invocation records a serving shard retains (``RumbaSystem.max_records``).
-#: Nothing in serving reads them; unbounded, a long-lived shard leaks one
-#: record per batch.
-SHARD_RECORD_WINDOW = 256
 
 
 def worker_snapshot(
@@ -115,7 +112,7 @@ def worker_snapshot(
 
 
 def _ring(bell: Connection) -> None:
-    """Wake a ring's reader; call only after the frame is published."""
+    """Wake a ring's reader after a publish or a refusal (a PAD to skip)."""
     try:
         os.write(bell.fileno(), b"\0")
     except (BlockingIOError, BrokenPipeError):
@@ -144,7 +141,10 @@ def _worker_main(
     waiter.register(in_bell.fileno(), select.POLLIN)
     try:
         prototype = pickle.loads(system_blob)
-        system = prototype.clone_shard(max_records=SHARD_RECORD_WINDOW)
+        # One record: worker_snapshot reads the last, and nothing outside
+        # this process can reach the others.
+        system = prototype.clone_shard(max_records=1)
+        wake_parent = partial(_ring, out_bell)
         while True:
             # Zero-copy read: BATCH payloads are consumed as views of ring
             # memory; the frame is advanced (bytes released to the
@@ -191,8 +191,9 @@ def _worker_main(
                     blob = pickle.dumps(exc)
                 except Exception:
                     blob = pickle.dumps(ServingError(repr(exc)))
-                _write_blocking(out_ring, FRAME_ERROR, frame.seq, None, blob)
-                _ring(out_bell)
+                _write_blocking(
+                    out_ring, wake_parent, FRAME_ERROR, frame.seq, None, blob
+                )
             else:
                 in_ring.advance(frame)
                 snapshot = worker_snapshot(
@@ -207,10 +208,9 @@ def _worker_main(
                 ]
                 extra = pickle.dumps(snapshot)
                 _write_blocking(
-                    out_ring, FRAME_RESULT, frame.seq, record.outputs, extra,
-                    trace_id=frame.trace_id,
+                    out_ring, wake_parent, FRAME_RESULT, frame.seq,
+                    record.outputs, extra, trace_id=frame.trace_id,
                 )
-                _ring(out_bell)
     finally:
         # An exception that leaves the loop mid-batch (a signalled
         # worker's KeyboardInterrupt) still holds the batch's zero-copy
@@ -229,6 +229,7 @@ def _destroy(ring: ShmRing) -> None:
 
 def _write_blocking(
     ring: ShmRing,
+    wake,
     kind: int,
     seq: int,
     payload: Optional[np.ndarray],
@@ -237,16 +238,20 @@ def _write_blocking(
     still_alive=None,
     trace_id: int = 0,
 ) -> bool:
-    """Spin (politely) until the frame fits; False on timeout/death."""
+    """Spin (politely) until the frame fits, then ``wake()`` the ring's
+    reader; False on timeout/death.  Every refusal wakes it too, to skip
+    a PAD the frame may be waiting behind."""
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     while not ring.try_write(
         kind, seq, payload=payload, extra=extra, trace_id=trace_id
     ):
+        wake()
         if still_alive is not None and not still_alive():
             return False
         if deadline is not None and time.monotonic() >= deadline:
             return False
         time.sleep(_FULL_RING_S)
+    wake()
     return True
 
 
@@ -372,7 +377,7 @@ class ProcessWorkerPool:
         worker.out_bell.close()
 
     def _wake(self, worker: ProcessWorker) -> None:
-        """Ring a worker's in_bell after a publish on its input ring."""
+        """Ring a worker's in_bell after a publish or a refusal (see _ring)."""
         with self._bell_lock:
             if not worker.dead:
                 _ring(worker.in_bell)
@@ -423,10 +428,10 @@ class ProcessWorkerPool:
         for worker in self.workers:
             if worker.process.is_alive():
                 _write_blocking(
-                    worker.in_ring, FRAME_STOP, 0, None, b"",
+                    worker.in_ring, partial(self._wake, worker), FRAME_STOP,
+                    0, None, b"",
                     timeout_s=1.0, still_alive=worker.process.is_alive,
                 )
-                self._wake(worker)
         for worker in self.workers:
             worker.process.join(timeout=timeout)
             self._dismantle(worker, timeout=1.0)  # terminates a straggler
@@ -480,6 +485,7 @@ class ProcessWorkerPool:
         while not worker.in_ring.write_rows(
             FRAME_BATCH, seq, blocks, extra=extra, trace_id=trace_id
         ):
+            self._wake(worker)  # see _write_blocking
             if not worker.alive() or time.monotonic() >= deadline:
                 raise ServingError(
                     f"could not deliver batch {seq} to worker {worker.name} "

@@ -16,9 +16,9 @@ producer only advances ``tail`` and the consumer only advances ``head``,
 so no lock is needed: the payload is fully written *before* the tail is
 published, and fully read *before* the head is published.
 
-Every message is a **frame**::
+Every message is a **frame** whose span is a multiple of 64 bytes::
 
-    64-byte header  — 8 little-endian int64 slots:
+    64-byte header  — 8 little-endian 64-bit slots, the last unsigned:
         [magic, kind, seq, n_rows, n_cols, payload_bytes, extra_bytes,
          trace_id]
     payload         — n_rows × n_cols float64 block (C order), may be empty
@@ -28,8 +28,21 @@ The final header slot carries the request-trace id of the batch the
 frame belongs to (0 = untraced) so stage timing can be correlated
 across the process boundary; see :mod:`repro.observability.reqtrace`.
 
+Frames never split.  A frame that would straddle the end of the data
+region is written at offset 0, behind a ``FRAME_PAD`` header that fills
+the rest of the lap and that the consumer skips.  The producer also
+returns to offset 0 whenever the released bytes before the consumer's
+position can hold the frame, so a ring whose consumer keeps up touches
+only the bytes in flight plus one frame, not its ``capacity``; the
+pages beyond are never made resident.  Every header, a PAD's included,
+is magic-checked on read.  A frame larger than half the capacity may
+fit only once the consumer has skipped a PAD the producer published, so
+a producer that is refused wakes its consumer before it retries (see
+:mod:`repro.serving.procpool`).
+
 Frame kinds (see :mod:`repro.serving.procpool` for the protocol):
-``FRAME_BATCH``, ``FRAME_RESULT``, ``FRAME_ERROR``, ``FRAME_STOP``.
+``FRAME_BATCH``, ``FRAME_RESULT``, ``FRAME_ERROR``, ``FRAME_STOP``, and
+the ring's own ``FRAME_PAD``.
 """
 
 from __future__ import annotations
@@ -50,21 +63,29 @@ __all__ = [
     "FRAME_RESULT",
     "FRAME_ERROR",
     "FRAME_STOP",
+    "FRAME_PAD",
 ]
 
 FRAME_BATCH = 1    # parent -> worker: one accelerator invocation's inputs
 FRAME_RESULT = 2   # worker -> parent: merged outputs + metrics snapshot
 FRAME_ERROR = 3    # worker -> parent: a batch failed (extra = pickled exc)
 FRAME_STOP = 4     # parent -> worker: exit the worker loop
+FRAME_PAD = 5      # ring filler: the rest of the lap is unused
 
 _MAGIC = 0x52554D42  # "RUMB"
 _CTRL_BYTES = 16     # head + tail
-_HEADER_BYTES = 64   # 8 x int64
-_HEADER_FMT = "<8q"
+_HEADER_BYTES = 64   # 8 x int64; also the unit every frame span rounds to
+_HEADER_FMT = "<7qQ"  # the trace id is a u64
 
 
 def _pad8(n: int) -> int:
     return (n + 7) & ~7
+
+
+def _span(payload_bytes: int, extra_bytes: int) -> int:
+    """Ring bytes of one frame: whole 64-byte units, so a PAD always fits."""
+    n = _HEADER_BYTES + _pad8(payload_bytes) + _pad8(extra_bytes)
+    return -(-n // _HEADER_BYTES) * _HEADER_BYTES
 
 
 @dataclass
@@ -77,17 +98,19 @@ class ShmFrame:
     extra: bytes
     #: Request-trace id of the batch this frame belongs to (0 = untraced).
     trace_id: int = 0
-    #: Total ring bytes the frame occupies (header + padded payload +
-    #: padded extra); what :meth:`ShmRing.advance` releases.
+    #: Ring bytes the frame occupies, header to padded extra, in whole
+    #: 64-byte units; what :meth:`ShmRing.advance` releases.
     span: int = 0
 
 
 class ShmRing:
     """SPSC byte ring over one shared-memory segment.
 
-    Exactly one process writes (:meth:`try_write`) and exactly one reads
-    (:meth:`try_read`).  The creating side owns the segment's lifetime
-    (:meth:`unlink`); attached sides only :meth:`close`.
+    Exactly one process writes (:meth:`try_write`, :meth:`write_rows`)
+    and exactly one reads (:meth:`try_read`).  The creating side owns the
+    segment's lifetime (:meth:`unlink`); attached sides only
+    :meth:`close`.  ``capacity`` is ``capacity_bytes`` rounded down to
+    whole 64-byte units.
     """
 
     def __init__(self, capacity_bytes: int = 1 << 22, name: Optional[str] = None):
@@ -95,7 +118,7 @@ class ShmRing:
             raise ConfigurationError(
                 f"ring capacity must be at least {_HEADER_BYTES * 2} bytes"
             )
-        self.capacity = int(capacity_bytes)
+        self.capacity = int(capacity_bytes) // _HEADER_BYTES * _HEADER_BYTES
         self._owner = True
         self._shm = shared_memory.SharedMemory(
             create=True, size=_CTRL_BYTES + self.capacity, name=name
@@ -127,7 +150,8 @@ class ShmRing:
                 ring._shm = shared_memory.SharedMemory(name=name)
             finally:
                 resource_tracker.register = original_register
-        ring.capacity = ring._shm.size - _CTRL_BYTES
+        size = ring._shm.size - _CTRL_BYTES
+        ring.capacity = size // _HEADER_BYTES * _HEADER_BYTES
         ring._owner = False
         return ring
 
@@ -153,33 +177,6 @@ class ShmRing:
     def used_bytes(self) -> int:
         return self._tail() - self._head()
 
-    def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes()
-
-    # ------------------------------------------------------------------ #
-    # Wrap-aware bulk copies                                             #
-    # ------------------------------------------------------------------ #
-    def _copy_in(self, counter: int, data: bytes | memoryview) -> None:
-        """Write ``data`` into the ring at monotonic position ``counter``."""
-        pos = counter % self.capacity
-        n = len(data)
-        first = min(n, self.capacity - pos)
-        base = _CTRL_BYTES
-        self._shm.buf[base + pos: base + pos + first] = data[:first]
-        if first < n:  # wrap: second part lands at the ring's start
-            self._shm.buf[base: base + (n - first)] = data[first:]
-
-    def _copy_out(self, counter: int, n: int) -> bytearray:
-        """Read ``n`` bytes from monotonic position ``counter``."""
-        pos = counter % self.capacity
-        first = min(n, self.capacity - pos)
-        base = _CTRL_BYTES
-        out = bytearray(n)
-        out[:first] = self._shm.buf[base + pos: base + pos + first]
-        if first < n:
-            out[first:] = self._shm.buf[base: base + (n - first)]
-        return out
-
     # ------------------------------------------------------------------ #
     # Framing                                                            #
     # ------------------------------------------------------------------ #
@@ -187,8 +184,38 @@ class ShmRing:
         self, payload: Optional[np.ndarray] = None, extra: bytes = b""
     ) -> int:
         """Total ring bytes one frame with this content occupies."""
-        payload_bytes = 0 if payload is None else payload.size * 8
-        return _HEADER_BYTES + _pad8(payload_bytes) + _pad8(len(extra))
+        return _span(0 if payload is None else payload.size * 8, len(extra))
+
+    def _reserve(self, needed: int) -> Optional[int]:
+        """The tail counter at which a frame of ``needed`` bytes goes, or
+        None while the bytes the reader has released cannot hold it.
+
+        Returns to offset 0 — behind a published PAD — when the frame
+        would straddle the end of the data region, or when the released
+        bytes before the reader's position can hold it.
+        """
+        if needed > self.capacity:
+            raise ServingError(
+                f"frame of {needed} bytes cannot ever fit a "
+                f"{self.capacity}-byte ring; raise ring_capacity_bytes"
+            )
+        head, tail = self._head(), self._tail()
+        pos, hpos = tail % self.capacity, head % self.capacity
+        if pos and (pos > hpos or head == tail):
+            # In flight are [hpos, pos); released are [pos, end), [0, hpos).
+            if hpos < needed <= self.capacity - pos:
+                return tail
+            struct.pack_into(
+                _HEADER_FMT, self._shm.buf, _CTRL_BYTES + pos,
+                _MAGIC, FRAME_PAD, 0, 0, 0, 0, 0, 0,
+            )
+            tail += self.capacity - pos
+            self._set_tail(tail)
+        # The released bytes run on from the tail's position: count them from
+        # the head read above, not a newer one whose freed bytes may not join.
+        if needed > self.capacity - (tail - head):
+            return None
+        return tail
 
     def try_write(
         self,
@@ -204,43 +231,8 @@ class ShmRing:
         block directly into shared memory (no serialization).
         ``trace_id`` rides in the header's final slot (0 = untraced).
         """
-        if payload is not None:
-            payload = np.ascontiguousarray(payload, dtype=np.float64)
-            if payload.ndim != 2:
-                raise ConfigurationError("frame payloads must be 2-D")
-            n_rows, n_cols = payload.shape
-            payload_bytes = payload.size * 8
-        else:
-            n_rows = n_cols = payload_bytes = 0
-        needed = _HEADER_BYTES + _pad8(payload_bytes) + _pad8(len(extra))
-        if needed > self.capacity:
-            raise ServingError(
-                f"frame of {needed} bytes cannot ever fit a "
-                f"{self.capacity}-byte ring; raise ring_capacity_bytes"
-            )
-        if needed > self.free_bytes():
-            return False
-        tail = self._tail()
-        # The slot is a signed int64; u64 trace ids wrap into the sign
-        # bit and are unwrapped symmetrically on the read side.
-        trace_slot = int(trace_id) & ((1 << 64) - 1)
-        if trace_slot >= 1 << 63:
-            trace_slot -= 1 << 64
-        header = struct.pack(
-            _HEADER_FMT, _MAGIC, kind, seq, n_rows, n_cols,
-            payload_bytes, len(extra), trace_slot,
-        )
-        self._copy_in(tail, header)
-        offset = tail + _HEADER_BYTES
-        if payload_bytes:
-            self._copy_in(offset, payload.reshape(-1).view(np.uint8).data)
-            offset += _pad8(payload_bytes)
-        if extra:
-            self._copy_in(offset, extra)
-            offset += _pad8(len(extra))
-        # Publish only after the frame body is fully in place.
-        self._set_tail(tail + needed)
-        return True
+        blocks = () if payload is None else (payload,)
+        return self._write(kind, seq, blocks, extra, trace_id)
 
     def write_rows(
         self,
@@ -260,14 +252,16 @@ class ShmRing:
         """
         if not blocks:
             raise ConfigurationError("write_rows needs at least one block")
-        n_rows = 0
-        n_cols = -1
+        return self._write(kind, seq, blocks, extra, trace_id)
+
+    def _write(self, kind, seq, blocks, extra, trace_id) -> bool:
+        n_rows = n_cols = 0
         contiguous = []
         for block in blocks:
             block = np.ascontiguousarray(block, dtype=np.float64)
             if block.ndim != 2:
                 raise ConfigurationError("frame payloads must be 2-D")
-            if n_cols < 0:
+            if not contiguous:
                 n_cols = block.shape[1]
             elif block.shape[1] != n_cols:
                 raise ConfigurationError(
@@ -276,32 +270,27 @@ class ShmRing:
             n_rows += block.shape[0]
             contiguous.append(block)
         payload_bytes = n_rows * n_cols * 8
-        needed = _HEADER_BYTES + _pad8(payload_bytes) + _pad8(len(extra))
-        if needed > self.capacity:
-            raise ServingError(
-                f"frame of {needed} bytes cannot ever fit a "
-                f"{self.capacity}-byte ring; raise ring_capacity_bytes"
-            )
-        if needed > self.free_bytes():
+        needed = _span(payload_bytes, len(extra))
+        tail = self._reserve(needed)
+        if tail is None:
             return False
-        tail = self._tail()
-        trace_slot = int(trace_id) & ((1 << 64) - 1)
-        if trace_slot >= 1 << 63:
-            trace_slot -= 1 << 64
-        header = struct.pack(
-            _HEADER_FMT, _MAGIC, kind, seq, n_rows, n_cols,
-            payload_bytes, len(extra), trace_slot,
+        buf = self._shm.buf
+        offset = _CTRL_BYTES + tail % self.capacity
+        struct.pack_into(
+            _HEADER_FMT, buf, offset, _MAGIC, kind, seq, n_rows, n_cols,
+            payload_bytes, len(extra), int(trace_id) & ((1 << 64) - 1),
         )
-        self._copy_in(tail, header)
-        offset = tail + _HEADER_BYTES
+        offset += _HEADER_BYTES
         for block in contiguous:
             # Block sizes are multiples of 8 bytes (float64 rows), so every
             # block lands 8-aligned at its running offset.
-            self._copy_in(offset, block.reshape(-1).view(np.uint8).data)
+            buf[offset: offset + block.size * 8] = (
+                block.reshape(-1).view(np.uint8).data
+            )
             offset += block.size * 8
-        offset = tail + _HEADER_BYTES + _pad8(payload_bytes)
         if extra:
-            self._copy_in(offset, extra)
+            buf[offset: offset + len(extra)] = extra
+        # Publish only after the frame body is fully in place.
         self._set_tail(tail + needed)
         return True
 
@@ -312,63 +301,40 @@ class ShmRing:
         owned array) and advances the read cursor before returning.
 
         ``zero_copy=True`` returns the payload as a view of ring memory
-        when the frame does not wrap (frame offsets are 8-aligned by
-        construction, so the view is a straight ``np.frombuffer``) and
-        does **not** advance the cursor: the view is valid until the
-        caller passes the frame to :meth:`advance`, which releases its
-        bytes back to the producer.  A wrapped payload is gathered into a
-        private array either way (the frame must still be advanced).
+        (frames never split, so the view is a straight ``np.frombuffer``)
+        and does **not** advance the cursor past the frame: the view is
+        valid until the caller passes the frame to :meth:`advance`, which
+        releases its bytes back to the producer.  Either mode releases the
+        PAD frames before it at once.
         """
+        buf = self._shm.buf
         head = self._head()
-        if self._tail() - head < _HEADER_BYTES:
-            return None
-        pos = head % self.capacity
-        if self.capacity - pos >= _HEADER_BYTES:
-            header = struct.unpack_from(
-                _HEADER_FMT, self._shm.buf, _CTRL_BYTES + pos
-            )
-        else:
-            header = struct.unpack(
-                _HEADER_FMT, bytes(self._copy_out(head, _HEADER_BYTES))
-            )
-        (magic, kind, seq, n_rows, n_cols, payload_bytes, extra_bytes,
-         trace_slot) = header
-        if magic != _MAGIC:
-            raise ServingError(
-                f"shm ring corrupted: bad frame magic {magic:#x}"
-            )
-        span = _HEADER_BYTES + _pad8(payload_bytes) + _pad8(extra_bytes)
-        offset = head + _HEADER_BYTES
+        while True:
+            if head >= self._tail():
+                return None
+            pos = head % self.capacity
+            (magic, kind, seq, n_rows, n_cols, payload_bytes, extra_bytes,
+             trace_id) = struct.unpack_from(_HEADER_FMT, buf, _CTRL_BYTES + pos)
+            if magic != _MAGIC:
+                raise ServingError(f"shm ring corrupted: bad frame magic {magic:#x}")
+            if kind != FRAME_PAD:
+                break
+            head += self.capacity - pos
+            self._set_head(head)
+        offset = _CTRL_BYTES + pos + _HEADER_BYTES
         payload: Optional[np.ndarray] = None
         if payload_bytes:
-            ppos = offset % self.capacity
-            if self.capacity - ppos >= payload_bytes:
-                view = np.frombuffer(
-                    self._shm.buf,
-                    dtype=np.float64,
-                    count=payload_bytes // 8,
-                    offset=_CTRL_BYTES + ppos,
-                ).reshape(n_rows, n_cols)
-                payload = view if zero_copy else view.copy()
-            else:
-                # Wrapped frame: gather the two halves (one copy); the
-                # result owns its memory, so it survives advance either way.
-                raw = self._copy_out(offset, payload_bytes)
-                payload = np.frombuffer(raw, dtype=np.float64).reshape(
-                    n_rows, n_cols
-                )
-            offset += _pad8(payload_bytes)
-        extra = b""
-        if extra_bytes:
-            extra = bytes(self._copy_out(offset, extra_bytes))
+            view = np.frombuffer(buf, dtype=np.float64, count=payload_bytes // 8,
+                                 offset=offset).reshape(n_rows, n_cols)
+            payload = view if zero_copy else view.copy()
+            offset += payload_bytes
+        extra = bytes(buf[offset: offset + extra_bytes])
+        span = _span(payload_bytes, extra_bytes)
         if not zero_copy:
             # Release the frame's bytes only after they are fully copied out.
             self._set_head(head + span)
-        return ShmFrame(
-            kind=kind, seq=seq, payload=payload, extra=extra,
-            trace_id=trace_slot & ((1 << 64) - 1),
-            span=span,
-        )
+        return ShmFrame(kind=kind, seq=seq, payload=payload, extra=extra,
+                        trace_id=trace_id, span=span)
 
     def advance(self, frame: ShmFrame) -> None:
         """Release a ``zero_copy`` frame's bytes back to the producer.

@@ -49,7 +49,6 @@ from repro.observability.reqtrace import STAGE_COLLECT, STAGE_SHM_WRITE
 from repro.serving import cpuhold
 from repro.serving.batching import concat_inputs
 from repro.serving.procpool import (
-    SHARD_RECORD_WINDOW,
     ProcessWorker,
     ProcessWorkerPool,
     worker_snapshot,
@@ -64,6 +63,11 @@ __all__ = [
     "WorkerTransport",
     "stamp_batch",
 ]
+
+#: Invocation records a thread shard retains (``RumbaSystem.max_records``);
+#: unbounded, a long-lived shard leaks one record per batch.  A process
+#: worker keeps one (:func:`repro.serving.procpool._worker_main`).
+SHARD_RECORD_WINDOW = 256
 
 #: ``(name, alive, restarts, snapshot)`` — one row of :meth:`workers`.
 WorkerStatus = Tuple[str, bool, int, Dict[str, object]]
@@ -191,8 +195,6 @@ class ThreadTransport(WorkerTransport):
     def prepare(self, prototype: RumbaSystem):
         for i in range(self.config.n_workers):
             name = f"w{i}"
-            # Nothing in serving reads ``system.records``; the window
-            # keeps a long-lived shard from retaining every invocation.
             system = prototype.clone_shard(max_records=SHARD_RECORD_WINDOW)
             self._shards.append((name, system))
         return list(self._shards)

@@ -22,7 +22,7 @@ import pytest
 from repro.apps.registry import APPLICATION_NAMES, get_application
 from repro.eval import fidelity
 from repro.eval.fidelity import (
-    GRIDS, ROWS, SEEDS, SOURCES, Row, _status, collect, render)
+    GRIDS, ROWS, SEEDS, SOURCES, Row, _endpoint, _status, collect, render)
 
 SNAPSHOT = Path(__file__).resolve().parents[2] / "fidelity.json"
 EXPERIMENTS = SNAPSHOT.with_name("EXPERIMENTS.md")
@@ -173,6 +173,19 @@ def test_the_status_rule(values, paper, status):
     assert _status(row, runs, values) == status
     unchecked = Row("x", "test", paper, "x", lambda d: d["x"])
     assert _status(unchecked, runs, values) in ("READY", "DEVIATES")
+
+
+@pytest.mark.parametrize("value,paper,text", [
+    (9.998, 10.0, "9.998"),
+    (10.0004, 10.0, "10.0004"),
+    (10.0, 10.0, "10"),
+    (8.8512, 10.0, "8.85"),
+    (2.0996, (2.1, 2.3), "2.0996"),
+    (1.23456, None, "1.23"),
+    (float("nan"), 10.0, "nan"),
+])
+def test_range_endpoints_never_round_onto_the_papers_value(value, paper, text):
+    assert _endpoint(value, paper) == text
 
 
 def test_a_population_of_one_renders_through_the_same_path(runs):

@@ -1,7 +1,9 @@
 """Unit and property tests for the decision-tree error predictor."""
 
 import copy
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -17,7 +19,11 @@ from repro.core import prepare_system
 from repro.core.offline import checker_data, prepare_backend
 from repro.errors import ConfigurationError, NotFittedError
 from repro.predictors.training import collect_training_data, train_predictor
-from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
+from repro.predictors.tree import (
+    DecisionTreeErrorPredictor,
+    TreeNode,
+    _distinct,
+)
 from tests.predictors.reference_tree import (
     predictor_for,
     reference_fit,
@@ -611,3 +617,39 @@ class TestScoringAllocations:
         # at 3.5 KB here).
         peak, result = _warm_call_peak(_fitted(1), rng.normal(size=(64, 1)))
         assert peak <= 2 * result.nbytes + 1024
+
+
+_SCORE_A_LOADED_TREE = """
+import sys, numpy as np
+from repro.predictors.tree import DecisionTreeErrorPredictor
+tree = DecisionTreeErrorPredictor(min_samples_leaf=2)
+tree.load_state(1, **np.load(sys.argv[1]))
+assert tree.scores(features=np.linspace(-3, 3, 64)[:, None]).any()
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestSingleColumnCuts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 1.5, -2.25, np.nan, 5e-324, -5e-324])
+        | st.floats(width=64),
+        max_size=40,
+    ))
+    def test_cuts_are_np_uniques_bit_for_bit(self, values):
+        values = np.array(values, dtype=float)
+        assert _distinct(values).tobytes() == np.unique(values).tobytes()
+
+    def test_scoring_a_loaded_tree_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma: ~17 ms that a fresh
+        # shard would pay on its first scored request.
+        path = tmp_path / "tree.npz"
+        np.savez(path, **_fitted(1).state())
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        out = subprocess.run(
+            [sys.executable, "-c", _SCORE_A_LOADED_TREE, str(path)],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        assert out.split() == ["False"]

@@ -22,7 +22,7 @@ from repro.serving import (
     RumbaServer,
     ServerConfig,
 )
-from repro.serving.procpool import SHARD_RECORD_WINDOW, _worker_main
+from repro.serving.procpool import _worker_main
 from repro.serving.shm import FRAME_BATCH, FRAME_ERROR, FRAME_RESULT, ShmRing
 
 
@@ -321,9 +321,10 @@ class TestWorkerMainInterrupts:
             assert isinstance(caught[0], KeyboardInterrupt)
             # No error frame was produced: the interrupt escaped the loop.
             assert out_ring.try_read() is None
-            # The worker's shard keeps a bounded record window (it would
-            # otherwise retain every InvocationRecord for its lifetime).
-            assert _InterruptingSystem.cloned_with[-1] == SHARD_RECORD_WINDOW
+            # The worker's shard keeps one record, the last, which is all
+            # worker_snapshot reads (it would otherwise retain every
+            # InvocationRecord for its lifetime).
+            assert _InterruptingSystem.cloned_with[-1] == 1
         finally:
             for ring in (in_ring, out_ring):
                 ring.close()
@@ -397,3 +398,55 @@ class TestProcessServerLifecycle:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="backend"):
             RumbaServer(config=ServerConfig(backend="fiber"))
+
+
+class TestRingFootprint:
+    def test_frames_stay_in_the_first_256_kb_of_each_ring(
+        self, fft_prototype, fft_input_pool
+    ):
+        # The ladder's serve_proc shape: 128-row requests, 16 outstanding.
+        # A ring whose reader keeps up holds the bytes in flight, so no
+        # frame lands past its first 256 KB and the 4 MB beyond are never
+        # made resident.
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(backend="process", n_workers=2),
+        )
+        limit = 256 << 10
+        with server:
+            handles = []
+            for i in range(1200):
+                lo = i * 128 % (len(fft_input_pool) - 128)
+                handles.append(server.submit(fft_input_pool[lo:lo + 128]))
+                if len(handles) == 16:
+                    handles.pop(0).result(timeout=60)
+            for handle in handles:
+                handle.result(timeout=60)
+            for worker in server.pool.workers:
+                for ring in (worker.in_ring, worker.out_ring):
+                    # More than 256 KB went through the ring.
+                    assert ring._tail() > limit
+                    beyond = np.frombuffer(ring._shm.buf, dtype=np.uint8,
+                                           offset=16 + limit)
+                    assert not beyond.any()
+                    del beyond  # a live view keeps stop() from unmapping
+
+    def test_a_result_over_half_the_ring_reaches_a_sleeping_collector(
+        self, fft_prototype, fft_input_pool
+    ):
+        # In a 64 KB ring, a ~31 KB result leaves the read position near
+        # the middle; the next, ~37 KB, fits neither before the end nor
+        # before the reader.  The worker publishes a PAD and is refused
+        # until the parent skips it, and the parent's collector sleeps on
+        # its bell: the refused write has to ring it.
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            config=ServerConfig(
+                backend="process", n_workers=1, ring_capacity_bytes=64 << 10,
+                batching=BatchingConfig(max_batch_requests=1),
+            ),
+        )
+        with server:
+            for rows in (1900, 2300):
+                result = server.submit_wait(fft_input_pool[:rows], timeout=10)
+                assert result.outputs.shape == (rows, 2)

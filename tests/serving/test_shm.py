@@ -1,16 +1,21 @@
 """Unit tests for the shared-memory ring transport (frame round trips,
-wraparound, capacity behaviour)."""
+wraparound, capacity behaviour, and the ring against a deque model)."""
 
 import multiprocessing as mp
 import os
+import struct
 import time
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ServingError
+from repro.serving.faults import corrupt_next_frame
 from repro.serving.shm import (
     FRAME_BATCH,
+    FRAME_PAD,
     FRAME_RESULT,
     FRAME_STOP,
     ShmRing,
@@ -84,8 +89,8 @@ class TestCapacity:
             ring.try_write(FRAME_BATCH, payload=np.zeros((1024, 8)))
 
     def test_wraparound_preserves_content(self, ring):
-        # Drive enough traffic through a small ring that frames straddle
-        # the physical end many times over.
+        # Drive enough traffic through a small ring that its counters
+        # lap it many times over.
         rng = np.random.default_rng(0)
         for seq in range(200):
             payload = rng.normal(size=(7, 3))
@@ -133,22 +138,36 @@ class TestZeroCopyRead:
         assert buf_addr <= addr < buf_addr + ring._shm.size
         ring.advance(frame)
 
-    def test_wrapped_payload_is_gathered_and_survives(self, ring):
-        # Force the payload to straddle the physical end: fill most of the
-        # ring, drain, then write a frame starting near the edge.
-        filler = np.ones((40, 8))  # 2560 B payload in a 4 KiB ring
-        assert ring.try_write(FRAME_BATCH, seq=0, payload=filler)
+    def test_edge_frame_lands_at_start_behind_a_pad(self, ring):
+        # A frame that would straddle the end of the data region is not
+        # split: it lands at offset 0, behind a PAD filling the lap.
+        assert ring.try_write(FRAME_BATCH, seq=0, payload=np.ones((40, 8)))
+        assert ring.try_write(FRAME_BATCH, seq=1, payload=np.ones((8, 8)))
         ring.try_read()
+        # 1,344 bytes against the 896 left before the end of the ring.
         payload = np.arange(160.0).reshape(20, 8)
-        assert ring.try_write(FRAME_BATCH, seq=1, payload=payload)
-        frame = ring.try_read(zero_copy=True)
+        assert ring.try_write(FRAME_BATCH, seq=2, payload=payload)
+        assert ring.try_read().seq == 1
+        frame = ring.try_read(zero_copy=True)  # skips the PAD
+        assert frame.seq == 2
         np.testing.assert_array_equal(frame.payload, payload)
-        # Wrapped frames come back as owned arrays: still valid after
-        # advance and after the producer reuses the ring.
-        ring.advance(frame)
-        assert ring.try_write(FRAME_BATCH, seq=2,
+        # A view of ring memory at offset 0, right after its header.
+        addr = frame.payload.__array_interface__["data"][0]
+        buf_addr = np.frombuffer(
+            ring._shm.buf, dtype=np.uint8
+        ).__array_interface__["data"][0]
+        assert addr == buf_addr + 16 + 64
+        # Until advance the producer writes around it ...
+        assert ring.try_write(FRAME_BATCH, seq=3,
                               payload=np.full((20, 8), 7.0))
         np.testing.assert_array_equal(frame.payload, payload)
+        # ... and once released, over it.
+        ring.advance(frame)
+        assert ring.try_read().seq == 3
+        assert ring.try_write(FRAME_BATCH, seq=4,
+                              payload=np.full((20, 8), 9.0))
+        assert (frame.payload == 9.0).all()
+        del frame  # a live view would keep the fixture's close from unmapping
 
     def test_zero_copy_stream_equivalence(self, ring):
         # A long interleaved stream read zero-copy (with advance) must
@@ -282,3 +301,188 @@ def _attach_read_and_exit(name):
     frame = ring.try_read()
     assert frame is not None and frame.seq == 7
     ring.close()
+
+
+def _next_kind(ring):
+    """Kind of the header at the ring's read position."""
+    return struct.unpack_from("<q", ring._shm.buf,
+                              16 + ring._head() % ring.capacity + 8)[0]
+
+
+def _check(frame, expected):
+    seq, payload, extra, trace_id = expected
+    assert (frame.kind, frame.seq) == (FRAME_BATCH, seq)
+    assert frame.extra == extra
+    assert frame.trace_id == trace_id
+    if payload.size:
+        assert frame.payload.shape == payload.shape
+        assert frame.payload.tobytes() == payload.tobytes()
+    else:
+        assert frame.payload is None
+
+
+#: One step: ("write", payload bytes, columns, extra, trace id, as blocks),
+#: ("read",), ("view",) — a zero-copy read — or ("advance",).
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 4200), st.integers(1, 4),
+                  st.binary(max_size=20), st.integers(0, (1 << 64) - 1),
+                  st.booleans()),
+        st.tuples(st.just("read")),
+        st.tuples(st.just("view")),
+        st.tuples(st.just("advance")),
+    ),
+    max_size=60,
+)
+
+
+def _drive(ring, steps):
+    model = deque()  # (seq, payload, extra, trace_id) written, not read
+    held = None      # (frame, expected, span) read zero-copy, not advanced
+    spans = {}       # seq -> span, for the bytes in flight
+
+    def write(seq, payload, extra, trace_id, as_blocks):
+        if as_blocks:
+            cut = len(payload) // 2
+            blocks = [payload[:cut], payload[cut:]] if cut else [payload]
+            return ring.write_rows(FRAME_BATCH, seq, blocks, extra=extra,
+                                   trace_id=trace_id)
+        return ring.try_write(FRAME_BATCH, seq, payload=payload, extra=extra,
+                              trace_id=trace_id)
+
+    for seq, step in enumerate(steps):
+        if step[0] == "write":
+            _, nbytes, cols, extra, trace_id, as_blocks = step
+            rows = nbytes // (8 * cols)
+            payload = np.arange(rows * cols, dtype=float).reshape(rows, cols)
+            payload += seq * 1e6
+            args = (seq, payload, extra, trace_id, as_blocks)
+            span = ring.frame_bytes(payload, extra)
+            if span > ring.capacity:
+                with pytest.raises(ServingError, match="cannot ever fit"):
+                    write(*args)
+                continue
+            kept_up = not model and held is None
+            if not write(*args):
+                # Refused: the reader releases everything, skipping PADs.
+                if held is not None:
+                    _check(held[0], held[1])
+                    ring.advance(held[0])
+                    held = None
+                while model:
+                    _check(ring.try_read(), model.popleft())
+                assert ring.try_read() is None
+                assert ring.used_bytes() == 0
+                if not write(*args):
+                    # An empty ring refuses only a frame over half of it
+                    # that fits neither before the end nor before the
+                    # reader, and only until the reader skips its PAD.
+                    assert span > ring.capacity // 2
+                    assert ring.try_read() is None
+                    assert write(*args)
+            start = (ring._tail() - span) % ring.capacity
+            assert start + span <= ring.capacity  # never split
+            model.append((seq, payload, extra, trace_id))
+            spans[seq] = span
+            in_flight = sum(spans[e[0]] for e in model)
+            if held is not None:
+                in_flight += held[2]
+            if kept_up:
+                # No write lands beyond the bytes in flight plus one frame.
+                assert start + span <= in_flight + span
+        elif step[0] == "read" and held is None:
+            frame = ring.try_read()
+            if model:
+                _check(frame, model.popleft())
+            else:
+                assert frame is None
+        elif step[0] == "view" and held is None:
+            frame = ring.try_read(zero_copy=True)
+            if not model:
+                assert frame is None
+                continue
+            expected = model.popleft()
+            _check(frame, expected)
+            if frame.payload is not None:
+                assert not frame.payload.flags.owndata  # a view, no copy
+            held = (frame, expected, spans[expected[0]])
+        elif step[0] == "advance" and held is not None:
+            # Byte-identical still: nothing was written over it meanwhile.
+            _check(held[0], held[1])
+            ring.advance(held[0])
+            held = None
+    if ring.used_bytes():
+        # A flipped header byte, a PAD's or a frame's, is caught on read.
+        held = None
+        assert corrupt_next_frame(ring)
+        with pytest.raises(ServingError, match="bad frame magic"):
+            ring.try_read()
+
+
+class TestRingModel:
+    """ShmRing against a deque: random frame sizes, frames over half the
+    ring, interleaved writes, zero-copy reads with deferred advance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.sampled_from([1 << 12, 4000]), steps=_STEPS)
+    def test_the_ring_is_a_fifo_of_whole_frames(self, capacity, steps):
+        ring = ShmRing(capacity_bytes=capacity)
+        try:
+            _drive(ring, steps)
+        finally:
+            ring.close()
+            ring.unlink()
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_a_corrupted_pad_or_frame_header_raises(self, ring, skip):
+        assert ring.try_write(FRAME_BATCH, seq=0, payload=np.ones((40, 8)))
+        ring.try_read()
+        # Goes to offset 0 behind a PAD over the rest of the lap.
+        assert ring.try_write(FRAME_BATCH, seq=1, payload=np.ones((20, 8)))
+        assert _next_kind(ring) == FRAME_PAD
+        if skip:
+            assert ring.try_read(zero_copy=True).seq == 1
+            assert _next_kind(ring) == FRAME_BATCH
+        assert corrupt_next_frame(ring)
+        with pytest.raises(ServingError, match="bad frame magic"):
+            ring.try_read()
+
+    def test_a_frame_over_half_the_ring_waits_behind_its_pad(self, ring):
+        # The ring is empty but its read position is mid-ring: the frame
+        # fits neither before the end nor before the reader.  The writer
+        # publishes a PAD and is refused; once the reader has skipped it,
+        # the frame lands at offset 0.
+        assert ring.try_write(FRAME_BATCH, seq=0, payload=np.ones((32, 8)))
+        ring.try_read()
+        big = np.arange(336.0).reshape(42, 8)  # 2,752 of 4,096 bytes
+        assert not ring.try_write(FRAME_BATCH, seq=1, payload=big)
+        assert _next_kind(ring) == FRAME_PAD
+        assert ring.try_read() is None
+        assert ring.try_write(FRAME_BATCH, seq=1, payload=big)
+        frame = ring.try_read()
+        np.testing.assert_array_equal(frame.payload, big)
+
+    def test_a_reader_crossing_the_end_mid_reserve_splits_no_frame(
+            self, ring, monkeypatch):
+        # In flight: C at [2048, 3072), a PAD to the end, D at [0, 1024);
+        # released: [1024, 2048).  The reader's position is past the
+        # writer's.
+        frames = [np.full((15, 8), float(seq)) for seq in range(4)]
+        for seq in range(3):
+            assert ring.try_write(FRAME_BATCH, seq=seq, payload=frames[seq])
+        ring.try_read(), ring.try_read()
+        assert ring.try_write(FRAME_BATCH, seq=3, payload=frames[3])
+        assert (ring._head(), ring._tail()) == (2048, 5120)
+        # While the writer reserves, the reader drains C, the PAD and D:
+        # the head crosses the end.  The bytes it frees at [0, 1024) do
+        # not join the writer's [1024, 2048), so a frame too long for the
+        # rest of the lap must not land at 1024.
+        heads = iter([2048])
+        monkeypatch.setattr(ring, "_head", lambda: next(heads, 5120))
+        big = np.ones((48, 8))  # a 3,136-byte span
+        if ring.try_write(FRAME_BATCH, seq=4, payload=big):
+            start = (ring._tail() - ring.frame_bytes(big)) % ring.capacity
+            assert start + ring.frame_bytes(big) <= ring.capacity
+        monkeypatch.undo()
+        for seq in (2, 3):
+            np.testing.assert_array_equal(ring.try_read().payload, frames[seq])
