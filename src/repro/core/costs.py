@@ -89,18 +89,20 @@ class CostModel:
         self.energy_model = energy_model or EnergyModel()
         self.npu = npu or NPUModel()
         self.overhead = overhead or OffloadOverhead()
+        # The models are frozen once built: the CPU side is priced once.
+        mix, glue = app.instruction_mix, self.overhead.instruction_mix
+        self._cpu_energy = self.energy_model.iteration_energy_pj(mix)
+        self._cpu_cycles = self.energy_model.iteration_cycles(mix)
+        self._overhead_energy = self.energy_model.iteration_energy_pj(glue)
 
     # ------------------------------------------------------------------ #
     # Per-element building blocks                                        #
     # ------------------------------------------------------------------ #
     def cpu_iteration_energy_pj(self) -> float:
-        return self.energy_model.iteration_energy_pj(self.app.instruction_mix)
+        return self._cpu_energy
 
     def cpu_iteration_cycles(self) -> float:
-        return self.energy_model.iteration_cycles(self.app.instruction_mix)
-
-    def overhead_energy_pj(self) -> float:
-        return self.energy_model.iteration_energy_pj(self.overhead.instruction_mix)
+        return self._cpu_cycles
 
     # ------------------------------------------------------------------ #
     # Whole-application accounting                                       #
@@ -152,8 +154,7 @@ class CostModel:
         if not (0.0 <= fix_fraction <= 1.0):
             raise ConfigurationError("fix_fraction must be in [0, 1]")
         f = self.app.offload_fraction
-        cpu_energy = self.cpu_iteration_energy_pj()
-        cpu_cycles = self.cpu_iteration_cycles()
+        cpu_energy, cpu_cycles = self._cpu_energy, self._cpu_cycles
 
         # Baseline whole-app (per element): kernel is fraction f of it.
         baseline_energy = cpu_energy / f
@@ -173,7 +174,7 @@ class CostModel:
         scheme_energy = (
             non_kernel_energy
             + accel_energy_pj
-            + self.overhead_energy_pj()
+            + self._overhead_energy
             + fix_fraction * cpu_energy
         )
         scheme_cycles = non_kernel_cycles + kernel_cycles

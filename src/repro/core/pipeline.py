@@ -40,31 +40,32 @@ class PipelineResult:
     makespan: float
     cpu_busy: float
     cpu_service_cycles: float = 0.0
-    # Vectorized segment representation (start/end times and iteration ids,
-    # service order); the tuple list is materialized lazily on first access
-    # because the serving hot path never reads it.
-    _seg_starts: Optional[np.ndarray] = field(default=None, repr=False)
-    _seg_ends: Optional[np.ndarray] = field(default=None, repr=False)
+    # The flagged iterations' verdict arrival times and ids, in service
+    # order: segments are derived only when read (Fig. 18), which the
+    # serving hot path never does.
+    _arrivals: Optional[np.ndarray] = field(default=None, repr=False)
     _seg_ids: Optional[np.ndarray] = field(default=None, repr=False)
-    _segments: Optional[List[Tuple[float, float, int]]] = field(
-        default=None, repr=False
-    )
+
+    def _service(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Start and end times of every re-execution, in service order.
+
+        The FIFO recurrence  end_i = max(arrival_i, end_{i-1}) + cpu
+        unrolls to  end_i = (i+1)*cpu + max_{j<=i}(arrival_j - j*cpu), a
+        running maximum: one ``np.maximum.accumulate``.
+        """
+        cpu = self.cpu_service_cycles
+        rank = np.arange(self.n_recovered, dtype=float)
+        ends = (np.maximum.accumulate(self._arrivals - rank * cpu)
+                + (rank + 1.0) * cpu)
+        return ends - cpu, ends
 
     @property
     def cpu_segments(self) -> List[Tuple[float, float, int]]:
         """``(start, end, iteration_id)`` per re-execution, in service order."""
-        if self._segments is None:
-            if self._seg_starts is None:
-                self._segments = []
-            else:
-                self._segments = list(
-                    zip(
-                        self._seg_starts.tolist(),
-                        self._seg_ends.tolist(),
-                        self._seg_ids.tolist(),
-                    )
-                )
-        return self._segments
+        if self._arrivals is None:
+            return []
+        starts, ends = self._service()
+        return list(zip(starts.tolist(), ends.tolist(), self._seg_ids.tolist()))
 
     @property
     def cpu_kept_up(self) -> bool:
@@ -99,8 +100,8 @@ class PipelineResult:
             raise ConfigurationError("resolution must be positive")
         n_samples = int(np.ceil(self.makespan / resolution)) + 1
         trace = np.zeros(n_samples, dtype=int)
-        if self._seg_starts is not None:
-            for start, end in zip(self._seg_starts, self._seg_ends):
+        if self._arrivals is not None:
+            for start, end in zip(*self._service()):
                 lo = int(start // resolution)
                 hi = int(np.ceil(end / resolution))
                 trace[lo:hi] = 1
@@ -108,7 +109,8 @@ class PipelineResult:
 
 
 def simulate_pipeline(
-    recovery_bits: np.ndarray,
+    flagged: np.ndarray,
+    n_iterations: int,
     accel_cycles_per_iteration: float,
     cpu_cycles_per_iteration: float,
     detector_placement: int = 2,
@@ -118,8 +120,9 @@ def simulate_pipeline(
 
     Parameters
     ----------
-    recovery_bits:
-        Bool per iteration; True means the CPU must re-execute it.
+    flagged:
+        Ascending indices of the iterations the CPU must re-execute (the
+        recovery's ``recovery_indices``) out of ``n_iterations``.
     accel_cycles_per_iteration, cpu_cycles_per_iteration:
         Per-iteration service times of the two engines.
     detector_placement:
@@ -129,16 +132,13 @@ def simulate_pipeline(
         at iteration start; with 2 (default) checking is parallel and
         verdicts arrive when the accelerator finishes the iteration.
     """
-    bits = np.asarray(recovery_bits, dtype=bool).ravel()
-    n = bits.shape[0]
-    if n == 0:
+    if n_iterations == 0:
         return PipelineResult(0, 0, 0.0, 0.0, 0.0)
     if accel_cycles_per_iteration <= 0 or cpu_cycles_per_iteration <= 0:
         raise ConfigurationError("cycle counts must be positive")
     if detector_placement not in (1, 2):
         raise ConfigurationError("detector_placement must be 1 or 2")
 
-    flagged = np.flatnonzero(bits)
     if detector_placement == 1:
         effective_accel = accel_cycles_per_iteration + checker_cycles
         # Verdict for iteration i is ready when its check completes,
@@ -148,35 +148,29 @@ def simulate_pipeline(
         effective_accel = accel_cycles_per_iteration
         arr = (flagged + 1) * effective_accel
 
-    accel_finish = n * effective_accel
+    accel_finish = n_iterations * effective_accel
     k = flagged.size
     cpu = cpu_cycles_per_iteration
     if k == 0:
         return PipelineResult(
-            n_iterations=n,
+            n_iterations=n_iterations,
             n_recovered=0,
             accel_finish=accel_finish,
             makespan=accel_finish,
             cpu_busy=0.0,
             cpu_service_cycles=cpu,
         )
-    # The FIFO recurrence  end_i = max(arrival_i, end_{i-1}) + cpu  unrolls
-    # to  end_i = (i+1)*cpu + max_{j<=i}(arrival_j - j*cpu), which is a
-    # running maximum — one `np.maximum.accumulate` instead of a Python
-    # loop over every flagged iteration.
-    rank = np.arange(k, dtype=float)
-    ends = np.maximum.accumulate(arr - rank * cpu) + (rank + 1.0) * cpu
-    starts = ends - cpu
-    makespan = max(accel_finish, float(ends[-1]))
+    # The last end of PipelineResult._service's running maximum, bit for
+    # bit: its maximum over every flagged iteration, plus k services.
+    last_end = float(np.max(arr - np.arange(k, dtype=float) * cpu) + k * cpu)
     return PipelineResult(
-        n_iterations=n,
+        n_iterations=n_iterations,
         n_recovered=k,
         accel_finish=accel_finish,
-        makespan=makespan,
+        makespan=max(accel_finish, last_end),
         cpu_busy=k * cpu,
         cpu_service_cycles=cpu,
-        _seg_starts=starts,
-        _seg_ends=ends,
+        _arrivals=arr,
         _seg_ids=flagged,
     )
 

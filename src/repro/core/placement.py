@@ -30,7 +30,6 @@ __all__ = ["PlacementCosts", "evaluate_placement"]
 class PlacementCosts:
     """Per-iteration accelerator-side costs under one placement."""
 
-    configuration: int
     cycles_per_iteration: float
     energy_pj_per_iteration: float
 
@@ -67,7 +66,6 @@ def evaluate_placement(
         cycles = max(npu_cycles, check_cycles)
         energy = check_energy + npu_energy
     return PlacementCosts(
-        configuration=configuration,
         cycles_per_iteration=cycles,
         energy_pj_per_iteration=energy,
     )

@@ -28,7 +28,6 @@ check per invocation.
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from repro.core.config import RumbaConfig
 from repro.core.costs import AppCosts, CostModel, OffloadOverhead
 from repro.core.detection import DetectionModule, DetectionResult
 from repro.core.pipeline import PipelineResult, simulate_pipeline
+from repro.core.placement import evaluate_placement
 from repro.core.recovery import RecoveryModule, RecoveryResult
 from repro.core.tuner import InvocationFeedback, OnlineTuner
 from repro.errors import ConfigurationError
@@ -212,6 +212,14 @@ class RumbaSystem:
         self.cost_model = CostModel(
             app, energy_model=energy_model, npu=npu, overhead=overhead
         )
+        # An iteration's constants, priced once: complete_invocation does
+        # scalar arithmetic.  Placement 1's energy moves with the fire
+        # fraction, and an ensemble blends its members: both per call.
+        checker, npu = self.detection.checker, self.cost_model.npu
+        self._accel_cycles = npu.invocation_cycles(backend.topology)
+        self._check_cycles = checker.check_cycles()
+        self._placed = None if self.config.detector_placement == 1 else (
+            evaluate_placement(2, npu, checker, backend.topology, 0.0))
         # Fig. 4: the accelerator configuration and the checker
         # coefficients travel over the same config queue at kernel launch.
         self.config_queue = ConfigQueue()
@@ -249,9 +257,9 @@ class RumbaSystem:
     def __getstate__(self) -> dict:
         """Pickle everything except telemetry.
 
-        The process serving backend ships one prepared system to each
-        worker process exactly once, at startup; telemetry is bound to the
-        parent's registry, so it does not cross the fork/spawn boundary.
+        Telemetry is bound to the origin process's registry, so it does
+        not travel.  A forked process worker inherits the prototype and
+        pickles nothing; a spawn context pickles it once per worker start.
         """
         state = self.__dict__.copy()
         state["telemetry"] = None
@@ -397,39 +405,32 @@ class RumbaSystem:
             stages.append((STAGE_RECOVER, clock()))
 
             n = pending.n_elements
+            placement = self.config.detector_placement
+            fix_fraction = recovery.recovered_fraction
+            accel_cycles = self._accel_cycles
             if self.ensemble is not None:
                 accel_cycles = self.ensemble.blended_invocation_cycles(
                     pending.choices, self.cost_model
                 )
-            else:
-                accel_cycles = self.cost_model.npu.invocation_cycles(
-                    self.backend.topology
-                )
             pipeline = simulate_pipeline(
-                pending.recovery_bits,
-                accel_cycles_per_iteration=accel_cycles,
-                cpu_cycles_per_iteration=(
-                    self.cost_model.cpu_iteration_cycles()
-                ),
-                detector_placement=self.config.detector_placement,
-                checker_cycles=self.detection.checker.check_cycles(),
+                recovery.recovery_indices, n, accel_cycles,
+                self.cost_model.cpu_iteration_cycles(), placement,
+                self._check_cycles,
             )
+            observed = pipeline.makespan / n
             if self.ensemble is not None:
                 costs = self.ensemble.blended_app_costs(
-                    self.cost_model,
-                    self.detection.checker,
-                    pending.choices,
-                    fix_fraction=recovery.recovered_fraction,
-                    detector_placement=self.config.detector_placement,
-                    observed_kernel_cycles=pipeline.makespan / n,
+                    self.cost_model, self.detection.checker, pending.choices,
+                    fix_fraction, placement, observed,
                 )
             else:
-                costs = self.cost_model.whole_app_costs(
-                    topology=self.backend.topology,
-                    checker=self.detection.checker,
-                    fix_fraction=recovery.recovered_fraction,
-                    detector_placement=self.config.detector_placement,
-                    observed_kernel_cycles=pipeline.makespan / n,
+                placed = self._placed or evaluate_placement(
+                    1, self.cost_model.npu, self.detection.checker,
+                    self.backend.topology, fix_fraction,
+                )
+                costs = self.cost_model.accelerated_app_costs(
+                    placed.energy_pj_per_iteration,
+                    placed.cycles_per_iteration, fix_fraction, observed,
                 )
             before = self.tuner.threshold
             tuned = self.tuner.update(
@@ -480,14 +481,16 @@ class RumbaSystem:
 
         The expensive offline artifacts — accelerator backend, cost and
         energy models, application — are shared by reference (they are
-        read-only at run time); the predictor is deep-copied because
-        output-history checkers like EMA carry running state; the mutable
-        online state (tuner, detection module, recovery module, records)
-        is rebuilt from scratch and seeded with the current thresholds.
-        This is how the serving layer stamps out one shard per worker from
-        a single prepared prototype.  Ensemble systems clone the ensemble
-        too: the NPU members share their immutable weights, a memo member
-        shares its frozen table with fresh counters (each backend's
+        read-only at run time); the predictor comes from its own
+        ``clone_shard``: a checker without online state (treeErrors,
+        linearErrors, Uniform, Ideal) is shared, a stateful one (EMA,
+        Random) is copied with its state reset.  The mutable online state
+        (tuner, detection module, recovery module, records) is rebuilt
+        from scratch and seeded with the current thresholds.  This is how
+        the serving layer stamps out one shard per worker from a single
+        prepared prototype.  Ensemble systems clone the ensemble too: the
+        NPU members share their immutable weights, a memo member shares
+        its frozen table with fresh counters (each backend's
         ``clone_shard``), and the shard gets its own router over the
         shared, read-only fitted error predictors.
         """
@@ -501,7 +504,7 @@ class RumbaSystem:
                 if shard_ensemble is not None
                 else self.backend
             ),
-            predictor=copy.deepcopy(self.predictor),
+            predictor=self.predictor.clone_shard(),
             config=self.config,
             energy_model=self.cost_model.energy_model,
             npu=self.cost_model.npu,
@@ -509,10 +512,6 @@ class RumbaSystem:
             max_records=self.max_records if max_records is None else max_records,
             ensemble=shard_ensemble,
         )
-        # Each shard watches its own output stream: drop any EMA history
-        # the prototype accumulated (calibration, earlier invocations) so
-        # shards stay independent.
-        clone.predictor.reset_state()
         # Carry over any threshold calibration applied after construction
         # (prepare_system calibrates EMA/Random/Uniform TOQ thresholds).
         clone.tuner.threshold = self.tuner.threshold

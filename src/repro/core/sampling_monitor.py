@@ -65,10 +65,6 @@ class SamplingReport:
         return self.n_missed_bad / n_bad if n_bad else 0.0
 
     @property
-    def mean_error_after(self) -> float:
-        return float(self.errors_after.mean())
-
-    @property
     def max_error_after(self) -> float:
         return float(self.errors_after.max())
 

@@ -317,7 +317,8 @@ def cpu_activity_case_study(
     cost_model = CostModel(evaluation.app)
     cpu_cycles = cost_model.cpu_iteration_cycles()
     accel_cycles = cost_model.npu.invocation_cycles(evaluation.backend.topology)
-    pipeline = simulate_pipeline(bits, accel_cycles, cpu_cycles)
+    pipeline = simulate_pipeline(np.flatnonzero(bits), bits.size, accel_cycles,
+                                 cpu_cycles)
     fix_fraction = bits.mean()
     return ActivityCaseStudy(
         percentage_difference=scores,

@@ -13,6 +13,7 @@ every experiment treats all schemes uniformly.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
@@ -41,12 +42,15 @@ class ErrorPredictor(ABC):
         outputs (False).
     needs_fit:
         Whether :meth:`fit` must be called before :meth:`scores`.
+    online_state:
+        Whether :meth:`scores` carries state between calls.
     """
 
     name: str = "base"
     checker_kind: str = "none"
     is_input_based: bool = True
     needs_fit: bool = True
+    online_state: bool = True
 
     def __init__(self) -> None:
         self._fitted = not self.needs_fit
@@ -85,6 +89,16 @@ class ErrorPredictor(ABC):
         each shard sees only its own stream.  Trained parameters are not
         touched.  Default is a no-op for stateless predictors.
         """
+
+    def clone_shard(self) -> "ErrorPredictor":
+        """This predictor for a fresh serving shard: ``self`` without
+        online state, else a deep copy after :meth:`reset_state` (EMA's
+        average resets; Random's copy keeps its invocation counter)."""
+        if not self.online_state:
+            return self
+        clone = copy.deepcopy(self)
+        clone.reset_state()
+        return clone
 
     @abstractmethod
     def scores(

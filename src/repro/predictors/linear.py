@@ -48,6 +48,7 @@ class LinearErrorPredictor(ErrorPredictor):
     checker_kind = "linear"
     is_input_based = True
     needs_fit = True
+    online_state = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -112,6 +113,7 @@ class LinearValuePredictor(ErrorPredictor):
     checker_kind = "linear"
     is_input_based = True
     needs_fit = True
+    online_state = False
 
     def __init__(self) -> None:
         super().__init__()

@@ -23,6 +23,7 @@ class OraclePredictor(ErrorPredictor):
     checker_kind = "none"
     is_input_based = False
     needs_fit = False
+    online_state = False
 
     def scores(self, features=None, approx_outputs=None, true_errors=None):
         if true_errors is None:

@@ -72,6 +72,7 @@ class UniformPredictor(ErrorPredictor):
     checker_kind = "none"
     is_input_based = False
     needs_fit = False
+    online_state = False
 
     def scores(self, features=None, approx_outputs=None, true_errors=None):
         n = _infer_length(features, approx_outputs, true_errors)

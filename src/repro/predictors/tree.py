@@ -67,14 +67,6 @@ class TreeNode:
             return 0
         return 1 + max(self.left.depth(), self.right.depth())
 
-    def count_nodes(self) -> Tuple[int, int]:
-        """(decision nodes, leaf nodes) in this subtree."""
-        if self.is_leaf:
-            return 0, 1
-        dl, ll = self.left.count_nodes()
-        dr, lr = self.right.count_nodes()
-        return 1 + dl + dr, ll + lr
-
 
 class DecisionTreeErrorPredictor(ErrorPredictor):
     """The paper's ``treeErrors`` scheme.
@@ -93,6 +85,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
     checker_kind = "tree"
     is_input_based = True
     needs_fit = True
+    online_state = False
 
     def __init__(
         self,
@@ -117,20 +110,27 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         self.n_thresholds = n_thresholds
         self.root: Optional[TreeNode] = None
         self._n_features = 0
+        # Built by _ready() when the tree is fitted or loaded: scoring
+        # and the config queue read them and build nothing.
         self._flat: Optional[Tuple[np.ndarray, ...]] = None
-        self._scratch: Optional[threading.local] = None
+        self._preorder: List[Tuple[int, float, float]] = []
+        self._coefficients: List[float] = []
+        self._scratch = threading.local()  # shards share the tree
 
     def __getstate__(self) -> dict:
         # Scratch is per-thread working memory, and threading.local
-        # neither pickles nor deep-copies (clone_shard deep-copies the
-        # predictor, the process backend pickles it); the tables travel.
+        # neither pickles nor deep-copies; the tables travel.
         state = self.__dict__.copy()
-        state["_scratch"] = None
+        del state["_scratch"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.reset_state()
 
     def reset_state(self) -> None:
         """Drop the per-thread descent buffers; the tree is untouched."""
-        self._scratch = None
+        self._scratch = threading.local()
 
     # ------------------------------------------------------------------ #
     # Fitting                                                            #
@@ -140,8 +140,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         columns = np.ascontiguousarray(features.T)
         orders = np.argsort(columns, axis=1, kind="stable")
         self.root = self._build(columns, errors, np.arange(len(errors)), orders, 0)
-        self._flat = None
-        self._scratch = None  # row_base depends on the column count
+        self._ready()
 
     def _build(self, columns, errors, rows, orders, depth: int) -> TreeNode:
         """Grow the subtree over ``rows`` (ascending row indices), whose
@@ -231,8 +230,13 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
     # ------------------------------------------------------------------ #
     # Prediction                                                         #
     # ------------------------------------------------------------------ #
-    def _flatten(self) -> Tuple[np.ndarray, ...]:
-        """Lay the fitted tree out for scoring; cached until the next fit.
+    def _ready(self) -> None:
+        """Lay the fitted tree out, once per fit or load, for what reads it:
+        the descent tables for scoring, the pre-order node list for
+        :meth:`state`, the Fig. 7(b) coefficient buffer for the config
+        queue — (feature index, threshold) per decision node and the error
+        value per leaf, in pre-order — and a fresh scratch holder
+        (``row_base`` depends on the column count).
 
         The tables are a complete binary heap, 1-based: node ``k`` has its
         right child at ``2k`` and its left child at ``2k + 1``, so one
@@ -254,23 +258,30 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         ``cuts[i]``; the last is probed with NaN, which like any
         ``x > cuts[-1]`` fails every ``x <= threshold``).
         """
+        self.reset_state()
         depth = self.root.depth()
         size = 1 << depth
         feature = np.zeros(size, dtype=np.intp)
         threshold = np.full(size, np.inf)
         value = np.zeros(2 * size)
         cuts: List[float] = []
+        nodes: List[Tuple[int, float, float]] = []
+        words: List[float] = []
         stack = [(self.root, 1, depth)]
-        while stack:
+        while stack:  # the left child is popped first: pre-order
             node, slot, below = stack.pop()
             if node.is_leaf:
                 value[slot << below:(slot + 1) << below] = node.value
+                nodes.append((-1, node.threshold, node.value))
+                words.append(float(node.value))
             else:
                 feature[slot] = node.feature
                 threshold[slot] = node.threshold
                 cuts.append(node.threshold)
-                stack.append((node.left, 2 * slot + 1, below - 1))
+                nodes.append((node.feature, node.threshold, node.value))
+                words += (float(node.feature), float(node.threshold))
                 stack.append((node.right, 2 * slot, below - 1))
+                stack.append((node.left, 2 * slot + 1, below - 1))
         np.maximum(value, 0.0, out=value)
         flat = (feature, threshold, value, depth)
         if self._n_features == 1:
@@ -278,8 +289,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
             probes = np.append(cuts, np.nan)[:, None]
             bufs = self._new_scratch(probes.shape[0], 1)
             flat = (cuts, self._descend(flat, probes, bufs))
-        self._flat = flat
-        return flat
+        self._flat, self._preorder, self._coefficients = flat, nodes, words
 
     @staticmethod
     def _new_scratch(n: int, width: int) -> Tuple[np.ndarray, ...]:
@@ -301,8 +311,6 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         concurrently.
         """
         tls = self._scratch
-        if tls is None:
-            tls = self._scratch = threading.local()
         bufs = getattr(tls, "bufs", None)
         if bufs is None or bufs[0].shape[0] < n:
             bufs = tls.bufs = self._new_scratch(n, self._n_features)
@@ -350,12 +358,11 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
                 f"expected {self._n_features} feature columns, got "
                 f"{features.shape[1]}"
             )
-        flat = self._flat if self._flat is not None else self._flatten()
         if self._n_features == 1:
-            cuts, table = flat
+            cuts, table = self._flat
             return table.take(np.searchsorted(cuts, features[:, 0], side="left"))
         return self._descend(
-            flat, features, self._level_scratch(features.shape[0])
+            self._flat, features, self._level_scratch(features.shape[0])
         )
 
     # ------------------------------------------------------------------ #
@@ -369,40 +376,19 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
     def coefficient_count(self) -> int:
         """Decision constants + leaf errors (Fig. 7(b) coefficient buffer)."""
         self._require_fitted()
-        decisions, leaves = self.root.count_nodes()
-        # Each decision node ships (feature index, constant); each leaf one
-        # error value.
-        return 2 * decisions + leaves
+        return len(self._coefficients)
 
     def coefficients(self):
-        """The Fig. 7(b) buffer: a pre-order walk shipping (feature index,
-        threshold) per decision node and the error value per leaf."""
+        """The Fig. 7(b) buffer :meth:`_ready` laid out."""
         self._require_fitted()
-        out: List[float] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(float(node.value))
-            else:
-                out.extend([float(node.feature), float(node.threshold)])
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return list(self._coefficients)
 
     def state(self) -> Dict[str, np.ndarray]:
         """The fitted tree as pre-order ``feature`` / ``threshold`` /
         ``value`` arrays: :meth:`coefficients`' walk, with feature -1
         marking a leaf.  :meth:`load_state` reads them back."""
         self._require_fitted()
-        nodes, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            nodes.append((-1 if node.is_leaf else node.feature,
-                          node.threshold, node.value))
-            if not node.is_leaf:
-                stack += (node.right, node.left)
-        feature, threshold, value = zip(*nodes)
+        feature, threshold, value = zip(*self._preorder)
         return {"feature": np.array(feature, dtype=np.int64),
                 "threshold": np.array(threshold, dtype=np.float64),
                 "value": np.array(value, dtype=np.float64)}
@@ -441,6 +427,6 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         if end != len(codes):
             raise ConfigurationError("the pre-order tree has a node left over")
         self.root, self._n_features = root, n_features
-        self._flat = self._scratch = None
+        self._ready()
         self._fitted = True
         return self

@@ -1,9 +1,11 @@
 """Process-based worker pool for the serving layer.
 
 Each worker is an OS process that owns a full :class:`RumbaSystem` shard,
-cloned (in the worker, after a single unpickle at startup) from the
-server's prepared prototype — the same ``clone_shard()`` path the thread
-backend uses, so both backends start from identical online state.
+cloned in the worker from the server's prepared prototype — the same
+``clone_shard()`` path the thread backend uses, so both backends start
+from identical online state.  The prototype rides in the ``Process``
+arguments: a forked worker inherits it and unpickles nothing; a spawn
+context pickles it with the arguments.
 
 Batches travel through per-worker :class:`~repro.serving.shm.ShmRing`
 pairs as raw float64 blocks; pickle never touches the data path after
@@ -122,7 +124,7 @@ def _ring(bell: Connection) -> None:
 
 
 def _worker_main(
-    system_blob: bytes,
+    prototype,
     in_name: str,
     out_name: str,
     in_bell: Connection,
@@ -130,7 +132,7 @@ def _worker_main(
     measure_quality: bool,
     ship_decision_bits: bool = False,
 ) -> None:
-    """Worker process entry point: unpickle once, then serve frames."""
+    """Worker process entry point: clone a shard, then serve frames."""
     in_ring = ShmRing.attach(in_name)
     out_ring = ShmRing.attach(out_name)
     # Recorded in the parent at Process(): under fork, siblings hold the
@@ -140,7 +142,6 @@ def _worker_main(
     waiter = select.poll()
     waiter.register(in_bell.fileno(), select.POLLIN)
     try:
-        prototype = pickle.loads(system_blob)
         # One record: worker_snapshot reads the last, and nothing outside
         # this process can reach the others.
         system = prototype.clone_shard(max_records=1)
@@ -286,8 +287,9 @@ class ProcessWorkerPool:
     Parameters
     ----------
     prototype:
-        The prepared system; pickled exactly once and shipped to every
-        worker at startup.
+        The prepared system, passed to every worker process it starts
+        (restarts included): under the default fork context the worker
+        inherits it as is, and a spawn context pickles it per start.
     ring_capacity_bytes:
         Per-direction ring size.  Must hold at least one frame of the
         largest batch (inputs one way, outputs the other).
@@ -317,7 +319,6 @@ class ProcessWorkerPool:
         self._bell_lock = threading.Lock()
         self._started = False
         self._stopped = False
-        self._blob: Optional[bytes] = None  # kept for supervisor restarts
         self.total_restarts = 0
 
     @property
@@ -348,7 +349,7 @@ class ProcessWorkerPool:
                 os.set_blocking(writer.fileno(), False)
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(self._blob, in_ring.name, out_ring.name,
+                args=(self._prototype, in_ring.name, out_ring.name,
                       child_in, child_out,
                       self.measure_quality, self.ship_decision_bits),
                 name=f"rumba-serve-p{index}",
@@ -385,7 +386,6 @@ class ProcessWorkerPool:
     def start(self) -> "ProcessWorkerPool":
         if self._started:
             raise ServingError("pool already started")
-        self._blob = pickle.dumps(self._prototype)  # one pickle per lifetime
         try:
             for i, name in enumerate(self.worker_names):
                 self.workers.append(ProcessWorker(name, *self._spawn(i)))
@@ -404,12 +404,12 @@ class ProcessWorkerPool:
     def restart_worker(self, worker: ProcessWorker) -> bool:
         """Replace a dead worker's process and rings in place.
 
-        The new process clones a fresh shard from the startup prototype
-        blob; every batch carries its own backpressure level, so there
-        is no degradation state to restore.  Returns False when the pool
-        is not in a restartable state.
+        The new process clones a fresh shard from the prototype, which
+        the parent still holds; every batch carries its own backpressure
+        level, so there is no degradation state to restore.  Returns
+        False when the pool is not in a restartable state.
         """
-        if not self._started or self._stopped or self._blob is None:
+        if not self._started or self._stopped:
             return False
         index = self.workers.index(worker)
         self._dismantle(worker)

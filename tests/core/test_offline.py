@@ -117,6 +117,7 @@ def fitted_checkers(draw):
         checker = DecisionTreeErrorPredictor()
         checker.root = grow(draw(st.integers(0, 7)))
         checker._n_features = n_features
+        checker._ready()  # the tables fit() and load_state() build
     checker._fitted = True
     return checker, n_features
 

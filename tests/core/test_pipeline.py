@@ -12,9 +12,15 @@ from repro.core.pipeline import (
 from repro.errors import ConfigurationError
 
 
+def _simulate(bits, *args, **kwargs):
+    """``simulate_pipeline`` over a recovery-bits vector."""
+    bits = np.asarray(bits, dtype=bool)
+    return simulate_pipeline(np.flatnonzero(bits), bits.size, *args, **kwargs)
+
+
 class TestSimulatePipeline:
     def test_no_recovery_pure_accelerator(self):
-        result = simulate_pipeline(np.zeros(10, dtype=bool), 5.0, 20.0)
+        result = _simulate(np.zeros(10, dtype=bool), 5.0, 20.0)
         assert result.makespan == pytest.approx(50.0)
         assert result.cpu_busy == 0.0
         assert result.cpu_kept_up
@@ -24,8 +30,8 @@ class TestSimulatePipeline:
         """Fig. 8: checks fire for iterations 0, 2, 5 and 6; with a 2x-fast
         accelerator the CPU keeps up."""
         bits = np.array([1, 0, 1, 0, 0, 1, 1, 0], dtype=bool)
-        result = simulate_pipeline(bits, accel_cycles_per_iteration=1.0,
-                                   cpu_cycles_per_iteration=2.0)
+        result = _simulate(bits, accel_cycles_per_iteration=1.0,
+                           cpu_cycles_per_iteration=2.0)
         assert result.n_recovered == 4
         # Iterations 5 and 6 are adjacent (not uniformly spread), so the
         # tail drains just after the accelerator -- still "keeping up".
@@ -34,7 +40,7 @@ class TestSimulatePipeline:
 
     def test_cpu_falls_behind_when_overloaded(self):
         bits = np.ones(10, dtype=bool)  # fix everything
-        result = simulate_pipeline(bits, 1.0, 5.0)
+        result = _simulate(bits, 1.0, 5.0)
         assert not result.cpu_kept_up
         assert result.makespan > result.accel_finish
         assert result.slowdown_vs_accelerator > 1.0
@@ -43,12 +49,12 @@ class TestSimulatePipeline:
         """Sec. 3.3: at a 2x accelerator gain the CPU sustains 50% fixes."""
         bits = np.zeros(100, dtype=bool)
         bits[::2] = True
-        result = simulate_pipeline(bits, 1.0, 2.0)
+        result = _simulate(bits, 1.0, 2.0)
         assert result.cpu_kept_up
 
     def test_recovery_bits_served_fifo(self):
         bits = np.array([True, True, False, True], dtype=bool)
-        result = simulate_pipeline(bits, 1.0, 10.0)
+        result = _simulate(bits, 1.0, 10.0)
         served = [seg[2] for seg in result.cpu_segments]
         assert served == [0, 1, 3]
         starts = [seg[0] for seg in result.cpu_segments]
@@ -56,44 +62,44 @@ class TestSimulatePipeline:
 
     def test_cpu_cannot_start_before_verdict(self):
         bits = np.array([False, False, True], dtype=bool)
-        result = simulate_pipeline(bits, 4.0, 1.0, detector_placement=2)
+        result = _simulate(bits, 4.0, 1.0, detector_placement=2)
         start = result.cpu_segments[0][0]
         assert start >= 3 * 4.0  # verdict arrives when accel finishes iter 2
 
     def test_placement1_verdicts_early_but_slower_stream(self):
         bits = np.array([True, False], dtype=bool)
-        par = simulate_pipeline(bits, 4.0, 1.0, detector_placement=2,
-                                checker_cycles=1.0)
-        pre = simulate_pipeline(bits, 4.0, 1.0, detector_placement=1,
-                                checker_cycles=1.0)
+        par = _simulate(bits, 4.0, 1.0, detector_placement=2,
+                        checker_cycles=1.0)
+        pre = _simulate(bits, 4.0, 1.0, detector_placement=1,
+                        checker_cycles=1.0)
         # Config 1 serializes the checker: accelerator stream is longer.
         assert pre.accel_finish > par.accel_finish
         # But its first verdict (and recovery start) comes earlier.
         assert pre.cpu_segments[0][0] < par.cpu_segments[0][0]
 
     def test_empty_invocation(self):
-        result = simulate_pipeline(np.zeros(0, dtype=bool), 1.0, 1.0)
+        result = _simulate(np.zeros(0, dtype=bool), 1.0, 1.0)
         assert result.makespan == 0.0
 
     def test_invalid_args(self):
         with pytest.raises(ConfigurationError):
-            simulate_pipeline(np.zeros(3, dtype=bool), 0.0, 1.0)
+            _simulate(np.zeros(3, dtype=bool), 0.0, 1.0)
         with pytest.raises(ConfigurationError):
-            simulate_pipeline(np.zeros(3, dtype=bool), 1.0, -1.0)
+            _simulate(np.zeros(3, dtype=bool), 1.0, -1.0)
         with pytest.raises(ConfigurationError):
-            simulate_pipeline(np.zeros(3, dtype=bool), 1.0, 1.0,
-                              detector_placement=0)
+            _simulate(np.zeros(3, dtype=bool), 1.0, 1.0,
+                      detector_placement=0)
 
     def test_activity_trace_covers_busy_time(self):
         bits = np.array([True, False, False, True], dtype=bool)
-        result = simulate_pipeline(bits, 2.0, 3.0)
+        result = _simulate(bits, 2.0, 3.0)
         trace = result.activity_trace(resolution=1)
         # Total busy samples roughly match cpu_busy cycles.
         assert trace.sum() >= int(result.cpu_busy) - 2
         assert set(np.unique(trace)) <= {0, 1}
 
     def test_activity_trace_resolution_validated(self):
-        result = simulate_pipeline(np.zeros(2, dtype=bool), 1.0, 1.0)
+        result = _simulate(np.zeros(2, dtype=bool), 1.0, 1.0)
         with pytest.raises(ConfigurationError):
             result.activity_trace(resolution=0)
 
@@ -105,7 +111,7 @@ class TestSimulatePipeline:
     )
     def test_invariants_property(self, bits, accel, cpu):
         bits = np.asarray(bits)
-        result = simulate_pipeline(bits, accel, cpu)
+        result = _simulate(bits, accel, cpu)
         assert result.makespan >= result.accel_finish - 1e-9
         assert result.cpu_busy == pytest.approx(bits.sum() * cpu)
         assert result.n_recovered == int(bits.sum())
@@ -146,7 +152,7 @@ class TestMatchesAllIterationsFormula:
         bits = np.zeros(n, dtype=bool)
         bits[rng.choice(n, size=k, replace=False)] = True
         accel, cpu, checker = 0.7312, 3.119, 0.0413
-        result = simulate_pipeline(bits, accel, cpu, placement, checker)
+        result = _simulate(bits, accel, cpu, placement, checker)
         makespan, busy, starts, ends, ids = _reference_segments(
             bits, accel, cpu, placement, checker
         )
@@ -179,9 +185,9 @@ class TestKeepupFraction:
         stride = int(1 / frac)
         bits = np.zeros(n, dtype=bool)
         bits[::stride] = True
-        assert simulate_pipeline(bits, accel, cpu).slowdown_vs_accelerator < 1.02
+        assert _simulate(bits, accel, cpu).slowdown_vs_accelerator < 1.02
         bits_over = np.zeros(n, dtype=bool)
         bits_over[:: max(stride - 1, 1)] = True
-        assert simulate_pipeline(
+        assert _simulate(
             bits_over, accel, cpu
         ).slowdown_vs_accelerator > 1.02

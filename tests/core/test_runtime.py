@@ -245,13 +245,67 @@ class TestSplitPhaseInvocation:
 
 
 class TestCloneShard:
-    def test_clone_shares_trained_artifacts(self, tree_system):
-        shard = tree_system.clone_shard()
-        assert shard.app is tree_system.app
-        assert shard.backend is tree_system.backend
-        # The predictor is stateful (EMA) — it must NOT be shared.
-        assert shard.predictor is not tree_system.predictor
-        assert shard.tuner.threshold == tree_system.tuner.threshold
+    def test_clone_shares_trained_artifacts(self, fft_inputs):
+        """Each scheme's clone rule: a predictor without online state is
+        shared; EMA and Random are copies in the state a deep copy plus
+        ``reset_state()`` of the prototype's predictor has."""
+        import copy
+
+        for scheme in ("treeErrors", "linearErrors", "Uniform", "Ideal",
+                       "EMA", "Random"):
+            prototype = prepare_system("fft", scheme=scheme, seed=0)
+            prototype.run_invocation(fft_inputs[:64])  # online state moves
+            shard = prototype.clone_shard()
+            assert shard.app is prototype.app
+            assert shard.backend is prototype.backend
+            assert shard.tuner.threshold == prototype.tuner.threshold
+            if scheme in ("EMA", "Random"):
+                assert shard.predictor is not prototype.predictor
+                expected = copy.deepcopy(prototype.predictor)
+                expected.reset_state()
+                assert vars(shard.predictor) == vars(expected), scheme
+            else:
+                assert shard.predictor is prototype.predictor, scheme
+
+    def test_shards_score_one_shared_tree_concurrently(self):
+        """Three shards descend one tree at once (blackscholes: six
+        columns, so each thread's descent runs on its own scratch); every
+        score equals the serial one bit for bit."""
+        import sys
+        import threading
+
+        prototype = prepare_system("blackscholes", scheme="treeErrors", seed=0)
+        shards = [prototype.clone_shard() for _ in range(3)]
+        assert all(s.predictor is prototype.predictor for s in shards)
+        pool = np.atleast_2d(
+            prototype.app.test_inputs(np.random.default_rng(5)))
+        features = [prototype.backend.features(pool[lo:lo + n])
+                    for lo, n in ((0, 512), (600, 300), (1000, 64))]
+        assert features[0].shape[1] > 1
+        want = [prototype.predictor.scores(features=f) for f in features]
+        mismatches, start = [], threading.Barrier(len(shards))
+
+        def score(which):
+            start.wait(timeout=10)
+            detection = shards[which].detection
+            for _ in range(300):
+                got = detection.detect_into(features=features[which]).scores
+                if got.tobytes() != want[which].tobytes():
+                    mismatches.append(which)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=score, args=(i,))
+                       for i in range(len(shards))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
     def test_clone_state_is_independent(self, tree_system, fft_inputs):
         shard = tree_system.clone_shard()

@@ -113,4 +113,5 @@ def predictor_for(root: TreeNode, n_features: int) -> DecisionTreeErrorPredictor
     predictor.root = root
     predictor._n_features = n_features
     predictor._fitted = True
+    predictor._ready()  # the tables fit() and load_state() build
     return predictor

@@ -61,6 +61,47 @@ class TestProcessWorkerPool:
         finally:
             pool.stop()
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a spawned worker unpickles its arguments")
+    def test_forked_workers_never_unpickle_the_prototype(
+        self, fft_prototype, fft_input_pool, monkeypatch, tmp_path
+    ):
+        """Under the default (fork) context a worker inherits the
+        prototype: neither a started nor a restarted worker rebuilds it
+        with ``pickle.loads``.  The patched ``loads`` is inherited by the
+        forked workers and notes each system it would rebuild."""
+        from repro.core.runtime import RumbaSystem
+
+        notes = tmp_path / "unpickled"
+        notes.touch()
+        real_loads = pickle.loads
+
+        def noting_loads(data, *args, **kwargs):
+            value = real_loads(data, *args, **kwargs)
+            if isinstance(value, RumbaSystem):
+                with open(notes, "a") as out:
+                    out.write(f"{os.getpid()}\n")
+            return value
+
+        monkeypatch.setattr(pickle, "loads", noting_loads)
+        pool = ProcessWorkerPool(fft_prototype, n_workers=1).start()
+        worker = pool.workers[0]
+        processes = [worker.process]
+        try:
+            for seq in range(2):
+                pool.submit(worker, seq=seq, inputs=fft_input_pool[:16])
+                (frame,) = _wait_frames(pool, worker, n=1)
+                assert frame.kind == FRAME_RESULT
+                if seq == 0:
+                    assert pool.restart_worker(worker)
+                    processes.append(worker.process)
+        finally:
+            pool.stop()
+            for process in processes:  # their sentinels, not left to gc
+                process.close()
+        assert worker.restarts == 1
+        assert notes.read_text() == ""
+
     def test_stop_joins_workers(self, fft_prototype):
         pool = ProcessWorkerPool(fft_prototype, n_workers=2)
         pool.start()
@@ -306,7 +347,7 @@ class TestWorkerMainInterrupts:
             def run():
                 try:
                     _worker_main(
-                        pickle.dumps(_InterruptingSystem()),
+                        _InterruptingSystem(),
                         in_ring.name, out_ring.name, bells[0], bells[3],
                         False,
                     )

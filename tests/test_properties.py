@@ -16,6 +16,12 @@ from repro.metrics.analysis import (
 )
 from repro.predictors.oracle import OraclePredictor
 
+
+def _simulate(bits, *args, **kwargs):
+    """``simulate_pipeline`` over a recovery-bits vector."""
+    bits = np.asarray(bits, dtype=bool)
+    return simulate_pipeline(np.flatnonzero(bits), bits.size, *args, **kwargs)
+
 errors_arrays = arrays(
     dtype=float,
     shape=st.integers(2, 120),
@@ -82,14 +88,14 @@ class TestPipelineInvariants:
         stride = max(int(np.ceil(1.0 / fraction)), 1)
         bits = np.zeros(n, dtype=bool)
         bits[::stride] = True
-        result = simulate_pipeline(bits, accel, cpu)
+        result = _simulate(bits, accel, cpu)
         assert result.cpu_kept_up
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 100), st.floats(1.5, 20.0))
     def test_fixing_everything_serializes(self, n, cpu):
         """100% fixes degenerate to CPU throughput (no overlap benefit)."""
-        result = simulate_pipeline(np.ones(n, dtype=bool), 1.0, cpu)
+        result = _simulate(np.ones(n, dtype=bool), 1.0, cpu)
         assert result.makespan >= n * cpu
 
     @settings(max_examples=40, deadline=None)
@@ -97,11 +103,11 @@ class TestPipelineInvariants:
     def test_makespan_monotone_in_fix_set(self, bits):
         """Adding a fix never shortens the makespan."""
         bits = np.asarray(bits)
-        base = simulate_pipeline(bits, 1.0, 3.0)
+        base = _simulate(bits, 1.0, 3.0)
         if not bits.all():
             more = bits.copy()
             more[int(np.flatnonzero(~bits)[0])] = True
-            grown = simulate_pipeline(more, 1.0, 3.0)
+            grown = _simulate(more, 1.0, 3.0)
             assert grown.makespan >= base.makespan - 1e-9
 
 
