@@ -141,6 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core import RumbaConfig, prepare_system
+    from repro.core.offline import streams
     from repro.observability import MetricsRegistry, Telemetry
 
     print(f"Preparing {args.app} with the {args.scheme} checker...")
@@ -153,7 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         system.attach_telemetry(Telemetry(
             app=args.app, scheme=args.scheme, registry=registry,
         ))
-    rng = np.random.default_rng(args.seed + 100)
+    rng = np.random.default_rng(streams(args.seed).cli)
     inputs = np.atleast_2d(system.app.test_inputs(rng))[: args.elements]
     record = system.run_invocation(inputs)
     rows = [
@@ -187,6 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.apps.workloads import invocation_stream
     from repro.core import prepare_system
+    from repro.core.offline import streams
     from repro.core.stream import QualityManagedStream
     from repro.observability import FlightRecorder, MetricsRegistry, Telemetry
     from repro.observability.dashboard import (
@@ -202,7 +204,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     system.attach_telemetry(telemetry)
     stream = QualityManagedStream(system)
     chunks = invocation_stream(
-        system.app, args.invocations, args.elements, seed=args.seed + 100
+        system.app, args.invocations, args.elements, seed=streams(args.seed).cli
     )
     live = sys.stdout.isatty() and not args.no_live
     for chunk in chunks:
@@ -408,6 +410,7 @@ class _Session:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro.core.offline import streams
     from repro.serving.server import RumbaServer
 
     config = _serve_config(args)
@@ -430,7 +433,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             net.stop()
         _export(args.export, server.registry)
         return 0
-    rng = np.random.default_rng(args.seed + 100)
+    rng = np.random.default_rng(streams(args.seed).cli)
     pool = np.atleast_2d(server.prototype.app.test_inputs(rng))
     # A hard wall-clock bound per request: under --selftest a handle that
     # neither completes nor fails within it counts as a hang, which is

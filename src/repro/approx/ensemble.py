@@ -439,24 +439,17 @@ def _train_sized_mlp(app: Application, scale: float, seed: int) -> NPUBackend:
 
 
 def _build_member_backend(
-    token: str,
-    app: Application,
-    seed: int,
-    reference: Optional[NPUBackend],
+    token: str, app: Application, reference: NPUBackend, streams
 ) -> Tuple[str, MemberBackend]:
     """Instantiate one member backend from its spec token."""
     if token == "mlp:large":
-        backend = (
-            reference
-            if reference is not None
-            else _train_sized_mlp(app, 1.0, seed)
-        )
-        return "mlp-large", backend
+        return "mlp-large", reference
     if token == "mlp:small":
-        return "mlp-small", _train_sized_mlp(app, 0.25, seed + 12)
+        return "mlp-small", _train_sized_mlp(app, 0.25, streams.ensemble_small)
     if token == "memo":
-        memo = MemoizingBackend(app, key_bits=5, calibration_seed=seed)
-        rng = np.random.default_rng(seed + 13)
+        memo = MemoizingBackend(app, key_bits=5,
+                                calibration_seed=streams.ensemble_calibration)
+        rng = np.random.default_rng(streams.ensemble_warm)
         warm = np.atleast_2d(
             np.asarray(app.train_inputs(rng), dtype=float)
         )[:1000]
@@ -470,17 +463,19 @@ def _build_member_backend(
 
 def build_ensemble(
     app: Application,
-    spec: Optional[EnsembleSpec] = None,
-    seed: int = 0,
-    reference: Optional[NPUBackend] = None,
+    spec: Optional[EnsembleSpec],
+    reference: NPUBackend,
+    streams,
     cost_model=None,
 ) -> ApproximatorEnsemble:
     """Train/assemble a full ensemble for one app.
 
-    ``reference`` lets callers inject the (cached) standard single-MLP
-    backend as the rank-0 member; :func:`repro.core.offline.prepare_ensemble`
-    does exactly that.  Per-member router predictors are fitted once, on
-    a shared labeled sample, and are read-only from then on.
+    ``reference`` is the standard single-MLP backend, the rank-0 member,
+    and ``streams`` the :class:`~repro.core.offline.Streams` the other
+    members and the router draw from:
+    :func:`repro.core.offline.prepare_ensemble` passes both.  Per-member
+    router predictors are fitted once, on a shared labeled sample, and
+    are read-only from then on.
     """
     spec = spec or EnsembleSpec()
     if cost_model is None:
@@ -489,12 +484,12 @@ def build_ensemble(
         cost_model = CostModel(app)
 
     backends: List[Tuple[str, MemberBackend]] = [
-        _build_member_backend(token, app, seed, reference)
+        _build_member_backend(token, app, reference, streams)
         for token in spec.member_tokens()
     ]
 
     # One shared labeled sample for all router-side error models.
-    rng = np.random.default_rng(seed + 21)
+    rng = np.random.default_rng(streams.ensemble_router)
     x = np.atleast_2d(np.asarray(app.train_inputs(rng), dtype=float))
     if x.shape[0] > 1500:
         pick = rng.choice(x.shape[0], size=1500, replace=False)

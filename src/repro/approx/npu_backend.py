@@ -99,8 +99,8 @@ class NPUBackend:
         b0``) and, because the output layer is linear, the output scaler's
         inverse map into the last (``h @ (W·s) + (b·s + t)``).  Each
         invocation therefore skips two full-array normalization passes
-        while producing the same values to ~1e-9.  Built lazily and cached;
-        call :meth:`refresh_fused` after mutating trained weights in place.
+        while producing the same values to ~1e-9.  Built lazily and cached:
+        trained weights are immutable at run time.
         """
         if self._fused is None:
             if self.network.activation_for_layer(
@@ -121,10 +121,6 @@ class NPUBackend:
             weights[-1] = weights[-1] * s_out[None, :]
             object.__setattr__(self, "_fused", (weights, biases))
         return self._fused
-
-    def refresh_fused(self) -> None:
-        """Drop the folded-weight cache (after in-place weight updates)."""
-        object.__setattr__(self, "_fused", None)
 
     def _hidden_scratch(
         self, n: int, weights: List[np.ndarray]

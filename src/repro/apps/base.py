@@ -195,13 +195,6 @@ class Application:
     def n_outputs(self) -> int:
         return self.npu_topology.n_outputs
 
-    def rumba_features(self, inputs: np.ndarray) -> np.ndarray:
-        """Project kernel inputs onto the columns the Rumba NN consumes."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if self.rumba_input_columns is None:
-            return inputs
-        return inputs[:, list(self.rumba_input_columns)]
-
     def exact(self, inputs: np.ndarray) -> np.ndarray:
         """Run the exact kernel; output is always 2-D ``(n, n_outputs)``."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))

@@ -108,14 +108,6 @@ class DetectionModule:
         return DetectionResult(scores=scores, recovery_bits=bits,
                                threshold=self.threshold)
 
-    @property
-    def lifetime_fire_fraction(self) -> float:
-        """Fraction of all checks that have fired so far."""
-        return self.total_fires / self.total_checks if self.total_checks else 0.0
-
     def check_energy_pj(self, n_elements: int) -> float:
         """Checker energy for one invocation of ``n_elements`` checks."""
         return self.checker.check_energy_pj() * n_elements
-
-    def check_cycles_per_element(self) -> float:
-        return self.checker.check_cycles()

@@ -5,6 +5,10 @@ training data (first trainer), runs it to collect error observations and
 fits the requested checker (second trainer), then wires everything into a
 ready :class:`~repro.core.runtime.RumbaSystem`.
 
+:func:`streams` is the one place a seed becomes the generator seeds of
+the data it draws: the trainers, the evaluation and every experiment of
+the ledger read their streams from it.
+
 Because several benches and examples prepare the same (app, scheme, seed)
 combinations, small in-process caches avoid retraining, and a
 content-addressed store on disk (:data:`STORE_DIR`) keeps what both
@@ -17,8 +21,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import os
 import tempfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -47,6 +53,8 @@ from repro.predictors.training import (
 )
 
 __all__ = [
+    "Streams",
+    "streams",
     "prepare_system",
     "prepare_backend",
     "prepare_checker",
@@ -54,6 +62,69 @@ __all__ = [
     "prepare_ensemble",
     "clear_cache",
 ]
+
+
+@dataclass(frozen=True)
+class Streams:
+    """The generator seed of every data stream one seed draws.
+
+    The defaults are seed 0's.  ``accelerator`` is both topologies'
+    training rows, weight initialisation and trainer, so the topology
+    ablation compares two networks trained on the same rows.  A stream
+    in :data:`_WIDTHS` also draws the seeds after its own; ``fig3`` draws
+    one flower image per row at ``fig3 * 100003 + i``
+    (:func:`~repro.apps.mosaic.perforation_error_survey`).
+    """
+
+    accelerator: int = 0
+    checker_training: int = 1
+    evaluation: int = 2
+    checker: int = 0            # the Random checker's scores
+    tuner: int = 123            # the tuner modes' live fft stream
+    fig2_image: int = 42
+    fig2_noise: int = 0
+    fig3: int = 0
+    fig5: int = 0
+    alt_train: int = 9          # the Sec. 4 substrates
+    alt_test: int = 10
+    alt_random: int = 11
+    alt_calibration: int = 0
+    alt_noise: int = 1
+    memo_probe: int = 11        # the memoization extension
+    memo_warm: int = 12
+    memo_calibration: int = 0
+    memo_manager: int = 0
+    ensemble_small: int = 12    # the ensemble's members and router
+    ensemble_calibration: int = 0
+    ensemble_warm: int = 13
+    ensemble_router: int = 21
+    cli: int = 100              # the rows ``run``, ``monitor`` and ``serve`` send
+    sampling_train: int = 10_000  # one flower image per row
+    sampling_test: int = 20_000
+
+
+#: How many consecutive generator seeds a stream draws, where more than one.
+_WIDTHS = {"memo_manager": 2, "sampling_train": 300, "sampling_test": 400}
+#: Seed ``s >= 1`` owns the generator seeds ``[s * _BLOCK, (s + 1) * _BLOCK)``.
+#: Seed 0's streams lie below ``_BLOCK`` except Fig. 3's images, which, like
+#: every seed's, lie at or above ``100003 * _BLOCK``: so no seed below
+#: 100,003 draws a generator seed another seed draws.
+_BLOCK = 1_000_000
+
+
+def streams(seed: int) -> Streams:
+    """The generator seed of each data stream at ``seed``.
+
+    Seed 0 keeps the streams the snapshot, the golden journals and the
+    ladder were recorded with; seed ``s >= 1`` lays its streams out in
+    order from ``s * _BLOCK``, each as wide as it draws.
+    """
+    if seed == 0:
+        return Streams()
+    names = [f.name for f in fields(Streams)]
+    offsets = itertools.accumulate((_WIDTHS.get(n, 1) for n in names), initial=0)
+    return Streams(**{n: seed * _BLOCK + at for n, at in zip(names, offsets)})
+
 
 _BACKEND_CACHE: Dict[Tuple[str, bool, int], NPUBackend] = {}
 _DATA_CACHE: Dict[Tuple[str, int], PredictorTrainingData] = {}
@@ -218,7 +289,8 @@ def prepare_backend(
     backend = _store_load(app, use_rumba_topology, seed) if cache else None
     if backend is None:
         backend, _ = train_npu_backend(
-            app, use_rumba_topology=use_rumba_topology, seed=seed
+            app, use_rumba_topology=use_rumba_topology,
+            seed=streams(seed).accelerator,
         )
         if cache:
             _store_save(_network_path(app, use_rumba_topology, seed),
@@ -238,7 +310,8 @@ def checker_data(app: Application, backend: NPUBackend, seed: int = 0,
     key = (app.name, seed)
     if cache and key in _DATA_CACHE:
         return _DATA_CACHE[key]
-    data = collect_training_data(app, backend, seed=seed + 1)
+    data = collect_training_data(app, backend,
+                                 seed=streams(seed).checker_training)
     if cache:
         _DATA_CACHE[key] = data
     return data
@@ -247,15 +320,16 @@ def checker_data(app: Application, backend: NPUBackend, seed: int = 0,
 def _checker_load(app: Application, scheme: str,
                   seed: int) -> Optional[ErrorPredictor]:
     """The stored checker, or ``None`` on a miss: no file, a read error, or
-    arrays its ``load_state`` rejects (a wrong dtype or shape, a
-    non-finite number, a feature outside the network's inputs, a tree
-    that is malformed or deeper than its ``max_depth``)."""
+    arrays its ``load_state`` rejects (a wrong dtype or shape, a NaN
+    threshold or another non-finite number, a feature outside the
+    network's inputs, a tree that is malformed or deeper than its
+    ``max_depth``)."""
     path = _checker_path(app, scheme, seed)
     if path is None:
         return None
     try:
         with np.load(path, allow_pickle=False) as stored:
-            return make_predictor(scheme, seed=seed).load_state(
+            return make_predictor(scheme, seed=streams(seed).checker).load_state(
                 app.rumba_topology.n_inputs, **stored)
     except Exception:  # a damaged file raises any of six types: all a miss
         return None
@@ -277,10 +351,10 @@ def prepare_checker(app: Application, backend: NPUBackend,
     predictor = _checker_load(app, scheme, seed) if stored else None
     if predictor is not None:
         return predictor
-    predictor = make_predictor(scheme, seed=seed)
+    predictor = make_predictor(scheme, seed=streams(seed).checker)
     if predictor.needs_fit:
         data = checker_data(app, backend, seed=seed, cache=cache)
-        predictor = train_predictor(scheme, data, seed=seed)
+        predictor = train_predictor(scheme, data, seed=streams(seed).checker)
         if stored:
             _store_save(_checker_path(app, scheme, seed), predictor.state())
     return predictor
@@ -306,7 +380,7 @@ def prepare_ensemble(
     if cache and key in _ENSEMBLE_CACHE:
         return _ENSEMBLE_CACHE[key]
     reference = prepare_backend(app, seed=seed, cache=cache)
-    ensemble = build_ensemble(app, spec, seed=seed, reference=reference)
+    ensemble = build_ensemble(app, spec, reference, streams(seed))
     if cache:
         _ENSEMBLE_CACHE[key] = ensemble
     return ensemble

@@ -17,7 +17,7 @@ extending the makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ __all__ = ["PipelineResult", "simulate_pipeline", "max_keepup_fix_fraction"]
 class PipelineResult:
     """Timing outcome of one pipelined invocation.
 
-    All times are in cycles.  ``cpu_segments`` holds ``(start, end,
-    iteration_id)`` for each re-execution, in service order.
+    All times are in cycles.
     """
 
     n_iterations: int
@@ -40,11 +39,10 @@ class PipelineResult:
     makespan: float
     cpu_busy: float
     cpu_service_cycles: float = 0.0
-    # The flagged iterations' verdict arrival times and ids, in service
-    # order: segments are derived only when read (Fig. 18), which the
-    # serving hot path never does.
+    # The flagged iterations' verdict arrival times, in service order:
+    # segments are derived only when read (Fig. 18), which the serving
+    # hot path never does.
     _arrivals: Optional[np.ndarray] = field(default=None, repr=False)
-    _seg_ids: Optional[np.ndarray] = field(default=None, repr=False)
 
     def _service(self) -> Tuple[np.ndarray, np.ndarray]:
         """Start and end times of every re-execution, in service order.
@@ -58,14 +56,6 @@ class PipelineResult:
         ends = (np.maximum.accumulate(self._arrivals - rank * cpu)
                 + (rank + 1.0) * cpu)
         return ends - cpu, ends
-
-    @property
-    def cpu_segments(self) -> List[Tuple[float, float, int]]:
-        """``(start, end, iteration_id)`` per re-execution, in service order."""
-        if self._arrivals is None:
-            return []
-        starts, ends = self._service()
-        return list(zip(starts.tolist(), ends.tolist(), self._seg_ids.tolist()))
 
     @property
     def cpu_kept_up(self) -> bool:
@@ -85,11 +75,6 @@ class PipelineResult:
     def cpu_utilization(self) -> float:
         """CPU busy fraction over the makespan."""
         return self.cpu_busy / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def slowdown_vs_accelerator(self) -> float:
-        """Makespan normalized to the pure accelerator time (1.0 = kept up)."""
-        return self.makespan / self.accel_finish if self.accel_finish > 0 else 1.0
 
     def activity_trace(self, resolution: int = 1) -> np.ndarray:
         """0/1 CPU-activity samples over the makespan (Fig. 18, bottom).
@@ -171,7 +156,6 @@ def simulate_pipeline(
         cpu_busy=k * cpu,
         cpu_service_cycles=cpu,
         _arrivals=arr,
-        _seg_ids=flagged,
     )
 
 

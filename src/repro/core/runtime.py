@@ -530,13 +530,6 @@ class RumbaSystem:
     # Summaries                                                          #
     # ------------------------------------------------------------------ #
     @property
-    def mean_measured_error(self) -> float:
-        errors = [r.measured_error for r in self.records if r.measured_error is not None]
-        if not errors:
-            raise ConfigurationError("no measured invocations recorded")
-        return float(np.mean(errors))
-
-    @property
     def mean_fix_fraction(self) -> float:
         if not self.records:
             raise ConfigurationError("no invocations recorded")

@@ -50,25 +50,6 @@ class SamplingReport:
         return int(self.recovered.sum())
 
     @property
-    def bad_invocations(self) -> np.ndarray:
-        return self.errors_before > self.target_error
-
-    @property
-    def n_missed_bad(self) -> int:
-        """Bad invocations that sailed through unchecked (the paper's
-        Challenge II failure mode)."""
-        return int((self.bad_invocations & ~self.checked).sum())
-
-    @property
-    def miss_rate(self) -> float:
-        n_bad = int(self.bad_invocations.sum())
-        return self.n_missed_bad / n_bad if n_bad else 0.0
-
-    @property
-    def max_error_after(self) -> float:
-        return float(self.errors_after.max())
-
-    @property
     def exact_reexecution_fraction(self) -> float:
         """Fraction of invocations fully re-run (checks + recoveries both
         cost one exact execution)."""

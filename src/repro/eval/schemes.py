@@ -21,7 +21,7 @@ import numpy as np
 from repro.apps.base import Application
 from repro.apps.registry import get_application
 from repro.approx.npu_backend import NPUBackend
-from repro.core.offline import prepare_backend, prepare_checker
+from repro.core.offline import prepare_backend, prepare_checker, streams
 from repro.predictors.base import ErrorPredictor
 from repro.predictors.training import SCHEME_NAMES
 
@@ -80,7 +80,7 @@ def evaluate_benchmark(
     backend = prepare_backend(app, True, seed=seed, cache=cache)
     npu_backend = prepare_backend(app, False, seed=seed, cache=cache)
 
-    rng = np.random.default_rng(seed + 2)
+    rng = np.random.default_rng(streams(seed).evaluation)
     test_inputs = np.atleast_2d(np.asarray(app.test_inputs(rng), dtype=float))
     if n_test_cap is not None and test_inputs.shape[0] > n_test_cap:
         pick = np.sort(

@@ -23,17 +23,16 @@ class ConfigQueue:
     """The configuration channel (accelerator weights + checker coefficients).
 
     The same queue transfers the accelerator configuration and the checker
-    coefficients (Sec. 3.2, "Predictor Hardware").  Word counts drive the
-    per-kernel-launch energy charge; the payload values themselves are
-    retained so the receiving side (and the tests) can verify the checker
-    was programmed with the coefficients the trainer produced.
+    coefficients (Sec. 3.2, "Predictor Hardware").  ``sent`` keeps each
+    ``(label, words)`` payload in transfer order, so the receiving side
+    (and the tests) can verify the checker was programmed with the
+    coefficients the trainer produced.
     """
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
         self.words_transferred = 0
-        self._payloads: List[Tuple[str, int]] = []
-        self._values: List[Tuple[str, List[float]]] = []
+        self.sent: List[Tuple[str, List[float]]] = []
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -50,24 +49,5 @@ class ConfigQueue:
         count = len(values)
         with self._mutex:
             self.words_transferred += count
-            self._payloads.append((label, count))
-            self._values.append((label, values))
+            self.sent.append((label, values))
         return count
-
-    @property
-    def payloads(self) -> List[Tuple[str, int]]:
-        with self._mutex:
-            return list(self._payloads)
-
-    def received(self, label: str) -> List[float]:
-        """The words delivered for ``label``, in transfer order.
-
-        Multiple sends under the same label concatenate, mirroring a FIFO
-        drained by the consumer.
-        """
-        with self._mutex:
-            out: List[float] = []
-            for sent_label, values in self._values:
-                if sent_label == label:
-                    out.extend(values)
-            return out

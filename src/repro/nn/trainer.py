@@ -48,19 +48,6 @@ class TrainingResult:
     best_epoch: int = 0
     converged: bool = False
 
-    @property
-    def final_loss(self) -> float:
-        if not self.train_losses:
-            raise TrainingError("training produced no epochs")
-        return self.train_losses[-1]
-
-    @property
-    def best_loss(self) -> float:
-        losses = self.val_losses or self.train_losses
-        if not losses:
-            raise TrainingError("training produced no epochs")
-        return losses[self.best_epoch]
-
 
 def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
     """``a.sum(axis=0)`` into ``out``, bit for bit, in a third of the time.

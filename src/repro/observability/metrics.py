@@ -313,18 +313,6 @@ class _HistogramChild:
         with self._lock:
             return self._sum
 
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs ending at +Inf."""
-        with self._lock:
-            counts = list(self._counts)
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self._bounds, counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + counts[-1]))
-        return out
-
     def _snapshot(self) -> dict:
         # Read counts, sum and count under one lock acquisition so the
         # exported triple is internally consistent even while other

@@ -219,22 +219,12 @@ class RequestTrace:
         with self._lock:
             return list(self._events)
 
-    def stage_names(self) -> List[str]:
-        return [stage for stage, _ in self.events()]
-
     def duration(self) -> float:
         """Seconds from the first stamp to the last (0 with <2 events)."""
         events = self.events()
         if len(events) < 2:
             return 0.0
         return events[-1][1] - events[0][1]
-
-    def is_monotonic(self) -> bool:
-        """True when the event chain never goes backwards in time."""
-        events = self.events()
-        return all(
-            t1 <= t2 for (_, t1), (_, t2) in zip(events, events[1:])
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

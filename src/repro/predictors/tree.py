@@ -400,13 +400,14 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
 
         Anything but one well-formed pre-order tree no deeper than
         ``max_depth`` raises ConfigurationError: a wrong dtype or length,
-        a non-finite number, a feature outside the columns, a node missing
-        or left over.
+        a NaN threshold, a non-finite value, a feature outside the
+        columns, a node missing or left over.  A threshold may be ±inf:
+        the fit cuts a column holding ±inf there.
         """
         if not (feature.dtype == np.int64 and feature.ndim == 1
                 and threshold.dtype == value.dtype == np.float64
                 and threshold.shape == value.shape == feature.shape
-                and np.isfinite(threshold).all() and np.isfinite(value).all()):
+                and not np.isnan(threshold).any() and np.isfinite(value).all()):
             raise ConfigurationError("not the arrays of a tree's state")
         codes, thresholds, values = feature.tolist(), threshold.tolist(), value.tolist()
 

@@ -154,11 +154,6 @@ class AdmissionQueue:
         with self._cond:
             return len(self._pending)
 
-    @property
-    def is_closed(self) -> bool:
-        with self._cond:
-            return self._closed
-
     def backlog(self) -> int:
         """Batches of work the server owes: those taken and not yet
         reported back, plus the batches the waiting requests would form.

@@ -112,12 +112,6 @@ class BufferPool:
             self.leases += 1
         return view
 
-    def lease_copy(self, source: np.ndarray) -> np.ndarray:
-        """Lease a buffer shaped like ``source`` and copy it in."""
-        view = self.lease(source.shape)
-        np.copyto(view, source)
-        return view
-
     def release(self, view: np.ndarray) -> None:
         """Return a leased buffer's arena to its free list.
 

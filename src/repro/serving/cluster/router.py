@@ -45,8 +45,8 @@ propagated downstream so node-side records correlate by id.
 Listening, lifecycle and framing are
 :class:`~repro.serving.net.server.FrameListener`'s, shared with
 :class:`NetServer`: the event loop runs on one background thread
-(``rumba-cluster-loop``), so ``start()`` / ``stop()`` / ``drain()`` /
-``stats_document()`` are ordinary blocking calls.
+(``rumba-cluster-loop``), so ``start()`` / ``stop()`` / ``drain()``
+are ordinary blocking calls.
 """
 
 from __future__ import annotations
@@ -281,12 +281,6 @@ class ClusterRouter(FrameListener):
         """Return a drained node to rotation."""
         if self._loop is not None and self.is_running:
             self._loop.call_soon_threadsafe(self.manager.undrain, node)
-
-    def stats_document(self) -> dict:
-        """The fleet-wide stats document (thread-safe snapshot)."""
-        async def _build():
-            return self._stats_document()
-        return self._call_on_loop(_build(), timeout=10.0)
 
     # ------------------------------------------------------------------ #
     # Request path                                                       #

@@ -105,9 +105,6 @@ class NodeFleet:
     def addresses(self) -> List[str]:
         return [h.wait_for_address() for h in self.workers]
 
-    def alive_count(self) -> int:
-        return sum(1 for h in self.workers if h.alive())
-
     def stop(self, timeout: float = 20.0) -> None:
         """SIGTERM every node; escalate to SIGKILL past ``timeout``."""
         for handle in self.workers:

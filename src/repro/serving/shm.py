@@ -174,18 +174,9 @@ class ShmRing:
     def _set_tail(self, value: int) -> None:
         struct.pack_into("<Q", self._shm.buf, 8, value)
 
-    def used_bytes(self) -> int:
-        return self._tail() - self._head()
-
     # ------------------------------------------------------------------ #
     # Framing                                                            #
     # ------------------------------------------------------------------ #
-    def frame_bytes(
-        self, payload: Optional[np.ndarray] = None, extra: bytes = b""
-    ) -> int:
-        """Total ring bytes one frame with this content occupies."""
-        return _span(0 if payload is None else payload.size * 8, len(extra))
-
     def _reserve(self, needed: int) -> Optional[int]:
         """The tail counter at which a frame of ``needed`` bytes goes, or
         None while the bytes the reader has released cannot hold it.

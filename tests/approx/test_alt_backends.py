@@ -29,7 +29,7 @@ def ik2j_inputs(ik2j_app):
 
 class TestQuantizedKernelBackend:
     def test_errors_nonzero_but_bounded(self, ik2j_app, ik2j_inputs):
-        _, approximate = _quantized_datapath(ik2j_app, bits=6)
+        _, approximate = _quantized_datapath(ik2j_app, 0, bits=6)
         approx = approximate(ik2j_inputs)
         exact = ik2j_app.exact(ik2j_inputs)
         err = ik2j_app.output_error(approx, exact)
@@ -37,26 +37,26 @@ class TestQuantizedKernelBackend:
 
     def test_more_bits_less_error(self, ik2j_app, ik2j_inputs):
         exact = ik2j_app.exact(ik2j_inputs)
-        _, coarse = _quantized_datapath(ik2j_app, bits=4)
-        _, fine = _quantized_datapath(ik2j_app, bits=10)
+        _, coarse = _quantized_datapath(ik2j_app, 0, bits=4)
+        _, fine = _quantized_datapath(ik2j_app, 0, bits=10)
         assert ik2j_app.output_error(fine(ik2j_inputs), exact) < (
             ik2j_app.output_error(coarse(ik2j_inputs), exact)
         )
 
     def test_deterministic(self, ik2j_app, ik2j_inputs):
-        features, approximate = _quantized_datapath(ik2j_app)
+        features, approximate = _quantized_datapath(ik2j_app, 0)
         np.testing.assert_array_equal(
             approximate(ik2j_inputs), approximate(ik2j_inputs)
         )
         np.testing.assert_array_equal(
-            features(ik2j_inputs), _quantized_datapath(ik2j_app)[0](ik2j_inputs)
+            features(ik2j_inputs), _quantized_datapath(ik2j_app, 0)[0](ik2j_inputs)
         )
 
     def test_outputs_on_quantization_grid(self, ik2j_app, ik2j_inputs):
         # ``bits`` bits -> at most 2**bits distinct levels per column, on
         # the inputs the checker sees and on the outputs alike.
         for bits in (4, 5):
-            features, approximate = _quantized_datapath(ik2j_app, bits=bits)
+            features, approximate = _quantized_datapath(ik2j_app, 0, bits=bits)
             for values in (features(ik2j_inputs), approximate(ik2j_inputs)):
                 for col in range(values.shape[1]):
                     levels = np.unique(np.round(values[:, col], 9))
@@ -69,7 +69,7 @@ class TestQuantizedKernelBackend:
         from repro.metrics.analysis import error_vs_fixed_curve
         from repro.predictors.tree import DecisionTreeErrorPredictor
 
-        features, approximate = _quantized_datapath(ik2j_app, bits=5)
+        features, approximate = _quantized_datapath(ik2j_app, 0, bits=5)
         rng = np.random.default_rng(9)
         train = ik2j_app.train_inputs(rng)[:2000]
         train_errors = ik2j_app.element_errors(
@@ -93,23 +93,23 @@ class TestQuantizedKernelBackend:
 
 class TestNoisyAnalogBackend:
     def test_errors_stochastic(self, ik2j_app, ik2j_inputs):
-        _, approximate = _analog_datapath(ik2j_app, noise_fraction=0.05)
+        _, approximate = _analog_datapath(ik2j_app, 0, noise_fraction=0.05)
         a = approximate(ik2j_inputs)
         b = approximate(ik2j_inputs)
         assert not np.array_equal(a, b)  # analog noise varies per run
 
     def test_noise_scales_error(self, ik2j_app, ik2j_inputs):
         exact = ik2j_app.exact(ik2j_inputs)
-        _, quiet = _analog_datapath(ik2j_app, noise_fraction=0.01)
-        _, loud = _analog_datapath(ik2j_app, noise_fraction=0.15)
+        _, quiet = _analog_datapath(ik2j_app, 0, noise_fraction=0.01)
+        _, loud = _analog_datapath(ik2j_app, 0, noise_fraction=0.15)
         assert ik2j_app.output_error(loud(ik2j_inputs), exact) > (
             ik2j_app.output_error(quiet(ik2j_inputs), exact)
         )
 
     def test_saturation_at_rails(self, ik2j_app, ik2j_inputs):
-        _, _, lo, hi = _calibrated_ranges(ik2j_app)
+        _, _, lo, hi = _calibrated_ranges(ik2j_app, 0)
         for noise_fraction in (0.04, 0.3):
-            _, approximate = _analog_datapath(ik2j_app, noise_fraction)
+            _, approximate = _analog_datapath(ik2j_app, 0, noise_fraction)
             out = approximate(ik2j_inputs)
             assert np.all(out >= lo) and np.all(out <= hi)
         # The loud datapath really drives some outputs onto a rail.

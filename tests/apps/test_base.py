@@ -134,19 +134,6 @@ class TestApplication:
         with pytest.raises(ConfigurationError):
             app.exact(rng.random((3, 5)))
 
-    def test_rumba_features_projection(self):
-        app = _dummy_app(
-            rumba_topology=Topology.parse("1->2->1"),
-            rumba_input_columns=(1,),
-        )
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(app.rumba_features(x), [[2.0], [4.0]])
-
-    def test_rumba_features_identity_without_projection(self):
-        app = _dummy_app()
-        x = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(app.rumba_features(x), x)
-
     def test_column_count_validated(self):
         with pytest.raises(ConfigurationError, match="columns"):
             _dummy_app(

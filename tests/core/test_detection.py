@@ -39,7 +39,6 @@ class TestDetectionModule:
         module.detect_into(true_errors=np.array([0.9, 0.9]))
         assert module.total_checks == 4
         assert module.total_fires == 3
-        assert module.lifetime_fire_fraction == pytest.approx(0.75)
 
     def test_checker_kind_follows_predictor(self, rng):
         predictor = LinearErrorPredictor().fit(rng.random((20, 3)), rng.random(20))
@@ -50,7 +49,7 @@ class TestDetectionModule:
     def test_oracle_has_free_checker(self):
         module = _oracle_module()
         assert module.check_energy_pj(1000) == 0.0
-        assert module.check_cycles_per_element() == 0.0
+        assert module.checker.check_cycles() == 0.0
 
     def test_linear_checker_energy_scales(self, rng):
         predictor = LinearErrorPredictor().fit(rng.random((20, 3)), rng.random(20))

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.nn.mlp import Topology
 from repro.predictors.linear import LinearErrorPredictor
 from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
+from tests.predictors.reference_tree import predictor_for
 
 
 def assert_same_backend(a, b, app):
@@ -93,33 +94,32 @@ _EDGE_FLOATS = st.one_of(
                      1e300, -1e300, 1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+_INFINITIES = st.sampled_from([np.inf, -np.inf])
 
 
 @st.composite
 def fitted_checkers(draw):
     """(checker, n_features): a linear checker of random weights or a tree
-    of depth 0-7 over up to 18 features, both with edge-case numbers."""
+    of depth 0-7 over up to 18 features, both with edge-case numbers (a
+    tree's thresholds ±inf too, where the fit cuts a column holding them)."""
     n_features = draw(st.integers(1, 18))
     if draw(st.booleans()):
         checker = LinearErrorPredictor()
         checker.weights = np.array(draw(st.lists(
             _EDGE_FLOATS, min_size=n_features, max_size=n_features)))
         checker.bias = draw(_EDGE_FLOATS)
-    else:
-        def grow(depth_left):
-            if depth_left == 0 or draw(st.integers(0, 2)) == 0:
-                return TreeNode(value=draw(_EDGE_FLOATS))
-            return TreeNode(feature=draw(st.integers(0, n_features - 1)),
-                            threshold=draw(_EDGE_FLOATS),
-                            left=grow(depth_left - 1),
-                            right=grow(depth_left - 1))
+        checker._fitted = True
+        return checker, n_features
 
-        checker = DecisionTreeErrorPredictor()
-        checker.root = grow(draw(st.integers(0, 7)))
-        checker._n_features = n_features
-        checker._ready()  # the tables fit() and load_state() build
-    checker._fitted = True
-    return checker, n_features
+    def grow(depth_left):
+        if depth_left == 0 or draw(st.integers(0, 2)) == 0:
+            return TreeNode(value=draw(_EDGE_FLOATS))
+        return TreeNode(feature=draw(st.integers(0, n_features - 1)),
+                        threshold=draw(_EDGE_FLOATS | _INFINITIES),
+                        left=grow(depth_left - 1),
+                        right=grow(depth_left - 1))
+
+    return predictor_for(grow(draw(st.integers(0, 7))), n_features), n_features
 
 
 @pytest.fixture
@@ -354,7 +354,7 @@ class TestStore:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "wrong_dtype", "feature_out_of_range", "too_deep",
-        "missing_node", "trailing_node", "inf_threshold", "nan_value",
+        "missing_node", "trailing_node", "nan_threshold", "nan_value",
         "inf_weight"])
     def test_a_damaged_checker_is_refit_and_rewritten(self, store, fits,
                                                       damage):
@@ -379,8 +379,8 @@ class TestStore:
                 arrays = {k: v[:-1] for k, v in arrays.items()}
             elif damage == "trailing_node":
                 arrays = {k: np.append(v, v[-1]) for k, v in arrays.items()}
-            elif damage == "inf_threshold":
-                arrays["threshold"][np.flatnonzero(~leaf)[-1]] = np.inf
+            elif damage == "nan_threshold":
+                arrays["threshold"][np.flatnonzero(~leaf)[-1]] = np.nan
             elif damage == "nan_value":
                 arrays["value"][np.flatnonzero(leaf)[-1]] = np.nan
             else:

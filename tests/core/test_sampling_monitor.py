@@ -7,6 +7,13 @@ from repro.core.sampling_monitor import QualitySamplingMonitor
 from repro.errors import ConfigurationError
 
 
+def _missed_bad(report):
+    """Bad invocations that sailed through unchecked (the paper's
+    Challenge II failure mode)."""
+    bad = report.errors_before > report.target_error
+    return int((bad & ~report.checked).sum())
+
+
 class TestQualitySamplingMonitor:
     def test_checks_every_nth(self):
         monitor = QualitySamplingMonitor(check_every_n=3, target_error=0.1)
@@ -31,7 +38,7 @@ class TestQualitySamplingMonitor:
         assert report.errors_after[1] == 0.5   # bad but unchecked: missed
         assert report.errors_after[3] == 0.5
         assert report.n_recovered == 1
-        assert report.n_missed_bad == 2
+        assert _missed_bad(report) == 2
 
     def test_miss_rate_approaches_1_minus_1_over_n(self):
         """Challenge II quantified: with uniformly spread bad invocations,
@@ -40,21 +47,22 @@ class TestQualitySamplingMonitor:
         errors = (rng.random(1000) < 0.2) * 0.5  # 20% bad, anywhere
         monitor = QualitySamplingMonitor(check_every_n=10, target_error=0.1)
         report = monitor.process_stream(errors)
-        assert report.miss_rate == pytest.approx(0.9, abs=0.05)
+        missed = _missed_bad(report) / (report.errors_before > 0.1).sum()
+        assert missed == pytest.approx(0.9, abs=0.05)
 
     def test_check_every_1_misses_nothing(self):
         errors = np.array([0.5, 0.0, 0.9])
         monitor = QualitySamplingMonitor(check_every_n=1, target_error=0.1)
         report = monitor.process_stream(errors)
-        assert report.n_missed_bad == 0
-        assert report.max_error_after == 0.0
+        assert _missed_bad(report) == 0
+        assert report.errors_after.max() == 0.0
         assert report.exact_reexecution_fraction == 1.0
 
     def test_no_bad_invocations(self):
         monitor = QualitySamplingMonitor(check_every_n=5, target_error=0.1)
         report = monitor.process_stream(np.full(20, 0.01))
         assert report.n_recovered == 0
-        assert report.miss_rate == 0.0
+        assert _missed_bad(report) == 0
 
     def test_validations(self):
         with pytest.raises(ConfigurationError):

@@ -19,7 +19,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.apps import mosaic
 from repro.apps.registry import APPLICATION_NAMES, get_application
+from repro.approx.memoization import MemoizationQualityManager
+from repro.core.offline import streams
 from repro.eval import fidelity
 from repro.eval.fidelity import (
     GRIDS, ROWS, SEEDS, SOURCES, Row, _endpoint, _status, collect, render)
@@ -64,7 +67,7 @@ PAPER_VALUES = {
 
 
 #: The rows whose check fails at some seeds (and holds at others).
-PARTIAL_ROWS = {"extension.memoization.managed_error_growth"}
+PARTIAL_ROWS = {"fig01.at_most_10pct", "ablation.topology.min_energy_ratio"}
 
 
 @pytest.fixture(scope="module")
@@ -198,51 +201,77 @@ class _Drawn(Exception):
     """Raised by a stub once an experiment has drawn all its inputs."""
 
 
-class _RawMemo:
-    """The raw memoizing backend's surface ``_memoization`` reads."""
+def _stop(*args, **kwargs):
+    raise _Drawn
 
-    hit_rate = 0.0
 
-    def __init__(self, app, key_bits):
-        self.exact = app.exact
+#: A stand-in application for the core's trainers and evaluation: each
+#: stops at the rows it draws, after drawing them.
+_STUB_APP = SimpleNamespace(name="stub", train_inputs=_stop, test_inputs=_stop)
 
-    def __call__(self, inputs):
-        return self.exact(inputs)
+
+def _core(monkeypatch, seed):
+    """Both topologies' accelerator training, the checker's training
+    rows, the Random checker's scores and the evaluation rows.  (A
+    network's initialisation and trainer draw the seed its rows do.)"""
+    from repro.core import offline
+    from repro.eval import schemes
+
+    for rumba in (True, False):
+        with pytest.raises(_Drawn):
+            offline.prepare_backend(_STUB_APP, rumba, seed=seed, cache=False)
+    with pytest.raises(_Drawn):
+        offline.checker_data(_STUB_APP, None, seed=seed, cache=False)
+    offline.prepare_checker(_STUB_APP, None, "Random", seed=seed,
+                            cache=False).scores(features=np.zeros((1, 1)))
+    monkeypatch.setattr(schemes, "get_application", lambda name: _STUB_APP)
+    monkeypatch.setattr(schemes, "prepare_backend", lambda *a, **k: None)
+    with pytest.raises(_Drawn):
+        schemes.evaluate_benchmark("stub", seed=seed, cache=False)
 
 
 def _stream_seeds(monkeypatch, family, seed):
-    """The seeds of every random stream ``family`` draws from at ``seed``:
-    image seeds, and every ``default_rng`` it (or what it calls) makes.
-    The Sec. 4 substrates and the raw memoizing backend are stubbed: they
-    are hardware, calibrated once with the same stream at every seed."""
+    """Every generator seed ``family`` draws at ``seed``: each
+    ``default_rng`` it (or what it calls) makes, and every image seed.
+    A ``(seed, k)`` pair is the integer ``seed + k * 2**32``, as numpy
+    reads it.  What comes after an experiment's last draw is stubbed."""
     drawn = set()
     real = np.random.default_rng
 
+    def record(stream):
+        words = stream if isinstance(stream, tuple) else (stream,)
+        drawn.add(sum(int(word) << (32 * i) for i, word in enumerate(words)))
+
     def default_rng(stream=None):
-        drawn.add(stream)
+        record(stream)
         return real(stream)
 
-    def flower_image(shape, seed):
-        drawn.add(("image", seed))
+    def image(shape, seed):
+        record(seed)
+        return np.ones(shape)
 
-    def stop(*args, **kwargs):
+    def gaussian_case_study(seed):  # its rows, network and trainer
+        record(seed)
         raise _Drawn
 
     app = get_application("inversek2j")
-
-    def rails(app):
-        return (lambda x: np.atleast_2d(np.asarray(x, float))), app.exact
     ev = SimpleNamespace(app=app, unchecked_error=0.0, errors=np.zeros(10),
                          scores={s: np.zeros(10) for s in ("Ideal", "Random", "EMA",
                                                            "treeErrors")})
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    monkeypatch.setattr(fidelity, "flower_image", flower_image)
-    monkeypatch.setattr(fidelity, "PerforationQualityManager", stop)
-    monkeypatch.setattr(fidelity, "_quantized_datapath", rails)
-    monkeypatch.setattr(fidelity, "_analog_datapath", rails)
-    monkeypatch.setattr(fidelity, "MemoizingBackend", _RawMemo)
+    monkeypatch.setattr(fidelity, "flower_image", image)
+    monkeypatch.setattr(mosaic, "flower_image", image)
+    monkeypatch.setattr(fidelity, "gaussian_case_study", gaussian_case_study)
+    monkeypatch.setattr(fidelity, "PerforationQualityManager", _stop)
+    monkeypatch.setattr(fidelity, "prepare_system", _stop)
+    monkeypatch.setattr(MemoizationQualityManager, "process", _stop)
     try:
-        {"sampling": lambda: fidelity._sampling(seed),
+        {"core": lambda: _core(monkeypatch, seed),
+         "fig02": lambda: fidelity._fig02(seed),
+         "fig03": lambda: fidelity._fig03(seed),
+         "fig05": lambda: fidelity._fig05(seed),
+         "tuner": lambda: fidelity._tuner_modes(seed),
+         "sampling": lambda: fidelity._sampling(seed),
          "alt_accelerators": lambda: fidelity._alt_accelerators(ev, seed),
          "memoization": lambda: fidelity._memoization(ev, seed)}[family]()
     except _Drawn:
@@ -251,16 +280,52 @@ def _stream_seeds(monkeypatch, family, seed):
     return drawn
 
 
-@pytest.mark.parametrize("family", ["sampling", "alt_accelerators", "memoization"])
+_FAMILIES = ("core", "fig02", "fig03", "fig05", "tuner", "sampling",
+             "alt_accelerators", "memoization")
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    """Seed -> family -> the generator seeds it draws."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return {seed: {family: _stream_seeds(monkeypatch, family, seed)
+                       for family in _FAMILIES} for seed in SEEDS}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
 def test_the_ledgers_own_experiments_draw_disjoint_streams_across_seeds(
-        monkeypatch, family):
-    """No two seeds share an input of these experiments, so their spread is
-    the population's.  (The core's streams, ``seed`` / ``seed + 1`` /
-    ``seed + 2`` in ``evaluate_benchmark`` and ``checker_data``, are shared
-    between adjacent seeds: changing them retrains every stored network.)"""
-    streams = [_stream_seeds(monkeypatch, family, seed) for seed in SEEDS]
-    assert all(streams)
-    assert sum(map(len, streams)) == len(set().union(*streams))
+        drawn, family):
+    """Seeds 0-4 are independent replicates: no generator seed ``family``
+    draws at one seed (derived ones included: Fig. 3's and the sampling
+    experiment's images, the memoization manager's second stream) is
+    drawn at another, by the core or by any of the ledger's experiments.
+    So the ledger's [min–max] over them is an interval for the median of
+    the seed population."""
+    for seed in SEEDS:
+        mine = drawn[seed][family]
+        others = set().union(*(streams for other, families in drawn.items()
+                               if other != seed for streams in families.values()))
+        assert mine
+        assert not mine & others, (seed, sorted(mine & others)[:10])
+
+
+def test_no_seed_evaluates_on_rows_another_seed_trains_on():
+    """fft draws its training and its test rows alike, so one generator
+    seed gives one set of rows (ROADMAP (I)): had two seeds shared a
+    stream, one seed's evaluation rows would be another's training rows."""
+    app = get_application("fft")
+
+    def rows(draw, stream):
+        return {row.tobytes() for row in draw(np.random.default_rng(stream))}
+
+    assert rows(app.train_inputs, 2) == rows(app.test_inputs, 2)
+    for seed in SEEDS:
+        evaluation = rows(app.test_inputs, streams(seed).evaluation)
+        for other in SEEDS:
+            trained = streams(other)
+            for stream in (trained.accelerator, trained.checker_training):
+                assert not evaluation & rows(app.train_inputs, stream), (
+                    seed, other)
 
 
 def test_the_papers_values_are_rows():

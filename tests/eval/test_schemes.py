@@ -75,7 +75,8 @@ class TestEvaluateBenchmark:
         assert ev.backend is system.backend
         app = get_application("fft")
         for backend, rumba in ((ev.backend, True), (ev.npu_backend, False)):
-            fresh, _ = train(app, use_rumba_topology=rumba, seed=seed)
+            fresh, _ = train(app, use_rumba_topology=rumba,
+                             seed=offline.streams(seed).accelerator)
             np.testing.assert_array_equal(
                 backend.network.get_flat_params(),
                 fresh.network.get_flat_params(),

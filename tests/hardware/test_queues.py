@@ -13,4 +13,4 @@ class TestConfigQueue:
     def test_payload_log(self):
         q = ConfigQueue()
         q.send("linear", [0.1, 0.2])
-        assert q.payloads == [("linear", 2)]
+        assert q.sent == [("linear", [0.1, 0.2])]

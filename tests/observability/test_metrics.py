@@ -85,15 +85,15 @@ class TestHistogram:
         hist = Histogram("h", "help", buckets=(1.0, 2.0, 5.0))
         for value in (0.5, 1.5, 1.7, 4.0, 100.0):
             hist.observe(value)
-        buckets = hist._self_child().bucket_counts()
-        assert buckets == [(1.0, 1), (2.0, 3), (5.0, 4), (float("inf"), 5)]
+        buckets = hist._self_child()._snapshot()["buckets"]
+        assert buckets == [[1.0, 1], [2.0, 3], [5.0, 4], [float("inf"), 5]]
         assert hist.count == 5
         assert hist.sum == pytest.approx(107.7)
 
     def test_boundary_lands_in_bucket(self):
         hist = Histogram("h", "help", buckets=(1.0,))
         hist.observe(1.0)  # le="1.0" is inclusive
-        assert hist._self_child().bucket_counts()[0] == (1.0, 1)
+        assert hist._self_child()._snapshot()["buckets"][0] == [1.0, 1]
 
     def test_observe_many_is_observe_under_one_lock(self):
         # Same bins (boundaries inclusive, past the last = +Inf), same

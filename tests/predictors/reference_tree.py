@@ -108,10 +108,16 @@ def walk_scores(root: TreeNode, features) -> np.ndarray:
 
 
 def predictor_for(root: TreeNode, n_features: int) -> DecisionTreeErrorPredictor:
-    """A fitted predictor whose tree is the hand-built ``root``."""
-    predictor = DecisionTreeErrorPredictor(max_depth=max(root.depth(), 1))
-    predictor.root = root
-    predictor._n_features = n_features
-    predictor._fitted = True
-    predictor._ready()  # the tables fit() and load_state() build
-    return predictor
+    """A fitted predictor whose tree is the hand-built ``root``, read in
+    through ``load_state`` as the store reads a fitted one."""
+    nodes, stack = [], [root]
+    while stack:  # pre-order, as ``state()`` writes it
+        node = stack.pop()
+        nodes.append((-1 if node.is_leaf else node.feature, node.threshold,
+                      node.value))
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    feature, threshold, value = map(np.array, zip(*nodes))
+    return DecisionTreeErrorPredictor(max_depth=max(root.depth(), 1)).load_state(
+        n_features, feature.astype(np.int64), threshold.astype(np.float64),
+        value.astype(np.float64))

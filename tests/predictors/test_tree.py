@@ -310,6 +310,39 @@ def fitting_cases(draw):
     return x, errors, draw(st.integers(1, 9)), min_samples_leaf, n_thresholds
 
 
+@st.composite
+def columns_with_infinities(draw):
+    """(x, errors, min_samples_leaf): few-valued columns with ±inf and NaN
+    cells, and errors that step at -inf and at NaN in the first column,
+    so the fit cuts at -inf (the midpoint of -inf and a finite value) or
+    at +inf (where only NaN goes right)."""
+    n = draw(st.integers(16, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [-np.inf, -1.0, 0.5, 2.0, np.inf, np.nan]
+    x = rng.choice(values, size=(n, draw(st.integers(1, 3))))
+    errors = rng.random(n)
+    errors += draw(st.floats(0.0, 4.0)) * np.isneginf(x[:, 0])
+    errors += draw(st.floats(0.0, 4.0)) * np.isnan(x[:, 0])
+    return x, errors, draw(st.integers(1, 8))
+
+
+class TestStateRoundTrip:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @settings(max_examples=100, deadline=None)
+    @given(columns_with_infinities())
+    def test_a_tree_cut_at_infinity_loads_back(self, case):
+        """A column holding ±inf can be cut at ±inf; the store reads such a
+        tree back to the same coefficients and the same scores."""
+        x, errors, min_samples_leaf = case
+        tree = DecisionTreeErrorPredictor(
+            min_samples_leaf=min_samples_leaf).fit(x, errors)
+        loaded = DecisionTreeErrorPredictor().load_state(x.shape[1], **tree.state())
+        assert (np.asarray(loaded.coefficients()).tobytes()
+                == np.asarray(tree.coefficients()).tobytes())
+        assert (loaded.scores(features=x).tobytes()
+                == tree.scores(features=x).tobytes())
+
+
 class TestFitMatchesPerNodeSort:
     """Sorting each column once per tree grows the trees the fitter that
     re-sorted at every node grew (``reference_fit``), node for node and

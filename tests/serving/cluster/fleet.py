@@ -41,12 +41,19 @@ class RawPeer:
         self.sock.close()
 
 
+def stats_document(router) -> dict:
+    """The router's fleet-wide stats document, built on its event loop."""
+    async def build():
+        return router._stats_document()
+    return router._call_on_loop(build(), timeout=10.0)
+
+
 def wait_idle(router, timeout: float = 10.0) -> bool:
     """Until the router's load signal reads zero for every member: its own
     ledger and the depth each node reported on its last probe."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        rows = router.stats_document()["health"].values()
+        rows = stats_document(router)["health"].values()
         if router._inflight == 0 and all(
             row["inflight"] == 0 and row["reported_inflight"] == 0
             for row in rows

@@ -30,7 +30,7 @@ from repro.serving import (
     ServerConfig,
     serve_cluster,
 )
-from tests.serving.cluster.fleet import burst_nodes
+from tests.serving.cluster.fleet import burst_nodes, stats_document
 
 
 def _config(**overrides) -> ServerConfig:
@@ -214,7 +214,7 @@ class TestFailover:
         # result, none was lost to the killed node, none duplicated.
         assert len(results) == 12
         survivor = _addr(two_nodes[0])
-        doc = router.stats_document()
+        doc = stats_document(router)
         assert doc["router"]["requests_retried"] >= 0
         # Post-mortem traffic flows entirely to the survivor.
         post = client.submit_wait(_inputs(fft_input_pool), deadline_s=30.0)
@@ -404,7 +404,7 @@ class TestStaticMembership:
             assert time.monotonic() - started < probe_timeout_s / 2
 
             def health():
-                return router.stats_document()["health"][silent_addr]
+                return stats_document(router)["health"][silent_addr]
 
             deadline = time.monotonic() + 4 * probe_timeout_s
             while time.monotonic() < deadline and (

@@ -24,7 +24,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ClusterRouter  # noqa: F401 - re-export check
 from repro.serving.config import ClusterConfig
-from tests.serving.cluster.fleet import burst_nodes
+from tests.serving.cluster.fleet import burst_nodes, stats_document
 
 pytestmark = pytest.mark.slow
 
@@ -65,13 +65,13 @@ def test_sigkilled_node_requests_retried_on_survivor(
         # duplicated by the redelivery.
         assert len(results) == 30
         assert monkey.kills == 1
-        assert fleet.alive_count() == 1
+        assert sum(h.alive() for h in fleet.workers) == 1
         survivor = next(h for h in fleet.workers if h.alive())
         assert all(
             r.worker.split("/", 1)[0] == survivor.address
             for r in results[-5:]
         )
-        doc = router.stats_document()
+        doc = stats_document(router)
         assert doc["router"]["requests_retried"] >= 1
         # The dead node leaves the routable set and gets no traffic.
         assert not router.wait_for_nodes(2, timeout=1.0)

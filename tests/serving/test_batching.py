@@ -304,14 +304,14 @@ class TestFlushRule:
                 except _WouldBlock:
                     # Not due: nothing waiting, or a partial batch that
                     # no idle worker could run, still inside its timer.
-                    assert not queue.is_closed
+                    assert not queue._closed
                     assert len(model) < self.MAX_BATCH
                     if model:
                         assert in_flight >= workers
                         assert clock.now - model[0].submitted_at < self.INTERVAL
                     continue
                 if outcome is None:
-                    assert queue.is_closed and not model
+                    assert queue._closed and not model
                     continue
                 reason, batch = outcome
                 ids = [r.request_id for r in batch]
@@ -320,7 +320,7 @@ class TestFlushRule:
                 assert ids
                 assert {
                     "size": len(model) >= self.MAX_BATCH,
-                    "close": queue.is_closed,
+                    "close": queue._closed,
                     "idle": in_flight < workers,
                     "timer": clock.now - batch[0].submitted_at >= self.INTERVAL,
                 }[reason]

@@ -56,15 +56,6 @@ class TestLifecycle:
         assert pool.hits == 1
         pool.release(second)
 
-    def test_lease_copy_matches_source(self):
-        pool = BufferPool()
-        source = np.arange(24.0).reshape(4, 6)
-        view = pool.lease_copy(source)
-        np.testing.assert_array_equal(view, source)
-        view.fill(-1.0)  # the lease is a copy, not an alias
-        assert source[0, 0] == 0.0
-        pool.release(view)
-
     def test_double_release_raises(self):
         pool = BufferPool()
         view = pool.lease((4,))

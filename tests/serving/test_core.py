@@ -11,6 +11,7 @@ import pytest
 from repro.core.stream import DriftDetector
 from repro.errors import ServingError, WorkerCrashError
 from repro.observability.reqtrace import RequestTrace
+from tests.observability.test_reqtrace import is_monotonic, stage_names
 from repro.serving import BackpressureConfig
 
 FAR = 1e6  # seconds: a backoff / deadline no test run reaches
@@ -186,12 +187,12 @@ class TestWorkerReport:
                                phase=phase) == 1
             assert self._value(server, "rumba_phase_seconds_total",
                                phase=phase) > 0
-        assert trace.stage_names() == [
+        assert stage_names(trace) == [
             "admit", "dequeue", "dispatch",
             "invoke", "compute", "detect", "recover", "tune",
             "complete",
         ]
-        assert trace.is_monotonic()
+        assert is_monotonic(trace)
 
 
 class TestRetryBudget:

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ServingError
 from repro.observability.flightlog import read_flight_log
 from repro.observability.reqtrace import RequestTrace, segments
+from tests.observability.test_reqtrace import is_monotonic, stage_names
 from repro.serving import (
     BatchingConfig,
     ChaosConfig,
@@ -152,20 +153,20 @@ def test_chaos_soak_traces_stay_coherent(
                 handle.result(timeout=120)
             except ServingError:
                 failed += 1
-    retried = [t for t in traces if "retry" in t.stage_names()]
+    retried = [t for t in traces if "retry" in stage_names(t)]
     assert retried, "chaos at fail_prob=0.4 should have forced retries"
     for trace in traces:
-        assert trace.is_monotonic()
-        assert trace.stage_names().count("complete") <= 1
+        assert is_monotonic(trace)
+        assert stage_names(trace).count("complete") <= 1
         if not trace.sampled:
             # Never promoted: the admit stamp is the only event paid for.
-            assert set(trace.stage_names()) <= {"admit"}
+            assert set(stage_names(trace)) <= {"admit"}
     for trace in retried:
         assert trace.sampled, "a retry must promote the trace to sampled"
         # Promotion re-enables stamping, so the retried attempt's
         # dispatch and the terminal complete both land in the chain.
-        assert "dispatch" in trace.stage_names()
-        assert trace.stage_names().count("complete") == 1
+        assert "dispatch" in stage_names(trace)
+        assert stage_names(trace).count("complete") == 1
     # Each submitted trace id appears at most once in the flight log —
     # attempts fold into one record, they don't duplicate it.
     records = read_flight_log(config.tracing.flight_log_path)

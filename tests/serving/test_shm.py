@@ -19,7 +19,18 @@ from repro.serving.shm import (
     FRAME_RESULT,
     FRAME_STOP,
     ShmRing,
+    _span,
 )
+
+
+def used_bytes(ring):
+    """Bytes written and not yet released (PADs included)."""
+    return ring._tail() - ring._head()
+
+
+def frame_bytes(payload=None, extra=b""):
+    """Total ring bytes one frame with this content occupies."""
+    return _span(0 if payload is None else payload.size * 8, len(extra))
 
 
 @pytest.fixture()
@@ -100,30 +111,30 @@ class TestCapacity:
             assert frame.seq == seq
             np.testing.assert_array_equal(frame.payload, payload)
             assert frame.extra == bytes([seq % 251])
-        assert ring.used_bytes() == 0
+        assert used_bytes(ring) == 0
 
     def test_interleaved_write_read_tracks_usage(self, ring):
         payload = np.ones((4, 4))
-        per_frame = ring.frame_bytes(payload=payload)
+        per_frame = frame_bytes(payload=payload)
         ring.try_write(FRAME_BATCH, payload=payload)
         ring.try_write(FRAME_BATCH, payload=payload)
-        assert ring.used_bytes() == 2 * per_frame
+        assert used_bytes(ring) == 2 * per_frame
         ring.try_read()
-        assert ring.used_bytes() == per_frame
+        assert used_bytes(ring) == per_frame
 
 
 class TestZeroCopyRead:
     def test_view_matches_and_advance_releases(self, ring):
         payload = np.arange(24.0).reshape(4, 6)
         assert ring.try_write(FRAME_BATCH, seq=9, payload=payload)
-        used = ring.used_bytes()
+        used = used_bytes(ring)
         frame = ring.try_read(zero_copy=True)
         np.testing.assert_array_equal(frame.payload, payload)
         # The cursor has NOT advanced yet: the view pins its ring bytes.
-        assert ring.used_bytes() == used
+        assert used_bytes(ring) == used
         assert frame.span == used
         ring.advance(frame)
-        assert ring.used_bytes() == 0
+        assert used_bytes(ring) == 0
 
     def test_view_aliases_ring_memory_until_advance(self, ring):
         assert ring.try_write(FRAME_BATCH, seq=0, payload=np.zeros((2, 2)))
@@ -182,7 +193,7 @@ class TestZeroCopyRead:
             assert frame.extra == bytes([seq % 7])
             np.testing.assert_array_equal(frame.payload, payload)
             ring.advance(frame)
-        assert ring.used_bytes() == 0
+        assert used_bytes(ring) == 0
 
 
 class TestWriteRows:
@@ -240,7 +251,7 @@ class TestWriteRows:
             np.testing.assert_array_equal(
                 frame.payload, np.concatenate(blocks, axis=0)
             )
-        assert ring.used_bytes() == 0
+        assert used_bytes(ring) == 0
 
 
 class TestAttach:
@@ -254,7 +265,7 @@ class TestAttach:
             assert frame.seq == 5
             np.testing.assert_array_equal(frame.payload, payload)
             # Consumption is visible to the owner too.
-            assert owner.used_bytes() == 0
+            assert used_bytes(owner) == 0
             other.close()
         finally:
             owner.close()
@@ -357,7 +368,7 @@ def _drive(ring, steps):
             payload = np.arange(rows * cols, dtype=float).reshape(rows, cols)
             payload += seq * 1e6
             args = (seq, payload, extra, trace_id, as_blocks)
-            span = ring.frame_bytes(payload, extra)
+            span = frame_bytes(payload, extra)
             if span > ring.capacity:
                 with pytest.raises(ServingError, match="cannot ever fit"):
                     write(*args)
@@ -372,7 +383,7 @@ def _drive(ring, steps):
                 while model:
                     _check(ring.try_read(), model.popleft())
                 assert ring.try_read() is None
-                assert ring.used_bytes() == 0
+                assert used_bytes(ring) == 0
                 if not write(*args):
                     # An empty ring refuses only a frame over half of it
                     # that fits neither before the end nor before the
@@ -411,7 +422,7 @@ def _drive(ring, steps):
             _check(held[0], held[1])
             ring.advance(held[0])
             held = None
-    if ring.used_bytes():
+    if used_bytes(ring):
         # A flipped header byte, a PAD's or a frame's, is caught on read.
         held = None
         assert corrupt_next_frame(ring)
@@ -481,8 +492,8 @@ class TestRingModel:
         monkeypatch.setattr(ring, "_head", lambda: next(heads, 5120))
         big = np.ones((48, 8))  # a 3,136-byte span
         if ring.try_write(FRAME_BATCH, seq=4, payload=big):
-            start = (ring._tail() - ring.frame_bytes(big)) % ring.capacity
-            assert start + ring.frame_bytes(big) <= ring.capacity
+            start = (ring._tail() - frame_bytes(big)) % ring.capacity
+            assert start + frame_bytes(big) <= ring.capacity
         monkeypatch.undo()
         for seq in (2, 3):
             np.testing.assert_array_equal(ring.try_read().payload, frames[seq])

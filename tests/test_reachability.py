@@ -8,6 +8,13 @@ Name`` is resolved through the package's ``__init__`` -- its import
 statements or its literal ``_EXPORTS`` table of lazy re-exports -- to the
 module that defines ``Name``, so a re-export keeps nothing alive; tests and
 ``examples/`` are not roots.
+
+Within those modules, every function, method and class must be named
+somewhere other than at its definition: as a name, an attribute or an
+import in a reached module, a root script or ``examples/``, or as a
+string outside a docstring there.  Name-based, so a definition that
+shares its name with a used one passes; the exemptions are listed in
+:data:`EXEMPT`.
 """
 
 import ast
@@ -98,4 +105,70 @@ def test_every_module_has_a_product_caller():
     assert not orphans, (
         f"no CLI command, ladder rung or bench imports {orphans}: "
         "wire them into a product root or delete them"
+    )
+
+
+#: The definitions nothing names, and why each kind is still reached.
+EXEMPT = {
+    "dunder": "the interpreter calls ``__x__`` methods itself",
+    "command": "``@_command`` registers a CLI command in the parser's table",
+    "stdlib": "the standard library calls these by protocol",
+}
+#: Protocol methods the standard library calls by name: none today, as
+#: nothing under ``src/repro`` subclasses an asyncio protocol, a
+#: ``Thread`` or a logging handler.
+STDLIB_PROTOCOL: frozenset = frozenset()
+#: What calls the library as a user would, so its calls count as uses.
+EXAMPLES = sorted((REPO / "examples").glob("*.py"))
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+            yield node.body[0].value
+
+
+def _names(tree):
+    """Every name ``tree`` uses: identifiers, attributes, imported names
+    and strings (``getattr``, ``__all__``) that are not docstrings."""
+    docstrings = set(map(id, _docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield node.value
+
+
+def _exemption(node):
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return "dunder"
+    if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_command"
+           for d in getattr(node, "decorator_list", ())):
+        return "command"
+    if node.name in STDLIB_PROTOCOL:
+        return "stdlib"
+    return None
+
+
+def test_every_definition_has_a_product_caller():
+    reached = _reachable()
+    # A package's __init__ runs whenever one of its modules is imported.
+    reached |= {p for p in PACKAGES if any(m.startswith(p + ".") for m in reached)}
+    trees = [TREES[m] for m in reached]
+    trees += [ast.parse(path.read_text()) for path in (*ROOT_SCRIPTS, *EXAMPLES)]
+    used = {name for tree in trees for name in _names(tree)}
+    uncalled = sorted(
+        f"{module}.{node.name}"
+        for module in reached for node in ast.walk(TREES[module])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used and _exemption(node) not in EXEMPT)
+    assert not uncalled, (
+        f"only tests call {uncalled}: call them from the product or delete "
+        "them (a helper a test needs moves into tests/)"
     )
