@@ -141,8 +141,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core import RumbaConfig, prepare_system
-    from repro.core.offline import streams
     from repro.observability import MetricsRegistry, Telemetry
+    from repro.streams import streams
 
     print(f"Preparing {args.app} with the {args.scheme} checker...")
     config = RumbaConfig(scheme=args.scheme, target_output_quality=args.quality)
@@ -188,12 +188,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.apps.workloads import invocation_stream
     from repro.core import prepare_system
-    from repro.core.offline import streams
     from repro.core.stream import QualityManagedStream
     from repro.observability import FlightRecorder, MetricsRegistry, Telemetry
     from repro.observability.dashboard import (
         clear_screen_prefix, render_dashboard,
     )
+    from repro.streams import streams
 
     print(f"Preparing {args.app} with the {args.scheme} checker...")
     system = prepare_system(args.app, scheme=args.scheme, seed=args.seed)
@@ -410,8 +410,8 @@ class _Session:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core.offline import streams
     from repro.serving.server import RumbaServer
+    from repro.streams import streams
 
     config = _serve_config(args)
     chaos = config.chaos
@@ -619,11 +619,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.serving import connect
+    from repro.streams import streams
 
     with connect(args.connect, timeout_s=args.timeout_s) as client:
         print(f"connected: app={client.app} scheme={client.scheme} "
               f"features={client.features} protocol={client.protocol_version}")
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(streams(args.seed).cli)
         session = _Session(timeout_s=args.timeout_s)
         for i in range(args.requests):
             # An optional burst of back-to-back submissions designed to

@@ -471,7 +471,7 @@ def build_ensemble(
     """Train/assemble a full ensemble for one app.
 
     ``reference`` is the standard single-MLP backend, the rank-0 member,
-    and ``streams`` the :class:`~repro.core.offline.Streams` the other
+    and ``streams`` the :class:`~repro.streams.Streams` the other
     members and the router draw from:
     :func:`repro.core.offline.prepare_ensemble` passes both.  Per-member
     router predictors are fitted once, on a shared labeled sample, and

@@ -22,7 +22,7 @@ An :class:`Application` bundles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -46,6 +46,17 @@ __all__ = [
 # --------------------------------------------------------------------- #
 
 
+def _matched(approx, exact) -> Tuple[np.ndarray, np.ndarray]:
+    """Both as 2-D float arrays, which must have one shape."""
+    approx = np.atleast_2d(np.asarray(approx, dtype=float))
+    exact = np.atleast_2d(np.asarray(exact, dtype=float))
+    if approx.shape != exact.shape:
+        raise ConfigurationError(
+            f"shape mismatch: approx {approx.shape} vs exact {exact.shape}"
+        )
+    return approx, exact
+
+
 def relative_errors(
     approx: np.ndarray, exact: np.ndarray, epsilon: float = 1e-6
 ) -> np.ndarray:
@@ -54,19 +65,16 @@ def relative_errors(
     Multi-output elements are reduced with the mean over outputs, giving one
     error per kernel iteration (per output element in the paper's sense).
     """
-    approx = np.atleast_2d(np.asarray(approx, dtype=float))
-    exact = np.atleast_2d(np.asarray(exact, dtype=float))
-    if approx.shape != exact.shape:
-        raise ConfigurationError(
-            f"shape mismatch: approx {approx.shape} vs exact {exact.shape}"
-        )
+    approx, exact = _matched(approx, exact)
     denom = np.maximum(np.abs(exact), epsilon)
     return np.mean(np.abs(approx - exact) / denom, axis=1)
 
 
-def mean_relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
+def mean_relative_error(
+    approx: np.ndarray, exact: np.ndarray, epsilon: float = 1e-6
+) -> float:
     """Mean Relative Error metric (blackscholes, fft, inversek2j)."""
-    return float(np.mean(relative_errors(approx, exact)))
+    return float(np.mean(relative_errors(approx, exact, epsilon)))
 
 
 def mismatch_errors(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -75,12 +83,7 @@ def mismatch_errors(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     Both arrays are decision scores; the decision is ``argmax`` across the
     output columns (the NPU's two-output one-hot encoding).
     """
-    approx = np.atleast_2d(np.asarray(approx, dtype=float))
-    exact = np.atleast_2d(np.asarray(exact, dtype=float))
-    if approx.shape != exact.shape:
-        raise ConfigurationError(
-            f"shape mismatch: approx {approx.shape} vs exact {exact.shape}"
-        )
+    approx, exact = _matched(approx, exact)
     if approx.shape[1] == 1:
         return (np.round(approx[:, 0]) != np.round(exact[:, 0])).astype(float)
     return (np.argmax(approx, axis=1) != np.argmax(exact, axis=1)).astype(float)
@@ -100,12 +103,7 @@ def absolute_errors(
     metric (jpeg, sobel); with the output range it is kmeans' Mean Output
     Diff.
     """
-    approx = np.atleast_2d(np.asarray(approx, dtype=float))
-    exact = np.atleast_2d(np.asarray(exact, dtype=float))
-    if approx.shape != exact.shape:
-        raise ConfigurationError(
-            f"shape mismatch: approx {approx.shape} vs exact {exact.shape}"
-        )
+    approx, exact = _matched(approx, exact)
     if scale <= 0:
         raise ConfigurationError("scale must be positive")
     return np.mean(np.abs(approx - exact), axis=1) / scale

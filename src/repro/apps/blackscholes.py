@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import (
-    Application,
-    mean_relative_error,
-    relative_errors,
-)
+from repro.apps.base import Application, mean_relative_error, relative_errors
 from repro.hardware.energy import InstructionMix
 from repro.nn.mlp import Topology
 
@@ -104,7 +100,9 @@ def make_application() -> Application:
         npu_topology=Topology.parse("6->8->8->1"),
         metric_name="Mean Relative Error",
         element_error_fn=lambda a, e: relative_errors(a, e, epsilon=5.0),
-        quality_metric_fn=lambda a, e: mean_relative_error_clamped(a, e),
+        # Out-of-the-money prices near zero would blow the relative error
+        # up: its denominator is floored at 5 (~5 % of a typical price).
+        quality_metric_fn=lambda a, e: mean_relative_error(a, e, epsilon=5.0),
         # ~309 dynamic x86 instructions per option (NPU paper's count):
         # log, exp, sqrt and two CNDF evaluations dominate.
         instruction_mix=InstructionMix(
@@ -117,13 +115,3 @@ def make_application() -> Application:
         test_description="5K outputs",
     )
 
-
-def mean_relative_error_clamped(approx: np.ndarray, exact: np.ndarray) -> float:
-    """Mean relative error with a floor on the denominator.
-
-    Deep out-of-the-money options have prices near zero where the plain
-    relative error blows up; the benchmark's metric floors the denominator
-    (we use 5 currency units, ~5%% of a typical price) as benchmark
-    harnesses commonly do.
-    """
-    return float(np.mean(relative_errors(approx, exact, epsilon=5.0)))

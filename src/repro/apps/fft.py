@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.apps.base import Application, relative_errors
+from repro.apps.base import Application, mean_relative_error, relative_errors
 from repro.errors import ConfigurationError
 from repro.hardware.energy import InstructionMix
 from repro.nn.mlp import Topology
@@ -107,9 +107,7 @@ def make_application() -> Application:
         npu_topology=Topology.parse("1->4->4->2"),
         metric_name="Mean Relative Error",  # relative to the unit twiddle magnitude
         element_error_fn=lambda a, e: relative_errors(a, e, epsilon=1.0),
-        quality_metric_fn=lambda a, e: float(
-            np.mean(relative_errors(a, e, epsilon=1.0))
-        ),
+        quality_metric_fn=lambda a, e: mean_relative_error(a, e, epsilon=1.0),
         # Small kernel, but sin+cos are long-latency library calls.
         instruction_mix=InstructionMix(
             int_ops=10, fp_ops=8, loads=6, stores=4, branches=4,

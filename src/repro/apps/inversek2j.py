@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Application, relative_errors
+from repro.apps.base import Application, mean_relative_error, relative_errors
 from repro.errors import ConfigurationError
 from repro.hardware.energy import InstructionMix
 from repro.nn.mlp import Topology
@@ -86,9 +86,7 @@ def make_application() -> Application:
         npu_topology=Topology.parse("2->8->2"),
         metric_name="Mean Relative Error",
         element_error_fn=lambda a, e: relative_errors(a, e, epsilon=1.5),
-        quality_metric_fn=lambda a, e: float(
-            np.mean(relative_errors(a, e, epsilon=1.5))
-        ),
+        quality_metric_fn=lambda a, e: mean_relative_error(a, e, epsilon=1.5),
         # acos + 2x atan2 + sqrt-class math dominates the exact kernel.
         instruction_mix=InstructionMix(
             int_ops=25, fp_ops=30, loads=15, stores=6, branches=10,

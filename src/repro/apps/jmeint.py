@@ -4,8 +4,8 @@ The kernel decides whether two 3D triangles intersect.  We implement the
 exact test with the separating-axis theorem (SAT): two triangles are
 disjoint iff one of 17 candidate axes (the two face normals, the 9 pairwise
 edge cross products and the 6 in-plane edge normals) separates their
-projections.  The test is fully vectorized over pairs: all 17 axes are
-evaluated for every pair (no early exit).
+projections.  All 17 axes are evaluated for every pair (no early exit),
+over blocks of pairs in a per-thread scratch.
 
 The NPU encodes the decision as two outputs (one-hot); the error metric is
 the number of mismatching decisions (Table 1).
@@ -15,6 +15,8 @@ NPU NN ``18->32->8->2``, metric = # of mismatches.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -34,11 +36,84 @@ __all__ = [
 ]
 
 
-def _cross(a, b, out) -> None:
-    """``out = a x b``, component-first, in ``np.cross``'s operation order."""
+#: Pairs per block (``docs/performance.md``, "Recovery rung"): a recovery
+#: of about 1,065 rows is one block; the scratch is 196 floats a pair.
+_BLOCK = 2048
+#: Leading shapes of the float scratch, each followed by the block axis:
+#: verts [x, t, v] (component x of vertex v of triangle t, vertex 0 again
+#: as v = 3), edges [x, t, e], axes [x, a] (2 normals, 9 edge crosses, 6
+#: in-plane normals), bounds [lo/hi, t, a], two temporaries and eps.
+_SHAPES = ((3, 2, 4), (3, 2, 3), (3, 17), (2, 2, 17), (2, 17), ())
+_SIZES = [int(np.prod(shape)) for shape in _SHAPES]
+_arena = threading.local()
+
+
+def _scratch(m: int):
+    """This thread's buffers carved for an ``m``-pair block, from an arena
+    grown to the largest block the thread has run (per thread because
+    shards and callers run the kernel concurrently)."""
+    bufs = getattr(_arena, "bufs", None)
+    if bufs is None or bufs[1].size < 34 * m:
+        bufs = _arena.bufs = np.empty(sum(_SIZES) * m), np.empty(34 * m, bool)
+    ends = np.cumsum(_SIZES) * m
+    views = [bufs[0][end - size * m:end].reshape(*shape, m)
+             for shape, size, end in zip(_SHAPES, _SIZES, ends)]
+    return (*views, bufs[1][:34 * m].reshape(2, 17, m))
+
+
+def _cross(a, b, out, tmp) -> None:
+    """``out = a x b``, component-first, in ``np.cross``'s operation order;
+    ``tmp`` is flat scratch of at least one output component's size."""
+    tmp = tmp[:out[0].size].reshape(out.shape[1:])
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        out[i] -= np.multiply(a[k], b[j], out=tmp)
+
+
+def _decide(pairs: np.ndarray, hit: np.ndarray) -> None:
+    """Write ``hit`` for one block of at most :data:`_BLOCK` pairs."""
+    m = pairs.shape[0]
+    verts, edges, axes, bounds, (proj, tmp), eps, flags = _scratch(m)
+    np.copyto(verts[:, :, :3], np.moveaxis(pairs.T.reshape(2, 3, 3, m), 2, 0))
+    np.copyto(verts[:, :, 3], verts[:, :, 0])
+    runs = verts.reshape(6, 4 * m)  # v1 - v0, v2 - v1, v0 - v2 in one sweep
+    np.subtract(runs[:, m:], runs[:, :3 * m], out=edges.reshape(6, 3 * m))
+    spare = bounds.reshape(-1)  # free until the projections
+    _cross(edges[:, :, 0], edges[:, :, 1], axes[:, :2], spare)
+    _cross(edges[:, 0, :, None], edges[:, 1, None, :],
+           axes[:, 2:11].reshape(3, 3, 3, m), spare)
+    _cross(axes[:, :2, None], edges, axes[:, 11:].reshape(3, 2, 3, m), spare)
+
+    # Each vertex projected on all 17 axes, summed x, z, y — the order
+    # einsum's two-lane reduction uses on x86-64 — then the per-triangle
+    # interval over its three vertices.
+    ax, ay, az = axes
+    lo, hi = bounds
+    for t in range(2):
+        for v in range(3):
+            x, y, z = verts[:, t, v]
+            out = lo[t] if v == 0 else proj
+            np.multiply(ax, x, out=out)
+            out += np.multiply(az, z, out=tmp)
+            out += np.multiply(ay, y, out=tmp)
+            if v == 0:
+                np.copyto(hi[t], out)
+            else:
+                np.minimum(lo[t], proj, out=lo[t])
+                np.maximum(hi[t], proj, out=hi[t])
+
+    # Skip degenerate axes (parallel edges); they can never separate.
+    scale = np.multiply(ax, ax, out=proj)
+    scale += np.multiply(ay, ay, out=tmp)
+    scale += np.multiply(az, az, out=tmp)
+    np.sqrt(scale, out=scale)
+    np.maximum(np.max(scale, axis=0, out=eps), 1.0, out=eps)
+    eps *= 1e-12
+    separated, valid = flags
+    np.less(hi[0], lo[1], out=separated)
+    separated |= np.less(hi[1], lo[0], out=valid)
+    separated &= np.greater(scale, eps, out=valid)
+    np.logical_not(np.logical_or.reduce(separated, axis=0, out=hit), out=hit)
 
 
 def triangles_intersect(pairs: np.ndarray) -> np.ndarray:
@@ -55,11 +130,11 @@ def triangles_intersect(pairs: np.ndarray) -> np.ndarray:
     for every pair (no early exit); degenerate (near-zero) axes never
     separate and are masked out.
 
-    The arithmetic runs component-wise on a transposed ``(18, n)`` copy of
-    the input, so every numpy call sweeps a contiguous run of ``n`` pairs.
-    Each value is rounded exactly as the ``np.cross``/``einsum`` form
-    rounded it (``tests/apps/reference_jmeint.py``, the oracle the tests
-    pin this kernel's decisions to), so a tie falls the same way.
+    Pairs run in balanced blocks of at most :data:`_BLOCK`, component-wise
+    in this thread's scratch, so a call allocates only its result.  Every
+    value is rounded as the ``np.cross``/``einsum`` oracle rounds it
+    (``tests/apps/reference_jmeint.py``), so ties fall the same way and
+    no pair's decision depends on its block.
     """
     pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
     if pairs.shape[1] != 18:
@@ -68,43 +143,18 @@ def triangles_intersect(pairs: np.ndarray) -> np.ndarray:
             f"{pairs.shape[1]}"
         )
     n = pairs.shape[0]
-    # tris[t, v, x] is component x of vertex v of triangle t, an (n,) row;
-    # verts is the same data component-first, the layout _cross takes.
-    tris = np.ascontiguousarray(pairs.T).reshape(2, 3, 3, n)
-    verts = np.moveaxis(tris, 2, 0)
-    edges = np.roll(verts, -1, axis=2) - verts  # v1 - v0, v2 - v1, v0 - v2
-    # axes[x, a]: the two normals, 9 edge1 x edge2, then 2 x 3 in-plane
-    # edge normals (normal x edge, the coplanar separation axes).
-    axes = np.empty((3, 17, n))
-    _cross(edges[:, :, 0], edges[:, :, 1], axes[:, :2])
-    _cross(edges[:, 0, :, None], edges[:, 1, None, :],
-           axes[:, 2:11].reshape(3, 3, 3, n))
-    _cross(axes[:, :2, None], edges, axes[:, 11:].reshape(3, 2, 3, n))
-
-    # Projection of each vertex on all 17 axes, summed x, z, y — the order
-    # einsum's two-lane reduction uses on x86-64 — then the per-triangle
-    # interval over its three vertices.
-    ax, ay, az = axes
-    lo, hi = [], []
-    for tri in tris:
-        p0, p1, p2 = ((ax * x + az * z) + ay * y for x, y, z in tri)
-        lo.append(np.minimum(np.minimum(p0, p1), p2))
-        hi.append(np.maximum(np.maximum(p0, p1), p2))
-
-    # Skip degenerate axes (parallel edges); they can never separate.
-    scale = np.sqrt((ax * ax + ay * ay) + az * az)
-    eps = 1e-12 * np.maximum(scale.max(axis=0), 1.0)
-    separated = (scale > eps) & ((hi[0] < lo[1]) | (hi[1] < lo[0]))
-    return ~separated.any(axis=0)
+    hit = np.empty(n, dtype=bool)
+    blocks = -(-n // _BLOCK)
+    for b in range(blocks):
+        start, stop = n * b // blocks, n * (b + 1) // blocks
+        _decide(pairs[start:stop], hit[start:stop])
+    return hit
 
 
 def intersection_kernel(pairs: np.ndarray) -> np.ndarray:
     """One-hot ``(intersects, disjoint)`` outputs, the NPU's encoding."""
     hit = triangles_intersect(pairs)
-    out = np.empty((hit.shape[0], 2))
-    out[:, 0] = hit
-    out[:, 1] = ~hit
-    return out
+    return np.stack([hit, ~hit], axis=1).astype(float)
 
 
 def generate_triangle_pairs(rng: np.random.Generator, n: int = 10000) -> np.ndarray:

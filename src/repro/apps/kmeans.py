@@ -29,7 +29,6 @@ __all__ = [
     "lloyd_kmeans",
     "pixel_features",
     "assignment_kernel",
-    "segment_image",
     "make_application",
     "DEFAULT_K",
 ]
@@ -168,13 +167,6 @@ def _canonical_kernel() -> _CentroidKernel:
 def assignment_kernel(features: np.ndarray) -> np.ndarray:
     """Module-level pure kernel using the canonical offline centroids."""
     return _canonical_kernel()(features)
-
-
-def segment_image(image: np.ndarray, kernel=assignment_kernel) -> np.ndarray:
-    """Whole-application run: segment an image into centroid intensities."""
-    image = np.asarray(image, dtype=float)
-    out = np.asarray(kernel(pixel_features(image)), dtype=float)
-    return out.reshape(image.shape)
 
 
 def _train_features(rng: np.random.Generator) -> np.ndarray:

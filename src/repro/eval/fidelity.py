@@ -34,7 +34,7 @@ from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
 from repro.approx.perforation_backend import PerforationQualityManager
 from repro.apps.mosaic import perforation_error_survey
 from repro.core.config import RumbaConfig, TunerMode
-from repro.core.offline import checker_data, prepare_system, streams
+from repro.core.offline import checker_data, prepare_system
 from repro.core.pipeline import max_keepup_fix_fraction
 from repro.core.placement import evaluate_placement
 from repro.core.sampling_monitor import QualitySamplingMonitor
@@ -52,6 +52,7 @@ from repro.metrics.quality import fig2_pair, mean_error_fraction, psnr
 from repro.predictors.ema import EMAPredictor
 from repro.predictors.training import SCHEME_NAMES
 from repro.predictors.tree import DecisionTreeErrorPredictor
+from repro.streams import streams
 from repro.tables import markdown_table
 
 __all__ = ["Row", "ROWS", "Grid", "GRIDS", "SOURCES", "SEEDS", "collect", "render"]

@@ -21,11 +21,12 @@ import numpy as np
 from repro.apps.base import Application
 from repro.apps.registry import get_application
 from repro.approx.npu_backend import NPUBackend
-from repro.core.offline import prepare_backend, prepare_checker, streams
+from repro.core.offline import prepare_backend, prepare_checker
 from repro.predictors.base import ErrorPredictor
 from repro.predictors.training import SCHEME_NAMES
+from repro.streams import streams
 
-__all__ = ["BenchmarkEvaluation", "evaluate_benchmark", "clear_evaluation_cache"]
+__all__ = ["BenchmarkEvaluation", "evaluate_benchmark"]
 
 
 @dataclass
@@ -51,11 +52,6 @@ class BenchmarkEvaluation:
 
 
 _EVAL_CACHE: Dict[Tuple[str, int, Optional[int]], BenchmarkEvaluation] = {}
-
-
-def clear_evaluation_cache() -> None:
-    """Drop cached evaluations (mainly for tests)."""
-    _EVAL_CACHE.clear()
 
 
 def evaluate_benchmark(

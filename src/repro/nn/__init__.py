@@ -14,7 +14,7 @@ from repro.nn.activations import (
     get_activation,
 )
 from repro.nn.mlp import MLP, Topology
-from repro.nn.scaler import MinMaxScaler, StandardScaler
+from repro.nn.scaler import MinMaxScaler
 from repro.nn.trainer import RPropTrainer, TrainingResult
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "MLP",
     "Topology",
     "MinMaxScaler",
-    "StandardScaler",
     "RPropTrainer",
     "TrainingResult",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import NotFittedError
 
-__all__ = ["MinMaxScaler", "StandardScaler"]
+__all__ = ["MinMaxScaler"]
 
 
 def _as_2d(x: np.ndarray) -> np.ndarray:
@@ -124,34 +124,3 @@ class MinMaxScaler:
         )
         return scale, offset
 
-
-class StandardScaler:
-    """Zero-mean / unit-variance scaling (used by the error-predictor trainer)."""
-
-    def __init__(self) -> None:
-        self._mean: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._mean is not None
-
-    def fit(self, x: np.ndarray) -> "StandardScaler":
-        arr = _as_2d(x)
-        self._mean = arr.mean(axis=0)
-        std = arr.std(axis=0)
-        self._std = np.where(std == 0.0, 1.0, std)
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if not self.is_fitted:
-            raise NotFittedError("StandardScaler.transform called before fit")
-        return (_as_2d(x) - self._mean) / self._std
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, y: np.ndarray) -> np.ndarray:
-        if not self.is_fitted:
-            raise NotFittedError("StandardScaler.inverse_transform called before fit")
-        return _as_2d(y) * self._std + self._mean

@@ -235,10 +235,6 @@ class _GaugeChild:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -262,9 +258,6 @@ class Gauge(_Metric):
 
     def inc(self, amount: float = 1.0) -> None:
         self._self_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._self_child().dec(amount)
 
     @property
     def value(self) -> float:

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.runtime import InvocationRecord, RumbaSystem
-from repro.errors import ConfigurationError, ServingError, WorkerCrashError
+from repro.errors import ConfigurationError, WorkerCrashError
 from repro.observability.reqtrace import STAGE_COLLECT, STAGE_SHM_WRITE
 from repro.serving import cpuhold
 from repro.serving.batching import concat_inputs
@@ -285,15 +285,6 @@ class ProcessTransport(WorkerTransport):
         self._stop_bell = mp.Pipe(duplex=False)
 
     def prepare(self, prototype: RumbaSystem):
-        # Fail at prepare time, not in a worker, if the prototype cannot
-        # cross the process boundary.
-        try:
-            pickle.dumps(prototype)
-        except Exception as exc:
-            raise ServingError(
-                "process backend needs a picklable prototype "
-                f"(registry applications are): {exc!r}"
-            ) from exc
         self.pool = ProcessWorkerPool(
             prototype,
             n_workers=self.config.n_workers,

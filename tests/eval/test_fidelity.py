@@ -22,7 +22,7 @@ import pytest
 from repro.apps import mosaic
 from repro.apps.registry import APPLICATION_NAMES, get_application
 from repro.approx.memoization import MemoizationQualityManager
-from repro.core.offline import streams
+from repro.streams import streams
 from repro.eval import fidelity
 from repro.eval.fidelity import (
     GRIDS, ROWS, SEEDS, SOURCES, Row, _endpoint, _status, collect, render)

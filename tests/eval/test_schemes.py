@@ -5,6 +5,7 @@ import pytest
 
 from repro.eval.schemes import evaluate_benchmark
 from repro.predictors.training import SCHEME_NAMES
+from repro.streams import streams
 
 
 class TestEvaluateBenchmark:
@@ -76,7 +77,7 @@ class TestEvaluateBenchmark:
         app = get_application("fft")
         for backend, rumba in ((ev.backend, True), (ev.npu_backend, False)):
             fresh, _ = train(app, use_rumba_topology=rumba,
-                             seed=offline.streams(seed).accelerator)
+                             seed=streams(seed).accelerator)
             np.testing.assert_array_equal(
                 backend.network.get_flat_params(),
                 fresh.network.get_flat_params(),
@@ -106,7 +107,7 @@ class TestEvaluateBenchmark:
         sobel = cold.app
         assert calls == [("sobel", sobel.rumba_topology)]
         offline.clear_cache()
-        schemes.clear_evaluation_cache()
+        schemes._EVAL_CACHE.clear()
         warm = evaluate_benchmark("sobel")
         assert calls == [("sobel", sobel.rumba_topology)]
         for scheme in SCHEME_NAMES:

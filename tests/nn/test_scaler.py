@@ -1,4 +1,4 @@
-"""Unit and property tests for feature scalers."""
+"""Unit and property tests for the feature scaler."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import NotFittedError
-from repro.nn.scaler import MinMaxScaler, StandardScaler
+from repro.nn.scaler import MinMaxScaler
 
 matrices = arrays(
     dtype=float,
@@ -62,26 +62,3 @@ class TestMinMaxScaler:
         out = scaler.transform(np.array([[20.0]]))
         assert out[0, 0] > 1.0  # out-of-range data extrapolates
 
-
-class TestStandardScaler:
-    def test_zero_mean_unit_std(self, rng):
-        x = rng.normal(5.0, 3.0, size=(200, 2))
-        scaled = StandardScaler().fit_transform(x)
-        np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-10)
-
-    def test_constant_column_safe(self):
-        x = np.full((10, 1), 3.0)
-        scaled = StandardScaler().fit_transform(x)
-        np.testing.assert_allclose(scaled, 0.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            StandardScaler().transform(np.ones((2, 2)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(matrices)
-    def test_roundtrip(self, x):
-        scaler = StandardScaler().fit(x)
-        restored = scaler.inverse_transform(scaler.transform(x))
-        np.testing.assert_allclose(restored, x, atol=1e-6, rtol=1e-9)

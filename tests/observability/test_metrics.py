@@ -76,7 +76,7 @@ class TestGauge:
         gauge = Gauge("g", "help")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec(0.5)
+        gauge.inc(-0.5)  # a decrement is a negative increment
         assert gauge.value == 11.5
 
 

@@ -1,6 +1,8 @@
 """Process-backend lifecycle tests: clean startup/shutdown, crash
 surfacing, the ProcessWorkerPool data path and its doorbells."""
 
+import dataclasses
+import gc
 import multiprocessing
 import os
 import pickle
@@ -304,6 +306,10 @@ class TestDoorbells:
         warm = ShmRing(1 << 12)  # starts the resource tracker (its pipe stays)
         warm.close()
         warm.unlink()
+        # An earlier server's process handles wait for the cycle
+        # collector to close their pipes; collect them before counting,
+        # not in the middle of this pool's life.
+        gc.collect()
         before = open_fds()
         pool = ProcessWorkerPool(fft_prototype, n_workers=2).start()
         for _ in range(3):
@@ -425,15 +431,29 @@ class TestProcessServerLifecycle:
             server.stop()
         assert server.state == "stopped"
 
-    def test_unpicklable_prototype_fails_at_prepare(self, fft_prototype):
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a spawned worker unpickles its arguments")
+    def test_forked_worker_serves_an_unpicklable_prototype(
+        self, fft_prototype, fft_input_pool
+    ):
+        """A forked worker inherits the prototype, so an exact kernel that
+        cannot be pickled (a lambda) serves: every row the checker flags
+        comes back with that kernel's outputs."""
         doctored = fft_prototype.clone_shard()
-        doctored.recovery.exact_kernel = lambda x: x  # not picklable
+        width = doctored.app.n_outputs
+        doctored.app = dataclasses.replace(
+            doctored.app, kernel=lambda x: np.full((len(x), width), 7.0))
+        with pytest.raises(Exception):
+            pickle.dumps(doctored)
         server = RumbaServer(
             prototype=doctored,
             config=ServerConfig(backend="process", n_workers=1),
         )
-        with pytest.raises(ServingError, match="picklable"):
-            server.prepare()
+        with server:
+            result = server.submit_wait(fft_input_pool[:256], timeout=60)
+        recovered = (result.outputs == 7.0).all(axis=1)
+        assert recovered.any()
+        assert recovered.mean() == result.fix_fraction
 
     def test_unknown_backend_rejected(self):
         from repro.errors import ConfigurationError
