@@ -3,18 +3,17 @@
 The runtime and the :mod:`repro.approx.ensemble` router run two backends:
 the NN-based NPU kernel replacement (:mod:`repro.approx.npu_backend`) and
 frozen fuzzy memoization (:mod:`repro.approx.memoization`), which share
-only :class:`~repro.approx.base.CostProfile`.  Loop perforation (the
-mosaic case study's reductions and their quality manager) lives beside
-them; the Sec. 4 substrates are built by the fidelity row that uses them
-(:mod:`repro.eval.fidelity`).
+only :class:`~repro.approx.base.CostProfile`.  Loop perforation
+(:mod:`repro.approx.loop_perforation`) is the mosaic case study's
+approximation; the Sec. 4 substrates are built by the fidelity row that
+uses them (:mod:`repro.eval.fidelity`).
 """
 
 from repro._lazy import lazy_exports
 
 # Lazy, so importing one backend module does not first import them all:
-# ``apps.mosaic`` imports ``approx.loop_perforation``, and an eager
-# package would import ``perforation_backend``, which imports
-# ``apps.mosaic`` back before it has finished initialising.
+# ``apps.mosaic`` needs only ``approx.loop_perforation``, not the
+# ensemble, the NPU backend and the networks behind them.
 _EXPORTS = {
     "CostProfile": "base",
     "ApproximatorEnsemble": "ensemble",
@@ -24,13 +23,9 @@ _EXPORTS = {
     "build_ensemble": "ensemble",
     "perforated_mean": "loop_perforation",
     "perforation_mask": "loop_perforation",
-    "MemoizationQualityManager": "memoization",
     "MemoizingBackend": "memoization",
     "NPUBackend": "npu_backend",
     "train_npu_backend": "npu_backend",
-    "PerforationOutcome": "perforation_backend",
-    "PerforationQualityManager": "perforation_backend",
-    "sample_statistics": "perforation_backend",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
@@ -45,9 +40,5 @@ __all__ = [
     "train_npu_backend",
     "perforation_mask",
     "perforated_mean",
-    "PerforationQualityManager",
-    "PerforationOutcome",
-    "sample_statistics",
     "MemoizingBackend",
-    "MemoizationQualityManager",
 ]

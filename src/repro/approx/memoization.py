@@ -1,33 +1,24 @@
-"""Approximate (fuzzy) memoization with Rumba-style quality management.
+"""Approximate (fuzzy) memoization: the serving ensemble's ``memo`` member.
 
 Approximate memoization (Paraprox [31]; fuzzy memoization in hardware
 [2, 3]) reuses a previously computed result when a new input is *close* to
-a cached one.  Its error is governed by how far the query landed from the
-reused entry — which means the technique carries its own light-weight
-error signal: the *cache distance*.
-
-:class:`MemoizingBackend` implements the technique over any Table 1
-kernel (quantized-key direct-mapped table, like the hardware schemes), and
-exposes the per-element cache distance as its checker feature.
-:class:`MemoizationQualityManager` completes the Rumba recipe: a tree
-predictor maps distances to expected error, flagged elements are
-re-executed exactly.
+a cached one.  :class:`MemoizingBackend` implements the technique over any
+Table 1 kernel (quantized-key direct-mapped table, like the hardware
+schemes).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.apps.base import Application
 from repro.approx.base import CostProfile
-from repro.errors import ConfigurationError, NotFittedError
-from repro.predictors.tree import DecisionTreeErrorPredictor
+from repro.errors import ConfigurationError
 
-__all__ = ["MemoizingBackend", "MemoizationQualityManager"]
+__all__ = ["MemoizingBackend"]
 
 
 class MemoizingBackend:
@@ -38,11 +29,6 @@ class MemoizingBackend:
     reuses the cached output; a miss computes exactly and installs the
     entry.  Coarser keys (fewer bits) reuse more aggressively and err
     more.
-
-    After each call, :attr:`last_distances` holds the per-element
-    normalized distance between the query and the input that produced the
-    reused entry (zero on misses, which computed exactly) — the natural
-    checker feature of this technique.
 
     :meth:`freeze` turns the table read-only: misses still compute
     exactly but install nothing, making the backend a deterministic pure
@@ -66,9 +52,8 @@ class MemoizingBackend:
         self._lo = sample.min(axis=0)
         span = sample.max(axis=0) - self._lo
         self._span = np.where(span == 0.0, 1.0, span)
-        # key tuple -> (representative input, output row)
-        self._table: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
-        self.last_distances: Optional[np.ndarray] = None
+        # key tuple -> output row
+        self._table: Dict[Tuple[int, ...], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -77,41 +62,26 @@ class MemoizingBackend:
         unit = np.clip((inputs - self._lo) / self._span, 0.0, 1.0)
         return np.round(unit * levels).astype(np.int64)
 
-    def features(self, inputs: np.ndarray) -> np.ndarray:
-        """Checker features: the normalized inputs (distance is appended
-        per call via :attr:`last_distances`)."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        return (inputs - self._lo) / self._span
-
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         n = inputs.shape[0]
         keys = self._keys(inputs)
         outputs = np.empty((n, self.app.n_outputs))
-        distances = np.zeros(n)
         miss_rows = []
         for i in range(n):
-            key = tuple(keys[i])
-            entry = self._table.get(key)
-            if entry is None:
+            cached = self._table.get(tuple(keys[i]))
+            if cached is None:
                 miss_rows.append(i)
             else:
-                cached_input, cached_output = entry
-                outputs[i] = cached_output
-                distances[i] = float(np.linalg.norm(
-                    (inputs[i] - cached_input) / self._span
-                ))
+                outputs[i] = cached
                 self.hits += 1
         if miss_rows:
             exact = self.app.exact(inputs[miss_rows])
             for row, out in zip(miss_rows, exact):
                 outputs[row] = out
                 if not self.frozen:
-                    self._table[tuple(keys[row])] = (
-                        inputs[row].copy(), out.copy()
-                    )
+                    self._table[tuple(keys[row])] = out.copy()
             self.misses += len(miss_rows)
-        self.last_distances = distances
         return outputs
 
     @property
@@ -157,78 +127,4 @@ class MemoizingBackend:
             clone._table = {}
         clone.hits = 0
         clone.misses = 0
-        clone.last_distances = None
         return clone
-
-
-@dataclass
-class _MemoOutcome:
-    outputs: np.ndarray
-    exact: np.ndarray
-    scores: np.ndarray
-    recovered: np.ndarray
-
-    @property
-    def recovered_fraction(self) -> float:
-        return float(self.recovered.mean()) if self.recovered.size else 0.0
-
-
-class MemoizationQualityManager:
-    """Detection + selective re-execution on top of fuzzy memoization.
-
-    The checker's feature vector is [normalized inputs, cache distance];
-    the cache distance alone is already a strong error signal, and the
-    tree learns how the kernel's sensitivity varies over the input space.
-    """
-
-    def __init__(self, app: Application, key_bits: int = 4,
-                 threshold: float = 0.05, seed: int = 0):
-        if threshold < 0:
-            raise ConfigurationError("threshold must be >= 0")
-        self.app = app
-        self.backend = MemoizingBackend(app, key_bits=key_bits,
-                                        calibration_seed=seed)
-        self.threshold = threshold
-        self.predictor = DecisionTreeErrorPredictor()
-        self.seed = seed
-
-    def _features_with_distance(self, inputs: np.ndarray) -> np.ndarray:
-        base = self.backend.features(inputs)
-        return np.hstack([base, self.backend.last_distances.reshape(-1, 1)])
-
-    def fit(self, n_train: int = 2000) -> "MemoizationQualityManager":
-        """Warm the memo table, then train the checker on observed errors.
-
-        The first half of the training data only populates the table (a
-        cold table computes everything exactly and shows the checker no
-        errors); the second half runs against the warmed table, producing
-        the hit-with-distance behaviour the deployment will see.
-        """
-        rng = np.random.default_rng(self.seed + 1)
-        train = np.atleast_2d(
-            np.asarray(self.app.train_inputs(rng), dtype=float)
-        )[:n_train]
-        half = max(train.shape[0] // 2, 1)
-        self.backend(train[:half])  # warm the table
-        observe = train[half:] if train.shape[0] > half else train
-        approx = self.backend(observe)
-        feats = self._features_with_distance(observe)
-        errors = self.app.element_errors(approx, self.app.exact(observe))
-        self.predictor.fit(feats, errors)
-        return self
-
-    def process(self, inputs: np.ndarray) -> _MemoOutcome:
-        """Memoized execution with detection and selective recovery."""
-        if not self.predictor.is_fitted:
-            raise NotFittedError("call fit() before process()")
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        approx = self.backend(inputs)
-        feats = self._features_with_distance(inputs)
-        scores = self.predictor.scores(features=feats)
-        recovered = scores > self.threshold
-        outputs = approx.copy()
-        exact = self.app.exact(inputs)
-        outputs[recovered] = exact[recovered]
-        return _MemoOutcome(
-            outputs=outputs, exact=exact, scores=scores, recovered=recovered
-        )

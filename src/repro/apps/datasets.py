@@ -9,9 +9,7 @@ images with the properties the experiments exercise:
   and texture, a stand-in for a photographic test image,
 * :func:`flower_image` — a radial petal pattern on a textured background
   whose spatial statistics vary strongly with the seed, which is what makes
-  loop-perforation error input-dependent in Fig. 3,
-* :func:`checkerboard` / :func:`gradient_image` — structured corner cases
-  for tests.
+  loop-perforation error input-dependent in Fig. 3.
 
 All generators return float arrays with values in ``[0, 255]``.
 """
@@ -27,10 +25,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "natural_image",
     "flower_image",
-    "checkerboard",
-    "gradient_image",
     "image_to_blocks",
-    "blocks_to_image",
     "extract_patches3x3",
 ]
 
@@ -129,24 +124,6 @@ def flower_image(shape: Tuple[int, int] = (64, 64), seed: int = 0) -> np.ndarray
     return np.clip(background + flower + noise, 0.0, 255.0)
 
 
-def checkerboard(
-    shape: Tuple[int, int] = (64, 64), tile: int = 8, low: float = 40.0,
-    high: float = 215.0,
-) -> np.ndarray:
-    """A two-level checkerboard — worst case for perforation and DCT."""
-    if tile <= 0:
-        raise ConfigurationError("tile must be positive")
-    ys, xs = np.mgrid[0 : shape[0], 0 : shape[1]]
-    mask = ((ys // tile) + (xs // tile)) % 2 == 0
-    return np.where(mask, high, low).astype(float)
-
-
-def gradient_image(shape: Tuple[int, int] = (64, 64)) -> np.ndarray:
-    """A pure horizontal ramp from 0 to 255."""
-    _, xs = _grid(shape)
-    return xs * 255.0
-
-
 def image_to_blocks(image: np.ndarray, block: int = 8) -> np.ndarray:
     """Split an image into flattened ``block x block`` tiles.
 
@@ -165,22 +142,6 @@ def image_to_blocks(image: np.ndarray, block: int = 8) -> np.ndarray:
     tiles = cropped.reshape(h // block, block, w // block, block)
     tiles = tiles.transpose(0, 2, 1, 3).reshape(-1, block * block)
     return tiles
-
-
-def blocks_to_image(
-    blocks: np.ndarray, image_shape: Tuple[int, int], block: int = 8
-) -> np.ndarray:
-    """Inverse of :func:`image_to_blocks` for a cropped image shape."""
-    blocks = np.asarray(blocks, dtype=float)
-    h = (image_shape[0] // block) * block
-    w = (image_shape[1] // block) * block
-    expected = (h // block) * (w // block)
-    if blocks.shape != (expected, block * block):
-        raise ConfigurationError(
-            f"blocks shape {blocks.shape} does not tile image {image_shape}"
-        )
-    tiles = blocks.reshape(h // block, w // block, block, block)
-    return tiles.transpose(0, 2, 1, 3).reshape(h, w)
 
 
 def extract_patches3x3(image: np.ndarray) -> np.ndarray:

@@ -7,9 +7,6 @@ accelerates.
 
 Table 1: train/test = 10K random (x, y) points, Rumba NN ``2->2->2``, NPU
 NN ``2->8->2``, metric = Mean Relative Error.
-
-The forward kinematics (:func:`forward_kinematics`) is also provided; the
-round-trip ``forward(inverse(p)) == p`` is the key property-based test.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ __all__ = [
     "LINK1",
     "LINK2",
     "inverse_kinematics",
-    "forward_kinematics",
     "generate_targets",
     "make_application",
 ]
@@ -52,17 +48,6 @@ def inverse_kinematics(targets: np.ndarray) -> np.ndarray:
     k2 = LINK2 * np.sin(theta2)
     theta1 = np.arctan2(y, x) - np.arctan2(k2, k1)
     return np.column_stack([theta1, theta2])
-
-
-def forward_kinematics(angles: np.ndarray) -> np.ndarray:
-    """End-effector position for joint angles ``(theta1, theta2)``."""
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    if angles.shape[1] != 2:
-        raise ConfigurationError("forward kinematics takes (theta1, theta2)")
-    t1, t2 = angles[:, 0], angles[:, 1]
-    x = LINK1 * np.cos(t1) + LINK2 * np.cos(t1 + t2)
-    y = LINK1 * np.sin(t1) + LINK2 * np.sin(t1 + t2)
-    return np.column_stack([x, y])
 
 
 def generate_targets(rng: np.random.Generator, n: int = 10000) -> np.ndarray:

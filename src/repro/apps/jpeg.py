@@ -4,11 +4,8 @@ The accelerated region is JPEG's per-block pipeline: level shift, 2-D DCT,
 quantization against the standard luminance table, de-quantization, inverse
 DCT and level un-shift.  The kernel maps one flattened 8x8 block (64
 pixels) to its reconstructed 64 pixels — the same 64->64 signature as
-Table 1's topologies.
-
-:func:`compress_image` runs the whole application: tile the image, run the
-kernel per block, reassemble.  The quality metric is Mean Pixel Diff
-(normalized to the 255 pixel range).
+Table 1's topologies.  The quality metric is Mean Pixel Diff (normalized
+to the 255 pixel range).
 
 Table 1: train = 220x200 image, test = 512x512 image, Rumba and NPU NN
 ``64->16->64``, metric = Mean Pixel Diff.
@@ -16,12 +13,10 @@ Table 1: train = 220x200 image, test = 512x512 image, Rumba and NPU NN
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from repro.apps.base import Application, absolute_errors, mean_absolute_diff
-from repro.apps.datasets import blocks_to_image, image_to_blocks, natural_image
+from repro.apps.datasets import image_to_blocks, natural_image
 from repro.errors import ConfigurationError
 from repro.hardware.energy import InstructionMix
 from repro.nn.mlp import Topology
@@ -31,7 +26,6 @@ __all__ = [
     "dct2_block",
     "idct2_block",
     "jpeg_block_kernel",
-    "compress_image",
     "make_application",
 ]
 
@@ -98,22 +92,6 @@ def jpeg_block_kernel(blocks: np.ndarray, quality_scale: float = 1.0) -> np.ndar
     quantized = np.round(coeffs / qtable)
     recon = idct2_block(quantized * qtable) + 128.0
     return np.clip(recon, 0.0, 255.0)
-
-
-def compress_image(
-    image: np.ndarray,
-    block_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Run the whole jpeg application over a grayscale image.
-
-    ``block_fn`` defaults to the exact kernel; pass an approximate kernel to
-    get the accelerated pipeline.  Returns the reconstructed (cropped to a
-    block multiple) image.
-    """
-    image = np.asarray(image, dtype=float)
-    blocks = image_to_blocks(image, block=8)
-    out_blocks = np.asarray((block_fn or jpeg_block_kernel)(blocks), dtype=float)
-    return blocks_to_image(out_blocks, image.shape, block=8)
 
 
 def _train_blocks(rng: np.random.Generator) -> np.ndarray:

@@ -2,10 +2,7 @@
 
 The kernel maps one 3x3 pixel neighborhood to the Sobel gradient magnitude,
 clamped to the pixel range — a pure ``9 -> 1`` map over the image, matching
-Table 1's ``9->8->1`` topology.
-
-:func:`sobel_image` runs the whole application (all neighborhoods of an
-image); the metric is Mean Pixel Diff.
+Table 1's ``9->8->1`` topology.  The metric is Mean Pixel Diff.
 
 Table 1: train = 512x512 image, test = 512x512 image, Rumba and NPU NN
 ``9->8->1``, metric = Mean Pixel Diff.
@@ -21,7 +18,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.energy import InstructionMix
 from repro.nn.mlp import Topology
 
-__all__ = ["sobel_kernel", "sobel_image", "make_application", "KERNEL_X", "KERNEL_Y"]
+__all__ = ["sobel_kernel", "make_application", "KERNEL_X", "KERNEL_Y"]
 
 #: Sobel convolution masks, flattened row-major to match the patch layout.
 KERNEL_X = np.array([-1, 0, 1, -2, 0, 2, -1, 0, 1], dtype=float)
@@ -41,13 +38,6 @@ def sobel_kernel(patches: np.ndarray) -> np.ndarray:
     gy = patches @ KERNEL_Y
     magnitude = np.sqrt(gx * gx + gy * gy) / 4.0
     return np.clip(magnitude, 0.0, 255.0).reshape(-1, 1)
-
-
-def sobel_image(image: np.ndarray, kernel=sobel_kernel) -> np.ndarray:
-    """Whole-application run: edge map of a grayscale image."""
-    image = np.asarray(image, dtype=float)
-    out = np.asarray(kernel(extract_patches3x3(image)), dtype=float)
-    return out.reshape(image.shape)
 
 
 def _train_patches(rng: np.random.Generator) -> np.ndarray:

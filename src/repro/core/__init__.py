@@ -18,7 +18,6 @@ from repro.core.recovery import (
     verify_purity,
 )
 from repro.core.runtime import InvocationRecord, PendingInvocation, RumbaSystem
-from repro.core.sampling_monitor import QualitySamplingMonitor, SamplingReport
 from repro.core.stream import DriftDetector, QualityManagedStream, StreamStatus
 from repro.core.tuner import InvocationFeedback, OnlineTuner
 
@@ -47,8 +46,6 @@ __all__ = [
     "prepare_system",
     "prepare_backend",
     "clear_cache",
-    "QualitySamplingMonitor",
-    "SamplingReport",
     "DriftDetector",
     "QualityManagedStream",
     "StreamStatus",

@@ -28,16 +28,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.apps.datasets import flower_image, natural_image
+from repro.apps.datasets import natural_image
 from repro.apps.registry import APPLICATION_NAMES, get_application
-from repro.approx.memoization import MemoizationQualityManager, MemoizingBackend
-from repro.approx.perforation_backend import PerforationQualityManager
 from repro.apps.mosaic import perforation_error_survey
 from repro.core.config import RumbaConfig, TunerMode
 from repro.core.offline import checker_data, prepare_system
 from repro.core.pipeline import max_keepup_fix_fraction
 from repro.core.placement import evaluate_placement
-from repro.core.sampling_monitor import QualitySamplingMonitor
 from repro.errors import ConfigurationError
 from repro.eval.experiments import (
     DEFAULT_TARGET_ERROR, cpu_activity_case_study, energy_speedup_table,
@@ -144,8 +141,7 @@ def collect(
                                   "min_energy_ratio": min(ratios),
                                   "smaller_rumba_nets": sum(r > 1.0 for r in ratios)}},
         "extension": {"checker_area": {"per_app": per["area"], "max": over_apps(
-                          "area", max, ("linear", "tree", "ema"))},
-                      "sampling": _sampling(seed)},
+                          "area", max, ("linear", "tree", "ema"))}},
     }
     fixed = data["fig12"]["mean"]
     data["fig12"]["extra_fixes"] = {s: fixed[s] - fixed["Ideal"]
@@ -158,7 +154,6 @@ def collect(
         ev = evaluate_benchmark("inversek2j", seed=seed)
         data["ablation"]["tree_depth"] = _tree_depth(ev, seed, target_error)
         data["extension"]["alt_accelerators"] = _alt_accelerators(ev, seed)
-        data["extension"]["memoization"] = _memoization(ev, seed)
     if "sobel" in apps:
         ev = evaluate_benchmark("sobel", seed=seed)
         data["ablation"]["ema_window"] = _ema_window(ev, target_error)
@@ -377,54 +372,6 @@ def _alt_accelerators(ev: BenchmarkEvaluation, seed: int) -> Data:
     return result
 
 
-def _memoization(ev: BenchmarkEvaluation, seed: int) -> Data:
-    """Sec. 3.1 extension: fuzzy memoization's reuse vs the managed error."""
-    app = ev.app
-    stream = streams(seed)
-    probe = app.test_inputs(np.random.default_rng(stream.memo_probe))[:3000]
-    exact = app.exact(probe)
-    result: Data = {}
-    for bits in (6, 5, 4, 3):
-        raw = MemoizingBackend(app, key_bits=bits,
-                               calibration_seed=stream.memo_calibration)
-        raw(app.train_inputs(np.random.default_rng(stream.memo_warm))[:3000])  # warm
-        raw_error = app.output_error(raw(probe), exact)
-        manager = MemoizationQualityManager(app, key_bits=bits, threshold=0.03,
-                                            seed=stream.memo_manager).fit(n_train=3000)
-        outcome = manager.process(probe)
-        result[str(bits)] = {"reuse_rate": raw.hit_rate, "raw_error": raw_error,
-                             "managed_error": app.output_error(outcome.outputs, exact),
-                             "reexecuted": outcome.recovered_fraction}
-    for key in ("raw_error", "managed_error"):
-        result[f"{key}_growth"] = result["3"][key] - result["6"][key]
-    return result
-
-
-def _sampling(seed: int, target: float = 0.05) -> Data:
-    """Secs. 2.1/6: quality sampling vs continuous checking on mosaic."""
-    stream = streams(seed)
-    train = [flower_image((64, 64), seed=stream.sampling_train + i) for i in range(300)]
-    test = [flower_image((64, 64), seed=stream.sampling_test + i) for i in range(400)]
-    outcome = PerforationQualityManager(
-        skip_rate=0.995, threshold=target).fit(train).process_stream(test)
-    before = outcome.errors(outcome.approx_values)
-    bad = before > 2 * target
-
-    def policy(errors, reexecuted, checked) -> Data:
-        return {"mean_error": float(errors.mean()), "max_error": float(errors.max()),
-                "reexecuted": float(reexecuted), "missed": int((bad & ~checked).sum())}
-
-    result = {"unchecked": policy(before, 0.0, np.zeros_like(bad))}
-    for n in (20, 10, 5):
-        report = QualitySamplingMonitor(check_every_n=n, target_error=target
-                                        ).process_stream(before)
-        result[f"every_{n}"] = policy(report.errors_after,
-                                      report.exact_reexecution_fraction, report.checked)
-    result["rumba"] = policy(outcome.errors(), outcome.recovered_fraction,
-                             outcome.recovered)
-    return result
-
-
 @dataclass(frozen=True)
 class Row:
     """One regenerated quantity.
@@ -478,16 +425,6 @@ def _row(id: str, source: str, paper: Paper, unit: str,
 # False on data whose numbers are NaN.
 def _mean(d: Data, fig: str, scheme: str) -> float:
     return d[fig]["mean"][scheme]
-
-
-def _sampling_shape(d: Data) -> bool:
-    s = d["extension"]["sampling"]
-    unchecked, rumba = s["unchecked"], s["rumba"]
-    return (all(s[f"every_{n}"]["mean_error"] > 0.7 * unchecked["mean_error"]
-                for n in (20, 10, 5))
-            and rumba["mean_error"] < unchecked["mean_error"]
-            and rumba["max_error"] <= unchecked["max_error"]
-            and rumba["missed"] < s["every_5"]["missed"])
 
 
 def _error_reduction_identity(d: Data) -> bool:
@@ -699,21 +636,11 @@ ROWS: Tuple[Row, ...] = (
     *(_row(f"extension.checker_area.max.{kind}", "Fig. 7 extension", None, "%",
            ok=lambda v, cap=cap: v < cap)
       for kind, cap in (("linear", 60), ("tree", 60), ("ema", 20))),
-    _row("extension.memoization.raw_error_growth", "Sec. 3.1 extension", None,
-         "pp", ok=lambda v: v > 0),
-    _row("extension.memoization.managed_error_growth", "Sec. 3.1 extension", None,
-         "pp", lambda d: (lambda m: m["managed_error_growth"] < m["raw_error_growth"]
-                          and all(m[b]["managed_error"] <= m[b]["raw_error"] + 1e-11
-                                  for b in ("6", "5", "4", "3")))(
-             d["extension"]["memoization"])),
     *(_row(f"extension.alt_accelerators.{sub}.treeErrors", "Sec. 4 extension", None,
            "%", lambda d, sub=sub: (lambda r: r["Ideal"] <= r["treeErrors"] + 1e-12 and
                                     r["treeErrors"] < min(r["unchecked"], r["Random"]))(
                d["extension"]["alt_accelerators"][sub]))
       for sub in ("npu", "quantized_5bit", "analog_4pct")),
-    _row("extension.sampling.every_5.mean_error", "Secs. 2.1/6 extension", None, "%"),
-    _row("extension.sampling.rumba.mean_error", "Secs. 2.1/6 extension", None, "%",
-         _sampling_shape),
 )
 
 
@@ -767,7 +694,9 @@ SOURCES: Tuple[Tuple[str, str, str], ...] = (
     ("Fig. 3", "mosaic input dependence",
      "Mosaic brightness error over procedural flower images under loop "
      "perforation; the mechanism is the paper's (strided perforation aliasing "
-     "against image structure)."),
+     "against image structure). This section carries Challenge II, that output "
+     "quality depends on the input: one skip rate leaves most images near the "
+     "mean error and a few far above it."),
     ("Fig. 5", "Gaussian, EVP vs EEP (Sec. 3.2)",
      "The small-MLP Gaussian approximation's errors concentrate on a narrow input "
      "region. EEP (predict the error) tracks the true errors more closely than EVP "
@@ -827,22 +756,15 @@ SOURCES: Tuple[Tuple[str, str, str], ...] = (
      "Rumba's, more wherever Rumba's network is smaller; Rumba tolerates the "
      "cheaper network because detection and recovery clean up its extra error."),
     ("Fig. 7 extension", "checker area",
-     "Each fitted checker's datapath and coefficient buffer as a share of the NPU "
-     "PE array's gates: the light-weight claim, in silicon."),
-    ("Sec. 3.1 extension", "fuzzy memoization on inversek2j",
-     "Coarser memoization keys raise reuse and the raw error, while the managed "
-     "error stays small; past a point recovery dominates, which is why the online "
-     "tuner balances the threshold against a budget."),
+     "Tests the paper's claim that its checkers are \"light-weight\": each fitted "
+     "checker's datapath and coefficient buffer as a share of the NPU PE array's "
+     "gates."),
     ("Sec. 4 extension", "other accelerators",
-     "The same recipe (a tree checker trained on observed errors, the top-scored "
-     "elements fixed) on a reduced-precision datapath and a noisy analog "
-     "accelerator: fixing helps, the checker beats blind fixing and Ideal bounds "
-     "everything."),
-    ("Secs. 2.1/6 extension", "sampling vs continuous checking",
-     "On the mosaic perforation stream, Green/SAGE-style checking of every Nth "
-     "invocation misses most of the bad invocations; Rumba's continuous checker, "
-     "at a comparable re-execution rate, misses fewer, lowers the mean error "
-     "further and cuts the worst case."),
+     "Tests Sec. 4's claim that the design \"can apply to other accelerator based "
+     "approximate computing systems\": the same recipe (a tree checker trained on "
+     "observed errors, the top-scored elements fixed) on a reduced-precision "
+     "datapath and a noisy analog accelerator. Fixing helps, the checker beats "
+     "blind fixing and Ideal bounds everything."),
     ("Pareto bench", "energy/quality frontier",
      "Not a row: `benchmarks/bench_pareto_energy_quality.py` sweeps the quality "
      "target per benchmark. Its frontiers are monotone, and the Abstract's outlier "
@@ -868,7 +790,7 @@ _READING = (
     "otherwise. Every seed draws each of its data streams (the accelerator's and "
     "the checker's training rows, the evaluation rows and each experiment's "
     "inputs) from generator seeds no other seed draws (`streams` in "
-    "`core/offline.py`), so the seeds are independent replicates, and the "
+    "`streams.py`), so the seeds are independent replicates, and the "
     "[min–max] of five runs is a distribution-free 1 − 2·2⁻⁵ = 93.75 % interval "
     "for the median of the seed population: DEVIATES means the paper's value "
     "lies outside that interval. Rows and tables whose applications were not "

@@ -16,7 +16,6 @@ from repro.metrics.quality import (
     fig2_pair,
     mean_error_fraction,
     psnr,
-    quality_from_error,
     spread_error_image,
 )
 
@@ -35,5 +34,4 @@ __all__ = [
     "concentrated_error_image",
     "spread_error_image",
     "fig2_pair",
-    "quality_from_error",
 ]

@@ -22,15 +22,7 @@ __all__ = [
     "concentrated_error_image",
     "spread_error_image",
     "fig2_pair",
-    "quality_from_error",
 ]
-
-
-def quality_from_error(error: float) -> float:
-    """Output quality = 1 - output error (the paper's convention)."""
-    if error < 0:
-        raise ConfigurationError("error must be >= 0")
-    return max(1.0 - error, 0.0)
 
 
 def mean_error_fraction(

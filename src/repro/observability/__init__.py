@@ -32,7 +32,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "Counter": "metrics", "Gauge": "metrics", "Histogram": "metrics",
     "MetricsRegistry": "metrics", "get_default_registry": "metrics",
-    "set_default_registry": "metrics",
     "Telemetry": "instrument",
     "prometheus_text": "export", "json_snapshot": "export",
     "write_snapshot": "export",

@@ -15,9 +15,8 @@ which keeps the hot path (a dict lookup + a float add) cheap while staying
 safe for the threaded deployments the stream layer targets.
 
 A process-global *default registry* mirrors the Prometheus client
-convention: library code can instrument against
-:func:`get_default_registry` while tests and benches install their own via
-:func:`set_default_registry`.
+convention: library code that is handed no registry instruments against
+:func:`get_default_registry`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_default_registry",
-    "set_default_registry",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_FINE_LATENCY_BUCKETS",
     "DEFAULT_CYCLE_BUCKETS",
@@ -454,19 +452,8 @@ class MetricsRegistry:
 
 
 _default_registry = MetricsRegistry()
-_default_lock = threading.Lock()
 
 
 def get_default_registry() -> MetricsRegistry:
     """The process-global registry (what ambient instrumentation uses)."""
-    with _default_lock:
-        return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process default; returns the old one."""
-    global _default_registry
-    with _default_lock:
-        old = _default_registry
-        _default_registry = registry
-    return old
+    return _default_registry

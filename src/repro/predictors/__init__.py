@@ -20,7 +20,6 @@ from repro.predictors.training import (
     PredictorTrainingData,
     collect_training_data,
     make_predictor,
-    train_all_schemes,
     train_predictor,
 )
 from repro.predictors.tree import DecisionTreeErrorPredictor, TreeNode
@@ -40,6 +39,5 @@ __all__ = [
     "PredictorTrainingData",
     "collect_training_data",
     "train_predictor",
-    "train_all_schemes",
     "make_predictor",
 ]

@@ -10,7 +10,7 @@ ships to the checker hardware over the config queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,10 +111,3 @@ def train_predictor(
     elif predictor.needs_fit:
         predictor.fit(data.features, data.errors)
     return predictor
-
-
-def train_all_schemes(
-    data: PredictorTrainingData, seed: int = 0
-) -> Dict[str, ErrorPredictor]:
-    """Fit every scheme in :data:`SCHEME_NAMES` on the same material."""
-    return {name: train_predictor(name, data, seed=seed) for name in SCHEME_NAMES}

@@ -13,10 +13,7 @@ with :class:`~repro.errors.ServingError`) under sustained churn:
   batch re-dispatch),
 * **injected batch faults** — raise :class:`InjectedFault` from a worker
   with a configurable probability (thread backend's analogue of a crash;
-  exercises the retry path without OS processes),
-* **frame corruption** — :func:`corrupt_next_frame` flips a byte in the
-  next unread frame of a ring so tests can prove the transport *detects*
-  torn frames (``ShmRing.try_read`` raises) instead of decoding garbage.
+  exercises the retry path without OS processes).
 
 Configuration comes from :class:`ChaosConfig`, parseable from the CLI's
 ``--chaos kill=2,fail=0.05,seed=1`` spec string.
@@ -37,7 +34,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosMonkey",
     "InjectedFault",
-    "corrupt_next_frame",
 ]
 
 
@@ -204,21 +200,3 @@ class ChaosMonkey:
             "kills": self.kills,
             "injected_faults": self.injected_faults,
         }
-
-
-def corrupt_next_frame(ring, rng: Optional[random.Random] = None) -> bool:
-    """Flip one byte in the next *unread* frame's header.
-
-    Returns False when the ring has no unread frame.  The consumer's next
-    ``try_read`` must then raise (bad magic) rather than decode garbage —
-    the property the transport tests pin down.
-    """
-    head = ring._head()
-    if ring._tail() - head < 8:
-        return False
-    rng = rng or random.Random(0)
-    # Byte 0..7 of the header is the magic word; flipping any of them
-    # guarantees detection.
-    offset = 16 + (head + rng.randrange(8)) % ring.capacity
-    ring._shm.buf[offset] ^= 0xFF
-    return True

@@ -363,14 +363,27 @@ class ProcessWorkerPool:
         return process, in_ring, out_ring, in_bell, out_bell
 
     def _dismantle(self, worker: ProcessWorker, timeout: float = 5.0) -> None:
-        """Kill a worker's process (if any); destroy its rings and bells."""
+        """Stop and release a worker's process (if any); destroy its rings
+        and bells.
+
+        ``close()`` frees the handle's two pipe fds at once instead of
+        leaving them to the cycle collector; after it the handle's
+        ``pid``, ``exitcode``, ``sentinel`` and ``is_alive()`` raise, so
+        a dismantled (``dead``) worker's process is not read again.
+        """
         with self._bell_lock:
             worker.dead = True
+        process = worker.process
         try:
-            if worker.process.pid is not None and worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=timeout)
-        except Exception:  # pragma: no cover - teardown races
+            if process.pid is not None:
+                if process.is_alive():
+                    process.terminate()
+                process.join(timeout=timeout)
+                if process.is_alive():  # a straggler ignored SIGTERM
+                    process.kill()
+                    process.join()
+            process.close()
+        except (ValueError, OSError):  # closed already, or a teardown race
             pass
         _destroy(worker.in_ring)
         _destroy(worker.out_ring)
@@ -426,14 +439,15 @@ class ProcessWorkerPool:
             self._stopped = True
             return
         for worker in self.workers:
-            if worker.process.is_alive():
+            if worker.alive():
                 _write_blocking(
                     worker.in_ring, partial(self._wake, worker), FRAME_STOP,
                     0, None, b"",
-                    timeout_s=1.0, still_alive=worker.process.is_alive,
+                    timeout_s=1.0, still_alive=worker.alive,
                 )
         for worker in self.workers:
-            worker.process.join(timeout=timeout)
+            if not worker.dead:
+                worker.process.join(timeout=timeout)
             self._dismantle(worker, timeout=1.0)  # terminates a straggler
         self._stopped = True
 

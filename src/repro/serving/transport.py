@@ -386,6 +386,8 @@ class ProcessTransport(WorkerTransport):
                 if worker is None:
                     os.read(fd, 4096)  # drain a bell
                     continue
+                if worker.dead:  # stop() outlived our join and closed it
+                    return
                 # Harvest anything it managed to publish before dying
                 # (death is final, so every pre-death write is visible
                 # by now), then supervise: restart the worker and

@@ -2,7 +2,7 @@
 
 The serving ensemble runs two kinds of member, the NPU MLP and fuzzy
 memoization, and routes rows between them through one surface:
-``__call__``, ``features``, ``forward_batch(out=)``, ``clone_shard`` and
+``__call__``, ``forward_batch(out=)``, ``clone_shard`` and
 ``cost_profile(cost_model)``.  The suite is parametrized over both and
 checks, per backend: the fused ``forward_batch(out=)`` path matching
 ``__call__`` to 1e-9, pickle round trips preserving behaviour bit for
@@ -51,10 +51,6 @@ class TestApproxBackendConformance:
         out = make_backend(name)(probe)
         assert out.shape == (probe.shape[0], fft_app.n_outputs)
         assert out.dtype == np.float64
-
-    def test_features_are_per_row(self, make_backend, probe, name):
-        feats = make_backend(name).features(probe)
-        assert feats.shape[0] == probe.shape[0]
 
     def test_fused_path_matches_call_to_1e9(self, make_backend, probe,
                                             name):
@@ -114,6 +110,11 @@ class TestApproxBackendConformance:
         profile = make_backend(name).cost_profile(CostModel(fft_app))
         assert profile.invocation_cycles is not None
         assert profile.invocation_cycles > 0
+
+
+def test_npu_features_are_per_row(fft_backend, probe):
+    """The checker reads the NPU member's features, one row per input."""
+    assert fft_backend.features(probe).shape[0] == probe.shape[0]
 
 
 class TestCostProfileValidation:

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.datasets import (
-    blocks_to_image,
-    checkerboard,
     extract_patches3x3,
     flower_image,
-    gradient_image,
     image_to_blocks,
     natural_image,
 )
 from repro.errors import ConfigurationError
+from tests.apps.oracles import blocks_to_image, checkerboard, gradient_image
 
 
 class TestNaturalImage:

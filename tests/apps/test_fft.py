@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.fft import (
-    fft_transform,
     generate_fractions,
     make_application,
     twiddle_kernel,
 )
 from repro.errors import ConfigurationError
+from tests.apps.oracles import fft_transform
 
 
 class TestTwiddleKernel:

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from repro.apps.inversek2j import (
     LINK1,
     LINK2,
-    forward_kinematics,
     generate_targets,
     inverse_kinematics,
     make_application,
 )
 from repro.errors import ConfigurationError
+from tests.apps.oracles import forward_kinematics
 
 
 class TestInverseKinematics:

@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 from repro.apps.datasets import image_to_blocks, natural_image
 from repro.apps.jpeg import (
     STANDARD_LUMINANCE_QTABLE,
-    compress_image,
     dct2_block,
     idct2_block,
     jpeg_block_kernel,
     make_application,
 )
 from repro.errors import ConfigurationError
+from tests.apps.oracles import compress_image
 
 blocks = arrays(
     dtype=float,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.datasets import flower_image, gradient_image
+from repro.apps.datasets import flower_image
 from repro.apps.mosaic import (
     approx_average_brightness,
     average_brightness,
@@ -11,6 +11,7 @@ from repro.apps.mosaic import (
     perforation_error_survey,
 )
 from repro.errors import ConfigurationError
+from tests.apps.oracles import gradient_image
 
 
 class TestBrightness:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps.datasets import (
-    checkerboard,
     extract_patches3x3,
-    gradient_image,
     natural_image,
 )
-from repro.apps.sobel import KERNEL_X, KERNEL_Y, make_application, sobel_image, sobel_kernel
+from repro.apps.sobel import KERNEL_X, KERNEL_Y, make_application, sobel_kernel
 from repro.errors import ConfigurationError
+from tests.apps.oracles import checkerboard, gradient_image, sobel_image
 
 
 class TestSobelKernel:

@@ -13,6 +13,7 @@ and says which rows moved; one that moves a row into PARTIAL edits
 import copy
 import json
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,6 @@ import pytest
 
 from repro.apps import mosaic
 from repro.apps.registry import APPLICATION_NAMES, get_application
-from repro.approx.memoization import MemoizationQualityManager
 from repro.streams import streams
 from repro.eval import fidelity
 from repro.eval.fidelity import (
@@ -259,29 +259,23 @@ def _stream_seeds(monkeypatch, family, seed):
                          scores={s: np.zeros(10) for s in ("Ideal", "Random", "EMA",
                                                            "treeErrors")})
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    monkeypatch.setattr(fidelity, "flower_image", image)
     monkeypatch.setattr(mosaic, "flower_image", image)
     monkeypatch.setattr(fidelity, "gaussian_case_study", gaussian_case_study)
-    monkeypatch.setattr(fidelity, "PerforationQualityManager", _stop)
     monkeypatch.setattr(fidelity, "prepare_system", _stop)
-    monkeypatch.setattr(MemoizationQualityManager, "process", _stop)
     try:
         {"core": lambda: _core(monkeypatch, seed),
          "fig02": lambda: fidelity._fig02(seed),
          "fig03": lambda: fidelity._fig03(seed),
          "fig05": lambda: fidelity._fig05(seed),
          "tuner": lambda: fidelity._tuner_modes(seed),
-         "sampling": lambda: fidelity._sampling(seed),
-         "alt_accelerators": lambda: fidelity._alt_accelerators(ev, seed),
-         "memoization": lambda: fidelity._memoization(ev, seed)}[family]()
+         "alt_accelerators": lambda: fidelity._alt_accelerators(ev, seed)}[family]()
     except _Drawn:
         pass
     monkeypatch.undo()
     return drawn
 
 
-_FAMILIES = ("core", "fig02", "fig03", "fig05", "tuner", "sampling",
-             "alt_accelerators", "memoization")
+_FAMILIES = ("core", "fig02", "fig03", "fig05", "tuner", "alt_accelerators")
 
 
 @pytest.fixture(scope="module")
@@ -296,8 +290,7 @@ def drawn():
 def test_the_ledgers_own_experiments_draw_disjoint_streams_across_seeds(
         drawn, family):
     """Seeds 0-4 are independent replicates: no generator seed ``family``
-    draws at one seed (derived ones included: Fig. 3's and the sampling
-    experiment's images, the memoization manager's second stream) is
+    draws at one seed (derived ones included: Fig. 3's images) is
     drawn at another, by the core or by any of the ledger's experiments.
     So the ledger's [min–max] over them is an interval for the median of
     the seed population."""
@@ -345,6 +338,17 @@ def test_every_source_is_a_section():
     sections = [source for source, _, _ in SOURCES]
     assert len(set(sections)) == len(sections)
     assert {item.source for item in (*ROWS, *GRIDS)} <= set(sections)
+
+
+def test_every_extension_quotes_the_paper():
+    """An extension section tests a claim of the paper, and its note
+    quotes that claim's words in double quotes."""
+    extensions = {source: note for source, _, note in SOURCES
+                  if source.endswith("extension")}
+    assert extensions
+    unquoted = [source for source, note in extensions.items()
+                if not re.search(r'"[^"]+"', note)]
+    assert not unquoted
 
 
 @pytest.mark.slow

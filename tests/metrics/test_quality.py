@@ -10,21 +10,8 @@ from repro.metrics.quality import (
     fig2_pair,
     mean_error_fraction,
     psnr,
-    quality_from_error,
     spread_error_image,
 )
-
-
-class TestQualityFromError:
-    def test_complement(self):
-        assert quality_from_error(0.1) == pytest.approx(0.9)
-
-    def test_floors_at_zero(self):
-        assert quality_from_error(1.5) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            quality_from_error(-0.1)
 
 
 class TestMeanErrorFraction:

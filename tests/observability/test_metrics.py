@@ -10,8 +10,6 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_default_registry,
-    set_default_registry,
 )
 
 
@@ -141,15 +139,6 @@ class TestRegistry:
         registry.gauge("zz", "help")
         registry.gauge("aa", "help")
         assert [f["name"] for f in registry.collect()] == ["aa", "zz"]
-
-    def test_default_registry_swap(self):
-        fresh = MetricsRegistry()
-        old = set_default_registry(fresh)
-        try:
-            assert get_default_registry() is fresh
-        finally:
-            set_default_registry(old)
-        assert get_default_registry() is old
 
     def test_thread_safety_of_counter(self):
         counter = Counter("c_total", "help", ("t",))

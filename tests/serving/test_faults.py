@@ -9,8 +9,8 @@ import pytest
 
 from repro.errors import ConfigurationError, ServingError, WorkerCrashError
 from repro.serving import ChaosConfig, ChaosMonkey, InjectedFault
-from repro.serving.faults import corrupt_next_frame
 from repro.serving.shm import FRAME_BATCH, ShmRing
+from tests.serving.frame_faults import corrupt_next_frame
 
 
 class TestChaosConfig:

@@ -110,7 +110,10 @@ class TestProcessWorkerPool:
         processes = [w.process for w in pool.workers]
         assert all(p.is_alive() for p in processes)
         pool.stop()
-        assert all(not p.is_alive() for p in processes)
+        for process in processes:
+            # Closed, which only an exited and reaped process can be.
+            with pytest.raises(ValueError, match="closed"):
+                process.is_alive()
 
     def test_submit_to_dead_worker_raises(self, fft_prototype,
                                           fft_input_pool):
@@ -180,6 +183,17 @@ def _cpu_s(pid: int) -> float:
     """User plus system CPU seconds a process has used."""
     fields = _stat(pid)
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _start_resource_tracker() -> None:
+    """Start the shm resource tracker, whose pipe stays open for good."""
+    warm = ShmRing(1 << 12)
+    warm.close()
+    warm.unlink()
 
 
 @needs_proc
@@ -300,25 +314,30 @@ class TestDoorbells:
                 release.set()
 
     def test_doorbells_leak_no_fd(self, fft_prototype):
-        def open_fds() -> int:
-            return len(os.listdir("/proc/self/fd"))
-
-        warm = ShmRing(1 << 12)  # starts the resource tracker (its pipe stays)
-        warm.close()
-        warm.unlink()
-        # An earlier server's process handles wait for the cycle
-        # collector to close their pipes; collect them before counting,
-        # not in the middle of this pool's life.
-        gc.collect()
-        before = open_fds()
+        _start_resource_tracker()
+        before = _open_fds()
         pool = ProcessWorkerPool(fft_prototype, n_workers=2).start()
         for _ in range(3):
             assert pool.restart_worker(pool.workers[0])
         pool.stop()
-        multiprocessing.active_children()  # forgets the finished workers
-        for worker in pool.workers:
-            worker.process.close()  # the handle's own sentinel pipe
-        assert open_fds() == before
+        assert _open_fds() == before
+
+    def test_a_stopped_server_holds_no_fd(self, fft_prototype, fft_input_pool):
+        """Stopping a process server closes every fd it opened, its
+        worker handles' pipes among them, with the cycle collector off."""
+        _start_resource_tracker()
+        gc.disable()
+        try:
+            before = _open_fds()
+            server = RumbaServer(
+                prototype=fft_prototype.clone_shard(),
+                config=ServerConfig(backend="process", n_workers=2),
+            )
+            with server:
+                server.submit_wait(fft_input_pool[:8], timeout=60)
+            assert _open_fds() == before
+        finally:
+            gc.enable()
 
 
 class _InterruptingSystem:

@@ -240,8 +240,9 @@ class TestStartupHygiene:
             pool.start()
         assert pool.workers == []
         for proc in spawned:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
+            # Closed, which only an exited and reaped process can be.
+            with pytest.raises(ValueError, match="closed"):
+                proc.is_alive()
         assert _shm_listing() == before
 
     def test_restart_refused_before_start_and_after_stop(self,

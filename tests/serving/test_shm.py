@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ServingError
-from repro.serving.faults import corrupt_next_frame
 from repro.serving.shm import (
     FRAME_BATCH,
     FRAME_PAD,
@@ -21,6 +20,7 @@ from repro.serving.shm import (
     ShmRing,
     _span,
 )
+from tests.serving.frame_faults import corrupt_next_frame
 
 
 def used_bytes(ring):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.apps import get_application
-from repro.apps.fft import fft_transform
-from repro.apps.jpeg import compress_image
-from repro.apps.sobel import sobel_image
 from repro.apps.datasets import natural_image
 from repro.core import RumbaConfig, prepare_system
 from repro.eval import evaluate_benchmark, quality_target_analysis
+from tests.apps.oracles import compress_image, fft_transform, sobel_image
 
 
 class TestErrorReductionStory:

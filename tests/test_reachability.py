@@ -12,9 +12,11 @@ module that defines ``Name``, so a re-export keeps nothing alive; tests and
 Within those modules, every function, method and class must be named
 somewhere other than at its definition: as a name, an attribute or an
 import in a reached module, a root script or ``examples/``, or as a
-string outside a docstring there.  Name-based, so a definition that
-shares its name with a used one passes; the exemptions are listed in
-:data:`EXEMPT`.
+string outside a docstring there.  A re-export publishes a name without
+calling it, so a package ``__init__``'s import statements and the
+strings of an ``__all__`` or ``_EXPORTS`` table do not count.
+Name-based, so a definition that shares its name with a used one passes;
+the exemptions are listed in :data:`EXEMPT`.
 """
 
 import ast
@@ -129,19 +131,34 @@ def _docstrings(tree):
             yield node.body[0].value
 
 
-def _names(tree):
+def _reexports(tree, package):
+    """The nodes that only re-export a name: the strings of an ``__all__``
+    or ``_EXPORTS`` table and, in a package's ``__init__``, its import
+    statements.  A name listed there is published, not called."""
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) in ("__all__", "_EXPORTS")
+                for t in stmt.targets):
+            yield from ast.walk(stmt.value)
+        elif package and isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield from stmt.names
+
+
+def _names(tree, package=False):
     """Every name ``tree`` uses: identifiers, attributes, imported names
-    and strings (``getattr``, ``__all__``) that are not docstrings."""
-    docstrings = set(map(id, _docstrings(tree)))
+    and strings (``getattr``) that are neither docstrings nor
+    re-exports."""
+    skip = set(map(id, (*_docstrings(tree), *_reexports(tree, package))))
     for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
 
 
@@ -160,9 +177,10 @@ def test_every_definition_has_a_product_caller():
     reached = _reachable()
     # A package's __init__ runs whenever one of its modules is imported.
     reached |= {p for p in PACKAGES if any(m.startswith(p + ".") for m in reached)}
-    trees = [TREES[m] for m in reached]
-    trees += [ast.parse(path.read_text()) for path in (*ROOT_SCRIPTS, *EXAMPLES)]
-    used = {name for tree in trees for name in _names(tree)}
+    trees = [(TREES[m], m in PACKAGES) for m in reached]
+    trees += [(ast.parse(path.read_text()), False)
+              for path in (*ROOT_SCRIPTS, *EXAMPLES)]
+    used = {name for tree, package in trees for name in _names(tree, package)}
     uncalled = sorted(
         f"{module}.{node.name}"
         for module in reached for node in ast.walk(TREES[module])

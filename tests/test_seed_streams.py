@@ -22,22 +22,15 @@ SCANNED = ("eval", "core", "approx", "predictors/training.py", "__main__.py")
 
 #: (file, function) -> why it derives generator seeds from its stream.
 DERIVED = {
-    ("approx/memoization.py", "fit"):
-        "the manager's checker trains on ``seed + 1``, after its table is "
-        "calibrated on ``seed``",
     ("apps/mosaic.py", "perforation_error_survey"):
         "Fig. 3's survey draws one flower image per row, "
         "``seed * 100003 + i``",
-    ("eval/fidelity.py", "_sampling"):
-        "the sampling experiment draws one flower image per row, "
-        "``stream + i``",
 }
 
 #: (file, function) -> the stream its callers hand it as ``seed``.
 HANDED = {
     ("approx/memoization.py", "__init__"):
-        "``calibration_seed``: the memoization experiment's and the "
-        "ensemble's calibration streams",
+        "``calibration_seed``: the ensemble's calibration stream",
     ("approx/npu_backend.py", "train_npu_backend"):
         "``streams(seed).accelerator`` and the ensemble's member streams",
     ("eval/experiments.py", "gaussian_case_study"):
