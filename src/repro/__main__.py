@@ -188,7 +188,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.apps.workloads import invocation_stream
     from repro.core import prepare_system
-    from repro.core.stream import QualityManagedStream
     from repro.observability import FlightRecorder, MetricsRegistry, Telemetry
     from repro.observability.dashboard import (
         clear_screen_prefix, render_dashboard,
@@ -202,13 +201,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     telemetry = Telemetry(app=args.app, scheme=args.scheme,
                           registry=registry, recorder=recorder)
     system.attach_telemetry(telemetry)
-    stream = QualityManagedStream(system)
     chunks = invocation_stream(
         system.app, args.invocations, args.elements, seed=streams(args.seed).cli
     )
     live = sys.stdout.isatty() and not args.no_live
     for chunk in chunks:
-        stream.feed(chunk)
+        system.run_invocation(chunk, measure_quality=False)
         if live:
             print(clear_screen_prefix(True) + render_dashboard(telemetry))
     if not live:
@@ -460,7 +458,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         *session.timing_rows(),
         ["degradation events",
          server.controller.degrade_events if server.controller else 0],
-        ["drift flagged", stats["drifted"]],
         ["worker restarts", stats["worker_restarts"]],
         ["batch retries", stats["retries"]],
         ["cpu hold", stats["cpu_hold"]],
@@ -484,9 +481,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{m}={v}" for m, v in routed.items())])
     print(format_table(["quantity", "value"], rows, title="Serving session"))
     print(format_table(
-        ["worker", "batches", "elements", "threshold", "drifted", "restarts"],
+        ["worker", "batches", "elements", "threshold", "restarts"],
         [[w["worker"], w["batches"], w["elements"], f"{w['threshold']:.4g}",
-          w["drifted"], w.get("restarts", 0)] for w in stats["workers"]],
+          w.get("restarts", 0)] for w in stats["workers"]],
     ))
     _export(args.export, server.registry)
     if args.flight_log:

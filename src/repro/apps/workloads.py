@@ -1,9 +1,9 @@
 """Invocation-stream workload generator.
 
-Multi-invocation experiments (the online tuner, drift detection, the
-sampling comparison) need *streams* of accelerator invocations rather than
-one big batch.  :func:`invocation_stream` produces one for any Table 1
-benchmark: i.i.d. chunks of the benchmark's own test distribution.
+The online loop (``python -m repro monitor``) runs over a *stream* of
+accelerator invocations rather than one big batch.
+:func:`invocation_stream` produces one for any Table 1 benchmark: i.i.d.
+chunks of the benchmark's own test distribution.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.core.recovery import (
     verify_purity,
 )
 from repro.core.runtime import InvocationRecord, PendingInvocation, RumbaSystem
-from repro.core.stream import DriftDetector, QualityManagedStream, StreamStatus
 from repro.core.tuner import InvocationFeedback, OnlineTuner
 
 __all__ = [
@@ -46,7 +45,4 @@ __all__ = [
     "prepare_system",
     "prepare_backend",
     "clear_cache",
-    "DriftDetector",
-    "QualityManagedStream",
-    "StreamStatus",
 ]

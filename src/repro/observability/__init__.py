@@ -3,8 +3,8 @@
 Rumba's value proposition is *online*: the Fig. 4 detect → recover → tune
 loop runs continuously at deployment, and the quantities the paper's
 evaluation is built on (fire rate, recovered fraction, CPU recovery
-pressure, threshold trajectory, drift flags) are exactly the quantities an
-operator must watch in production.  This package makes them first-class:
+pressure, threshold trajectory) are exactly the quantities an operator
+must watch in production.  This package makes them first-class:
 
 * :mod:`repro.observability.metrics` — a zero-dependency, thread-safe
   metrics registry (labelled counters / gauges / fixed-bucket histograms)

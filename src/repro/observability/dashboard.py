@@ -75,13 +75,9 @@ def render_dashboard(telemetry: Telemetry, width: int = 60) -> str:
         rows.append(["meas. error", _fmt_pct(gauge("rumba_measured_error")),
                      _spark(history["measured_error"])])
     kept_up = gauge("rumba_cpu_kept_up")
-    drifted = gauge("rumba_drifted")
-    status = []
-    if kept_up is not None:
-        status.append("cpu kept up" if kept_up else "CPU BEHIND")
-    if drifted:
-        status.append("DRIFT — retraining needed")
-    rows.append(["status", " · ".join(status) or "-", ""])
+    status = "-" if kept_up is None else (
+        "cpu kept up" if kept_up else "CPU BEHIND")
+    rows.append(["status", status, ""])
     lines.append(format_table(["signal", "now", "recent"], rows))
 
     trajectory = list(history["threshold"])

@@ -155,12 +155,6 @@ class Telemetry:
             "rumba_unchecked_error",
             "Whole-output error without fixes (when measured)", labels,
         ).labels(**ls)
-        self._b_drift_flags = r.counter(
-            "rumba_drift_flags_total", "Drift-detector flags raised", labels
-        ).labels(**ls)
-        self._b_drifted = r.gauge(
-            "rumba_drifted", "1 while the stream awaits retraining", labels
-        ).labels(**ls)
         self._b_latency = r.histogram(
             "rumba_invocation_latency_seconds",
             "Wall time of one full invocation through the loop", labels,
@@ -305,8 +299,3 @@ class Telemetry:
         starts from."""
         self._b_threshold.set(threshold)
         self.on_tuner_move(direction)
-
-    def on_drift(self, drifted_now: bool, awaiting_retraining: bool) -> None:
-        if drifted_now:
-            self._b_drift_flags.inc()
-        self._b_drifted.set(1.0 if awaiting_retraining else 0.0)

@@ -21,7 +21,7 @@ __all__ = ["aggregate_fleet_stats", "merge_stats"]
 def merge_stats(base: Optional[dict], extra: dict) -> dict:
     """Recursively fold ``extra`` into a copy of ``base``.
 
-    Booleans OR (one drifted node means the fleet has drift), other
+    Booleans OR (one degraded node means the fleet is degraded), other
     numbers sum (counters, depths, backlog sizes — histogram bucket
     tables merge through the dict branch), lists concatenate (worker
     tables, slow-request samples), and unequal strings become
@@ -58,7 +58,9 @@ def aggregate_fleet_stats(nodes: List, router: dict) -> dict:
     their cached per-node stats (from the last successful health probe)
     feed the ``aggregate`` section, their supervision state feeds
     ``health``.  Evicted nodes have no cached stats and contribute only
-    a health row.
+    a health row.  The fleet is ``healthy`` only when every reporting
+    node is: the OR that ``merge_stats`` applies suits ``degraded``, not
+    this flag.
     """
     aggregate: dict = {}
     health: Dict[str, dict] = {}
@@ -70,6 +72,10 @@ def aggregate_fleet_stats(nodes: List, router: dict) -> dict:
         if node.stats:
             reporting += 1
             aggregate = merge_stats(aggregate, node.stats)
+    if "healthy" in aggregate:
+        aggregate["healthy"] = all(
+            node.stats.get("healthy", True) for node in nodes if node.stats
+        )
     return {
         "server": "rumba-cluster",
         "state": "running",

@@ -5,7 +5,7 @@ Architecture — one serving core over one worker transport::
     callers ──submit()──► AdmissionQueue (bounded, work-conserving)
                                 │ take()             ▲ batch_done()
        core (this module)  admission pump: stamp, chaos, Batch(seq)
-                           retry heap · backpressure · drift · journal ·
+                           retry heap · backpressure · journal ·
                            trace export · stats · handle resolution
                                 │ dispatch(batch)    ▲ on_complete(report)
                                 ▼                    │ on_failure(error)
@@ -40,7 +40,7 @@ import heapq
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.core.offline import prepare_system
 from repro.core.runtime import RumbaSystem
-from repro.core.stream import DriftDetector
 from repro.errors import (
     ConfigurationError,
     OverloadedError,
@@ -104,8 +103,8 @@ def _batch_level(requests: List[ServeRequest], live: int) -> int:
 
 @dataclass
 class WorkerShard:
-    """The core's view of one worker: load counters, a drift watch and
-    the telemetry its batch reports are read into.
+    """The core's view of one worker: load counters and the telemetry
+    its batch reports are read into.
 
     ``system`` is the worker's shard when it lives in this process (the
     thread transport); a process worker's system is in another address
@@ -114,25 +113,9 @@ class WorkerShard:
 
     name: str
     system: Optional[RumbaSystem] = None
-    drift: DriftDetector = field(default_factory=DriftDetector)
     telemetry: Optional[Telemetry] = None
     batches: int = 0
     elements: int = 0
-
-    @property
-    def drifted(self) -> bool:
-        """True once this worker's checker behaviour has left its band."""
-        return self.drift.drifted
-
-    @property
-    def drift_flags(self) -> int:
-        return self.drift.flags
-
-    def observe_drift(self, fire_fraction: float) -> bool:
-        drifted_now = self.drift.observe(fire_fraction)
-        if self.telemetry is not None:
-            self.telemetry.on_drift(drifted_now, self.drift.drifted)
-        return drifted_now
 
 
 class RumbaServer:
@@ -165,9 +148,6 @@ class RumbaServer:
         (batching, backpressure, retries/supervision, backend, chaos).
     registry:
         Metrics registry to export into (a private one by default).
-    drift_detector_factory:
-        Factory for the per-worker drift detectors (tests inject
-        tightened ones).
 
     Backend semantics, batching policy, backpressure, deadline-budgeted
     retries, and supervision are documented on the config sections and in
@@ -181,7 +161,6 @@ class RumbaServer:
         prototype: Optional[RumbaSystem] = None,
         config: Optional[ServerConfig] = None,
         registry: Optional[MetricsRegistry] = None,
-        drift_detector_factory=DriftDetector,
     ):
         config = (config or ServerConfig()).with_overrides(**{
             k: v for k, v in (("app", app), ("scheme", scheme))
@@ -211,7 +190,6 @@ class RumbaServer:
         # well-defined points; buffers that escape to callers (ServeResult
         # outputs) never come from it.  See serving/bufpool.py.
         self._bufpool = BufferPool()
-        self._drift_factory = drift_detector_factory
 
         self.shards: List[WorkerShard] = []
         self._shard_by_name: Dict[str, WorkerShard] = {}
@@ -422,8 +400,7 @@ class RumbaServer:
             # Publish the starting threshold, as attaching to a system does.
             telemetry.on_threshold(self._prototype.tuner.threshold, 0)
             self.shards.append(WorkerShard(
-                name=name, system=system, drift=self._drift_factory(),
-                telemetry=telemetry,
+                name=name, system=system, telemetry=telemetry,
             ))
         self._shard_by_name = {shard.name: shard for shard in self.shards}
         bp = self.config.backpressure
@@ -728,7 +705,6 @@ class RumbaServer:
         with self._shard_lock:  # a transport may report from any thread
             shard.batches += 1
             shard.elements += rows
-            shard.observe_drift(report.get("fire_fraction", 0.0))
         metrics = self._worker_metrics(worker)
         metrics.batches.inc()
         metrics.batch_requests.inc(len(requests))
@@ -1113,7 +1089,7 @@ class RumbaServer:
     # Health / stats                                                     #
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """The health endpoint: lifecycle, queues, degradation, drift.
+        """The health endpoint: lifecycle, queues, degradation, workers.
 
         Everything here is also available as time series through the
         metrics registry; this is the structured point-in-time view a
@@ -1133,8 +1109,6 @@ class RumbaServer:
                 "invocations": int(snap.get("invocations", 0)),
                 "threshold": float(snap.get("threshold", base_threshold)),
                 "degradation_level": int(snap.get("degradation_level", 0)),
-                "drifted": shard.drifted,
-                "drift_flags": shard.drift_flags,
                 "restarts": restarts,
                 "alive": alive,
                 "ensemble": snap.get("ensemble"),
@@ -1181,7 +1155,6 @@ class RumbaServer:
             "recovery_backlog": self._admission.backlog(),
             "degradation_level": degradation,
             "degraded": degradation > 0,
-            "drifted": any(entry["drifted"] for entry in per_worker),
             "worker_restarts": sum(e["restarts"] for e in per_worker),
             "retries": self._retries_total,
             "retry_queue_depth": len(self._retry_heap),

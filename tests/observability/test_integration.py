@@ -1,13 +1,11 @@
 """End-to-end telemetry: one instrumented invocation emits the documented
-metric set and one flight record; the stream layer emits drift metrics;
-the dashboard renders."""
+metric set and one flight record; the dashboard renders."""
 
 import numpy as np
 import pytest
 
 from repro.apps import get_application
 from repro.core import prepare_system
-from repro.core.stream import DriftDetector, QualityManagedStream
 from repro.observability import (
     FlightRecorder,
     MetricsRegistry,
@@ -36,8 +34,6 @@ DOCUMENTED_METRICS = [
     "rumba_cpu_utilization",
     "rumba_measured_error",
     "rumba_unchecked_error",
-    "rumba_drift_flags_total",
-    "rumba_drifted",
     "rumba_invocation_latency_seconds",
     "rumba_invocation_cycles",
     "rumba_phase_spans_total",
@@ -177,25 +173,6 @@ class TestInvocationEmitsMetricSet:
         assert 'rumba_fire_rate{app="fft",scheme="treeErrors"}' in text
         assert "rumba_invocation_latency_seconds_bucket" in text
         assert 'le="+Inf"' in text
-
-
-class TestStreamDriftTelemetry:
-    def test_drift_metrics_emitted(self, fft_inputs):
-        system = prepare_system("fft", scheme="treeErrors", seed=0)
-        registry = MetricsRegistry()
-        system.attach_telemetry(Telemetry(app="fft", scheme="treeErrors",
-                                          registry=registry))
-        stream = QualityManagedStream(
-            system,
-            drift_detector=DriftDetector(calibration_invocations=2),
-        )
-        for i in range(4):
-            stream.feed(fft_inputs[i * 200:(i + 1) * 200])
-        drifted = registry.get("rumba_drifted")
-        assert drifted is not None
-        flags = registry.get("rumba_drift_flags_total")
-        child = flags.labels(app="fft", scheme="treeErrors")
-        assert child.value == stream.drift.flags
 
 
 class TestDashboard:

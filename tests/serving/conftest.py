@@ -95,9 +95,8 @@ class FakeTransport:
 
 @pytest.fixture()
 def fake_server(fft_prototype):
-    """``build(drift=None, backpressure=None, **retry_fields) -> (server,
-    fake)``: a started core over a :class:`FakeTransport`, stopped at
-    teardown.  ``drift`` is the per-worker drift-detector factory."""
+    """``build(backpressure=None, **retry_fields) -> (server, fake)``: a
+    started core over a :class:`FakeTransport`, stopped at teardown."""
     from repro.serving import (
         BackpressureConfig,
         BatchingConfig,
@@ -108,7 +107,7 @@ def fake_server(fft_prototype):
 
     servers = []
 
-    def build(drift=None, backpressure=None, **retry):
+    def build(backpressure=None, **retry):
         server = RumbaServer(
             prototype=fft_prototype,
             config=ServerConfig(
@@ -116,7 +115,6 @@ def fake_server(fft_prototype):
                 backpressure=backpressure or BackpressureConfig(),
                 retry=RetryConfig(**retry),
             ),
-            **({} if drift is None else {"drift_detector_factory": drift}),
         )
         fake = FakeTransport(server._on_complete, server._retry_or_fail)
         server._transport = fake

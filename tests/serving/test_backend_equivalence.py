@@ -72,10 +72,9 @@ class TestBackendEquivalence:
         tw = thread_stats["workers"][0]
         pw = process_stats["workers"][0]
         for key in ("batches", "elements", "invocations", "threshold",
-                    "degradation_level", "drifted", "drift_flags"):
+                    "degradation_level"):
             assert tw[key] == pw[key], key
-        for key in ("inflight_requests", "degradation_level", "degraded",
-                    "drifted"):
+        for key in ("inflight_requests", "degradation_level", "degraded"):
             assert thread_stats[key] == process_stats[key], key
 
     def test_stats_shape_matches_across_backends(self, fft_prototype,
@@ -111,8 +110,7 @@ class TestBackendEquivalence:
             }
         assert set(exported["thread"]) == set(exported["process"])
         assert {"rumba_fires_total", "rumba_recovered_total",
-                "rumba_phase_seconds_total", "rumba_drifted",
-                "rumba_drift_flags_total"} <= set(exported["process"])
+                "rumba_phase_seconds_total"} <= set(exported["process"])
         for name in ("rumba_invocations_total", "rumba_checks_total",
                      "rumba_fires_total", "rumba_recovered_total",
                      "rumba_phase_spans_total", "rumba_tuner_moves_total",

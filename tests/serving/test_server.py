@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.stream import DriftDetector
 from repro.errors import OverloadedError, ServingError
 from repro.observability import MetricsRegistry
 from repro.serving import (
@@ -17,7 +16,6 @@ from repro.serving import (
     RumbaServer,
     ServerConfig,
 )
-from repro.serving.server import WorkerShard
 
 
 def _server(prototype, registry=None, **config):
@@ -114,10 +112,9 @@ class TestLifecycle:
         assert stats["scheme"] == "treeErrors"
         assert stats["inflight_requests"] == 0
         assert stats["degradation_level"] == 0
-        assert stats["drifted"] is False
         assert len(stats["workers"]) == 2
         for worker in stats["workers"]:
-            assert {"worker", "batches", "threshold", "drifted"} <= set(worker)
+            assert {"worker", "batches", "threshold"} <= set(worker)
 
     def test_empty_request_rejected(self, fft_prototype):
         with _server(fft_prototype) as server:
@@ -406,22 +403,3 @@ class TestRecordRetention:
             assert shard.system.total_invocations == 30
             assert len(shard.system.records) <= 8
             assert server.stats()["workers"][0]["invocations"] == 30
-
-
-class TestDrift:
-    def test_worker_shard_flags_drift(self):
-        import types
-
-        shard = WorkerShard(
-            name="w0",
-            system=types.SimpleNamespace(telemetry=None),
-            drift=DriftDetector(
-                calibration_invocations=2, tolerance_sigmas=1.0,
-                min_band=0.01, max_band=0.02, smoothing=1.0,
-            ),
-        )
-        assert not shard.observe_drift(0.10)
-        assert not shard.observe_drift(0.10)  # calibration done
-        assert shard.observe_drift(0.90)
-        assert shard.drifted
-        assert shard.drift_flags == 1

@@ -190,3 +190,19 @@ def test_every_definition_has_a_product_caller():
         f"only tests call {uncalled}: call them from the product or delete "
         "them (a helper a test needs moves into tests/)"
     )
+
+
+def test_every_repro_import_names_a_module():
+    """``_resolve`` skips a source that is not under ``src/repro``, so
+    without this check a function-level import of a deleted module
+    would go unnoticed until the function ran."""
+    files = [(module, tree) for module, tree in TREES.items()]
+    files += [(str(path.relative_to(REPO)), ast.parse(path.read_text()))
+              for path in (*ROOT_SCRIPTS, *EXAMPLES)]
+    missing = sorted(
+        f"{where}: {source}"
+        for where, tree in files
+        for source, _, _ in _imports(tree, where if where in TREES else "")
+        if (source == "repro" or source.startswith("repro."))
+        and source not in TREES)
+    assert not missing, f"imports of modules that do not exist: {missing}"
