@@ -130,7 +130,7 @@ def run_ensemble_sweep():
             best, best_margin, best_mix = base, 0.0, {0: n}
             for margin in ENSEMBLE_MARGINS:
                 ensemble.router.margin = margin
-                choices = ensemble.route(features, threshold=target)
+                choices = ensemble.router.route(features, threshold=target)
                 savings = _routed_savings(
                     ensemble, cost_model, checker, scores, member_errors,
                     choices, target,

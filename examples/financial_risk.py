@@ -16,7 +16,7 @@ Run:  python examples/financial_risk.py
 import numpy as np
 
 from repro.apps.blackscholes import generate_options
-from repro.core import RumbaConfig, TunerMode, prepare_system
+from repro.core import RumbaConfig, TunerMode, prepare_system, summarize
 
 ITERATION_BUDGET = 0.10  # the desk allows re-pricing 10% of the book exactly
 
@@ -46,11 +46,10 @@ def main() -> None:
               f"{record.measured_error * 100:8.2f}%")
 
     late = system.records[6:]
-    mean_fix = np.mean([r.fix_fraction for r in late])
-    print(f"\nsteady-state re-pricing rate: {mean_fix * 100:.1f}% "
+    steady = summarize(late, config.target_output_error)
+    print(f"\nsteady-state re-pricing rate: {steady.fix_fraction * 100:.1f}% "
           f"(budget {ITERATION_BUDGET * 100:.0f}%)")
-    print(f"steady-state error: "
-          f"{np.mean([r.measured_error for r in late]) * 100:.2f}% vs "
+    print(f"steady-state error: {steady.measured_error * 100:.2f}% vs "
           f"{np.mean([r.unchecked_error for r in late]) * 100:.2f}% unchecked")
 
 

@@ -12,7 +12,7 @@ member, :class:`~repro.approx.npu_backend.NPUBackend` and frozen
     N ranked backends (rank 0 = highest quality, the *reference*
     member) with measured cost profiles from
     :class:`~repro.core.costs.CostModel`, batch-vectorized routed
-    execution, per-member counters, and blended cost accounting.
+    execution, per-member routed-row counts, and blended cost accounting.
 :class:`InvocationRouter`
     Picks a member per row from the row's features plus the current TOQ
     threshold: the cheapest member whose *predicted* error (per-member
@@ -206,9 +206,6 @@ class ApproximatorEnsemble:
         self.members = list(members)
         self.router = router
         self.rows_routed = np.zeros(len(members), dtype=np.int64)
-        self.fires_by_member = np.zeros(len(members), dtype=np.int64)
-        #: The backpressure level of the last routed call.
-        self.degradation_level = 0
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -226,8 +223,6 @@ class ApproximatorEnsemble:
         return {
             "members": self.member_names,
             "routed": [int(v) for v in self.rows_routed],
-            "fires": [int(v) for v in self.fires_by_member],
-            "degradation_level": self.degradation_level,
         }
 
     # ------------------------------------------------------------------ #
@@ -236,12 +231,6 @@ class ApproximatorEnsemble:
     def router_features(self, inputs: np.ndarray) -> np.ndarray:
         """The router scores raw kernel inputs (all columns)."""
         return np.atleast_2d(np.asarray(inputs, dtype=float))
-
-    def route(
-        self, features: np.ndarray, threshold: float, level: int = 0
-    ) -> np.ndarray:
-        self.degradation_level = level
-        return self.router.route(features, threshold, level)
 
     def member_ids(self, choices: np.ndarray) -> np.ndarray:
         """Per-row member choices as int8 indices.
@@ -293,14 +282,6 @@ class ApproximatorEnsemble:
             out[rows] = member.backend(inputs[rows])
             self.rows_routed[idx] += rows.size
         return out
-
-    def observe_detection(
-        self, choices: np.ndarray, bits: np.ndarray
-    ) -> None:
-        """Accumulate per-member fire counters after detection."""
-        choices = np.asarray(choices).ravel()
-        bits = np.asarray(bits, dtype=bool).ravel()
-        np.add.at(self.fires_by_member, choices[bits], 1)
 
     # ------------------------------------------------------------------ #
     # Blended cost accounting                                            #

@@ -18,6 +18,7 @@ from repro.core.recovery import (
     verify_purity,
 )
 from repro.core.runtime import InvocationRecord, PendingInvocation, RumbaSystem
+from repro.core.runtime import StreamSummary, summarize
 from repro.core.tuner import InvocationFeedback, OnlineTuner
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "RumbaSystem",
     "InvocationRecord",
     "PendingInvocation",
+    "StreamSummary",
+    "summarize",
     "prepare_system",
     "prepare_backend",
     "clear_cache",

@@ -3,8 +3,9 @@
 For every output element the detection module computes the predictor's
 score and fires a check when the score exceeds the tuning threshold; firing
 sets the element's *recovery bit* (the bits vector is the recovery queue).
-The module also keeps the statistics the evaluation needs (fire counts,
-score traces) and knows its own hardware cost via :class:`CheckerModel`.
+Each invocation's :class:`DetectionResult` carries its scores and bits
+(the record's fire counts come from them), and the module knows its own
+hardware cost via :class:`CheckerModel`.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ class DetectionModule:
             n_inputs=max(n_inputs, 1),
             tree_depth=tree_depth,
         )
-        self.total_checks = 0
-        self.total_fires = 0
 
     def detect_into(
         self,
@@ -93,7 +92,6 @@ class DetectionModule:
             ),
             dtype=float,
         ).ravel()
-        n = scores.shape[0]
         bits = np.greater(scores, self.threshold)
         # A non-finite score means the accelerator (or the checker datapath)
         # produced garbage for that element; a hardware checker's sanity
@@ -102,12 +100,5 @@ class DetectionModule:
         if not finite.all():
             np.logical_not(finite, out=finite)
             np.logical_or(bits, finite, out=bits)
-        n_fired = int(bits.sum())
-        self.total_checks += n
-        self.total_fires += n_fired
         return DetectionResult(scores=scores, recovery_bits=bits,
                                threshold=self.threshold)
-
-    def check_energy_pj(self, n_elements: int) -> float:
-        """Checker energy for one invocation of ``n_elements`` checks."""
-        return self.checker.check_energy_pj() * n_elements

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import Application
-from repro.apps.registry import get_application
+from repro.apps.registry import APPLICATION_NAMES, get_application
 from repro.approx.ensemble import (
     ApproximatorEnsemble,
     EnsembleSpec,
@@ -68,9 +68,11 @@ _PACKAGE = Path(__file__).resolve().parents[1]
 #: gitignored.
 STORE_DIR = _PACKAGE.parents[1] / ".cache" / "npu"
 #: What training reads, relative to the package: a byte changed in any of
-#: them changes every store key.
-_TRAINING_SOURCES = ("nn/*.py", "apps/*.py", "approx/npu_backend.py",
-                     "core/offline.py", "streams.py")
+#: them changes every store key.  Of ``apps/``, the suite's kernels and
+#: what they build on; no trainer reads ``workloads.py`` or ``mosaic.py``.
+_TRAINING_SOURCES = ("nn/*.py", "approx/npu_backend.py", "core/offline.py",
+                     "streams.py", *(f"apps/{name}.py" for name in (
+                         "base", "datasets", "registry", *APPLICATION_NAMES)))
 #: What a checker is fit from: its network's sources and the fitters, so
 #: editing a checker refits checkers without retraining networks.
 _CHECKER_SOURCES = _TRAINING_SOURCES + ("predictors/*.py",)

@@ -89,7 +89,6 @@ class RecoveryModule:
         self.exact_kernel = exact_kernel
         self.verify = verify
         self._verified = False
-        self.total_recoveries = 0
 
     def recover(
         self,
@@ -125,7 +124,6 @@ class RecoveryModule:
             np.asarray(self.exact_kernel(inputs[indices]), dtype=float)
         )
         merged = merge_outputs(approx_outputs, exact, indices)
-        self.total_recoveries += int(indices.size)
         return RecoveryResult(
             merged_outputs=merged,
             recovery_indices=indices,

@@ -28,10 +28,11 @@ check per invocation.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, MutableSequence, Optional, Tuple
+from typing import Dict, Iterable, List, MutableSequence, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from repro.core.tuner import InvocationFeedback, OnlineTuner
 from repro.errors import ConfigurationError
 from repro.hardware.energy import EnergyModel
 from repro.hardware.npu import NPUModel
-from repro.hardware.queues import ConfigQueue
 from repro.observability.instrument import Telemetry
 from repro.observability.reqtrace import (
     STAGE_COMPUTE,
@@ -61,7 +61,8 @@ from repro.observability.reqtrace import (
 )
 from repro.predictors.base import ErrorPredictor
 
-__all__ = ["RumbaSystem", "InvocationRecord", "PendingInvocation"]
+__all__ = ["RumbaSystem", "InvocationRecord", "PendingInvocation",
+           "StreamSummary", "summarize"]
 
 
 @dataclass
@@ -128,6 +129,46 @@ class InvocationRecord:
         return facts
 
 
+@dataclass(frozen=True)
+class StreamSummary:
+    """A run of invocation records reduced by :func:`summarize`: the mean
+    fix fraction, measured error and energy savings, and the shares of
+    records over the error budget and where the CPU kept up.  The two
+    error fields are None unless every record was measured."""
+
+    n: int
+    fix_fraction: float
+    measured_error: Optional[float]
+    over_budget: Optional[float]
+    kept_up: float
+    energy_savings: float
+
+
+def summarize(
+    records: Iterable[InvocationRecord], error_budget: float
+) -> StreamSummary:
+    """The one reduction over invocation records.  Each mean is the
+    ``fsum`` of the sorted values, so no record order moves a bit; an
+    empty input raises :class:`ConfigurationError`."""
+    records = list(records)
+    if not records:
+        raise ConfigurationError("no invocations recorded")
+
+    def mean(values) -> float:
+        return math.fsum(sorted(map(float, values))) / len(records)
+
+    errors = [r.measured_error for r in records]
+    measured = None not in errors
+    return StreamSummary(
+        n=len(records),
+        fix_fraction=mean(r.fix_fraction for r in records),
+        measured_error=mean(errors) if measured else None,
+        over_budget=mean(e > error_budget for e in errors) if measured else None,
+        kept_up=mean(r.pipeline.cpu_kept_up for r in records),
+        energy_savings=mean(r.costs.energy_savings for r in records),
+    )
+
+
 @dataclass
 class PendingInvocation:
     """The accelerator-side half of one invocation, awaiting CPU recovery.
@@ -163,8 +204,8 @@ class RumbaSystem:
     ----------
     max_records:
         When set, :attr:`records` becomes a ring buffer of that length so
-        long-running deployments do not grow without bound; the windowed
-        summaries then cover the retained records, while lifetime
+        long-running deployments do not grow without bound; a windowed
+        :func:`summarize` then covers the retained records, while lifetime
         aggregates remain available through an attached telemetry's
         metrics registry.  Default (None) keeps every record, matching the
         experimenters' workflows.
@@ -220,12 +261,6 @@ class RumbaSystem:
         self._check_cycles = checker.check_cycles()
         self._placed = None if self.config.detector_placement == 1 else (
             evaluate_placement(2, npu, checker, backend.topology, 0.0))
-        # Fig. 4: the accelerator configuration and the checker
-        # coefficients travel over the same config queue at kernel launch.
-        self.config_queue = ConfigQueue()
-        self.config_queue.send(
-            "accelerator", backend.network.get_flat_params()
-        )
         if predictor.is_fitted:
             coefficients = predictor.coefficients()
             if coefficients:
@@ -235,7 +270,6 @@ class RumbaSystem:
                         f"{predictor.name} ships {len(coefficients)} "
                         f"coefficients but declares {expected}"
                     )
-                self.config_queue.send("checker", coefficients)
         self.max_records = max_records
         self.records: MutableSequence[InvocationRecord] = (
             [] if max_records is None else deque(maxlen=max_records)
@@ -342,7 +376,7 @@ class RumbaSystem:
                             "forced_choices needs one entry per row"
                         )
                 else:
-                    choices = self.ensemble.route(
+                    choices = self.ensemble.router.route(
                         self.ensemble.router_features(inputs), threshold,
                         level,
                     )
@@ -372,8 +406,6 @@ class RumbaSystem:
                 true_errors=true_errors,
             )
             bits = detection.recovery_bits
-            if self.ensemble is not None:
-                self.ensemble.observe_detection(choices, bits)
             stages.append((STAGE_DETECT, clock()))
         except BaseException:
             if self.telemetry is not None:
@@ -525,12 +557,3 @@ class RumbaSystem:
     ) -> List[InvocationRecord]:
         """Run a sequence of invocations (the online tuner adapts between)."""
         return [self.run_invocation(x, measure_quality) for x in invocations]
-
-    # ------------------------------------------------------------------ #
-    # Summaries                                                          #
-    # ------------------------------------------------------------------ #
-    @property
-    def mean_fix_fraction(self) -> float:
-        if not self.records:
-            raise ConfigurationError("no invocations recorded")
-        return float(np.mean([r.fix_fraction for r in self.records]))

@@ -35,6 +35,7 @@ from repro.core.config import RumbaConfig, TunerMode
 from repro.core.offline import checker_data, prepare_system
 from repro.core.pipeline import max_keepup_fix_fraction
 from repro.core.placement import evaluate_placement
+from repro.core.runtime import summarize
 from repro.errors import ConfigurationError
 from repro.eval.experiments import (
     DEFAULT_TARGET_ERROR, cpu_activity_case_study, energy_speedup_table,
@@ -237,11 +238,10 @@ def _tuner_modes(seed: int) -> Data:
     ):
         config = RumbaConfig(scheme="treeErrors", mode=mode, **extra)
         system = prepare_system("fft", config=config, seed=seed)
-        late = system.run_stream(chunks)[-6:]
-        result[label] = {"fix_fraction": float(np.mean([r.fix_fraction for r in late])),
-                         "error": float(np.mean([r.measured_error for r in late])),
+        late = summarize(system.run_stream(chunks)[-6:], config.target_output_error)
+        result[label] = {"fix_fraction": late.fix_fraction, "error": late.measured_error,
                          "threshold": system.tuner.threshold,
-                         "kept_up": all(r.pipeline.cpu_kept_up for r in late)}
+                         "kept_up": late.kept_up == 1.0}
     result["keepup_limit"] = max_keepup_fix_fraction(
         system.cost_model.npu.invocation_cycles(system.backend.topology),
         system.cost_model.cpu_iteration_cycles())

@@ -1,13 +1,11 @@
 """Hardware substrate models: CPU energy/timing (GEM5+McPAT substitute),
-the 8-PE NPU accelerator, the checker datapaths of Fig. 7, and the
-config queue of Fig. 4.
+the 8-PE NPU accelerator and the checker datapaths of Fig. 7.
 """
 
 from repro.hardware.checker_hw import CheckerCostParams, CheckerModel
 from repro.hardware.energy import EnergyModel, InstructionMix
 from repro.hardware.microarch import TABLE2_X86_64, MicroArchParams
 from repro.hardware.npu import NPUConfig, NPUModel
-from repro.hardware.queues import ConfigQueue
 
 __all__ = [
     "MicroArchParams",
@@ -18,5 +16,4 @@ __all__ = [
     "NPUModel",
     "CheckerModel",
     "CheckerCostParams",
-    "ConfigQueue",
 ]

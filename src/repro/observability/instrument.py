@@ -202,6 +202,11 @@ class Telemetry:
         """
         return dict(self._labels)
 
+    @property
+    def counted(self) -> Tuple[int, int]:
+        """``(invocations, elements)``: its two running-count series."""
+        return int(self._b_invocations.value), int(self._b_elements.value)
+
     # ------------------------------------------------------------------ #
     # The record reader                                                  #
     # ------------------------------------------------------------------ #

@@ -115,11 +115,11 @@ class ErrorPredictor(ABC):
         """
 
     def coefficient_count(self) -> int:
-        """Words transferred over the config queue to program the checker."""
+        """Words it takes to program the checker hardware."""
         return 0
 
     def coefficients(self) -> List[float]:
-        """The actual words shipped over the config queue, in order.
+        """The words that program the checker hardware, in order.
 
         Must have exactly :meth:`coefficient_count` entries; schemes with
         no hardware realization (oracle/baselines) ship nothing.

@@ -3,8 +3,8 @@
 Given a benchmark and its trained accelerator backend, this module
 assembles the training material for the error predictors (accelerator
 features, accelerator outputs, observed per-element errors) and fits the
-requested checker.  The coefficients it produces are what the runtime
-ships to the checker hardware over the config queue.
+requested checker.  The coefficients it produces are what programs the
+checker hardware.
 """
 
 from __future__ import annotations

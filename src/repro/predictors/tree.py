@@ -111,7 +111,7 @@ class DecisionTreeErrorPredictor(ErrorPredictor):
         self.root: Optional[TreeNode] = None
         self._n_features = 0
         # Built by _ready() when the tree is fitted or loaded: scoring
-        # and the config queue read them and build nothing.
+        # and coefficients() read them and build nothing.
         self._flat: Optional[Tuple[np.ndarray, ...]] = None
         self._preorder: List[Tuple[int, float, float]] = []
         self._coefficients: List[float] = []

@@ -88,9 +88,6 @@ def worker_snapshot(
         "invocations": int(system.total_invocations),
         "threshold": float(system.tuner.threshold_at(level)),
         "degradation_level": level,
-        "total_checks": int(system.detection.total_checks),
-        "total_fires": int(system.detection.total_fires),
-        "total_recoveries": int(system.recovery.total_recoveries),
     }
     if record is not None:
         snap.update(record.facts())

@@ -103,8 +103,8 @@ def _batch_level(requests: List[ServeRequest], live: int) -> int:
 
 @dataclass
 class WorkerShard:
-    """The core's view of one worker: load counters and the telemetry
-    its batch reports are read into.
+    """The core's view of one worker: the telemetry its batch reports
+    are read into, which also counts its batches and elements.
 
     ``system`` is the worker's shard when it lives in this process (the
     thread transport); a process worker's system is in another address
@@ -114,8 +114,6 @@ class WorkerShard:
     name: str
     system: Optional[RumbaSystem] = None
     telemetry: Optional[Telemetry] = None
-    batches: int = 0
-    elements: int = 0
 
 
 class RumbaServer:
@@ -193,7 +191,6 @@ class RumbaServer:
 
         self.shards: List[WorkerShard] = []
         self._shard_by_name: Dict[str, WorkerShard] = {}
-        self._shard_lock = threading.Lock()
         self.controller: Optional[BackpressureController] = None
         self._state = "new"
         self._flight_cond = threading.Condition()
@@ -267,10 +264,6 @@ class RumbaServer:
             "rumba_serve_requests_total",
             "Requests by admission/completion outcome", base + ("outcome",),
         )
-        self._m_batches = r.counter(
-            "rumba_serve_batches_total",
-            "Batches dispatched, per worker", base + ("worker",),
-        )
         self._m_batch_requests = r.counter(
             "rumba_serve_batched_requests_total",
             "Requests dispatched inside batches, per worker",
@@ -324,17 +317,6 @@ class RumbaServer:
             "Requests re-dispatched after a worker fault",
             base + ("worker",),
         )
-        # Worker-internal state, re-exported from each batch's report.
-        self._m_worker_threshold = r.gauge(
-            "rumba_serve_worker_threshold",
-            "Detection threshold last reported by each worker",
-            base + ("worker",),
-        )
-        self._m_worker_invocations = r.gauge(
-            "rumba_serve_worker_invocations",
-            "Invocations completed, last reported by each worker",
-            base + ("worker",),
-        )
         # Ensemble routing: cumulative per-member row counts per worker,
         # from each batch's report; silent when the server runs without
         # an ensemble.
@@ -360,11 +342,8 @@ class RumbaServer:
         if child is None:
             labels = dict(self._labels, worker=name)
             child = SimpleNamespace(
-                batches=self._m_batches.labels(**labels),
                 batch_requests=self._m_batch_requests.labels(**labels),
                 restarts=self._m_worker_restarts.labels(**labels),
-                threshold=self._m_worker_threshold.labels(**labels),
-                invocations=self._m_worker_invocations.labels(**labels),
             )
             self._worker_children[name] = child
         return child
@@ -701,15 +680,7 @@ class RumbaServer:
             for trace in batch.traced:
                 trace.splice(stages)
             shard.telemetry.observe(stages, report)
-        rows = sum(r.n_elements for r in requests)
-        with self._shard_lock:  # a transport may report from any thread
-            shard.batches += 1
-            shard.elements += rows
-        metrics = self._worker_metrics(worker)
-        metrics.batches.inc()
-        metrics.batch_requests.inc(len(requests))
-        metrics.threshold.set(report.get("threshold", 0.0))
-        metrics.invocations.set(report.get("invocations", 0))
+        self._worker_metrics(worker).batch_requests.inc(len(requests))
         if report.get("ensemble") is not None:
             self._export_ensemble(worker, report["ensemble"])
         try:
@@ -721,7 +692,7 @@ class RumbaServer:
                 requests,
                 blocks=blocks,
                 layouts=(
-                    self._journal_layout(batch, report, rows)
+                    self._journal_layout(batch, report)
                     if self.journal is not None else None
                 ),
                 worker=worker,
@@ -861,7 +832,7 @@ class RumbaServer:
         })
 
     @staticmethod
-    def _journal_layout(batch: Batch, report: Dict[str, object], rows: int):
+    def _journal_layout(batch: Batch, report: Dict[str, object]):
         """Per-request journal coordinates for one completed batch.
 
         Each request gets ``(header fields, decision bits)``: the batch's
@@ -881,7 +852,8 @@ class RumbaServer:
         choices = None
         if report.get("backend_ids") is not None:
             choices = np.frombuffer(report["backend_ids"], dtype=np.int8)
-        shared = {"batch": batch.seq, "batch_rows": rows,
+        shared = {"batch": batch.seq,
+                  "batch_rows": sum(r.n_elements for r in batch.requests),
                   "level": batch.level}
         for key in ("threshold", "measured_error"):
             if report.get(key) is not None:
@@ -1101,11 +1073,11 @@ class RumbaServer:
         )
         per_worker = []
         for name, alive, restarts, snap in self._transport.workers():
-            shard = self._shard_by_name[name]
+            batches, elements = self._shard_by_name[name].telemetry.counted
             per_worker.append({
                 "worker": name,
-                "batches": shard.batches,
-                "elements": shard.elements,
+                "batches": batches,
+                "elements": elements,
                 "invocations": int(snap.get("invocations", 0)),
                 "threshold": float(snap.get("threshold", base_threshold)),
                 "degradation_level": int(snap.get("degradation_level", 0)),

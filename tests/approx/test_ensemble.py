@@ -239,23 +239,11 @@ class TestApproximatorEnsemble:
                 ens.forward_routed(probe, choices)
         assert ens.rows_routed.sum() == 0
 
-    def test_observe_detection_accumulates_fires(self, fft_app,
-                                                 fft_backend):
-        ens = self._ensemble(fft_app, fft_backend)
-        choices = np.array([0, 1, 1, 2, 2, 2], dtype=np.int8)
-        bits = np.array([True, True, False, True, True, False])
-        ens.observe_detection(choices, bits)
-        ens.observe_detection(choices, bits)
-        np.testing.assert_array_equal(ens.fires_by_member, [2, 2, 4])
-
     def test_snapshot_shape(self, fft_app, fft_backend):
         snap = self._ensemble(fft_app, fft_backend).snapshot()
         assert snap["members"] == ["mlp-large", "quantize", "perforate"]
         assert snap["routed"] == [0, 0, 0]
-        assert snap["fires"] == [0, 0, 0]
-        assert snap["degradation_level"] == 0
-        assert set(snap) == {"members", "routed", "fires",
-                             "degradation_level"}
+        assert set(snap) == {"members", "routed"}
 
     def test_clone_shard_isolation(self, fft_app, fft_backend, probe):
         ens = self._ensemble(fft_app, fft_backend)
@@ -265,17 +253,11 @@ class TestApproximatorEnsemble:
         assert clone.members[0].backend is ens.members[0].backend
         for mine, theirs in zip(clone.members, ens.members):
             assert mine.error_predictor is theirs.error_predictor
-        # Router, counters and degradation are private to the shard.
+        # Router and counters are private to the shard.
         assert clone.router is not ens.router
-        clone.route(probe, 0.1, level=3)
         clone.forward_routed(probe, np.zeros(probe.shape[0],
                                              dtype=np.int8))
-        clone.observe_detection(np.zeros(4, dtype=np.int8),
-                                np.ones(4, dtype=bool))
-        assert clone.snapshot()["degradation_level"] == 3
-        assert ens.snapshot()["degradation_level"] == 0
         assert ens.rows_routed.sum() == 0
-        assert ens.fires_by_member.sum() == 0
 
     def test_blended_invocation_cycles_interpolates(self, fft_app,
                                                     fft_backend):
@@ -353,7 +335,7 @@ class TestBuiltEnsemble:
         ens = fft_ensemble.clone_shard()
         rng = np.random.default_rng(9)
         x = np.atleast_2d(fft_app.test_inputs(rng))[:128]
-        choices = ens.route(ens.router_features(x), threshold=0.05)
+        choices = ens.router.route(ens.router_features(x), threshold=0.05)
         assert choices.shape == (128,)
         assert choices.min() >= 0
         assert choices.max() < len(ens.members)

@@ -216,6 +216,21 @@ class TestStore:
         (copy / "approx" / "npu_backend.py").unlink()
         assert offline._source_digest(copy) is None  # no store, not a guess
 
+    def test_the_digest_covers_what_trainers_read(self, tmp_path):
+        """``apps/workloads.py`` feeds ``repro monitor``, no trainer: an
+        edit there keeps every store key; one to a kernel changes them."""
+        copies = [tmp_path / name / "repro" for name in ("a", "b")]
+        for copy in copies:
+            shutil.copytree(offline._PACKAGE, copy,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        edited = copies[1] / "apps"
+        for name in ("workloads.py", "fft.py"):
+            (edited / name).write_text((edited / name).read_text() + "\n")
+            same = name == "workloads.py"
+            digests = [offline._source_digest(package=c) for c in copies]
+            assert None not in digests
+            assert (digests[0] == digests[1]) is same, name
+
     @pytest.mark.parametrize("damage", ["truncated", "flipped", "wrong_shape"])
     def test_a_damaged_file_retrains_and_is_rewritten(self, store, trainings,
                                                       damage):

@@ -84,14 +84,6 @@ class TestRecoveryModule:
         with pytest.raises(ConfigurationError):
             module.recover(np.ones((3, 1)), np.ones((3, 1)), np.array([True]))
 
-    def test_total_recoveries_accumulates(self):
-        module = RecoveryModule(double_kernel)
-        inputs = np.ones((4, 1))
-        approx = np.ones((4, 1))
-        module.recover(inputs, approx, np.array([True, True, False, False]))
-        module.recover(inputs, approx, np.array([True, False, False, False]))
-        assert module.total_recoveries == 3
-
     def test_impure_kernel_rejected(self):
         state = {"calls": 0}
 

@@ -402,3 +402,26 @@ def test_the_shared_store_reproduces_every_other_seed(runs, monkeypatch, seed):
     data = json.loads(json.dumps(collect(APPLICATION_NAMES, seed=seed),
                                  allow_nan=False))
     _assert_close(data, runs[seed])
+
+
+def test_the_tuner_rows_are_summaries_of_their_streams(monkeypatch):
+    """Each ``ablation.tuner`` mode reads :func:`summarize` over the last
+    six records of its own stream, at its own error budget."""
+    from repro.core import RumbaSystem, summarize
+
+    ran = []
+    run_stream = RumbaSystem.run_stream
+
+    def recording(system, *args, **kwargs):
+        records = run_stream(system, *args, **kwargs)
+        ran.append((system.config, records))
+        return records
+
+    monkeypatch.setattr(RumbaSystem, "run_stream", recording)
+    rows = fidelity._tuner_modes(0)
+    assert len(ran) == 3
+    for label, (config, records) in zip(("toq", "energy", "quality"), ran):
+        late = summarize(records[-6:], config.target_output_error)
+        assert rows[label]["fix_fraction"] == late.fix_fraction
+        assert rows[label]["error"] == late.measured_error
+        assert rows[label]["kept_up"] == (late.kept_up == 1.0)

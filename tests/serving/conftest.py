@@ -79,13 +79,22 @@ class FakeTransport:
         return [("f0", True, 0, {})]
 
     def complete(self, batch, **report):
-        """Finish ``batch``; ``report`` adds to (or overrides) the bare
-        worker report."""
+        """Finish ``batch`` with the report the transport contract
+        describes: a record's facts (a quarter of the rows fixed) and its
+        stage chain.  ``report`` adds to or overrides any of it."""
         self.batches.remove(batch)
         rows = sum(r.n_elements for r in batch.requests)
+        fixed, now = rows // 4, time.monotonic()
+        facts = {
+            "n_elements": rows, "n_fired": fixed, "n_recovered": fixed,
+            "fire_fraction": fixed / rows, "fix_fraction": fixed / rows,
+            "threshold": 0.1, "tuner_move": 0, "cpu_kept_up": True,
+            "cpu_utilization": 0.5, "makespan_cycles": 100.0 * rows,
+            "stages": [(stage, now) for stage in (
+                "invoke", "compute", "detect", "recover", "tune")],
+        }
         self._on_complete(
-            batch, "f0", np.zeros((rows, 1)),
-            dict({"fix_fraction": 0.25}, **report),
+            batch, "f0", np.zeros((rows, 1)), dict(facts, **report),
         )
 
     def fail(self, batch, error):

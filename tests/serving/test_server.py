@@ -354,7 +354,7 @@ class TestLeavingDegradation:
         rng = np.random.default_rng(round(base * 1000))
         with server:
             controller = server.controller
-            gauge = registry.get("rumba_serve_worker_threshold").labels(
+            gauge = registry.get("rumba_threshold").labels(
                 worker=server.shards[0].name, **server._labels
             )
 
