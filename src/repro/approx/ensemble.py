@@ -26,9 +26,8 @@ routing layer is fit once, offline: :func:`build_ensemble` fits each
 member's error predictor from one shared labelling pass, and the fitted
 predictors are read-only afterwards.  A routing decision therefore
 depends only on the row's features, the threshold and the degradation
-level, and replay runs each batch at its journaled level.  Replay still
-forces the journaled per-row choices, for journals recorded while the
-router learned online; the detection bits come from the statically
+level, and replay runs each batch at its journaled level and re-derives
+its per-row choices; the detection bits come from the statically
 trained scheme predictor and depend only on the row features.
 """
 
@@ -232,22 +231,6 @@ class ApproximatorEnsemble:
         """The router scores raw kernel inputs (all columns)."""
         return np.atleast_2d(np.asarray(inputs, dtype=float))
 
-    def member_ids(self, choices: np.ndarray) -> np.ndarray:
-        """Per-row member choices as int8 indices.
-
-        Raises :class:`ConfigurationError` when any id is outside
-        ``[0, n_members)``, before the int8 cast could wrap it into range:
-        forced choices arrive from callers and journals.
-        """
-        ids = np.asarray(choices).ravel()
-        n_members = len(self.members)
-        outside = (ids < 0) | (ids >= n_members)
-        if outside.any():
-            raise ConfigurationError(
-                f"member id {ids[outside][0]} is outside [0, {n_members})"
-            )
-        return ids.astype(np.int8, copy=False)
-
     def forward_routed(
         self,
         inputs: np.ndarray,
@@ -256,18 +239,14 @@ class ApproximatorEnsemble:
     ) -> np.ndarray:
         """Evaluate a batch through the chosen member per row.
 
+        ``choices`` is the router's output: one member index per row.
         Rows are grouped into per-member sub-batches; a homogeneous
         batch takes the fused ``forward_batch(out=)`` path with zero
         gather copies, preserving the zero-copy hot path for the common
-        case where the router sends a whole batch one way.  A choice
-        outside ``[0, n_members)`` raises :class:`ConfigurationError`
-        before any row is computed.
+        case where the router sends a whole batch one way.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        choices = self.member_ids(choices)
         n = inputs.shape[0]
-        if choices.shape[0] != n:
-            raise ConfigurationError("one routing choice per row required")
         if out is None:
             out = np.empty((n, self.app.n_outputs))
         if n and (choices == choices[0]).all():

@@ -71,8 +71,9 @@ class InvocationRecord:
 
     ``choices`` holds the per-row routed ensemble-member indices (int8)
     when the system runs an :class:`~repro.approx.ensemble.ApproximatorEnsemble`;
-    the serving journal persists them so ``repro replay`` can force the
-    same routing bit-for-bit.  ``None`` on single-backend systems.
+    the serving journal persists them so ``repro replay`` can check that
+    the router re-derives the same routing.  ``None`` on single-backend
+    systems.
 
     ``stages`` is the invocation's timeline: ``(stage, time.monotonic())``
     points in stamping order, names from
@@ -132,13 +133,14 @@ class InvocationRecord:
 @dataclass(frozen=True)
 class StreamSummary:
     """A run of invocation records reduced by :func:`summarize`: the mean
-    fix fraction, measured error and energy savings, and the shares of
-    records over the error budget and where the CPU kept up.  The two
-    error fields are None unless every record was measured."""
+    fix fraction, measured and unchecked error and energy savings, and the
+    shares of records over the error budget and where the CPU kept up.
+    Each error field is None unless every record measured it."""
 
     n: int
     fix_fraction: float
     measured_error: Optional[float]
+    unchecked_error: Optional[float]
     over_budget: Optional[float]
     kept_up: float
     energy_savings: float
@@ -159,10 +161,12 @@ def summarize(
 
     errors = [r.measured_error for r in records]
     measured = None not in errors
+    unchecked = [r.unchecked_error for r in records]
     return StreamSummary(
         n=len(records),
         fix_fraction=mean(r.fix_fraction for r in records),
         measured_error=mean(errors) if measured else None,
+        unchecked_error=None if None in unchecked else mean(unchecked),
         over_budget=mean(e > error_budget for e in errors) if measured else None,
         kept_up=mean(r.pipeline.cpu_kept_up for r in records),
         energy_savings=mean(r.costs.energy_savings for r in records),
@@ -306,7 +310,6 @@ class RumbaSystem:
         self,
         inputs: np.ndarray,
         measure_quality: bool = True,
-        forced_choices: Optional[np.ndarray] = None,
         level: int = 0,
     ) -> InvocationRecord:
         """Run one accelerator invocation through detect-recover-tune.
@@ -318,17 +321,13 @@ class RumbaSystem:
         degradation level for this invocation (see :meth:`begin_invocation`).
         """
         return self.complete_invocation(
-            self.begin_invocation(
-                inputs, measure_quality, forced_choices=forced_choices,
-                level=level,
-            )
+            self.begin_invocation(inputs, measure_quality, level=level)
         )
 
     def begin_invocation(
         self,
         inputs: np.ndarray,
         measure_quality: bool = True,
-        forced_choices: Optional[np.ndarray] = None,
         level: int = 0,
     ) -> PendingInvocation:
         """Accelerator-side half of one invocation: accelerate + detect.
@@ -345,21 +344,13 @@ class RumbaSystem:
 
         On an ensemble system a *route* step precedes acceleration: the
         router picks a member per row, and the routed members compute the
-        batch.  ``forced_choices`` (per-row member indices) bypasses the
-        router — this is how ``repro replay`` reproduces a journaled run
-        bit-for-bit; an index outside ``[0, n_members)`` raises
-        :class:`ConfigurationError`.  Forcing is needed although the
-        router is fit once: journals recorded before the router became
-        read-only were routed by one that learned online.
+        batch.  The router is fit once and reads only the rows, the
+        threshold and the level, so ``repro replay`` re-derives a
+        journaled batch's choices rather than forcing them.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        n = inputs.shape[0]
-        if n == 0:
+        if inputs.shape[0] == 0:
             raise ConfigurationError("invocation needs at least one element")
-        if forced_choices is not None and self.ensemble is None:
-            raise ConfigurationError(
-                "forced_choices requires an ensemble system"
-            )
 
         # The timeline: one clock read per phase boundary, stamped
         # whether or not telemetry is attached (``invoke`` anchors it).
@@ -369,17 +360,9 @@ class RumbaSystem:
         try:
             choices = None
             if self.ensemble is not None:
-                if forced_choices is not None:
-                    choices = self.ensemble.member_ids(forced_choices)
-                    if choices.shape[0] != n:
-                        raise ConfigurationError(
-                            "forced_choices needs one entry per row"
-                        )
-                else:
-                    choices = self.ensemble.router.route(
-                        self.ensemble.router_features(inputs), threshold,
-                        level,
-                    )
+                choices = self.ensemble.router.route(
+                    self.ensemble.router_features(inputs), threshold, level,
+                )
                 stages.append((STAGE_ROUTE, clock()))
                 approx = self.ensemble.forward_routed(inputs, choices)
             else:

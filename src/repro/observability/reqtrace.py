@@ -5,9 +5,8 @@ process; a served request crosses six runtime hops (TCP client → asyncio
 front-end → admission/batch queue → shm ring → process worker →
 completion).  This module is the layer that links them:
 
-* :class:`RequestTrace` — one request's trace context: a u64 trace id, an
-  optional parent span id (reserved for callers that already carry a
-  trace), a sampling flag, and an append-only list of **stage events**
+* :class:`RequestTrace` — one request's trace context: a u64 trace id, a
+  sampling flag, and an append-only list of **stage events**
   — ``(stage_name, time.monotonic())`` pairs stamped at every pipeline
   hop.  Stages are *points*; the waterfall segment attributed to a stage
   is the time from the previous stamp to that stage's stamp.
@@ -151,16 +150,12 @@ class RequestTrace:
     event list is append-only; every read method returns a copy.
     """
 
-    __slots__ = ("trace_id", "parent_span_id", "sampled", "_events", "_lock")
+    __slots__ = ("trace_id", "sampled", "_events", "_lock")
 
     def __init__(
-        self,
-        trace_id: Optional[int] = None,
-        parent_span_id: int = 0,
-        sampled: bool = True,
+        self, trace_id: Optional[int] = None, sampled: bool = True
     ):
         self.trace_id = int(trace_id) if trace_id else new_trace_id()
-        self.parent_span_id = int(parent_span_id)
         self.sampled = bool(sampled)
         self._events: List[Tuple[str, float]] = []
         self._lock = threading.Lock()

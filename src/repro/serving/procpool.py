@@ -167,18 +167,12 @@ def _worker_main(
                 in_ring.advance(frame)
                 continue
             try:
-                # A BATCH frame's extra bytes are the batch's backpressure
-                # level (one byte; none: level 0), then its forced per-row
-                # member choices (int8, replay only); try_read copied them
-                # out of the ring.
+                # A BATCH frame's extra byte is the batch's backpressure
+                # level (none: level 0); try_read copied it out of the ring.
                 extra = frame.extra
-                forced = (
-                    np.frombuffer(extra, dtype=np.int8, offset=1)
-                    if len(extra) > 1 else None
-                )
                 record = system.run_invocation(
                     frame.payload, measure_quality=measure_quality,
-                    forced_choices=forced, level=extra[0] if extra else 0,
+                    level=extra[0] if extra else 0,
                 )
             except Exception as exc:  # forwarded to parent as FRAME_ERROR;
                 # KeyboardInterrupt/SystemExit deliberately propagate so a
@@ -473,7 +467,6 @@ class ProcessWorkerPool:
         timeout_s: float = 30.0,
         trace_id: int = 0,
         level: int = 0,
-        forced: Optional[np.ndarray] = None,
         published=None,
     ) -> None:
         """Ship one batch as per-request row blocks written directly into
@@ -481,8 +474,7 @@ class ProcessWorkerPool:
         path: no parent-side concat buffer exists at all.  ``trace_id``
         (the batch-representative request trace) rides in the frame
         header and is echoed back on the worker's RESULT frame.  The
-        frame's extra bytes carry the batch's backpressure ``level`` (one
-        byte) and, during replay, its ``forced`` routing choices (int8).
+        frame's one extra byte carries the batch's backpressure ``level``.
         ``published()`` runs once the frame is on the ring and before the
         worker is woken, so a stamp it takes precedes the worker's own.
         Raises when the batch cannot be delivered.
@@ -490,8 +482,6 @@ class ProcessWorkerPool:
         if not worker.alive():
             raise ServingError(f"worker {worker.name} is not alive")
         extra = bytes((level,))
-        if forced is not None:
-            extra += forced.tobytes()
         deadline = time.monotonic() + timeout_s
         while not worker.in_ring.write_rows(
             FRAME_BATCH, seq, blocks, extra=extra, trace_id=trace_id

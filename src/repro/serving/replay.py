@@ -12,11 +12,11 @@ own run, and compares record against record:
 
 * **outputs** — raw float64 blocks, byte equality;
 * **decision bits** — the checker's per-row recovery verdicts;
-* **backend ids** — on ensemble runs, the per-row member choices (the
-  recorded ones are *forced* through the replay router, because journals
-  recorded before the router became read-only were routed by one that
-  learned online; a diff here means the journal was tampered with or
-  the forcing path broke);
+* **backend ids** — on ensemble runs, the per-row member choices the
+  replay router re-derives against the recorded ones: the router is fit
+  once and reads only the rows, threshold and level, so a diff here
+  means routing stopped being deterministic (or the journal predates
+  the read-only router, see docs/replay.md);
 * **quality metrics** — threshold, fix fraction, and (when the recorded
   run measured quality) the measured error, exact float equality.
 
@@ -179,9 +179,9 @@ def _diff_batch(
             f"output rows differ (max abs delta {delta:.3e})",
         ))
 
-    member_ids = [m.header.get("backend_ids") for m in members]
-    if all(ids is not None for ids in member_ids):
-        recorded_ids = [int(v) for ids in member_ids for v in ids]
+    recorded_choices = [m.header.get("backend_ids") for m in members]
+    if all(ids is not None for ids in recorded_choices):
+        recorded_ids = [int(v) for ids in recorded_choices for v in ids]
         new_ids = new.header.get("backend_ids")
         if new_ids is None:
             divergences.append(Divergence(
@@ -341,17 +341,10 @@ def replay_journal(
         for seq in order:
             members = complete[seq]
             inputs = _concat([m.inputs for m in members])
-            member_ids = [m.header.get("backend_ids") for m in members]
-            forced = None
-            if all(ids is not None for ids in member_ids):
-                forced = np.concatenate([
-                    np.asarray(ids, dtype=np.int8).ravel()
-                    for ids in member_ids
-                ])
             # Sequential submit-and-wait: request_id i corresponds to
             # order[i], and no two invocations can interleave state.
             server.submit(
-                inputs, deadline_s=_DEADLINE_S, backend_ids=forced,
+                inputs, deadline_s=_DEADLINE_S,
                 level=members[0].header.get("level", 0),
             ).result(_DEADLINE_S)
             replayed += 1

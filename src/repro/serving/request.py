@@ -163,11 +163,6 @@ class ServeRequest:
     #: :class:`~repro.serving.bufpool.BufferPool`; the server recycles it
     #: (exactly once) when the request reaches terminal completion.
     pooled: bool = False
-    #: Forced per-row ensemble member indices (int8, one per input row).
-    #: Replay passes the journaled routing decisions here because
-    #: journals recorded before the router became read-only were routed
-    #: by one that learned online; None = route live.
-    backend_ids: Optional[np.ndarray] = None
     #: Forced backpressure level for the request's batch; replay passes
     #: the journaled level here.  None = the controller's level.
     level: Optional[int] = None

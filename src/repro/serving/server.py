@@ -86,15 +86,10 @@ from repro.serving.transport import (
 
 __all__ = ["RumbaServer", "WorkerShard"]
 
-#: Completed requests at/above this latency become slow exemplars ...
-_SLOW_THRESHOLD_S = 0.1
-#: ... of which ``RumbaServer.stats()`` keeps the slowest few.
-_MAX_EXEMPLARS = 8
-
 
 def _batch_level(requests: List[ServeRequest], live: int) -> int:
     """``live``, or the level every request of the batch forces; mixed
-    forcing is refused, as ``_forced_choices`` refuses mixed members."""
+    forcing is refused."""
     level = requests[0].level
     if any(r.level != level for r in requests):
         raise ConfigurationError("a batch cannot mix forced levels")
@@ -211,16 +206,15 @@ class RumbaServer:
             ChaosMonkey(chaos) if isinstance(chaos, ChaosConfig) else chaos
         )
 
-        # Request tracing: sampling policy, flight recorder, slow-request
-        # exemplars (see docs/observability.md and observability/reqtrace).
+        # Request tracing: sampling policy and flight recorder (see
+        # docs/observability.md and observability/reqtrace).
         self.tracing = TracingPolicy.from_config(config.tracing)
         self.flight_recorder = None
         if config.tracing.enabled and config.tracing.flight_log_path:
             self.flight_recorder = FlightRecorder(
                 config.tracing.flight_log_path
             )
-        self._slow_lock = threading.Lock()
-        self._slow_exemplars: List[Dict[str, object]] = []
+        self._traced_lock = threading.Lock()
         self._traced_total = 0
 
         # Durable request journal: every terminal completion is appended
@@ -492,7 +486,6 @@ class RumbaServer:
         inputs: np.ndarray,
         deadline_s: Optional[float] = None,
         trace: Optional[object] = None,
-        backend_ids: Optional[np.ndarray] = None,
         level: Optional[int] = None,
     ) -> ServeHandle:
         """Admit one request; raises :class:`OverloadedError` when shed.
@@ -501,12 +494,10 @@ class RumbaServer:
         fault-triggered retries, recovery); it defaults to the server's
         ``default_deadline_s``.  ``trace`` lets a fronting edge (the TCP
         server) hand in a :class:`RequestTrace` it already started; when
-        None, the server's sampling policy decides.  ``backend_ids``
-        (one ensemble-member index per row, each in ``[0, n_members)``)
-        forces the router's choices and ``level`` (in ``[0,
-        controller.max_level]``) the backpressure level the request's
-        batch runs at — the replay harness passes the journaled values
-        here.
+        None, the server's sampling policy decides.  ``level`` (in
+        ``[0, controller.max_level]``) forces the backpressure level the
+        request's batch runs at — the replay harness passes the journaled
+        level here.
         """
         if self._state != "running":
             raise ServingError(
@@ -519,22 +510,11 @@ class RumbaServer:
                 raise ConfigurationError(f"level {level!r} is not in [0, "
                                          f"{self.controller.max_level}]")
             level = int(level)
-        if backend_ids is not None:
-            ensemble = self._prototype.ensemble
-            if ensemble is None:
-                raise ConfigurationError(
-                    "backend_ids requires an ensemble server"
-                )
-            backend_ids = ensemble.member_ids(backend_ids)
         arr = np.asarray(inputs, dtype=float)
         pooled = not (arr is inputs or arr.base is inputs)
         arr = np.atleast_2d(arr)
         if arr.shape[0] == 0:
             raise ConfigurationError("a request needs at least one element")
-        if backend_ids is not None and len(backend_ids) != len(arr):
-            raise ConfigurationError(
-                "backend_ids needs one member index per input row"
-            )
         if pooled:
             # Conversion allocated fresh rows anyway (list input, wrong
             # dtype); land them in a pooled arena instead so completion
@@ -556,7 +536,6 @@ class RumbaServer:
             deadline_s=deadline_s,
             trace=trace,
             pooled=pooled,
-            backend_ids=backend_ids,
             level=level,
         )
         if trace is not None:
@@ -841,10 +820,9 @@ class RumbaServer:
         batch's backpressure level, threshold and measured error, its
         slice of the per-row decision bits, and — on ensemble runs — its
         slice of the routed member choices (``backend_ids``).  Replay
-        forces the level and the choices back; the choices only matter
-        for journals recorded before the router became read-only, whose
-        routing was learned online.  Bits and choices arrive packed in
-        the worker's report (``include_bits``).
+        forces the level back and diffs the choices it re-derives.  Bits
+        and choices arrive packed in the worker's report
+        (``include_bits``).
         """
         bits = unpack_bits(
             report.get("decision_bits", b""), report.get("decision_nbits", 0)
@@ -1023,39 +1001,27 @@ class RumbaServer:
     def _export_trace(
         self, request: ServeRequest, trace, facts: Dict[str, object]
     ) -> None:
-        """Export one sampled trace: stage histograms, flight record,
-        and the slow-request exemplar list.  Tracing must never fail a
-        request, so recorder I/O errors are swallowed."""
+        """Export one sampled trace: stage histograms and flight record.
+        Tracing must never fail a request, so recorder I/O errors are
+        swallowed."""
         events = trace.events()
         for stage, duration in segments(events):
             self.observe_stage(stage, duration)
-        t0 = events[0][1] if events else 0.0
-        document = dict(
-            facts,
-            v=FLIGHT_LOG_VERSION,
-            app=self.app_name,
-            scheme=self.scheme,
-            elements=request.n_elements,
-            stages=[[stage, at - t0] for stage, at in events],
-        )
         if self.flight_recorder is not None:
+            t0 = events[0][1] if events else 0.0
             try:
-                self.flight_recorder.record(document)
+                self.flight_recorder.record(dict(
+                    facts,
+                    v=FLIGHT_LOG_VERSION,
+                    app=self.app_name,
+                    scheme=self.scheme,
+                    elements=request.n_elements,
+                    stages=[[stage, at - t0] for stage, at in events],
+                ))
             except OSError:  # pragma: no cover - disk full / fs races
                 pass
-        with self._slow_lock:
+        with self._traced_lock:
             self._traced_total += 1
-            if facts["latency_s"] >= _SLOW_THRESHOLD_S:
-                self._slow_exemplars.append({
-                    key: document[key]
-                    for key in ("request_id", "trace_id", "latency_s",
-                                "queue_wait_s", "worker", "attempts",
-                                "error", "stages")
-                })
-                self._slow_exemplars.sort(
-                    key=lambda e: e["latency_s"], reverse=True
-                )
-                del self._slow_exemplars[_MAX_EXEMPLARS:]
 
     # ------------------------------------------------------------------ #
     # Health / stats                                                     #
@@ -1090,9 +1056,8 @@ class RumbaServer:
             self.chaos_monkey.summary()
             if self.chaos_monkey is not None else None
         )
-        with self._slow_lock:
+        with self._traced_lock:
             traced_total = self._traced_total
-            slow_requests = [dict(entry) for entry in self._slow_exemplars]
         tracing_summary = {
             "enabled": self.tracing.enabled,
             "sample_every": self.tracing.sample_every,
@@ -1102,7 +1067,6 @@ class RumbaServer:
                 self.flight_recorder.written
                 if self.flight_recorder is not None else 0
             ),
-            "slow_threshold_s": _SLOW_THRESHOLD_S,
         }
         journal_summary = None
         if self.journal is not None:
@@ -1134,6 +1098,5 @@ class RumbaServer:
             "chaos": chaos_summary,
             "tracing": tracing_summary,
             "journal": journal_summary,
-            "slow_requests": slow_requests,
             "workers": per_worker,
         }

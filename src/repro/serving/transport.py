@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.runtime import InvocationRecord, RumbaSystem
-from repro.errors import ConfigurationError, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.observability.reqtrace import STAGE_COLLECT, STAGE_SHM_WRITE
 from repro.serving import cpuhold
 from repro.serving.batching import concat_inputs
@@ -102,26 +102,6 @@ def stamp_batch(
         at = time.monotonic()
     for trace in traces:
         trace.stamp(stage, at=at)
-
-
-def _forced_choices(requests: List[ServeRequest]) -> Optional[np.ndarray]:
-    """Concatenate a batch's forced routing choices (None = live).
-
-    Mixed batches are rejected: forcing only some rows of an invocation
-    would interleave recorded decisions with a router whose online state
-    no longer matches the recorded run.  Replay batches one request per
-    invocation, so this never triggers there.
-    """
-    forced = [r.backend_ids for r in requests]
-    if all(ids is None for ids in forced):
-        return None
-    if any(ids is None for ids in forced):
-        raise ConfigurationError(
-            "a batch cannot mix forced and live-routed requests"
-        )
-    if len(forced) == 1:
-        return forced[0]
-    return np.concatenate(forced)
 
 
 class WorkerTransport:
@@ -243,7 +223,6 @@ class ThreadTransport(WorkerTransport):
             return system.run_invocation(
                 inputs,
                 measure_quality=self.config.measure_quality,
-                forced_choices=_forced_choices(batch.requests),
                 level=batch.level,
             )
         finally:
@@ -339,7 +318,7 @@ class ProcessTransport(WorkerTransport):
         try:
             self.pool.submit_rows(
                 worker, batch.seq, blocks, trace_id=trace_id,
-                level=batch.level, forced=_forced_choices(batch.requests),
+                level=batch.level,
                 published=partial(stamp_batch, batch.traced, STAGE_SHM_WRITE),
             )
         except Exception as exc:

@@ -137,7 +137,8 @@ class TestSummarize:
     def test_record_order_moves_no_bit(self, stream):
         summary = summarize(stream, 0.1)
         assert summary.n == 8
-        assert None not in (summary.measured_error, summary.over_budget)
+        assert None not in (summary.measured_error, summary.unchecked_error,
+                            summary.over_budget)
         rng = np.random.default_rng(5)
         for _ in range(5):
             shuffled = [stream[i] for i in rng.permutation(len(stream))]
@@ -179,6 +180,7 @@ class TestSummarize:
         for records in ([unmeasured], [*stream, unmeasured]):
             summary = summarize(records, 0.1)
             assert summary.measured_error is None
+            assert summary.unchecked_error is None
             assert summary.over_budget is None
             assert 0.0 <= summary.fix_fraction <= 1.0
             assert summary.energy_savings > 0
@@ -458,62 +460,23 @@ class TestEnsembleRuntime:
         assert record.choices.max() < len(shard.ensemble.members)
         assert int(shard.ensemble.rows_routed.sum()) == 500
 
-    def test_forced_choices_reproduce_run_exactly(self, ens_system,
-                                                  fft_inputs):
+    def test_a_fresh_clone_rederives_the_run(self, ens_system, fft_inputs):
+        """Replay's premise: a fresh ``clone_shard()`` fed the rows a
+        prototype served, at the same level, routes them to the same
+        members and computes byte-identical outputs, so replay re-derives
+        the journaled choices rather than forcing them."""
+        prototype = ens_system.clone_shard()
         x = fft_inputs[:600]
-        live = ens_system.clone_shard().run_invocation(x)
-        forced = ens_system.clone_shard().run_invocation(
-            x, forced_choices=live.choices
-        )
-        assert forced.outputs.tobytes() == live.outputs.tobytes()
-        np.testing.assert_array_equal(forced.choices, live.choices)
-        assert forced.detection.n_fired == live.detection.n_fired
-
-    def test_forced_choices_ignore_the_replaying_router(self, ens_system,
-                                                       fft_inputs):
-        """Forcing must reproduce a recorded run even when the replaying
-        shard's router would route differently — replay does not
-        reproduce the capture-time degradation level — the replay
-        determinism contract."""
-        x = fft_inputs[:400]
-        live = ens_system.clone_shard().run_invocation(x)
-        replaying = ens_system.clone_shard()
-        replaying.ensemble.router.margin = 0.5
-        rerouted = replaying.ensemble.router.route(
-            replaying.ensemble.router_features(x),
-            replaying.tuner.threshold, 3,
-        )
-        assert (rerouted != live.choices).any()
-        forced = replaying.run_invocation(x, forced_choices=live.choices)
-        assert forced.outputs.tobytes() == live.outputs.tobytes()
-        np.testing.assert_array_equal(forced.choices, live.choices)
-
-    def test_forced_choices_require_ensemble(self, tree_system,
-                                             fft_inputs):
-        with pytest.raises(ConfigurationError,
-                           match="requires an ensemble"):
-            tree_system.clone_shard().run_invocation(
-                fft_inputs[:10], forced_choices=np.zeros(10, dtype=np.int8)
-            )
-
-    def test_forced_choices_length_validated(self, ens_system,
-                                             fft_inputs):
-        with pytest.raises(ConfigurationError, match="one entry per row"):
-            ens_system.clone_shard().run_invocation(
-                fft_inputs[:10], forced_choices=np.zeros(4, dtype=np.int8)
-            )
-
-    @pytest.mark.parametrize("bad", [5, -1, np.int64(256)],
-                             ids=["5", "-1", "int64-256"])
-    def test_forced_choices_outside_members_rejected(self, ens_system,
-                                                     fft_inputs, bad):
-        shard = ens_system.clone_shard()
-        forced = np.zeros(10, dtype=np.int64)
-        forced[3] = bad
-        with pytest.raises(ConfigurationError, match="outside"):
-            shard.run_invocation(fft_inputs[:10], forced_choices=forced)
-        assert shard.total_invocations == 0
-        assert shard.ensemble.rows_routed.sum() == 0
+        runs = []
+        for level in (0, 2):
+            fresh = prototype.clone_shard()
+            recorded = prototype.run_invocation(x, level=level)
+            replayed = fresh.run_invocation(x, level=level)
+            np.testing.assert_array_equal(replayed.choices, recorded.choices)
+            assert replayed.outputs.tobytes() == recorded.outputs.tobytes()
+            runs.append(recorded.choices)
+        assert len(np.unique(np.concatenate(runs))) >= 2
+        assert (runs[0] != runs[1]).any(), "the level must reach the router"
 
     def test_routing_is_stationary(self, ens_system, fft_inputs):
         """Routing depends only on (features, threshold, degradation

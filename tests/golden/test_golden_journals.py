@@ -1,9 +1,12 @@
 """The committed replay oracle (ROADMAP item 4.1; ``README.md`` beside).
 
-Four journals recorded at commit ``d133502`` — before the descent of
-``predictors/tree.py`` was rewritten — replayed here on both backends.
-Every batch must come back bit for bit: outputs, decision bits, quality
-metrics and routed members.  The journals are data, not fixtures: a
+Four journals replayed here on both backends: three recorded at commit
+``d133502`` — before the descent of ``predictors/tree.py`` was
+rewritten — and the kmeans ensemble one re-recorded on top of
+``a165b0e``, when replay stopped forcing the routing (``README.md`` has
+why).  Every
+batch must come back bit for bit: outputs, decision bits, quality
+metrics and the routed members replay re-derives.  The journals are data, not fixtures: a
 test that fails here is answered by fixing the code, and the files
 change only under the rule the README states (the digests below make
 that a deliberate edit).
@@ -34,7 +37,7 @@ RECORDED = {
         "fft", "thread", True,
     ),
     "process_ensemble_kmeans.journal": (
-        "a4a09fc29a690cd4d3244b0da9ff989727e86296463d98d5118c390720d4e03e",
+        "63f9d1c749ef54fd65ecc7cb42fe6f26fb1d4e07a30370522b3dcdf9b4d06b0f",
         "kmeans", "process", True,
     ),
 }

@@ -1,7 +1,8 @@
 """Every reduction over invocation records is :func:`repro.core.summarize`.
 
 A mean or share of a record's ``fix_fraction``, ``measured_error``,
-``costs.energy_savings`` or ``pipeline.cpu_kept_up`` computed anywhere
+``unchecked_error``, ``costs.energy_savings`` or
+``pipeline.cpu_kept_up`` computed anywhere
 else is a second implementation, free to differ from the first in its
 window or its summation order.  The scan flags, under ``src/`` and
 ``examples/``, every comprehension that collects one of those attributes
@@ -12,8 +13,8 @@ import ast
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-QUANTITIES = {"fix_fraction", "measured_error", "energy_savings",
-              "cpu_kept_up"}
+QUANTITIES = {"fix_fraction", "measured_error", "unchecked_error",
+              "energy_savings", "cpu_kept_up"}
 #: The one place allowed to reduce them: (file, function).
 HOME = ("src/repro/core/runtime.py", "summarize")
 
